@@ -16,6 +16,14 @@
 // make or a composite literal clears the taint. Methods whose receiver is
 // itself a clock type (the vclock primitives) are exempt — mutating the
 // receiver is their contract.
+//
+// Second invariant, same convention: a *window* is a clock-typed view cut
+// out of a larger raw slice — VC(arena[i:j]) — as in the box kernel's
+// frontier arenas (internal/core/boxdp.go). Its owner may write through it
+// (that is how a lift cut is completed in place), but the arena is reused by
+// the next sweep, so a window stored somewhere that outlives the sweep — a
+// composite literal, an append, a struct field — without Clone() hands out
+// storage that will be overwritten. Those three stores are findings.
 package clockalias
 
 import (
@@ -82,6 +90,7 @@ func isClockType(t types.Type) bool {
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	tainted := map[types.Object]string{} // var -> description of the borrow source
+	windows := map[types.Object]bool{}   // vars bound to a window into a raw arena
 	if fd.Type.Params != nil {
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
@@ -95,7 +104,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			checkAssign(pass, n, tainted)
+			checkAssign(pass, n, tainted, windows)
 		case *ast.ValueSpec:
 			for i, name := range n.Names {
 				if i >= len(n.Values) {
@@ -105,7 +114,17 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 					if src, bad := borrowed(pass, n.Values[i], tainted); bad {
 						tainted[obj] = src
 					}
+					if isWindow(pass, n.Values[i], windows) {
+						windows[obj] = true
+					}
 				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					elt = kv.Value
+				}
+				reportStoredWindow(pass, elt, windows, "composite literal")
 			}
 		case *ast.IncDecStmt:
 			if ix, ok := n.X.(*ast.IndexExpr); ok {
@@ -114,7 +133,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 				}
 			}
 		case *ast.CallExpr:
-			checkCall(pass, n, tainted)
+			checkCall(pass, n, tainted, windows)
 		}
 		return true
 	})
@@ -122,13 +141,16 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 
 // checkAssign handles both taint propagation (ident = borrowed expr) and
 // mutation detection (borrowedExpr[i] = v).
-func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, tainted map[types.Object]string) {
+func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, tainted map[types.Object]string, windows map[types.Object]bool) {
 	// Mutation: index-assignment whose base is borrowed.
-	for _, lhs := range as.Lhs {
+	for i, lhs := range as.Lhs {
 		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 			if src, bad := borrowed(pass, ix.X, tainted); bad {
 				pass.Reportf(lhs.Pos(), "in-place element write to aliased clock/cut slice (%s); Clone() before mutating", src)
 			}
+		}
+		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && isField(pass, sel) && len(as.Lhs) == len(as.Rhs) {
+			reportStoredWindow(pass, as.Rhs[i], windows, "field")
 		}
 	}
 	// Taint transfer: only simple 1:1 or n:n ident bindings are tracked.
@@ -152,11 +174,38 @@ func checkAssign(pass *analysis.Pass, as *ast.AssignStmt, tainted map[types.Obje
 		} else {
 			delete(tainted, obj) // rebound to owned storage
 		}
+		if isWindow(pass, as.Rhs[i], windows) {
+			windows[obj] = true
+		} else {
+			delete(windows, obj)
+		}
+	}
+}
+
+// isWindow reports whether e is a clock-typed view into a larger raw slice:
+// a conversion of a slice expression to a clock type, or a variable bound to
+// one.
+func isWindow(pass *analysis.Pass, e ast.Expr, windows map[types.Object]bool) bool {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return windows[pass.TypesInfo.Uses[e]]
+	case *ast.CallExpr:
+		if tv, ok := pass.TypesInfo.Types[e.Fun]; ok && tv.IsType() && isClockType(tv.Type) && len(e.Args) == 1 {
+			_, sliced := ast.Unparen(e.Args[0]).(*ast.SliceExpr)
+			return sliced
+		}
+	}
+	return false
+}
+
+func reportStoredWindow(pass *analysis.Pass, e ast.Expr, windows map[types.Object]bool, where string) {
+	if isWindow(pass, e, windows) {
+		pass.Reportf(e.Pos(), "%s retains a window into a reusable arena; Clone() what outlives the sweep", where)
 	}
 }
 
 // checkCall flags mutating calls on borrowed receivers/arguments.
-func checkCall(pass *analysis.Pass, call *ast.CallExpr, tainted map[types.Object]string) {
+func checkCall(pass *analysis.Pass, call *ast.CallExpr, tainted map[types.Object]string, windows map[types.Object]bool) {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
 		name := fun.Sel.Name
@@ -175,6 +224,11 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr, tainted map[types.Object
 		if fun.Name == "copy" && len(call.Args) == 2 {
 			if src, bad := borrowed(pass, call.Args[0], tainted); bad {
 				pass.Reportf(call.Pos(), "copy into aliased clock/cut slice (%s); Clone() first", src)
+			}
+		}
+		if fun.Name == "append" && len(call.Args) > 1 && !call.Ellipsis.IsValid() {
+			for _, arg := range call.Args[1:] {
+				reportStoredWindow(pass, arg, windows, "append")
 			}
 		}
 	}

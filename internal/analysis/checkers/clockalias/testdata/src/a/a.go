@@ -135,3 +135,52 @@ func goodReadOnly(e Event, w VC) bool {
 	x := e.VC
 	return len(x) == len(w) && x[0] == w[0]
 }
+
+// The box kernel's shape (internal/core/boxdp.go): nodes live in a flat arena
+// that the next sweep reuses; cuts are windows into it.
+type pivot struct {
+	q   int
+	cut VC
+}
+
+type frontier struct{ cuts []int }
+
+type result struct {
+	pivots []pivot
+	last   VC
+}
+
+func badPivotAliasesArena(f *frontier, res *result, i, n int) {
+	lift := VC(f.cuts[i*n : (i+1)*n])
+	lift[0]++                                               // the owner completes the lift in place: fine
+	res.pivots = append(res.pivots, pivot{q: 1, cut: lift}) // want `composite literal retains a window into a reusable arena`
+}
+
+func badPivotAliasesArenaDirect(f *frontier, i, n int) pivot {
+	return pivot{2, VC(f.cuts[i*n : (i+1)*n])} // want `composite literal retains a window into a reusable arena`
+}
+
+func badWindowAppended(f *frontier, cuts []VC, n int) []VC {
+	w := VC(f.cuts[:n])
+	return append(cuts, w) // want `append retains a window into a reusable arena`
+}
+
+func badWindowInField(f *frontier, res *result, n int) {
+	res.last = VC(f.cuts[:n]) // want `field retains a window into a reusable arena`
+}
+
+func goodPivotClonesWindow(f *frontier, res *result, i, n int) {
+	lift := VC(f.cuts[i*n : (i+1)*n])
+	res.pivots = append(res.pivots, pivot{q: 1, cut: lift.Clone()})
+}
+
+func goodWindowRebound(f *frontier, res *result, n int) {
+	w := VC(f.cuts[:n])
+	w = w.Clone()
+	res.last = w
+}
+
+func goodWindowReadOnly(f *frontier, hi VC, n int) bool {
+	cut := VC(f.cuts[:n])
+	return cut[0] < hi[0]
+}

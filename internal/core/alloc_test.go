@@ -35,6 +35,70 @@ func TestAllocsWireEncode(t *testing.T) {
 	}
 }
 
+// TestAllocsSegmentDecode gates the decode side of an event segment: an event
+// slab and a clock slab per slabEvents events and the pointer slice (plus the
+// message struct, the reply struct and the floor), not two objects per event.
+func TestAllocsSegmentDecode(t *testing.T) {
+	var evs []*dist.Event
+	for sn := 1; sn <= 64; sn++ {
+		evs = append(evs, &dist.Event{Proc: 1, SN: sn, Peer: -1, VC: vclock.VC{sn, sn, 3, 0}, Time: float64(sn)})
+	}
+	payload, err := encodeMsg(&wireMsg{Kind: msgFetchReply, Floor: vclock.VC{1, 1, 1, 0}, FetchReply: &fetchReplyWire{Proc: 1, Events: evs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := decodeMsg(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if budget := float64(4 + 2*64/slabEvents); allocs > budget {
+		t.Errorf("decoding a 64-event fetch reply allocates %.1f objects, budget %.0f", allocs, budget)
+	}
+}
+
+// TestAllocsBoxSweep gates the box kernel: on a warmed scratch, sweeping a
+// 3-support box in which no transition fires allocates the result and its
+// final states, nothing per node.
+func TestAllocsBoxSweep(t *testing.T) {
+	ts := dist.Generate(dist.GenConfig{
+		N: 5, InternalPerProc: 6, CommMu: 3, CommSigma: 1, Topology: dist.TopoRing, Seed: 1,
+		TrueProbs: map[string]float64{"p": 0, "q": 0},
+	})
+	mon, err := automaton.Build(ltl.MustParse("F (P0.p && P1.p && P2.p)"), ts.Props.Names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	know := newKnowledge(ts.N(), ts.InitialState())
+	hi := vclock.New(ts.N())
+	for _, tr := range ts.Traces {
+		for _, e := range tr.Events {
+			if err := know.append(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		hi[tr.Proc] = len(tr.Events)
+	}
+	lt := newLetterTable(ts.Props, ts.N())
+	init := newStateset(mon.NumStates())
+	init.set(mon.Step(mon.Initial(), lt.letter(ts.InitialState())))
+	lo, support := vclock.New(ts.N()), []int{0, 1, 2}
+	var sc boxScratch
+	sweep := func() *boxResult {
+		res, err := sc.explore(mon, know, lt, init, lo, hi, 1<<21, support)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if res := sweep(); res.nodes < 100 || len(res.pivots) != 0 {
+		t.Fatalf("fixture: %d nodes, %d pivots; want a wide box with no pivots", res.nodes, len(res.pivots))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sweep() }); allocs > 2 {
+		t.Errorf("a warmed box sweep allocates %.1f objects, budget 2 (boxResult and finalStates)", allocs)
+	}
+}
+
 // TestAllocsVCKey gates the vector-clock key appender: with capacity in the
 // destination buffer it must not allocate, which is what makes the
 // m[string(AppendKey(buf[:0]))] map-probe idiom free on lookups.

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"strconv"
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/vclock"
@@ -30,135 +29,95 @@ type pivot struct {
 	cut vclock.VC
 }
 
-// exploreBox explores the consistent cuts D with lo ≤ D ≤ hi, starting from
-// the automaton states init at lo. The monitor's knowledge must cover every
-// event in (lo, hi]. Two strategies share this entry point:
-//
-//   - support == nil: the exact full-width state-set DP (exploreBoxExact) —
-//     the same layered DP as the Chapter-3 oracle, restricted to the box.
-//   - support != nil: the sliced rank-synchronous sweep (exploreBoxSliced) —
-//     the region is projected onto the property's support processes before
-//     sweeping, which is verdict-exact for ○-free (stutter-invariant)
-//     properties; the monitor computes the support slice once in New and
-//     passes nil whenever the exact DP is required (○ in the formula, no
-//     formula attached, support spanning every process, or Config.ExactBoxes).
-//
-// maxNodes bounds the exploration; exceeding it returns an error (the
-// monitor surfaces it — under slicing the bound counts projected nodes, so
-// workloads whose full-width region explodes stay far below it).
-func exploreBox(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (*boxResult, error) {
-	for p := 0; p < know.n; p++ {
-		if lo[p] > hi[p] {
-			return nil, fmt.Errorf("core: box lower bound %v above upper %v", lo, hi)
-		}
-		if hi[p] > know.len(p) {
-			return nil, fmt.Errorf("core: box upper bound %v not covered by knowledge (process %d has %d events)", hi, p, know.len(p))
-		}
-	}
-	if support == nil {
-		return exploreBoxExact(mon, know, lt, init, lo, hi, maxNodes)
-	}
-	return exploreBoxSliced(mon, know, lt, init, lo, hi, maxNodes, support)
+// boxScratch is the box kernel's working memory. Each Monitor owns one and
+// only its run loop (or the pump task standing in for it, sched.go) explores
+// with it: no pool, no lock. The arenas keep the capacity of the widest
+// frontier seen, so a steady-state exploration allocates only its result —
+// which may not alias the scratch: reported cuts are clones.
+type boxScratch struct {
+	fr    [2]boxFrontier // the rank being expanded and the rank being built
+	table []int32        // successor dedupe: open-addressed, node index+1, 0 = free
+	concl stateset       // conclusive states absorbed out of the frontier
+	// tightTable (tests only) sizes the table at the minimum that still
+	// terminates probing instead of at load ≤ 1/2, so nearly every insert
+	// collides and dedupe is decided by the coordinate compare alone.
+	tightTable bool
 }
 
-// exploreBoxExact runs the exact state-set dynamic program over every
-// consistent cut of the box. It is how a monitor turns the event segments
-// gathered by a token into *verified* lattice paths (soundness) while still
-// only ever expanding regions that can change the automaton state.
-//
-// Each node caches the letter at its cut, maintained incrementally through
-// the letterTable (one edge changes one process's bits), so the explorer
-// never materializes a GlobalState per node; map lookups go through a scratch
-// key buffer (m[string(buf)] compiles to an allocation-free lookup), so only
-// node *insertion* allocates.
-func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int) (*boxResult, error) {
-	n := know.n
-	type node struct {
-		cut    vclock.VC
-		states stateset
-		letter uint32
-	}
-	nStates := mon.NumStates()
-	index := map[string]*node{}
-	start := &node{cut: lo.Clone(), states: newStateset(nStates), letter: lt.letter(know.stateAt(lo))}
-	copy(start.states, init)
-	index[string(lo.AppendKey(nil))] = start
-	queue := []*node{start}
-
-	res := &boxResult{nodes: 1}
-	seenConcl := map[int]bool{}
-	seenPivot := map[string]bool{}
-	init.forEach(func(q int) {
-		if mon.Final(q) {
-			seenConcl[q] = true
-		}
-	})
-
-	var keyBuf, pivotBuf []byte
-	for len(queue) > 0 {
-		nd := queue[0]
-		queue = queue[1:]
-		for p := 0; p < n; p++ {
-			if nd.cut[p] >= hi[p] {
-				continue
-			}
-			if !know.consistentStep(nd.cut, p) {
-				continue
-			}
-			nd.cut[p]++ // borrow the cut for the key probe; restored below
-			keyBuf = nd.cut.AppendKey(keyBuf[:0])
-			succ, ok := index[string(keyBuf)]
-			if !ok {
-				succ = &node{
-					cut:    nd.cut.Clone(),
-					states: newStateset(nStates),
-					letter: lt.update(nd.letter, p, know.state(p, nd.cut[p])),
-				}
-				index[string(keyBuf)] = succ
-				queue = append(queue, succ)
-				res.nodes++
-				if res.nodes > maxNodes {
-					nd.cut[p]--
-					return nil, fmt.Errorf("core: box exploration exceeded %d nodes between %v and %v", maxNodes, lo, hi)
-				}
-			}
-			nd.cut[p]--
-			letter := succ.letter
-			for w, word := range nd.states {
-				for word != 0 {
-					st := w*64 + bits.TrailingZeros64(word)
-					word &= word - 1
-					nq := mon.Step(st, letter)
-					succ.states.set(nq)
-					if nq != st {
-						// An outgoing transition fired: a pivot global state.
-						pivotBuf = strconv.AppendInt(pivotBuf[:0], int64(nq), 10)
-						pivotBuf = append(pivotBuf, '|')
-						pivotBuf = succ.cut.AppendKey(pivotBuf)
-						if !seenPivot[string(pivotBuf)] {
-							seenPivot[string(pivotBuf)] = true
-							res.pivots = append(res.pivots, pivot{q: nq, cut: succ.cut.Clone()})
-						}
-						if mon.Final(nq) && !seenConcl[nq] {
-							seenConcl[nq] = true
-							res.conclusive = append(res.conclusive, pivot{q: nq, cut: succ.cut.Clone()})
-						}
-					}
-				}
-			}
-		}
-	}
-	top, ok := index[string(hi.AppendKey(keyBuf[:0]))]
-	if !ok {
-		return nil, fmt.Errorf("core: box upper cut %v unreachable from %v", hi, lo)
-	}
-	top.states.forEach(func(st int) {
-		res.finalStates = append(res.finalStates, st)
-	})
-	return res, nil
+// boxFrontier holds the nodes of one rank as parallel arenas, node i at
+// [i*width, (i+1)*width) of each: the full-width lift of its projected cut,
+// the automaton states reachable there, the (state) pivots already reported
+// at it, and the letter at the cut (one per node: len(letters) is the width
+// of the frontier).
+type boxFrontier struct {
+	cuts    []int
+	states  []uint64
+	pivoted []uint64
+	letters []uint32
 }
 
-// exploreBoxSliced is the support-sliced, rank-synchronous frontier sweep.
+func (f *boxFrontier) reset() {
+	f.cuts, f.states, f.pivoted, f.letters = f.cuts[:0], f.states[:0], f.pivoted[:0], f.letters[:0]
+}
+
+// push appends a node at cut with no states and returns its index.
+func (f *boxFrontier) push(cut []int, letter uint32, words int) int {
+	f.cuts = append(f.cuts, cut...)
+	for w := 0; w < words; w++ {
+		f.states = append(f.states, 0)
+		f.pivoted = append(f.pivoted, 0)
+	}
+	f.letters = append(f.letters, letter)
+	return len(f.letters) - 1
+}
+
+// tableFor returns a cleared dedupe table, a power of two in size, for a rank
+// with at most need successors. Sizing by the bound means the table never
+// fills and never rehashes; clearing it costs no more than the need probes
+// the rank is about to make.
+func (sc *boxScratch) tableFor(need int) []int32 {
+	lg := uint(3)
+	for (!sc.tightTable && 1<<lg < 2*need) || 1<<lg <= need {
+		lg++
+	}
+	if cap(sc.table) < 1<<lg {
+		sc.table = make([]int32, 1<<lg)
+	}
+	tab := sc.table[:1<<lg]
+	clear(tab)
+	return tab
+}
+
+// successor returns the node of f whose projected cut is cut's, adding it (as
+// a copy of cut; the caller completes the lift) when it is new. The hash only
+// picks where probing starts: a node is the successor iff its support
+// coordinates compare equal.
+func (f *boxFrontier) successor(tab []int32, cut []int, support []int, words int) (idx int, fresh bool) {
+	h := uint64(0)
+	for _, j := range support {
+		h = (h + uint64(cut[j]) + 1) * 0x9E3779B97F4A7C15
+	}
+	width, mask := len(cut), len(tab)-1
+probe:
+	for slot := int(h>>32) & mask; ; slot = (slot + 1) & mask {
+		if tab[slot] == 0 {
+			tab[slot] = int32(len(f.letters) + 1)
+			return f.push(cut, 0, words), true
+		}
+		idx = int(tab[slot]) - 1
+		have := f.cuts[idx*width : (idx+1)*width]
+		for _, j := range support {
+			if have[j] != cut[j] {
+				continue probe
+			}
+		}
+		return idx, false
+	}
+}
+
+// explore sweeps the consistent cuts D with lo ≤ D ≤ hi, projected onto the
+// support processes, from the automaton states init at lo. The knowledge must
+// cover every event in (lo, hi]; visiting more than maxNodes is an error.
 //
 // Slicing: only support processes own propositions the formula reads, so a
 // non-support process's events never change the formula-relevant bits of the
@@ -172,6 +131,11 @@ func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, i
 // n-process broadcast explores a k-dimensional region instead of an
 // n-dimensional one, which is what makes dense-broadcast workloads tractable.
 //
+// Exact = full support: when slicing is not verdict-exact the monitor passes
+// every process as the support (boxSupport). projectedStep then *is*
+// consistentStep, each lift *is* its cut, and the sweep is the Chapter-3
+// oracle's layered state-set DP restricted to the box.
+//
 // Lift cuts: each projected node carries the full-width *lift* of its
 // projected cut — lo joined with the vector clocks of every included support
 // event. The lift is the least consistent full cut containing exactly those
@@ -181,141 +145,128 @@ func exploreBoxExact(mon *automaton.Monitor, know *knowledge, lt *letterTable, i
 // round-trip against full-width clocks.
 //
 // Antichain + rank synchrony: the sweep keeps one frontier per rank (rank =
-// number of included support events), keyed by projected cut. A path whose
-// stateset is a subset of another's at the same projected cut is subsumed by
-// the union-merge and never re-expanded, and conclusive states — absorbing by
-// construction — are pulled out of the frontier into one accumulated set and
-// OR-ed back into the final states at the top. Memory is O(two ranks of
-// frontier width) instead of the full region map.
-func exploreBoxSliced(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (*boxResult, error) {
-	nStates := mon.NumStates()
-	res := &boxResult{nodes: 1}
-	concl := newStateset(nStates) // conclusive states absorbed out of the frontier
-	seenConcl := map[int]bool{}
-	seenPivot := map[string]bool{}
-
-	type node struct {
-		cut    vclock.VC // full-width lift of the projected cut
-		states stateset
-		letter uint32
-	}
-	start := &node{cut: lo.Clone(), states: newStateset(nStates), letter: lt.letter(know.stateAt(lo))}
-	init.forEach(func(q int) {
-		if mon.Final(q) {
-			// Absorbing: keep out of the frontier (never re-reported, like the
-			// exact DP's seenConcl seed) but present in the final states.
-			seenConcl[q] = true
-			concl.set(q)
-			return
+// number of included support events), deduplicated by projected cut, in
+// discovery order (which keeps reported cuts deterministic). Paths meeting at
+// a projected cut union-merge and are expanded once; conclusive states —
+// absorbing by construction — are pulled out of the frontier into one set and
+// OR-ed back into the final states at the top. A (state, cut) pivot is
+// reported once: a node is only stepped into while its rank is being built,
+// so one bit per state on the node remembers it. Memory is two ranks of
+// frontier, not the region.
+func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (*boxResult, error) {
+	n, words := know.n, len(init)
+	var letter uint32
+	for p := 0; p < n; p++ {
+		if lo[p] > hi[p] {
+			return nil, fmt.Errorf("core: box lower bound %v above upper %v", lo, hi)
 		}
-		start.states.set(q)
-	})
+		if hi[p] > know.len(p) {
+			return nil, fmt.Errorf("core: box upper bound %v not covered by knowledge (process %d has %d events)", hi, p, know.len(p))
+		}
+		letter |= lt.bitsOf(p, know.state(p, lo[p]))
+	}
+	res := &boxResult{nodes: 1}
+	cur, next := &sc.fr[0], &sc.fr[1]
+	cur.reset()
+	cur.push(lo, letter, words)
+	if len(sc.concl) != words {
+		sc.concl = make(stateset, words)
+	}
+	concl := sc.concl
+	concl.clear()
+	for w, word := range init {
+		for word != 0 {
+			q := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if mon.Final(q) {
+				// Absorbing: kept out of the frontier and never re-reported,
+				// but present in the final states.
+				concl.set(q)
+			} else {
+				stateset(cur.states).set(q)
+			}
+		}
+	}
 
 	ranks := 0
 	for _, j := range support {
 		ranks += hi[j] - lo[j]
 	}
-	// Ordered frontier list + dedup map per rank: list order keeps discovery
-	// cuts deterministic (the exact DP's FIFO queue is rank-synchronous too).
-	curList := []*node{start}
-	curIdx := map[string]*node{string(appendSupportKey(nil, lo, support)): start}
-
-	var keyBuf, pivotBuf []byte
 	for r := 0; r < ranks; r++ {
-		var nextList []*node
-		nextIdx := make(map[string]*node, len(curList)*len(support))
-		for _, nd := range curList {
+		next.reset()
+		tab := sc.tableFor(len(cur.letters) * len(support))
+		for i := range cur.letters {
+			cut := vclock.VC(cur.cuts[i*n : (i+1)*n])
 			for _, p := range support {
-				if nd.cut[p] >= hi[p] {
+				if cut[p] >= hi[p] || !know.projectedStep(cut, p, support) {
 					continue
 				}
-				if !know.projectedStep(nd.cut, p, support) {
-					continue
-				}
-				e := know.event(p, nd.cut[p]+1)
-				// Probe the successor's projected key without materializing.
-				keyBuf = keyBuf[:0]
-				for _, j := range support {
-					v := nd.cut[j]
-					if j == p {
-						v++
-					}
-					keyBuf = strconv.AppendInt(keyBuf, int64(v), 10)
-					keyBuf = append(keyBuf, '.')
-				}
-				succ, ok := nextIdx[string(keyBuf)]
-				if !ok {
-					// Build the lift: bump p, then join the event's clock.
-					// Support components are already covered (projectedStep),
-					// so the join only ever advances non-support components.
-					cut := nd.cut.Clone()
-					cut[p]++
+				cut[p]++ // borrowed as the successor's projected cut
+				si, fresh := next.successor(tab, cut, support, words)
+				cut[p]--
+				lift := vclock.VC(next.cuts[si*n : (si+1)*n])
+				if fresh {
+					// Complete the lift by joining the event's clock. Support
+					// components are already covered (projectedStep), so the
+					// join only ever advances non-support components.
+					e := know.event(p, lift[p])
 					for j, v := range e.VC {
-						if v > cut[j] {
-							cut[j] = v
+						if v > lift[j] {
+							lift[j] = v
 						}
 					}
-					succ = &node{
-						cut:    cut,
-						states: newStateset(nStates),
-						letter: lt.update(nd.letter, p, e.State),
-					}
-					nextIdx[string(keyBuf)] = succ
-					nextList = append(nextList, succ)
+					next.letters[si] = lt.update(cur.letters[i], p, e.State)
 					res.nodes++
 					if res.nodes > maxNodes {
 						return nil, fmt.Errorf("core: box exploration exceeded %d nodes between %v and %v", maxNodes, lo, hi)
 					}
 				}
-				letter := succ.letter
-				for w, word := range nd.states {
+				succLetter := next.letters[si]
+				succStates := stateset(next.states[si*words : (si+1)*words])
+				pivoted := stateset(next.pivoted[si*words : (si+1)*words])
+				for w, word := range cur.states[i*words : (i+1)*words] {
 					for word != 0 {
 						st := w*64 + bits.TrailingZeros64(word)
 						word &= word - 1
-						nq := mon.Step(st, letter)
+						nq := mon.Step(st, succLetter)
 						if nq != st {
-							pivotBuf = strconv.AppendInt(pivotBuf[:0], int64(nq), 10)
-							pivotBuf = append(pivotBuf, '|')
-							pivotBuf = succ.cut.AppendKey(pivotBuf)
-							if !seenPivot[string(pivotBuf)] {
-								seenPivot[string(pivotBuf)] = true
-								res.pivots = append(res.pivots, pivot{q: nq, cut: succ.cut.Clone()})
+							// An outgoing transition fired: a pivot global state.
+							if !pivoted.has(nq) {
+								pivoted.set(nq)
+								res.pivots = append(res.pivots, pivot{q: nq, cut: lift.Clone()})
 							}
 							if mon.Final(nq) {
-								if !seenConcl[nq] {
-									seenConcl[nq] = true
-									res.conclusive = append(res.conclusive, pivot{q: nq, cut: succ.cut.Clone()})
+								if !concl.has(nq) {
+									concl.set(nq)
+									res.conclusive = append(res.conclusive, pivot{q: nq, cut: lift.Clone()})
 								}
-								concl.set(nq)
 								continue
 							}
 						}
-						succ.states.set(nq)
+						succStates.set(nq)
 					}
 				}
 			}
 		}
-		curList, curIdx = nextList, nextIdx
+		cur, next = next, cur
 	}
-	top, ok := curIdx[string(appendSupportKey(keyBuf[:0], hi, support))]
-	if !ok {
+	// Rank `ranks` has room for one projected cut only: hi's.
+	if len(cur.letters) == 0 {
 		return nil, fmt.Errorf("core: box upper cut %v unreachable from %v", hi, lo)
 	}
-	fin := top.states.clone()
-	fin.or(concl)
-	fin.forEach(func(st int) {
-		res.finalStates = append(res.finalStates, st)
-	})
-	return res, nil
-}
-
-// appendSupportKey renders the support-projection of a cut as a map key.
-func appendSupportKey(b []byte, cut vclock.VC, support []int) []byte {
-	for _, j := range support {
-		b = strconv.AppendInt(b, int64(cut[j]), 10)
-		b = append(b, '.')
+	final := 0
+	for w := range concl {
+		final += bits.OnesCount64(cur.states[w] | concl[w])
 	}
-	return b
+	res.finalStates = make([]int, 0, final)
+	for w := range concl {
+		word := cur.states[w] | concl[w]
+		for word != 0 {
+			res.finalStates = append(res.finalStates, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
+	return res, nil
 }
 
 // stateset is a small bitset over automaton states (mirrors the lattice
@@ -356,13 +307,6 @@ func (s stateset) members(n int) []int {
 	return out
 }
 
-// clone returns an independent copy.
-func (s stateset) clone() stateset {
-	t := make(stateset, len(s))
-	copy(t, s)
-	return t
-}
-
 // or unions t into s and reports whether s changed.
 func (s stateset) or(t stateset) bool {
 	changed := false
@@ -384,15 +328,4 @@ func (s stateset) empty() bool {
 		}
 	}
 	return true
-}
-
-// key renders the set compactly for signatures.
-func (s stateset) key() string {
-	b := make([]byte, 0, 16*len(s))
-	for _, w := range s {
-		for sh := 0; sh < 64; sh += 8 {
-			b = append(b, byte(w>>sh))
-		}
-	}
-	return string(b)
 }

@@ -8,16 +8,35 @@ import (
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
+	"decentmon/internal/lattice"
 	"decentmon/internal/ltl"
 	"decentmon/internal/vclock"
 )
 
-// Property tests for the box explorers: the exact DP is checked node-for-node
-// against a brute-force enumeration of the region, the sliced sweep with a
-// full-width support must reproduce the exact DP verbatim, and the sliced
-// sweep with a proper support slice must agree on verdicts while visiting
-// exactly the projected region, with every reported cut round-tripping
-// through its support projection.
+// Property tests for the box kernel: at full support (the exact DP) it is
+// checked node-for-node against a brute-force enumeration of the region and,
+// over whole executions, against the lattice oracles; with a proper support
+// slice it must agree on verdicts while visiting exactly the projected
+// region, with every reported cut round-tripping through its support
+// projection; and its successor dedupe must survive a table in which nearly
+// every insert collides.
+
+// exploreBox runs the kernel on a fresh scratch. A nil support stands for
+// every process: the exact full-width DP.
+func exploreBox(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (*boxResult, error) {
+	if support == nil {
+		support = allProcs(know.n)
+	}
+	return new(boxScratch).explore(mon, know, lt, init, lo, hi, maxNodes, support)
+}
+
+func allProcs(n int) []int {
+	all := make([]int, n)
+	for p := range all {
+		all[p] = p
+	}
+	return all
+}
 
 // boxFixture assembles the explorer's inputs from a generated trace set.
 type boxFixture struct {
@@ -121,7 +140,7 @@ type bruteResult struct {
 // the most literal reading of the Chapter-3 DP, as an independent reference.
 func (f *boxFixture) bruteBox(lo, hi vclock.VC) *bruteResult {
 	cuts := f.enumerateConsistent(lo, hi)
-	states := map[string]stateset{string(lo.AppendKey(nil)): f.init.clone()}
+	states := map[string]stateset{string(lo.AppendKey(nil)): append(stateset(nil), f.init...)}
 	res := &bruteResult{nodes: len(cuts), pivotKeys: map[string]bool{}, conclStates: map[int]bool{}}
 	seedFinal := map[int]bool{}
 	f.init.forEach(func(q int) {
@@ -249,12 +268,12 @@ func TestBoxExactMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestBoxSlicedFullSupportIsExact pins the degenerate slice: with every
-// process in the support, projectedStep coincides with consistentStep and
-// each lift is the cut itself, so the rank-synchronous sweep must reproduce
-// the exact DP verbatim — node count, final states, and the pivot and
-// conclusive sequences in discovery order, cut for cut.
-func TestBoxSlicedFullSupportIsExact(t *testing.T) {
+// TestBoxKernelMatchesOracles is the exact-vs-sliced differential against
+// implementations that share no code with the kernel: over a whole execution
+// (lo = the initial cut, hi = the frontier) the verdicts of the kernel's
+// conclusive hits and final states must equal the Chapter-3 lattice oracle's
+// at full support, and the sliced oracle's on the formula's support slice.
+func TestBoxKernelMatchesOracles(t *testing.T) {
 	topos := map[string]dist.Topology{
 		"uniform": dist.TopoUniform, "ring": dist.TopoRing, "broadcast": dist.TopoBroadcast,
 	}
@@ -264,30 +283,75 @@ func TestBoxSlicedFullSupportIsExact(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/n%d/s%d", name, n, seed), func(t *testing.T) {
 					ts := generateBoxTraces(n, topo, seed)
 					f := newBoxFixture(t, ts, "F (P0.p && P1.q)")
-					full := make([]int, n)
-					for p := range full {
-						full[p] = p
+					exact, err := lattice.Evaluate(ts, f.mon)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, box := range f.boxCases(ts) {
-						lo, hi := box[0], box[1]
-						exact, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, nil)
+					sliced, err := lattice.EvaluateSliced(ts, f.mon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, c := range []struct {
+						what    string
+						support []int
+						want    map[automaton.Verdict]bool
+					}{
+						{"full support vs lattice.Evaluate", allProcs(n), exact.VerdictSet()},
+						{"support slice vs lattice.EvaluateSliced", []int{0, 1}, sliced.VerdictSet()},
+					} {
+						box, err := exploreBox(f.mon, f.know, f.lt, f.init, vclock.New(n), f.frontier(), 1<<21, c.support)
 						if err != nil {
-							t.Fatalf("exact: %v", err)
+							t.Fatalf("%s: %v", c.what, err)
 						}
-						sliced, err := exploreBox(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, full)
-						if err != nil {
-							t.Fatalf("sliced full support: %v", err)
+						got := map[automaton.Verdict]bool{}
+						for _, q := range append(conclStates(box), box.finalStates...) {
+							got[f.mon.VerdictOf(q)] = true
 						}
-						if sliced.nodes != exact.nodes {
-							t.Errorf("box %v..%v: sliced visited %d nodes, exact %d", lo, hi, sliced.nodes, exact.nodes)
+						if setString(got) != setString(c.want) {
+							t.Errorf("%s: kernel verdicts %s, oracle %s", c.what, setString(got), setString(c.want))
 						}
-						if fmt.Sprint(sortedInts(sliced.finalStates)) != fmt.Sprint(sortedInts(exact.finalStates)) {
-							t.Errorf("box %v..%v: final states %v, want %v", lo, hi, sliced.finalStates, exact.finalStates)
-						}
-						comparePivotSeq(t, "pivot", sliced.pivots, exact.pivots)
-						comparePivotSeq(t, "conclusive", sliced.conclusive, exact.conclusive)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestBoxDedupeSurvivesCollisions runs the sweep with the dedupe table at the
+// smallest size that terminates probing, so most inserts land on an occupied
+// slot and node identity rests on the coordinate compare alone. A kernel that
+// trusted the hash would merge distinct cuts: node counts and results must
+// equal the roomy-table run's, sequence for sequence.
+func TestBoxDedupeSurvivesCollisions(t *testing.T) {
+	for _, n := range []int{3, 5} {
+		for seed := int64(1); seed <= 3; seed++ {
+			ts := dist.Generate(dist.GenConfig{
+				N: n, InternalPerProc: 4, CommMu: 3, CommSigma: 1,
+				Topology: dist.TopoRing, Seed: seed,
+				TrueProbs: map[string]float64{"p": 0.6, "q": 0.5},
+			})
+			f := newBoxFixture(t, ts, "F (P0.p && P1.q)")
+			lo, hi := vclock.New(n), f.frontier()
+			for _, support := range [][]int{allProcs(n), {0, 1, 2}} {
+				want, err := new(boxScratch).explore(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := (&boxScratch{tightTable: true}).explore(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want.nodes < 64 {
+					t.Fatalf("n=%d seed=%d support %v: degenerate fixture, %d nodes", n, seed, support, want.nodes)
+				}
+				if got.nodes != want.nodes {
+					t.Errorf("n=%d seed=%d support %v: tight table visited %d nodes, want %d", n, seed, support, got.nodes, want.nodes)
+				}
+				if fmt.Sprint(got.finalStates) != fmt.Sprint(want.finalStates) {
+					t.Errorf("n=%d seed=%d support %v: final states %v, want %v", n, seed, support, got.finalStates, want.finalStates)
+				}
+				comparePivotSeq(t, "pivot", got.pivots, want.pivots)
+				comparePivotSeq(t, "conclusive", got.conclusive, want.conclusive)
 			}
 		}
 	}

@@ -64,6 +64,17 @@ func (k *knowledge) event(p, sn int) *dist.Event {
 	return k.events[p][sn-1-k.base[p]]
 }
 
+// from returns the retained events of process p from the sn-th on (none when
+// sn is past the frontier), aliasing the window: valid until the next grow or
+// truncate. Like event, it panics below the GC floor.
+func (k *knowledge) from(p, sn int) []*dist.Event {
+	if sn > k.len(p) {
+		return nil
+	}
+	k.event(p, sn) // the floor check
+	return k.events[p][sn-1-k.base[p]:]
+}
+
 // grow appends one event at the frontier of process p (already
 // sequence-checked by append/merge).
 func (k *knowledge) grow(p int, e *dist.Event) {

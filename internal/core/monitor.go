@@ -60,12 +60,11 @@ type Config struct {
 	// MaxBoxNodes bounds a single lattice-region exploration (default 2^21).
 	MaxBoxNodes int
 	// ExactBoxes forces the full-width exact DP for every box exploration.
-	// By default a ○-free property whose support processes are a proper
-	// subset of the system is explored *sliced*: the region is projected
-	// onto the support processes before sweeping, which is verdict-exact for
-	// stutter-invariant properties and keeps dense-broadcast workloads
-	// tractable (see boxdp.go). Properties with ○, or with support spanning
-	// every process, always use the exact DP regardless of this flag.
+	// By default a ○-free property is explored *sliced*: the region is
+	// projected onto the processes owning its propositions before sweeping,
+	// which is verdict-exact for stutter-invariant properties and keeps
+	// dense-broadcast workloads tractable (see boxdp.go). Properties with ○
+	// are always explored exactly.
 	ExactBoxes bool
 	// FeedBuffer is the capacity of the program→monitor feed queue
 	// (default 1024). Sessions with backpressure use a small buffer so the
@@ -160,10 +159,12 @@ type Monitor struct {
 	know *knowledge
 	feed chan feedItem
 
-	// support, when non-nil, is the sorted list of processes owning the
-	// propositions the formula reads: box explorations then run sliced over
-	// this projection (boxdp.go). nil selects the exact full-width DP.
+	// support is the sorted list of processes box explorations project the
+	// lattice onto (boxdp.go): the owners of the propositions the formula
+	// reads, or every process when only the exact full-width DP is sound.
+	// box is the kernel's scratch, touched by explore alone.
 	support []int
+	box     boxScratch
 
 	// Hot-path scratch (single-goroutine use only: the run loop owns them).
 	// Map probes go through keyBuf/sigBuf via the m[string(buf)] idiom so
@@ -307,19 +308,20 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 	return m, nil
 }
 
-// boxSupport computes the support-process slice for the monitor's box
-// explorations, or nil when the exact full-width DP must be used: slicing is
-// verdict-exact only for ○-free (stutter-invariant) properties, needs the
-// formula to be attached to the automaton, and buys nothing when the support
-// spans every process. (The owner lookup mirrors lattice.SupportProcesses;
-// duplicated to keep internal packages decoupled, like the stateset type.)
+// boxSupport computes the processes the monitor's box explorations are
+// projected onto. Slicing to the owners of the formula's propositions is
+// verdict-exact only for ○-free (stutter-invariant) properties and needs the
+// formula attached to the automaton; otherwise — and under Config.ExactBoxes —
+// the support is every process, which makes the sweep the exact full-width
+// DP. (The owner lookup mirrors lattice.SupportProcesses; duplicated to keep
+// internal packages decoupled, like the stateset type.)
 func boxSupport(cfg Config) []int {
-	if cfg.ExactBoxes || cfg.Automaton == nil || cfg.Props == nil {
-		return nil
+	all := make([]int, cfg.N)
+	for p := range all {
+		all[p] = p
 	}
-	f := cfg.Automaton.Formula
-	if f == nil || f.HasNext() {
-		return nil
+	if cfg.ExactBoxes || cfg.Automaton == nil || cfg.Props == nil || cfg.Automaton.Formula == nil || cfg.Automaton.Formula.HasNext() {
+		return all
 	}
 	owner := make(map[string]int, cfg.Props.Len())
 	for i, name := range cfg.Props.Names {
@@ -327,27 +329,27 @@ func boxSupport(cfg Config) []int {
 	}
 	seen := map[int]bool{}
 	var procs []int
-	for _, name := range f.Props() {
+	for _, name := range cfg.Automaton.Formula.Props() {
 		o, ok := owner[name]
 		if !ok {
-			return nil // unbound proposition: fall back to the exact DP
+			return all // unbound proposition: fall back to the exact DP
 		}
 		if !seen[o] {
 			seen[o] = true
 			procs = append(procs, o)
 		}
 	}
-	if len(procs) == 0 || len(procs) >= cfg.N {
-		return nil // nothing to project away
+	if len(procs) == 0 {
+		return all
 	}
 	sort.Ints(procs)
 	return procs
 }
 
-// explore runs one box exploration with the monitor's strategy (sliced when
-// m.support is set, exact otherwise) and accounts the exploration metrics.
+// explore runs one box exploration over the monitor's support and accounts
+// the exploration metrics.
 func (m *Monitor) explore(init stateset, lo, hi vclock.VC) (*boxResult, error) {
-	box, err := exploreBox(m.mon, m.know, m.lt, init, lo, hi, m.cfg.MaxBoxNodes, m.support)
+	box, err := m.box.explore(m.mon, m.know, m.lt, init, lo, hi, m.cfg.MaxBoxNodes, m.support)
 	if err != nil {
 		return nil, err
 	}
@@ -782,14 +784,11 @@ func (m *Monitor) serveFetch(from int, f *fetchWire) {
 	// not just the requested range. Receive bursts then cost one fetch per
 	// sender instead of one per causal gap (channels are FIFO, so replies
 	// keep the requester's prefix contiguous).
-	hi := m.know.len(i)
-	var events []*dist.Event
-	for sn := f.FromSN; sn <= hi; sn++ {
-		events = append(events, m.know.event(i, sn))
-	}
+	// The reply is encoded straight from the knowledge window: send is
+	// synchronous, so the aliased slice never outlives this call.
 	m.metrics.FetchRepliesSent++
 	m.send(from, &wireMsg{Kind: msgFetchReply, FetchReply: &fetchReplyWire{
-		Proc: i, Events: events, Done: m.localDone, Total: m.localTotal,
+		Proc: i, Events: m.know.from(i, f.FromSN), Done: m.localDone, Total: m.localTotal,
 	}})
 }
 

@@ -403,6 +403,13 @@ func (s *Session) admitN(k int) error {
 			s.bypassLeft = 0
 			return nil
 		}
+		// Credits bank up to one lag bound, no further: progress overcounts
+		// admissions (a fed event is collected once by every monitor that
+		// fetched it), so on a healthy run the surplus grows without limit,
+		// and a feeder could later pour all of it into a stalled pipeline.
+		if floor := prog - int64(s.maxLag); s.lastProgress < floor {
+			s.lastProgress = floor
+		}
 		if avail := prog - s.lastProgress; avail > 0 {
 			if avail > int64(k) {
 				avail = int64(k)

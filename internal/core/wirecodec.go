@@ -6,20 +6,24 @@ package core
 // in-memory analogue of the .dmtb trace format (internal/dist/binary.go):
 // unsigned fields are uvarints, fields that can be negative (Event.Peer, the
 // token routing targets) are zigzag varints, and timestamps are fixed 8-byte
-// IEEE-754. The previous implementation used encoding/gob, which re-derives
-// the type layout reflectively per message (a fresh Encoder/Decoder pair
-// every call — gob streams are stateful and cannot be reused across
-// independent payloads); on the n=16 calibrated ring regime that was ~60% of
-// total engine CPU. The flat codec removes the reflection entirely and, with
-// the pooled encode scratch below, the per-message cost drops to one
-// right-sized payload allocation on the send side.
+// IEEE-754. No reflection, and with the pooled encode scratch below the send
+// side costs one right-sized payload allocation per message.
 //
-// Pooling safety argument: only the *encode scratch* is pooled. The payload
-// handed to transport.Endpoint.Send is a fresh copy (the transport retains
-// it until delivery, possibly forever on a dead inbox, so it must own its
-// bytes), and decoded messages allocate fresh structs (tokens are parked in
-// w_tokens, events live on in the knowledge store — their lifetimes escape
-// the handler). The scratch buffer itself never escapes encodeMsg.
+// Lifetime argument. Only the *encode scratch* is pooled, and it never
+// escapes encodeMsg: the payload handed to transport.Endpoint.Send is a fresh
+// copy (the transport retains it until delivery, possibly forever on a dead
+// inbox, so it must own its bytes). Nothing decoded is pooled or reused:
+// decoded values outlive the handler (tokens are parked in w_tokens, events
+// live on in the knowledge store). What decode shares is storage *within* an
+// event segment (a fetch reply, a token's Segs entry, a snapshot window):
+// each run of up to slabEvents events is one []dist.Event slab and their
+// clocks one []int slab. A slab is freed when the last event of its run is
+// collected, which delays little: a run is contiguous events of one process,
+// the knowledge store holds each process as one contiguous window, and
+// knowledge.truncate only ever drops a prefix of it — so a slab's events
+// leave in order and the slab dies whole, at most slabEvents-1 events after
+// its first event would have alone. Events the store already had are never
+// retained; those sharing a slab with new events live as long as it does.
 
 import (
 	"encoding/binary"
@@ -240,7 +244,7 @@ func (d *wireDecoder) count(min int) int {
 	if d.err != nil {
 		return 0
 	}
-	if int(c) < 0 || int(c)*min > len(d.buf)-d.off {
+	if c > uint64((len(d.buf)-d.off)/min) {
 		d.fail("length")
 		return 0
 	}
@@ -252,22 +256,39 @@ func (d *wireDecoder) vc() vclock.VC {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	v := make(vclock.VC, n)
+	return d.fill(make([]int, n))
+}
+
+// fill reads len(v) clock components into the raw storage v.
+func (d *wireDecoder) fill(v []int) vclock.VC {
 	for i := range v {
 		v[i] = int(d.uvarint())
 	}
 	return v
 }
 
-func (d *wireDecoder) event() *dist.Event {
-	e := &dist.Event{
-		Proc:  int(d.uvarint()),
-		SN:    int(d.uvarint()),
-		Type:  dist.EventType(d.uvarint()),
-		Peer:  int(d.varint()),
-		MsgID: int(d.uvarint()),
-		State: dist.LocalState(d.uvarint()),
-		VC:    d.vc(),
+// minEventBytes is the shortest event record: six one-byte varints, an empty
+// clock's count and the 8-byte timestamp.
+const minEventBytes = 15
+
+// eventInto decodes one event record into e. Its clock is cut from clocks,
+// the slab shared by the left events still to come in e's event slab (e
+// included); when the slab runs out a new one is made for all of them, capped
+// by the bytes remaining (a component is at least one byte), so a hostile
+// count cannot over-allocate. It returns the rest of the slab.
+func (d *wireDecoder) eventInto(e *dist.Event, clocks []int, left int) []int {
+	e.Proc = int(d.uvarint())
+	e.SN = int(d.uvarint())
+	e.Type = dist.EventType(d.uvarint())
+	e.Peer = int(d.varint())
+	e.MsgID = int(d.uvarint())
+	e.State = dist.LocalState(d.uvarint())
+	if n := d.count(1); n > 0 {
+		if len(clocks) < n {
+			clocks = make([]int, min(n*left, len(d.buf)-d.off))
+		}
+		e.VC = d.fill(clocks[:n:n])
+		clocks = clocks[n:]
 	}
 	if d.err != nil || d.off+8 > len(d.buf) {
 		d.fail("timestamp")
@@ -275,20 +296,46 @@ func (d *wireDecoder) event() *dist.Event {
 	}
 	e.Time = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
 	d.off += 8
+	return clocks
+}
+
+func (d *wireDecoder) event() *dist.Event {
+	e := new(dist.Event)
+	d.eventInto(e, nil, 1)
+	if d.err != nil {
+		return nil
+	}
 	return e
 }
 
+// slabEvents caps the events sharing one slab. Fetch replies overlap (a second
+// fetch to a peer leaves before the first reply lands, from the same sequence
+// number), so a third of the events decoded on a stream are already known and
+// dropped by merge; a segment-long slab pins that dead prefix until its live
+// tail is collected (dlmond: +7% peak RSS, -8% events/s against no slabs).
+// At 32 a slab is a small object and the waste under one slab per reply.
+const slabEvents = 32
+
+// events decodes one segment, its events into slabs of up to slabEvents and
+// their clocks into one clock slab per event slab (see the lifetime argument
+// in the file header).
 func (d *wireDecoder) events() []*dist.Event {
-	n := d.count(8)
+	n := d.count(minEventBytes)
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	evs := make([]*dist.Event, n)
+	var slab []dist.Event
+	var clocks []int
 	for i := range evs {
-		evs[i] = d.event()
+		if len(slab) == 0 {
+			slab, clocks = make([]dist.Event, min(slabEvents, n-i)), nil
+		}
+		clocks = d.eventInto(&slab[0], clocks, len(slab))
 		if d.err != nil {
 			return nil
 		}
+		evs[i], slab = &slab[0], slab[1:]
 	}
 	return evs
 }

@@ -5,19 +5,24 @@
 // committed record at the repository root and fails the build when the
 // engine's throughput trajectory regresses.
 //
-// Two checks:
+// Three checks:
 //
 //   - the n=16 ring speedup over the pinned pre-overhaul baseline must stay
 //     above a floor (the hot-path overhaul's headline number, with headroom
 //     for runner noise);
 //   - no cell present in both documents may regress by more than the
-//     allowed factor against its committed events/s.
+//     allowed factor against its committed events/s;
+//   - no such cell may allocate more than allocFactor times its committed
+//     heap objects per event.
 //
 // Cells only present in one document are reported but do not fail the gate
-// (the sweep plan grows over PRs). Thresholds are deliberately loose: the
-// gate catches order-of-magnitude losses — an accidental re-introduction of
-// per-event garbage or a box-strategy regression — not run-to-run jitter on
-// shared CI runners.
+// (the sweep plan grows over PRs). The throughput thresholds are deliberately
+// loose: they catch order-of-magnitude losses — a box-strategy regression —
+// not run-to-run jitter on shared CI runners. Allocation counts do not depend
+// on how fast the runner is and repeat to a few percent (the remainder is
+// scheduling: how many messages a run happens to coalesce), so their
+// threshold is tight enough to catch per-event garbage coming back into one
+// layer.
 //
 // Usage: go run scripts/perfgate.go <fresh.json> <committed.json>
 //
@@ -37,11 +42,15 @@ const (
 	// regressFactor is the maximum acceptable per-cell slowdown against the
 	// committed record.
 	regressFactor = 3.0
+	// allocFactor is the maximum acceptable per-cell growth of allocs/event
+	// against the committed record.
+	allocFactor = 1.5
 )
 
 type cell struct {
-	Workload     string  `json:"workload"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Workload       string  `json:"workload"`
+	EventsPerSec   float64 `json:"events_per_sec"`
+	AllocsPerEvent float64 `json:"allocs_per_event"`
 }
 
 type doc struct {
@@ -86,25 +95,35 @@ func main() {
 		fmt.Printf("perfgate: n=16 ring speedup %.1fx (floor %.0fx)\n", fresh.SpeedupN16Ring, speedupFloor)
 	}
 
-	old := map[string]float64{}
+	old := map[string]*cell{}
 	for _, c := range committed.Cells {
-		old[c.Workload] = c.EventsPerSec
+		old[c.Workload] = c
 	}
 	seen := map[string]bool{}
 	for _, c := range fresh.Cells {
 		seen[c.Workload] = true
 		was, ok := old[c.Workload]
 		if !ok {
-			fmt.Printf("perfgate: new cell %s at %.0f events/s (no committed reference)\n", c.Workload, c.EventsPerSec)
+			fmt.Printf("perfgate: new cell %s at %.0f events/s, %.1f allocs/event (no committed reference)\n", c.Workload, c.EventsPerSec, c.AllocsPerEvent)
 			continue
 		}
-		if was > 0 && c.EventsPerSec < was/regressFactor {
+		regressed := false
+		if was.EventsPerSec > 0 && c.EventsPerSec < was.EventsPerSec/regressFactor {
 			fmt.Fprintf(os.Stderr, "perfgate: FAIL %s regressed %.1fx (%.0f -> %.0f events/s, allowed factor %.0f)\n",
-				c.Workload, was/c.EventsPerSec, was, c.EventsPerSec, regressFactor)
+				c.Workload, was.EventsPerSec/c.EventsPerSec, was.EventsPerSec, c.EventsPerSec, regressFactor)
+			regressed = true
+		}
+		if was.AllocsPerEvent > 0 && c.AllocsPerEvent > was.AllocsPerEvent*allocFactor {
+			fmt.Fprintf(os.Stderr, "perfgate: FAIL %s allocates %.1fx more (%.1f -> %.1f allocs/event, allowed factor %.1f)\n",
+				c.Workload, c.AllocsPerEvent/was.AllocsPerEvent, was.AllocsPerEvent, c.AllocsPerEvent, allocFactor)
+			regressed = true
+		}
+		if regressed {
 			failed = true
 			continue
 		}
-		fmt.Printf("perfgate: %s %.0f events/s (committed %.0f)\n", c.Workload, c.EventsPerSec, was)
+		fmt.Printf("perfgate: %s %.0f events/s (committed %.0f), %.1f allocs/event (committed %.1f)\n",
+			c.Workload, c.EventsPerSec, was.EventsPerSec, c.AllocsPerEvent, was.AllocsPerEvent)
 	}
 	for _, c := range committed.Cells {
 		if !seen[c.Workload] {
