@@ -127,3 +127,53 @@ func shardLoopWedged(ops chan shardOp, stop chan struct{}) {
 		}
 	}
 }
+
+// roundLoop and awaitQuiet mirror the snapshot barrier (internal/core
+// snapshot.go): monitor rounds post a wake-up on a capacity-1 channel with a
+// default case — a monitor never blocks on the coordinator — and the
+// coordinator's re-read loop sleeps on that channel beside both contexts, so
+// a cancelled caller or a dead session ends the wait.
+func roundLoop(ctx context.Context, in chan int, wake chan struct{}) {
+	for {
+		select {
+		case <-in:
+		case <-ctx.Done():
+			return
+		}
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+func awaitQuiet(ctx, session context.Context, wake chan struct{}, quiet func() bool) {
+	for !quiet() {
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return
+		case <-session.Done():
+			return
+		}
+	}
+}
+
+// roundLoopWedged posts its wake-up bare: with no coordinator waiting the
+// second round blocks forever. awaitQuietWedged cannot be cancelled.
+func roundLoopWedged(ctx context.Context, in chan int, wake chan struct{}) {
+	for {
+		select {
+		case <-in:
+		case <-ctx.Done():
+			return
+		}
+		wake <- struct{}{} // want `blocking send in a loop outside a select`
+	}
+}
+
+func awaitQuietWedged(wake chan struct{}, quiet func() bool) {
+	for !quiet() {
+		<-wake // want `blocking receive in a loop outside a select`
+	}
+}

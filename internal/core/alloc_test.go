@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -206,4 +207,48 @@ func TestAllocsSteadyStateStep(t *testing.T) {
 		t.Errorf("steady-state step allocates %.1f objects per event, budget 4", allocs)
 	}
 	t.Logf("steady-state step: %.2f allocs/event", allocs)
+}
+
+// TestAllocsSnapshot gates the checkpoint encoder: a warmed session (record
+// and sort buffers grown, blob size known from the previous snapshot)
+// serializes all its monitors into one presized buffer. What remains is the
+// blob, the builder and slack — no per-monitor growslice chain, no sorted-key
+// slices.
+func TestAllocsSnapshot(t *testing.T) {
+	ts := dist.Generate(dist.GenConfig{N: 4, InternalPerProc: 200, CommMu: 3, CommSigma: 1, PlantGoal: true, Seed: 9})
+	mon, err := automaton.Build(ltl.MustParse(propsAF(4)["B"]), ts.Props.Names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSession(context.Background(), SessionConfig{
+		N: ts.N(), Automaton: mon, Props: ts.Props, Init: ts.InitialState(), Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	src := ts.Stream()
+	for fed := 0; fed < 400; fed++ {
+		e, err := src.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Feed(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var size int
+	snapshot := func() {
+		blob, err := s.Snapshot(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		size = len(blob)
+	}
+	snapshot() // warm-up: scratch buffers and the size hint
+	allocs := testing.AllocsPerRun(50, snapshot)
+	if allocs > 4 {
+		t.Errorf("warmed snapshot of %d bytes allocates %.1f objects, budget 4", size, allocs)
+	}
+	t.Logf("warmed snapshot: %d bytes, %.2f allocs", size, allocs)
 }

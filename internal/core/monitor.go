@@ -247,8 +247,11 @@ type Monitor struct {
 	// whose full handling round — handlers plus pump — has completed. With
 	// feeds paused, sum(inHandled) catching up to the input baseline plus
 	// sum(outSent) proves stable global quiescence (Session.awaitQuiescence).
+	// quiesce is the session's wake-up for a coordinator waiting on exactly
+	// that (nil for a monitor run outside a session).
 	outSent   atomic.Int64
 	inHandled atomic.Int64
+	quiesce   *quiesceSignal
 
 	// restored marks a monitor rebuilt from a snapshot: start() then skips
 	// INIT, whose effects the restored state already contains.
@@ -431,7 +434,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 		ctx = context.Background()
 	}
 	m.start(ctx)
-	m.inHandled.Add(1) // the INIT round (counted even when restored skips it)
+	m.roundDone(1) // the INIT round (counted even when restored skips it)
 	inbox := m.ep.Inbox()
 	for !m.finished() && m.err == nil {
 		if err := ctx.Err(); err != nil {
@@ -476,9 +479,21 @@ func (m *Monitor) Run(ctx context.Context) error {
 			}
 		}
 		m.pump()
-		m.inHandled.Add(handled) // round complete: handlers and pump both ran
+		m.roundDone(handled) // handlers and pump both ran
 	}
 	return m.err
+}
+
+// roundDone accounts k inputs whose full handling round has completed and
+// wakes a snapshot coordinator waiting for the fleet to drain. The order —
+// count first, then look at the flag — is what makes the wake-up impossible
+// to lose (snapshot.go). Off a snapshot this is one atomic add and one
+// atomic load on a struct the session's monitors share.
+func (m *Monitor) roundDone(k int64) {
+	m.inHandled.Add(k)
+	if q := m.quiesce; q != nil && q.waiting.Load() {
+		q.notify()
+	}
 }
 
 // start performs INIT (§4.2.0.2) and the first pump: the initial global view

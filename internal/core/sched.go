@@ -176,8 +176,8 @@ func (m *Monitor) RunSharded(ctx context.Context, sched *scheduler) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m.start(ctx) // INIT + first pump, inline: no task is outstanding yet
-	m.inHandled.Add(1)
+	m.start(ctx)   // INIT + first pump, inline: no task is outstanding yet
+	m.roundDone(1) // the INIT round, as in Run
 	inbox := m.ep.Inbox()
 	consumed := make(chan struct{}, 1)
 	var items []feedItem
@@ -233,7 +233,7 @@ func (m *Monitor) RunSharded(ctx context.Context, sched *scheduler) error {
 			m.pump()
 			// Round complete (handlers + pump): account the whole batch for
 			// the snapshot quiescence check, exactly like Run's serial round.
-			m.inHandled.Add(int64(len(batchItems) + len(batchMsgs)))
+			m.roundDone(int64(len(batchItems) + len(batchMsgs)))
 			consumed <- struct{}{} // capacity 1, one task outstanding: never blocks
 		})
 		select {

@@ -132,6 +132,16 @@ type Session struct {
 	// holds at every instant (see awaitQuiescence).
 	feedItems atomic.Int64
 
+	// quiesce wakes the snapshot coordinator when a monitor completes a round
+	// (snapshot.go); every monitor of the session points at it.
+	quiesce quiesceSignal
+
+	// snap is the snapshot encoder's reusable scratch and fp the automaton
+	// fingerprint it writes into every blob (snapshot.go). closeMu guards snap.
+	snap   snapScratch
+	fpOnce sync.Once
+	fp     uint64
+
 	// emitted logs every VerdictEvent delivered to subscribers, persisted in
 	// snapshots so a restored session replays the history to its own
 	// subscribers. Bounded by N × NumStates (recordVerdictState dedupes per
@@ -211,6 +221,7 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		// the subscription channel.
 		verdicts: make(chan VerdictEvent, cfg.N*cfg.Automaton.NumStates()),
 		relief:   make(chan struct{}, 1),
+		quiesce:  quiesceSignal{wake: make(chan struct{}, 1)},
 		errs:     make([]error, cfg.N),
 		feedMu:   make([]sync.Mutex, cfg.N),
 		fed:      make([]int, cfg.N),
@@ -247,6 +258,7 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 			s.emitVerdict(idx, state, v, cut)
 		}
 		m.onProgress = s.signalRelief
+		m.quiesce = &s.quiesce
 		s.monitors = append(s.monitors, m)
 	}
 	if p := shardWorkers(cfg.Shards, cfg.N); p > 1 {

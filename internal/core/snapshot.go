@@ -33,13 +33,31 @@ package core
 // holds every feedMu), no new input can originate — sends only happen while
 // handling — so the quiescence is stable and monitor state is frozen for
 // the serializing goroutine to read.
+//
+// The coordinator does not poll: it sleeps on quiesceSignal.wake and the
+// monitors wake it. No wake-up is lost, by the order of four sequentially
+// consistent atomic operations. The coordinator STORES waiting=true and only
+// then reads the counters; a monitor ADDS to inHandled and only then LOADS
+// waiting (Monitor.roundDone). Take the round whose Add makes the sums equal.
+// If its load sees waiting==true it posts a wake-up (or finds one already
+// buffered, which the coordinator has yet to consume — and the counters it
+// re-reads after consuming it include this Add, made before the failed send).
+// If its load sees false, the load precedes the coordinator's store, so the
+// Add precedes the coordinator's first counter read, which therefore already
+// sees the sums equal and never sleeps. Every round signals — INIT included,
+// or a snapshot of a session that has been fed nothing would wait for a
+// round that never comes — and a signal from a round that did not reach
+// equality only costs one more pair of reads. A token left in the channel by
+// the previous snapshot does the same.
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"decentmon/internal/automaton"
@@ -55,10 +73,43 @@ const (
 	snapTagMonitor    = 3 // one full monitor state (repeated, one per index)
 )
 
-// quiescePoll is the snapshot coordinator's counter re-read interval. The
-// counters converge as fast as the monitors drain their queues; polling is
-// only the observation cadence.
-const quiescePoll = 200 * time.Microsecond
+// quiesceSignal is the snapshot barrier's wake-up, one per session and shared
+// by its monitors (see the package comment for the no-lost-wake-up argument).
+type quiesceSignal struct {
+	// waiting is raised by the coordinator before its first counter read and
+	// lowered when it stops waiting. Monitors only load it, once per round.
+	waiting atomic.Bool
+	// wake has capacity 1: any number of rounds completing between two
+	// coordinator re-reads collapse into one pending wake-up.
+	wake chan struct{}
+}
+
+// notify posts a wake-up without ever blocking the monitor.
+func (q *quiesceSignal) notify() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// snapScratch is the snapshot encoder's reusable state, guarded by
+// Session.closeMu: one record payload buffer and the sort buffers the
+// deterministic map walks need, so a warmed session allocates the blob and
+// nothing per monitor.
+type snapScratch struct {
+	rec  []byte
+	keys []string
+	ids  []int64
+	ints []int
+	size int // length of the previous blob: the next one's presize hint
+}
+
+// SnapshotTiming splits the time one Snapshot call spent: waiting for the
+// monitors to drain, and serializing their state.
+type SnapshotTiming struct {
+	Barrier time.Duration
+	Encode  time.Duration
+}
 
 // Snapshot captures the session's complete monitoring state as a durable,
 // self-verifying blob (see the package comment above for the format and the
@@ -68,6 +119,14 @@ const quiescePoll = 200 * time.Microsecond
 // ctx bounds only the wait for quiescence. RestoreSession rebuilds an
 // equivalent session from the blob.
 func (s *Session) Snapshot(ctx context.Context) ([]byte, error) {
+	blob, _, err := s.SnapshotTimed(ctx)
+	return blob, err
+}
+
+// SnapshotTimed is Snapshot reporting where its time went, for callers that
+// account checkpoint cost per phase (dlmond's /metrics).
+func (s *Session) SnapshotTimed(ctx context.Context) ([]byte, SnapshotTiming, error) {
+	var tm SnapshotTiming
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -77,7 +136,7 @@ func (s *Session) Snapshot(ctx context.Context) ([]byte, error) {
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return nil, fmt.Errorf("core: snapshot of a closed session")
+		return nil, tm, fmt.Errorf("core: snapshot of a closed session")
 	}
 	for p := range s.feedMu {
 		s.feedMu[p].Lock()
@@ -87,24 +146,42 @@ func (s *Session) Snapshot(ctx context.Context) ([]byte, error) {
 			s.feedMu[p].Unlock()
 		}
 	}()
-	if err := s.awaitQuiescence(ctx); err != nil {
-		return nil, err
+	start := time.Now()
+	err := s.awaitQuiescence(ctx)
+	quiet := time.Now()
+	tm.Barrier = quiet.Sub(start)
+	if err != nil {
+		return nil, tm, err
 	}
-	b := dist.NewSnapshotBuilder()
-	b.Record(snapTagSession, s.appendSessionRecord(nil))
-	b.Record(snapTagVerdictLog, s.appendVerdictLog(nil))
+	// One pass into a buffer sized from the previous blob (plus an eighth:
+	// the knowledge window breathes between checkpoints); every record goes
+	// through the one reused payload buffer.
+	sc := &s.snap
+	b := dist.NewSnapshotBuilderSize(sc.size + sc.size/8 + 256)
+	sc.rec = s.appendSessionRecord(sc.rec[:0])
+	b.Record(snapTagSession, sc.rec)
+	sc.rec = s.appendVerdictLog(sc.rec[:0])
+	b.Record(snapTagVerdictLog, sc.rec)
 	for _, m := range s.monitors {
-		b.Record(snapTagMonitor, m.appendState(nil))
+		sc.rec = m.appendState(sc.rec[:0], sc)
+		b.Record(snapTagMonitor, sc.rec)
 	}
-	return b.Finish(), nil
+	blob := b.Finish()
+	sc.size = len(blob)
+	tm.Encode = time.Since(quiet)
+	return blob, tm, nil
 }
 
 // awaitQuiescence blocks until every input ever sent has been fully handled
 // (see the package comment for why the read order — handled first, sent
-// second — makes the equality a proof of stable quiescence). The caller must
-// hold every feedMu. A cancelled session context (monitor failure or
-// external cancellation) aborts the wait.
+// second — makes the equality a proof of stable quiescence, and why sleeping
+// on the wake-up channel cannot miss the round that establishes it). The
+// caller must hold every feedMu. A cancelled session context (monitor
+// failure or external cancellation) aborts the wait.
 func (s *Session) awaitQuiescence(ctx context.Context) error {
+	q := &s.quiesce
+	q.waiting.Store(true) // before the first counter read
+	defer q.waiting.Store(false)
 	for {
 		if err := s.ctx.Err(); err != nil {
 			return fmt.Errorf("core: session no longer running: %w", err)
@@ -123,7 +200,11 @@ func (s *Session) awaitQuiescence(ctx context.Context) error {
 		if handled == sent {
 			return nil
 		}
-		time.Sleep(quiescePoll)
+		select {
+		case <-q.wake:
+		case <-ctx.Done():
+		case <-s.ctx.Done():
+		}
 	}
 }
 
@@ -157,9 +238,17 @@ func automatonFingerprint(mon *automaton.Monitor) uint64 {
 	return h.Sum64()
 }
 
+// fingerprint is automatonFingerprint of the session's automaton, computed
+// on first use and kept: the automaton is immutable, and hashing its whole
+// δ-table is too much to repeat per checkpoint.
+func (s *Session) fingerprint() uint64 {
+	s.fpOnce.Do(func() { s.fp = automatonFingerprint(s.cfg.Automaton) })
+	return s.fp
+}
+
 func (s *Session) appendSessionRecord(b []byte) []byte {
 	b = appendUvarints(b, uint64(s.cfg.N), uint64(s.cfg.Automaton.NumStates()),
-		automatonFingerprint(s.cfg.Automaton))
+		s.fingerprint())
 	b = append(b, byte(s.cfg.Mode), boolByte(!s.cfg.SkipFinalize))
 	for _, st := range s.cfg.Init {
 		b = binary.AppendUvarint(b, uint64(st))
@@ -306,7 +395,7 @@ func (s *Session) restoreSessionRecord(payload []byte) error {
 		return fmt.Errorf("core: snapshot of %d processes restored into %d", n, s.cfg.N)
 	case states != s.cfg.Automaton.NumStates():
 		return fmt.Errorf("core: snapshot automaton has %d states, config builds %d — property or compilation drift", states, s.cfg.Automaton.NumStates())
-	case fp != automatonFingerprint(s.cfg.Automaton):
+	case fp != s.fingerprint():
 		return fmt.Errorf("core: snapshot automaton fingerprint mismatch — property or compilation drift")
 	case mode != s.cfg.Mode:
 		return fmt.Errorf("core: snapshot mode %v restored into mode %v", mode, s.cfg.Mode)
@@ -391,8 +480,8 @@ func (s *Session) restoreVerdictLog(payload []byte) error {
 // guarantees the monitor is parked at quiescence, so every field is stable.
 // Map iteration is sorted throughout, making serialization deterministic:
 // snapshot(restore(snapshot(s))) is byte-identical, which the round-trip
-// tests pin.
-func (m *Monitor) appendState(b []byte) []byte {
+// tests pin. The sort buffers come from sc.
+func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
 	n := m.cfg.N
 	b = appendUvarints(b, uint64(m.cfg.Index), uint64(m.initialQ))
 	var flags byte
@@ -445,7 +534,8 @@ func (m *Monitor) appendState(b []byte) []byte {
 	}
 	// Global views, sorted by cut key.
 	b = binary.AppendUvarint(b, uint64(len(m.gvs)))
-	for _, key := range sortedKeys(m.gvs) {
+	sc.keys = sortedKeys(sc.keys, m.gvs)
+	for _, key := range sc.keys {
 		gv := m.gvs[key]
 		b = appendVC(b, gv.cut)
 		b = appendStateset(b, gv.states)
@@ -457,43 +547,45 @@ func (m *Monitor) appendState(b []byte) []byte {
 	}
 	// Search dedup ledger.
 	b = binary.AppendUvarint(b, uint64(len(m.launched)))
-	for _, key := range sortedKeys(m.launched) {
+	sc.keys = sortedKeys(sc.keys, m.launched)
+	for _, key := range sc.keys {
 		b = appendString(b, key)
 	}
 	// Residual views, sorted by cut key.
 	b = binary.AppendUvarint(b, uint64(len(m.residuals)))
-	for _, key := range sortedKeys(m.residuals) {
+	sc.keys = sortedKeys(sc.keys, m.residuals)
+	for _, key := range sc.keys {
 		r := m.residuals[key]
 		b = appendVC(b, r.cut)
 		b = appendStateset(b, r.states)
 	}
 	// Outstanding searches and their bookkeeping, sorted by id.
 	b = binary.AppendUvarint(b, uint64(len(m.outstanding)))
-	for _, id := range sortedIDs(m.outstanding) {
+	sc.ids = sortedKeys(sc.ids, m.outstanding)
+	for _, id := range sc.ids {
 		b = binary.AppendUvarint(b, uint64(id))
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.searchSig)))
-	for _, id := range sortedIDs(m.searchSig) {
+	sc.ids = sortedKeys(sc.ids, m.searchSig)
+	for _, id := range sc.ids {
 		b = binary.AppendUvarint(b, uint64(id))
 		b = appendString(b, m.searchSig[id])
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.activeSig)))
-	for _, sig := range sortedKeys(m.activeSig) {
+	sc.keys = sortedKeys(sc.keys, m.activeSig)
+	for _, sig := range sc.keys {
 		b = appendString(b, sig)
 		b = binary.AppendUvarint(b, uint64(m.activeSig[sig]))
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.searchOrigin)))
-	for _, id := range sortedIDs(m.searchOrigin) {
+	sc.ids = sortedKeys(sc.ids, m.searchOrigin)
+	for _, id := range sc.ids {
 		b = binary.AppendUvarint(b, uint64(id))
 		b = appendVC(b, m.searchOrigin[id])
 	}
 	b = binary.AppendUvarint(b, uint64(len(m.inflightFetch)))
-	procs := make([]int, 0, len(m.inflightFetch))
-	for p := range m.inflightFetch {
-		procs = append(procs, p)
-	}
-	sort.Ints(procs)
-	for _, p := range procs {
+	sc.ints = sortedKeys(sc.ints, m.inflightFetch)
+	for _, p := range sc.ints {
 		b = appendUvarints(b, uint64(p), uint64(m.inflightFetch[p]))
 	}
 	// Parked protocol work.
@@ -508,12 +600,8 @@ func (m *Monitor) appendState(b []byte) []byte {
 	}
 	// Verdict states reached (verdict set and gauges are derivable).
 	b = binary.AppendUvarint(b, uint64(len(m.verdictStates)))
-	qs := make([]int, 0, len(m.verdictStates))
-	for q := range m.verdictStates {
-		qs = append(qs, q)
-	}
-	sort.Ints(qs)
-	for _, q := range qs {
+	sc.ints = sortedKeys(sc.ints, m.verdictStates)
+	for _, q := range sc.ints {
 		b = binary.AppendUvarint(b, uint64(q))
 	}
 	// Metrics (KnowledgePeak/Collected live on the knowledge store).
@@ -856,20 +944,12 @@ func (d *wireDecoder) stateset(numStates int) stateset {
 	return s
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
+// sortedKeys returns m's keys in ascending order, in dst's storage.
+func sortedKeys[K cmp.Ordered, V any](dst []K, m map[K]V) []K {
+	dst = dst[:0]
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedIDs[V any](m map[int64]V) []int64 {
-	ids := make([]int64, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	slices.Sort(dst)
+	return dst
 }

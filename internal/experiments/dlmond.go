@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"net/http"
+	"os"
 	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,9 +47,36 @@ type DlmondBench struct {
 	RegisterHitMicros  float64       `json:"register_hit_micros"`
 	Note               string        `json:"note"`
 	Cells              []*DlmondCell `json:"cells"`
+	// LongSession prices durability where it is paid: on one long session,
+	// not on eight-event lifecycles.
+	LongSession *DlmondLongSession `json:"long_session"`
 }
 
-const dlmondNote = "sessions/s of full register->ingest->verdict->close lifecycles over loopback TCP at the recorded gomaxprocs; each session monitors the paper's 8-event running example, so events/s = 8x sessions/s"
+// DlmondLongSession is the long-session pair: the engine sweep's stream
+// execution (ring n=8, ~8×10⁴ events, a response property that never
+// concludes) ingested as one dlmond session, without a state directory and
+// with one at the default checkpoint cadence. DurableRatio is what
+// scripts/perfgate.go gates; the per-checkpoint means come from the durable
+// daemon's own /metrics phase counters.
+type DlmondLongSession struct {
+	Workload            string  `json:"workload"`
+	Events              int     `json:"events"`
+	Pairs               int     `json:"pairs"` // alternating runs per side; medians reported
+	EventsPerSec        float64 `json:"events_per_sec"`
+	DurableEventsPerSec float64 `json:"durable_events_per_sec"`
+	DurableRatio        float64 `json:"durable_ratio"` // durable / non-durable
+	CheckpointEvery     int     `json:"checkpoint_every"`
+	Checkpoints         int     `json:"checkpoints"` // per durable session
+	CheckpointBytes     float64 `json:"checkpoint_bytes_mean"`
+	// Milliseconds per checkpoint. Barrier, encode and install-wait stall the
+	// connection's read loop; install runs beside it.
+	BarrierMs     float64 `json:"barrier_ms"`
+	EncodeMs      float64 `json:"encode_ms"`
+	InstallMs     float64 `json:"install_ms"`
+	InstallWaitMs float64 `json:"install_wait_ms"`
+}
+
+const dlmondNote = "sessions/s of full register->ingest->verdict->close lifecycles over loopback TCP at the recorded gomaxprocs; each session monitors the paper's 8-event running example, so events/s = 8x sessions/s; long_session is one ~8e4-event session without and with a state directory (see PERFORMANCE.md, Checkpoint overhead)"
 
 // dlmondConcurrencies is the sweep plan from the roadmap: a single tenant,
 // a busy daemon, and the 512-session acceptance regime.
@@ -68,17 +100,9 @@ func DlmondSweep(minWall time.Duration) (*DlmondBench, error) {
 	}
 
 	ts := dist.RunningExample()
-	var evs []*dist.Event
-	src := ts.Stream()
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		evs = append(evs, e)
+	evs, err := linearize(ts)
+	if err != nil {
+		return nil, err
 	}
 
 	for _, conc := range dlmondConcurrencies {
@@ -95,7 +119,147 @@ func DlmondSweep(minWall time.Duration) (*DlmondBench, error) {
 	}
 	doc.RegisterMissMicros = float64(miss.Microseconds())
 	doc.RegisterHitMicros = float64(hit.Microseconds())
+	stream, formula := streamExecution()
+	if doc.LongSession, err = dlmondLongSession("stream/ring/n=8", stream, formula, dlmondLongPairs); err != nil {
+		return nil, err
+	}
 	return doc, nil
+}
+
+// dlmondLongPairs is how many times each side of the long-session pair runs;
+// the sides alternate so that drift of the box hits both.
+const dlmondLongPairs = 5
+
+// dlmondLongSession measures the long-session pair on one execution: pairs
+// alternating runs without and with a state directory.
+func dlmondLongSession(name string, ts *dist.TraceSet, formula string, pairs int) (*DlmondLongSession, error) {
+	evs, err := linearize(ts)
+	if err != nil {
+		return nil, err
+	}
+	long := &DlmondLongSession{
+		Workload: name + " " + formula,
+		Events:   len(evs),
+		Pairs:    pairs,
+	}
+	var plain, durable []float64
+	phases := map[string]float64{}
+	for i := 0; i < pairs; i++ {
+		eps, _, err := dlmondLongRun(ts, formula, evs, false)
+		if err != nil {
+			return nil, err
+		}
+		plain = append(plain, eps)
+		eps, m, err := dlmondLongRun(ts, formula, evs, true)
+		if err != nil {
+			return nil, err
+		}
+		durable = append(durable, eps)
+		for name, v := range m {
+			phases[name] += v
+		}
+	}
+	long.EventsPerSec, long.DurableEventsPerSec = medianOf(plain), medianOf(durable)
+	long.DurableRatio = long.DurableEventsPerSec / long.EventsPerSec
+	if n := phases["dlmond_checkpoints_total"]; n > 0 {
+		perCkptMs := func(name string) float64 { return 1000 * phases[name] / n }
+		long.CheckpointEvery = 256 // server.Config's default; the run sets none
+		long.Checkpoints = int(n) / pairs
+		long.CheckpointBytes = phases["dlmond_checkpoint_bytes_total"] / n
+		long.BarrierMs = perCkptMs("dlmond_checkpoint_barrier_seconds_total")
+		long.EncodeMs = perCkptMs("dlmond_checkpoint_encode_seconds_total")
+		long.InstallMs = perCkptMs("dlmond_checkpoint_install_seconds_total")
+		long.InstallWaitMs = perCkptMs("dlmond_checkpoint_install_wait_seconds_total")
+	}
+	return long, nil
+}
+
+// linearize returns a trace set's events in stream order.
+func linearize(ts *dist.TraceSet) ([]*dist.Event, error) {
+	var evs []*dist.Event
+	src := ts.Stream()
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			return evs, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		evs = append(evs, e)
+	}
+}
+
+func medianOf(xs []float64) float64 {
+	sort.Float64s(xs)
+	return xs[len(xs)/2]
+}
+
+// dlmondLongRun drives one long session — register, ingest everything, close
+// — against a fresh in-process dlmond and returns its events/s, timed from
+// the first Ingest to the Closed reply. A durable run checkpoints into a
+// temporary state directory at the default cadence and also returns the
+// daemon's checkpoint counters, scraped from /metrics after the close.
+func dlmondLongRun(ts *dist.TraceSet, formula string, evs []*dist.Event, durable bool) (float64, map[string]float64, error) {
+	cfg := server.Config{MetricsAddr: "off"}
+	if durable {
+		dir, err := os.MkdirTemp("", "dlmond-long-")
+		if err != nil {
+			return 0, nil, err
+		}
+		defer os.RemoveAll(dir)
+		cfg.StateDir, cfg.MetricsAddr = dir, ""
+	}
+	s, err := server.New(cfg)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer s.Shutdown()
+	cl, err := server.Dial(s.Addr())
+	if err != nil {
+		return 0, nil, err
+	}
+	defer cl.Close()
+	sid, _, err := cl.Register("bench", formula, ts.InitialState(), ts.Props)
+	if err != nil {
+		return 0, nil, err
+	}
+	start := time.Now()
+	for _, e := range evs {
+		if err := cl.Ingest(sid, e); err != nil {
+			return 0, nil, err
+		}
+	}
+	if _, err := cl.CloseSession(sid); err != nil {
+		return 0, nil, err
+	}
+	eps := float64(len(evs)) / time.Since(start).Seconds()
+	if !durable {
+		return eps, nil, nil
+	}
+	m, err := scrapeCheckpointMetrics(s.MetricsAddr())
+	return eps, m, err
+}
+
+// scrapeCheckpointMetrics reads the dlmond_checkpoint* samples off /metrics.
+func scrapeCheckpointMetrics(addr string) (map[string]float64, error) {
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	m := map[string]float64{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, value, ok := strings.Cut(sc.Text(), " ")
+		if !ok || !strings.HasPrefix(name, "dlmond_checkpoint") {
+			continue
+		}
+		if v, err := strconv.ParseFloat(value, 64); err == nil {
+			m[name] = v
+		}
+	}
+	return m, sc.Err()
 }
 
 // dlmondCell drives conc concurrent session lifecycles for at least minWall
@@ -240,5 +404,11 @@ func RenderDlmondCells(doc *DlmondBench) string {
 	}
 	fmt.Fprintf(&sb, "registration : %.0fµs cold (tableau compiled), %.0fµs warm (cache hit)\n",
 		doc.RegisterMissMicros, doc.RegisterHitMicros)
+	if l := doc.LongSession; l != nil {
+		fmt.Fprintf(&sb, "long session : %d events, %.0f events/s, %.0f with -state (ratio %.2f)\n",
+			l.Events, l.EventsPerSec, l.DurableEventsPerSec, l.DurableRatio)
+		fmt.Fprintf(&sb, "checkpoint   : %d per session of %.0f B; barrier %.2f + encode %.2f + install-wait %.2f ms on the read loop, install %.2f ms beside it\n",
+			l.Checkpoints, l.CheckpointBytes, l.BarrierMs, l.EncodeMs, l.InstallWaitMs, l.InstallMs)
+	}
 	return sb.String()
 }

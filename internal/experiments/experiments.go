@@ -768,6 +768,20 @@ func MeasureEngine(topo dist.Topology, n int, minWall time.Duration, shards int)
 	})
 }
 
+// streamCommMu is the stream execution's mean events between communications.
+const streamCommMu = 6
+
+// streamExecution generates the long-lived-session workload shared by the
+// engine sweep's stream cell and the dlmond long-session pair, with the
+// property it is monitored against (see MeasureEngineStream).
+func streamExecution() (*dist.TraceSet, string) {
+	return dist.Generate(dist.GenConfig{
+		N: 8, InternalPerProc: 5000, CommMu: streamCommMu, CommSigma: 1,
+		Topology: dist.TopoRing, Suffixes: []string{"p"}, Seed: 2,
+		TrueProbs: map[string]float64{"p": 0.5},
+	}), "G (P0.p -> F (P1.p && P2.p))"
+}
+
 // MeasureEngineStream times the long-lived-session regime the short cells
 // cannot see: one ring n=8 execution of 5,000 internal events per process
 // (~8×10⁴ events) streamed through a finalizing session against the response
@@ -778,13 +792,8 @@ func MeasureEngine(topo dist.Topology, n int, minWall time.Duration, shards int)
 // ends quietly: the finalization box is under 1% of the run's box nodes
 // (other seeds: up to 40%), so the cell prices the steady state, not its tail.
 func MeasureEngineStream(minWall time.Duration, shards int) (*EngineCell, error) {
-	gc := dist.GenConfig{
-		N: 8, InternalPerProc: 5000, CommMu: 6, CommSigma: 1,
-		Topology: dist.TopoRing, Suffixes: []string{"p"}, Seed: 2,
-		TrueProbs: map[string]float64{"p": 0.5},
-	}
-	ts := dist.Generate(gc)
-	f, err := ltl.Parse("G (P0.p -> F (P1.p && P2.p))")
+	ts, formula := streamExecution()
+	f, err := ltl.Parse(formula)
 	if err != nil {
 		return nil, err
 	}
@@ -794,7 +803,7 @@ func MeasureEngineStream(minWall time.Duration, shards int) (*EngineCell, error)
 	}
 	cell := &EngineCell{
 		Workload: "stream/ring/n=8",
-		Topology: gc.Topology.String(), N: gc.N, CommMu: gc.CommMu,
+		Topology: dist.TopoRing.String(), N: ts.N(), CommMu: streamCommMu,
 		Shards: shards, GoMax: runtime.GOMAXPROCS(0),
 		Events: ts.TotalEvents(),
 	}

@@ -272,3 +272,34 @@ func TestOracleSweep(t *testing.T) {
 		t.Error("oracle table missing events/s column")
 	}
 }
+
+// TestDlmondLongSession runs the long-session pair on a short execution: the
+// durable side must take every checkpoint its cadence calls for and report
+// where their time went, and the record must render.
+func TestDlmondLongSession(t *testing.T) {
+	ts := dist.Generate(dist.GenConfig{
+		N: 3, InternalPerProc: 400, CommMu: 6, CommSigma: 1,
+		Topology: dist.TopoRing, Suffixes: []string{"p"}, Seed: 2,
+		TrueProbs: map[string]float64{"p": 0.5},
+	})
+	long, err := dlmondLongSession("test/ring/n=3", ts, "G (P0.p -> F (P1.p && P2.p))", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long.Events != ts.TotalEvents() || long.EventsPerSec <= 0 || long.DurableEventsPerSec <= 0 {
+		t.Fatalf("pair not measured: %+v", long)
+	}
+	if want := long.Events/long.CheckpointEvery + 1; long.Checkpoints != want {
+		t.Errorf("%d checkpoints over %d events at cadence %d, want %d", long.Checkpoints, long.Events, long.CheckpointEvery, want)
+	}
+	if long.CheckpointBytes <= 0 || long.BarrierMs <= 0 || long.EncodeMs <= 0 || long.InstallMs <= 0 {
+		t.Errorf("phase means not filled in: %+v", long)
+	}
+	if got, want := long.DurableRatio, long.DurableEventsPerSec/long.EventsPerSec; got != want {
+		t.Errorf("durable_ratio %v, want %v", got, want)
+	}
+	out := RenderDlmondCells(&DlmondBench{LongSession: long})
+	if !strings.Contains(out, "long session") || !strings.Contains(out, "install-wait") {
+		t.Errorf("rendered record misses the long-session lines:\n%s", out)
+	}
+}

@@ -9,6 +9,31 @@ package server
 // so a crash never leaves a torn checkpoint: recovery sees either the old
 // blob or the new one, both self-verifying end to end (trailing CRC).
 //
+// Taking a checkpoint is a depth-1 pipeline. The connection's read loop does
+// the part that must see a frozen session — wait for quiescence, encode —
+// and hands the finished, immutable blob to an installer goroutine that
+// writes, fsyncs and renames it while the read loop goes back to ingesting.
+// session.ckpt, a semaphore of one, is held from the start of the snapshot
+// until the rename has returned, so per session:
+//
+//   - at most one install is in flight, and the next snapshot starts only
+//     after it: blobs reach the disk in the order they were taken, nothing is
+//     skipped or coalesced, and one fixed temp name per session is enough;
+//   - every reply-bearing verb passes through the semaphore (Server.settle)
+//     before its frame is written, so whatever a tenant has had acknowledged
+//     is on disk up to the last cadence boundary. Only a fire-and-forget
+//     Ingest stream runs further ahead of the disk: by less than two cadences
+//     (one blob in flight, one period accumulating);
+//   - Close retires the pipeline (session.retire: take the semaphore, mark it
+//     closed) before it finalizes the session and removes the file, so a late
+//     rename can never resurrect a closed session;
+//   - Shutdown's farewell checkpoint queues behind the in-flight one like any
+//     other, and the pipeline is retired — the install waited for — before
+//     the session is finalized.
+//
+// A kill -9 during an install leaves the fixed-name temp file behind;
+// recovery sweeps those before it scans.
+//
 // On startup the server scans the directory and re-registers every
 // checkpointed session under its original id with its epoch bumped; a
 // client re-adopts one with Attach and resumes feeding each process at the
@@ -275,15 +300,21 @@ func checkpointPath(dir string, sid uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("session-%d.dmsn", sid))
 }
 
-// writeCheckpoint atomically installs one checkpoint blob: write to a temp
-// file in the same directory, fsync, rename over the final name. A reader
-// (the recovering daemon) never observes a partial write.
+// checkpointTemp names the one temp file a session's installs go through.
+// Fixed, not unique: installs of one session never overlap (session.ckpt).
+func checkpointTemp(dir string, sid uint64) string {
+	return filepath.Join(dir, fmt.Sprintf(".session-%d.tmp", sid))
+}
+
+// writeCheckpoint atomically installs one checkpoint blob: write to the
+// session's temp file in the same directory, fsync, rename over the final
+// name. A reader (the recovering daemon) never observes a partial write.
 func writeCheckpoint(dir string, sid uint64, blob []byte) error {
-	tmp, err := os.CreateTemp(dir, fmt.Sprintf(".session-%d-*.tmp", sid))
+	name := checkpointTemp(dir, sid)
+	tmp, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
 	if err != nil {
 		return fmt.Errorf("server: checkpoint: %w", err)
 	}
-	name := tmp.Name()
 	_, err = tmp.Write(blob)
 	if err == nil {
 		err = tmp.Sync()
@@ -299,6 +330,17 @@ func writeCheckpoint(dir string, sid uint64, blob []byte) error {
 		return fmt.Errorf("server: checkpoint: %w", err)
 	}
 	return nil
+}
+
+// sweepCheckpointTemps removes the temp files of installs a crash cut short.
+// Best effort: a leftover that cannot be removed costs disk space, not
+// correctness — recovery never reads it and the session's next install
+// truncates it.
+func sweepCheckpointTemps(dir string) {
+	stale, _ := filepath.Glob(filepath.Join(dir, ".session-*.tmp"))
+	for _, name := range stale {
+		os.Remove(name)
+	}
 }
 
 // listCheckpoints returns the checkpoint files in a state directory.

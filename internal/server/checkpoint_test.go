@@ -1,0 +1,293 @@
+package server
+
+// Tests of the depth-1 checkpoint pipeline (checkpoint.go): installs run
+// beside ingest, so what they pin is ordering — against replies, Close,
+// Shutdown and recovery — and that no checkpoint is lost on the way.
+
+import (
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+
+	"decentmon/internal/dist"
+)
+
+// pipelineFormula is a response property that stays inconclusive over
+// pipelineTrace, so sessions run their full length.
+const pipelineFormula = "G (P0.p -> F P1.p)"
+
+// pipelineTrace generates a two-process execution of about perProc internal
+// events per process plus communication, linearized.
+func pipelineTrace(t *testing.T, perProc int) (*dist.TraceSet, []*dist.Event) {
+	t.Helper()
+	ts := dist.Generate(dist.GenConfig{N: 2, InternalPerProc: perProc, CommMu: 4, CommSigma: 1, Seed: 15})
+	return ts, linearize(t, ts)
+}
+
+// stateFiles lists everything in a state directory, dotfiles included.
+func stateFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestCheckpointCloseVsInstall: at cadence 1 every Ingest starts an install,
+// so CloseSession always arrives with one in flight. Close must wait for it
+// before removing the file; a rename landing afterwards would resurrect the
+// session at the next start.
+func TestCheckpointCloseVsInstall(t *testing.T) {
+	rounds := 50
+	if testing.Short() {
+		rounds = 5
+	}
+	dir := t.TempDir()
+	s := newTestServer(t, Config{StateDir: dir, CheckpointEvery: 1, MetricsAddr: "off"})
+	ts, evs := pipelineTrace(t, 240)
+	if len(evs) < 500 {
+		t.Fatalf("trace has %d events, want at least 500", len(evs))
+	}
+	evs = evs[:500]
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for round := 0; round < rounds; round++ {
+		sid, _, err := cl.Register("acme", pipelineFormula, ts.InitialState(), ts.Props)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			if err := cl.Ingest(sid, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := cl.CloseSession(sid); err != nil {
+			t.Fatal(err)
+		}
+		if left := stateFiles(t, dir); len(left) != 0 {
+			t.Fatalf("round %d: closed session left %v in the state directory", round, left)
+		}
+	}
+	if got := s.mx.checkpointErrors.Load(); got != 0 {
+		t.Errorf("%d checkpoint errors", got)
+	}
+	// Nothing skipped, nothing coalesced: one checkpoint per event plus the
+	// one at registration.
+	if got, want := s.mx.checkpointsTotal.Load(), int64(rounds*(len(evs)+1)); got != want {
+		t.Errorf("checkpoints_total = %d, want %d", got, want)
+	}
+}
+
+// TestCheckpointCountAtCadence: a session of N events at cadence c installs
+// ⌊N/c⌋ + 1 checkpoints — the pipeline waits for the previous install, it
+// never drops the due one — and the byte counter follows the files.
+func TestCheckpointCountAtCadence(t *testing.T) {
+	const cadence = 7
+	dir := t.TempDir()
+	s := newTestServer(t, Config{StateDir: dir, CheckpointEvery: cadence})
+	ts, evs := pipelineTrace(t, 240)
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sid, _, err := cl.Register("acme", pipelineFormula, ts.InitialState(), ts.Props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range evs {
+		if err := cl.Ingest(sid, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A reply-bearing verb is answered after the in-flight install: the file
+	// read next is the checkpoint of the last cadence boundary.
+	if _, fed, err := cl.Attach(sid); err != nil {
+		t.Fatal(err)
+	} else if fed[0]+fed[1] != len(evs) {
+		t.Fatalf("daemon absorbed %v of %d events", fed, len(evs))
+	}
+	if got, want := s.mx.checkpointsTotal.Load(), int64(len(evs)/cadence+1); got != want {
+		t.Errorf("checkpoints_total = %d after %d events at cadence %d, want %d", got, len(evs), cadence, want)
+	}
+	blob, err := os.ReadFile(checkpointPath(dir, sid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := decodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(len(evs) / cadence * cadence); ck.events != want {
+		t.Errorf("checkpoint on disk holds %d events at the acknowledgement, want %d", ck.events, want)
+	}
+	// The phase counters, as a scraper sees them. install_wait may
+	// legitimately read 0 on a fast disk; the others cannot.
+	resp, err := http.Get("http://" + s.MetricsAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "dlmond_checkpoint") {
+			samples[name], _ = strconv.ParseFloat(value, 64)
+		}
+	}
+	for _, name := range []string{
+		"dlmond_checkpoint_barrier_seconds_total", "dlmond_checkpoint_encode_seconds_total",
+		"dlmond_checkpoint_install_seconds_total", "dlmond_checkpoint_bytes_total",
+	} {
+		if samples[name] <= 0 {
+			t.Errorf("/metrics: %s = %v after %d checkpoints", name, samples[name], len(evs)/cadence+1)
+		}
+	}
+	if _, ok := samples["dlmond_checkpoint_install_wait_seconds_total"]; !ok {
+		t.Error("/metrics: no dlmond_checkpoint_install_wait_seconds_total")
+	}
+	if samples["dlmond_checkpoint_bytes_total"] < float64(len(blob)) {
+		t.Errorf("checkpoint_bytes_total %v is less than the one file on disk (%d)", samples["dlmond_checkpoint_bytes_total"], len(blob))
+	}
+	if _, err := cl.CloseSession(sid); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointShutdownVsInstall: Shutdown arriving while an install is in
+// flight waits for it, then takes and installs its own; the next start
+// recovers every event the daemon had absorbed.
+func TestCheckpointShutdownVsInstall(t *testing.T) {
+	rounds := 20
+	if testing.Short() {
+		rounds = 3
+	}
+	ts, evs := pipelineTrace(t, 40)
+	for round := 0; round < rounds; round++ {
+		dir := t.TempDir()
+		cfg := Config{StateDir: dir, CheckpointEvery: 1, MetricsAddr: "off"}
+		s1, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := Dial(s1.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sid, _, err := cl.Register("acme", pipelineFormula, ts.InitialState(), ts.Props)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sent := len(evs) - round // a different stopping point each round
+		for _, e := range evs[:sent] {
+			if err := cl.Ingest(sid, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// No synchronous verb here — it would wait the install out. Poll the
+		// ingest counter instead; the last event's install is then starting
+		// or under way.
+		for s1.mx.eventsTotal.Load() < int64(sent) {
+			if s1.mx.errorsTotal.Load() != 0 {
+				t.Fatal("ingest failed")
+			}
+			runtime.Gosched()
+		}
+		if err := s1.Shutdown(); err != nil {
+			t.Fatal(err)
+		}
+		cl.Close()
+		if tmps, _ := filepath.Glob(filepath.Join(dir, ".session-*.tmp")); len(tmps) != 0 {
+			t.Fatalf("round %d: shutdown left %v", round, tmps)
+		}
+
+		s2, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl2, err := Dial(s2.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, fed, err := cl2.Attach(sid)
+		if err != nil {
+			t.Fatalf("round %d: attach after restart: %v", round, err)
+		}
+		if fed[0]+fed[1] != sent {
+			t.Fatalf("round %d: recovered fed counts %v, sent %d", round, fed, sent)
+		}
+		if got := s2.mx.checkpointErrors.Load() + s1.mx.checkpointErrors.Load(); got != 0 {
+			t.Errorf("round %d: %d checkpoint errors", round, got)
+		}
+		cl2.Close()
+		s2.Shutdown()
+	}
+}
+
+// TestRecoverySweepsStaleTemps: a kill -9 during an install leaves the temp
+// file behind. The next start removes it — whatever naming scheme wrote it —
+// and still recovers the valid checkpoint beside it.
+func TestRecoverySweepsStaleTemps(t *testing.T) {
+	dir := t.TempDir()
+	ts := dist.RunningExample()
+	cfg := Config{StateDir: dir, MetricsAddr: "off"}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s1.Shutdown() })
+	cl, err := Dial(s1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sid, _, err := cl.Register("acme", dist.RunningExampleProperty, ts.InitialState(), ts.Props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Close()
+	s1.crash()
+
+	good, err := os.ReadFile(checkpointPath(dir, sid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := []string{
+		checkpointTemp(dir, sid),                        // this daemon's naming
+		filepath.Join(dir, ".session-7-1234567890.tmp"), // os.CreateTemp's, from older daemons
+	}
+	for _, name := range planted {
+		if err := os.WriteFile(name, good[:len(good)/2], 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Shutdown()
+	if got := s2.Recovered(); got != 1 {
+		t.Errorf("recovered %d sessions, want 1", got)
+	}
+	if got := s2.mx.checkpointErrors.Load(); got != 0 {
+		t.Errorf("%d checkpoint errors: a temp file was read as a checkpoint", got)
+	}
+	for _, name := range planted {
+		if _, err := os.Stat(name); !os.IsNotExist(err) {
+			t.Errorf("stale temp %s survived the start (stat: %v)", filepath.Base(name), err)
+		}
+	}
+}

@@ -27,6 +27,16 @@ type metrics struct {
 	sessionsRecovered atomic.Int64
 	checkpointsTotal  atomic.Int64
 	checkpointErrors  atomic.Int64
+	// Where checkpoints spend their time, per phase, in nanoseconds summed
+	// over all of them: the engine's quiescence barrier, encoding, the
+	// installer's write+fsync+rename, and what due checkpoints and replies
+	// waited for an install still in flight. The first, second and last stall
+	// a connection's read loop; the third runs beside it.
+	ckptBarrierNanos     atomic.Int64
+	ckptEncodeNanos      atomic.Int64
+	ckptInstallNanos     atomic.Int64
+	ckptInstallWaitNanos atomic.Int64
+	ckptBytes            atomic.Int64
 
 	latencyCounts  [10]atomic.Int64 // one per bucket + overflow
 	latencySumNano atomic.Int64
@@ -65,6 +75,9 @@ func (m *metrics) render(w *strings.Builder, x snapshotExtra) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}
+	seconds := func(name, help string, nanos int64) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, float64(nanos)/1e9)
+	}
 	gauge("dlmond_sessions_live", "Monitoring sessions currently open.", m.sessionsLive.Load())
 	counter("dlmond_sessions_total", "Sessions ever registered.", m.sessionsTotal.Load())
 	counter("dlmond_events_total", "Events ingested across all sessions.", m.eventsTotal.Load())
@@ -74,6 +87,11 @@ func (m *metrics) render(w *strings.Builder, x snapshotExtra) {
 	counter("dlmond_sessions_recovered_total", "Sessions restored from durable checkpoints at startup.", m.sessionsRecovered.Load())
 	counter("dlmond_checkpoints_total", "Session checkpoints written to the state directory.", m.checkpointsTotal.Load())
 	counter("dlmond_checkpoint_errors_total", "Checkpoint writes or recoveries that failed.", m.checkpointErrors.Load())
+	seconds("dlmond_checkpoint_barrier_seconds_total", "Time checkpoints waited for their session's monitors to reach quiescence.", m.ckptBarrierNanos.Load())
+	seconds("dlmond_checkpoint_encode_seconds_total", "Time checkpoints spent serializing session state.", m.ckptEncodeNanos.Load())
+	seconds("dlmond_checkpoint_install_seconds_total", "Time installers spent writing, syncing and renaming checkpoint files.", m.ckptInstallNanos.Load())
+	seconds("dlmond_checkpoint_install_wait_seconds_total", "Time due checkpoints and replies waited for an install still in flight.", m.ckptInstallWaitNanos.Load())
+	counter("dlmond_checkpoint_bytes_total", "Bytes of checkpoint files installed.", m.ckptBytes.Load())
 	gauge("dlmond_knowledge_bytes", "Estimated bytes of retained monitor knowledge across live sessions.", x.knowledgeBytes)
 	counter("dlmond_automaton_cache_hits_total", "Property registrations served from the compiled-automaton cache.", x.cacheHits)
 	counter("dlmond_automaton_cache_misses_total", "Property registrations that compiled a new automaton.", x.cacheMisses)

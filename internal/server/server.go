@@ -18,8 +18,9 @@
 // /metrics.
 //
 // With Config.StateDir set, sessions are durable: each one is checkpointed
-// to disk on a configurable event cadence (see checkpoint.go for the format
-// and the atomic-install discipline), recovered on the next start, and
+// to disk on a configurable event cadence (see checkpoint.go for the format,
+// the atomic-install discipline and the depth-1 install pipeline that keeps
+// the disk write off the ingest path), recovered on the next start, and
 // re-adopted by its tenant with the Attach verb — the reply's fed counts
 // tell the feeder exactly where to resume the trace.
 package server
@@ -175,6 +176,7 @@ func (s *Server) Recovered() int64 { return s.mx.sessionsRecovered.Load() }
 // dlmond_checkpoint_errors_total), never fails startup: one bad file must
 // not take every other tenant's durable session down with it.
 func (s *Server) recoverSessions() error {
+	sweepCheckpointTemps(s.cfg.StateDir)
 	files, err := listCheckpoints(s.cfg.StateDir)
 	if err != nil {
 		s.reg.Close()
@@ -208,7 +210,7 @@ func (s *Server) recoverSessions() error {
 	return nil
 }
 
-// maybeCheckpoint writes a session checkpoint when its cadence is due.
+// maybeCheckpoint takes a session checkpoint when its cadence is due.
 func (s *Server) maybeCheckpoint(sess *session) {
 	if s.cfg.StateDir == "" {
 		return
@@ -216,23 +218,59 @@ func (s *Server) maybeCheckpoint(sess *session) {
 	if sess.sinceCkpt.Add(1) < int64(s.cfg.CheckpointEvery) {
 		return
 	}
-	s.checkpointNow(sess)
+	s.checkpoint(sess)
 }
 
-// checkpointNow snapshots one session and atomically installs the blob.
-// Failures are counted, not fatal: the previous checkpoint stays in place,
-// so a transient write error only widens the re-feed window.
-func (s *Server) checkpointNow(sess *session) {
-	sess.sinceCkpt.Store(0)
-	blob, err := sess.snapshot(s.ctx)
-	if err == nil {
-		err = writeCheckpoint(s.cfg.StateDir, sess.id, blob)
+// checkpoint runs the front half of the pipeline (checkpoint.go) on the
+// caller's goroutine — wait for the previous install, snapshot — and leaves
+// the blob with an installer goroutine, which releases sess.ckpt when the
+// file is in place. Failures are counted, not fatal: the previous checkpoint
+// stays in place, so a transient write error only widens the re-feed window.
+func (s *Server) checkpoint(sess *session) {
+	start := time.Now()
+	sess.ckpt <- struct{}{}
+	s.mx.ckptInstallWaitNanos.Add(int64(time.Since(start)))
+	if sess.ckptClosed {
+		<-sess.ckpt
+		return
 	}
+	sess.sinceCkpt.Store(0)
+	blob, tm, err := sess.snapshot(s.ctx)
+	s.mx.ckptBarrierNanos.Add(int64(tm.Barrier))
+	s.mx.ckptEncodeNanos.Add(int64(tm.Encode))
+	if err != nil {
+		<-sess.ckpt
+		s.mx.checkpointErrors.Add(1)
+		return
+	}
+	go s.install(sess, blob)
+}
+
+// install is the back half: it owns sess.ckpt, taken by checkpoint, and
+// gives it up once the blob is on disk (or has failed to get there).
+func (s *Server) install(sess *session, blob []byte) {
+	defer func() { <-sess.ckpt }()
+	start := time.Now()
+	err := writeCheckpoint(s.cfg.StateDir, sess.id, blob)
+	s.mx.ckptInstallNanos.Add(int64(time.Since(start)))
 	if err != nil {
 		s.mx.checkpointErrors.Add(1)
 		return
 	}
+	s.mx.ckptBytes.Add(int64(len(blob)))
 	s.mx.checkpointsTotal.Add(1)
+}
+
+// settle holds a reply back until the session's in-flight checkpoint, if
+// any, is installed: an acknowledgement never overtakes the disk.
+func (s *Server) settle(sess *session) {
+	if s.cfg.StateDir == "" {
+		return
+	}
+	start := time.Now()
+	sess.ckpt <- struct{}{}
+	<-sess.ckpt
+	s.mx.ckptInstallWaitNanos.Add(int64(time.Since(start)))
 }
 
 // scrapeExtra walks the registry at scrape time for the gauges that cannot
@@ -299,7 +337,8 @@ func (s *Server) Shutdown() error {
 		var firstErr error
 		for _, sess := range live {
 			if s.cfg.StateDir != "" {
-				s.checkpointNow(sess)
+				s.checkpoint(sess)
+				sess.retire()
 			}
 			if _, err := sess.close(); err != nil && firstErr == nil {
 				firstErr = err
@@ -432,6 +471,7 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 		}
 		sc.srv.mx.eventsTotal.Add(1)
 		sc.srv.maybeCheckpoint(sess)
+		sc.srv.settle(sess)
 		sc.write(&dist.RPCMsg{Kind: dist.RPCEmitted, SID: m.SID, MsgID: id})
 	case dist.RPCSubscribe:
 		sess := sc.resolve(m.SID)
@@ -448,6 +488,7 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 				})
 			},
 		})
+		sc.srv.settle(sess)
 		sc.write(&dist.RPCMsg{Kind: dist.RPCAcked, SID: m.SID})
 	case dist.RPCEnd:
 		sess := sc.resolve(m.SID)
@@ -458,6 +499,7 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 			sc.writeErr(m.SID, err)
 			return true
 		}
+		sc.srv.settle(sess)
 		sc.write(&dist.RPCMsg{Kind: dist.RPCAcked, SID: m.SID})
 	case dist.RPCAttach:
 		sess := sc.resolve(m.SID)
@@ -472,6 +514,7 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 			sc.writeErr(m.SID, fmt.Errorf("server: connection belongs to tenant %q, not %q", sc.tenant, sess.tenant))
 			return true
 		}
+		sc.srv.settle(sess)
 		sc.write(&dist.RPCMsg{Kind: dist.RPCRegistered, SID: m.SID, CacheHit: true,
 			Epoch: sess.epoch, Fed: sess.cs.Fed()})
 	case dist.RPCClose:
@@ -479,6 +522,11 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 		if sess == nil {
 			return true
 		}
+		// Retire the pipeline before finalizing — a checkpoint racing in from
+		// another connection is then skipped, not failed — and remove the file
+		// only after: no rename can land once retire has returned.
+		sc.srv.settle(sess)
+		sess.retire()
 		res, err := sess.close()
 		sc.srv.reg.Del(m.SID)
 		delete(sc.local, m.SID)
@@ -582,7 +630,8 @@ func (sc *srvConn) handleRegister(m *dist.RPCMsg) {
 	sc.srv.mx.sessionsTotal.Add(1)
 	if sc.srv.cfg.StateDir != "" {
 		// Checkpoint at registration so an idle session survives a restart.
-		sc.srv.checkpointNow(sess)
+		sc.srv.checkpoint(sess)
+		sc.srv.settle(sess)
 	}
 	sc.write(&dist.RPCMsg{Kind: dist.RPCRegistered, SID: sid, CacheHit: hit})
 }

@@ -31,8 +31,14 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // and shared across sessions (ingestion serializes them per frame).
 func exampleEvents(t *testing.T) []*dist.Event {
 	t.Helper()
+	return linearize(t, dist.RunningExample())
+}
+
+// linearize returns a trace set's events in stream order.
+func linearize(t *testing.T, ts *dist.TraceSet) []*dist.Event {
+	t.Helper()
 	var evs []*dist.Event
-	src := dist.RunningExample().Stream()
+	src := ts.Stream()
 	for {
 		e, err := src.Next()
 		if err == io.EOF {
@@ -376,6 +382,13 @@ func TestServerHotTenantIsolation(t *testing.T) {
 	// (which owes hundreds of seconds of pause at this rate).
 	if quietWall > 5*time.Second {
 		t.Errorf("quiet tenant lifecycle took %v alongside a flooding tenant", quietWall)
+	}
+	// The flood is throttled once the server has absorbed more than a burst
+	// of it, and the quiet tenant's whole lifecycle can finish before that:
+	// wait for the counter (bounded) instead of sampling it at whatever
+	// instant the scheduler got us here.
+	for deadline := time.Now().Add(10 * time.Second); s.mx.throttleNanos.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 	if s.mx.throttleNanos.Load() == 0 {
 		t.Error("flooding tenant was never throttled")

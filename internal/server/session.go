@@ -43,6 +43,12 @@ type session struct {
 	events atomic.Int64
 	// sinceCkpt counts events since the last durable checkpoint.
 	sinceCkpt atomic.Int64
+	// ckpt is the depth-1 checkpoint pipeline's semaphore (checkpoint.go):
+	// held from the start of a snapshot until its blob is installed on disk.
+	// ckptClosed, read and written only while holding it, stops the pipeline
+	// for good once Close has removed the file.
+	ckpt       chan struct{}
+	ckptClosed bool
 
 	// Live stamping. stampMu serializes Emit calls for the session (the
 	// stamper is single-writer per process; one lock per session keeps the
@@ -90,6 +96,7 @@ func newSession(ctx context.Context, tenant, key, formula string, cfg core.Sessi
 		cs:       cs,
 		stamper:  dist.NewStamper(cfg.N),
 		tokens:   map[int]dist.MsgToken{},
+		ckpt:     make(chan struct{}, 1),
 		pumpDone: make(chan struct{}),
 	}
 	s.lastIngest.Store(time.Now().UnixNano())
@@ -139,6 +146,7 @@ func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCa
 		cs:       cs,
 		stamper:  stamper,
 		tokens:   ck.tokens,
+		ckpt:     make(chan struct{}, 1),
 		pumpDone: make(chan struct{}),
 	}
 	s.events.Store(ck.events)
@@ -152,20 +160,39 @@ func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCa
 // mutually consistent: emit holds the same lock from stamping through
 // feeding, so the stamper is never observed one event ahead of the engine.
 // Pre-stamped ingests need no such pairing — the engine's own quiescence
-// protocol (core.Session.Snapshot) serializes against them.
-func (s *session) snapshot(ctx context.Context) ([]byte, error) {
+// protocol (core.Session.Snapshot) serializes against them. The timing is the
+// engine's, with the outer container's encoding added to Encode.
+func (s *session) snapshot(ctx context.Context) ([]byte, core.SnapshotTiming, error) {
 	s.stampMu.Lock()
 	defer s.stampMu.Unlock()
-	engine, err := s.cs.Snapshot(ctx)
+	engine, tm, err := s.cs.SnapshotTimed(ctx)
 	if err != nil {
-		return nil, err
+		return nil, tm, err
 	}
-	b := dist.NewSnapshotBuilder()
-	b.Record(ckTagMeta, appendCheckpointMeta(nil, s, s.epoch))
-	b.Record(ckTagStamper, dist.AppendStamperState(nil, s.stamper.State()))
-	b.Record(ckTagTokens, appendCheckpointTokens(nil, s.tokens))
+	start := time.Now()
+	meta := appendCheckpointMeta(nil, s, s.epoch)
+	stamper := dist.AppendStamperState(nil, s.stamper.State())
+	tokens := appendCheckpointTokens(nil, s.tokens)
+	// Sized to fit: the engine blob dwarfs the rest, and growing the
+	// container would copy it a second time. 64 covers the header, the four
+	// record frames and the end record.
+	b := dist.NewSnapshotBuilderSize(len(meta) + len(stamper) + len(tokens) + len(engine) + 64)
+	b.Record(ckTagMeta, meta)
+	b.Record(ckTagStamper, stamper)
+	b.Record(ckTagTokens, tokens)
 	b.Record(ckTagEngine, engine)
-	return b.Finish(), nil
+	blob := b.Finish()
+	tm.Encode += time.Since(start)
+	return blob, tm, nil
+}
+
+// retire waits out the in-flight install and stops the pipeline for good:
+// once it returns nothing will write the session's checkpoint file again, so
+// the caller may finalize the session and remove or keep the file.
+func (s *session) retire() {
+	s.ckpt <- struct{}{}
+	s.ckptClosed = true
+	<-s.ckpt
 }
 
 // pump forwards verdict detections to subscribers and feeds the latency

@@ -1,11 +1,19 @@
 //go:build ignore
 
-// perfgate is the engine performance gate: it compares a freshly measured
-// engine sweep (the CI bench job's BENCH_engine.json output) against the
-// committed record at the repository root and fails the build when the
-// engine's throughput trajectory regresses.
+// perfgate is the performance gate over the committed BENCH records: it
+// compares a freshly measured document (the CI bench job's output) against
+// the committed one at the repository root and fails the build when the
+// trajectory regresses. Which record it was handed shows in the document: one
+// with a "long_session" object is BENCH_dlmond.json, anything else
+// BENCH_engine.json.
 //
-// Three checks:
+// BENCH_dlmond.json, one check: durable_ratio — events/s of one long session
+// with a state directory over events/s without — may not fall below
+// durableFactor times the committed ratio. A ratio of two runs on the same
+// box moves far less than either throughput, so the threshold can be tight
+// enough to catch a phase of the checkpoint going back onto the ingest path.
+//
+// BENCH_engine.json, three checks:
 //
 //   - the n=16 ring speedup over the pinned pre-overhaul baseline must stay
 //     above a floor (the hot-path overhaul's headline number, with headroom
@@ -45,6 +53,9 @@ const (
 	// allocFactor is the maximum acceptable per-cell growth of allocs/event
 	// against the committed record.
 	allocFactor = 1.5
+	// durableFactor is the minimum acceptable durable_ratio as a fraction of
+	// the committed one.
+	durableFactor = 0.8
 )
 
 type cell struct {
@@ -56,6 +67,30 @@ type cell struct {
 type doc struct {
 	SpeedupN16Ring float64 `json:"speedup_n16_ring"`
 	Cells          []*cell `json:"cells"`
+	LongSession    *struct {
+		EventsPerSec        float64 `json:"events_per_sec"`
+		DurableEventsPerSec float64 `json:"durable_events_per_sec"`
+		DurableRatio        float64 `json:"durable_ratio"`
+	} `json:"long_session"`
+}
+
+// gateDlmond checks a BENCH_dlmond.json pair and reports whether it failed.
+func gateDlmond(fresh, committed *doc) bool {
+	was := committed.LongSession
+	if fresh.LongSession == nil {
+		fmt.Fprintln(os.Stderr, "perfgate: FAIL fresh dlmond record has no long_session pair")
+		return true
+	}
+	now := fresh.LongSession
+	floor := durableFactor * was.DurableRatio
+	if now.DurableRatio < floor {
+		fmt.Fprintf(os.Stderr, "perfgate: FAIL durable_ratio %.3f (%.0f of %.0f events/s) below %.3f = %.1fx the committed %.3f\n",
+			now.DurableRatio, now.DurableEventsPerSec, now.EventsPerSec, floor, durableFactor, was.DurableRatio)
+		return true
+	}
+	fmt.Printf("perfgate: durable_ratio %.3f (%.0f of %.0f events/s; committed %.3f, floor %.3f)\n",
+		now.DurableRatio, now.DurableEventsPerSec, now.EventsPerSec, was.DurableRatio, floor)
+	return false
 }
 
 func load(path string) (*doc, error) {
@@ -84,6 +119,14 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfgate:", err)
 		os.Exit(2)
+	}
+
+	if committed.LongSession != nil {
+		if gateDlmond(fresh, committed) {
+			os.Exit(1)
+		}
+		fmt.Println("perfgate: OK")
+		return
 	}
 
 	failed := false
