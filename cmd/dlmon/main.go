@@ -3,7 +3,7 @@
 // in-memory or loopback-TCP network, and reports the verdict set plus the
 // overhead metrics of Chapter 5.
 //
-// Trace files are consumed either materialized (the default for .json/.gob)
+// Trace files are consumed either materialized (the default for .json)
 // or as a stream: -stream feeds the decentralized monitors incrementally
 // from the reader without materializing the trace (garbage-collecting each
 // monitor's knowledge below the global minimal cut as it goes), and
@@ -14,9 +14,9 @@
 //
 // Usage:
 //
-//	tracegen -n 3 -events 10 -plant -o t.gob
-//	dlmon -trace t.gob 'F (P0.p && P1.p && P2.p)'
-//	dlmon -trace t.gob -case B -tcp -compare
+//	tracegen -n 3 -events 10 -plant -o t.dmtb
+//	dlmon -trace t.dmtb 'F (P0.p && P1.p && P2.p)'
+//	dlmon -trace t.dmtb -case B -tcp -compare
 //	tracegen -n 8 -events 200000 -topo ring -o big.dmtb
 //	dlmon -trace big.dmtb -bounded -case B
 //	tracegen -n 16 -events 5 -topo ring -plant -o wide.json
@@ -56,15 +56,15 @@ import (
 
 func main() {
 	var (
-		tracePath = flag.String("trace", "", "trace set file (.json, .jsonl, .dmtb or .gob) from tracegen")
+		tracePath = flag.String("trace", "", "trace set file (.json, .jsonl or .dmtb) from tracegen")
 		caseProp  = flag.String("case", "", "use a case-study property A..F instead of a formula argument")
 		arity     = flag.Int("arity", 0, "with -case: instantiate the property at this arity instead of the full process count (its alphabet then touches only the first processes — required beyond ~12 processes, and what keeps the sliced oracle tractable)")
 		shape     = flag.String("shape", "minimal", "automaton construction: minimal or paper")
 		oracleM   = flag.String("oracle", "exact", "oracle for -compare: exact (full lattice), sliced (projected to the property's support; exact for X-free properties) or sampling (seeded bounded frontier; sound subset)")
 		frontier  = flag.Int("frontier", 0, "sampling oracle: per-rank frontier bound (0 = default)")
 		oseed     = flag.Int64("oracleseed", 1, "sampling oracle: exploration seed")
-		stream    = flag.Bool("stream", false, "feed the monitors from the streaming reader instead of materializing the trace (a .json/.gob trace is still loaded whole first; use .jsonl/.dmtb for bounded memory)")
-		bounded   = flag.Bool("bounded", false, "stream the physical-time lattice path in bounded memory (implies -stream; same .json/.gob caveat)")
+		stream    = flag.Bool("stream", false, "feed the monitors from the streaming reader instead of materializing the trace (a .json trace is still loaded whole first; use .jsonl/.dmtb for bounded memory)")
+		bounded   = flag.Bool("bounded", false, "stream the physical-time lattice path in bounded memory (implies -stream; same .json caveat)")
 		tcp       = flag.Bool("tcp", false, "run monitors over loopback TCP instead of in-memory channels")
 		replic    = flag.Bool("replicated", false, "use the replicated-broadcast baseline mode")
 		noFin     = flag.Bool("nofinalize", false, "skip extending views to the final cut")

@@ -45,7 +45,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7381", "dlmond RPC address")
 		tenant    = flag.String("tenant", "dlmonc", "tenant identity for admission control")
-		tracePath = flag.String("trace", "", "trace set file (.json, .jsonl, .dmtb or .gob) from tracegen")
+		tracePath = flag.String("trace", "", "trace set file (.json, .jsonl or .dmtb) from tracegen")
 		verbose   = flag.Bool("v", false, "print each streamed verdict detection")
 		attach    = flag.Uint64("attach", 0, "resume session SID on a durable daemon instead of registering")
 		limit     = flag.Int("events", 0, "ingest at most N events this run (0 = all; pairs with -no-close)")

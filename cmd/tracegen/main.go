@@ -12,7 +12,7 @@
 // Usage:
 //
 //	tracegen -n 4 -events 20 -commmu 3 -seed 7 -o trace.json
-//	tracegen -n 5 -events 50 -plant -o trace.gob
+//	tracegen -n 5 -events 50 -plant -o trace.dmtb
 //	tracegen -n 32 -suffixes p -topo ring -events 1000000 -o trace.dmtb
 //	tracegen -n 8 -events 200000 -format dmtb -o trace.bin
 //	tracegen -n 12 -topo clustered -clusters 3 -crossprob 0.05 -o trace.jsonl
@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trueP    = fs.Float64("truep", 0.5, "probability a proposition is true after an internal event")
 		plant    = fs.Bool("plant", false, "force all propositions true at each process's final internal event")
 		seed     = fs.Int64("seed", 1, "random seed")
-		out      = fs.String("o", "", "output file (.json, .jsonl, .dmtb or .gob); stdout JSON if empty")
+		out      = fs.String("o", "", "output file (.json, .jsonl or .dmtb); stdout JSON if empty")
 		format   = fs.String("format", "", "force a streaming codec ("+strings.Join(dist.CodecNames(), " or ")+") regardless of the output extension")
 		caseProp = fs.String("case", "", "with -oracle: the case-study property (A..F) to certify the trace against")
 		arity    = fs.Int("arity", 0, "with -case: property arity (0 = all processes; smaller keeps the oracle tractable at any -n)")
@@ -125,11 +125,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "tracegen: -format %s contradicts the %s extension of %s\n", c.Name(), codec.Ext(), *out)
 			return 2
 		}
-		// A materialized extension is just as contradictory: every reader
-		// selects its decoder by extension, so stream bytes under .json or
-		// .gob would produce a file nothing can open.
-		if ext := strings.ToLower(filepath.Ext(*out)); ext == ".json" || ext == ".gob" {
-			fmt.Fprintf(stderr, "tracegen: -format %s contradicts the materialized %s extension of %s\n", c.Name(), ext, *out)
+		// The materialized extension is just as contradictory: every reader
+		// selects its decoder by extension, so stream bytes under .json would
+		// produce a file nothing can open.
+		if strings.EqualFold(filepath.Ext(*out), ".json") {
+			fmt.Fprintf(stderr, "tracegen: -format %s contradicts the materialized .json extension of %s\n", c.Name(), *out)
 			return 2
 		}
 		codec, streaming = c, true

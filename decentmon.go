@@ -16,6 +16,7 @@
 //	internal/central    the centralized baseline
 //	internal/transport  in-memory and TCP monitor networks
 //	internal/server     dlmond, the multi-tenant monitoring session daemon
+//	internal/wire       the byte-level kernel under every binary format
 //
 // ARCHITECTURE.md walks the full package graph, the Session lifecycle and
 // the machine-checked concurrency invariants; PERFORMANCE.md is the

@@ -9,6 +9,7 @@ import (
 	"decentmon/internal/analysis/checkers/facadeexport"
 	"decentmon/internal/analysis/checkers/floormonotone"
 	"decentmon/internal/analysis/checkers/propmask"
+	"decentmon/internal/analysis/checkers/rawvarint"
 )
 
 // All returns the full declint suite in stable order.
@@ -19,6 +20,7 @@ func All() []*analysis.Analyzer {
 		facadeexport.Analyzer,
 		floormonotone.Analyzer,
 		propmask.Analyzer,
+		rawvarint.Analyzer,
 	}
 }
 

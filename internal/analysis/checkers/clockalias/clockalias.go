@@ -41,11 +41,11 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // freshCallees are functions/methods whose result is independently owned.
-// vc and vcLen are the snapshot wire decoder's clock readers
-// (internal/core, restore path): they materialize fresh slices from the
-// blob, never aliases of live monitor state, so rebinding from them clears
-// the taint like any other clone.
-var freshCallees = map[string]bool{"Clone": true, "Max": true, "New": true, "append": true, "make": true, "vc": true, "vcLen": true}
+// Clock is the wire cursor's clock reader and clockOf/clockOrNil its
+// width-checked forms (internal/core, restore path): they materialize fresh
+// slices from the bytes, never aliases of live monitor state, so rebinding
+// from them clears the taint like any other clone.
+var freshCallees = map[string]bool{"Clone": true, "Max": true, "New": true, "append": true, "make": true, "Clock": true, "clockOf": true, "clockOrNil": true}
 
 // borrowCallees are accessors whose result aliases internal state.
 // LastCut is the dlmond session accessor (internal/server): it returns the

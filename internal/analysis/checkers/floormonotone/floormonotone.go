@@ -11,8 +11,8 @@
 //
 // Allowed writes to a floor-named field (name matching floor/minCut):
 // whole-value assignment from needFloor()/New/Clone/Max/Merge or from
-// another floor field, or nil. The snapshot-restore path (vcLen, the
-// wire decoder's clock reader) is also blessed: a restored floor was
+// another floor field, or nil. The snapshot-restore path (clockOf and
+// clockOrNil, its width-checked clock readers) is also blessed: a restored floor was
 // blessed when captured, and the restore validates the whole blob before
 // any handler can observe it. Everything else — element writes, Tick,
 // copy-into — is flagged.
@@ -38,9 +38,10 @@ var Analyzer = &analysis.Analyzer{
 var floorField = regexp.MustCompile(`(?i)floor|mincut`)
 
 // blessedCallees produce values that are valid floors by construction.
-// vcLen is the snapshot wire decoder's clock reader: floors it yields were
-// blessed when the snapshot was captured (restore-path exemption).
-var blessedCallees = map[string]bool{"needFloor": true, "New": true, "Clone": true, "Max": true, "Merge": true, "make": true, "vcLen": true}
+// clockOf and clockOrNil are the snapshot restore path's clock readers: floors
+// they yield were blessed when the snapshot was captured (restore-path
+// exemption).
+var blessedCallees = map[string]bool{"needFloor": true, "New": true, "Clone": true, "Max": true, "Merge": true, "make": true, "clockOf": true, "clockOrNil": true}
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {

@@ -49,7 +49,7 @@ func TestAllocsSegmentDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := decodeMsg(payload); err != nil {
+		if _, err := decodeMsg(payload, 4); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -9,6 +9,7 @@ import (
 	"decentmon/internal/ltl"
 	"decentmon/internal/transport"
 	"decentmon/internal/vclock"
+	"decentmon/internal/wire"
 )
 
 // --- knowledge store ---
@@ -121,7 +122,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", msg.Kind, err)
 		}
-		got, err := decodeMsg(payload)
+		got, err := decodeMsg(payload, 2)
 		if err != nil {
 			t.Fatalf("%v: %v", msg.Kind, err)
 		}
@@ -145,8 +146,24 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := decodeMsg([]byte("garbage")); err == nil {
-		t.Error("garbage decoded")
+	// What the decoder must refuse. 2^63 fits a uvarint and used to come out
+	// of int() as a negative FromSN, which knowledge.from panics on.
+	huge := wire.AppendUvarint(nil, 1<<63)
+	ev := appendEvent(nil, ts.Traces[1].Events[0])
+	for name, payload := range map[string][]byte{
+		"garbage":               []byte("garbage"),
+		"unknown kind":          {99, 0},
+		"fetch from 2^63":       append(append([]byte{byte(msgFetch), 0, 1}, huge...), 5),
+		"fetch reply of 2^63":   append([]byte{byte(msgFetchReply), 0, 0, 0, 4}, huge...),
+		"fetch reply, done = 2": {byte(msgFetchReply), 0, 2, 0, 4, 0},
+		"event of kind 9":       append([]byte{byte(msgEvent), 0, ev[0], 9}, ev[2:]...),
+		"event of process 2":    append([]byte{byte(msgEvent), 0, 2}, ev[1:]...),
+		"event, clock cut":      append([]byte{byte(msgEvent), 0}, ev[:len(ev)-1]...),
+		"trailing byte":         {byte(msgFini), 0, 1, 0},
+	} {
+		if m, err := decodeMsg(payload, 2); err == nil {
+			t.Errorf("%s decoded: %+v", name, m)
+		}
 	}
 }
 

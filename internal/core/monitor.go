@@ -603,7 +603,7 @@ type pendingFetch struct {
 
 func (m *Monitor) handleMessage(raw transport.Message) {
 	m.inputSeq++
-	msg, err := decodeMsg(raw.Payload)
+	msg, err := decodeMsg(raw.Payload, m.cfg.N)
 	if err != nil {
 		m.fail(err)
 		return

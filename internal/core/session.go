@@ -462,16 +462,32 @@ func (s *Session) admitN(k int) error {
 	return nil
 }
 
+// checkEvent is the engine's admission check, and the reason the event record
+// (dist.AppendEventRecord) can do without a clock count, a sequence number and
+// a way to say "unknown kind": no event it could not carry gets in.
+func (s *Session) checkEvent(e *dist.Event) error {
+	switch {
+	case e == nil:
+		return fmt.Errorf("core: session fed a nil event")
+	case e.Proc < 0 || e.Proc >= s.cfg.N:
+		return fmt.Errorf("core: stream event of nonexistent process %d", e.Proc)
+	case len(e.VC) != s.cfg.N:
+		return fmt.Errorf("core: event %d of process %d has a %d-entry clock, session has %d processes", e.SN, e.Proc, len(e.VC), s.cfg.N)
+	case e.VC[e.Proc] != e.SN:
+		return fmt.Errorf("core: event %d of process %d disagrees with its clock %v", e.SN, e.Proc, e.VC)
+	case e.Type < dist.Internal || e.Type > dist.Recv:
+		return fmt.Errorf("core: event %d of process %d has unknown type %d", e.SN, e.Proc, int(e.Type))
+	}
+	return nil
+}
+
 // Feed delivers one pre-stamped event to its process's monitor, blocking
 // under backpressure (see SessionConfig.MaxLag) and returning promptly with
 // the context's error if the session is cancelled. Events of one process
 // must arrive in sequence-number order.
 func (s *Session) Feed(e *dist.Event) error {
-	if e == nil {
-		return fmt.Errorf("core: session fed a nil event")
-	}
-	if e.Proc < 0 || e.Proc >= s.cfg.N {
-		return fmt.Errorf("core: stream event of nonexistent process %d", e.Proc)
+	if err := s.checkEvent(e); err != nil {
+		return err
 	}
 	// Hold the process's feed lock across check→deliver→count, so a
 	// concurrent End (possibly from Close) cannot snapshot the terminal
@@ -511,19 +527,16 @@ func (s *Session) FeedBatch(events []*dist.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	p := -1
-	for _, e := range events {
-		if e == nil {
-			return fmt.Errorf("core: session fed a nil event")
+	var p int
+	for i, e := range events {
+		if err := s.checkEvent(e); err != nil {
+			return err
 		}
-		if p == -1 {
+		if i == 0 {
 			p = e.Proc
 		} else if e.Proc != p {
 			return fmt.Errorf("core: batch mixes events of processes %d and %d", p, e.Proc)
 		}
-	}
-	if p < 0 || p >= s.cfg.N {
-		return fmt.Errorf("core: stream event of nonexistent process %d", p)
 	}
 	s.feedMu[p].Lock()
 	defer s.feedMu[p].Unlock()

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"decentmon/internal/dist"
+	"decentmon/internal/vclock"
 )
 
 func newTestSession(t *testing.T, ts *dist.TraceSet, formula string, cfg SessionConfig) *Session {
@@ -234,6 +235,19 @@ func TestSessionMisuse(t *testing.T) {
 	}
 	if err := s.Feed(&dist.Event{Proc: 7}); err == nil {
 		t.Error("event of nonexistent process accepted")
+	}
+	// The event record has no room for these, so the gate refuses them.
+	for name, e := range map[string]*dist.Event{
+		"three-entry clock":        {Proc: 0, SN: 1, Peer: -1, VC: vclock.VC{1, 0, 0}},
+		"clock disagreeing on sn":  {Proc: 0, SN: 1, Peer: -1, VC: vclock.VC{2, 0}},
+		"event of an unknown kind": {Proc: 0, SN: 1, Peer: -1, VC: vclock.VC{1, 0}, Type: 9},
+	} {
+		if err := s.Feed(e); err == nil {
+			t.Errorf("%s accepted by Feed", name)
+		}
+		if err := s.FeedBatch([]*dist.Event{e}); err == nil {
+			t.Errorf("%s accepted by FeedBatch", name)
+		}
 	}
 	if err := s.End(0); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,6 @@ package core
 import (
 	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -63,6 +62,7 @@ import (
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
 	"decentmon/internal/vclock"
+	"decentmon/internal/wire"
 )
 
 // Record tags of the session snapshot container. Tag 0 is the container's
@@ -217,11 +217,8 @@ func (s *Session) awaitQuiescence(ctx context.Context) error {
 // something else under it.
 func automatonFingerprint(mon *automaton.Monitor) uint64 {
 	h := fnv.New64a()
-	var scratch [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		k := binary.PutUvarint(scratch[:], v)
-		h.Write(scratch[:k])
-	}
+	var scratch [wire.MaxUvarintLen]byte
+	put := func(v uint64) { h.Write(wire.AppendUvarint(scratch[:0], v)) }
 	put(uint64(mon.NumStates()))
 	put(uint64(len(mon.Props)))
 	for _, p := range mon.Props {
@@ -247,19 +244,15 @@ func (s *Session) fingerprint() uint64 {
 }
 
 func (s *Session) appendSessionRecord(b []byte) []byte {
-	b = appendUvarints(b, uint64(s.cfg.N), uint64(s.cfg.Automaton.NumStates()),
-		s.fingerprint())
-	b = append(b, byte(s.cfg.Mode), boolByte(!s.cfg.SkipFinalize))
+	b = wire.AppendInts(b, s.cfg.N, s.cfg.Automaton.NumStates())
+	b = wire.AppendUvarint(b, s.fingerprint())
+	b = wire.AppendBool(append(b, byte(s.cfg.Mode)), !s.cfg.SkipFinalize)
 	for _, st := range s.cfg.Init {
-		b = binary.AppendUvarint(b, uint64(st))
+		b = wire.AppendUvarint(b, uint64(st))
 	}
 	s.mu.Lock()
-	for _, f := range s.fed {
-		b = binary.AppendUvarint(b, uint64(f))
-	}
-	for _, e := range s.ended {
-		b = append(b, boolByte(e))
-	}
+	b = wire.AppendInts(b, s.fed...)
+	b = appendBools(b, s.ended)
 	s.mu.Unlock()
 	return b
 }
@@ -267,10 +260,9 @@ func (s *Session) appendSessionRecord(b []byte) []byte {
 func (s *Session) appendVerdictLog(b []byte) []byte {
 	s.emitMu.Lock()
 	defer s.emitMu.Unlock()
-	b = binary.AppendUvarint(b, uint64(len(s.emitted)))
+	b = wire.AppendUvarint(b, uint64(len(s.emitted)))
 	for _, ev := range s.emitted {
-		b = appendUvarints(b, uint64(ev.Monitor), uint64(ev.State))
-		b = appendVC(b, vclock.VC(ev.Cut))
+		b = wire.AppendClock(wire.AppendInts(b, ev.Monitor, ev.State), ev.Cut)
 	}
 	return b
 }
@@ -352,9 +344,9 @@ func (s *Session) applySnapshot(r *dist.SnapshotReader) error {
 				return err
 			}
 		case snapTagMonitor:
-			d := wireDecoder{buf: payload}
-			idx := int(d.uvarint())
-			if d.err != nil || idx < 0 || idx >= n {
+			d := wire.NewCursor(payload)
+			idx := d.Int()
+			if d.Err() != nil || idx >= n {
 				return fmt.Errorf("core: snapshot monitor record with bad index")
 			}
 			if restored[idx] {
@@ -381,14 +373,11 @@ func (s *Session) applySnapshot(r *dist.SnapshotReader) error {
 }
 
 func (s *Session) restoreSessionRecord(payload []byte) error {
-	d := wireDecoder{buf: payload}
-	n := int(d.uvarint())
-	states := int(d.uvarint())
-	fp := d.uvarint()
-	mode := Mode(d.byte())
-	finalize := d.byte() != 0
-	if d.err != nil {
-		return fmt.Errorf("core: malformed session record: %w", d.err)
+	d := wire.NewCursor(payload)
+	n, states, fp := d.Int(), d.Int(), d.Uvarint()
+	mode, finalize := Mode(d.Byte()), d.Bool()
+	if d.Err() != nil {
+		return d.Done("core: session record")
 	}
 	switch {
 	case n != s.cfg.N:
@@ -403,48 +392,35 @@ func (s *Session) restoreSessionRecord(payload []byte) error {
 		return fmt.Errorf("core: snapshot and config disagree on finalization")
 	}
 	for p := 0; p < n; p++ {
-		if st := dist.LocalState(d.uvarint()); d.err == nil && st != s.cfg.Init[p] {
+		if st := d.Uvarint(); d.Err() == nil && st != uint64(s.cfg.Init[p]) {
 			return fmt.Errorf("core: snapshot initial state of process %d is %d, config says %d", p, st, s.cfg.Init[p])
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for p := 0; p < n; p++ {
-		s.fed[p] = int(d.uvarint())
-	}
-	for p := 0; p < n; p++ {
-		if d.byte() != 0 {
-			s.ended[p] = true
+	d.Ints(s.fed)
+	readBools(&d, s.ended)
+	for _, e := range s.ended {
+		if e {
 			s.endedCount++
 		}
 	}
-	if d.err != nil {
-		return fmt.Errorf("core: malformed session record: %w", d.err)
-	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("core: session record has %d trailing bytes", len(d.buf)-d.off)
-	}
-	return nil
+	return d.Done("core: session record")
 }
 
 func (s *Session) restoreVerdictLog(payload []byte) error {
-	d := wireDecoder{buf: payload}
-	count := d.count(2)
-	if d.err != nil {
-		return fmt.Errorf("core: malformed verdict log: %w", d.err)
-	}
+	d := wire.NewCursor(payload)
+	count := d.Count(3) // monitor, state, cut count
 	numStates := s.cfg.Automaton.NumStates()
 	if count > s.cfg.N*numStates {
 		return fmt.Errorf("core: verdict log of %d entries exceeds the %d bound", count, s.cfg.N*numStates)
 	}
 	for k := 0; k < count; k++ {
-		mon := int(d.uvarint())
-		state := int(d.uvarint())
-		cut := d.vc()
-		if d.err != nil {
-			return fmt.Errorf("core: malformed verdict log: %w", d.err)
+		mon, state, cut := d.Int(), d.Int(), d.Clock()
+		if d.Err() != nil {
+			break
 		}
-		if mon < 0 || mon >= s.cfg.N || state < 0 || state >= numStates {
+		if mon >= s.cfg.N || state >= numStates {
 			return fmt.Errorf("core: verdict log entry out of range")
 		}
 		if cut != nil && len(cut) != s.cfg.N {
@@ -455,9 +431,7 @@ func (s *Session) restoreVerdictLog(payload []byte) error {
 			Verdict:    s.cfg.Automaton.VerdictOf(state),
 			State:      state,
 			Conclusive: s.cfg.Automaton.Final(state),
-		}
-		if cut != nil {
-			ev.Cut = []int(cut)
+			Cut:        cut,
 		}
 		s.emitted = append(s.emitted, ev)
 		// Re-deliver to the new session's subscribers. The buffer is sized
@@ -468,10 +442,7 @@ func (s *Session) restoreVerdictLog(payload []byte) error {
 		default:
 		}
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("core: verdict log has %d trailing bytes", len(d.buf)-d.off)
-	}
-	return nil
+	return d.Done("core: verdict log")
 }
 
 // --- monitor state ---
@@ -483,7 +454,7 @@ func (s *Session) restoreVerdictLog(payload []byte) error {
 // tests pin. The sort buffers come from sc.
 func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
 	n := m.cfg.N
-	b = appendUvarints(b, uint64(m.cfg.Index), uint64(m.initialQ))
+	b = wire.AppendInts(b, m.cfg.Index, m.initialQ)
 	var flags byte
 	if m.localDone {
 		flags |= 1 << 0
@@ -498,122 +469,102 @@ func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
 		flags |= 1 << 3
 	}
 	b = append(b, flags)
-	b = appendUvarints(b, uint64(m.localTotal), m.inputSeq, m.lastGC,
-		uint64(m.searchSeq), uint64(m.searchesDone))
-	b = appendVC(b, m.curFloor)
+	b = wire.AppendInts(b, m.localTotal)
+	b = wire.AppendUvarint(wire.AppendUvarint(b, m.inputSeq), m.lastGC)
+	b = wire.AppendUvarint(wire.AppendUvarint(b, uint64(m.searchSeq)), uint64(m.searchesDone))
+	b = wire.AppendClock(b, m.curFloor)
+	b = appendBools(b, m.peerDone)
+	b = appendBools(b, m.peerFini)
 	for j := 0; j < n; j++ {
-		b = append(b, boolByte(m.peerDone[j]))
+		b = wire.AppendClock(b, m.peerFloor[j])
 	}
 	for j := 0; j < n; j++ {
-		b = append(b, boolByte(m.peerFini[j]))
-	}
-	for j := 0; j < n; j++ {
-		b = appendVC(b, m.peerFloor[j])
-	}
-	for j := 0; j < n; j++ {
-		b = appendVC(b, m.sentFloor[j])
+		b = wire.AppendClock(b, m.sentFloor[j])
 	}
 	// Knowledge window: base offsets, floor states, termination marks, then
 	// the retained events per process (retained/peak are derivable).
 	k := m.know
+	b = wire.AppendInts(b, k.base...)
 	for p := 0; p < n; p++ {
-		b = binary.AppendUvarint(b, uint64(k.base[p]))
+		b = wire.AppendUvarint(b, uint64(k.bstate[p]))
 	}
-	for p := 0; p < n; p++ {
-		b = binary.AppendUvarint(b, uint64(k.bstate[p]))
-	}
-	for p := 0; p < n; p++ {
-		b = append(b, boolByte(k.done[p]))
-	}
-	for p := 0; p < n; p++ {
-		b = binary.AppendUvarint(b, uint64(k.final[p]))
-	}
-	b = appendUvarints(b, uint64(k.peak), uint64(k.collected))
+	b = appendBools(b, k.done)
+	b = wire.AppendInts(b, k.final...)
+	b = wire.AppendInts(b, k.peak, k.collected)
 	for p := 0; p < n; p++ {
 		b = appendEvents(b, k.events[p])
 	}
 	// Global views, sorted by cut key.
-	b = binary.AppendUvarint(b, uint64(len(m.gvs)))
+	b = wire.AppendUvarint(b, uint64(len(m.gvs)))
 	sc.keys = sortedKeys(sc.keys, m.gvs)
 	for _, key := range sc.keys {
 		gv := m.gvs[key]
-		b = appendVC(b, gv.cut)
+		b = wire.AppendClock(b, gv.cut)
 		b = appendStateset(b, gv.states)
 		for p := 0; p < n; p++ {
-			b = binary.AppendUvarint(b, uint64(gv.gstate[p]))
+			b = wire.AppendUvarint(b, uint64(gv.gstate[p]))
 		}
-		b = appendString(b, gv.lastSig)
-		b = appendVC(b, gv.blocked)
+		b = wire.AppendString(b, gv.lastSig)
+		b = wire.AppendClock(b, gv.blocked)
 	}
 	// Search dedup ledger.
-	b = binary.AppendUvarint(b, uint64(len(m.launched)))
+	b = wire.AppendUvarint(b, uint64(len(m.launched)))
 	sc.keys = sortedKeys(sc.keys, m.launched)
 	for _, key := range sc.keys {
-		b = appendString(b, key)
+		b = wire.AppendString(b, key)
 	}
 	// Residual views, sorted by cut key.
-	b = binary.AppendUvarint(b, uint64(len(m.residuals)))
+	b = wire.AppendUvarint(b, uint64(len(m.residuals)))
 	sc.keys = sortedKeys(sc.keys, m.residuals)
 	for _, key := range sc.keys {
 		r := m.residuals[key]
-		b = appendVC(b, r.cut)
+		b = wire.AppendClock(b, r.cut)
 		b = appendStateset(b, r.states)
 	}
 	// Outstanding searches and their bookkeeping, sorted by id.
-	b = binary.AppendUvarint(b, uint64(len(m.outstanding)))
+	b = wire.AppendUvarint(b, uint64(len(m.outstanding)))
 	sc.ids = sortedKeys(sc.ids, m.outstanding)
 	for _, id := range sc.ids {
-		b = binary.AppendUvarint(b, uint64(id))
+		b = wire.AppendUvarint(b, uint64(id))
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.searchSig)))
+	b = wire.AppendUvarint(b, uint64(len(m.searchSig)))
 	sc.ids = sortedKeys(sc.ids, m.searchSig)
 	for _, id := range sc.ids {
-		b = binary.AppendUvarint(b, uint64(id))
-		b = appendString(b, m.searchSig[id])
+		b = wire.AppendString(wire.AppendUvarint(b, uint64(id)), m.searchSig[id])
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.activeSig)))
+	b = wire.AppendUvarint(b, uint64(len(m.activeSig)))
 	sc.keys = sortedKeys(sc.keys, m.activeSig)
 	for _, sig := range sc.keys {
-		b = appendString(b, sig)
-		b = binary.AppendUvarint(b, uint64(m.activeSig[sig]))
+		b = wire.AppendInts(wire.AppendString(b, sig), m.activeSig[sig])
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.searchOrigin)))
+	b = wire.AppendUvarint(b, uint64(len(m.searchOrigin)))
 	sc.ids = sortedKeys(sc.ids, m.searchOrigin)
 	for _, id := range sc.ids {
-		b = binary.AppendUvarint(b, uint64(id))
-		b = appendVC(b, m.searchOrigin[id])
+		b = wire.AppendClock(wire.AppendUvarint(b, uint64(id)), m.searchOrigin[id])
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.inflightFetch)))
+	b = wire.AppendUvarint(b, uint64(len(m.inflightFetch)))
 	sc.ints = sortedKeys(sc.ints, m.inflightFetch)
 	for _, p := range sc.ints {
-		b = appendUvarints(b, uint64(p), uint64(m.inflightFetch[p]))
+		b = wire.AppendInts(b, p, m.inflightFetch[p])
 	}
 	// Parked protocol work.
-	b = binary.AppendUvarint(b, uint64(len(m.waitTokens)))
+	b = wire.AppendUvarint(b, uint64(len(m.waitTokens)))
 	for _, t := range m.waitTokens {
 		b = appendToken(b, t)
 	}
-	b = binary.AppendUvarint(b, uint64(len(m.waitFetches)))
+	b = wire.AppendUvarint(b, uint64(len(m.waitFetches)))
 	for _, f := range m.waitFetches {
-		b = appendUvarints(b, uint64(f.from), uint64(f.req.Requester),
-			uint64(f.req.FromSN), uint64(f.req.ToSN))
+		b = appendFetch(wire.AppendInts(b, f.from), f.req)
 	}
 	// Verdict states reached (verdict set and gauges are derivable).
-	b = binary.AppendUvarint(b, uint64(len(m.verdictStates)))
 	sc.ints = sortedKeys(sc.ints, m.verdictStates)
-	for _, q := range sc.ints {
-		b = binary.AppendUvarint(b, uint64(q))
-	}
+	b = wire.AppendClock(b, sc.ints)
 	// Metrics (KnowledgePeak/Collected live on the knowledge store).
 	mt := &m.metrics
-	b = appendUvarints(b,
-		uint64(mt.EventsProcessed), uint64(mt.GlobalViewsCreated),
-		uint64(mt.SearchesLaunched), uint64(mt.TokenHops),
-		uint64(mt.FetchesSent), uint64(mt.FetchRepliesSent),
-		uint64(mt.FinalizeFetches), uint64(mt.BoxExplorations),
-		uint64(mt.BoxNodes), uint64(mt.DelaySamples),
-		uint64(mt.DelayedEventsSum), uint64(mt.MessagesSent))
-	return b
+	return wire.AppendInts(b,
+		mt.EventsProcessed, mt.GlobalViewsCreated, mt.SearchesLaunched, mt.TokenHops,
+		mt.FetchesSent, mt.FetchRepliesSent, mt.FinalizeFetches, mt.BoxExplorations,
+		mt.BoxNodes, mt.DelaySamples, mt.DelayedEventsSum, mt.MessagesSent)
 }
 
 // restoreState loads a serialized monitor state into a freshly built monitor
@@ -622,73 +573,55 @@ func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
 // a handler, so a corrupt-but-checksummed blob is rejected with an error —
 // never a panic at restore time or later in the run. Clocks, cuts and events
 // are materialized fresh by the decoder; nothing aliases the snapshot buffer.
-func (m *Monitor) restoreState(d *wireDecoder) error {
+func (m *Monitor) restoreState(d *wire.Cursor) error {
 	if m.restored {
 		return fmt.Errorf("already restored")
 	}
 	n := m.cfg.N
 	numStates := m.mon.NumStates()
-	m.initialQ = int(d.uvarint())
-	flags := d.byte()
+	m.initialQ = d.Int()
+	flags := d.Byte()
 	m.localDone = flags&(1<<0) != 0
 	m.finiSent = flags&(1<<1) != 0
 	m.finalized = flags&(1<<2) != 0
 	m.finalizing = flags&(1<<3) != 0
-	m.localTotal = int(d.uvarint())
-	m.inputSeq = d.uvarint()
-	m.lastGC = d.uvarint()
-	m.searchSeq = int64(d.uvarint())
-	m.searchesDone = int64(d.uvarint())
-	m.curFloor = d.vcLen(n)
+	m.localTotal = d.Int()
+	m.inputSeq = d.Uvarint()
+	m.lastGC = d.Uvarint()
+	m.searchSeq = int64(d.Int())
+	m.searchesDone = int64(d.Int())
+	m.curFloor = clockOrNil(d, n)
+	readBools(d, m.peerDone)
+	readBools(d, m.peerFini)
 	for j := 0; j < n; j++ {
-		m.peerDone[j] = d.byte() != 0
-	}
-	for j := 0; j < n; j++ {
-		m.peerFini[j] = d.byte() != 0
-	}
-	for j := 0; j < n; j++ {
-		if floor := d.vcLen(n); floor != nil {
-			m.peerFloor[j] = floor
-		} else if d.err == nil {
-			d.fail("peer floor")
-		}
+		m.peerFloor[j] = clockOf(d, n)
 	}
 	for j := 0; j < n; j++ {
-		if floor := d.vcLen(n); floor != nil {
-			m.sentFloor[j] = floor
-		} else if d.err == nil {
-			d.fail("sent floor")
-		}
+		m.sentFloor[j] = clockOf(d, n)
 	}
-	if d.err != nil {
-		return d.err
+	if d.Err() != nil {
+		return d.Err()
 	}
-	if m.initialQ < 0 || m.initialQ >= numStates || m.localTotal < 0 {
+	if flags>>4 != 0 || m.initialQ >= numStates {
 		return fmt.Errorf("monitor header out of range")
 	}
 	// Knowledge window.
 	k := m.know
+	d.Ints(k.base)
 	for p := 0; p < n; p++ {
-		k.base[p] = int(d.uvarint())
+		k.bstate[p] = dist.DecodeLocalState(d)
 	}
+	readBools(d, k.done)
+	d.Ints(k.final)
+	k.peak = d.Int()
+	k.collected = d.Int()
 	for p := 0; p < n; p++ {
-		k.bstate[p] = dist.LocalState(d.uvarint())
-	}
-	for p := 0; p < n; p++ {
-		k.done[p] = d.byte() != 0
-	}
-	for p := 0; p < n; p++ {
-		k.final[p] = int(d.uvarint())
-	}
-	k.peak = int(d.uvarint())
-	k.collected = int(d.uvarint())
-	for p := 0; p < n; p++ {
-		evs := d.events()
-		if d.err != nil {
-			return d.err
+		evs := decodeEvents(d, n)
+		if d.Err() != nil {
+			return d.Err()
 		}
 		for i, e := range evs {
-			if e.Proc != p || e.SN != k.base[p]+i+1 || len(e.VC) != n {
+			if e.Proc != p || e.SN != k.base[p]+i+1 {
 				return fmt.Errorf("knowledge window of process %d broken at entry %d", p, i)
 			}
 		}
@@ -699,88 +632,66 @@ func (m *Monitor) restoreState(d *wireDecoder) error {
 		k.peak = k.retained
 	}
 	// Global views.
-	nGV := d.count(2)
-	for i := 0; i < nGV && d.err == nil; i++ {
-		cut := d.vcLen(n)
-		states := d.stateset(numStates)
+	for nGV := d.Count(4); nGV > 0 && d.Err() == nil; nGV-- { // cut, states, signature, blocked cut
+		cut := clockOf(d, n)
+		states := decodeStateset(d, numStates)
 		gstate := make(dist.GlobalState, n)
-		for p := 0; p < n; p++ {
-			gstate[p] = dist.LocalState(d.uvarint())
+		for p := range gstate {
+			gstate[p] = dist.DecodeLocalState(d)
 		}
-		sig := d.str()
-		blocked := d.vc()
-		if d.err != nil {
-			return d.err
+		sig := d.String()
+		blocked := clockOrNil(d, n)
+		if d.Err() != nil {
+			break
 		}
-		if cut == nil || !m.cutInWindow(cut) {
-			return fmt.Errorf("global view %d cut outside the knowledge window", i)
-		}
-		if blocked != nil && len(blocked) != n {
-			return fmt.Errorf("global view %d blocked cut has %d entries", i, len(blocked))
+		if !m.cutInWindow(cut) {
+			return fmt.Errorf("global view cut %v outside the knowledge window", cut)
 		}
 		gv := &globalView{states: states, cut: cut, gstate: gstate,
 			letter: m.lt.letter(gstate), lastSig: sig, blocked: blocked}
 		m.gvs[gvKey(cut)] = gv
 	}
 	// Search dedup ledger.
-	nL := d.count(1)
-	for i := 0; i < nL && d.err == nil; i++ {
-		m.launched[d.str()] = true
+	for nL := d.Count(1); nL > 0 && d.Err() == nil; nL-- {
+		m.launched[d.String()] = true
 	}
 	// Residuals.
-	nR := d.count(2)
-	for i := 0; i < nR && d.err == nil; i++ {
-		cut := d.vcLen(n)
-		states := d.stateset(numStates)
-		if d.err != nil {
-			return d.err
+	for nR := d.Count(2); nR > 0 && d.Err() == nil; nR-- {
+		cut := clockOf(d, n)
+		states := decodeStateset(d, numStates)
+		if d.Err() != nil {
+			break
 		}
-		if cut == nil || !m.cutInWindow(cut) {
-			return fmt.Errorf("residual %d cut outside the knowledge window", i)
+		if !m.cutInWindow(cut) {
+			return fmt.Errorf("residual cut %v outside the knowledge window", cut)
 		}
 		m.residuals[gvKey(cut)] = &residualView{states: states, cut: cut}
 	}
 	// Searches.
-	nO := d.count(1)
-	for i := 0; i < nO && d.err == nil; i++ {
-		m.outstanding[int64(d.uvarint())] = true
+	for nO := d.Count(1); nO > 0 && d.Err() == nil; nO-- {
+		m.outstanding[int64(d.Int())] = true
 	}
-	nS := d.count(2)
-	for i := 0; i < nS && d.err == nil; i++ {
-		id := int64(d.uvarint())
-		m.searchSig[id] = d.str()
+	for nS := d.Count(2); nS > 0 && d.Err() == nil; nS-- {
+		m.searchSig[int64(d.Int())] = d.String()
 	}
-	nA := d.count(2)
-	for i := 0; i < nA && d.err == nil; i++ {
-		sig := d.str()
-		m.activeSig[sig] = int(d.uvarint())
+	for nA := d.Count(2); nA > 0 && d.Err() == nil; nA-- {
+		sig := d.String()
+		m.activeSig[sig] = d.Int()
 	}
-	nOr := d.count(2)
-	for i := 0; i < nOr && d.err == nil; i++ {
-		id := int64(d.uvarint())
-		origin := d.vcLen(n)
-		if origin == nil {
-			if d.err == nil {
-				d.fail("search origin")
-			}
-			break
-		}
-		m.searchOrigin[id] = origin
+	for nOr := d.Count(2); nOr > 0 && d.Err() == nil; nOr-- {
+		m.searchOrigin[int64(d.Int())] = clockOf(d, n)
 	}
-	nF := d.count(2)
-	for i := 0; i < nF && d.err == nil; i++ {
-		p := int(d.uvarint())
-		sn := int(d.uvarint())
-		if d.err == nil && (p < 0 || p >= n) {
+	for nF := d.Count(2); nF > 0 && d.Err() == nil; nF-- {
+		p, sn := d.Int(), d.Int()
+		if p >= n {
 			return fmt.Errorf("inflight fetch names process %d", p)
 		}
 		m.inflightFetch[p] = sn
 	}
 	// Parked protocol work.
-	nT := d.count(4)
-	for i := 0; i < nT && d.err == nil; i++ {
-		t := d.token()
-		if d.err != nil {
+	for nT := d.Count(4); nT > 0 && d.Err() == nil; nT-- {
+		t := decodeToken(d, n)
+		if t == nil {
 			break
 		}
 		if err := validateToken(t, n); err != nil {
@@ -788,18 +699,12 @@ func (m *Monitor) restoreState(d *wireDecoder) error {
 		}
 		m.waitTokens = append(m.waitTokens, t)
 	}
-	nW := d.count(4)
-	for i := 0; i < nW && d.err == nil; i++ {
-		from := int(d.uvarint())
-		req := &fetchWire{
-			Requester: int(d.uvarint()),
-			FromSN:    int(d.uvarint()),
-			ToSN:      int(d.uvarint()),
-		}
-		if d.err != nil {
+	for nW := d.Count(4); nW > 0 && d.Err() == nil; nW-- {
+		from, req := d.Int(), decodeFetch(d)
+		if d.Err() != nil {
 			break
 		}
-		if from < 0 || from >= n || req.Requester < 0 || req.Requester >= n {
+		if from >= n || req.Requester >= n {
 			return fmt.Errorf("parked fetch names invalid process")
 		}
 		if req.FromSN <= m.know.floor(m.cfg.Index) {
@@ -808,33 +713,23 @@ func (m *Monitor) restoreState(d *wireDecoder) error {
 		m.waitFetches = append(m.waitFetches, pendingFetch{from: from, req: req})
 	}
 	// Verdict states; the verdict set is derived through the automaton.
-	nV := d.count(1)
-	for i := 0; i < nV && d.err == nil; i++ {
-		q := int(d.uvarint())
-		if d.err == nil && (q < 0 || q >= numStates) {
+	for _, q := range d.Clock() {
+		if q >= numStates {
 			return fmt.Errorf("verdict state %d out of range", q)
 		}
 		m.verdictStates[q] = true
 		m.verdicts[m.mon.VerdictOf(q)] = true
 	}
 	mt := &m.metrics
-	mt.EventsProcessed = int(d.uvarint())
-	mt.GlobalViewsCreated = int(d.uvarint())
-	mt.SearchesLaunched = int(d.uvarint())
-	mt.TokenHops = int(d.uvarint())
-	mt.FetchesSent = int(d.uvarint())
-	mt.FetchRepliesSent = int(d.uvarint())
-	mt.FinalizeFetches = int(d.uvarint())
-	mt.BoxExplorations = int(d.uvarint())
-	mt.BoxNodes = int(d.uvarint())
-	mt.DelaySamples = int(d.uvarint())
-	mt.DelayedEventsSum = int(d.uvarint())
-	mt.MessagesSent = int(d.uvarint())
-	if d.err != nil {
-		return d.err
+	for _, f := range []*int{
+		&mt.EventsProcessed, &mt.GlobalViewsCreated, &mt.SearchesLaunched, &mt.TokenHops,
+		&mt.FetchesSent, &mt.FetchRepliesSent, &mt.FinalizeFetches, &mt.BoxExplorations,
+		&mt.BoxNodes, &mt.DelaySamples, &mt.DelayedEventsSum, &mt.MessagesSent,
+	} {
+		*f = d.Int()
 	}
-	if d.off != len(d.buf) {
-		return fmt.Errorf("%d trailing bytes in monitor record", len(d.buf)-d.off)
+	if err := d.Done("monitor record"); err != nil {
+		return err
 	}
 	m.restored = true
 	// Publish the restored gauges so the backpressure gate starts from the
@@ -884,62 +779,65 @@ func validateToken(t *tokenWire, n int) error {
 
 // --- small shared helpers ---
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func appendStateset(b []byte, s stateset) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	for _, w := range s {
-		b = binary.AppendUvarint(b, w)
+func appendBools(b []byte, vs []bool) []byte {
+	for _, v := range vs {
+		b = wire.AppendBool(b, v)
 	}
 	return b
 }
 
-func (d *wireDecoder) str() string {
-	nb := d.count(1)
-	if d.err != nil {
-		return ""
+func readBools(d *wire.Cursor, dst []bool) {
+	for i := range dst {
+		dst[i] = d.Bool()
 	}
-	s := string(d.buf[d.off : d.off+nb])
-	d.off += nb
-	return s
 }
 
-// vcLen reads a vector clock that must either be nil (count 0) or have
-// exactly n components; any other width is a decode error.
-func (d *wireDecoder) vcLen(n int) vclock.VC {
-	v := d.vc()
-	if v != nil && len(v) != n && d.err == nil {
-		d.fail("vector clock width")
+func appendStateset(b []byte, s stateset) []byte {
+	b = wire.AppendUvarint(b, uint64(len(s)))
+	for _, w := range s {
+		b = wire.AppendUvarint(b, w)
+	}
+	return b
+}
+
+// clockOrNil reads a clock that must either be absent (count 0, read as nil)
+// or have exactly n components; any other width fails d.
+func clockOrNil(d *wire.Cursor, n int) vclock.VC {
+	v := d.Clock()
+	if v != nil && len(v) != n {
+		d.Failf("clock of %d components, want %d", len(v), n)
 		return nil
 	}
 	return v
 }
 
-// stateset reads a bitset sized for numStates states, rejecting both a
+// clockOf is clockOrNil for a clock that must be present.
+func clockOf(d *wire.Cursor, n int) vclock.VC {
+	v := clockOrNil(d, n)
+	if v == nil {
+		d.Failf("missing clock")
+	}
+	return v
+}
+
+// decodeStateset reads a bitset sized for numStates states, rejecting both a
 // wrong word count and set bits beyond the automaton (stepping a phantom
 // state would index out of the transition table).
-func (d *wireDecoder) stateset(numStates int) stateset {
-	words := d.count(1)
-	if d.err != nil {
-		return nil
+func decodeStateset(d *wire.Cursor, numStates int) stateset {
+	words := d.Count(1)
+	if d.Err() == nil && words != (numStates+63)/64 {
+		d.Failf("stateset of %d words for %d states", words, numStates)
 	}
-	want := (numStates + 63) / 64
-	if words != want {
-		d.fail("stateset width")
+	if d.Err() != nil {
 		return nil
 	}
 	s := make(stateset, words)
 	for i := range s {
-		s[i] = d.uvarint()
+		s[i] = d.Uvarint()
 	}
-	if d.err == nil && numStates%64 != 0 && words > 0 {
-		if s[words-1]&^(1<<(numStates%64)-1) != 0 {
-			d.fail("stateset phantom states")
-			return nil
-		}
+	if numStates%64 != 0 && words > 0 && s[words-1]&^(1<<(numStates%64)-1) != 0 {
+		d.Failf("stateset names states beyond the automaton's %d", numStates)
+		return nil
 	}
 	return s
 }

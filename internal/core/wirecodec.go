@@ -1,13 +1,15 @@
 package core
 
-// Hand-rolled binary codec for monitor-to-monitor messages.
+// Codec for monitor-to-monitor messages.
 //
-// Every wireMsg crosses the transport as a flat varint-encoded record, the
-// in-memory analogue of the .dmtb trace format (internal/dist/binary.go):
-// unsigned fields are uvarints, fields that can be negative (Event.Peer, the
-// token routing targets) are zigzag varints, and timestamps are fixed 8-byte
-// IEEE-754. No reflection, and with the pooled encode scratch below the send
-// side costs one right-sized payload allocation per message.
+// Every wireMsg crosses the transport as one flat record on the shared wire
+// kernel (internal/wire): unsigned fields are uvarints, fields that can be
+// negative (the token routing targets) are zigzag varints, clocks are
+// count-prefixed, and events are the tree's one event record
+// (dist.AppendEventRecord). The same helpers lay out the parked tokens and
+// knowledge windows of a snapshot (snapshot.go). No reflection, and with the
+// pooled encode scratch below the send side costs one right-sized payload
+// allocation per message.
 //
 // Lifetime argument. Only the *encode scratch* is pooled, and it never
 // escapes encodeMsg: the payload handed to transport.Endpoint.Send is a fresh
@@ -26,13 +28,11 @@ package core
 // retained; those sharing a slab with new events live as long as it does.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"decentmon/internal/dist"
-	"decentmon/internal/vclock"
+	"decentmon/internal/wire"
 )
 
 // encPool recycles encode scratch buffers across sends; steady-state encode
@@ -43,269 +43,100 @@ var encPool = sync.Pool{
 
 func encodeMsg(m *wireMsg) ([]byte, error) {
 	bp := encPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, byte(m.Kind))
-	b = appendVC(b, m.Floor)
+	b := append((*bp)[:0], byte(m.Kind))
+	b = wire.AppendClock(b, m.Floor)
+	var err error
 	switch m.Kind {
 	case msgToken:
 		b = appendToken(b, m.Token)
 	case msgFetch:
-		f := m.Fetch
-		b = appendUvarints(b, uint64(f.Requester), uint64(f.FromSN), uint64(f.ToSN))
+		b = appendFetch(b, m.Fetch)
 	case msgFetchReply:
 		r := m.FetchReply
-		b = append(b, boolByte(r.Done))
-		b = appendUvarints(b, uint64(r.Proc), uint64(r.Total))
+		b = wire.AppendBool(b, r.Done)
+		b = wire.AppendInts(b, r.Proc, r.Total)
 		b = appendEvents(b, r.Events)
 	case msgTerm:
-		b = appendUvarints(b, uint64(m.Term.Proc), uint64(m.Term.Total))
+		b = wire.AppendInts(b, m.Term.Proc, m.Term.Total)
 	case msgFini:
-		b = binary.AppendUvarint(b, uint64(m.Fini))
+		b = wire.AppendInts(b, m.Fini)
 	case msgEvent:
 		b = appendEvent(b, m.Event)
 	case msgFloor:
 		// The envelope's floor is the whole payload.
 	default:
-		*bp = b
-		encPool.Put(bp)
-		return nil, fmt.Errorf("core: encoding unknown message kind %v", m.Kind)
+		err = fmt.Errorf("core: encoding unknown message kind %v", m.Kind)
 	}
-	out := make([]byte, len(b))
-	copy(out, b)
+	var out []byte
+	if err == nil {
+		out = append(make([]byte, 0, len(b)), b...)
+	}
 	*bp = b
 	encPool.Put(bp)
-	return out, nil
+	return out, err
 }
 
-func decodeMsg(payload []byte) (*wireMsg, error) {
-	d := wireDecoder{buf: payload}
-	m := &wireMsg{Kind: msgKind(d.byte())}
+// decodeMsg parses one message of an n-monitor fleet: the event record
+// carries no clock width, so the decoder is told it. Here and below a
+// composite literal reads its fields off the cursor in the order they are
+// written, which is the wire order.
+func decodeMsg(payload []byte, n int) (*wireMsg, error) {
+	c := wire.NewCursor(payload)
+	m := &wireMsg{Kind: msgKind(c.Byte())}
 	//declint:ignore floormonotone the codec only transports floors: this value was serialized by encodeMsg from a wireMsg whose Floor came from needFloor() on the sending monitor, and decode reconstructs it bijectively
-	m.Floor = d.vc()
+	m.Floor = c.Clock()
 	switch m.Kind {
 	case msgToken:
-		m.Token = d.token()
+		m.Token = decodeToken(&c, n)
 	case msgFetch:
-		m.Fetch = &fetchWire{
-			Requester: int(d.uvarint()),
-			FromSN:    int(d.uvarint()),
-			ToSN:      int(d.uvarint()),
-		}
+		m.Fetch = decodeFetch(&c)
 	case msgFetchReply:
-		r := &fetchReplyWire{Done: d.byte() != 0}
-		r.Proc = int(d.uvarint())
-		r.Total = int(d.uvarint())
-		r.Events = d.events()
-		m.FetchReply = r
+		m.FetchReply = &fetchReplyWire{Done: c.Bool(), Proc: c.Int(), Total: c.Int(), Events: decodeEvents(&c, n)}
 	case msgTerm:
-		m.Term = &termWire{Proc: int(d.uvarint()), Total: int(d.uvarint())}
+		m.Term = &termWire{Proc: c.Int(), Total: c.Int()}
 	case msgFini:
-		m.Fini = int(d.uvarint())
+		m.Fini = c.Int()
 	case msgEvent:
-		m.Event = d.event()
+		m.Event = new(dist.Event)
+		dist.DecodeEventInto(&c, m.Event, make([]int, n))
 	case msgFloor:
 	default:
 		return nil, fmt.Errorf("core: decoding message: unknown kind %d", int8(m.Kind))
 	}
-	if d.err != nil {
-		return nil, fmt.Errorf("core: decoding %v message: %w", m.Kind, d.err)
-	}
-	if d.off != len(d.buf) {
-		return nil, fmt.Errorf("core: decoding %v message: %d trailing bytes", m.Kind, len(d.buf)-d.off)
+	if err := c.Done("message"); err != nil {
+		return nil, fmt.Errorf("core: decoding %v %w", m.Kind, err)
 	}
 	return m, nil
 }
 
-// --- encode helpers ---
+// --- the records messages and snapshots share ---
 
-func appendUvarints(b []byte, vs ...uint64) []byte {
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
-	}
-	return b
+func appendFetch(b []byte, f *fetchWire) []byte {
+	return wire.AppendInts(b, f.Requester, f.FromSN, f.ToSN)
 }
 
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
+func decodeFetch(c *wire.Cursor) *fetchWire {
+	return &fetchWire{Requester: c.Int(), FromSN: c.Int(), ToSN: c.Int()}
 }
 
-// appendVC writes a vector clock as count + components; a nil clock is
-// count 0 (clocks are never empty, so the encoding is unambiguous).
-func appendVC(b []byte, v vclock.VC) []byte {
-	b = binary.AppendUvarint(b, uint64(len(v)))
-	for _, x := range v {
-		b = binary.AppendUvarint(b, uint64(x))
-	}
-	return b
-}
-
+// appendEvent appends e's event record. The record's encoder refuses an
+// unknown kind and has no other error; Session.Feed and the record's decoder
+// admit none, so one reaching it here is a bug in this package.
 func appendEvent(b []byte, e *dist.Event) []byte {
-	b = appendUvarints(b, uint64(e.Proc), uint64(e.SN), uint64(e.Type))
-	b = binary.AppendVarint(b, int64(e.Peer)) // -1 for internal events
-	b = appendUvarints(b, uint64(e.MsgID), uint64(e.State))
-	b = appendVC(b, e.VC)
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(e.Time))
+	b, err := dist.AppendEventRecord(b, e)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
+// appendEvents appends one segment: a count and that many event records.
 func appendEvents(b []byte, evs []*dist.Event) []byte {
-	b = binary.AppendUvarint(b, uint64(len(evs)))
+	b = wire.AppendUvarint(b, uint64(len(evs)))
 	for _, e := range evs {
 		b = appendEvent(b, e)
 	}
 	return b
-}
-
-func appendToken(b []byte, t *tokenWire) []byte {
-	b = appendUvarints(b, uint64(t.Parent), uint64(t.SearchID), uint64(t.Q))
-	b = appendVC(b, t.Origin)
-	b = binary.AppendVarint(b, int64(t.NextTargetProcess))
-	b = binary.AppendUvarint(b, uint64(len(t.Trans)))
-	for _, tr := range t.Trans {
-		b = binary.AppendUvarint(b, uint64(tr.ID))
-		b = appendVC(b, tr.Gcut)
-		b = appendVC(b, tr.Depend)
-		b = binary.AppendUvarint(b, uint64(len(tr.ConjEval)))
-		for _, ev := range tr.ConjEval {
-			b = append(b, byte(ev))
-		}
-		b = append(b, byte(tr.Eval))
-		b = binary.AppendVarint(b, int64(tr.NextTargetProcess))
-		b = binary.AppendVarint(b, int64(tr.NextTargetEvent))
-	}
-	b = binary.AppendUvarint(b, uint64(len(t.Segs)))
-	for _, s := range t.Segs {
-		b = binary.AppendUvarint(b, uint64(s.Proc))
-		b = appendEvents(b, s.Events)
-	}
-	return b
-}
-
-// --- decode helpers ---
-
-// wireDecoder walks a payload with sticky error handling: after the first
-// malformed field every further read returns zero values, and decodeMsg
-// surfaces the recorded error. Slice lengths are sanity-bounded by the bytes
-// remaining, so a corrupt count cannot trigger a huge allocation.
-type wireDecoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *wireDecoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("truncated or malformed %s at offset %d", what, d.off)
-	}
-}
-
-func (d *wireDecoder) byte() byte {
-	if d.err != nil || d.off >= len(d.buf) {
-		d.fail("byte")
-		return 0
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b
-}
-
-func (d *wireDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *wireDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// count reads a slice length and verifies at least min bytes per element
-// remain, bounding allocation by the payload size.
-func (d *wireDecoder) count(min int) int {
-	c := d.uvarint()
-	if d.err != nil {
-		return 0
-	}
-	if c > uint64((len(d.buf)-d.off)/min) {
-		d.fail("length")
-		return 0
-	}
-	return int(c)
-}
-
-func (d *wireDecoder) vc() vclock.VC {
-	n := d.count(1)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	return d.fill(make([]int, n))
-}
-
-// fill reads len(v) clock components into the raw storage v.
-func (d *wireDecoder) fill(v []int) vclock.VC {
-	for i := range v {
-		v[i] = int(d.uvarint())
-	}
-	return v
-}
-
-// minEventBytes is the shortest event record: six one-byte varints, an empty
-// clock's count and the 8-byte timestamp.
-const minEventBytes = 15
-
-// eventInto decodes one event record into e. Its clock is cut from clocks,
-// the slab shared by the left events still to come in e's event slab (e
-// included); when the slab runs out a new one is made for all of them, capped
-// by the bytes remaining (a component is at least one byte), so a hostile
-// count cannot over-allocate. It returns the rest of the slab.
-func (d *wireDecoder) eventInto(e *dist.Event, clocks []int, left int) []int {
-	e.Proc = int(d.uvarint())
-	e.SN = int(d.uvarint())
-	e.Type = dist.EventType(d.uvarint())
-	e.Peer = int(d.varint())
-	e.MsgID = int(d.uvarint())
-	e.State = dist.LocalState(d.uvarint())
-	if n := d.count(1); n > 0 {
-		if len(clocks) < n {
-			clocks = make([]int, min(n*left, len(d.buf)-d.off))
-		}
-		e.VC = d.fill(clocks[:n:n])
-		clocks = clocks[n:]
-	}
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail("timestamp")
-		return nil
-	}
-	e.Time = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.off:]))
-	d.off += 8
-	return clocks
-}
-
-func (d *wireDecoder) event() *dist.Event {
-	e := new(dist.Event)
-	d.eventInto(e, nil, 1)
-	if d.err != nil {
-		return nil
-	}
-	return e
 }
 
 // slabEvents caps the events sharing one slab. Fetch replies overlap (a second
@@ -316,63 +147,77 @@ func (d *wireDecoder) event() *dist.Event {
 // At 32 a slab is a small object and the waste under one slab per reply.
 const slabEvents = 32
 
-// events decodes one segment, its events into slabs of up to slabEvents and
-// their clocks into one clock slab per event slab (see the lifetime argument
-// in the file header).
-func (d *wireDecoder) events() []*dist.Event {
-	n := d.count(minEventBytes)
-	if d.err != nil || n == 0 {
+// decodeEvents decodes one segment of n-wide events, its events into slabs of
+// up to slabEvents and their clocks into one clock slab per event slab (see
+// the lifetime argument in the file header). The count is checked against the
+// bytes that many records need at least, so the slabs it sizes are a small
+// multiple of the payload whatever the count claims.
+func decodeEvents(c *wire.Cursor, n int) []*dist.Event {
+	count := c.Count(dist.MinEventRecord + n)
+	if count == 0 {
 		return nil
 	}
-	evs := make([]*dist.Event, n)
+	evs := make([]*dist.Event, count)
 	var slab []dist.Event
 	var clocks []int
 	for i := range evs {
 		if len(slab) == 0 {
-			slab, clocks = make([]dist.Event, min(slabEvents, n-i)), nil
+			k := min(slabEvents, count-i)
+			slab, clocks = make([]dist.Event, k), make([]int, k*n)
 		}
-		clocks = d.eventInto(&slab[0], clocks, len(slab))
-		if d.err != nil {
+		dist.DecodeEventInto(c, &slab[0], clocks[:n:n])
+		if c.Err() != nil {
 			return nil
 		}
-		evs[i], slab = &slab[0], slab[1:]
+		evs[i], slab, clocks = &slab[0], slab[1:], clocks[n:]
 	}
 	return evs
 }
 
-func (d *wireDecoder) token() *tokenWire {
-	t := &tokenWire{
-		Parent:   int(d.uvarint()),
-		SearchID: int64(d.uvarint()),
-		Q:        int(d.uvarint()),
-		Origin:   d.vc(),
+func appendToken(b []byte, t *tokenWire) []byte {
+	b = wire.AppendInts(b, t.Parent)
+	b = wire.AppendUvarint(b, uint64(t.SearchID))
+	b = wire.AppendInts(b, t.Q)
+	b = wire.AppendClock(b, t.Origin)
+	b = wire.AppendVarint(b, int64(t.NextTargetProcess))
+	b = wire.AppendUvarint(b, uint64(len(t.Trans)))
+	for _, tr := range t.Trans {
+		b = wire.AppendInts(b, tr.ID)
+		b = wire.AppendClock(b, tr.Gcut)
+		b = wire.AppendClock(b, tr.Depend)
+		b = wire.AppendUvarint(b, uint64(len(tr.ConjEval)))
+		for _, ev := range tr.ConjEval {
+			b = append(b, byte(ev))
+		}
+		b = append(b, byte(tr.Eval))
+		b = wire.AppendVarint(b, int64(tr.NextTargetProcess))
+		b = wire.AppendVarint(b, int64(tr.NextTargetEvent))
 	}
-	t.NextTargetProcess = int(d.varint())
-	nt := d.count(4)
-	for i := 0; i < nt && d.err == nil; i++ {
-		tr := &transWire{ID: int(d.uvarint())}
-		tr.Gcut = d.vc()
-		tr.Depend = d.vc()
-		nc := d.count(1)
-		if d.err != nil {
-			break
-		}
-		tr.ConjEval = make([]evalState, nc)
+	b = wire.AppendUvarint(b, uint64(len(t.Segs)))
+	for _, s := range t.Segs {
+		b = appendEvents(wire.AppendInts(b, s.Proc), s.Events)
+	}
+	return b
+}
+
+func decodeToken(c *wire.Cursor, n int) *tokenWire {
+	t := &tokenWire{Parent: c.Int(), SearchID: int64(c.Int()), Q: c.Int(), Origin: c.Clock()}
+	t.NextTargetProcess = int(c.Varint())
+	for nt := c.Count(7); nt > 0 && c.Err() == nil; nt-- { // id, three counts, eval, two targets
+		tr := &transWire{ID: c.Int(), Gcut: c.Clock(), Depend: c.Clock()}
+		tr.ConjEval = make([]evalState, c.Count(1))
 		for j := range tr.ConjEval {
-			tr.ConjEval[j] = evalState(d.byte())
+			tr.ConjEval[j] = evalState(c.Byte())
 		}
-		tr.Eval = evalState(d.byte())
-		tr.NextTargetProcess = int(d.varint())
-		tr.NextTargetEvent = int(d.varint())
+		tr.Eval = evalState(c.Byte())
+		tr.NextTargetProcess = int(c.Varint())
+		tr.NextTargetEvent = int(c.Varint())
 		t.Trans = append(t.Trans, tr)
 	}
-	ns := d.count(2)
-	for i := 0; i < ns && d.err == nil; i++ {
-		s := &segment{Proc: int(d.uvarint())}
-		s.Events = d.events()
-		t.Segs = append(t.Segs, s)
+	for ns := c.Count(2); ns > 0 && c.Err() == nil; ns-- { // process, event count
+		t.Segs = append(t.Segs, &segment{Proc: c.Int(), Events: decodeEvents(c, n)})
 	}
-	if d.err != nil {
+	if c.Err() != nil {
 		return nil
 	}
 	return t

@@ -39,7 +39,7 @@ func wireSeedMsgs() []*wireMsg {
 func decodeAllocBytes(payload []byte) (*wireMsg, error, uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	m, err := decodeMsg(payload)
+	m, err := decodeMsg(payload, 2)
 	runtime.ReadMemStats(&after)
 	return m, err, after.TotalAlloc - before.TotalAlloc
 }
@@ -78,7 +78,7 @@ func FuzzDecodeMsg(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoding an accepted message: %v", err)
 		}
-		m2, err := decodeMsg(first)
+		m2, err := decodeMsg(first, 2)
 		if err != nil {
 			t.Fatalf("decoding a re-encoded message: %v", err)
 		}
@@ -106,7 +106,7 @@ func TestSegmentSlabOutlivesTruncate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg, err := decodeMsg(payload)
+	msg, err := decodeMsg(payload, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

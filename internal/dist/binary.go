@@ -2,46 +2,25 @@ package dist
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"decentmon/internal/vclock"
+	"decentmon/internal/wire"
 )
 
 // Binary streaming trace format (".dmtb" — "decentmon trace, binary"): the
 // byte-oriented sibling of the ".jsonl" format, carrying the same header and
 // the same timestamp-ordered event sequence, about an order of magnitude
 // faster to decode because records parse with fixed-width reads and varints
-// instead of a JSON tokenizer.
+// instead of a JSON tokenizer. ARCHITECTURE.md ("Wire formats") has the
+// layout; NewBinaryWriter and AppendEventRecord are its two encoders.
 //
-// Layout (all multi-byte fixed-width fields little-endian):
-//
-//	header:
-//	  magic   "DMTB"                      4 bytes
-//	  version uint8                       currently 1
-//	  n       uvarint                     process count
-//	  init    n × uint32                  initial local states
-//	  nprops  uvarint                     proposition count
-//	  per proposition:
-//	    owner uvarint
-//	    name  uvarint length + bytes
-//	event record, repeated until EOF:
-//	  len     uvarint                     payload byte count (excluding len)
-//	  payload:
-//	    proc  uvarint
-//	    type  uint8                       0 internal, 1 send, 2 recv
-//	    peer  zigzag varint               -1 for internal events
-//	    msgid uvarint
-//	    state uint32
-//	    time  float64 (IEEE 754 bits)
-//	    vc    n × uvarint                 the event's sequence number is vc[proc]
-//
-// The length prefix makes truncation detectable (a stream ending mid-record
-// is an error, not EOF) and lets future versions append payload fields that
-// old readers skip. Versioning: the header version byte is bumped on any
-// incompatible change; readers reject versions they do not understand.
+// Each event record is a wire frame: the length prefix makes truncation
+// detectable (a stream ending mid-record is an error, not EOF) and lets future
+// versions append payload fields that old readers skip. Versioning: the header
+// version byte is bumped on any incompatible change; readers reject versions
+// they do not understand.
 
 // binaryMagic opens every .dmtb stream.
 var binaryMagic = [4]byte{'D', 'M', 'T', 'B'}
@@ -88,15 +67,13 @@ func NewBinaryWriter(w io.Writer, pm *PropMap, init GlobalState) (*BinaryWriter,
 	buf := make([]byte, 0, 256)
 	buf = append(buf, binaryMagic[:]...)
 	buf = append(buf, binaryVersion)
-	buf = binary.AppendUvarint(buf, uint64(len(init)))
+	buf = wire.AppendUvarint(buf, uint64(len(init)))
 	for _, s := range init {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(s))
+		buf = wire.AppendUint32LE(buf, uint32(s))
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(pm.Names)))
+	buf = wire.AppendUvarint(buf, uint64(len(pm.Names)))
 	for i, name := range pm.Names {
-		buf = binary.AppendUvarint(buf, uint64(pm.Owner[i]))
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
+		buf = wire.AppendString(wire.AppendInts(buf, pm.Owner[i]), name)
 	}
 	if _, err := bw.Write(buf); err != nil {
 		return nil, fmt.Errorf("dist: writing binary stream header: %w", err)
@@ -104,84 +81,67 @@ func NewBinaryWriter(w io.Writer, pm *PropMap, init GlobalState) (*BinaryWriter,
 	return &BinaryWriter{bw: bw, scratch: buf[:0]}, nil
 }
 
-// AppendEventRecord appends the ".dmtb" event-record payload (everything
-// after the length prefix) for e to buf and returns the extended slice. The
-// same record encoding frames events inside dlmond RPC Ingest payloads, so
-// the two wire surfaces cannot drift apart.
+// MinEventRecord is the size of an event record less its clock, of which
+// every component takes at least one byte more.
+const MinEventRecord = 16
+
+// AppendEventRecord appends the event record of e to buf and returns the
+// extended slice: process (uvarint), kind (one byte: 0 internal, 1 send,
+// 2 recv), peer (zigzag varint, -1 for internal events), message id
+// (uvarint), local state (uint32), timestamp (float64), then one uvarint per
+// clock component. There is no count and no sequence number — the reader knows
+// the process count and the sequence number is the event's own clock
+// component — so a writer must only be handed events whose clock is as wide as
+// the process space. This is the tree's one event layout: ".dmtb" frames it
+// with a length prefix, dlmond's Ingest frames carry it verbatim, and monitor
+// messages and snapshot knowledge windows carry runs of it.
 func AppendEventRecord(buf []byte, e *Event) ([]byte, error) {
-	switch e.Type {
-	case Internal, Send, Recv:
-	default:
+	if e.Type < Internal || e.Type > Recv {
 		return nil, fmt.Errorf("dist: unknown event type %d", int(e.Type))
 	}
-	buf = binary.AppendUvarint(buf, uint64(e.Proc))
+	buf = wire.AppendInts(buf, e.Proc)
 	buf = append(buf, byte(e.Type))
-	buf = binary.AppendVarint(buf, int64(e.Peer))
-	buf = binary.AppendUvarint(buf, uint64(e.MsgID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(e.State))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.Time))
-	for _, x := range e.VC {
-		buf = binary.AppendUvarint(buf, uint64(x))
-	}
-	return buf, nil
+	buf = wire.AppendVarint(buf, int64(e.Peer))
+	buf = wire.AppendInts(buf, e.MsgID)
+	buf = wire.AppendUint32LE(buf, uint32(e.State))
+	buf = wire.AppendFloat64LE(buf, e.Time)
+	return wire.AppendInts(buf, e.VC...), nil
 }
 
-// DecodeEventRecord parses one ".dmtb" event-record payload for an
-// n-process space. The returned event owns its vector clock; it is not
-// validated against any stream order (the caller's validator does that).
+// DecodeEventInto reads one event record off c into e, for a space of len(vc)
+// processes, with vc as the clock's storage: DecodeEventRecord passes fresh
+// storage, a segment decoder a slice of its slab. An unknown kind or a process
+// outside the space fails c like any truncation. The event is not validated
+// against any stream order (the caller's validator does that).
+func DecodeEventInto(c *wire.Cursor, e *Event, vc []int) {
+	e.Proc = c.Int()
+	e.Type = EventType(c.Byte())
+	e.Peer = int(c.Varint())
+	e.MsgID = c.Int()
+	e.State = LocalState(c.Uint32LE())
+	e.Time = c.Float64LE()
+	c.Ints(vc)
+	switch {
+	case c.Err() != nil:
+	case e.Type > Recv:
+		c.Failf("unknown event type %d", int(e.Type))
+	case e.Proc >= len(vc):
+		c.Failf("event of nonexistent process %d", e.Proc)
+	default:
+		e.VC, e.SN = vc, vc[e.Proc]
+	}
+}
+
+// DecodeEventRecord parses one event record standing alone in buf, for an
+// n-process space. The returned event owns its vector clock.
 func DecodeEventRecord(buf []byte, n int) (*Event, error) {
-	pos := 0
-	uvar := func(what string) (uint64, error) {
-		x, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return 0, fmt.Errorf("truncated %s", what)
-		}
-		pos += w
-		return x, nil
-	}
-	proc, err := uvar("process")
-	if err != nil {
+	c := wire.NewCursor(buf)
+	e := new(Event)
+	DecodeEventInto(&c, e, make(vclock.VC, n))
+	if err := c.Done("event record"); err != nil {
 		return nil, err
 	}
-	if pos >= len(buf) {
-		return nil, fmt.Errorf("truncated event type")
-	}
-	typ := EventType(buf[pos])
-	pos++
-	peer, w := binary.Varint(buf[pos:])
-	if w <= 0 {
-		return nil, fmt.Errorf("truncated peer")
-	}
-	pos += w
-	msgid, err := uvar("message id")
-	if err != nil {
-		return nil, err
-	}
-	if pos+12 > len(buf) {
-		return nil, fmt.Errorf("truncated state/time fields")
-	}
-	state := binary.LittleEndian.Uint32(buf[pos:])
-	pos += 4
-	tm := math.Float64frombits(binary.LittleEndian.Uint64(buf[pos:]))
-	pos += 8
-	vc := make(vclock.VC, n)
-	for p := 0; p < n; p++ {
-		x, err := uvar("vector clock")
-		if err != nil {
-			return nil, err
-		}
-		vc[p] = int(x)
-	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("%d trailing bytes in record", len(buf)-pos)
-	}
-	if proc >= uint64(n) {
-		return nil, fmt.Errorf("event of nonexistent process %d", proc)
-	}
-	return &Event{
-		Proc: int(proc), SN: vc[proc], Type: typ, Peer: int(peer),
-		MsgID: int(msgid), State: LocalState(state), VC: vc, Time: tm,
-	}, nil
+	return e, nil
 }
 
 // Write appends one event record.
@@ -191,9 +151,8 @@ func (bw *BinaryWriter) Write(e *Event) error {
 		return err
 	}
 	bw.scratch = buf // keep the (possibly grown) backing array
-	var lenbuf [binary.MaxVarintLen64]byte
-	ln := binary.PutUvarint(lenbuf[:], uint64(len(buf)))
-	if _, err := bw.bw.Write(lenbuf[:ln]); err != nil {
+	var lenbuf [wire.MaxUvarintLen]byte
+	if _, err := bw.bw.Write(wire.AppendUvarint(lenbuf[:0], uint64(len(buf)))); err != nil {
 		return err
 	}
 	if _, err := bw.bw.Write(buf); err != nil {
@@ -244,58 +203,45 @@ func OpenBinaryStream(r io.Reader) (*BinaryReader, error) {
 		return nil, fmt.Errorf("dist: unsupported binary stream version %d (want %d)", magic[4], binaryVersion)
 	}
 	n, err := readHeaderUvarint(br, "process count")
+	if err == nil {
+		err = spaceCount(n, "processes")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if n > MaxProps {
-		return nil, fmt.Errorf("dist: binary stream names %d processes (max %d)", n, MaxProps)
+	words := make([]byte, 4*n)
+	if _, err := io.ReadFull(br, words); err != nil {
+		return nil, fmt.Errorf("dist: reading binary stream header initial states: %w", noEOF(err))
 	}
 	init := make(GlobalState, n)
-	var word [4]byte
-	for p := range init {
-		if _, err := io.ReadFull(br, word[:]); err != nil {
-			return nil, fmt.Errorf("dist: reading binary stream header: %w", noEOF(err))
-		}
-		init[p] = LocalState(binary.LittleEndian.Uint32(word[:]))
+	for p, c := 0, wire.NewCursor(words); p < len(init); p++ {
+		init[p] = LocalState(c.Uint32LE())
 	}
 	nprops, err := readHeaderUvarint(br, "proposition count")
+	if err == nil {
+		err = spaceCount(nprops, "propositions")
+	}
 	if err != nil {
 		return nil, err
 	}
-	if nprops > MaxProps {
-		return nil, fmt.Errorf("dist: binary stream names %d propositions (max %d)", nprops, MaxProps)
-	}
 	pm := NewPropMap()
-	name := make([]byte, 0, 16)
+	name := words // done with; most names fit
 	for k := 0; k < int(nprops); k++ {
 		owner, err := readHeaderUvarint(br, "proposition owner")
 		if err != nil {
 			return nil, err
 		}
-		if owner >= n {
-			return nil, fmt.Errorf("dist: proposition %d owned by nonexistent process %d", k, owner)
+		// A name is length-prefixed like a record, and bounded like one.
+		if name, _, err = wire.ReadFrame(br, name[:0], maxBinaryRecord); err != nil {
+			return nil, fmt.Errorf("dist: reading binary stream header proposition name: %w", noEOF(err))
 		}
-		nameLen, err := readHeaderUvarint(br, "proposition name length")
-		if err != nil {
-			return nil, err
-		}
-		if nameLen > maxBinaryRecord {
-			return nil, fmt.Errorf("dist: proposition name of %d bytes exceeds the record bound", nameLen)
-		}
-		if cap(name) < int(nameLen) {
-			name = make([]byte, nameLen)
-		}
-		name = name[:nameLen]
-		if _, err := io.ReadFull(br, name); err != nil {
-			return nil, fmt.Errorf("dist: reading binary stream header: %w", noEOF(err))
-		}
-		if err := pm.Add(string(name), int(owner)); err != nil {
+		if err := pm.addOwned(string(name), owner, len(init)); err != nil {
 			return nil, err
 		}
 	}
 	return &BinaryReader{
 		pm: pm, init: init, br: br,
-		val:     newStreamValidator(int(n)),
+		val:     newStreamValidator(len(init)),
 		scratch: make([]byte, 0, 256),
 	}, nil
 }
@@ -303,7 +249,7 @@ func OpenBinaryStream(r io.Reader) (*BinaryReader, error) {
 // readHeaderUvarint decodes one header varint, treating any EOF as a
 // truncated header.
 func readHeaderUvarint(br *bufio.Reader, what string) (uint64, error) {
-	x, err := binary.ReadUvarint(br)
+	x, err := wire.ReadUvarint(br)
 	if err != nil {
 		return 0, fmt.Errorf("dist: reading binary stream header %s: %w", what, noEOF(err))
 	}
@@ -354,34 +300,10 @@ func (r *BinaryReader) Next() (*Event, error) {
 }
 
 func (r *BinaryReader) next() (*Event, error) {
-	// The length prefix is read byte-by-byte so that a clean EOF (no bytes
-	// at all) is distinguishable from truncation mid-varint.
-	var ln uint64
-	for shift := uint(0); ; shift += 7 {
-		b, err := r.br.ReadByte()
-		if err != nil {
-			if err == io.EOF && shift == 0 {
-				return nil, io.EOF
-			}
-			return nil, noEOF(err)
-		}
-		if shift >= 64 {
-			return nil, fmt.Errorf("record length varint overflows")
-		}
-		ln |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if ln > maxBinaryRecord {
-		return nil, fmt.Errorf("record of %d bytes exceeds the %d-byte bound", ln, maxBinaryRecord)
-	}
-	if cap(r.scratch) < int(ln) {
-		r.scratch = make([]byte, ln)
-	}
-	buf := r.scratch[:ln]
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return nil, noEOF(err)
+	buf, scratch, err := wire.ReadFrame(r.br, r.scratch, maxBinaryRecord)
+	r.scratch = scratch
+	if err != nil {
+		return nil, err
 	}
 	e, err := DecodeEventRecord(buf, len(r.init))
 	if err != nil {

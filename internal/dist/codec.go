@@ -85,8 +85,8 @@ func CodecForPath(path string) (Codec, bool) {
 }
 
 // IsStreamingPath reports whether path names a format that is read and
-// written incrementally. The materialized formats (".json", ".gob") still
-// work behind StreamFile, but are loaded whole first.
+// written incrementally. The materialized ".json" format still works behind
+// StreamFile, but is loaded whole first.
 func IsStreamingPath(path string) bool {
 	_, ok := CodecForPath(path)
 	return ok
@@ -123,9 +123,9 @@ func (o *ownedSink) Close() error {
 
 // StreamFile opens a trace file as an event stream. A streaming format
 // (".jsonl", ".dmtb") is read incrementally with memory independent of its
-// length; the materialized formats (".json", ".gob") are loaded whole and
-// then iterated, so existing files keep working behind the same interface
-// (IsStreamingPath distinguishes the two).
+// length; the materialized ".json" format is loaded whole and then iterated,
+// so existing files keep working behind the same interface (IsStreamingPath
+// distinguishes the two).
 func StreamFile(path string) (EventSource, error) {
 	codec, ok := CodecForPath(path)
 	if !ok {

@@ -29,7 +29,7 @@ func TestCodecRegistry(t *testing.T) {
 	}
 	for path, want := range map[string]bool{
 		"t.jsonl": true, "t.dmtb": true, "T.DMTB": true,
-		"t.json": false, "t.gob": false, "t": false,
+		"t.json": false, "t": false,
 	} {
 		if got := IsStreamingPath(path); got != want {
 			t.Errorf("IsStreamingPath(%q) = %v, want %v", path, got, want)

@@ -25,8 +25,7 @@
 //
 // where "init"/"state" bit i is the truth value of the process's i-th owned
 // proposition, "vc" is the event's vector clock, "sn" its 1-based sequence
-// number, and "time" its physical timestamp in seconds. A ".gob" extension
-// selects the equivalent gob encoding instead.
+// number, and "time" its physical timestamp in seconds.
 package dist
 
 import (

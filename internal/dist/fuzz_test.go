@@ -1,9 +1,12 @@
 package dist
 
 import (
+	"bufio"
 	"bytes"
 	"io"
 	"testing"
+
+	"decentmon/internal/wire"
 )
 
 // FuzzDecodeDMTB fuzzes the binary trace decoder: monitoring pipelines open
@@ -98,6 +101,80 @@ func FuzzDecodeDMTB(f *testing.F) {
 		}
 		if _, err := r2.Next(); err != io.EOF {
 			t.Fatalf("round-trip grew an extra event: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeRPC fuzzes dlmond's listener-facing parser the way its read loop
+// runs it — ReadRPCFrame, DecodeRPC, and DecodeEventRecord on an Ingest — over
+// a byte stream of any number of frames: nothing panics, and every frame (and
+// event record) that is accepted re-encodes to exactly the bytes it came
+// from, so no two byte strings mean the same message.
+func FuzzDecodeRPC(f *testing.F) {
+	st := NewStamper(3)
+	ev, _, err := st.Send(0, 2, 5, 0.25)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rec, err := AppendEventRecord(nil, ev)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var stream []byte
+	for _, m := range []*RPCMsg{
+		{Kind: RPCHello, Version: RPCVersion},
+		{Kind: RPCRegister, Tenant: "acme", Formula: "G(P0.p -> F P1.q)", Init: GlobalState{1, 0, 0}, Props: PerProcess(3, "p", "q")},
+		{Kind: RPCIngest, SID: 2, Raw: rec}, // SID selects the 3-process space below
+		{Kind: RPCEmit, SID: 7, EmitKind: Recv, Proc: 1, Peer: 0, MsgID: 9, State: 3},
+		{Kind: RPCEnd, SID: 7, Proc: 1},
+		{Kind: RPCRegistered, SID: 8, CacheHit: true, Epoch: 3, Fed: []int{4, 0, 17}},
+		{Kind: RPCVerdict, SID: 7, Monitor: 1, Verdict: RPCVerdictBottom, Conclusive: true, AutState: 2, Cut: []int{3, 1}},
+		{Kind: RPCClosed, SID: 7, Verdicts: []byte{RPCVerdictTop, RPCVerdictUnknown}},
+		{Kind: RPCError, SID: 7, Err: "no such session"},
+	} {
+		frame, err := AppendRPC(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+		stream = append(stream, frame...)
+	}
+	f.Add(stream)
+	f.Add(stream[:len(stream)-3])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		var scratch []byte
+		for {
+			payload, grown, err := ReadRPCFrame(br, scratch)
+			if err != nil {
+				return // clean end, truncation or an oversized frame
+			}
+			scratch = grown
+			m, err := DecodeRPC(payload)
+			if err != nil {
+				continue // the server answers with an Error frame and reads on
+			}
+			again, err := AppendRPC(nil, m)
+			if err != nil {
+				t.Fatalf("re-encoding an accepted %s frame: %v", m.Kind, err)
+			}
+			if frame := append(wire.AppendUvarint(nil, uint64(len(payload))), payload...); !bytes.Equal(again, frame) {
+				t.Fatalf("%s frame does not re-encode to itself:\n in  %x\n out %x", m.Kind, frame, again)
+			}
+			if m.Kind != RPCIngest {
+				continue
+			}
+			e, err := DecodeEventRecord(m.Raw, int(m.SID%4)+1)
+			if err != nil {
+				continue
+			}
+			if e.Type > Recv || e.Proc > int(m.SID%4) || e.SN != e.VC[e.Proc] {
+				t.Fatalf("accepted a malformed event %+v", e)
+			}
+			if rec, err := AppendEventRecord(nil, e); err != nil || !bytes.Equal(rec, m.Raw) {
+				t.Fatalf("event record does not re-encode to itself (%v):\n in  %x\n out %x", err, m.Raw, rec)
+			}
 		}
 	})
 }

@@ -1,13 +1,10 @@
 package dist
 
 import (
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"decentmon/internal/vclock"
 )
@@ -107,19 +104,6 @@ func fromWire(w *jsonTraceSet) (*TraceSet, error) {
 	return ts, nil
 }
 
-// materialize rebuilds and validates a trace set from its wire form; both
-// decoders (JSON and gob) funnel through it.
-func materialize(w *jsonTraceSet) (*TraceSet, error) {
-	ts, err := fromWire(w)
-	if err != nil {
-		return nil, err
-	}
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	return ts, nil
-}
-
 func writeWireJSON(w io.Writer, wire *jsonTraceSet) error {
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
@@ -142,12 +126,18 @@ func ReadJSON(r io.Reader) (*TraceSet, error) {
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("dist: decoding trace JSON: %w", err)
 	}
-	return materialize(&wire)
+	ts, err := fromWire(&wire)
+	if err != nil {
+		return nil, err
+	}
+	if err := ts.Validate(); err != nil {
+		return nil, err
+	}
+	return ts, nil
 }
 
-// SaveFile writes the trace set to path: gob encoding for a ".gob"
-// extension, a streaming codec for its extension (".jsonl", ".dmtb"; see
-// codec.go), the JSON trace format otherwise.
+// SaveFile writes the trace set to path: a streaming codec for its extension
+// (".jsonl", ".dmtb"; see codec.go), the JSON trace format otherwise.
 func (ts *TraceSet) SaveFile(path string) error {
 	// Validate and serialize before touching the destination so a bad trace
 	// set cannot truncate an existing good file.
@@ -180,12 +170,6 @@ func (ts *TraceSet) SaveFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	if strings.EqualFold(filepath.Ext(path), ".gob") {
-		if err := gob.NewEncoder(f).Encode(wire); err != nil {
-			return fmt.Errorf("dist: encoding %s: %w", path, err)
-		}
-		return f.Close()
-	}
 	if err := writeWireJSON(f, wire); err != nil {
 		return fmt.Errorf("dist: encoding %s: %w", path, err)
 	}
@@ -201,21 +185,10 @@ func LoadFile(path string) (*TraceSet, error) {
 	defer f.Close()
 	var ts *TraceSet
 	if codec, ok := CodecForPath(path); ok {
-		src, err := codec.Open(f)
-		if err == nil {
+		var src EventSource
+		if src, err = codec.Open(f); err == nil {
 			ts, err = Materialize(src)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return ts, nil
-	}
-	if strings.EqualFold(filepath.Ext(path), ".gob") {
-		var wire jsonTraceSet
-		if err := gob.NewDecoder(f).Decode(&wire); err != nil {
-			return nil, fmt.Errorf("%s: dist: decoding trace gob: %w", path, err)
-		}
-		ts, err = materialize(&wire)
 	} else {
 		ts, err = ReadJSON(f)
 	}

@@ -27,10 +27,15 @@ func TestJSONRoundTrip(t *testing.T) {
 func TestSaveLoadFile(t *testing.T) {
 	ts := Generate(GenConfig{N: 2, InternalPerProc: 5, CommMu: 2, CommSigma: 0.5, Seed: 3})
 	dir := t.TempDir()
+	// ".gob" was a format once; now it is an extension like any other no
+	// codec claims, and gets the JSON trace format.
 	for _, name := range []string{"t.json", "t.gob"} {
 		path := filepath.Join(dir, name)
 		if err := ts.SaveFile(path); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+		if raw, err := os.ReadFile(path); err != nil || !bytes.HasPrefix(raw, []byte("{")) {
+			t.Fatalf("%s: not the JSON trace format (%v)", name, err)
 		}
 		got, err := LoadFile(path)
 		if err != nil {
@@ -53,13 +58,6 @@ func TestLoadFileErrors(t *testing.T) {
 	}
 	if _, err := LoadFile(bad); err == nil {
 		t.Error("garbage JSON accepted")
-	}
-	badGob := filepath.Join(dir, "bad.gob")
-	if err := os.WriteFile(badGob, []byte("not gob"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(badGob); err == nil {
-		t.Error("garbage gob accepted")
 	}
 }
 

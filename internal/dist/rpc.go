@@ -2,17 +2,19 @@ package dist
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
+
+	"decentmon/internal/wire"
 )
 
 // dlmond RPC wire format: the session-server protocol spoken by cmd/dlmond
 // and its clients (internal/server). Frames ride a byte stream exactly like
-// ".dmtb" event records ride a trace file — a uvarint payload length
-// followed by the payload — so truncation is detectable and the codec
-// shares its varint/length-prefix idioms (and, for Ingest, the literal
-// event-record encoding) with the binary trace codec in binary.go.
+// ".dmtb" event records ride a trace file — wire frames, a uvarint payload
+// length followed by the payload — so truncation is detectable; an Ingest
+// payload is the literal event record of binary.go and a Register's process
+// space the record of propmap.go. ARCHITECTURE.md ("Wire formats") lists the
+// fields of every verb; appendRPCPayload and DecodeRPC are the two places
+// that know them.
 //
 // Connection layout:
 //
@@ -192,12 +194,6 @@ type RPCMsg struct {
 	Err string
 }
 
-// appendString appends a uvarint length + bytes.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // AppendRPC appends the frame for m — uvarint length prefix included — to
 // buf and returns the extended slice.
 func AppendRPC(buf []byte, m *RPCMsg) ([]byte, error) {
@@ -208,86 +204,55 @@ func AppendRPC(buf []byte, m *RPCMsg) ([]byte, error) {
 	if len(payload) > MaxRPCFrame {
 		return nil, fmt.Errorf("dist: rpc %s frame of %d bytes exceeds the %d-byte bound", m.Kind, len(payload), MaxRPCFrame)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	return append(buf, payload...), nil
+	return append(wire.AppendUvarint(buf, uint64(len(payload))), payload...), nil
 }
 
 func appendRPCPayload(buf []byte, m *RPCMsg) ([]byte, error) {
 	buf = append(buf, byte(m.Kind))
+	if m.Kind != RPCHello && m.Kind != RPCRegister {
+		buf = wire.AppendUvarint(buf, m.SID)
+	}
 	switch m.Kind {
 	case RPCHello:
 		buf = append(buf, RPCMagic[:]...)
 		buf = append(buf, m.Version)
 	case RPCRegister:
-		buf = appendString(buf, m.Tenant)
-		buf = appendString(buf, m.Formula)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Init)))
-		for _, s := range m.Init {
-			buf = binary.AppendUvarint(buf, uint64(s))
-		}
 		if m.Props == nil {
 			return nil, fmt.Errorf("dist: rpc register without a proposition space")
 		}
-		buf = binary.AppendUvarint(buf, uint64(m.Props.Len()))
-		for i, name := range m.Props.Names {
-			buf = binary.AppendUvarint(buf, uint64(m.Props.Owner[i]))
-			buf = appendString(buf, name)
-		}
+		buf = wire.AppendString(buf, m.Tenant)
+		buf = wire.AppendString(buf, m.Formula)
+		buf = AppendProcessSpace(buf, m.Init, m.Props)
 	case RPCIngest:
-		buf = binary.AppendUvarint(buf, m.SID)
 		buf = append(buf, m.Raw...)
 	case RPCEmit:
-		buf = binary.AppendUvarint(buf, m.SID)
 		buf = append(buf, byte(m.EmitKind))
-		buf = binary.AppendUvarint(buf, uint64(m.Proc))
-		buf = binary.AppendVarint(buf, int64(m.Peer))
-		buf = binary.AppendUvarint(buf, uint64(m.MsgID))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(m.State))
-	case RPCSubscribe, RPCClose, RPCAttach:
-		buf = binary.AppendUvarint(buf, m.SID)
+		buf = wire.AppendInts(buf, m.Proc)
+		buf = wire.AppendVarint(buf, int64(m.Peer))
+		buf = wire.AppendInts(buf, m.MsgID)
+		buf = wire.AppendUint32LE(buf, uint32(m.State))
+	case RPCSubscribe, RPCClose, RPCAttach, RPCAcked:
 	case RPCEnd:
-		buf = binary.AppendUvarint(buf, m.SID)
-		buf = binary.AppendUvarint(buf, uint64(m.Proc))
+		buf = wire.AppendInts(buf, m.Proc)
 	case RPCRegistered:
-		buf = binary.AppendUvarint(buf, m.SID)
-		buf = append(buf, boolByte(m.CacheHit))
-		buf = binary.AppendUvarint(buf, m.Epoch)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Fed)))
-		for _, f := range m.Fed {
-			buf = binary.AppendUvarint(buf, uint64(f))
-		}
+		buf = wire.AppendBool(buf, m.CacheHit)
+		buf = wire.AppendUvarint(buf, m.Epoch)
+		buf = wire.AppendClock(buf, m.Fed)
 	case RPCEmitted:
-		buf = binary.AppendUvarint(buf, m.SID)
-		buf = binary.AppendUvarint(buf, uint64(m.MsgID))
-	case RPCAcked:
-		buf = binary.AppendUvarint(buf, m.SID)
+		buf = wire.AppendInts(buf, m.MsgID)
 	case RPCVerdict:
-		buf = binary.AppendUvarint(buf, m.SID)
-		buf = binary.AppendUvarint(buf, uint64(m.Monitor))
-		buf = append(buf, m.Verdict, boolByte(m.Conclusive))
-		buf = binary.AppendUvarint(buf, uint64(m.AutState))
-		buf = binary.AppendUvarint(buf, uint64(len(m.Cut)))
-		for _, c := range m.Cut {
-			buf = binary.AppendUvarint(buf, uint64(c))
-		}
+		buf = wire.AppendInts(buf, m.Monitor)
+		buf = wire.AppendBool(append(buf, m.Verdict), m.Conclusive)
+		buf = wire.AppendInts(buf, m.AutState)
+		buf = wire.AppendClock(buf, m.Cut)
 	case RPCClosed:
-		buf = binary.AppendUvarint(buf, m.SID)
-		buf = binary.AppendUvarint(buf, uint64(len(m.Verdicts)))
-		buf = append(buf, m.Verdicts...)
+		buf = append(wire.AppendUvarint(buf, uint64(len(m.Verdicts))), m.Verdicts...)
 	case RPCError:
-		buf = binary.AppendUvarint(buf, m.SID)
-		buf = appendString(buf, m.Err)
+		buf = wire.AppendString(buf, m.Err)
 	default:
 		return nil, fmt.Errorf("dist: encoding unknown rpc verb %d", uint8(m.Kind))
 	}
 	return buf, nil
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // ReadRPCFrame reads one length-prefixed frame from br into scratch
@@ -295,274 +260,73 @@ func boolByte(b bool) byte {
 // scratch for reuse. A clean EOF between frames returns io.EOF; mid-frame
 // truncation is an error.
 func ReadRPCFrame(br *bufio.Reader, scratch []byte) (payload, grown []byte, err error) {
-	// Byte-by-byte length read, so a clean EOF (no bytes at all) is
-	// distinguishable from truncation mid-varint — same as BinaryReader.
-	var ln uint64
-	for shift := uint(0); ; shift += 7 {
-		b, err := br.ReadByte()
-		if err != nil {
-			if err == io.EOF && shift == 0 {
-				return nil, scratch, io.EOF
-			}
-			return nil, scratch, noEOF(err)
-		}
-		if shift >= 64 {
-			return nil, scratch, fmt.Errorf("dist: rpc frame length varint overflows")
-		}
-		ln |= uint64(b&0x7f) << shift
-		if b < 0x80 {
-			break
-		}
-	}
-	if ln > MaxRPCFrame {
-		return nil, scratch, fmt.Errorf("dist: rpc frame of %d bytes exceeds the %d-byte bound", ln, MaxRPCFrame)
-	}
-	if cap(scratch) < int(ln) {
-		scratch = make([]byte, ln)
-	}
-	buf := scratch[:ln]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, scratch, noEOF(err)
-	}
-	return buf, scratch, nil
+	return wire.ReadFrame(br, scratch, MaxRPCFrame)
 }
 
-// DecodeRPC parses one frame payload. Slice fields of the returned message
-// (Raw, Cut, Verdicts) may alias payload; consume them before reusing the
-// read buffer.
+// DecodeRPC parses one frame payload. Byte-slice fields of the returned
+// message (Raw, Verdicts) alias payload, so that an Ingest — the one verb sent
+// per event — costs no copy; consume them before reusing the read buffer.
 func DecodeRPC(payload []byte) (*RPCMsg, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("dist: empty rpc frame")
 	}
-	m := &RPCMsg{Kind: RPCKind(payload[0])}
-	buf := payload[1:]
-	pos := 0
-	uvar := func(what string) (uint64, error) {
-		x, w := binary.Uvarint(buf[pos:])
-		if w <= 0 {
-			return 0, fmt.Errorf("dist: rpc %s: truncated %s", m.Kind, what)
-		}
-		pos += w
-		return x, nil
+	c := wire.NewCursor(payload)
+	m := &RPCMsg{Kind: RPCKind(c.Byte())}
+	if m.Kind != RPCHello && m.Kind != RPCRegister {
+		m.SID = c.Uvarint()
 	}
-	str := func(what string) (string, error) {
-		ln, err := uvar(what + " length")
-		if err != nil {
-			return "", err
-		}
-		if uint64(len(buf)-pos) < ln {
-			return "", fmt.Errorf("dist: rpc %s: truncated %s", m.Kind, what)
-		}
-		s := string(buf[pos : pos+int(ln)])
-		pos += int(ln)
-		return s, nil
-	}
-	var err error
 	switch m.Kind {
 	case RPCHello:
-		if len(buf) != 5 {
-			return nil, fmt.Errorf("dist: rpc hello of %d bytes, want 5", len(buf))
+		if magic := c.Bytes(len(RPCMagic)); magic != nil && [4]byte(magic) != RPCMagic {
+			return nil, fmt.Errorf("dist: not a dlmond connection (bad magic %q)", magic)
 		}
-		if [4]byte(buf[:4]) != RPCMagic {
-			return nil, fmt.Errorf("dist: not a dlmond connection (bad magic %q)", buf[:4])
-		}
-		m.Version = buf[4]
-		return m, nil
+		m.Version = c.Byte()
 	case RPCRegister:
-		if m.Tenant, err = str("tenant"); err != nil {
-			return nil, err
-		}
-		if m.Formula, err = str("formula"); err != nil {
-			return nil, err
-		}
-		n, err := uvar("process count")
-		if err != nil {
-			return nil, err
-		}
-		if n > MaxProps {
-			return nil, fmt.Errorf("dist: rpc register names %d processes (max %d)", n, MaxProps)
-		}
-		m.Init = make(GlobalState, n)
-		for p := range m.Init {
-			s, err := uvar("initial state")
-			if err != nil {
-				return nil, err
-			}
-			m.Init[p] = LocalState(s)
-		}
-		nprops, err := uvar("proposition count")
-		if err != nil {
-			return nil, err
-		}
-		if nprops > MaxProps {
-			return nil, fmt.Errorf("dist: rpc register names %d propositions (max %d)", nprops, MaxProps)
-		}
-		m.Props = NewPropMap()
-		for k := 0; k < int(nprops); k++ {
-			owner, err := uvar("proposition owner")
-			if err != nil {
-				return nil, err
-			}
-			if owner >= n {
-				return nil, fmt.Errorf("dist: rpc register proposition %d owned by nonexistent process %d", k, owner)
-			}
-			name, err := str("proposition name")
-			if err != nil {
-				return nil, err
-			}
-			if err := m.Props.Add(name, int(owner)); err != nil {
-				return nil, err
-			}
-		}
+		m.Tenant = c.String()
+		m.Formula = c.String()
+		m.Init, m.Props = DecodeProcessSpace(&c)
 	case RPCIngest:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		m.Raw = buf[pos:]
-		pos = len(buf)
+		m.Raw = c.Bytes(c.Len())
 	case RPCEmit:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		if pos >= len(buf) {
-			return nil, fmt.Errorf("dist: rpc emit: truncated event kind")
-		}
-		m.EmitKind = EventType(buf[pos])
-		pos++
-		proc, err := uvar("process")
-		if err != nil {
-			return nil, err
-		}
-		m.Proc = int(proc)
-		peer, w := binary.Varint(buf[pos:])
-		if w <= 0 {
-			return nil, fmt.Errorf("dist: rpc emit: truncated peer")
-		}
-		pos += w
-		m.Peer = int(peer)
-		msgid, err := uvar("message id")
-		if err != nil {
-			return nil, err
-		}
-		m.MsgID = int(msgid)
-		if pos+4 > len(buf) {
-			return nil, fmt.Errorf("dist: rpc emit: truncated state")
-		}
-		m.State = LocalState(binary.LittleEndian.Uint32(buf[pos:]))
-		pos += 4
+		m.EmitKind = EventType(c.Byte())
+		m.Proc = c.Int()
+		m.Peer = int(c.Varint())
+		m.MsgID = c.Int()
+		m.State = LocalState(c.Uint32LE())
 	case RPCSubscribe, RPCClose, RPCAttach, RPCAcked:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
 	case RPCEnd:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		proc, err := uvar("process")
-		if err != nil {
-			return nil, err
-		}
-		m.Proc = int(proc)
+		m.Proc = c.Int()
 	case RPCRegistered:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		if pos >= len(buf) {
-			return nil, fmt.Errorf("dist: rpc registered: truncated cache flag")
-		}
-		m.CacheHit = buf[pos] != 0
-		pos++
-		if m.Epoch, err = uvar("epoch"); err != nil {
-			return nil, err
-		}
-		fn, err := uvar("fed count")
-		if err != nil {
-			return nil, err
-		}
-		if fn > MaxProps {
-			return nil, fmt.Errorf("dist: rpc registered names %d processes (max %d)", fn, MaxProps)
-		}
-		if fn > 0 {
-			m.Fed = make([]int, fn)
-			for p := range m.Fed {
-				f, err := uvar("fed entry")
-				if err != nil {
-					return nil, err
-				}
-				m.Fed[p] = int(f)
-			}
-		}
+		m.CacheHit = c.Bool()
+		m.Epoch = c.Uvarint()
+		m.Fed = perProcess(&c)
 	case RPCEmitted:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		msgid, err := uvar("message id")
-		if err != nil {
-			return nil, err
-		}
-		m.MsgID = int(msgid)
+		m.MsgID = c.Int()
 	case RPCVerdict:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		mon, err := uvar("monitor")
-		if err != nil {
-			return nil, err
-		}
-		m.Monitor = int(mon)
-		if pos+2 > len(buf) {
-			return nil, fmt.Errorf("dist: rpc verdict: truncated verdict/conclusive")
-		}
-		m.Verdict = buf[pos]
-		m.Conclusive = buf[pos+1] != 0
-		pos += 2
-		st, err := uvar("automaton state")
-		if err != nil {
-			return nil, err
-		}
-		m.AutState = int(st)
-		cutLen, err := uvar("cut length")
-		if err != nil {
-			return nil, err
-		}
-		if cutLen > MaxProps {
-			return nil, fmt.Errorf("dist: rpc verdict cut of %d entries (max %d)", cutLen, MaxProps)
-		}
-		if cutLen > 0 {
-			m.Cut = make([]int, cutLen)
-			for i := range m.Cut {
-				c, err := uvar("cut entry")
-				if err != nil {
-					return nil, err
-				}
-				m.Cut[i] = int(c)
-			}
-		}
+		m.Monitor = c.Int()
+		m.Verdict = c.Byte()
+		m.Conclusive = c.Bool()
+		m.AutState = c.Int()
+		m.Cut = perProcess(&c)
 	case RPCClosed:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		vn, err := uvar("verdict count")
-		if err != nil {
-			return nil, err
-		}
-		if uint64(len(buf)-pos) < vn {
-			return nil, fmt.Errorf("dist: rpc closed: truncated verdict set")
-		}
-		m.Verdicts = buf[pos : pos+int(vn)]
-		pos += int(vn)
+		m.Verdicts = c.Bytes(c.Count(1))
 	case RPCError:
-		if m.SID, err = uvar("session id"); err != nil {
-			return nil, err
-		}
-		if m.Err, err = str("message"); err != nil {
-			return nil, err
-		}
+		m.Err = c.String()
 	default:
 		return nil, fmt.Errorf("dist: unknown rpc verb %d", payload[0])
 	}
-	if pos != len(buf) {
-		return nil, fmt.Errorf("dist: rpc %s: %d trailing bytes", m.Kind, len(buf)-pos)
+	if err := c.Done("payload"); err != nil {
+		return nil, fmt.Errorf("dist: rpc %s: %w", m.Kind, err)
 	}
 	return m, nil
+}
+
+// perProcess reads a clock-shaped field with one entry per process, of which
+// no session has more than MaxProps.
+func perProcess(c *wire.Cursor) []int {
+	v := c.Clock()
+	if err := spaceCount(uint64(len(v)), "processes"); err != nil {
+		c.Failf("%v", err)
+	}
+	return v
 }

@@ -6,6 +6,9 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"decentmon/internal/vclock"
+	"decentmon/internal/wire"
 )
 
 // roundTripRPC encodes m, reads it back through the frame reader, and
@@ -145,12 +148,43 @@ func TestRPCRejectsBadFrames(t *testing.T) {
 		{"bad magic", append([]byte{byte(RPCHello)}, 'N', 'O', 'P', 'E', 1), "magic"},
 		{"truncated register", []byte{byte(RPCRegister), 4, 'a', 'c'}, "truncated"},
 		{"trailing bytes", append([]byte{byte(RPCAcked), 7}, 0xff), "trailing"},
+		// 2^63 fits a uvarint but not an index: it used to come out negative.
+		{"process 2^63", append([]byte{byte(RPCEnd), 7}, wire.AppendUvarint(nil, 1<<63)...), "int"},
+		{"padded session id", []byte{byte(RPCAcked), 0x87, 0x00}, "uvarint"},
+		{"cache flag 2", []byte{byte(RPCRegistered), 8, 2, 0, 0}, "bool"},
+		{"33-process verdict cut", append([]byte{byte(RPCVerdict), 7, 1, 2, 1, 2, 33}, make([]byte, 33)...), "33 processes"},
 	}
 	for _, tc := range cases {
 		_, err := DecodeRPC(tc.payload)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}
+	}
+	// An Ingest frame carries its event record opaquely; the record's own
+	// decoder is the only validator between the socket and the engine.
+	rec, err := AppendEventRecord(nil, &Event{Proc: 1, SN: 1, Peer: -1, VC: vclock.VC{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeEventRecord(rec, 2); err != nil {
+		t.Fatalf("well-formed record: %v", err)
+	}
+	for name, tc := range map[string]struct {
+		mutate func(rec []byte) []byte
+		want   string
+	}{
+		"event type 9":     {func(r []byte) []byte { r[1] = 9; return r }, "unknown event type 9"},
+		"process 2":        {func(r []byte) []byte { r[0] = 2; return r }, "nonexistent process 2"},
+		"clock cut short":  {func(r []byte) []byte { return r[:len(r)-1] }, "truncated"},
+		"clock one longer": {func(r []byte) []byte { return append(r, 0) }, "trailing"},
+	} {
+		_, err := DecodeEventRecord(tc.mutate(bytes.Clone(rec)), 2)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", name, tc.want, err)
+		}
+	}
+	if _, err := AppendEventRecord(nil, &Event{Type: 9, VC: vclock.VC{1}}); err == nil {
+		t.Error("event type 9 encoded")
 	}
 }
 

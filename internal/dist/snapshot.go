@@ -1,9 +1,10 @@
 package dist
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"decentmon/internal/wire"
 )
 
 // Snapshot container format: the durable-state counterpart of the ".dmtb"
@@ -25,14 +26,18 @@ import (
 // Tags are assigned by the layer that owns the payload (internal/core for
 // monitor state, internal/server for session metadata); this package only
 // defines the container. Unknown tags are skippable by construction — the
-// length prefix delimits them — so version-1 readers tolerate forward
-// extensions that only add record kinds.
+// length prefix delimits them — so readers tolerate forward extensions that
+// only add record kinds.
 var snapshotMagic = [4]byte{'D', 'M', 'S', 'N'}
 
 // SnapshotVersion is the container version written by SnapshotBuilder and
-// required by OpenSnapshot. Bump it when the container layout (not a
-// payload's interior encoding) changes incompatibly.
-const SnapshotVersion = 1
+// required by OpenSnapshot. It covers the container and every record kind the
+// tree puts inside one: these blobs are only ever read back by the build line
+// that wrote them, so an incompatible change anywhere bumps the one number
+// and an old checkpoint is refused whole instead of half-understood. Version
+// 2 moved the engine's knowledge windows and parked tokens onto the shared
+// event record (AppendEventRecord).
+const SnapshotVersion = 2
 
 // snapEndTag terminates a snapshot; its payload is the 4-byte little-endian
 // CRC32 of everything before the end record. Payload tags start at 1.
@@ -55,7 +60,7 @@ func NewSnapshotBuilder() *SnapshotBuilder { return NewSnapshotBuilderSize(256) 
 func NewSnapshotBuilderSize(size int) *SnapshotBuilder {
 	b := &SnapshotBuilder{buf: make([]byte, 0, max(size, 16))}
 	b.buf = append(b.buf, snapshotMagic[:]...)
-	b.buf = binary.AppendUvarint(b.buf, SnapshotVersion)
+	b.buf = wire.AppendUvarint(b.buf, SnapshotVersion)
 	return b
 }
 
@@ -65,8 +70,8 @@ func (b *SnapshotBuilder) Record(tag uint64, payload []byte) {
 	if tag == snapEndTag {
 		panic("dist: snapshot record tag 0 is reserved for the end record")
 	}
-	b.buf = binary.AppendUvarint(b.buf, tag)
-	b.buf = binary.AppendUvarint(b.buf, uint64(len(payload)))
+	b.buf = wire.AppendUvarint(b.buf, tag)
+	b.buf = wire.AppendUvarint(b.buf, uint64(len(payload)))
 	b.buf = append(b.buf, payload...)
 }
 
@@ -74,9 +79,9 @@ func (b *SnapshotBuilder) Record(tag uint64, payload []byte) {
 // The builder must not be reused afterwards.
 func (b *SnapshotBuilder) Finish() []byte {
 	sum := crc32.ChecksumIEEE(b.buf)
-	b.buf = binary.AppendUvarint(b.buf, snapEndTag)
-	b.buf = binary.AppendUvarint(b.buf, 4)
-	b.buf = binary.LittleEndian.AppendUint32(b.buf, sum)
+	b.buf = wire.AppendUvarint(b.buf, snapEndTag)
+	b.buf = wire.AppendUvarint(b.buf, 4)
+	b.buf = wire.AppendUint32LE(b.buf, sum)
 	out := b.buf
 	b.buf = nil
 	return out
@@ -87,8 +92,7 @@ func (b *SnapshotBuilder) Finish() []byte {
 // must copy (the clockalias discipline: restored clocks and cuts are cloned
 // out of the snapshot buffer, never aliased into it).
 type SnapshotReader struct {
-	data []byte // records only (header stripped, end record excluded)
-	off  int
+	c wire.Cursor // over the records only (header stripped, end record excluded)
 }
 
 // OpenSnapshot verifies a snapshot blob end-to-end — magic, version, record
@@ -96,66 +100,42 @@ type SnapshotReader struct {
 // Any truncation, trailing garbage, or bit corruption fails here, before a
 // single payload byte is interpreted.
 func OpenSnapshot(data []byte) (*SnapshotReader, error) {
-	if len(data) < len(snapshotMagic) {
-		return nil, fmt.Errorf("dist: snapshot truncated before magic")
+	c := wire.NewCursor(data)
+	if magic := c.Bytes(len(snapshotMagic)); magic != nil && [4]byte(magic) != snapshotMagic {
+		return nil, fmt.Errorf("dist: bad snapshot magic %q", magic)
 	}
-	if [4]byte(data[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("dist: bad snapshot magic %q", data[:4])
-	}
-	pos := 4
-	ver, w := binary.Uvarint(data[pos:])
-	if w <= 0 {
-		return nil, fmt.Errorf("dist: snapshot truncated in version")
-	}
-	pos += w
-	if ver != SnapshotVersion {
+	if ver := c.Uvarint(); c.Err() == nil && ver != SnapshotVersion {
 		return nil, fmt.Errorf("dist: snapshot version %d, want %d", ver, SnapshotVersion)
 	}
-	start := pos
-	for {
-		recStart := pos
-		tag, w := binary.Uvarint(data[pos:])
-		if w <= 0 {
-			return nil, fmt.Errorf("dist: snapshot truncated in record tag")
-		}
-		pos += w
-		size, w := binary.Uvarint(data[pos:])
-		if w <= 0 {
-			return nil, fmt.Errorf("dist: snapshot truncated in record length")
-		}
-		pos += w
-		if size > uint64(len(data)-pos) {
-			return nil, fmt.Errorf("dist: snapshot record of %d bytes overruns the blob", size)
-		}
-		payload := data[pos : pos+int(size)]
-		pos += int(size)
-		if tag != snapEndTag {
+	first := len(data) - c.Len()
+	for c.Err() == nil {
+		recStart := len(data) - c.Len()
+		tag := c.Uvarint()
+		payload := c.Bytes(c.Count(1))
+		if c.Err() != nil || tag != snapEndTag {
 			continue
 		}
-		if size != 4 {
-			return nil, fmt.Errorf("dist: snapshot end record of %d bytes, want 4", size)
+		if len(payload) != 4 {
+			return nil, fmt.Errorf("dist: snapshot end record of %d bytes, want 4", len(payload))
 		}
-		if got, want := binary.LittleEndian.Uint32(payload), crc32.ChecksumIEEE(data[:recStart]); got != want {
+		sum := wire.NewCursor(payload)
+		if got, want := sum.Uint32LE(), crc32.ChecksumIEEE(data[:recStart]); got != want {
 			return nil, fmt.Errorf("dist: snapshot checksum %08x, want %08x (corrupt or truncated)", got, want)
 		}
-		if pos != len(data) {
-			return nil, fmt.Errorf("dist: %d trailing bytes after snapshot end record", len(data)-pos)
+		if err := c.Done("dist: snapshot"); err != nil {
+			return nil, err
 		}
-		return &SnapshotReader{data: data[start:recStart]}, nil
+		return &SnapshotReader{c: wire.NewCursor(data[first:recStart])}, nil
 	}
+	return nil, c.Done("dist: snapshot")
 }
 
 // Next returns the next record. ok is false after the last record; framing
 // cannot fail here because OpenSnapshot validated the whole blob.
 func (r *SnapshotReader) Next() (tag uint64, payload []byte, ok bool) {
-	if r.off >= len(r.data) {
+	if r.c.Len() == 0 {
 		return 0, nil, false
 	}
-	tag, w := binary.Uvarint(r.data[r.off:])
-	r.off += w
-	size, w := binary.Uvarint(r.data[r.off:])
-	r.off += w
-	payload = r.data[r.off : r.off+int(size)]
-	r.off += int(size)
-	return tag, payload, true
+	tag = r.c.Uvarint()
+	return tag, r.c.Bytes(r.c.Count(1)), true
 }

@@ -5,26 +5,15 @@ package dist
 // alongside an engine snapshot, and both must reject a corrupt record
 // rather than resume with wrong clocks.
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-
-	"decentmon/internal/vclock"
-)
+import "decentmon/internal/wire"
 
 // AppendStamperState serializes a captured stamper: message-id counter,
-// then each process's clock (count-prefixed uvarints) and last timestamp
-// (8-byte little-endian float).
+// process count, then each process's clock and last timestamp.
 func AppendStamperState(b []byte, st StamperState) []byte {
-	b = binary.AppendUvarint(b, uint64(st.MsgSeq))
-	b = binary.AppendUvarint(b, uint64(len(st.Clocks)))
+	b = wire.AppendUvarint(b, uint64(st.MsgSeq))
+	b = wire.AppendUvarint(b, uint64(len(st.Clocks)))
 	for p, c := range st.Clocks {
-		b = binary.AppendUvarint(b, uint64(len(c)))
-		for _, x := range c {
-			b = binary.AppendUvarint(b, uint64(x))
-		}
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.Lasts[p]))
+		b = wire.AppendFloat64LE(wire.AppendClock(b, c), st.Lasts[p])
 	}
 	return b
 }
@@ -32,49 +21,14 @@ func AppendStamperState(b []byte, st StamperState) []byte {
 // DecodeStamperState parses an AppendStamperState payload, rejecting any
 // truncation or trailing bytes.
 func DecodeStamperState(payload []byte) (StamperState, error) {
-	var st StamperState
-	fail := func() (StamperState, error) {
-		return StamperState{}, fmt.Errorf("dist: malformed stamper state record")
+	c := wire.NewCursor(payload)
+	st := StamperState{MsgSeq: int64(c.Int())}
+	for np := c.Count(9); np > 0 && c.Err() == nil; np-- { // a process is a clock count and 8 timestamp bytes at least
+		st.Clocks = append(st.Clocks, c.Clock())
+		st.Lasts = append(st.Lasts, c.Float64LE())
 	}
-	next := func() (uint64, bool) {
-		v, k := binary.Uvarint(payload)
-		if k <= 0 {
-			return 0, false
-		}
-		payload = payload[k:]
-		return v, true
-	}
-	seq, ok := next()
-	if !ok {
-		return fail()
-	}
-	st.MsgSeq = int64(seq)
-	np, ok := next()
-	if !ok || np > uint64(len(payload)) {
-		return fail()
-	}
-	for p := uint64(0); p < np; p++ {
-		cl, ok := next()
-		if !ok || cl > uint64(len(payload)) {
-			return fail()
-		}
-		clock := make(vclock.VC, cl)
-		for i := range clock {
-			x, ok := next()
-			if !ok {
-				return fail()
-			}
-			clock[i] = int(x)
-		}
-		if len(payload) < 8 {
-			return fail()
-		}
-		st.Clocks = append(st.Clocks, clock)
-		st.Lasts = append(st.Lasts, math.Float64frombits(binary.LittleEndian.Uint64(payload)))
-		payload = payload[8:]
-	}
-	if len(payload) != 0 {
-		return fail()
+	if err := c.Done("dist: stamper state record"); err != nil {
+		return StamperState{}, err
 	}
 	return st, nil
 }

@@ -192,16 +192,11 @@ func OpenStream(r io.Reader) (*TraceReader, error) {
 	if hdr.Version != streamVersion {
 		return nil, fmt.Errorf("dist: unsupported stream version %d (want %d)", hdr.Version, streamVersion)
 	}
+	n := len(hdr.Init)
 	pm := NewPropMap()
 	for _, p := range hdr.Props {
-		if err := pm.Add(p.Name, p.Owner); err != nil {
+		if err := pm.addOwned(p.Name, uint64(p.Owner), n); err != nil {
 			return nil, err
-		}
-	}
-	n := len(hdr.Init)
-	for i, o := range pm.Owner {
-		if o >= n {
-			return nil, fmt.Errorf("dist: proposition %q owned by nonexistent process %d", pm.Names[i], o)
 		}
 	}
 	init := make(GlobalState, n)

@@ -251,7 +251,7 @@ func TestStreamRejectsUnknownProcess(t *testing.T) {
 func TestStreamFileDispatch(t *testing.T) {
 	ts := Generate(GenConfig{N: 2, InternalPerProc: 4, CommMu: 2, Seed: 2})
 	dir := t.TempDir()
-	for _, name := range []string{"t.json", "t.gob", "t.jsonl"} {
+	for _, name := range []string{"t.json", "t.jsonl"} {
 		path := filepath.Join(dir, name)
 		if err := ts.SaveFile(path); err != nil {
 			t.Fatalf("%s: %v", name, err)

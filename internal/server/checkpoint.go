@@ -42,13 +42,13 @@ package server
 // Attach reports fed counts rather than pretending nothing was lost.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 
 	"decentmon/internal/dist"
+	"decentmon/internal/wire"
 )
 
 // Checkpoint record tags (tag 0 is the container's end record).
@@ -76,21 +76,10 @@ type checkpointState struct {
 
 // appendCheckpointMeta encodes the server-side session record.
 func appendCheckpointMeta(b []byte, s *session, epoch uint64) []byte {
-	b = binary.AppendUvarint(b, s.id)
-	b = binary.AppendUvarint(b, epoch)
-	b = appendCkString(b, s.tenant)
-	b = appendCkString(b, s.formula)
-	b = binary.AppendUvarint(b, uint64(len(s.init)))
-	for _, st := range s.init {
-		b = binary.AppendUvarint(b, uint64(st))
-	}
-	b = binary.AppendUvarint(b, uint64(s.props.Len()))
-	for i, name := range s.props.Names {
-		b = binary.AppendUvarint(b, uint64(s.props.Owner[i]))
-		b = appendCkString(b, name)
-	}
-	b = binary.AppendUvarint(b, uint64(s.events.Load()))
-	return b
+	b = wire.AppendUvarint(wire.AppendUvarint(b, s.id), epoch)
+	b = wire.AppendString(wire.AppendString(b, s.tenant), s.formula)
+	b = dist.AppendProcessSpace(b, s.init, s.props)
+	return wire.AppendUvarint(b, uint64(s.events.Load()))
 }
 
 // appendCheckpointTokens encodes the in-flight token map in id order, so a
@@ -101,72 +90,12 @@ func appendCheckpointTokens(b []byte, tokens map[int]dist.MsgToken) []byte {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	b = binary.AppendUvarint(b, uint64(len(ids)))
+	b = wire.AppendUvarint(b, uint64(len(ids)))
 	for _, id := range ids {
 		tok := tokens[id]
-		b = binary.AppendUvarint(b, uint64(tok.ID))
-		b = binary.AppendUvarint(b, uint64(tok.From))
-		b = binary.AppendUvarint(b, uint64(tok.To))
-		b = binary.AppendUvarint(b, uint64(len(tok.VC)))
-		for _, x := range tok.VC {
-			b = binary.AppendUvarint(b, uint64(x))
-		}
+		b = wire.AppendClock(wire.AppendInts(b, tok.ID, tok.From, tok.To), tok.VC)
 	}
 	return b
-}
-
-func appendCkString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// ckDecoder is a sticky-error cursor over one checkpoint record payload.
-type ckDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *ckDecoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("server: checkpoint: truncated %s", what)
-	}
-}
-
-func (d *ckDecoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, k := binary.Uvarint(d.buf)
-	if k <= 0 {
-		d.fail(what)
-		return 0
-	}
-	d.buf = d.buf[k:]
-	return v
-}
-
-func (d *ckDecoder) str(what string) string {
-	ln := d.uvarint(what + " length")
-	if d.err != nil {
-		return ""
-	}
-	if uint64(len(d.buf)) < ln {
-		d.fail(what)
-		return ""
-	}
-	s := string(d.buf[:ln])
-	d.buf = d.buf[ln:]
-	return s
-}
-
-func (d *ckDecoder) done(record string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("server: checkpoint: %d trailing bytes in %s record", len(d.buf), record)
-	}
-	return nil
 }
 
 // decodeCheckpoint parses and validates one checkpoint blob. Corruption
@@ -178,45 +107,34 @@ func decodeCheckpoint(blob []byte) (*checkpointState, error) {
 		return nil, err
 	}
 	ck := &checkpointState{}
-	var haveMeta, haveStamper, haveTokens bool
+	var seen uint // one bit per record tag
 	for {
 		tag, payload, ok := r.Next()
 		if !ok {
 			break
 		}
+		if tag < ckTagMeta || tag > ckTagEngine {
+			continue // a record kind this build does not know: skippable by design
+		}
+		if seen&(1<<tag) != 0 {
+			return nil, fmt.Errorf("server: checkpoint: duplicate record %d", tag)
+		}
+		seen |= 1 << tag
 		switch tag {
 		case ckTagMeta:
-			if haveMeta {
-				return nil, fmt.Errorf("server: checkpoint: duplicate meta record")
-			}
-			haveMeta = true
-			if err := ck.decodeMeta(payload); err != nil {
-				return nil, err
-			}
+			err = ck.decodeMeta(payload)
 		case ckTagStamper:
-			if haveStamper {
-				return nil, fmt.Errorf("server: checkpoint: duplicate stamper record")
-			}
-			haveStamper = true
-			if ck.stamper, err = dist.DecodeStamperState(payload); err != nil {
-				return nil, err
-			}
+			ck.stamper, err = dist.DecodeStamperState(payload)
 		case ckTagTokens:
-			if haveTokens {
-				return nil, fmt.Errorf("server: checkpoint: duplicate token record")
-			}
-			haveTokens = true
-			if err := ck.decodeTokens(payload); err != nil {
-				return nil, err
-			}
+			err = ck.decodeTokens(payload)
 		case ckTagEngine:
-			if ck.engine != nil {
-				return nil, fmt.Errorf("server: checkpoint: duplicate engine record")
-			}
 			ck.engine = payload
 		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if !haveMeta || !haveStamper || !haveTokens || ck.engine == nil {
+	if seen != 1<<ckTagMeta|1<<ckTagStamper|1<<ckTagTokens|1<<ckTagEngine {
 		return nil, fmt.Errorf("server: checkpoint: incomplete record set")
 	}
 	n := len(ck.init)
@@ -232,67 +150,29 @@ func decodeCheckpoint(blob []byte) (*checkpointState, error) {
 }
 
 func (ck *checkpointState) decodeMeta(payload []byte) error {
-	d := &ckDecoder{buf: payload}
-	ck.sid = d.uvarint("session id")
-	ck.epoch = d.uvarint("epoch")
-	ck.tenant = d.str("tenant")
-	ck.formula = d.str("formula")
-	n := d.uvarint("process count")
-	if d.err == nil && (n < 1 || n > dist.MaxProps) {
-		return fmt.Errorf("server: checkpoint: session of %d processes", n)
+	d := wire.NewCursor(payload)
+	ck.sid, ck.epoch = d.Uvarint(), d.Uvarint()
+	ck.tenant, ck.formula = d.String(), d.String()
+	ck.init, ck.props = dist.DecodeProcessSpace(&d)
+	if d.Err() == nil && len(ck.init) < 1 {
+		d.Failf("session of %d processes", len(ck.init))
 	}
-	for p := uint64(0); p < n && d.err == nil; p++ {
-		ck.init = append(ck.init, dist.LocalState(d.uvarint("initial state")))
-	}
-	nprops := d.uvarint("proposition count")
-	if d.err == nil && nprops > dist.MaxProps {
-		return fmt.Errorf("server: checkpoint: %d propositions (max %d)", nprops, dist.MaxProps)
-	}
-	ck.props = dist.NewPropMap()
-	for k := uint64(0); k < nprops && d.err == nil; k++ {
-		owner := d.uvarint("proposition owner")
-		name := d.str("proposition name")
-		if d.err != nil {
-			break
-		}
-		if owner >= n {
-			return fmt.Errorf("server: checkpoint: proposition %q owned by nonexistent process %d", name, owner)
-		}
-		if err := ck.props.Add(name, int(owner)); err != nil {
-			return err
-		}
-	}
-	ck.events = int64(d.uvarint("event count"))
-	return d.done("meta")
+	ck.events = int64(d.Int())
+	return d.Done("server: checkpoint: meta record")
 }
 
 func (ck *checkpointState) decodeTokens(payload []byte) error {
-	d := &ckDecoder{buf: payload}
-	count := d.uvarint("token count")
-	if d.err == nil && count > uint64(len(d.buf)) {
-		return fmt.Errorf("server: checkpoint: token count %d exceeds record", count)
-	}
+	d := wire.NewCursor(payload)
+	count := d.Count(4) // id, sender, addressee, clock count
 	ck.tokens = make(map[int]dist.MsgToken, count)
-	for i := uint64(0); i < count && d.err == nil; i++ {
-		var tok dist.MsgToken
-		tok.ID = int(d.uvarint("token id"))
-		tok.From = int(d.uvarint("token sender"))
-		tok.To = int(d.uvarint("token addressee"))
-		vn := d.uvarint("token clock length")
-		if d.err == nil && vn > uint64(len(d.buf)) {
-			return fmt.Errorf("server: checkpoint: token clock of %d entries exceeds record", vn)
+	for ; count > 0 && d.Err() == nil; count-- {
+		tok := dist.MsgToken{ID: d.Int(), From: d.Int(), To: d.Int(), VC: d.Clock()}
+		if _, dup := ck.tokens[tok.ID]; dup {
+			d.Failf("duplicate token %d", tok.ID)
 		}
-		for j := uint64(0); j < vn && d.err == nil; j++ {
-			tok.VC = append(tok.VC, int(d.uvarint("token clock entry")))
-		}
-		if d.err == nil {
-			if _, dup := ck.tokens[tok.ID]; dup {
-				return fmt.Errorf("server: checkpoint: duplicate token %d", tok.ID)
-			}
-			ck.tokens[tok.ID] = tok
-		}
+		ck.tokens[tok.ID] = tok
 	}
-	return d.done("token")
+	return d.Done("server: checkpoint: token record")
 }
 
 // checkpointPath names a session's checkpoint file.

@@ -1,31 +1,51 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+
+	"decentmon/internal/wire"
 )
 
-// TCPNetwork is a Network whose endpoints exchange length-prefixed frames
-// over loopback TCP connections — monitors talk over real sockets, the
+// MaxTCPFrame bounds one monitor message on the TCP network, in both
+// directions: Send refuses a larger payload and a reader that is announced one
+// fails the network before allocating it. The largest messages are fetch
+// replies and returning tokens, which carry event segments — tens of bytes per
+// event, so 64 MiB is millions of events in one message, far beyond what the
+// feed gate lets accumulate — while a bound at all is what keeps a four-byte
+// header from costing 4 GiB.
+const MaxTCPFrame = 1 << 26
+
+// TCPNetwork is a Network whose endpoints exchange wire frames (uvarint length
+// + payload) over loopback TCP connections — monitors talk over real sockets, the
 // closest stdlib analogue of the paper's peer-to-peer WiFi links between iOS
 // devices.
+//
+// The algorithm needs every channel reliable and FIFO, so a connection that
+// breaks — closed under us, or carrying a frame no peer of ours would send —
+// fails the whole network: every connection is closed and every inbox with
+// it, which each monitor reports as an error instead of waiting for a message
+// that is never coming.
 //
 // Topology: every ordered pair (i → j), i < j shares one TCP connection,
 // established by i dialing j's listener; frames carry the sender id, so a
 // single duplex connection serves both directions. TCP guarantees the FIFO
 // per-pair delivery the algorithm requires.
 type TCPNetwork struct {
-	n      int
-	eps    []*tcpEndpoint
-	stats  Stats
-	mu     sync.Mutex
-	closed bool
-	wg     sync.WaitGroup
+	n     int
+	eps   []*tcpEndpoint
+	stats Stats
+	wg    sync.WaitGroup
+	// closeOnce runs the teardown once, for Close and for a read loop that
+	// finds its connection broken.
+	closeOnce sync.Once
 	// stop is closed at the start of Close so read loops blocked on a full
-	// inbox of an already-departed monitor unblock instead of wedging Close.
+	// inbox of an already-departed monitor unblock instead of wedging Close;
+	// it doubles as the "closed" flag (closing).
 	stop chan struct{}
 }
 
@@ -119,23 +139,20 @@ func NewTCPNetwork(n int) (*TCPNetwork, error) {
 	return nw, nil
 }
 
-// readLoop parses frames from one peer: 4-byte big-endian length + payload.
+// readLoop parses frames from one peer. Each payload gets its own buffer: the
+// receiving monitor keeps it.
 func (nw *TCPNetwork) readLoop(ep *tcpEndpoint, from int, conn net.Conn) {
 	defer nw.wg.Done()
-	var hdr [4]byte
+	br := bufio.NewReader(conn)
 	for {
-		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			return // connection closed
-		}
-		size := binary.BigEndian.Uint32(hdr[:])
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		payload, _, err := wire.ReadFrame(br, nil, MaxTCPFrame)
+		if nw.closing() {
 			return
 		}
-		nw.mu.Lock()
-		closed := nw.closed
-		nw.mu.Unlock()
-		if closed {
+		if err != nil {
+			// Not our Close: the link is gone, or its peer is not one of ours.
+			// Close waits for this goroutine, so it runs on its own.
+			go nw.Close()
 			return
 		}
 		select {
@@ -155,27 +172,33 @@ func (nw *TCPNetwork) N() int { return nw.n }
 // Stats returns the network counters.
 func (nw *TCPNetwork) Stats() *Stats { return &nw.stats }
 
-// Close tears all connections down and closes the inboxes.
-func (nw *TCPNetwork) Close() error {
-	nw.mu.Lock()
-	if nw.closed {
-		nw.mu.Unlock()
-		return nil
+// closing reports whether Close has begun.
+func (nw *TCPNetwork) closing() bool {
+	select {
+	case <-nw.stop:
+		return true
+	default:
+		return false
 	}
-	nw.closed = true
-	nw.mu.Unlock()
-	close(nw.stop)
-	for _, ep := range nw.eps {
-		for _, c := range ep.conns {
-			if c != nil {
-				c.Close()
+}
+
+// Close tears all connections down and closes the inboxes. Every call
+// returns only once that is done, whichever call did it.
+func (nw *TCPNetwork) Close() error {
+	nw.closeOnce.Do(func() {
+		close(nw.stop)
+		for _, ep := range nw.eps {
+			for _, c := range ep.conns {
+				if c != nil {
+					c.Close()
+				}
 			}
 		}
-	}
-	nw.wg.Wait()
-	for _, ep := range nw.eps {
-		close(ep.inbox)
-	}
+		nw.wg.Wait()
+		for _, ep := range nw.eps {
+			close(ep.inbox)
+		}
+	})
 	return nil
 }
 
@@ -187,16 +210,15 @@ func (e *tcpEndpoint) Send(to int, payload []byte) error {
 	if to < 0 || to >= e.net.n || to == e.id {
 		return fmt.Errorf("transport: bad destination %d", to)
 	}
-	e.net.mu.Lock()
-	closed := e.net.closed
-	e.net.mu.Unlock()
-	if closed {
+	if e.net.closing() {
 		return errClosed
 	}
+	if len(payload) > MaxTCPFrame {
+		return fmt.Errorf("transport: message of %d bytes exceeds the %d-byte frame bound", len(payload), MaxTCPFrame)
+	}
 	conn := e.conns[to]
-	frame := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(frame, uint32(len(payload)))
-	copy(frame[4:], payload)
+	frame := wire.AppendUvarint(make([]byte, 0, len(payload)+wire.MaxUvarintLen), uint64(len(payload)))
+	frame = append(frame, payload...)
 	e.sendM[to].Lock()
 	_, err := conn.Write(frame)
 	e.sendM[to].Unlock()
