@@ -8,6 +8,7 @@ import (
 
 	"decentmon/internal/central"
 	"decentmon/internal/core"
+	"decentmon/internal/transport/transporttest"
 )
 
 // The cross-engine conformance gauntlet: every engine of the repository —
@@ -435,6 +436,63 @@ func conformLarge(t *testing.T, spec *Spec, ts *TraceSet) *OracleResult {
 		}
 	}
 	return oracle
+}
+
+// TestCodecPathParity runs the -short gauntlet cells once per way a monitor
+// message can travel and demands one verdict set from all of them: handed over
+// in memory (the default in-process network), through the codec on the same
+// network (transporttest.BytesOnly hides the hand-over), and through the codec
+// over loopback sockets. Which path runs is decided by what the endpoint is,
+// so in-process runs no longer exercise encodeMsg/decodeMsg at all; this test
+// is what keeps the two representations interchangeable. The n = 8 cells run
+// finalization-free like the gauntlet's, where '?' depends on which views
+// survive and only the conclusive verdicts are pinned.
+func TestCodecPathParity(t *testing.T) {
+	for _, cell := range gauntletCells(true) {
+		cell := cell
+		t.Run(fmt.Sprintf("%s/n%d/%v", cell.prop, cell.n, cell.topo), func(t *testing.T) {
+			spec := gauntletSpec(t, cell.prop, cell.arity)
+			ts, err := Generate(cell.gen()).WithProps(spec.Props)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opts []Option
+			render := verdictSetString
+			if cell.n > 5 {
+				opts, render = []Option{WithoutFinalization()}, conclusives
+			}
+			handed, err := Run(spec, ts, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := render(handed.Verdicts)
+			tcp, err := NewTCPNetwork(ts.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, nw := range map[string]Network{
+				"bytes-only": transporttest.BytesOnly(NewChanNetwork(ts.N())),
+				"tcp":        tcp,
+			} {
+				res, err := Run(spec, ts, append(opts, WithNetwork(nw))...)
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				if got := render(res.Verdicts); got != want {
+					t.Errorf("%s run: verdicts %q != hand-over run %q", path, got, want)
+				}
+				// The byte counters are the paper's communication overhead: a
+				// handed-over message accounts the bytes it would have been.
+				if res.NetBytes == 0 || handed.NetBytes == 0 {
+					t.Errorf("%s: NetBytes %d, hand-over %d — a path stopped accounting", path, res.NetBytes, handed.NetBytes)
+				}
+			}
+			sess, _ := feedSession(t, spec, ts, append(opts, WithNetwork(transporttest.BytesOnly(NewChanNetwork(ts.N()))))...)
+			if got := render(sess.Verdicts); got != want {
+				t.Errorf("bytes-only session: verdicts %q != hand-over run %q", got, want)
+			}
+		})
+	}
 }
 
 // TestLargeNDecentralizedSlicedCrossCheck lights up the sizes the exact

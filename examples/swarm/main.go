@@ -97,12 +97,14 @@ func fly(props *decentmon.PropMap) *decentmon.TraceSet {
 	}
 	pending := map[int][]beacon{} // destination -> FIFO beacons in flight
 
-	emit := func(d int, e *dist.Event) {
+	// emit completes an event (taken by value: it is still ours to write) and
+	// appends it to its drone's trace; from then on it is read-only.
+	emit := func(d int, e dist.Event) {
 		e.Proc = d
 		e.SN = clocks[d][d]
 		e.VC = clocks[d].Clone()
 		e.Time = float64(len(ts.Traces[d].Events)) // monotone per drone
-		ts.Traces[d].Events = append(ts.Traces[d].Events, e)
+		ts.Traces[d].Events = append(ts.Traces[d].Events, &e)
 	}
 
 	for tick := 1; tick <= ticks; tick++ {
@@ -113,7 +115,7 @@ func fly(props *decentmon.PropMap) *decentmon.TraceSet {
 				pending[d] = q[1:]
 				clocks[d].Tick(d)
 				clocks[d].Merge(b.vc)
-				emit(d, &dist.Event{Type: dist.Recv, Peer: b.from, MsgID: b.id, State: states[d]})
+				emit(d, dist.Event{Type: dist.Recv, Peer: b.from, MsgID: b.id, State: states[d]})
 			}
 			// Position update: recompute separation to the neighbour.
 			sep := math.Abs(pos(d, tick) - pos(neighbour(d), tick))
@@ -123,12 +125,12 @@ func fly(props *decentmon.PropMap) *decentmon.TraceSet {
 			}
 			states[d] = s
 			clocks[d].Tick(d)
-			emit(d, &dist.Event{Type: dist.Internal, State: s})
+			emit(d, dist.Event{Type: dist.Internal, State: s})
 			// Beacon every third tick.
 			if tick%3 == 0 {
 				msgID++
 				clocks[d].Tick(d)
-				emit(d, &dist.Event{Type: dist.Send, Peer: neighbour(d), MsgID: msgID, State: s})
+				emit(d, dist.Event{Type: dist.Send, Peer: neighbour(d), MsgID: msgID, State: s})
 				pending[neighbour(d)] = append(pending[neighbour(d)],
 					beacon{vc: clocks[d].Clone(), id: msgID, from: d})
 			}

@@ -10,6 +10,7 @@ import (
 	"decentmon/internal/analysis/checkers/floormonotone"
 	"decentmon/internal/analysis/checkers/propmask"
 	"decentmon/internal/analysis/checkers/rawvarint"
+	"decentmon/internal/analysis/checkers/sharedevent"
 )
 
 // All returns the full declint suite in stable order.
@@ -21,6 +22,7 @@ func All() []*analysis.Analyzer {
 		floormonotone.Analyzer,
 		propmask.Analyzer,
 		rawvarint.Analyzer,
+		sharedevent.Analyzer,
 	}
 }
 

@@ -8,7 +8,12 @@
 // assignment, Tick/Merge (which mutate their receiver, see
 // internal/vclock/vclock.go), sort, or copy-into — corrupts causal history
 // at a distance. The engine's convention is clone-before-mutate:
-// vclock.Clone, vclock.Max, or append([]T(nil), s...).
+// vclock.Clone, vclock.Max, or append([]T(nil), s...). For an event's clock
+// the distance includes other goroutines: every monitor of a session that
+// knows a fed event holds the same *dist.Event (internal/core/messages.go), so
+// e.VC[i] = x, e.VC.Merge(w) or e.VC.Tick(i) is a cross-monitor data race,
+// not only an aliasing bug (the sharedevent analyzer covers the event's other
+// fields).
 //
 // The analyzer taints, per function: results of Cut()/FinalCut() calls,
 // VC-field selections, and clock-typed parameters (named types VC or
@@ -250,7 +255,7 @@ func borrowed(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]string) 
 		}
 	case *ast.SelectorExpr:
 		if e.Sel.Name == "VC" && isField(pass, e) {
-			return "VC field", true
+			return "VC field: an event and its clock are shared by every monitor that holds the event", true
 		}
 	case *ast.CallExpr:
 		if s, ok := e.Fun.(*ast.SelectorExpr); ok && borrowCallees[s.Sel.Name] {

@@ -81,6 +81,14 @@ func badIncDec(e Event) {
 	e.VC[0]++ // want `in-place element update of aliased clock/cut slice`
 }
 
+// An event reached through a pointer is the shape the engine shares between
+// monitor goroutines: writing its clock is a race, not only an alias bug.
+func badSharedEventClock(e *Event, w VC) {
+	e.VC[0] = 1   // want `in-place element write to aliased clock/cut slice \(VC field: an event and its clock are shared`
+	e.VC.Merge(w) // want `Merge mutates its receiver, which is an aliased clock/cut slice \(VC field`
+	e.VC.Tick(0)  // want `Tick mutates its receiver`
+}
+
 func badVarDecl(e Event) {
 	var v = e.VC
 	v[2] = 9 // want `in-place element write to aliased clock/cut slice`

@@ -10,6 +10,7 @@ import (
 	"decentmon/internal/lattice"
 	"decentmon/internal/ltl"
 	"decentmon/internal/transport"
+	"decentmon/internal/transport/transporttest"
 )
 
 // TestNoFinalizeConclusiveCompleteness checks the heart of the paper's
@@ -153,7 +154,8 @@ func TestDecentralizedOverTCP(t *testing.T) {
 // random-formula adversarial harness: for every generated execution and
 // random property, the sliced oracle must equal the exact DP whenever the
 // formula is ○-free, and the sampling oracle's verdicts must be a subset
-// of the exact set regardless.
+// of the exact set regardless. The decentralized engine runs every trial
+// too, once per message path, and must report the exact set on both.
 func TestAdversarialOracleModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
@@ -171,6 +173,21 @@ func TestAdversarialOracleModes(t *testing.T) {
 		exact, err := lattice.Evaluate(ts, mon)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The engine against the same ground truth on both message paths:
+		// handed over in memory, and through the codec.
+		for path, nw := range map[string]transport.Network{
+			"hand-over": transport.NewChanNetwork(n),
+			"bytes":     transporttest.BytesOnly(transport.NewChanNetwork(n)),
+		} {
+			run, err := Run(RunConfig{Traces: ts, Automaton: mon, Network: nw})
+			if err != nil {
+				t.Fatalf("trial %d (%s), %s: %v", trial, f, path, err)
+			}
+			if setString(run.Verdicts) != setString(exact.VerdictSet()) {
+				t.Errorf("trial %d formula %s, %s: engine %s != exact %s",
+					trial, f, path, setString(run.Verdicts), setString(exact.VerdictSet()))
+			}
 		}
 		if f.HasNext() {
 			if _, err := lattice.EvaluateSliced(ts, mon); err == nil {

@@ -69,18 +69,26 @@ func TestKnowledgePeakBoundedAcrossTraceGrowth(t *testing.T) {
 // all: the session engine's feeder-side backpressure (session.go) throttles
 // the replay to the monitors' round-trip rate, so even a replay that would
 // otherwise outrun every token/fetch exchange keeps its retained knowledge
-// bounded as the trace grows.
+// bounded as the trace grows. It states that as the gate promises it — one
+// ceiling, far below the events fed, that a four times longer trace does not
+// lift — not as a ratio of two peaks: each peak is a race between feeder and
+// monitors (463–1,126 over hundreds of runs, idle and starved of CPU) and a
+// short trace ends before its backlog has built up, so a ratio fails on timing
+// alone. The ceiling is an eighth of the shorter trace; with the gate off the
+// same trace peaks at about half its events (11–15k of 24k).
 func TestKnowledgePeakBoundedUnpaced(t *testing.T) {
-	_, peakSmall, _ := runGC(t, 200, 0)
-	_, peakLarge, collected := runGC(t, 2000, 0)
-	if collected == 0 {
-		t.Fatal("10× run collected no knowledge")
+	const rounds = 2000
+	ceiling := dist.Generate(gcWorkload(rounds)).TotalEvents() / 8
+	for _, k := range []int{1, 4} {
+		_, peak, collected := runGC(t, k*rounds, 0)
+		if collected == 0 {
+			t.Fatalf("%d rounds: no knowledge collected", k*rounds)
+		}
+		if peak > ceiling {
+			t.Errorf("unpaced knowledge peak %d over %d rounds, ceiling %d (an eighth of the %d-round trace)", peak, k*rounds, ceiling, rounds)
+		}
+		t.Logf("unpaced: %d rounds, peak %d, collected %d, ceiling %d", k*rounds, peak, collected, ceiling)
 	}
-	if peakLarge > 2*peakSmall {
-		t.Errorf("unpaced knowledge peak grew with the trace: %d events -> peak %d, %d events -> peak %d",
-			200, peakSmall, 2000, peakLarge)
-	}
-	t.Logf("unpaced peak small=%d large=%d collected=%d", peakSmall, peakLarge, collected)
 }
 
 // TestGCRunMatchesMaterializedVerdicts pins soundness under GC: the

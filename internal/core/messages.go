@@ -7,9 +7,39 @@ import (
 	"decentmon/internal/vclock"
 )
 
-// Monitor-to-monitor messages. All traffic is wireMsg envelopes in the flat
-// varint encoding of wirecodec.go; the payload bytes double as the
-// "monitoring message size" measured by the memory/communication experiments.
+// Monitor-to-monitor messages. All traffic is wireMsg envelopes. Between
+// monitors that share a process the envelope itself is handed over
+// (transport.ValueSender); on a network that leaves the process, and at rest
+// in a snapshot, it is the flat varint encoding of wirecodec.go. Its encoded
+// length is the "monitoring message size" the memory/communication
+// experiments measure, computed by msgSize whether or not the bytes are ever
+// produced.
+//
+// Ownership. A handed-over message is the sender's own value arriving on
+// another goroutine, so what each side may do with it is fixed here, and the
+// byte path (where the receiver gets a private copy) follows the same rules
+// so that nothing depends on which one ran:
+//
+//   - Sending a token transfers it. The token, its transWire records (whose
+//     Gcut, Depend and ConjEval the next holder rewrites in place) and its
+//     segment slices belong to the receiver from the moment of the send; the
+//     sender keeps no reference and never touches it again.
+//   - Everything else reachable from a sent message is immutable from that
+//     moment, for both sides and for good: the envelope, the fetch, reply and
+//     term records, every *dist.Event and its clock, the Floor, and the one
+//     part of a token that is shared rather than transferred, its Origin
+//     (launchSearch keeps the same slice in searchOrigin to pin the GC floor;
+//     both ends only read it). One fed event is therefore one *dist.Event for
+//     every monitor of the session. declint enforces the event half
+//     tree-wide: sharedevent allows no field write through a *dist.Event
+//     outside internal/dist's constructors and decoders, clockalias none into
+//     its clock.
+//   - A field a sender will later change must be replaced whole, never
+//     written through, once a message has carried it: Monitor.curFloor is (see
+//     collectKnowledge), which is what lets deliver publish it as Floor.
+//   - A slice the sender keeps writing to is copied before it is sent:
+//     serveFetch copies the knowledge window's pointer slice, because
+//     knowledge.truncate nils entries in place and grow reallocates.
 
 type msgKind int8
 

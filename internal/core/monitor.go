@@ -151,10 +151,14 @@ const pumpBatch = 32
 type Monitor struct {
 	cfg Config
 	ep  transport.Endpoint
-	mon *automaton.Monitor
-	pm  *dist.PropMap
-	gt  *guardTable
-	lt  *letterTable
+	// hand is ep when the endpoint can deliver a value in memory (its peers
+	// share this process), nil when messages must cross as bytes; deliver asks
+	// nothing else to choose between the two.
+	hand transport.ValueSender
+	mon  *automaton.Monitor
+	pm   *dist.PropMap
+	gt   *guardTable
+	lt   *letterTable
 
 	know *knowledge
 	feed chan feedItem
@@ -306,6 +310,7 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 		m.peerFloor[j] = vclock.New(cfg.N)
 		m.sentFloor[j] = vclock.New(cfg.N)
 	}
+	m.hand, _ = ep.(transport.ValueSender)
 	m.ssScratch = newStateset(cfg.Automaton.NumStates())
 	m.support = boxSupport(cfg)
 	return m, nil
@@ -601,12 +606,18 @@ type pendingFetch struct {
 
 // --- network messages ---
 
+// handleMessage dispatches one peer message, whichever way it travelled: a
+// value handed over by a peer in this process (read-only here, except a token,
+// which is now ours — messages.go), or bytes to decode.
 func (m *Monitor) handleMessage(raw transport.Message) {
 	m.inputSeq++
-	msg, err := decodeMsg(raw.Payload, m.cfg.N)
-	if err != nil {
-		m.fail(err)
-		return
+	msg, handed := raw.Value.(*wireMsg)
+	if !handed {
+		var err error
+		if msg, err = decodeMsg(raw.Payload, m.cfg.N); err != nil {
+			m.fail(err)
+			return
+		}
 	}
 	m.noteFloor(raw.From, msg.Floor)
 	switch msg.Kind {
@@ -789,21 +800,22 @@ func (m *Monitor) integrateBox(box *boxResult, origin stateset, continueAt vcloc
 
 // --- fetches ---
 
+// serveFetch answers a fetch with everything from FromSN to the current
+// history end, not just the requested range: receive bursts then cost one
+// fetch per sender instead of one per causal gap (channels are FIFO, so
+// replies keep the requester's prefix contiguous).
 func (m *Monitor) serveFetch(from int, f *fetchWire) {
 	i := m.cfg.Index
 	if f.ToSN > m.know.len(i) && !m.localDone {
 		m.waitFetches = append(m.waitFetches, pendingFetch{from, f})
 		return
 	}
-	// Reply generously: everything from FromSN to the current history end,
-	// not just the requested range. Receive bursts then cost one fetch per
-	// sender instead of one per causal gap (channels are FIFO, so replies
-	// keep the requester's prefix contiguous).
-	// The reply is encoded straight from the knowledge window: send is
-	// synchronous, so the aliased slice never outlives this call.
+	// The reply carries a copy of the window's pointer slice (messages.go):
+	// the window itself is rewritten by truncate and grow while a handed-over
+	// reply may still be queued at the requester.
 	m.metrics.FetchRepliesSent++
 	m.send(from, &wireMsg{Kind: msgFetchReply, FetchReply: &fetchReplyWire{
-		Proc: i, Events: m.know.from(i, f.FromSN), Done: m.localDone, Total: m.localTotal,
+		Proc: i, Events: append([]*dist.Event(nil), m.know.from(i, f.FromSN)...), Done: m.localDone, Total: m.localTotal,
 	}})
 }
 
@@ -1499,40 +1511,36 @@ func (m *Monitor) announceFloors() {
 
 // --- plumbing ---
 
-func (m *Monitor) send(to int, msg *wireMsg) {
-	// Every decentralized-mode message carries the sender's current
-	// need-floor, so the global minimal cut advances with ordinary protocol
-	// traffic (tokens, fetch replies, termination) at no extra message cost.
-	if m.cfg.Mode == ModeDecentralized && m.curFloor != nil {
-		msg.Floor = m.curFloor
-		m.sentFloor[to] = m.curFloor
-	}
-	payload, err := encodeMsg(msg)
-	if err != nil {
-		m.fail(err)
-		return
-	}
-	m.metrics.MessagesSent++
-	m.outSent.Add(1) // before the transport send: handled can never outrun sent
-	if err := m.ep.Send(to, payload); err != nil {
-		m.fail(err)
-	}
-}
+func (m *Monitor) send(to int, msg *wireMsg) { m.deliver(msg, to, to+1) }
 
-// broadcast encodes msg once and sends the same payload to every peer. The
-// floor piggyback is identical for all recipients (it is set before
-// encoding), and sharing the payload bytes is safe: the transport and the
-// receivers treat payloads as read-only.
-func (m *Monitor) broadcast(msg *wireMsg) {
+// broadcast sends one message to every peer.
+func (m *Monitor) broadcast(msg *wireMsg) { m.deliver(msg, 0, m.cfg.N) }
+
+// deliver is the one way a message leaves the monitor: to every peer in
+// [lo, hi). Every decentralized-mode message carries the sender's current
+// need-floor, so the global minimal cut advances with ordinary protocol
+// traffic (tokens, fetch replies, termination) at no extra message cost.
+// The message is handed over as it is when the endpoint can take it and
+// encoded otherwise — once, whatever the number of recipients: the floor is set
+// before either and is the same for all of them, and neither the envelope nor
+// the payload bytes are written again by anyone (messages.go). Either way
+// the transport accounts the encoded size.
+func (m *Monitor) deliver(msg *wireMsg, lo, hi int) {
 	if m.cfg.Mode == ModeDecentralized && m.curFloor != nil {
 		msg.Floor = m.curFloor
 	}
-	payload, err := encodeMsg(msg)
-	if err != nil {
-		m.fail(err)
-		return
+	var payload []byte
+	size := 0
+	if m.hand != nil {
+		size = msgSize(msg)
+	} else {
+		var err error
+		if payload, err = encodeMsg(msg); err != nil {
+			m.fail(err)
+			return
+		}
 	}
-	for j := 0; j < m.cfg.N; j++ {
+	for j := lo; j < hi; j++ {
 		if j == m.cfg.Index {
 			continue
 		}
@@ -1540,8 +1548,14 @@ func (m *Monitor) broadcast(msg *wireMsg) {
 			m.sentFloor[j] = m.curFloor
 		}
 		m.metrics.MessagesSent++
-		m.outSent.Add(1) // before the transport send (see send)
-		if err := m.ep.Send(j, payload); err != nil {
+		m.outSent.Add(1) // before the transport send: handled can never outrun sent
+		var err error
+		if m.hand != nil {
+			err = m.hand.SendValue(j, msg, size)
+		} else {
+			err = m.ep.Send(j, payload)
+		}
+		if err != nil {
 			m.fail(err)
 			return
 		}

@@ -484,7 +484,9 @@ func (s *Session) checkEvent(e *dist.Event) error {
 // Feed delivers one pre-stamped event to its process's monitor, blocking
 // under backpressure (see SessionConfig.MaxLag) and returning promptly with
 // the context's error if the session is cancelled. Events of one process
-// must arrive in sequence-number order.
+// must arrive in sequence-number order. The event is shared from here on, by
+// pointer, with every monitor that learns of it (messages.go): the session
+// never writes it and the caller must not either.
 func (s *Session) Feed(e *dist.Event) error {
 	if err := s.checkEvent(e); err != nil {
 		return err

@@ -18,6 +18,8 @@ import (
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
 	"decentmon/internal/ltl"
+	"decentmon/internal/transport"
+	"decentmon/internal/transport/transporttest"
 )
 
 // feedPrefix feeds the first want events of the stream (in stream order),
@@ -152,31 +154,43 @@ func TestSnapshotRestoreConformance(t *testing.T) {
 			}
 			want := runToVerdicts(t, base, events, nil)
 
-			for _, cut := range []int{1, len(events) / 4, len(events) / 2, 3 * len(events) / 4} {
-				s, err := NewSession(context.Background(), cfg)
-				if err != nil {
-					t.Fatal(err)
+			// Both message paths: handed over in memory (the default network)
+			// and through the codec (the same network with the hand-over
+			// hidden), each session on a network of its own.
+			for _, path := range []string{"hand-over", "bytes"} {
+				onPath := func() SessionConfig {
+					on := cfg
+					if path == "bytes" {
+						on.Network = transporttest.BytesOnly(transport.NewChanNetwork(on.N))
+					}
+					return on
 				}
-				for _, e := range events[:cut] {
-					if err := s.Feed(e); err != nil {
+				for _, cut := range []int{1, len(events) / 4, len(events) / 2, 3 * len(events) / 4} {
+					s, err := NewSession(context.Background(), onPath())
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				snap, err := s.Snapshot(context.Background())
-				if err != nil {
-					t.Fatalf("snapshot at %d/%d: %v", cut, len(events), err)
-				}
-				if _, err := s.Close(); err != nil { // the "kill": this run is discarded
-					t.Fatal(err)
-				}
-				r, err := RestoreSession(context.Background(), cfg, snap)
-				if err != nil {
-					t.Fatalf("restore at %d/%d: %v", cut, len(events), err)
-				}
-				got := runToVerdicts(t, r, events, r.Fed())
-				if setString(got) != setString(want) {
-					t.Errorf("killed at %d/%d: verdicts %s != uninterrupted %s",
-						cut, len(events), setString(got), setString(want))
+					for _, e := range events[:cut] {
+						if err := s.Feed(e); err != nil {
+							t.Fatal(err)
+						}
+					}
+					snap, err := s.Snapshot(context.Background())
+					if err != nil {
+						t.Fatalf("%s: snapshot at %d/%d: %v", path, cut, len(events), err)
+					}
+					if _, err := s.Close(); err != nil { // the "kill": this run is discarded
+						t.Fatal(err)
+					}
+					r, err := RestoreSession(context.Background(), onPath(), snap)
+					if err != nil {
+						t.Fatalf("%s: restore at %d/%d: %v", path, cut, len(events), err)
+					}
+					got := runToVerdicts(t, r, events, r.Fed())
+					if setString(got) != setString(want) {
+						t.Errorf("%s: killed at %d/%d: verdicts %s != uninterrupted %s",
+							path, cut, len(events), setString(got), setString(want))
+					}
 				}
 			}
 		})

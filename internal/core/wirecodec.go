@@ -2,30 +2,34 @@ package core
 
 // Codec for monitor-to-monitor messages.
 //
-// Every wireMsg crosses the transport as one flat record on the shared wire
-// kernel (internal/wire): unsigned fields are uvarints, fields that can be
-// negative (the token routing targets) are zigzag varints, clocks are
-// count-prefixed, and events are the tree's one event record
-// (dist.AppendEventRecord). The same helpers lay out the parked tokens and
-// knowledge windows of a snapshot (snapshot.go). No reflection, and with the
-// pooled encode scratch below the send side costs one right-sized payload
-// allocation per message.
+// A wireMsg that leaves the process (a transport without ValueSender: TCP),
+// and every token and knowledge window at rest in a snapshot, is one flat
+// record on the shared wire kernel (internal/wire): unsigned fields are
+// uvarints, fields that can be negative (the token routing targets) are zigzag
+// varints, clocks are count-prefixed, and events are the tree's one event
+// record (dist.AppendEventRecord). Between monitors of one process the message
+// is handed over as it is and none of this runs except msgSize, which prices
+// the record encodeMsg would have produced so the byte counters read the same
+// on either path. No reflection, and with the pooled encode scratch below the
+// send side costs one right-sized payload allocation per message.
 //
-// Lifetime argument. Only the *encode scratch* is pooled, and it never
-// escapes encodeMsg: the payload handed to transport.Endpoint.Send is a fresh
-// copy (the transport retains it until delivery, possibly forever on a dead
-// inbox, so it must own its bytes). Nothing decoded is pooled or reused:
-// decoded values outlive the handler (tokens are parked in w_tokens, events
-// live on in the knowledge store). What decode shares is storage *within* an
-// event segment (a fetch reply, a token's Segs entry, a snapshot window):
-// each run of up to slabEvents events is one []dist.Event slab and their
-// clocks one []int slab. A slab is freed when the last event of its run is
-// collected, which delays little: a run is contiguous events of one process,
-// the knowledge store holds each process as one contiguous window, and
-// knowledge.truncate only ever drops a prefix of it — so a slab's events
-// leave in order and the slab dies whole, at most slabEvents-1 events after
-// its first event would have alone. Events the store already had are never
-// retained; those sharing a slab with new events live as long as it does.
+// Lifetime argument (the byte path: TCP, tokens at rest, restore). Only the
+// *encode scratch* is pooled, and it never escapes encodeMsg: the payload
+// handed to transport.Endpoint.Send is a fresh copy (the transport retains it
+// until delivery, possibly forever on a dead inbox, so it must own its bytes).
+// Nothing decoded is pooled or reused: decoded values outlive the handler
+// (tokens are parked in w_tokens, events live on in the knowledge store). What
+// decode shares is storage *within* an event segment (a fetch reply, a token's
+// Segs entry, a snapshot window): each run of up to slabEvents events is one
+// []dist.Event slab and their clocks one []int slab. A slab is freed when the
+// last event of its run is collected, which delays little: a run is contiguous
+// events of one process, the knowledge store holds each process as one
+// contiguous window, and knowledge.truncate only ever drops a prefix of it —
+// so a slab's events leave in order and the slab dies whole, at most
+// slabEvents-1 events after its first event would have alone. Events the store
+// already had are never retained; those sharing a slab with new events live as
+// long as it does. (Handed-over events are the feeder's own allocations, one
+// per event, shared by every monitor that learns of them; no slab is involved.)
 
 import (
 	"fmt"
@@ -74,6 +78,31 @@ func encodeMsg(m *wireMsg) ([]byte, error) {
 	*bp = b
 	encPool.Put(bp)
 	return out, err
+}
+
+// msgSize returns len(encodeMsg(m)) for every message encodeMsg accepts,
+// without producing the bytes: it walks the message exactly as the encoder
+// does and adds up field widths. It is what a handed-over message reports to
+// transport.Stats, so NetBytes — the paper's communication overhead — does not
+// depend on whether the codec ran (TestMsgSizeMatchesEncoding, FuzzDecodeMsg).
+func msgSize(m *wireMsg) int {
+	n := 1 + wire.ClockLen(m.Floor)
+	switch m.Kind {
+	case msgToken:
+		n += tokenSize(m.Token)
+	case msgFetch:
+		n += wire.IntsLen(m.Fetch.Requester, m.Fetch.FromSN, m.Fetch.ToSN)
+	case msgFetchReply:
+		r := m.FetchReply
+		n += 1 + wire.IntsLen(r.Proc, r.Total) + eventsSize(r.Events)
+	case msgTerm:
+		n += wire.IntsLen(m.Term.Proc, m.Term.Total)
+	case msgFini:
+		n += wire.IntsLen(m.Fini)
+	case msgEvent:
+		n += dist.EventRecordSize(m.Event)
+	}
+	return n
 }
 
 // decodeMsg parses one message of an n-monitor fleet: the event record
@@ -139,12 +168,24 @@ func appendEvents(b []byte, evs []*dist.Event) []byte {
 	return b
 }
 
-// slabEvents caps the events sharing one slab. Fetch replies overlap (a second
-// fetch to a peer leaves before the first reply lands, from the same sequence
-// number), so a third of the events decoded on a stream are already known and
-// dropped by merge; a segment-long slab pins that dead prefix until its live
-// tail is collected (dlmond: +7% peak RSS, -8% events/s against no slabs).
-// At 32 a slab is a small object and the waste under one slab per reply.
+// eventsSize is appendEvents' share of msgSize.
+func eventsSize(evs []*dist.Event) int {
+	n := wire.UvarintLen(uint64(len(evs)))
+	for _, e := range evs {
+		n += dist.EventRecordSize(e)
+	}
+	return n
+}
+
+// slabEvents caps the events sharing one slab. A decoded segment overlaps what
+// the store already holds — a returning token re-carries events its parent has
+// learnt meanwhile, and on multi-view properties merge drops most of what a
+// token brings back — and a segment-long slab pins that dead part until its
+// live tail is collected (dlmond, when measured: +7% peak RSS, -8% events/s
+// against no slabs). At 32 a slab is a small object and the waste under one
+// slab per segment. (Fetch replies hardly overlap: a second fetch to a peer
+// leaves only for a wider range than the one in flight, and on the benchmark's
+// stream execution merge drops not one fetched event.)
 const slabEvents = 32
 
 // decodeEvents decodes one segment of n-wide events, its events into slabs of
@@ -198,6 +239,22 @@ func appendToken(b []byte, t *tokenWire) []byte {
 		b = appendEvents(wire.AppendInts(b, s.Proc), s.Events)
 	}
 	return b
+}
+
+// tokenSize is appendToken's share of msgSize.
+func tokenSize(t *tokenWire) int {
+	n := wire.IntsLen(t.Parent, t.Q) + wire.UvarintLen(uint64(t.SearchID)) + wire.ClockLen(t.Origin) +
+		wire.VarintLen(int64(t.NextTargetProcess)) + wire.UvarintLen(uint64(len(t.Trans)))
+	for _, tr := range t.Trans {
+		n += wire.IntsLen(tr.ID) + wire.ClockLen(tr.Gcut) + wire.ClockLen(tr.Depend) +
+			wire.UvarintLen(uint64(len(tr.ConjEval))) + len(tr.ConjEval) + 1 +
+			wire.VarintLen(int64(tr.NextTargetProcess)) + wire.VarintLen(int64(tr.NextTargetEvent))
+	}
+	n += wire.UvarintLen(uint64(len(t.Segs)))
+	for _, s := range t.Segs {
+		n += wire.IntsLen(s.Proc) + eventsSize(s.Events)
+	}
+	return n
 }
 
 func decodeToken(c *wire.Cursor, n int) *tokenWire {

@@ -35,6 +35,44 @@ func wireSeedMsgs() []*wireMsg {
 	}
 }
 
+// TestMsgSizeMatchesEncoding pins the arithmetic size a handed-over message
+// reports to transport.Stats to the bytes the codec would have produced, for
+// every kind and for fields wide enough to leave the one-byte varint range —
+// NetBytes is the paper's communication overhead and must not depend on which
+// path a message took.
+func TestMsgSizeMatchesEncoding(t *testing.T) {
+	msgs := wireSeedMsgs()
+	wide := dist.Generate(dist.GenConfig{N: 3, InternalPerProc: 200, CommMu: 2, Seed: 9})
+	last := wide.Traces[2].Events
+	msgs = append(msgs,
+		&wireMsg{Kind: msgFetchReply, Floor: vclock.VC{300, 1 << 20, floorInf}, FetchReply: &fetchReplyWire{Proc: 2, Events: last, Total: 1 << 15}},
+		&wireMsg{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 1}},
+		&wireMsg{Kind: msgFetch, Fetch: &fetchWire{Requester: 130, FromSN: 1 << 14, ToSN: 1 << 28}},
+		&wireMsg{Kind: msgTerm, Term: &termWire{Proc: 200, Total: 1 << 21}},
+		&wireMsg{Kind: msgFini, Fini: 128},
+		&wireMsg{Kind: msgEvent, Floor: vclock.VC{1, 2, 3}, Event: last[len(last)-1]},
+		&wireMsg{Kind: msgToken, Token: &tokenWire{
+			Parent: 2, SearchID: 2<<32 | 1<<20, Q: 300, Origin: vclock.VC{150, 0, 1 << 16},
+			NextTargetProcess: -1,
+			Trans: []*transWire{
+				{ID: 129, Gcut: vclock.VC{150, 7, 1 << 16}, Depend: vclock.VC{128, 0, 0}, ConjEval: make([]evalState, 3), Eval: evalTrue, NextTargetProcess: 2, NextTargetEvent: 1 << 16},
+				{ID: 0, Eval: evalFalse, NextTargetProcess: -70, NextTargetEvent: -1},
+			},
+			Segs: []*segment{{Proc: 2, Events: last[100:]}, {Proc: 0, Events: wide.Traces[0].Events[:1]}},
+		}},
+		&wireMsg{Kind: msgToken, Token: &tokenWire{}},
+	)
+	for _, m := range msgs {
+		payload, err := encodeMsg(m)
+		if err != nil {
+			t.Fatalf("%v: %v", m.Kind, err)
+		}
+		if got := msgSize(m); got != len(payload) {
+			t.Errorf("%v: msgSize = %d, encodeMsg wrote %d bytes", m.Kind, got, len(payload))
+		}
+	}
+}
+
 // decodeAllocBytes decodes payload and reports the bytes the call allocated.
 func decodeAllocBytes(payload []byte) (*wireMsg, error, uint64) {
 	var before, after runtime.MemStats
@@ -77,6 +115,14 @@ func FuzzDecodeMsg(f *testing.F) {
 		first, err := encodeMsg(m)
 		if err != nil {
 			t.Fatalf("re-encoding an accepted message: %v", err)
+		}
+		// Every value has one encoding, so an accepted payload re-encodes to
+		// itself and its decoded message must size to exactly its length.
+		if !bytes.Equal(first, data) {
+			t.Fatalf("accepted payload does not re-encode to itself:\n%x\n%x", data, first)
+		}
+		if got := msgSize(m); got != len(data) {
+			t.Fatalf("msgSize = %d for an accepted %d-byte payload %x", got, len(data), data)
 		}
 		m2, err := decodeMsg(first, 2)
 		if err != nil {

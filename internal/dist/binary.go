@@ -108,6 +108,13 @@ func AppendEventRecord(buf []byte, e *Event) ([]byte, error) {
 	return wire.AppendInts(buf, e.VC...), nil
 }
 
+// EventRecordSize returns len(AppendEventRecord(nil, e)) for an event the
+// encoder accepts, without encoding it: the kind byte and the two fixed-width
+// fields are 13 bytes, the rest are varints.
+func EventRecordSize(e *Event) int {
+	return 13 + wire.IntsLen(e.Proc, e.MsgID) + wire.VarintLen(int64(e.Peer)) + wire.IntsLen(e.VC...)
+}
+
 // DecodeEventInto reads one event record off c into e, for a space of len(vc)
 // processes, with vc as the clock's storage: DecodeEventRecord passes fresh
 // storage, a segment decoder a slice of its slab. An unknown kind or a process

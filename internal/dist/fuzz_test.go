@@ -175,6 +175,9 @@ func FuzzDecodeRPC(f *testing.F) {
 			if rec, err := AppendEventRecord(nil, e); err != nil || !bytes.Equal(rec, m.Raw) {
 				t.Fatalf("event record does not re-encode to itself (%v):\n in  %x\n out %x", err, m.Raw, rec)
 			}
+			if got := EventRecordSize(e); got != len(m.Raw) {
+				t.Fatalf("EventRecordSize = %d for a %d-byte record %x", got, len(m.Raw), m.Raw)
+			}
 		}
 	})
 }

@@ -214,3 +214,25 @@ func TestRPCFrameBound(t *testing.T) {
 		t.Fatalf("oversized frame length accepted: %v", err)
 	}
 }
+
+// TestEventRecordSize pins the arithmetic size to the encoder, over a
+// generated execution (sends, receives, internal events with peer -1) and
+// fields wide enough to cross every varint length boundary that can occur.
+func TestEventRecordSize(t *testing.T) {
+	events := []*Event{
+		{Proc: 0, SN: 1, Peer: -1, VC: vclock.VC{1}},
+		{Proc: 200, SN: 1 << 21, Type: Recv, Peer: 1 << 14, MsgID: 1 << 35, State: 0xffffffff, Time: 1e9, VC: vclock.VC{1 << 21, 127, 128, 0}},
+	}
+	for _, tr := range Generate(GenConfig{N: 4, InternalPerProc: 6, CommMu: 2, Seed: 5}).Traces {
+		events = append(events, tr.Events...)
+	}
+	for _, e := range events {
+		rec, err := AppendEventRecord(nil, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := EventRecordSize(e); got != len(rec) {
+			t.Errorf("EventRecordSize(%+v) = %d, the record is %d bytes", e, got, len(rec))
+		}
+	}
+}

@@ -23,8 +23,9 @@ func WithLatency(mu, sigma time.Duration, seed int64) ChanOption {
 	}
 }
 
-// ChanNetwork is the in-memory Network used by tests, benchmarks and the
-// experiment harness.
+// ChanNetwork is the in-memory Network: the default of every Session, and so
+// of dlmond, the benchmarks and the experiment harness. Its endpoints are
+// ValueSenders.
 //
 // Queue topology is sharded by configuration. Without latency, each
 // *destination* has one FIFO queue drained by one goroutine (n drainers
@@ -44,11 +45,10 @@ type ChanNetwork struct {
 	queues     map[[2]int]*unboundedQueue
 	stats      Stats
 	wg         sync.WaitGroup
-	mu         sync.Mutex
-	closed     bool
-	// stop is closed at the start of Close so drain goroutines blocked on a
-	// full inbox of an already-departed monitor (e.g. after a session's
-	// context was cancelled) unblock instead of wedging Close forever.
+	closeOnce  sync.Once
+	// stop is closed by Close so drain goroutines blocked on a full inbox of
+	// an already-departed monitor (e.g. after a session's context was
+	// cancelled) unblock instead of wedging Close forever.
 	stop chan struct{}
 }
 
@@ -58,15 +58,22 @@ type chanEndpoint struct {
 	inbox chan Message
 }
 
+// inboxSlots sizes an endpoint's inbox for the hand-off from its drain
+// goroutine to its monitor, not for capacity: the unbounded queue behind it is
+// what makes Send non-blocking, so the channel only has to let the drainer run
+// a pump round (core.pumpBatch messages) ahead of the reader. A deep channel
+// buys nothing and is zeroed memory every session pays for per endpoint.
+const inboxSlots = 32
+
 // NewChanNetwork creates an in-memory network of n endpoints.
 func NewChanNetwork(n int, opts ...ChanOption) *ChanNetwork {
 	cfg := chanConfig{}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	nw := &ChanNetwork{n: n, stop: make(chan struct{})}
+	nw := &ChanNetwork{n: n, stats: newStats(n), stop: make(chan struct{})}
 	for i := 0; i < n; i++ {
-		nw.eps = append(nw.eps, &chanEndpoint{id: i, net: nw, inbox: make(chan Message, 1024)})
+		nw.eps = append(nw.eps, &chanEndpoint{id: i, net: nw, inbox: make(chan Message, inboxSlots)})
 	}
 	if cfg.latencyMu <= 0 {
 		nw.destQueues = make([]*unboundedQueue, n)
@@ -139,24 +146,21 @@ func (nw *ChanNetwork) Stats() *Stats { return &nw.stats }
 // already exited (normal termination, or a cancelled session) no longer
 // drain their inboxes, and Close must not block on them.
 func (nw *ChanNetwork) Close() error {
-	nw.mu.Lock()
-	if nw.closed {
-		nw.mu.Unlock()
-		return nil
-	}
-	nw.closed = true
-	nw.mu.Unlock()
-	for _, q := range nw.queues {
-		q.close()
-	}
-	for _, q := range nw.destQueues {
-		q.close()
-	}
-	close(nw.stop)
-	nw.wg.Wait()
-	for _, ep := range nw.eps {
-		close(ep.inbox)
-	}
+	nw.closeOnce.Do(func() {
+		// A closed queue refuses every further push, which is how Send learns
+		// the network is gone.
+		for _, q := range nw.queues {
+			q.close()
+		}
+		for _, q := range nw.destQueues {
+			q.close()
+		}
+		close(nw.stop)
+		nw.wg.Wait()
+		for _, ep := range nw.eps {
+			close(ep.inbox)
+		}
+	})
 	return nil
 }
 
@@ -165,17 +169,24 @@ func (e *chanEndpoint) ID() int { return e.id }
 func (e *chanEndpoint) Inbox() <-chan Message { return e.inbox }
 
 func (e *chanEndpoint) Send(to int, payload []byte) error {
+	return e.enqueue(Message{From: e.id, To: to, Payload: payload}, len(payload))
+}
+
+// SendValue implements ValueSender: both ends of a ChanNetwork are goroutines
+// of one process, so v reaches the peer's inbox as it is.
+func (e *chanEndpoint) SendValue(to int, v any, size int) error {
+	return e.enqueue(Message{From: e.id, To: to, Value: v}, size)
+}
+
+// enqueue is the one send path: validate the destination, push onto its
+// queue, account size bytes.
+func (e *chanEndpoint) enqueue(msg Message, size int) error {
+	to := msg.To
 	if to < 0 || to >= e.net.n {
 		return fmt.Errorf("transport: endpoint %d does not exist", to)
 	}
 	if to == e.id {
 		return fmt.Errorf("transport: endpoint %d sending to itself", to)
-	}
-	e.net.mu.Lock()
-	closed := e.net.closed
-	e.net.mu.Unlock()
-	if closed {
-		return errClosed
 	}
 	var q *unboundedQueue
 	if e.net.destQueues != nil {
@@ -183,10 +194,9 @@ func (e *chanEndpoint) Send(to int, payload []byte) error {
 	} else {
 		q = e.net.queues[[2]int{e.id, to}]
 	}
-	msg := Message{From: e.id, To: to, Payload: payload}
 	if !q.push(msg) {
 		return errClosed
 	}
-	e.net.stats.record(e.id, to, len(payload))
+	e.net.stats.record(e.id, to, size)
 	return nil
 }

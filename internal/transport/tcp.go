@@ -60,7 +60,7 @@ type tcpEndpoint struct {
 // NewTCPNetwork builds a fully connected loopback network of n endpoints on
 // ephemeral ports.
 func NewTCPNetwork(n int) (*TCPNetwork, error) {
-	nw := &TCPNetwork{n: n, stop: make(chan struct{})}
+	nw := &TCPNetwork{n: n, stats: newStats(n), stop: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		nw.eps = append(nw.eps, &tcpEndpoint{
 			id:    i,

@@ -4,10 +4,13 @@
 // network connecting the paper's iOS devices.
 //
 // Two implementations are provided: an in-memory network with optional
-// normally-distributed latency (deterministic per-pair FIFO, used by tests,
-// benchmarks and the experiment harness), and a TCP loopback network built
-// on the net package (used by the tcp example to run monitors over real
-// sockets).
+// normally-distributed latency (deterministic per-pair FIFO; what every
+// Session, dlmond and the benchmarks run on), and a TCP loopback network
+// built on the net package (used by the tcp example to run monitors over real
+// sockets). Every endpoint carries byte payloads; the in-memory endpoints,
+// whose two ends share an address space, can also deliver a value as it is
+// (ValueSender), which spares the monitors an encode and a decode per message
+// without changing what Stats reports.
 package transport
 
 import (
@@ -16,10 +19,14 @@ import (
 	"sync/atomic"
 )
 
-// Message is an opaque monitor-to-monitor payload.
+// Message is one monitor-to-monitor message as its receiver sees it: the
+// payload bytes an Endpoint.Send was given or, on a network that hands values
+// over in memory (ValueSender), the value itself. Exactly one of the two is
+// set.
 type Message struct {
 	From, To int
 	Payload  []byte
+	Value    any
 }
 
 // Endpoint is one monitor's attachment to the network.
@@ -33,6 +40,20 @@ type Endpoint interface {
 	// Inbox delivers incoming messages in per-sender FIFO order. The
 	// channel is closed when the network shuts down.
 	Inbox() <-chan Message
+}
+
+// ValueSender is implemented by the endpoints of a network whose two ends
+// share an address space, and by no other: whether a message can skip its
+// byte encoding is a fact about where the peer lives, which the endpoint
+// knows and no caller configures. SendValue delivers v itself, as
+// Message.Value, under Send's ordering and error contract; size is what v
+// would have weighed encoded, and is what Stats.Bytes accounts for it, so the
+// communication-overhead counters read the same on either path. The receiver
+// gets the very value the sender holds: what either side may still do with it
+// is for the two of them to agree (internal/core/messages.go states it for
+// monitor messages).
+type ValueSender interface {
+	SendValue(to int, v any, size int) error
 }
 
 // Network is a closed group of n endpoints.
@@ -52,29 +73,34 @@ type Network interface {
 type Stats struct {
 	messages atomic.Int64
 	bytes    atomic.Int64
-	perPair  sync.Map // [2]int -> *atomic.Int64
+	n        int
+	perPair  []atomic.Int64 // perPair[from*n+to], sized once by the network
 }
 
-func (s *Stats) record(from, to, n int) {
+// newStats returns the counters of an n-endpoint network.
+func newStats(n int) Stats { return Stats{n: n, perPair: make([]atomic.Int64, n*n)} }
+
+// record counts one message of size bytes; the network has already checked
+// that both ends exist.
+func (s *Stats) record(from, to, size int) {
 	s.messages.Add(1)
-	s.bytes.Add(int64(n))
-	key := [2]int{from, to}
-	v, _ := s.perPair.LoadOrStore(key, new(atomic.Int64))
-	v.(*atomic.Int64).Add(1)
+	s.bytes.Add(int64(size))
+	s.perPair[from*s.n+to].Add(1)
 }
 
 // Messages returns the total number of messages sent.
 func (s *Stats) Messages() int64 { return s.messages.Load() }
 
-// Bytes returns the total payload bytes sent.
+// Bytes returns the total payload bytes sent; a message handed over as a
+// value counts the size its sender declared (ValueSender).
 func (s *Stats) Bytes() int64 { return s.bytes.Load() }
 
 // Pair returns the number of messages sent from one endpoint to another.
 func (s *Stats) Pair(from, to int) int64 {
-	if v, ok := s.perPair.Load([2]int{from, to}); ok {
-		return v.(*atomic.Int64).Load()
+	if from < 0 || from >= s.n || to < 0 || to >= s.n {
+		return 0
 	}
-	return 0
+	return s.perPair[from*s.n+to].Load()
 }
 
 // errClosed is returned by Send after Close.
@@ -82,11 +108,16 @@ var errClosed = fmt.Errorf("transport: network closed")
 
 // unboundedQueue is a FIFO of messages with non-blocking enqueue, used to
 // guarantee that monitors can never deadlock on a full channel: the paper's
-// channel model has unbounded capacity.
+// channel model has unbounded capacity. Popped slots are cleared and the
+// backing array is reused — from the start whenever the queue runs empty,
+// which with a reader that keeps up is after nearly every message, and by
+// sliding the backlog down when it does not — so steady state allocates
+// nothing.
 type unboundedQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []Message
+	head   int // items[:head] have been popped
 	closed bool
 }
 
@@ -102,6 +133,14 @@ func (q *unboundedQueue) push(m Message) bool {
 	if q.closed {
 		return false
 	}
+	if len(q.items) == cap(q.items) && q.head >= len(q.items)/2 && q.head > 0 {
+		// A reader that lags without ever draining the queue: slide the live
+		// half down instead of growing around a dead prefix (at most one copy
+		// per head pops, so enqueue stays amortized O(1)).
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
 	q.items = append(q.items, m)
 	q.cond.Signal()
 	return true
@@ -111,14 +150,18 @@ func (q *unboundedQueue) push(m Message) bool {
 func (q *unboundedQueue) pop() (Message, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return Message{}, false
 	}
-	m := q.items[0]
-	q.items = q.items[1:]
+	m := q.items[q.head]
+	q.items[q.head] = Message{} // the queue no longer keeps the payload alive
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 	return m, true
 }
 

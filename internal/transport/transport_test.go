@@ -177,6 +177,114 @@ func TestStatsBytes(t *testing.T) {
 	}
 }
 
+// TestSendValue: a ChanNetwork endpoint hands a value over as it is — the
+// receiver sees the sender's own pointer, in FIFO order with Send on the same
+// pair, accounted at the size the sender declared — with and without latency;
+// a TCP endpoint, whose peer could be anywhere, offers no such thing.
+func TestSendValue(t *testing.T) {
+	type envelope struct{ seq int }
+	for name, nw := range map[string]*ChanNetwork{
+		"direct":  NewChanNetwork(3),
+		"latency": NewChanNetwork(3, WithLatency(100*time.Microsecond, 30*time.Microsecond, 5)),
+	} {
+		from, ok := nw.Endpoint(0).(ValueSender)
+		if !ok {
+			t.Fatalf("%s: a ChanNetwork endpoint is not a ValueSender", name)
+		}
+		sent := []*envelope{{0}, {1}, {2}}
+		for i, v := range sent {
+			if err := from.SendValue(2, v, 100+i); err != nil {
+				t.Fatal(err)
+			}
+			if err := nw.Endpoint(0).Send(2, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, v := range sent {
+			m := <-nw.Endpoint(2).Inbox()
+			if m.From != 0 || m.To != 2 || m.Payload != nil || m.Value != any(v) {
+				t.Errorf("%s: value %d arrived as %+v", name, i, m)
+			}
+			if m = <-nw.Endpoint(2).Inbox(); m.Value != nil || len(m.Payload) != 1 || m.Payload[0] != byte(i) {
+				t.Errorf("%s: payload %d arrived as %+v", name, i, m)
+			}
+		}
+		st := nw.Stats()
+		if st.Messages() != 6 || st.Bytes() != 100+101+102+3 || st.Pair(0, 2) != 6 || st.Pair(2, 0) != 0 || st.Pair(0, 1) != 0 || st.Pair(0, 3) != 0 || st.Pair(-1, 0) != 0 {
+			t.Errorf("%s: stats %d messages, %d bytes, pair(0,2) = %d", name, st.Messages(), st.Bytes(), st.Pair(0, 2))
+		}
+		if err := from.SendValue(0, sent[0], 1); err == nil {
+			t.Errorf("%s: a value sent to oneself was accepted", name)
+		}
+		if err := from.SendValue(3, sent[0], 1); err == nil {
+			t.Errorf("%s: a value sent to endpoint 3 of 3 was accepted", name)
+		}
+		nw.Close()
+		if err := from.SendValue(1, sent[0], 1); err == nil {
+			t.Errorf("%s: a value sent after Close was accepted", name)
+		}
+	}
+	tcp, err := NewTCPNetwork(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	if _, ok := tcp.Endpoint(0).(ValueSender); ok {
+		t.Error("a TCP endpoint claims it can hand values over")
+	}
+}
+
+// TestSendAllocatesNothing: a warmed send through an idle ChanNetwork — queue,
+// drainer, inbox, counters — allocates nothing: the per-pair counters are
+// sized at construction and the queue reuses its backing array.
+func TestSendAllocatesNothing(t *testing.T) {
+	nw := NewChanNetwork(2)
+	defer nw.Close()
+	from, to := nw.Endpoint(0), nw.Endpoint(1)
+	payload := make([]byte, 64)
+	roundTrip := func() {
+		if err := from.Send(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		<-to.Inbox()
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 0 {
+		t.Errorf("a send through an idle network allocates %.1f objects", allocs)
+	}
+}
+
+// TestUnboundedQueueBacklog drives the queue the way a lagging reader does —
+// never empty, popped from the front while it grows at the back — across
+// enough rounds for the backing array to be slid down and regrown many times:
+// order holds and nothing is lost or repeated.
+func TestUnboundedQueueBacklog(t *testing.T) {
+	q := newUnboundedQueue()
+	next, want := 0, 0
+	for round := 0; round < 400; round++ {
+		for k := 0; k < 3+round%5; k++ {
+			q.push(Message{To: next})
+			next++
+		}
+		for k := 0; k < 2+round%4 && want < next-1; k++ {
+			m, ok := q.pop()
+			if !ok || m.To != want {
+				t.Fatalf("round %d: popped %d (%v), want %d", round, m.To, ok, want)
+			}
+			want++
+		}
+	}
+	q.close()
+	for ; want < next; want++ {
+		if m, ok := q.pop(); !ok || m.To != want {
+			t.Fatalf("draining after close: popped %d (%v), want %d", m.To, ok, want)
+		}
+	}
+	if _, ok := q.pop(); ok {
+		t.Error("pop after close+drain should fail")
+	}
+}
+
 func TestUnboundedQueue(t *testing.T) {
 	q := newUnboundedQueue()
 	for i := 0; i < 10; i++ {

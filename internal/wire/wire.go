@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 )
 
 // MaxUvarintLen is the longest a uvarint gets: scratch of this size holds any
@@ -69,6 +70,32 @@ func AppendFloat64LE(b []byte, v float64) []byte {
 func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
+
+// --- size side ---
+//
+// What the append functions above would write, without writing it: a sender
+// that hands a value over in memory still accounts the bytes it saved.
+
+// UvarintLen returns len(AppendUvarint(nil, v)): ⌈bits/7⌉, at least 1, as
+// (9·bits+64)/64 — exact for every width up to 64 and a shift where the
+// division would be a multiply (this runs once per clock component of every
+// event a message carries).
+func UvarintLen(v uint64) int { return (bits.Len64(v|1)*9 + 64) >> 6 }
+
+// VarintLen returns len(AppendVarint(nil, v)).
+func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
+// IntsLen returns len(AppendInts(nil, vs...)).
+func IntsLen(vs ...int) int {
+	n := 0
+	for _, v := range vs {
+		n += UvarintLen(uint64(v))
+	}
+	return n
+}
+
+// ClockLen returns len(AppendClock(nil, v)).
+func ClockLen(v []int) int { return UvarintLen(uint64(len(v))) + IntsLen(v...) }
 
 // --- read side ---
 

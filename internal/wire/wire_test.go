@@ -120,6 +120,29 @@ func TestAppendCursorRoundTrip(t *testing.T) {
 	}
 }
 
+func TestLenMatchesAppend(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, u := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			if got, want := UvarintLen(u), len(AppendUvarint(nil, u)); got != want {
+				t.Errorf("UvarintLen(%d) = %d, AppendUvarint writes %d", u, got, want)
+			}
+			for _, v := range []int64{int64(u), -int64(u)} {
+				if got, want := VarintLen(v), len(AppendVarint(nil, v)); got != want {
+					t.Errorf("VarintLen(%d) = %d, AppendVarint writes %d", v, got, want)
+				}
+			}
+		}
+	}
+	for _, clock := range [][]int{nil, {}, {0}, {127, 128, 1 << 40}, make([]int, 200)} {
+		if got, want := ClockLen(clock), len(AppendClock(nil, clock)); got != want {
+			t.Errorf("ClockLen(%v) = %d, AppendClock writes %d", clock, got, want)
+		}
+		if got, want := IntsLen(clock...), len(AppendInts(nil, clock...)); got != want {
+			t.Errorf("IntsLen(%v) = %d, AppendInts writes %d", clock, got, want)
+		}
+	}
+}
+
 func TestReadFrame(t *testing.T) {
 	stream := append(AppendString(nil, "alpha"), AppendString(nil, "")...)
 	stream = append(stream, AppendString(nil, strings.Repeat("x", 300))...)

@@ -167,7 +167,10 @@ func (s *Session) now() float64 { return time.Since(s.start).Seconds() }
 // guarantee this by construction; timestamp-ordered replays satisfy it).
 // Feed blocks under backpressure and returns promptly on cancellation.
 // With WithValidation, events violating the session's causal contract are
-// rejected here, before they reach the engine.
+// rejected here, before they reach the engine. The session keeps the pointer
+// — every monitor that learns of the event reads this very struct — so the
+// event and its clock must not be modified once fed; feeding one event to
+// several sessions is fine, none of them writes it.
 func (s *Session) Feed(e *Event) error {
 	if err := s.validate(e); err != nil {
 		return err
