@@ -729,36 +729,3 @@ func BenchmarkStreamedDecentralizedRun(b *testing.B) {
 	b.ReportMetric(float64(peak), "know-peak")
 	b.ReportMetric(float64(collected), "know-collected")
 }
-
-// BenchmarkAugmentedTimeOracle measures the §7.2.1 future-work extension:
-// how much ε-synchronized physical clocks shrink the exploration relative to
-// the pure causal lattice (ε = ∞).
-func BenchmarkAugmentedTimeOracle(b *testing.B) {
-	ts := dist.Generate(dist.GenConfig{
-		N: 4, InternalPerProc: 8, CommMu: 6, CommSigma: 1, PlantGoal: true, Seed: 1,
-	})
-	mon, err := props.Build("B", 4, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cuts0, cuts1, cutsInf int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r0, err := lattice.EvaluateHybrid(ts, mon, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r1, err := lattice.EvaluateHybrid(ts, mon, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rInf, err := lattice.EvaluateHybrid(ts, mon, lattice.Inf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cuts0, cuts1, cutsInf = r0.NumCuts, r1.NumCuts, rInf.NumCuts
-	}
-	b.ReportMetric(float64(cuts0), "cuts-eps0")
-	b.ReportMetric(float64(cuts1), "cuts-eps1s")
-	b.ReportMetric(float64(cutsInf), "cuts-causal")
-}

@@ -39,7 +39,6 @@ func main() {
 	var (
 		addr    = flag.String("addr", "127.0.0.1:7381", "RPC listen address")
 		metrics = flag.String("metrics", "127.0.0.1:7382", "observability HTTP listen address ('off' disables)")
-		shards  = flag.Int("shards", 0, "session registry shards (0 = GOMAXPROCS)")
 		rate    = flag.Float64("rate", 0, "per-tenant admission rate, events/second (0 disables)")
 		burst   = flag.Float64("burst", 0, "per-tenant burst size, events (0 = rate)")
 		maxLag  = flag.Int("maxlag", 0, "per-session retained-knowledge bound (events/monitor; 0 = default)")
@@ -59,7 +58,6 @@ func main() {
 	s, err := server.New(server.Config{
 		Addr:            *addr,
 		MetricsAddr:     *metrics,
-		Shards:          *shards,
 		Rate:            *rate,
 		Burst:           *burst,
 		MaxLag:          *maxLag,

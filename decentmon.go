@@ -275,13 +275,6 @@ func CaseStudyProperty(name string, n int) (string, error) {
 // point are rejected by it with an error rather than silently ignored.
 type Option func(*options)
 
-// RunOption and SessionOption are synonyms of Option, kept for readable
-// call sites and compatibility with the pre-session API.
-type (
-	RunOption     = Option
-	SessionOption = Option
-)
-
 type options struct {
 	ctx      context.Context
 	cfg      core.RunConfig

@@ -92,10 +92,10 @@ func suppressedDrain(ch chan int) {
 	}
 }
 
-// shardLoop mirrors the dlmond registry shard goroutine (internal/server):
-// an op-dispatch loop whose every channel operation — the op receive and
-// the reply send — selects on the stop channel, so server shutdown never
-// wedges a shard mid-operation.
+// shardLoop is an owner goroutine serving requests over channels: an
+// op-dispatch loop whose every channel operation — the op receive and the
+// reply send — selects on the stop channel, so shutdown never wedges it
+// mid-operation.
 type shardOp struct {
 	reply chan int
 }
@@ -175,5 +175,45 @@ func roundLoopWedged(ctx context.Context, in chan int, wake chan struct{}) {
 func awaitQuietWedged(wake chan struct{}, quiet func() bool) {
 	for !quiet() {
 		<-wake // want `blocking receive in a loop outside a select`
+	}
+}
+
+// intakeLoop mirrors the pool executor (internal/core monitor.go run,
+// sched.go exec): the loop blocks for an input beside ctx, submits the round,
+// and waits for the worker's consumed signal beside ctx too — a cancelled
+// session ends the wait even if the round was discarded and will never signal.
+// The worker's own send is outside any loop: capacity 1, one round
+// outstanding.
+func intakeLoop(ctx context.Context, in chan int, submit func(func())) {
+	consumed := make(chan struct{}, 1)
+	task := func() { consumed <- struct{}{} }
+	for {
+		select {
+		case <-in:
+		case <-ctx.Done():
+			return
+		}
+		submit(task)
+		select {
+		case <-consumed:
+		case <-ctx.Done():
+			return
+		}
+	}
+}
+
+// intakeLoopWedged waits for the round bare: a round discarded at shutdown
+// leaves the intake — and the Close waiting for it — blocked forever.
+func intakeLoopWedged(ctx context.Context, in chan int, submit func(func())) {
+	consumed := make(chan struct{}, 1)
+	task := func() { consumed <- struct{}{} }
+	for {
+		select {
+		case <-in:
+		case <-ctx.Done():
+			return
+		}
+		submit(task)
+		<-consumed // want `blocking receive in a loop outside a select`
 	}
 }

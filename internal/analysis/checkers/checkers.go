@@ -25,13 +25,3 @@ func All() []*analysis.Analyzer {
 		sharedevent.Analyzer,
 	}
 }
-
-// ByName resolves one analyzer by its registered name, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

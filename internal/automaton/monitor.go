@@ -81,39 +81,12 @@ type Monitor struct {
 	outIdx      [][]int // per state: indices into transitions
 }
 
-// Options tune the synthesis.
-type Options struct {
-	// SkipMinimize keeps the product machine instead of the minimal Moore
-	// machine. The paper's evaluation deliberately uses non-minimal
-	// automata ("we use the complicated version of the automaton", §5.1)
-	// because the intermediate ?-states carry diagnostic information and
-	// stress the algorithm; Table 5.1 counts transitions of those machines.
-	SkipMinimize bool
-	// MinimizeDFAs minimizes the two prefix DFAs (for ϕ and ¬ϕ) before the
-	// product. Combined with SkipMinimize this reproduces the shape of the
-	// paper's automata: Fig. 2.3 (3 states for ψ), Figs. 5.2/5.3, and the
-	// transition counts of Table 5.1.
-	MinimizeDFAs bool
-}
-
-// PaperShape are the options matching the paper's monitor generator.
-var PaperShape = Options{SkipMinimize: true, MinimizeDFAs: true}
-
-// BuildWith synthesizes the monitor with explicit options.
-func BuildWith(f *ltl.Formula, props []string, opts Options) (*Monitor, error) {
-	return build(f, props, opts)
-}
-
 // Build synthesizes the monitor for formula f over the given proposition
 // ordering. Every proposition used by f must appear in props; props may
 // declare extra (unused) propositions, which is convenient when several
 // properties share one global-state encoding. Build returns an error if
 // more than boolfn.MaxVars propositions are declared.
 func Build(f *ltl.Formula, props []string) (*Monitor, error) {
-	return build(f, props, Options{})
-}
-
-func build(f *ltl.Formula, props []string, opts Options) (*Monitor, error) {
 	if len(props) > boolfn.MaxVars {
 		return nil, fmt.Errorf("automaton: %d propositions exceed the supported maximum %d", len(props), boolfn.MaxVars)
 	}
@@ -133,15 +106,7 @@ func build(f *ltl.Formula, props []string, opts Options) (*Monitor, error) {
 
 	pos := determinize(buildGBA(f.NNF(), propIdx), nLetters)
 	neg := determinize(buildGBA(ltl.Not(f).NNF(), propIdx), nLetters)
-	if opts.MinimizeDFAs {
-		pos = minimizeDFA(pos, nLetters)
-		neg = minimizeDFA(neg, nLetters)
-	}
-
-	m := product(pos, neg, nLetters)
-	if !opts.SkipMinimize {
-		m = minimize(m, nLetters)
-	}
+	m := minimize(product(pos, neg, nLetters), nLetters)
 
 	mon := &Monitor{
 		Formula:  f,
@@ -471,23 +436,4 @@ func minimize(m *moore, nLetters int) *moore {
 
 func appendInt(b []byte, v int) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-// minimizeDFA minimizes a prefix DFA with respect to its accepting set by
-// reusing the Moore-machine partition refinement (acceptance as output).
-func minimizeDFA(d *dfa, nLetters int) *dfa {
-	m := &moore{delta: d.delta, verdicts: make([]Verdict, len(d.accepting))}
-	for i, acc := range d.accepting {
-		if acc {
-			m.verdicts[i] = Top
-		} else {
-			m.verdicts[i] = Bottom
-		}
-	}
-	m = minimize(m, nLetters)
-	out := &dfa{delta: m.delta, accepting: make([]bool, len(m.verdicts))}
-	for i, v := range m.verdicts {
-		out.accepting[i] = v == Top
-	}
-	return out
 }

@@ -459,8 +459,3 @@ func (g *gba) nonEmptyStates() []bool {
 	}
 	return nonEmpty
 }
-
-// admits reports whether letter satisfies node's label constraint.
-func (n *gbaNode) admits(letter uint32) bool {
-	return letter&n.pos == n.pos && letter&n.neg == 0
-}

@@ -20,9 +20,7 @@ import (
 //
 // Its state is one automaton state, one global valuation, and one sequence
 // counter per process — O(n) memory regardless of trace length. This is the
-// evaluation behind dlmon's bounded-memory mode, and the ε=0 extreme of the
-// §7.2.1 hybrid-clock direction: perfectly synchronized clocks collapse the
-// lattice to exactly this path.
+// evaluation behind dlmon's bounded-memory mode.
 type PathMonitor struct {
 	mon    *automaton.Monitor
 	pm     *dist.PropMap

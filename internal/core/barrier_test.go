@@ -39,8 +39,8 @@ func snapshotWithin(t *testing.T, s *Session, ctx context.Context, limit time.Du
 }
 
 // TestSnapshotWakesOnInit: a session that has been fed nothing has exactly
-// one round per monitor to wait for, the INIT round. If either INIT site
-// (Run, RunSharded) forgets to signal, the coordinator that arrives first
+// one round per monitor to wait for, the INIT round. If the loop forgets to
+// signal it (under either executor), the coordinator that arrives first
 // sleeps forever. Many rounds, because the race is between session launch
 // and the coordinator's flag store.
 func TestSnapshotWakesOnInit(t *testing.T) {

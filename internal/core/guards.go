@@ -30,19 +30,16 @@ func (g localGuard) sat(s dist.LocalState) bool {
 }
 
 // guardTable precomputes, for every symbolic transition of the automaton,
-// its per-process conjuncts. It answers the two questions the algorithm
-// keeps asking: "is process j forbidding this transition?" (its local state
-// fails its conjunct) and "which processes participate?".
+// its per-process conjuncts. It answers the question the algorithm keeps
+// asking: "is process j forbidding this transition?" (its conjunct is
+// non-empty and its local state fails it).
 type guardTable struct {
-	n int
 	// perTrans[t.ID][proc] is the guard restricted to proc.
 	perTrans [][]localGuard
-	// participants[t.ID] lists processes with a non-empty conjunct.
-	participants [][]int
 }
 
 func newGuardTable(mon *automaton.Monitor, pm *dist.PropMap, n int) *guardTable {
-	gt := &guardTable{n: n}
+	gt := &guardTable{}
 	for _, tr := range mon.Transitions() {
 		per := make([]localGuard, n)
 		for _, lit := range tr.Guard.Literals() {
@@ -54,14 +51,7 @@ func newGuardTable(mon *automaton.Monitor, pm *dist.PropMap, n int) *guardTable 
 			}
 			per[owner].nonEmpty = true
 		}
-		var parts []int
-		for p := 0; p < n; p++ {
-			if per[p].nonEmpty {
-				parts = append(parts, p)
-			}
-		}
 		gt.perTrans = append(gt.perTrans, per)
-		gt.participants = append(gt.participants, parts)
 	}
 	return gt
 }
@@ -153,16 +143,4 @@ func (lt *letterTable) letter(g dist.GlobalState) uint32 {
 		l |= lt.bitsOf(p, g[p])
 	}
 	return l
-}
-
-// forbidding returns the processes whose local state in g fails their
-// conjunct of transition id (the "forbidding processes" of Algorithm 3).
-func (gt *guardTable) forbidding(id int, g dist.GlobalState) []int {
-	var out []int
-	for _, p := range gt.participants[id] {
-		if !gt.perTrans[id][p].sat(g[p]) {
-			out = append(out, p)
-		}
-	}
-	return out
 }

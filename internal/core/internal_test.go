@@ -196,7 +196,6 @@ func TestGuardTable(t *testing.T) {
 	}
 	gt := newGuardTable(mon, pm, 2)
 	for _, tr := range mon.Transitions() {
-		parts := gt.participants[tr.ID]
 		// Recombine the per-process guards and compare with the full cube on
 		// every global state.
 		for s0 := dist.LocalState(0); s0 < 4; s0++ {
@@ -206,15 +205,6 @@ func TestGuardTable(t *testing.T) {
 				if local != tr.Guard.Contains(letter) {
 					t.Fatalf("transition %d: split guards disagree at %b/%b", tr.ID, s0, s1)
 				}
-				// forbidding must list exactly the participating processes
-				// whose conjunct fails.
-				forb := gt.forbidding(tr.ID, dist.GlobalState{s0, s1})
-				for _, p := range forb {
-					if gt.guard(tr.ID, p).sat(dist.GlobalState{s0, s1}[p]) {
-						t.Fatalf("transition %d: %d listed forbidding but satisfied", tr.ID, p)
-					}
-				}
-				_ = parts
 			}
 		}
 	}

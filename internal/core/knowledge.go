@@ -5,6 +5,7 @@ import (
 
 	"decentmon/internal/dist"
 	"decentmon/internal/vclock"
+	"decentmon/internal/wire"
 )
 
 // knowledge is a monitor's partial view of the whole execution: for every
@@ -229,4 +230,49 @@ func (k *knowledge) finalCut() (vclock.VC, bool) {
 		cut[p] = k.final[p]
 	}
 	return cut, true
+}
+
+// --- snapshot record ---
+
+// appendTo writes the window: base offsets, floor states, termination marks,
+// then the retained events per process (retained is derivable).
+func (k *knowledge) appendTo(b []byte) []byte {
+	b = wire.AppendInts(b, k.base...)
+	for _, st := range k.bstate {
+		b = wire.AppendUvarint(b, uint64(st))
+	}
+	b = appendBools(b, k.done)
+	b = wire.AppendInts(b, k.final...)
+	b = wire.AppendInts(b, k.peak, k.collected)
+	for _, evs := range k.events {
+		b = appendEvents(b, evs)
+	}
+	return b
+}
+
+// restore reads the record into a fresh store, checking that each process's
+// events are its own and contiguous from the GC base.
+func (k *knowledge) restore(d *wire.Cursor, _ *Monitor) error {
+	d.Ints(k.base)
+	for p := range k.bstate {
+		k.bstate[p] = dist.DecodeLocalState(d)
+	}
+	readBools(d, k.done)
+	d.Ints(k.final)
+	k.peak, k.collected = d.Int(), d.Int()
+	for p := range k.events {
+		evs := decodeEvents(d, k.n)
+		if d.Err() != nil {
+			break
+		}
+		for i, e := range evs {
+			if e.Proc != p || e.SN != k.base[p]+i+1 {
+				return fmt.Errorf("knowledge window of process %d broken at entry %d", p, i)
+			}
+		}
+		k.events[p] = evs
+		k.retained += len(evs)
+	}
+	k.peak = max(k.peak, k.retained)
+	return d.Err()
 }

@@ -28,14 +28,14 @@ import (
 //     moment, for both sides and for good: the envelope, the fetch, reply and
 //     term records, every *dist.Event and its clock, the Floor, and the one
 //     part of a token that is shared rather than transferred, its Origin
-//     (launchSearch keeps the same slice in searchOrigin to pin the GC floor;
+//     (launchSearch keeps the same slice in the search table to pin the GC floor;
 //     both ends only read it). One fed event is therefore one *dist.Event for
 //     every monitor of the session. declint enforces the event half
 //     tree-wide: sharedevent allows no field write through a *dist.Event
 //     outside internal/dist's constructors and decoders, clockalias none into
 //     its clock.
 //   - A field a sender will later change must be replaced whole, never
-//     written through, once a message has carried it: Monitor.curFloor is (see
+//     written through, once a message has carried it: floors.curFloor is (see
 //     collectKnowledge), which is what lets deliver publish it as Floor.
 //   - A slice the sender keeps writing to is copied before it is sent:
 //     serveFetch copies the knowledge window's pointer slice, because

@@ -1,41 +1,41 @@
 package core
 
-// Sharded monitor scheduling: instead of one OS-scheduled goroutine per
-// monitor doing both input waiting and pump work, each monitor keeps a thin
-// *intake* goroutine (blocked on its feed queue and network inbox — cheap,
-// parked almost always) and hands batches of inputs to a small work-stealing
-// pool of pump workers sized to the machine (min(GOMAXPROCS, n) by default).
-// At n ≫ cores this keeps every core running pump work instead of paying
-// scheduler churn across n runnable goroutines, and it caps the number of
-// stacks doing heavy work.
+// The pool executor: instead of each monitor goroutine running its own rounds
+// (serialExec), the goroutine only blocks for the first input of a round —
+// cheap, parked almost always — and hands the round itself (handle it, drain
+// what else is queued, pump: Monitor.round) to a small work-stealing pool
+// sized to the machine (min(GOMAXPROCS, n) by default). At n ≫ cores this
+// keeps every core on pump work instead of paying scheduler churn across n
+// runnable goroutines. The loop is Monitor.run either way; only which
+// goroutine executes a round differs.
 //
 // Single-writer invariant (safety argument): a monitor's state is only ever
-// touched by exactly one goroutine at a time. The intake goroutine owns the
-// state between tasks (it reads m.finished()/m.err and drains channels); the
-// pump worker owns it from the moment the task is submitted until it signals
-// the intake's consumed channel. Both handoffs are channel operations, so
-// each transfer is a happens-before edge: no lock is needed and the race
-// detector agrees (TestShardedSchedulerRace). At most one task per monitor
-// is ever outstanding, by construction of the intake loop.
+// touched by one goroutine at a time. The intake goroutine owns it between
+// rounds (it reads m.finished()/m.err and stores the input it blocked for);
+// the pool worker owns it from the moment the round is submitted until it
+// signals the intake's consumed channel. Both handoffs are channel operations,
+// so each transfer is a happens-before edge: no lock is needed and the race
+// detector agrees (TestShardedSchedulerRace). At most one round per monitor
+// is ever outstanding, by construction of the loop. The drain inside a round
+// reads the feed queue and the inbox from the worker; both are channels, and
+// the intake is not reading them meanwhile.
 //
-// Shutdown (Close-never-wedges): tasks never block — handlers and pump only
-// do non-blocking sends (transport queues are unbounded, verdict and relief
-// channels are sent with select/default). The intake loop selects on
-// ctx.Done() everywhere it can wait. Session.Close stops the scheduler only
-// after every intake goroutine returned, and scheduler close waits for
-// in-flight tasks and discards queued ones — a discarded task belongs to an
-// intake that already exited on ctx.Done(), so no consumed-signal is missed
-// and, crucially, no worker touches monitor state after close() returns
-// (which is what makes Session.collect race-free).
+// Shutdown (Close-never-wedges): rounds never block — the drain is
+// select/default, handlers and pump only do non-blocking sends (transport
+// queues are unbounded, verdict and relief channels are sent with
+// select/default) — and the intake selects on ctx.Done() wherever it waits.
+// Session.Close stops the scheduler only after every intake goroutine
+// returned; scheduler close waits for in-flight rounds and discards queued
+// ones. A discarded round belongs to an intake that already exited on
+// ctx.Done(), so no consumed-signal is missed and no worker touches monitor
+// state after close() returns (which makes Session.collect race-free).
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
-
-	"decentmon/internal/transport"
 )
 
 // scheduler is a small work-stealing task pool. Submitters append to a
@@ -58,9 +58,6 @@ type schedWorker struct {
 }
 
 func newScheduler(p int) *scheduler {
-	if p < 1 {
-		p = 1
-	}
 	s := &scheduler{stop: make(chan struct{})}
 	for i := 0; i < p; i++ {
 		s.workers = append(s.workers, &schedWorker{wake: make(chan struct{}, 1)})
@@ -81,16 +78,15 @@ func (s *scheduler) submit(task func()) {
 	w.mu.Lock()
 	w.deque = append(w.deque, task)
 	w.mu.Unlock()
+	w.nudge()
+	s.workers[(i+1)%len(s.workers)].nudge()
+}
+
+// nudge wakes the worker if it is parked (see schedWorker.wake).
+func (w *schedWorker) nudge() {
 	select {
 	case w.wake <- struct{}{}:
 	default:
-	}
-	if len(s.workers) > 1 {
-		nb := s.workers[(i+1)%len(s.workers)]
-		select {
-		case nb.wake <- struct{}{}:
-		default:
-		}
 	}
 }
 
@@ -111,7 +107,7 @@ func (s *scheduler) run(id int) {
 			return
 		default:
 		}
-		task := w.popOwn()
+		task := w.take(false)
 		if task == nil {
 			task = s.steal(id)
 		}
@@ -127,122 +123,55 @@ func (s *scheduler) run(id int) {
 	}
 }
 
-// popOwn pops the worker's own deque LIFO: the most recently submitted batch
-// is the most likely to have its monitor state still in cache.
-func (w *schedWorker) popOwn() func() {
+// take removes one task from the worker's deque: the newest for its owner
+// (LIFO: the round most likely to find its monitor's state still in cache),
+// the oldest for a thief (FIFO: the one the owner would reach last).
+func (w *schedWorker) take(oldest bool) func() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if n := len(w.deque); n > 0 {
-		t := w.deque[n-1]
-		w.deque[n-1] = nil
-		w.deque = w.deque[:n-1]
-		return t
+	i := len(w.deque) - 1
+	if i < 0 {
+		return nil
 	}
-	return nil
+	if oldest {
+		i = 0
+	}
+	t := w.deque[i]
+	w.deque = slices.Delete(w.deque, i, i+1) // Delete clears the vacated slot
+	return t
 }
 
-// steal takes the oldest task from some other worker (FIFO end: the task its
-// owner would reach last).
+// steal takes the oldest task of some other worker.
 func (s *scheduler) steal(self int) func() {
 	p := len(s.workers)
 	off := rand.Intn(p)
 	for k := 0; k < p; k++ {
-		i := (off + k) % p
-		if i == self {
-			continue
+		if i := (off + k) % p; i != self {
+			if t := s.workers[i].take(true); t != nil {
+				return t
+			}
 		}
-		w := s.workers[i]
-		w.mu.Lock()
-		if len(w.deque) > 0 {
-			t := w.deque[0]
-			copy(w.deque, w.deque[1:])
-			w.deque[len(w.deque)-1] = nil
-			w.deque = w.deque[:len(w.deque)-1]
-			w.mu.Unlock()
-			return t
-		}
-		w.mu.Unlock()
 	}
 	return nil
 }
 
-// RunSharded executes the monitor like Run, but with pump work delegated to
-// the shared scheduler: the calling goroutine only waits for inputs and
-// batches them, and each batch is processed (handlers + one pump) as a pool
-// task. Behaviour, verdicts and metrics are identical to Run — the two paths
-// share every handler and the pump; only *which goroutine* executes them
-// differs (see the single-writer invariant above).
-func (m *Monitor) RunSharded(ctx context.Context, sched *scheduler) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	m.start(ctx)   // INIT + first pump, inline: no task is outstanding yet
-	m.roundDone(1) // the INIT round, as in Run
-	inbox := m.ep.Inbox()
+// exec is the pool's executor (monitor.go): a step submits the round and waits
+// for the worker to signal it done, or for ctx. On ctx the round may still be
+// queued or running; close() discards or finishes it before anyone reads the
+// monitor's state again.
+func (s *scheduler) exec(ctx context.Context, round func()) func() error {
 	consumed := make(chan struct{}, 1)
-	var items []feedItem
-	var msgs []transport.Message
-	for !m.finished() && m.err == nil {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		items, msgs = items[:0], msgs[:0]
-		select {
-		case item := <-m.feed:
-			items = append(items, item)
-		case msg, ok := <-inbox:
-			if !ok {
-				return fmt.Errorf("core: monitor %d: network closed before termination", m.cfg.Index)
-			}
-			msgs = append(msgs, msg)
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		// Protocol messages drain ahead of new local events, for the same
-		// token-aging reason as Run's batched round (monitor.go).
-	drain:
-		for k := 1; k < pumpBatch; k++ {
-			select {
-			case msg, ok := <-inbox:
-				if !ok {
-					return fmt.Errorf("core: monitor %d: network closed before termination", m.cfg.Index)
-				}
-				msgs = append(msgs, msg)
-				continue
-			default:
-			}
-			select {
-			case item := <-m.feed:
-				items = append(items, item)
-			default:
-				break drain
-			}
-		}
-		batchItems, batchMsgs := items, msgs
-		sched.submit(func() {
-			for _, it := range batchItems {
-				if m.err == nil {
-					m.handleFeed(it)
-				}
-			}
-			for _, msg := range batchMsgs {
-				if m.err == nil {
-					m.handleMessage(msg)
-				}
-			}
-			m.pump()
-			// Round complete (handlers + pump): account the whole batch for
-			// the snapshot quiescence check, exactly like Run's serial round.
-			m.roundDone(int64(len(batchItems) + len(batchMsgs)))
-			consumed <- struct{}{} // capacity 1, one task outstanding: never blocks
-		})
+	task := func() {
+		round()
+		consumed <- struct{}{} // capacity 1, one round outstanding: never blocks
+	}
+	return func() error {
+		s.submit(task)
 		select {
 		case <-consumed:
+			return nil
 		case <-ctx.Done():
-			// The submitted task may still be queued; the scheduler discards
-			// or finishes it before Session.collect reads monitor state.
 			return ctx.Err()
 		}
 	}
-	return m.err
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,7 +108,7 @@ type Session struct {
 	conclOnce  sync.Once
 	firstConcl time.Duration
 
-	// The backpressure gate (see admit). relief is signalled by monitors
+	// The backpressure gate (see admitN). relief is signalled by monitors
 	// whenever their progress gauge advances.
 	relief       chan struct{}
 	gateMu       sync.Mutex
@@ -267,18 +268,18 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	return s, nil
 }
 
-// launch starts the monitor goroutines of a built session.
+// launch starts the monitor goroutines of a built session: one loop each,
+// its rounds on that goroutine or on the pool (sched.go).
 func (s *Session) launch() {
+	exec := executor(serialExec)
+	if s.sched != nil {
+		exec = s.sched.exec
+	}
 	for i, m := range s.monitors {
 		s.wg.Add(1)
 		go func(i int, m *Monitor) {
 			defer s.wg.Done()
-			var err error
-			if s.sched != nil {
-				err = m.RunSharded(s.ctx, s.sched)
-			} else {
-				err = m.Run(s.ctx)
-			}
+			err := m.run(s.ctx, exec)
 			s.errs[i] = err
 			if err != nil {
 				// A dead monitor dooms the run: cancel so feeders and the
@@ -338,9 +339,6 @@ func (s *Session) signalRelief() {
 // terminal result is complete.
 func (s *Session) Verdicts() <-chan VerdictEvent { return s.verdicts }
 
-// N returns the number of monitored processes.
-func (s *Session) N() int { return s.cfg.N }
-
 // RetainedEvents reports the total retained-knowledge backlog summed over
 // all monitors — the number of events whose full vector clocks the session
 // currently holds. Observability surfaces (dlmond's knowledge gauge) read
@@ -374,22 +372,19 @@ func (s *Session) progress() int64 {
 	return sum
 }
 
-// admit applies feeder-side backpressure: while some monitor's retained
-// knowledge is at or above the lag bound, each unit of pipeline progress (a
-// knowledge event collected, a search resolved) buys one admission, so an
-// unpaced replay is throttled to the monitors' round-trip and collection
-// rate. When no progress happens within a grace window the backlog is
-// pinned by work that needs future events (e.g. an unresolved reachability
-// search), and the gate opens for a bounded batch — memory then grows as
-// the workload inherently requires, but the replay never deadlocks.
-func (s *Session) admit() error { return s.admitN(1) }
-
-// admitN is admit for a batch of k events, consuming credits batch-wise: a
-// single gate pass admits the whole batch once enough progress (or bypass
-// burst) has accrued, so batched feeding pays the gauge scan once per batch
-// instead of once per event. Free admission below the lag bound covers the
-// entire batch — the bound is a backlog threshold, not a rate, and a batch
-// is bounded by the feeders' chunk size.
+// admitN applies feeder-side backpressure to a batch of k events: while some
+// monitor's retained knowledge is at or above the lag bound, each unit of
+// pipeline progress (a knowledge event collected, a search resolved) buys one
+// admission, so an unpaced replay is throttled to the monitors' round-trip
+// and collection rate. When no progress happens within a grace window the
+// backlog is pinned by work that needs future events (e.g. an unresolved
+// reachability search), and the gate opens for a bounded batch — memory then
+// grows as the workload inherently requires, but the replay never deadlocks.
+// Credits are consumed batch-wise: a single gate pass admits the whole batch
+// once enough progress (or bypass burst) has accrued, so batched feeding pays
+// the gauge scan once per batch instead of once per event. Free admission
+// below the lag bound covers the entire batch — the bound is a backlog
+// threshold, not a rate, and a batch is bounded by the feeders' chunk size.
 func (s *Session) admitN(k int) error {
 	if s.maxLag <= 0 || k <= 0 {
 		return s.ctx.Err()
@@ -481,6 +476,46 @@ func (s *Session) checkEvent(e *dist.Event) error {
 	return nil
 }
 
+// enqueue hands one item to process p's monitor. It is counted before the
+// channel send, so that handled ≤ sent holds at every instant (quiescence
+// accounting), and uncounted again if it was never enqueued.
+func (s *Session) enqueue(p int, it feedItem) error {
+	s.feedItems.Add(1)
+	err := s.monitors[p].enqueue(s.ctx, it)
+	if err != nil {
+		s.feedItems.Add(-1)
+	}
+	return err
+}
+
+// feed is Feed and FeedBatch after validation: one feed item carrying k events
+// of process p. It holds the process's feed lock across
+// check→admit→enqueue→count, so a concurrent End (possibly from Close) cannot
+// snapshot the terminal total with these events still in flight.
+func (s *Session) feed(p, k int, it feedItem) error {
+	s.feedMu[p].Lock()
+	defer s.feedMu[p].Unlock()
+	s.mu.Lock()
+	closed, ended := s.closed, s.ended[p]
+	s.mu.Unlock()
+	switch {
+	case closed:
+		return fmt.Errorf("core: session closed")
+	case ended:
+		return fmt.Errorf("core: process %d already ended", p)
+	}
+	if err := s.admitN(k); err != nil {
+		return err
+	}
+	if err := s.enqueue(p, it); err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.fed[p] += k
+	s.mu.Unlock()
+	return nil
+}
+
 // Feed delivers one pre-stamped event to its process's monitor, blocking
 // under backpressure (see SessionConfig.MaxLag) and returning promptly with
 // the context's error if the session is cancelled. Events of one process
@@ -491,33 +526,7 @@ func (s *Session) Feed(e *dist.Event) error {
 	if err := s.checkEvent(e); err != nil {
 		return err
 	}
-	// Hold the process's feed lock across check→deliver→count, so a
-	// concurrent End (possibly from Close) cannot snapshot the terminal
-	// total with this event still in flight.
-	s.feedMu[e.Proc].Lock()
-	defer s.feedMu[e.Proc].Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("core: session closed")
-	}
-	if s.ended[e.Proc] {
-		s.mu.Unlock()
-		return fmt.Errorf("core: process %d already ended", e.Proc)
-	}
-	s.mu.Unlock()
-	if err := s.admit(); err != nil {
-		return err
-	}
-	s.feedItems.Add(1) // before the channel send (quiescence accounting)
-	if err := s.monitors[e.Proc].DeliverContext(s.ctx, e); err != nil {
-		s.feedItems.Add(-1) // never enqueued
-		return err
-	}
-	s.mu.Lock()
-	s.fed[e.Proc]++
-	s.mu.Unlock()
-	return nil
+	return s.feed(e.Proc, 1, feedItem{event: e})
 }
 
 // FeedBatch delivers a batch of consecutive events of a single process in
@@ -540,32 +549,7 @@ func (s *Session) FeedBatch(events []*dist.Event) error {
 			return fmt.Errorf("core: batch mixes events of processes %d and %d", p, e.Proc)
 		}
 	}
-	s.feedMu[p].Lock()
-	defer s.feedMu[p].Unlock()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("core: session closed")
-	}
-	if s.ended[p] {
-		s.mu.Unlock()
-		return fmt.Errorf("core: process %d already ended", p)
-	}
-	s.mu.Unlock()
-	if err := s.admitN(len(events)); err != nil {
-		return err
-	}
-	owned := make([]*dist.Event, len(events))
-	copy(owned, events)
-	s.feedItems.Add(1) // one feed item per batch (quiescence accounting)
-	if err := s.monitors[p].DeliverBatchContext(s.ctx, owned); err != nil {
-		s.feedItems.Add(-1)
-		return err
-	}
-	s.mu.Lock()
-	s.fed[p] += len(events)
-	s.mu.Unlock()
-	return nil
+	return s.feed(p, len(events), feedItem{batch: slices.Clone(events)})
 }
 
 // End marks one process as terminated; its monitor then knows no further
@@ -588,12 +572,7 @@ func (s *Session) End(p int) error {
 		s.programWall = time.Since(s.start)
 	}
 	s.mu.Unlock()
-	s.feedItems.Add(1)
-	if err := s.monitors[p].EndTraceContext(s.ctx, total); err != nil {
-		s.feedItems.Add(-1)
-		return err
-	}
-	return nil
+	return s.enqueue(p, feedItem{term: true, total: total})
 }
 
 // Close ends every process still open, waits for the monitors to reach

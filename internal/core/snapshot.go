@@ -1,19 +1,23 @@
 package core
 
-// Monitor-state checkpoint/restore.
+// Session checkpoint/restore: quiescence, the container, the session record
+// and the verdict log.
 //
 // A session snapshot is a dist snapshot blob ("DMSN" container,
 // internal/dist/snapshot.go) holding one session record, one verdict-log
-// record, and one record per monitor. Payloads use the same flat varint
-// encoding as the monitor wire codec (wirecodec.go) — uvarints, zigzag
-// varints for signed fields, count-prefixed slices — so the two byte
-// surfaces share helpers and cannot drift apart.
+// record, and one record per monitor. A monitor record is a fixed sequence of
+// component records (Monitor.appendState), each written and validated beside
+// the component that owns the state: handshake.go, floors.go, knowledge.go,
+// views.go, searches.go. Payloads use the same flat varint encoding as the
+// monitor wire codec (wirecodec.go) — uvarints, zigzag varints for signed
+// fields, count-prefixed slices — so the two byte surfaces share helpers and
+// cannot drift apart.
 //
 // What a snapshot means: the *complete* reactive state of every monitor at a
-// proven-quiescent instant — knowledge window (with GC base offsets),
-// global-view set, retained residuals, outstanding searches and their
-// origins, parked tokens and fetches, need-floor state, termination flags,
-// verdict states and metrics — plus the session's fed/ended bookkeeping and
+// proven-quiescent instant — termination flags, need-floor state, knowledge
+// window (with GC base offsets), global-view set and retained residuals, the
+// table of outstanding searches with parked tokens and fetches, verdict
+// states and metrics — plus the session's fed/ended bookkeeping and
 // the verdict events already delivered to subscribers. Because the protocol
 // is reactive (monitors act only on inputs) and the snapshot is taken at
 // global quiescence (no input in flight anywhere), the transport carries
@@ -320,7 +324,6 @@ func (s *Session) applySnapshot(r *dist.SnapshotReader) error {
 	n := s.cfg.N
 	sawSession := false
 	sawLog := false
-	restored := make([]bool, n)
 	for {
 		tag, payload, ok := r.Next()
 		if !ok {
@@ -349,10 +352,7 @@ func (s *Session) applySnapshot(r *dist.SnapshotReader) error {
 			if d.Err() != nil || idx >= n {
 				return fmt.Errorf("core: snapshot monitor record with bad index")
 			}
-			if restored[idx] {
-				return fmt.Errorf("core: duplicate monitor %d in snapshot", idx)
-			}
-			restored[idx] = true
+			// restoreState refuses a second record for the same monitor.
 			if err := s.monitors[idx].restoreState(&d); err != nil {
 				return fmt.Errorf("core: restoring monitor %d: %w", idx, err)
 			}
@@ -364,8 +364,8 @@ func (s *Session) applySnapshot(r *dist.SnapshotReader) error {
 	if !sawSession {
 		return fmt.Errorf("core: snapshot has no session record")
 	}
-	for i, ok := range restored {
-		if !ok {
+	for i, m := range s.monitors {
+		if !m.restored {
 			return fmt.Errorf("core: snapshot missing monitor %d", i)
 		}
 	}
@@ -443,338 +443,6 @@ func (s *Session) restoreVerdictLog(payload []byte) error {
 		}
 	}
 	return d.Done("core: verdict log")
-}
-
-// --- monitor state ---
-
-// appendState serializes the monitor's complete reactive state. The caller
-// guarantees the monitor is parked at quiescence, so every field is stable.
-// Map iteration is sorted throughout, making serialization deterministic:
-// snapshot(restore(snapshot(s))) is byte-identical, which the round-trip
-// tests pin. The sort buffers come from sc.
-func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
-	n := m.cfg.N
-	b = wire.AppendInts(b, m.cfg.Index, m.initialQ)
-	var flags byte
-	if m.localDone {
-		flags |= 1 << 0
-	}
-	if m.finiSent {
-		flags |= 1 << 1
-	}
-	if m.finalized {
-		flags |= 1 << 2
-	}
-	if m.finalizing {
-		flags |= 1 << 3
-	}
-	b = append(b, flags)
-	b = wire.AppendInts(b, m.localTotal)
-	b = wire.AppendUvarint(wire.AppendUvarint(b, m.inputSeq), m.lastGC)
-	b = wire.AppendUvarint(wire.AppendUvarint(b, uint64(m.searchSeq)), uint64(m.searchesDone))
-	b = wire.AppendClock(b, m.curFloor)
-	b = appendBools(b, m.peerDone)
-	b = appendBools(b, m.peerFini)
-	for j := 0; j < n; j++ {
-		b = wire.AppendClock(b, m.peerFloor[j])
-	}
-	for j := 0; j < n; j++ {
-		b = wire.AppendClock(b, m.sentFloor[j])
-	}
-	// Knowledge window: base offsets, floor states, termination marks, then
-	// the retained events per process (retained/peak are derivable).
-	k := m.know
-	b = wire.AppendInts(b, k.base...)
-	for p := 0; p < n; p++ {
-		b = wire.AppendUvarint(b, uint64(k.bstate[p]))
-	}
-	b = appendBools(b, k.done)
-	b = wire.AppendInts(b, k.final...)
-	b = wire.AppendInts(b, k.peak, k.collected)
-	for p := 0; p < n; p++ {
-		b = appendEvents(b, k.events[p])
-	}
-	// Global views, sorted by cut key.
-	b = wire.AppendUvarint(b, uint64(len(m.gvs)))
-	sc.keys = sortedKeys(sc.keys, m.gvs)
-	for _, key := range sc.keys {
-		gv := m.gvs[key]
-		b = wire.AppendClock(b, gv.cut)
-		b = appendStateset(b, gv.states)
-		for p := 0; p < n; p++ {
-			b = wire.AppendUvarint(b, uint64(gv.gstate[p]))
-		}
-		b = wire.AppendString(b, gv.lastSig)
-		b = wire.AppendClock(b, gv.blocked)
-	}
-	// Search dedup ledger.
-	b = wire.AppendUvarint(b, uint64(len(m.launched)))
-	sc.keys = sortedKeys(sc.keys, m.launched)
-	for _, key := range sc.keys {
-		b = wire.AppendString(b, key)
-	}
-	// Residual views, sorted by cut key.
-	b = wire.AppendUvarint(b, uint64(len(m.residuals)))
-	sc.keys = sortedKeys(sc.keys, m.residuals)
-	for _, key := range sc.keys {
-		r := m.residuals[key]
-		b = wire.AppendClock(b, r.cut)
-		b = appendStateset(b, r.states)
-	}
-	// Outstanding searches and their bookkeeping, sorted by id.
-	b = wire.AppendUvarint(b, uint64(len(m.outstanding)))
-	sc.ids = sortedKeys(sc.ids, m.outstanding)
-	for _, id := range sc.ids {
-		b = wire.AppendUvarint(b, uint64(id))
-	}
-	b = wire.AppendUvarint(b, uint64(len(m.searchSig)))
-	sc.ids = sortedKeys(sc.ids, m.searchSig)
-	for _, id := range sc.ids {
-		b = wire.AppendString(wire.AppendUvarint(b, uint64(id)), m.searchSig[id])
-	}
-	b = wire.AppendUvarint(b, uint64(len(m.activeSig)))
-	sc.keys = sortedKeys(sc.keys, m.activeSig)
-	for _, sig := range sc.keys {
-		b = wire.AppendInts(wire.AppendString(b, sig), m.activeSig[sig])
-	}
-	b = wire.AppendUvarint(b, uint64(len(m.searchOrigin)))
-	sc.ids = sortedKeys(sc.ids, m.searchOrigin)
-	for _, id := range sc.ids {
-		b = wire.AppendClock(wire.AppendUvarint(b, uint64(id)), m.searchOrigin[id])
-	}
-	b = wire.AppendUvarint(b, uint64(len(m.inflightFetch)))
-	sc.ints = sortedKeys(sc.ints, m.inflightFetch)
-	for _, p := range sc.ints {
-		b = wire.AppendInts(b, p, m.inflightFetch[p])
-	}
-	// Parked protocol work.
-	b = wire.AppendUvarint(b, uint64(len(m.waitTokens)))
-	for _, t := range m.waitTokens {
-		b = appendToken(b, t)
-	}
-	b = wire.AppendUvarint(b, uint64(len(m.waitFetches)))
-	for _, f := range m.waitFetches {
-		b = appendFetch(wire.AppendInts(b, f.from), f.req)
-	}
-	// Verdict states reached (verdict set and gauges are derivable).
-	sc.ints = sortedKeys(sc.ints, m.verdictStates)
-	b = wire.AppendClock(b, sc.ints)
-	// Metrics (KnowledgePeak/Collected live on the knowledge store).
-	mt := &m.metrics
-	return wire.AppendInts(b,
-		mt.EventsProcessed, mt.GlobalViewsCreated, mt.SearchesLaunched, mt.TokenHops,
-		mt.FetchesSent, mt.FetchRepliesSent, mt.FinalizeFetches, mt.BoxExplorations,
-		mt.BoxNodes, mt.DelaySamples, mt.DelayedEventsSum, mt.MessagesSent)
-}
-
-// restoreState loads a serialized monitor state into a freshly built monitor
-// (the index has already been consumed from d by the caller). Every field is
-// validated against the monitor's configuration before it can be touched by
-// a handler, so a corrupt-but-checksummed blob is rejected with an error —
-// never a panic at restore time or later in the run. Clocks, cuts and events
-// are materialized fresh by the decoder; nothing aliases the snapshot buffer.
-func (m *Monitor) restoreState(d *wire.Cursor) error {
-	if m.restored {
-		return fmt.Errorf("already restored")
-	}
-	n := m.cfg.N
-	numStates := m.mon.NumStates()
-	m.initialQ = d.Int()
-	flags := d.Byte()
-	m.localDone = flags&(1<<0) != 0
-	m.finiSent = flags&(1<<1) != 0
-	m.finalized = flags&(1<<2) != 0
-	m.finalizing = flags&(1<<3) != 0
-	m.localTotal = d.Int()
-	m.inputSeq = d.Uvarint()
-	m.lastGC = d.Uvarint()
-	m.searchSeq = int64(d.Int())
-	m.searchesDone = int64(d.Int())
-	m.curFloor = clockOrNil(d, n)
-	readBools(d, m.peerDone)
-	readBools(d, m.peerFini)
-	for j := 0; j < n; j++ {
-		m.peerFloor[j] = clockOf(d, n)
-	}
-	for j := 0; j < n; j++ {
-		m.sentFloor[j] = clockOf(d, n)
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if flags>>4 != 0 || m.initialQ >= numStates {
-		return fmt.Errorf("monitor header out of range")
-	}
-	// Knowledge window.
-	k := m.know
-	d.Ints(k.base)
-	for p := 0; p < n; p++ {
-		k.bstate[p] = dist.DecodeLocalState(d)
-	}
-	readBools(d, k.done)
-	d.Ints(k.final)
-	k.peak = d.Int()
-	k.collected = d.Int()
-	for p := 0; p < n; p++ {
-		evs := decodeEvents(d, n)
-		if d.Err() != nil {
-			return d.Err()
-		}
-		for i, e := range evs {
-			if e.Proc != p || e.SN != k.base[p]+i+1 {
-				return fmt.Errorf("knowledge window of process %d broken at entry %d", p, i)
-			}
-		}
-		k.events[p] = evs
-		k.retained += len(evs)
-	}
-	if k.retained > k.peak {
-		k.peak = k.retained
-	}
-	// Global views.
-	for nGV := d.Count(4); nGV > 0 && d.Err() == nil; nGV-- { // cut, states, signature, blocked cut
-		cut := clockOf(d, n)
-		states := decodeStateset(d, numStates)
-		gstate := make(dist.GlobalState, n)
-		for p := range gstate {
-			gstate[p] = dist.DecodeLocalState(d)
-		}
-		sig := d.String()
-		blocked := clockOrNil(d, n)
-		if d.Err() != nil {
-			break
-		}
-		if !m.cutInWindow(cut) {
-			return fmt.Errorf("global view cut %v outside the knowledge window", cut)
-		}
-		gv := &globalView{states: states, cut: cut, gstate: gstate,
-			letter: m.lt.letter(gstate), lastSig: sig, blocked: blocked}
-		m.gvs[gvKey(cut)] = gv
-	}
-	// Search dedup ledger.
-	for nL := d.Count(1); nL > 0 && d.Err() == nil; nL-- {
-		m.launched[d.String()] = true
-	}
-	// Residuals.
-	for nR := d.Count(2); nR > 0 && d.Err() == nil; nR-- {
-		cut := clockOf(d, n)
-		states := decodeStateset(d, numStates)
-		if d.Err() != nil {
-			break
-		}
-		if !m.cutInWindow(cut) {
-			return fmt.Errorf("residual cut %v outside the knowledge window", cut)
-		}
-		m.residuals[gvKey(cut)] = &residualView{states: states, cut: cut}
-	}
-	// Searches.
-	for nO := d.Count(1); nO > 0 && d.Err() == nil; nO-- {
-		m.outstanding[int64(d.Int())] = true
-	}
-	for nS := d.Count(2); nS > 0 && d.Err() == nil; nS-- {
-		m.searchSig[int64(d.Int())] = d.String()
-	}
-	for nA := d.Count(2); nA > 0 && d.Err() == nil; nA-- {
-		sig := d.String()
-		m.activeSig[sig] = d.Int()
-	}
-	for nOr := d.Count(2); nOr > 0 && d.Err() == nil; nOr-- {
-		m.searchOrigin[int64(d.Int())] = clockOf(d, n)
-	}
-	for nF := d.Count(2); nF > 0 && d.Err() == nil; nF-- {
-		p, sn := d.Int(), d.Int()
-		if p >= n {
-			return fmt.Errorf("inflight fetch names process %d", p)
-		}
-		m.inflightFetch[p] = sn
-	}
-	// Parked protocol work.
-	for nT := d.Count(4); nT > 0 && d.Err() == nil; nT-- {
-		t := decodeToken(d, n)
-		if t == nil {
-			break
-		}
-		if err := validateToken(t, n); err != nil {
-			return err
-		}
-		m.waitTokens = append(m.waitTokens, t)
-	}
-	for nW := d.Count(4); nW > 0 && d.Err() == nil; nW-- {
-		from, req := d.Int(), decodeFetch(d)
-		if d.Err() != nil {
-			break
-		}
-		if from >= n || req.Requester >= n {
-			return fmt.Errorf("parked fetch names invalid process")
-		}
-		if req.FromSN <= m.know.floor(m.cfg.Index) {
-			return fmt.Errorf("parked fetch reaches below the GC floor")
-		}
-		m.waitFetches = append(m.waitFetches, pendingFetch{from: from, req: req})
-	}
-	// Verdict states; the verdict set is derived through the automaton.
-	for _, q := range d.Clock() {
-		if q >= numStates {
-			return fmt.Errorf("verdict state %d out of range", q)
-		}
-		m.verdictStates[q] = true
-		m.verdicts[m.mon.VerdictOf(q)] = true
-	}
-	mt := &m.metrics
-	for _, f := range []*int{
-		&mt.EventsProcessed, &mt.GlobalViewsCreated, &mt.SearchesLaunched, &mt.TokenHops,
-		&mt.FetchesSent, &mt.FetchRepliesSent, &mt.FinalizeFetches, &mt.BoxExplorations,
-		&mt.BoxNodes, &mt.DelaySamples, &mt.DelayedEventsSum, &mt.MessagesSent,
-	} {
-		*f = d.Int()
-	}
-	if err := d.Done("monitor record"); err != nil {
-		return err
-	}
-	m.restored = true
-	// Publish the restored gauges so the backpressure gate starts from the
-	// captured backlog instead of a zero it would mistake for free headroom.
-	m.publishGauges()
-	return nil
-}
-
-// cutInWindow reports whether a restored cut can be explored from: within
-// every process's knowledge window (at or above the GC base so states are
-// readable, at or below the frontier so events exist).
-func (m *Monitor) cutInWindow(cut vclock.VC) bool {
-	for p := 0; p < m.cfg.N; p++ {
-		if cut[p] < m.know.floor(p) || cut[p] > m.know.len(p) {
-			return false
-		}
-	}
-	return true
-}
-
-// validateToken bounds-checks a parked token so serving it later cannot
-// index out of range.
-func validateToken(t *tokenWire, n int) error {
-	if t.Parent < 0 || t.Parent >= n || len(t.Origin) != n {
-		return fmt.Errorf("parked token header out of range")
-	}
-	for _, tr := range t.Trans {
-		if len(tr.Gcut) != n || len(tr.Depend) != n || len(tr.ConjEval) != n {
-			return fmt.Errorf("parked token transition out of range")
-		}
-		if tr.NextTargetProcess >= n {
-			return fmt.Errorf("parked token targets process %d", tr.NextTargetProcess)
-		}
-	}
-	for _, s := range t.Segs {
-		if s.Proc < 0 || s.Proc >= n {
-			return fmt.Errorf("parked token segment names process %d", s.Proc)
-		}
-		for _, e := range s.Events {
-			if e == nil || e.Proc != s.Proc || len(e.VC) != n {
-				return fmt.Errorf("parked token segment event malformed")
-			}
-		}
-	}
-	return nil
 }
 
 // --- small shared helpers ---

@@ -24,7 +24,7 @@ import (
 
 // feedPrefix feeds the first want events of the stream (in stream order),
 // returning the remaining events.
-func allEvents(t *testing.T, ts *dist.TraceSet) []*dist.Event {
+func allEvents(t testing.TB, ts *dist.TraceSet) []*dist.Event {
 	t.Helper()
 	var evs []*dist.Event
 	src := ts.Stream()
@@ -342,6 +342,96 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 			t.Fatalf("truncation to %d bytes accepted", l)
 		}
 	}
+
+	// Blobs no honest run writes but whose checksum holds: the search table
+	// disagreeing with itself or with the knowledge window. Either would
+	// restore a search that suppresses its signature, or pins the GC floor,
+	// for good.
+	for name, edit := range map[string]func(m *Monitor, id int64, s search){
+		"duplicate signature": func(m *Monitor, id int64, s search) {
+			m.searches.table[id+1<<20] = s
+		},
+		"origin past the frontier": func(m *Monitor, id int64, s search) {
+			s.origin = s.origin.Clone()
+			s.origin[0] = m.know.len(0) + 1
+			m.searches.table[id] = s
+		},
+	} {
+		bad := tamperedSnapshot(t, cfg, searchingSnapshot(t, cfg, events), edit)
+		if r, err := RestoreSession(context.Background(), cfg, bad); err == nil {
+			r.Close()
+			t.Errorf("%s: inconsistent search record restored", name)
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
+	}
+}
+
+// outstandingSearch returns a monitor of the idle session s with a search
+// outstanding, and that search. The caller must have crossed a Snapshot
+// barrier since s last ran a round: that orders the monitors' writes before
+// this goroutine's reads.
+func outstandingSearch(s *Session) (*Monitor, int64, bool) {
+	for _, m := range s.monitors {
+		for id := range m.searches.table {
+			return m, id, true
+		}
+	}
+	return nil, 0, false
+}
+
+// searchingSnapshot feeds events to a fresh session until a snapshot catches
+// a search outstanding, and returns that snapshot.
+func searchingSnapshot(t testing.TB, cfg SessionConfig, events []*dist.Event) []byte {
+	t.Helper()
+	s, err := NewSession(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, e := range events {
+		if err := s.Feed(e); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := s.Snapshot(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := outstandingSearch(s); ok {
+			return snap
+		}
+	}
+	t.Fatal("no prefix of the trace leaves a search outstanding at quiescence")
+	return nil
+}
+
+// tamperedSnapshot restores snap, lets edit rewrite one outstanding search of
+// the idle session, and returns the re-snapshot: a well-formed, checksummed
+// blob of a state no run reaches.
+func tamperedSnapshot(t *testing.T, cfg SessionConfig, snap []byte, edit func(*Monitor, int64, search)) []byte {
+	t.Helper()
+	// The tampered session is abandoned, not finished: with a search that can
+	// never resolve it would not terminate, which is the hazard under test.
+	ctx, abandon := context.WithCancel(context.Background())
+	r, err := RestoreSession(ctx, cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	defer abandon()
+	if _, err := r.Snapshot(context.Background()); err != nil { // the barrier
+		t.Fatal(err)
+	}
+	m, id, ok := outstandingSearch(r)
+	if !ok {
+		t.Fatal("snapshot holds no outstanding search to tamper with")
+	}
+	edit(m, id, m.searches.table[id])
+	bad, err := r.Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bad
 }
 
 // BenchmarkSnapshotCadence measures checkpoint overhead on a long stream:
@@ -437,6 +527,7 @@ func FuzzRestoreSession(f *testing.F) {
 	}
 	f.Add(seed(0))
 	f.Add(seed(12))
+	f.Add(searchingSnapshot(f, cfg, allEvents(f, ts)))
 	f.Add([]byte("DMSN"))
 	f.Add([]byte{})
 

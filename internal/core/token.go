@@ -14,25 +14,14 @@ package core
 // any component below Depend is inconsistent and must be re-advanced.
 
 // serveToken lets monitor m (the process the token currently visits) make
-// as much progress as possible on every transition of the token. It returns
-// true if the token still needs future local events of m (and must wait in
-// w_tokens).
-func (m *Monitor) serveToken(t *tokenWire) (waiting bool) {
-	i := m.cfg.Index
+// as much progress as possible on every transition of the token. Whether it
+// must then wait here for future local events is routeToken's rule 2.
+func (m *Monitor) serveToken(t *tokenWire) {
 	for _, tr := range t.Trans {
-		if tr.Eval != evalUnset {
-			continue
-		}
-		m.serveTrans(t, tr)
-		if tr.Eval != evalUnset {
-			continue
-		}
-		// Does this transition still need us?
-		if m.transNeedsProcess(tr, i) && !m.localDone {
-			waiting = true
+		if tr.Eval == evalUnset {
+			m.serveTrans(t, tr)
 		}
 	}
-	return waiting
 }
 
 // transNeedsProcess reports whether process j must act next for the
@@ -78,7 +67,7 @@ func (m *Monitor) serveTrans(t *tokenWire, tr *transWire) {
 			}
 		}
 		if !found {
-			if m.localDone {
+			if m.handshake.localDone {
 				// No future events can satisfy the conjunct: the search is
 				// dead (§4.2 TERMINATE flushes waiting tokens with false).
 				tr.Eval = evalFalse

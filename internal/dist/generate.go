@@ -96,8 +96,7 @@ type GenConfig struct {
 	// Fewer suffixes admit more processes: MaxProps / len(Suffixes).
 	Suffixes []string
 	// TrueProbs is the per-suffix ("p", "q") probability a proposition is
-	// true after an internal event; absent suffixes default to 0.5. Use
-	// UniformTrueProbs for the same probability everywhere.
+	// true after an internal event; absent suffixes default to 0.5.
 	TrueProbs map[string]float64
 	// InitTrue lists the suffixes whose propositions start true at every
 	// process (the §5.1 "designed traces" raise p initially for the
@@ -181,16 +180,6 @@ func (cfg GenConfig) Check() error {
 	return nil
 }
 
-// UniformTrueProbs builds a TrueProbs map assigning the same probability to
-// every default proposition suffix, including an explicit 0.
-func UniformTrueProbs(p float64) map[string]float64 {
-	out := make(map[string]float64, len(genSuffixes))
-	for _, s := range genSuffixes {
-		out[s] = p
-	}
-	return out
-}
-
 // Event-queue items of the generator's discrete-event simulation.
 type genKind int
 
@@ -245,8 +234,7 @@ func (q *genQueue) next() genItem { return heap.Pop(q).(genItem) }
 // waits, interleaved with communication events (shaped by the configured
 // Topology) whose receive merges the sender's vector clock. Timestamps are
 // strictly increasing globally and respect the happened-before order, so the
-// physical execution is one linearization of the causal order (the property
-// hybrid-clock evaluation relies on).
+// physical execution is one linearization of the causal order.
 func Generate(cfg GenConfig) *TraceSet {
 	if err := cfg.Check(); err != nil {
 		// Generate's signature predates Check; configuration errors surface

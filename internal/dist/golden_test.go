@@ -140,12 +140,12 @@ func TestGoldenRPC(t *testing.T) {
 	}
 }
 
-// TestGoldenDMSN pins the snapshot container at version 2 and, inside it, the
+// TestGoldenDMSN pins the snapshot container at version 3 and, inside it, the
 // records the tree shares between formats — process space, stamper state and
 // an event segment per process of the running example (Fig. 2.1). Engine
 // snapshots themselves are not byte-stable from run to run (how a monitor's
 // inputs batch into rounds is up to the scheduler); their guard is the
-// restore → re-snapshot identity test in internal/core. A version 1 blob, as
+// restore → re-snapshot identity test in internal/core. A version 2 blob, as
 // the previous build wrote it, must be refused by number.
 func TestGoldenDMSN(t *testing.T) {
 	ts := RunningExample()
@@ -167,9 +167,9 @@ func TestGoldenDMSN(t *testing.T) {
 	b.Record(2, AppendStamperState(nil, st))
 	b.Record(3, segs)
 	got := b.Finish()
-	want := unhex(t, goldenDMSN2)
+	want := unhex(t, goldenDMSN3)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("DMSN v2 bytes changed:\n got  %x\n want %x", got, want)
+		t.Fatalf("DMSN v3 bytes changed:\n got  %x\n want %x", got, want)
 	}
 	r, err := OpenSnapshot(want)
 	if err != nil {
@@ -190,13 +190,15 @@ func TestGoldenDMSN(t *testing.T) {
 			}
 		}
 	}
-	v1 := unhex(t, "444d534e 01 01 18 02 02 02 02 00 000000000000f43f 02 02 01 0000000000000040 00 04 45b1d702")
-	if _, err := OpenSnapshot(v1); err == nil || !strings.Contains(err.Error(), "snapshot version 1, want 2") {
-		t.Errorf("version 1 blob: want the version error, got %v", err)
+	// The same blob as version 2 wrote it: only the version byte and the CRC
+	// differ, and it is refused whole.
+	v2 := unhex(t, strings.Replace(strings.Replace(goldenDMSN3, "444d534e 03", "444d534e 02", 1), "c2465ddf", "060e608d", 1))
+	if _, err := OpenSnapshot(v2); err == nil || !strings.Contains(err.Error(), "snapshot version 2, want 3") {
+		t.Errorf("version 2 blob: want the version error, got %v", err)
 	}
 }
 
-const goldenDMSN2 = "444d534e 02" + // magic, version
+const goldenDMSN3 = "444d534e 03" + // magic, version
 	"01 1a" + // record 1, 26 bytes: the process space
 	"02 00 00 03 00 05 78313e3d35 00 05 78313d3130 01 06 78323e3d3135" +
 	"02 18" + // record 2, 24 bytes: the stamper
@@ -212,4 +214,4 @@ const goldenDMSN2 = "444d534e 02" + // magic, version
 	"01 00 01 00 01000000 0000000000000440 01 02" +
 	"01 00 01 00 01000000 0000000000000c40 01 03" +
 	"01 01 00 02 01000000 0000000000001240 01 04" + // P1 sends message 2 to P0
-	"00 04 060e608d" // end record: CRC-32 of everything before it
+	"00 04 c2465ddf" // end record: CRC-32 of everything before it

@@ -36,8 +36,10 @@ var snapshotMagic = [4]byte{'D', 'M', 'S', 'N'}
 // that wrote them, so an incompatible change anywhere bumps the one number
 // and an old checkpoint is refused whole instead of half-understood. Version
 // 2 moved the engine's knowledge windows and parked tokens onto the shared
-// event record (AppendEventRecord).
-const SnapshotVersion = 2
+// event record (AppendEventRecord); version 3 lays the monitor record out
+// component by component, with one table of outstanding searches where there
+// were four maps (internal/core).
+const SnapshotVersion = 3
 
 // snapEndTag terminates a snapshot; its payload is the 4-byte little-endian
 // CRC32 of everything before the end record. Payload tags start at 1.

@@ -95,10 +95,11 @@ func TestSnapshotContainerBadHeader(t *testing.T) {
 		[]byte("DMS"),
 		[]byte("DMTB\x01"),             // wrong magic (the trace format's)
 		[]byte("DMSN"),                 // missing version
-		[]byte("DMSN\x02"),             // future version
-		[]byte("DMSN\x01"),             // no end record
-		[]byte("DMSN\x01\x00\x00"),     // end record with a short CRC
-		[]byte("DMSN\x01\x05\x04junk"), // record, then nothing
+		[]byte("DMSN\x02"),             // the previous version
+		[]byte("DMSN\x04"),             // future version
+		[]byte("DMSN\x03"),             // no end record
+		[]byte("DMSN\x03\x00\x00"),     // end record with a short CRC
+		[]byte("DMSN\x03\x05\x04junk"), // record, then nothing
 	} {
 		if _, err := OpenSnapshot(bad); err == nil {
 			t.Errorf("malformed header %q accepted", bad)
@@ -114,7 +115,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	b.Record(1, []byte("seed"))
 	b.Record(300, bytes.Repeat([]byte{7}, 64))
 	f.Add(b.Finish())
-	f.Add([]byte("DMSN\x01"))
+	f.Add([]byte("DMSN\x03"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenSnapshot(data)
 		if err != nil {

@@ -85,9 +85,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Default is the paper's experimental configuration.
-var Default = Config{}.withDefaults()
-
 // --- Table 5.1 / Fig 5.1 ---
 
 // Table51Row is one cell of Table 5.1: our synthesized automaton versus the

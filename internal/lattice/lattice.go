@@ -79,17 +79,6 @@ func newStateset(n int) stateset { return make(stateset, (n+63)/64) }
 
 func (s stateset) set(i int)      { s[i/64] |= 1 << (i % 64) }
 func (s stateset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-func (s stateset) orInto(t stateset) bool {
-	changed := false
-	for w := range s {
-		nv := t[w] | s[w]
-		if nv != t[w] {
-			t[w] = nv
-			changed = true
-		}
-	}
-	return changed
-}
 
 // Evaluate runs the oracle over the complete execution. The monitor's
 // propositions must match ts.Props.Names in order.

@@ -12,7 +12,6 @@ package props
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"decentmon/internal/automaton"
@@ -147,11 +146,4 @@ func BuildAt(name string, arity int, paperShape bool) (*automaton.Monitor, *dist
 		return nil, nil, err
 	}
 	return mon, pm, nil
-}
-
-// SortedNames returns a copy of Names (defensive, for range stability).
-func SortedNames() []string {
-	out := append([]string(nil), Names...)
-	sort.Strings(out)
-	return out
 }

@@ -10,7 +10,7 @@ import (
 // caller must pause first. Running the debt this way lets the ingest path
 // throttle a hot tenant by sleeping on its own connection — TCP flow
 // control then pushes back on that tenant's feeder — without ever
-// rejecting events or blocking the shared shard goroutines.
+// rejecting events or holding up any other tenant.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64 // tokens per second

@@ -1,206 +1,82 @@
 package server
 
 import (
-	"fmt"
-	"runtime"
+	"errors"
+	"maps"
+	"slices"
 	"sync"
-	"sync/atomic"
 )
 
-// registry is the sharded session table. One shard = one goroutine owning
-// one map slice, mirroring the engine's single-writer-per-monitor
-// invariant (PR 7): no shard map is ever touched by two goroutines, so no
-// map locks sit on the per-event path. Sessions are assigned to shards by
-// id; connection handlers resolve a session id once per session and cache
-// the pointer, so the registry round trip is off the per-event hot path.
+// registry is the session table: a map, an id counter and a lock. It is off
+// the per-event path — connection handlers resolve a session id once per
+// session and cache the pointer.
 type registry struct {
-	shards []*regShard
-	nextID atomic.Uint64
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	mu       sync.RWMutex
+	sessions map[uint64]*session // nil once closed
+	lastID   uint64
 }
 
-type regOp struct {
-	kind  regOpKind
-	sid   uint64
-	sess  *session
-	fold  func(*session)
-	reply chan *session
-	done  chan struct{}
-}
-
-type regOpKind uint8
-
-const (
-	opAdd regOpKind = iota
-	opGet
-	opDel
-	opFold
-)
-
-type regShard struct {
-	ops      chan regOp
-	sessions map[uint64]*session
-}
-
-func newRegistry(shards int) *registry {
-	if shards <= 0 {
-		shards = runtime.GOMAXPROCS(0)
-		if shards < 1 {
-			shards = 1
-		}
-	}
-	r := &registry{stop: make(chan struct{}), shards: make([]*regShard, shards)}
-	for i := range r.shards {
-		sh := &regShard{ops: make(chan regOp), sessions: map[uint64]*session{}}
-		r.shards[i] = sh
-		r.wg.Add(1)
-		go r.runShard(sh)
-	}
-	return r
-}
-
-// runShard is the owning goroutine of one shard map. Every channel
-// operation selects on r.stop so close never wedges a shard mid-loop
-// (declint blockingsend discipline).
-func (r *registry) runShard(sh *regShard) {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case op := <-sh.ops:
-			switch op.kind {
-			case opAdd:
-				sh.sessions[op.sid] = op.sess
-			case opGet:
-				s := sh.sessions[op.sid]
-				select {
-				case op.reply <- s:
-				case <-r.stop:
-					return
-				}
-				continue
-			case opDel:
-				delete(sh.sessions, op.sid)
-			case opFold:
-				for _, s := range sh.sessions {
-					op.fold(s)
-				}
-			}
-			select {
-			case op.done <- struct{}{}:
-			case <-r.stop:
-				return
-			}
-		}
-	}
-}
-
-func (r *registry) shardFor(sid uint64) *regShard {
-	return r.shards[sid%uint64(len(r.shards))]
-}
-
-// send submits one op to a shard, failing fast once the registry stopped.
-func (r *registry) send(sh *regShard, op regOp) error {
-	select {
-	case sh.ops <- op:
-		return nil
-	case <-r.stop:
-		return fmt.Errorf("server: registry stopped")
-	}
-}
+func newRegistry() *registry { return &registry{sessions: map[uint64]*session{}} }
 
 // Add registers a session under a fresh id and returns it.
-func (r *registry) Add(s *session) (uint64, error) {
-	sid := r.nextID.Add(1)
-	return sid, r.addAs(sid, s)
-}
+func (r *registry) Add(s *session) (uint64, error) { return r.add(0, s) }
 
 // AddWithID registers a recovered session under its original id, advancing
 // the id counter past it so later fresh registrations cannot collide.
 func (r *registry) AddWithID(sid uint64, s *session) error {
 	if sid == 0 {
-		return fmt.Errorf("server: session id 0 is reserved")
+		return errors.New("server: session id 0 is reserved")
 	}
-	for {
-		cur := r.nextID.Load()
-		if cur >= sid || r.nextID.CompareAndSwap(cur, sid) {
-			break
-		}
-	}
-	return r.addAs(sid, s)
+	_, err := r.add(sid, s)
+	return err
 }
 
-func (r *registry) addAs(sid uint64, s *session) error {
+// add registers s under sid, or under the next fresh id when sid is 0.
+func (r *registry) add(sid uint64, s *session) (uint64, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sessions == nil {
+		return 0, errors.New("server: registry stopped")
+	}
+	if sid == 0 {
+		sid = r.lastID + 1
+	}
+	r.lastID = max(r.lastID, sid)
 	s.id = sid
-	done := make(chan struct{}, 1)
-	if err := r.send(r.shardFor(sid), regOp{kind: opAdd, sid: sid, sess: s, done: done}); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-r.stop:
-		return fmt.Errorf("server: registry stopped")
-	}
+	r.sessions[sid] = s
+	return sid, nil
 }
 
-// Get resolves a session id; nil when unknown.
-func (r *registry) Get(sid uint64) (*session, error) {
-	reply := make(chan *session, 1)
-	if err := r.send(r.shardFor(sid), regOp{kind: opGet, sid: sid, reply: reply}); err != nil {
-		return nil, err
-	}
-	select {
-	case s := <-reply:
-		return s, nil
-	case <-r.stop:
-		return nil, fmt.Errorf("server: registry stopped")
-	}
+// Get resolves a session id; nil when unknown, as every id is once closed.
+func (r *registry) Get(sid uint64) *session {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.sessions[sid]
 }
 
-// Del removes a session id (idempotent).
-func (r *registry) Del(sid uint64) error {
-	done := make(chan struct{}, 1)
-	if err := r.send(r.shardFor(sid), regOp{kind: opDel, sid: sid, done: done}); err != nil {
-		return err
-	}
-	select {
-	case <-done:
-		return nil
-	case <-r.stop:
-		return fmt.Errorf("server: registry stopped")
-	}
+// Del removes a session id (idempotent; a no-op once closed).
+func (r *registry) Del(sid uint64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.sessions, sid)
 }
 
-// Fold runs fn over every live session, shard by shard, inside the owning
-// goroutines — fn must not block and must not call back into the registry.
+// Fold runs fn over every live session under the read lock — fn must not
+// block and must not call back into the registry.
 func (r *registry) Fold(fn func(*session)) {
-	for _, sh := range r.shards {
-		done := make(chan struct{}, 1)
-		if r.send(sh, regOp{kind: opFold, fold: fn, done: done}) != nil {
-			return
-		}
-		select {
-		case <-done:
-		case <-r.stop:
-			return
-		}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, s := range r.sessions {
+		fn(s)
 	}
 }
 
-// Close stops every shard goroutine and returns the sessions that were
-// still live, for the server to drain. Shard maps are read only after
-// wg.Wait, when no owning goroutine can touch them again.
+// Close empties the registry and returns the sessions that were still live,
+// for the server to drain; Add is refused from then on.
 func (r *registry) Close() []*session {
-	close(r.stop)
-	r.wg.Wait()
-	var live []*session
-	for _, sh := range r.shards {
-		for _, s := range sh.sessions {
-			live = append(live, s)
-		}
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	live := slices.Collect(maps.Values(r.sessions))
+	r.sessions = nil
 	return live
 }

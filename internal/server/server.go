@@ -9,11 +9,11 @@
 // the server's vector clocks, subscribes to incremental verdicts, and
 // closes the session to collect the terminal verdict set.
 //
-// Internally the session table is sharded across cores — one goroutine owns
-// each shard map, mirroring the engine's single-writer-per-monitor
-// invariant — and a per-tenant token bucket paces ingestion so one hot
-// tenant cannot starve the rest (the pause is served on the hot tenant's
-// own connection; TCP flow control propagates it to that feeder only).
+// Internally the session table is a map behind a lock, off the per-event
+// path (connections cache the sessions they resolve), and a per-tenant token
+// bucket paces ingestion so one hot tenant cannot starve the rest (the pause
+// is served on the hot tenant's own connection; TCP flow control propagates
+// it to that feeder only).
 // Observability is a plain net/http endpoint: /healthz and Prometheus-text
 // /metrics.
 //
@@ -49,8 +49,6 @@ type Config struct {
 	// MetricsAddr is the HTTP observability listen address. Empty selects
 	// 127.0.0.1:0; "off" disables the endpoint.
 	MetricsAddr string
-	// Shards is the registry shard count; 0 selects GOMAXPROCS.
-	Shards int
 	// Rate is the per-tenant admission rate in events/second; <= 0
 	// disables admission control.
 	Rate float64
@@ -119,7 +117,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		ln:      ln,
-		reg:     newRegistry(cfg.Shards),
+		reg:     newRegistry(),
 		cache:   NewAutomatonCache(),
 		limiter: newTenantLimiter(cfg.Rate, cfg.Burst),
 		mx:      &metrics{},
@@ -556,12 +554,9 @@ func (sc *srvConn) resolve(sid uint64) *session {
 	if sess, ok := sc.local[sid]; ok {
 		return sess
 	}
-	sess, err := sc.srv.reg.Get(sid)
-	if err == nil && sess == nil {
-		err = fmt.Errorf("server: no session %d", sid)
-	}
-	if err != nil {
-		sc.writeErr(sid, err)
+	sess := sc.srv.reg.Get(sid)
+	if sess == nil {
+		sc.writeErr(sid, fmt.Errorf("server: no session %d", sid))
 		return nil
 	}
 	sc.local[sid] = sess

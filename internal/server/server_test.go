@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -775,7 +776,7 @@ func TestServerRecoverySkipsCorrupt(t *testing.T) {
 // TestRegistryAddWithID pins the recovered-id discipline: restored sessions
 // keep their ids and fresh registrations never collide with them.
 func TestRegistryAddWithID(t *testing.T) {
-	r := newRegistry(2)
+	r := newRegistry()
 	if err := r.AddWithID(7, &session{}); err != nil {
 		t.Fatal(err)
 	}
@@ -790,9 +791,8 @@ func TestRegistryAddWithID(t *testing.T) {
 		t.Errorf("fresh id %d collides with recovered id space (max 7)", sid)
 	}
 	for _, want := range []uint64{3, 7, sid} {
-		s, err := r.Get(want)
-		if err != nil || s == nil || s.id != want {
-			t.Errorf("Get(%d) = %+v, %v", want, s, err)
+		if s := r.Get(want); s == nil || s.id != want {
+			t.Errorf("Get(%d) = %+v", want, s)
 		}
 	}
 	if err := r.AddWithID(0, &session{}); err == nil {
@@ -801,46 +801,88 @@ func TestRegistryAddWithID(t *testing.T) {
 	r.Close()
 }
 
-// TestRegistryShards unit-tests the sharded session table.
+// TestRegistryShards (named when the table was sharded; there is one map now)
+// drives the session table from many goroutines at once, for -race: every Add
+// gets its own id and resolves, a Del sticks, Fold sees a consistent table
+// throughout, and Close hands back exactly the sessions still live and
+// refuses what comes after.
 func TestRegistryShards(t *testing.T) {
-	r := newRegistry(4)
-	var sids []uint64
-	for range 64 {
-		sid, err := r.Add(&session{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sids = append(sids, sid)
+	r := newRegistry()
+	const workers, each = 8, 64
+	kept := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range each {
+				sess := &session{}
+				sid, err := r.Add(sess)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := r.Get(sid); got != sess || got.id != sid {
+					t.Errorf("Get(%d) = %v", sid, got)
+				}
+				if k%2 == 0 {
+					r.Del(sid)
+					if r.Get(sid) != nil {
+						t.Errorf("deleted session %d still resolves", sid)
+					}
+				} else {
+					kept[w] = append(kept[w], sid)
+				}
+				n := 0
+				r.Fold(func(*session) { n++ })
+				if n > workers*each {
+					t.Errorf("fold visited %d sessions", n)
+				}
+			}
+		}()
 	}
-	for _, sid := range sids {
-		s, err := r.Get(sid)
-		if err != nil || s == nil {
-			t.Fatalf("Get(%d) = %v, %v", sid, s, err)
-		}
-		if s.id != sid {
-			t.Errorf("session %d carries id %d", sid, s.id)
-		}
-	}
-	var n int
-	r.Fold(func(*session) { n++ })
-	if n != 64 {
-		t.Errorf("fold visited %d sessions, want 64", n)
-	}
-	for _, sid := range sids[:32] {
-		if err := r.Del(sid); err != nil {
-			t.Fatal(err)
+	wg.Wait()
+	seen := map[uint64]bool{}
+	for _, sids := range kept {
+		for _, sid := range sids {
+			if seen[sid] {
+				t.Errorf("id %d handed out twice", sid)
+			}
+			seen[sid] = true
 		}
 	}
-	if s, err := r.Get(sids[0]); err != nil || s != nil {
-		t.Errorf("deleted session still resolves: %v, %v", s, err)
+	// Close races with registrations: each Add either lands before it and is
+	// handed back, or is refused.
+	var late atomic.Int64
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				sess := &session{}
+				if _, err := r.Add(sess); err != nil {
+					return
+				}
+				late.Add(1)
+			}
+		}()
 	}
 	live := r.Close()
-	if len(live) != 32 {
-		t.Errorf("close returned %d live sessions, want 32", len(live))
+	wg.Wait()
+	if want := len(seen) + int(late.Load()); len(live) != want {
+		t.Errorf("close returned %d live sessions, want %d", len(live), want)
 	}
-	if _, err := r.Get(sids[40]); err == nil {
-		t.Error("Get succeeded after Close")
+	live = slices.DeleteFunc(live, func(s *session) bool { return !seen[s.id] })
+	if len(live) != len(seen) {
+		t.Errorf("close returned %d of the %d sessions kept", len(live), len(seen))
 	}
+	if r.Get(live[0].id) != nil {
+		t.Error("Get resolved a session after Close")
+	}
+	if _, err := r.Add(&session{}); err == nil {
+		t.Error("Add succeeded after Close")
+	}
+	r.Fold(func(*session) { t.Error("fold visited a session after Close") })
 }
 
 // TestTokenBucket unit-tests reservation math.

@@ -71,7 +71,7 @@ func NewChanNetwork(n int, opts ...ChanOption) *ChanNetwork {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	nw := &ChanNetwork{n: n, stats: newStats(n), stop: make(chan struct{})}
+	nw := &ChanNetwork{n: n, stop: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		nw.eps = append(nw.eps, &chanEndpoint{id: i, net: nw, inbox: make(chan Message, inboxSlots)})
 	}
@@ -197,6 +197,6 @@ func (e *chanEndpoint) enqueue(msg Message, size int) error {
 	if !q.push(msg) {
 		return errClosed
 	}
-	e.net.stats.record(e.id, to, size)
+	e.net.stats.record(size)
 	return nil
 }

@@ -60,7 +60,7 @@ type tcpEndpoint struct {
 // NewTCPNetwork builds a fully connected loopback network of n endpoints on
 // ephemeral ports.
 func NewTCPNetwork(n int) (*TCPNetwork, error) {
-	nw := &TCPNetwork{n: n, stats: newStats(n), stop: make(chan struct{})}
+	nw := &TCPNetwork{n: n, stop: make(chan struct{})}
 	for i := 0; i < n; i++ {
 		nw.eps = append(nw.eps, &tcpEndpoint{
 			id:    i,
@@ -225,6 +225,6 @@ func (e *tcpEndpoint) Send(to int, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("transport: send %d->%d: %w", e.id, to, err)
 	}
-	e.net.stats.record(e.id, to, len(payload))
+	e.net.stats.record(len(payload))
 	return nil
 }

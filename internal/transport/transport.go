@@ -73,19 +73,12 @@ type Network interface {
 type Stats struct {
 	messages atomic.Int64
 	bytes    atomic.Int64
-	n        int
-	perPair  []atomic.Int64 // perPair[from*n+to], sized once by the network
 }
 
-// newStats returns the counters of an n-endpoint network.
-func newStats(n int) Stats { return Stats{n: n, perPair: make([]atomic.Int64, n*n)} }
-
-// record counts one message of size bytes; the network has already checked
-// that both ends exist.
-func (s *Stats) record(from, to, size int) {
+// record counts one message of size bytes.
+func (s *Stats) record(size int) {
 	s.messages.Add(1)
 	s.bytes.Add(int64(size))
-	s.perPair[from*s.n+to].Add(1)
 }
 
 // Messages returns the total number of messages sent.
@@ -94,14 +87,6 @@ func (s *Stats) Messages() int64 { return s.messages.Load() }
 // Bytes returns the total payload bytes sent; a message handed over as a
 // value counts the size its sender declared (ValueSender).
 func (s *Stats) Bytes() int64 { return s.bytes.Load() }
-
-// Pair returns the number of messages sent from one endpoint to another.
-func (s *Stats) Pair(from, to int) int64 {
-	if from < 0 || from >= s.n || to < 0 || to >= s.n {
-		return 0
-	}
-	return s.perPair[from*s.n+to].Load()
-}
 
 // errClosed is returned by Send after Close.
 var errClosed = fmt.Errorf("transport: network closed")

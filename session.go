@@ -66,21 +66,25 @@ type Session struct {
 // NewSession starts an online monitoring session for spec over n processes.
 // The zero-valued initial global state is assumed unless WithInitialState
 // says otherwise. See Session for the lifecycle.
-func NewSession(spec *Spec, n int, opts ...SessionOption) (*Session, error) {
+func NewSession(spec *Spec, n int, opts ...Option) (*Session, error) {
 	o := buildOptions(opts)
 	return newSession(spec, n, o)
 }
 
-func newSession(spec *Spec, n int, o options) (*Session, error) {
+// engineConfig checks what NewSession and RestoreSession are both given — the
+// spec, the process count, the options a live session understands — and
+// assembles the engine's configuration from them.
+func engineConfig(spec *Spec, n int, o options) (core.SessionConfig, error) {
+	var none core.SessionConfig
 	if spec == nil || spec.mon == nil {
-		return nil, fmt.Errorf("decentmon: nil spec")
+		return none, fmt.Errorf("decentmon: nil spec")
 	}
 	if n < 1 {
-		return nil, fmt.Errorf("decentmon: session needs at least one process")
+		return none, fmt.Errorf("decentmon: session needs at least one process")
 	}
 	for i, owner := range spec.Props.Owner {
 		if owner >= n {
-			return nil, fmt.Errorf("decentmon: proposition %q owned by process %d, session has %d", spec.Props.Names[i], owner, n)
+			return none, fmt.Errorf("decentmon: proposition %q owned by process %d, session has %d", spec.Props.Names[i], owner, n)
 		}
 	}
 	init := o.init
@@ -88,31 +92,12 @@ func newSession(spec *Spec, n int, o options) (*Session, error) {
 		init = make(GlobalState, n)
 	}
 	if len(init) != n {
-		return nil, fmt.Errorf("decentmon: initial state has %d entries, session has %d processes", len(init), n)
-	}
-	if o.ctx == nil {
-		o.ctx = context.Background()
+		return none, fmt.Errorf("decentmon: initial state has %d entries, session has %d processes", len(init), n)
 	}
 	if o.cfg.Pace != 0 {
-		return nil, fmt.Errorf("decentmon: sessions are live, not replays; WithPace applies to Run and RunStream")
+		return none, fmt.Errorf("decentmon: sessions are live, not replays; WithPace applies to Run and RunStream")
 	}
-	s := &Session{spec: spec, n: n, stamper: dist.NewStamper(n), start: time.Now()}
-	if o.validate {
-		s.val = dist.NewSessionValidator(n)
-	}
-	if o.bounded {
-		if err := o.checkBounded("a Bounded session"); err != nil {
-			return nil, err
-		}
-		s.ctx, s.cancel = context.WithCancel(o.ctx)
-		s.path = central.NewPath(spec.mon, spec.Props, n, init)
-		// At most one conclusive event is ever emitted; the buffer means
-		// the emitter never blocks on an absent subscriber.
-		s.pathCh = make(chan VerdictEvent, 1)
-		s.verdicts = s.pathCh
-		return s, nil
-	}
-	cs, err := core.NewSession(o.ctx, core.SessionConfig{
+	return core.SessionConfig{
 		N:            n,
 		Automaton:    spec.mon,
 		Props:        spec.Props,
@@ -124,12 +109,37 @@ func newSession(spec *Spec, n int, o options) (*Session, error) {
 		ExactBoxes:   o.cfg.ExactBoxes,
 		MaxLag:       o.cfg.MaxLag,
 		Shards:       o.cfg.Shards,
-	})
+	}, nil
+}
+
+func newSession(spec *Spec, n int, o options) (*Session, error) {
+	cfg, err := engineConfig(spec, n, o)
 	if err != nil {
 		return nil, err
 	}
-	s.core = cs
-	s.verdicts = cs.Verdicts()
+	if o.ctx == nil {
+		o.ctx = context.Background()
+	}
+	s := &Session{spec: spec, n: n, stamper: dist.NewStamper(n), start: time.Now()}
+	if o.validate {
+		s.val = dist.NewSessionValidator(n)
+	}
+	if o.bounded {
+		if err := o.checkBounded("a Bounded session"); err != nil {
+			return nil, err
+		}
+		s.ctx, s.cancel = context.WithCancel(o.ctx)
+		s.path = central.NewPath(spec.mon, spec.Props, n, cfg.Init)
+		// At most one conclusive event is ever emitted; the buffer means
+		// the emitter never blocks on an absent subscriber.
+		s.pathCh = make(chan VerdictEvent, 1)
+		s.verdicts = s.pathCh
+		return s, nil
+	}
+	if s.core, err = core.NewSession(o.ctx, cfg); err != nil {
+		return nil, err
+	}
+	s.verdicts = s.core.Verdicts()
 	return s, nil
 }
 

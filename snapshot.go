@@ -71,7 +71,7 @@ func (s *Session) Fed() []int {
 // WithShards — may differ freely. Bounded and WithValidation sessions cannot
 // be restored: the path evaluator and the validator hold state a snapshot
 // does not carry.
-func RestoreSession(spec *Spec, n int, snap []byte, opts ...SessionOption) (*Session, error) {
+func RestoreSession(spec *Spec, n int, snap []byte, opts ...Option) (*Session, error) {
 	o := buildOptions(opts)
 	if o.bounded {
 		return nil, fmt.Errorf("decentmon: Bounded sessions cannot be restored from a snapshot")
@@ -79,28 +79,10 @@ func RestoreSession(spec *Spec, n int, snap []byte, opts ...SessionOption) (*Ses
 	if o.validate {
 		return nil, fmt.Errorf("decentmon: WithValidation cannot resume from a snapshot: the validator's causal ledger is not captured")
 	}
-	if o.cfg.Pace != 0 {
-		return nil, fmt.Errorf("decentmon: sessions are live, not replays; WithPace applies to Run and RunStream")
+	cfg, err := engineConfig(spec, n, o)
+	if err != nil {
+		return nil, err
 	}
-	if spec == nil || spec.mon == nil {
-		return nil, fmt.Errorf("decentmon: nil spec")
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("decentmon: session needs at least one process")
-	}
-	for i, owner := range spec.Props.Owner {
-		if owner >= n {
-			return nil, fmt.Errorf("decentmon: proposition %q owned by process %d, session has %d", spec.Props.Names[i], owner, n)
-		}
-	}
-	init := o.init
-	if init == nil {
-		init = make(GlobalState, n)
-	}
-	if len(init) != n {
-		return nil, fmt.Errorf("decentmon: initial state has %d entries, session has %d processes", len(init), n)
-	}
-
 	r, err := dist.OpenSnapshot(snap)
 	if err != nil {
 		return nil, err
@@ -136,19 +118,7 @@ func RestoreSession(spec *Spec, n int, snap []byte, opts ...SessionOption) (*Ses
 			map[bool]string{true: "stamper", false: "engine"}[stamper == nil])
 	}
 
-	cs, err := core.RestoreSession(o.ctx, core.SessionConfig{
-		N:            n,
-		Automaton:    spec.mon,
-		Props:        spec.Props,
-		Init:         init,
-		Mode:         o.cfg.Mode,
-		SkipFinalize: o.cfg.SkipFinalize,
-		Network:      o.cfg.Network,
-		MaxBoxNodes:  o.cfg.MaxBoxNodes,
-		ExactBoxes:   o.cfg.ExactBoxes,
-		MaxLag:       o.cfg.MaxLag,
-		Shards:       o.cfg.Shards,
-	}, engine)
+	cs, err := core.RestoreSession(o.ctx, cfg, engine)
 	if err != nil {
 		return nil, err
 	}
