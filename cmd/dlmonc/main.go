@@ -133,8 +133,15 @@ func main() {
 		}
 	}
 	if *noClose {
+		// Ingest is fire-and-forget and the client batches it: ask the daemon
+		// where the session stands, which it answers only after handling
+		// every event sent before the question.
+		_, fed, err := cl.Attach(sid)
+		if err != nil {
+			fatal(err)
+		}
 		fmt.Printf("property       : %s\n", formula)
-		fmt.Printf("session        : %d on %s left open after %d events (resume with -attach %d)\n", sid, *addr, events, sid)
+		fmt.Printf("session        : %d on %s left open after %d events, daemon at %v (resume with -attach %d)\n", sid, *addr, events, fed, sid)
 		return
 	}
 	codes, err := cl.CloseSession(sid)

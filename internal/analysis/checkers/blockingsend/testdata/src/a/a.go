@@ -2,7 +2,10 @@
 // without a select escape case.
 package a
 
-import "context"
+import (
+	"context"
+	"sync"
+)
 
 func pumpBad(ch, out chan int) {
 	for v := range ch {
@@ -215,5 +218,63 @@ func intakeLoopWedged(ctx context.Context, in chan int, submit func(func())) {
 		}
 		submit(task)
 		<-consumed // want `blocking receive in a loop outside a select`
+	}
+}
+
+// writerLoop and ingestRoom mirror dlmond's client (internal/server
+// client.go). The writer goroutine sleeps on a capacity-1 kick beside the read
+// loop's done channel, so a connection that died while it was idle ends it;
+// callers post the kick with a default case and never block on a busy writer.
+// An Ingest that finds the pending bytes at their bound waits on a sync.Cond
+// whose predicate re-reads the connection's sticky failure: the writer
+// broadcasts after every write, and whoever records the failure broadcasts
+// too, so Close releases the waiter. No channel operation, nothing to flag.
+func writerLoop(kick, readDone chan struct{}, write func() error) {
+	for {
+		select {
+		case <-kick:
+		case <-readDone:
+			return
+		}
+		if write() != nil {
+			return
+		}
+	}
+}
+
+func postKick(kick chan struct{}, appends int) {
+	for i := 0; i < appends; i++ {
+		select {
+		case kick <- struct{}{}:
+		default:
+		}
+	}
+}
+
+func ingestRoom(mu *sync.Mutex, room *sync.Cond, pending func() int, dead func() error, bound int) error {
+	mu.Lock()
+	defer mu.Unlock()
+	for dead() == nil && pending() >= bound {
+		room.Wait()
+	}
+	return dead()
+}
+
+// writerLoopWedged waits for its kick bare: after the peer is gone nobody
+// posts one, and the Close that waits for the writer waits forever.
+// ingestRoomWedged takes its room from a channel of credits with nothing
+// beside it: a writer that failed hands out no more, and the feeder is stuck.
+func writerLoopWedged(kick chan struct{}, write func() error) {
+	for {
+		<-kick // want `blocking receive in a loop outside a select`
+		if write() != nil {
+			return
+		}
+	}
+}
+
+func ingestRoomWedged(room chan struct{}, pending func() int, bound int) {
+	for pending() >= bound {
+		<-room // want `blocking receive in a loop outside a select`
 	}
 }

@@ -93,8 +93,8 @@ const MinEventRecord = 16
 // the process count and the sequence number is the event's own clock
 // component — so a writer must only be handed events whose clock is as wide as
 // the process space. This is the tree's one event layout: ".dmtb" frames it
-// with a length prefix, dlmond's Ingest frames carry it verbatim, and monitor
-// messages and snapshot knowledge windows carry runs of it.
+// with a length prefix, and dlmond's Ingest frames, monitor messages and
+// snapshot knowledge windows carry runs of it.
 func AppendEventRecord(buf []byte, e *Event) ([]byte, error) {
 	if e.Type < Internal || e.Type > Recv {
 		return nil, fmt.Errorf("dist: unknown event type %d", int(e.Type))
@@ -140,7 +140,9 @@ func DecodeEventInto(c *wire.Cursor, e *Event, vc []int) {
 }
 
 // DecodeEventRecord parses one event record standing alone in buf, for an
-// n-process space. The returned event owns its vector clock.
+// n-process space: what DecodeEventRun does for a run of one, for callers that
+// frame every record (the ".dmtb" reader). The returned event owns its vector
+// clock.
 func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 	c := wire.NewCursor(buf)
 	e := new(Event)
@@ -149,6 +151,43 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 		return nil, err
 	}
 	return e, nil
+}
+
+// EventSlab caps the events of a decoded run that share one allocation: a
+// monitor keeps an event for as long as some view may still need it, and an
+// event decoded into a slab keeps the whole slab, so the slab must stay a
+// small object (internal/core's segment decoder has the measurements behind
+// the same bound).
+const EventSlab = 32
+
+// DecodeEventRun parses the run of one or more event records that fills buf —
+// an Ingest frame's payload behind its session id — for an n-process space,
+// and appends the events to dst. The run has no count: a record is
+// self-delimiting once n is known, and the run ends where buf does. Events
+// decode into slabs, one []Event and one clock slab per run of up to EventSlab
+// events, each sized by the records the remaining bytes can still hold, so a
+// run costs two allocations per slab whatever its length claims to be. One
+// malformed record refuses the whole run, as does an empty buf; dst then comes
+// back at its original length.
+func DecodeEventRun(dst []*Event, buf []byte, n int) ([]*Event, error) {
+	c := wire.NewCursor(buf)
+	base := len(dst)
+	var slab []Event
+	var clocks []int
+	for {
+		if len(slab) == 0 {
+			k := min(EventSlab, max(1, c.Len()/(MinEventRecord+n)))
+			slab, clocks = make([]Event, k), make([]int, k*n)
+		}
+		DecodeEventInto(&c, &slab[0], clocks[:n:n])
+		if c.Err() != nil {
+			return dst[:base], c.Done("event run")
+		}
+		dst, slab, clocks = append(dst, &slab[0]), slab[1:], clocks[n:]
+		if c.Len() == 0 {
+			return dst, nil
+		}
+	}
 }
 
 // Write appends one event record.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"decentmon/internal/wire"
@@ -105,14 +106,26 @@ func FuzzDecodeDMTB(f *testing.F) {
 	})
 }
 
+// decodeRunAllocBytes decodes an Ingest's records and reports the bytes the
+// call allocated.
+func decodeRunAllocBytes(raw []byte, n int) ([]*Event, error, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	evs, err := DecodeEventRun(nil, raw, n)
+	runtime.ReadMemStats(&after)
+	return evs, err, after.TotalAlloc - before.TotalAlloc
+}
+
 // FuzzDecodeRPC fuzzes dlmond's listener-facing parser the way its read loop
-// runs it — ReadRPCFrame, DecodeRPC, and DecodeEventRecord on an Ingest — over
-// a byte stream of any number of frames: nothing panics, and every frame (and
-// event record) that is accepted re-encodes to exactly the bytes it came
-// from, so no two byte strings mean the same message.
+// runs it — ReadRPCFrame, DecodeRPC, and DecodeEventRun on an Ingest — over a
+// byte stream of any number of frames: nothing panics, every frame (and event
+// run) that is accepted re-encodes to exactly the bytes it came from, so no
+// two byte strings mean the same message, and decoding a run allocates at most
+// a small multiple of its bytes (slabs are sized by the records the bytes left
+// can hold, never by a number the input supplies).
 func FuzzDecodeRPC(f *testing.F) {
 	st := NewStamper(3)
-	ev, _, err := st.Send(0, 2, 5, 0.25)
+	ev, tok, err := st.Send(0, 2, 5, 0.25)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -120,11 +133,31 @@ func FuzzDecodeRPC(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A run: the send, 40 internal events (more than a slab) and the receive.
+	run := bytes.Clone(rec)
+	for i := 0; i < 40; i++ {
+		e, err := st.Internal(i%3, LocalState(i), float64(i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		if run, err = AppendEventRecord(run, e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	recv, err := st.Recv(2, tok, 1, 41)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if run, err = AppendEventRecord(run, recv); err != nil {
+		f.Fatal(err)
+	}
 	var stream []byte
 	for _, m := range []*RPCMsg{
 		{Kind: RPCHello, Version: RPCVersion},
 		{Kind: RPCRegister, Tenant: "acme", Formula: "G(P0.p -> F P1.q)", Init: GlobalState{1, 0, 0}, Props: PerProcess(3, "p", "q")},
 		{Kind: RPCIngest, SID: 2, Raw: rec}, // SID selects the 3-process space below
+		{Kind: RPCIngest, SID: 2, Raw: append(bytes.Clone(rec), rec...)},
+		{Kind: RPCIngest, SID: 6, Raw: run},
 		{Kind: RPCEmit, SID: 7, EmitKind: Recv, Proc: 1, Peer: 0, MsgID: 9, State: 3},
 		{Kind: RPCEnd, SID: 7, Proc: 1},
 		{Kind: RPCRegistered, SID: 8, CacheHit: true, Epoch: 3, Fed: []int{4, 0, 17}},
@@ -165,18 +198,41 @@ func FuzzDecodeRPC(f *testing.F) {
 			if m.Kind != RPCIngest {
 				continue
 			}
-			e, err := DecodeEventRecord(m.Raw, int(m.SID%4)+1)
+			n := int(m.SID%4) + 1
+			evs, err, allocated := decodeRunAllocBytes(m.Raw, n)
+			if budget := uint64(32*len(m.Raw) + 2048); allocated > budget {
+				// Another goroutine of the fuzz worker may have allocated
+				// meanwhile; a real excess repeats.
+				if _, _, allocated = decodeRunAllocBytes(m.Raw, n); allocated > budget {
+					t.Fatalf("decoding a %d-byte run allocated %d, budget %d", len(m.Raw), allocated, budget)
+				}
+			}
+			one, oneErr := DecodeEventRecord(m.Raw, n)
+			if (oneErr == nil) != (err == nil && len(evs) == 1) {
+				t.Fatalf("DecodeEventRecord says %v of a run of %d (%v): %x", oneErr, len(evs), err, m.Raw)
+			}
 			if err != nil {
 				continue
 			}
-			if e.Type > Recv || e.Proc > int(m.SID%4) || e.SN != e.VC[e.Proc] {
-				t.Fatalf("accepted a malformed event %+v", e)
+			var rerun []byte
+			size := 0
+			for _, e := range evs {
+				if e.Type > Recv || e.Proc >= n || e.SN != e.VC[e.Proc] {
+					t.Fatalf("accepted a malformed event %+v", e)
+				}
+				if rerun, err = AppendEventRecord(rerun, e); err != nil {
+					t.Fatalf("re-encoding an accepted event: %v", err)
+				}
+				size += EventRecordSize(e)
 			}
-			if rec, err := AppendEventRecord(nil, e); err != nil || !bytes.Equal(rec, m.Raw) {
-				t.Fatalf("event record does not re-encode to itself (%v):\n in  %x\n out %x", err, m.Raw, rec)
+			if !bytes.Equal(rerun, m.Raw) {
+				t.Fatalf("event run does not re-encode to itself:\n in  %x\n out %x", m.Raw, rerun)
 			}
-			if got := EventRecordSize(e); got != len(m.Raw) {
-				t.Fatalf("EventRecordSize = %d for a %d-byte record %x", got, len(m.Raw), m.Raw)
+			if size != len(m.Raw) {
+				t.Fatalf("EventRecordSize sums to %d for a %d-byte run %x", size, len(m.Raw), m.Raw)
+			}
+			if oneErr == nil && (one.Proc != evs[0].Proc || !one.VC.Equal(evs[0].VC)) {
+				t.Fatalf("a run of one decodes to %+v, alone to %+v", evs[0], one)
 			}
 		}
 	})

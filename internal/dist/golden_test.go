@@ -13,10 +13,11 @@ import (
 )
 
 // Golden bytes of the formats other programs hold: a ".dmtb" file on
-// somebody's disk and an RPC client built against version 2 must keep
-// working, so these strings were captured at the commit before the codecs
+// somebody's disk and an RPC client built against the current version must
+// keep working, so these strings were captured at the commit before the codecs
 // moved onto internal/wire and may only change together with the format's
-// version number.
+// version number (RPC version 3 changed the hello's version byte and let an
+// Ingest carry more than one record; every other frame is version 2's).
 
 func goldenProps() *PropMap {
 	pm := NewPropMap()
@@ -89,20 +90,31 @@ func TestGoldenDMTB(t *testing.T) {
 	}
 }
 
-// TestGoldenRPC: one frame of every version 2 verb, encoded and decoded.
+// TestGoldenRPC: one frame of every version 3 verb, encoded and decoded; the
+// second Ingest carries the three records of the ".dmtb" golden back to back.
 func TestGoldenRPC(t *testing.T) {
 	rec, err := AppendEventRecord(nil, goldenEvents()[1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	var run []byte
+	for _, e := range goldenEvents() {
+		if run, err = AppendEventRecord(run, e); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, tc := range []struct {
 		msg  *RPCMsg
 		want string
 	}{
-		{&RPCMsg{Kind: RPCHello, Version: RPCVersion}, "06 01 444c4d44 02"},
+		{&RPCMsg{Kind: RPCHello, Version: RPCVersion}, "06 01 444c4d44 03"},
 		{&RPCMsg{Kind: RPCRegister, Tenant: "acme", Formula: "G(P0.p -> F P1.p)", Init: GlobalState{1, 0}, Props: goldenProps()},
 			"2e 02 04 61636d65 11 472850302e70202d3e20462050312e7029 02 01 00 03 00 04 50302e70 00 04 50302e71 01 04 50312e70"},
 		{&RPCMsg{Kind: RPCIngest, SID: 7, Raw: rec}, "15 03 07 00 01 02 ac02 01000000 000000000000f43f 02 00"},
+		{&RPCMsg{Kind: RPCIngest, SID: 7, Raw: run}, "3a 03 07" +
+			"00 00 01 00 03000000 000000000000e03f 01 00" +
+			"00 01 02 ac02 01000000 000000000000f43f 02 00" +
+			"01 02 00 ac02 01000000 0000000000000040 02 01"},
 		{&RPCMsg{Kind: RPCEmit, SID: 7, EmitKind: Send, Proc: 0, Peer: 1, MsgID: 9, State: 3}, "0a 04 07 01 00 02 09 03000000"},
 		{&RPCMsg{Kind: RPCEmit, SID: 7, EmitKind: Internal, Proc: 1, Peer: -1, State: 2}, "0a 04 07 00 01 01 00 02000000"},
 		{&RPCMsg{Kind: RPCSubscribe, SID: 7}, "02 05 07"},
@@ -124,7 +136,7 @@ func TestGoldenRPC(t *testing.T) {
 			t.Fatalf("%s: %v", tc.msg.Kind, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("rpc v2 %s frame changed:\n got  %x\n want %x", tc.msg.Kind, got, want)
+			t.Errorf("rpc v3 %s frame changed:\n got  %x\n want %x", tc.msg.Kind, got, want)
 		}
 		payload, _, err := ReadRPCFrame(bufio.NewReader(bytes.NewReader(want)), nil)
 		if err != nil {
@@ -136,6 +148,16 @@ func TestGoldenRPC(t *testing.T) {
 		}
 		if again, err := AppendRPC(nil, m); err != nil || !bytes.Equal(again, want) {
 			t.Errorf("%s: decoded frame re-encodes to %x (%v)", tc.msg.Kind, again, err)
+		}
+	}
+	evs, err := DecodeEventRun(nil, run, 2)
+	if err != nil || len(evs) != 3 {
+		t.Fatalf("the three-record run decodes to %d events (%v)", len(evs), err)
+	}
+	for i, e := range goldenEvents() {
+		if got := evs[i]; got.Proc != e.Proc || got.SN != e.SN || got.Type != e.Type || got.Peer != e.Peer || got.MsgID != e.MsgID ||
+			got.State != e.State || got.Time != e.Time || !got.VC.Equal(e.VC) {
+			t.Errorf("run event %d read back as %+v, want %+v", i, got, e)
 		}
 	}
 }

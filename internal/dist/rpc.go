@@ -11,10 +11,10 @@ import (
 // and its clients (internal/server). Frames ride a byte stream exactly like
 // ".dmtb" event records ride a trace file — wire frames, a uvarint payload
 // length followed by the payload — so truncation is detectable; an Ingest
-// payload is the literal event record of binary.go and a Register's process
-// space the record of propmap.go. ARCHITECTURE.md ("Wire formats") lists the
-// fields of every verb; appendRPCPayload and DecodeRPC are the two places
-// that know them.
+// payload is a run of the literal event record of binary.go and a Register's
+// process space the record of propmap.go. ARCHITECTURE.md ("Wire formats")
+// lists the fields of every verb; appendRPCPayload and DecodeRPC are the two
+// places that know them.
 //
 // Connection layout:
 //
@@ -26,7 +26,10 @@ import (
 // Verbs (client → server):
 //
 //	Register   tenant, formula, initial state, proposition space
-//	Ingest     session id + one pre-stamped ".dmtb" event record
+//	Ingest     session id + one or more pre-stamped ".dmtb" event records,
+//	           back to back: a record is self-delimiting once the session's
+//	           process count is known, so the run needs no count, and one
+//	           event is the run of length one (DecodeEventRun)
 //	Emit       session id + (kind, proc, peer, state): live stamping —
 //	           the server's dist.Stamper assigns clocks; a send's reply
 //	           carries the message id the receiver's Emit must present
@@ -51,7 +54,11 @@ import (
 //
 // Ingest is deliberately fire-and-forget (no per-event acknowledgement):
 // TCP flow control paces a feeder that outruns the server, and ingestion
-// failures surface as an asynchronous Error frame that dooms the session.
+// failures surface as an asynchronous Error frame that dooms the session. How
+// many events share a frame is the sender's business (internal/server's
+// client puts in one frame whatever accumulated while its previous write was
+// in flight); the receiver feeds a frame whole or, if any record of it is
+// malformed, not at all.
 type RPCKind uint8
 
 // The RPC verbs. Client-originated verbs are low, server-originated high;
@@ -112,11 +119,13 @@ func (k RPCKind) String() string {
 var RPCMagic = [4]byte{'D', 'L', 'M', 'D'}
 
 // RPCVersion is the protocol version spoken by this build. Version 2 added
-// Attach and the epoch/fed fields of Registered (durable sessions).
-const RPCVersion = 2
+// Attach and the epoch/fed fields of Registered (durable sessions); version 3
+// lets an Ingest carry a run of event records where it carried exactly one.
+const RPCVersion = 3
 
 // MaxRPCFrame bounds one frame's payload: a Register carries a formula and
-// a proposition space, everything else is tens of bytes.
+// a proposition space, an Ingest as many events as its sender batched,
+// everything else is tens of bytes.
 const MaxRPCFrame = 1 << 20
 
 // Verdict codes carried by Verdict/Closed frames. They mirror
@@ -157,9 +166,10 @@ type RPCMsg struct {
 	Init    GlobalState
 	Props   *PropMap
 
-	// Ingest: one ".dmtb" event record (AppendEventRecord encoding). The
-	// slice aliases the decode buffer — decode it into an Event (which
-	// copies what it keeps) before reading the next frame.
+	// Ingest: one or more ".dmtb" event records back to back
+	// (AppendEventRecord encoding; DecodeEventRun reads them). The slice
+	// aliases the decode buffer — decode it into Events (which copy what
+	// they keep) before reading the next frame.
 	Raw []byte
 
 	// Emit / Emitted: live stamping. EmitKind is the event kind; Peer is
@@ -195,16 +205,23 @@ type RPCMsg struct {
 }
 
 // AppendRPC appends the frame for m — uvarint length prefix included — to
-// buf and returns the extended slice.
+// buf and returns the extended slice, or buf as it was with the error. The
+// payload is encoded in place behind its prefix: into a buffer with room the
+// call allocates nothing, and a nil buf is sized once for the fields whose
+// length is known (an Ingest's records are most of a kilobyte frame).
 func AppendRPC(buf []byte, m *RPCMsg) ([]byte, error) {
-	payload, err := appendRPCPayload(make([]byte, 0, 64), m)
+	start, out := len(buf), buf
+	if out == nil {
+		out = make([]byte, 0, 64+len(m.Raw)+len(m.Tenant)+len(m.Formula)+len(m.Err))
+	}
+	out, err := appendRPCPayload(wire.BeginFrame(out), m)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
-	if len(payload) > MaxRPCFrame {
-		return nil, fmt.Errorf("dist: rpc %s frame of %d bytes exceeds the %d-byte bound", m.Kind, len(payload), MaxRPCFrame)
+	if n := len(out) - start - 1; n > MaxRPCFrame {
+		return buf, fmt.Errorf("dist: rpc %s frame of %d bytes exceeds the %d-byte bound", m.Kind, n, MaxRPCFrame)
 	}
-	return append(wire.AppendUvarint(buf, uint64(len(payload))), payload...), nil
+	return wire.EndFrame(out, start), nil
 }
 
 func appendRPCPayload(buf []byte, m *RPCMsg) ([]byte, error) {
@@ -224,6 +241,9 @@ func appendRPCPayload(buf []byte, m *RPCMsg) ([]byte, error) {
 		buf = wire.AppendString(buf, m.Formula)
 		buf = AppendProcessSpace(buf, m.Init, m.Props)
 	case RPCIngest:
+		if len(m.Raw) == 0 {
+			return nil, fmt.Errorf("dist: rpc ingest without an event record")
+		}
 		buf = append(buf, m.Raw...)
 	case RPCEmit:
 		buf = append(buf, byte(m.EmitKind))
@@ -264,8 +284,9 @@ func ReadRPCFrame(br *bufio.Reader, scratch []byte) (payload, grown []byte, err 
 }
 
 // DecodeRPC parses one frame payload. Byte-slice fields of the returned
-// message (Raw, Verdicts) alias payload, so that an Ingest — the one verb sent
-// per event — costs no copy; consume them before reusing the read buffer.
+// message (Raw, Verdicts) alias payload, so that an Ingest — the verb that
+// carries the events — costs no copy; consume them before reusing the read
+// buffer.
 func DecodeRPC(payload []byte) (*RPCMsg, error) {
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("dist: empty rpc frame")
@@ -286,7 +307,9 @@ func DecodeRPC(payload []byte) (*RPCMsg, error) {
 		m.Formula = c.String()
 		m.Init, m.Props = DecodeProcessSpace(&c)
 	case RPCIngest:
-		m.Raw = c.Bytes(c.Len())
+		if m.Raw = c.Bytes(c.Len()); len(m.Raw) == 0 {
+			c.Failf("ingest without an event record")
+		}
 	case RPCEmit:
 		m.EmitKind = EventType(c.Byte())
 		m.Proc = c.Int()

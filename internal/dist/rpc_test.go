@@ -153,6 +153,7 @@ func TestRPCRejectsBadFrames(t *testing.T) {
 		{"padded session id", []byte{byte(RPCAcked), 0x87, 0x00}, "uvarint"},
 		{"cache flag 2", []byte{byte(RPCRegistered), 8, 2, 0, 0}, "bool"},
 		{"33-process verdict cut", append([]byte{byte(RPCVerdict), 7, 1, 2, 1, 2, 33}, make([]byte, 33)...), "33 processes"},
+		{"ingest of no record", []byte{byte(RPCIngest), 7}, "without an event record"},
 	}
 	for _, tc := range cases {
 		_, err := DecodeRPC(tc.payload)
@@ -185,6 +186,119 @@ func TestRPCRejectsBadFrames(t *testing.T) {
 	}
 	if _, err := AppendEventRecord(nil, &Event{Type: 9, VC: vclock.VC{1}}); err == nil {
 		t.Error("event type 9 encoded")
+	}
+	if _, err := AppendRPC(nil, &RPCMsg{Kind: RPCIngest, SID: 7}); err == nil {
+		t.Error("ingest of no record encoded")
+	}
+}
+
+// genRun is a generated 4-process execution, linearized by timestamp, and its
+// records back to back with the offset each starts at (and the end).
+func genRun(t testing.TB) (events []*Event, run []byte, offs []int) {
+	t.Helper()
+	src := Generate(GenConfig{N: 4, InternalPerProc: 30, CommMu: 3, Seed: 11}).Stream()
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, offs = append(events, e), append(offs, len(run))
+		if run, err = AppendEventRecord(run, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return events, run, append(offs, len(run))
+}
+
+func sameEvent(a, b *Event) bool {
+	return a.Proc == b.Proc && a.SN == b.SN && a.Type == b.Type && a.Peer == b.Peer && a.MsgID == b.MsgID &&
+		a.State == b.State && a.Time == b.Time && a.VC.Equal(b.VC)
+}
+
+// TestDecodeEventRun: a run of k records decodes to what its k records decode
+// to one by one; it is refused whole — the destination comes back as it went
+// in — when any record of it is cut short, names a process outside the space
+// or drags bytes behind it, and when it is empty.
+func TestDecodeEventRun(t *testing.T) {
+	events, run, offs := genRun(t)
+	if len(events) < 3*EventSlab {
+		t.Fatalf("generated %d events, want a few slabs", len(events))
+	}
+	kept := &Event{Proc: 99}
+	got, err := DecodeEventRun([]*Event{kept}, run, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1+len(events) || got[0] != kept {
+		t.Fatalf("decoded %d events behind the one already there, want %d", len(got)-1, len(events))
+	}
+	for i, e := range events {
+		one, err := DecodeEventRecord(run[offs[i]:offs[i+1]], 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameEvent(got[1+i], e) || !sameEvent(one, e) {
+			t.Fatalf("event %d: run %+v, alone %+v, want %+v", i, got[1+i], one, e)
+		}
+	}
+	// Slabs: an []Event and a clock array per EventSlab events, nothing else.
+	dst := make([]*Event, 0, len(events))
+	slabs := (len(events) + EventSlab - 1) / EventSlab
+	if n := testing.AllocsPerRun(20, func() { dst, _ = DecodeEventRun(dst[:0], run, 4) }); n != float64(2*slabs) {
+		t.Errorf("decoding %d events allocated %v times, want two per slab of %d = %d", len(events), n, EventSlab, 2*slabs)
+	}
+
+	j := len(events) / 2
+	procAt := func(r []byte) []byte { r[offs[j]] = 4; return r }
+	for name, tc := range map[string]struct {
+		run  []byte
+		want string
+	}{
+		"empty":                   {nil, "truncated"},
+		"record j cut short":      {run[:offs[j+1]-1], "truncated"},
+		"run cut inside record j": {run[:offs[j]+3], "truncated"},
+		"record j of process 4":   {procAt(bytes.Clone(run)), "nonexistent process 4"},
+		"one byte behind":         {append(bytes.Clone(run), 0), "truncated"},
+	} {
+		got, err := DecodeEventRun([]*Event{kept}, tc.run, 4)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: want error containing %q, got %v", name, tc.want, err)
+		}
+		if len(got) != 1 || got[0] != kept {
+			t.Errorf("%s: a refused run left %d events in the destination", name, len(got)-1)
+		}
+	}
+}
+
+// TestAllocsAppendRPC: a frame is encoded in place behind its length prefix.
+// Appending to a buffer with room allocates nothing, whether the prefix takes
+// one byte or two, and a nil buffer is allocated once.
+func TestAllocsAppendRPC(t *testing.T) {
+	_, run, offs := genRun(t)
+	msgs := []*RPCMsg{
+		{Kind: RPCIngest, SID: 7, Raw: run[:offs[1]]},
+		{Kind: RPCIngest, SID: 7, Raw: run[:offs[100]]}, // kilobytes: a two-byte prefix
+		{Kind: RPCVerdict, SID: 7, Monitor: 1, Verdict: RPCVerdictBottom, Conclusive: true, AutState: 2, Cut: []int{3, 1, 4, 1}},
+		{Kind: RPCError, SID: 7, Err: "no such session"},
+	}
+	buf := make([]byte, 0, 2*len(run))
+	for _, m := range msgs {
+		want, err := AppendRPC(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf, _ = AppendRPC(buf[:0], m) }); n != 0 {
+			t.Errorf("%s frame of %d bytes: %v allocations appending into a buffer with room", m.Kind, len(want), n)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Errorf("%s: in-place frame differs from the fresh one", m.Kind)
+		}
+		if n := testing.AllocsPerRun(100, func() { AppendRPC(nil, m) }); n != 1 {
+			t.Errorf("%s frame of %d bytes: %v allocations from a nil buffer, want 1", m.Kind, len(want), n)
+		}
 	}
 }
 

@@ -93,12 +93,54 @@ func TestCheckpointCloseVsInstall(t *testing.T) {
 
 // TestCheckpointCountAtCadence: a session of N events at cadence c installs
 // ⌊N/c⌋ + 1 checkpoints — the pipeline waits for the previous install, it
-// never drops the due one — and the byte counter follows the files.
+// never drops the due one — and the byte counter follows the files. The
+// cadence counts events, not frames: a feed window ends where a checkpoint
+// falls due, so the count and what the last checkpoint holds are the same
+// whether a frame carries one event, a few (5: every other frame straddles a
+// boundary), more than a feed window or the whole session — or whatever a
+// Client's writer happened to put in it.
 func TestCheckpointCountAtCadence(t *testing.T) {
 	const cadence = 7
+	ts, evs := pipelineTrace(t, 240)
+	// atCadence checks the daemon after a reply-bearing verb, which is
+	// answered after the in-flight install: the file read is the checkpoint of
+	// the last cadence boundary.
+	atCadence := func(t *testing.T, s *Server, dir string, sid uint64, fed []int) []byte {
+		t.Helper()
+		if fed[0]+fed[1] != len(evs) {
+			t.Fatalf("daemon absorbed %v of %d events", fed, len(evs))
+		}
+		if got, want := s.mx.checkpointsTotal.Load(), int64(len(evs)/cadence+1); got != want {
+			t.Errorf("checkpoints_total = %d after %d events at cadence %d, want %d", got, len(evs), cadence, want)
+		}
+		blob, err := os.ReadFile(checkpointPath(dir, sid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := decodeCheckpoint(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := int64(len(evs) / cadence * cadence); ck.events != want {
+			t.Errorf("checkpoint on disk holds %d events at the acknowledgement, want %d", ck.events, want)
+		}
+		return blob
+	}
+	for _, k := range []int{1, 5, feedWindow + 3, len(evs)} {
+		t.Run(strconv.Itoa(k)+" to a frame", func(t *testing.T) {
+			dir := t.TempDir()
+			s := newTestServer(t, Config{StateDir: dir, CheckpointEvery: cadence, MetricsAddr: "off"})
+			rc, _ := dialRaw(t, s.Addr(), dist.RPCVersion)
+			sid := rc.call(&dist.RPCMsg{Kind: dist.RPCRegister, Tenant: "acme", Formula: pipelineFormula,
+				Init: ts.InitialState(), Props: ts.Props}, dist.RPCRegistered).SID
+			rc.ingest(sid, evs, k)
+			atCadence(t, s, dir, sid, rc.call(&dist.RPCMsg{Kind: dist.RPCAttach, SID: sid}, dist.RPCRegistered).Fed)
+			rc.call(&dist.RPCMsg{Kind: dist.RPCClose, SID: sid}, dist.RPCClosed)
+		})
+	}
+
 	dir := t.TempDir()
 	s := newTestServer(t, Config{StateDir: dir, CheckpointEvery: cadence})
-	ts, evs := pipelineTrace(t, 240)
 	cl, err := Dial(s.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -113,27 +155,11 @@ func TestCheckpointCountAtCadence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A reply-bearing verb is answered after the in-flight install: the file
-	// read next is the checkpoint of the last cadence boundary.
-	if _, fed, err := cl.Attach(sid); err != nil {
-		t.Fatal(err)
-	} else if fed[0]+fed[1] != len(evs) {
-		t.Fatalf("daemon absorbed %v of %d events", fed, len(evs))
-	}
-	if got, want := s.mx.checkpointsTotal.Load(), int64(len(evs)/cadence+1); got != want {
-		t.Errorf("checkpoints_total = %d after %d events at cadence %d, want %d", got, len(evs), cadence, want)
-	}
-	blob, err := os.ReadFile(checkpointPath(dir, sid))
+	_, fed, err := cl.Attach(sid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := decodeCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(len(evs) / cadence * cadence); ck.events != want {
-		t.Errorf("checkpoint on disk holds %d events at the acknowledgement, want %d", ck.events, want)
-	}
+	blob := atCadence(t, s, dir, sid, fed)
 	// The phase counters, as a scraper sees them. install_wait may
 	// legitimately read 0 on a fast disk; the others cannot.
 	resp, err := http.Get("http://" + s.MetricsAddr() + "/metrics")

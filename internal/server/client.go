@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
@@ -16,6 +17,33 @@ import (
 // in request order), so each in-flight verb parks on a FIFO of reply
 // channels.
 //
+// Writes are combined, never delayed. No caller touches the socket: a call
+// appends its bytes to the pending buffer under wmu — Ingest its event record
+// to the open batch, a run of records of one session that becomes one Ingest
+// frame when sealed; a synchronous verb seals the open batch and puts its own
+// frame behind it — and one writer goroutine, woken when the buffer goes from
+// empty to non-empty, seals the open batch, takes the whole buffer and writes
+// it outside the lock. Whatever accumulated during one write(2) leaves in the
+// next: a lone Ingest is on the wire as soon as the writer runs (there is no
+// timer to wait out), and a feeder that outruns the server — whose socket
+// buffer fills, whose writes block — sends ever larger frames.
+//
+// Two invariants callers (dlmonc, the benchmark's checkpoint probe) rely on:
+//
+//   - Frames leave in call order. Every call appends under wmu, sealing moves
+//     the open batch behind what was sealed before it, and the writer is alone
+//     in writing what it took, in the order it took it.
+//   - A verb's reply implies the server has handled every Ingest called
+//     before the verb: their frames precede the verb's, and the server
+//     handles a connection's frames one after another.
+//
+// Ingest blocks while maxPending bytes or more await the writer: that is TCP
+// backpressure reaching the feeder, as it did when every Ingest wrote for
+// itself. A write error is sticky: it closes the connection and every later
+// call returns it. Close does not wait for pending bytes (a peer that stopped
+// reading would hold it forever): a caller that needs its last Ingests
+// handled ends with a synchronous verb.
+//
 // Verdict frames for subscribed sessions are delivered on the OnVerdict
 // callback from the read loop; it must not call back into the Client.
 type Client struct {
@@ -28,14 +56,38 @@ type Client struct {
 	// (ingestion failures). Nil drops them.
 	OnAsyncError func(m *dist.RPCMsg)
 
-	wmu     sync.Mutex
-	bw      *bufio.Writer
-	pending []chan *dist.RPCMsg
+	// wmu guards everything down to kick.
+	wmu sync.Mutex
+	// batch holds the event records of the open batch, all of session
+	// batchSID; out the sealed frames behind which it will go; spare is the
+	// buffer the writer is not writing from.
+	batch    []byte
+	batchSID uint64
+	out      []byte
+	spare    []byte
+	// room is signalled when pending bytes have left or the connection has
+	// failed; dead is that failure, set once.
+	room *sync.Cond
+	dead error
+	// replies is the FIFO of verbs awaiting their answer.
+	replies []chan *dist.RPCMsg
+	// kick wakes the writer; capacity 1, so a wake-up posted while it is
+	// busy is kept and a second one is not needed.
+	kick chan struct{}
 
-	readErr  error
-	readDone chan struct{}
-	once     sync.Once
+	readDone  chan struct{} // closed when the read loop has exited
+	writeDone chan struct{} // closed when the writer has exited
 }
+
+const (
+	// maxPending bounds the bytes awaiting the writer (a record may straddle
+	// it): as much again may be inside the write in flight.
+	maxPending = 64 << 10
+	// batchSeal is the payload size at which the open batch is sealed even
+	// though the writer has not come for it: the server reads a frame whole
+	// before feeding any of it, so a frame stays a few feed windows long.
+	batchSeal = 4 << 10
+)
 
 // Dial connects and performs the hello exchange.
 func Dial(addr string) (*Client, error) {
@@ -43,8 +95,17 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c), readDone: make(chan struct{})}
-	if err := cl.writeMsg(&dist.RPCMsg{Kind: dist.RPCHello, Version: dist.RPCVersion}); err != nil {
+	cl := &Client{
+		c: c, br: bufio.NewReader(c),
+		kick:     make(chan struct{}, 1),
+		readDone: make(chan struct{}), writeDone: make(chan struct{}),
+	}
+	cl.room = sync.NewCond(&cl.wmu)
+	hello, err := dist.AppendRPC(nil, &dist.RPCMsg{Kind: dist.RPCHello, Version: dist.RPCVersion})
+	if err == nil {
+		_, err = c.Write(hello)
+	}
+	if err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -67,57 +128,107 @@ func Dial(addr string) (*Client, error) {
 		return nil, fmt.Errorf("server: unexpected hello reply %s v%d", m.Kind, m.Version)
 	}
 	go cl.readLoop()
+	go cl.writeLoop()
 	return cl, nil
 }
 
-func (cl *Client) writeMsg(m *dist.RPCMsg) error {
-	frame, err := dist.AppendRPC(nil, m)
+// pending is the number of bytes awaiting the writer. Caller holds wmu.
+func (cl *Client) pending() int { return len(cl.out) + len(cl.batch) }
+
+// seal closes the open batch into one Ingest frame behind the sealed ones.
+// Caller holds wmu.
+func (cl *Client) seal() {
+	if len(cl.batch) == 0 {
+		return
+	}
+	out, err := dist.AppendRPC(cl.out, &dist.RPCMsg{Kind: dist.RPCIngest, SID: cl.batchSID, Raw: cl.batch})
 	if err != nil {
-		return err
+		cl.fail(err)
 	}
-	cl.wmu.Lock()
-	defer cl.wmu.Unlock()
-	if _, err := cl.bw.Write(frame); err != nil {
-		return err
+	cl.out, cl.batch = out, cl.batch[:0]
+}
+
+// fail records the connection's first failure, releases every Ingest waiting
+// for room and closes the socket, which ends the read loop and with it every
+// parked verb. Caller holds wmu.
+func (cl *Client) fail(err error) {
+	if cl.dead == nil {
+		cl.dead = err
+		cl.room.Broadcast()
+		cl.c.Close()
 	}
-	return cl.bw.Flush()
+}
+
+// wake posts the writer's wake-up. It is called by whoever appended to an
+// empty pending buffer: nobody who appends behind them needs to, the writer
+// takes everything there is when it comes. Caller holds wmu.
+func (cl *Client) wake() {
+	select {
+	case cl.kick <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop is the writer goroutine: the only code that writes to the socket
+// after the hello exchange.
+func (cl *Client) writeLoop() {
+	defer close(cl.writeDone)
+	for {
+		select {
+		case <-cl.kick:
+		case <-cl.readDone:
+			return
+		}
+		cl.wmu.Lock()
+		cl.seal()
+		buf := cl.out
+		cl.out, cl.spare = cl.spare, nil
+		cl.wmu.Unlock()
+		_, err := cl.c.Write(buf)
+		cl.wmu.Lock()
+		cl.spare = buf[:0]
+		if err != nil {
+			cl.fail(err)
+		}
+		cl.room.Broadcast()
+		cl.wmu.Unlock()
+		if err != nil {
+			return
+		}
+	}
 }
 
 // call sends a synchronous verb and waits for its reply.
 func (cl *Client) call(m *dist.RPCMsg) (*dist.RPCMsg, error) {
 	reply := make(chan *dist.RPCMsg, 1)
-	frame, err := dist.AppendRPC(nil, m)
+	cl.wmu.Lock()
+	if cl.dead != nil {
+		cl.wmu.Unlock()
+		return nil, cl.dead
+	}
+	empty := cl.pending() == 0
+	cl.seal()
+	out, err := dist.AppendRPC(cl.out, m)
 	if err != nil {
+		cl.wmu.Unlock()
 		return nil, err
 	}
-	cl.wmu.Lock()
-	// Enqueue before the bytes can hit the wire so the reply always finds
-	// its channel.
-	cl.pending = append(cl.pending, reply)
-	_, err = cl.bw.Write(frame)
-	if err == nil {
-		err = cl.bw.Flush()
+	// The reply channel is queued with the frame, under the same lock, so
+	// the FIFO's order is the wire's.
+	cl.out, cl.replies = out, append(cl.replies, reply)
+	if empty {
+		cl.wake()
 	}
 	cl.wmu.Unlock()
-	if err != nil {
-		return nil, err
-	}
 	r, ok := <-reply
 	if !ok {
-		return nil, cl.readError()
+		<-cl.readDone
+		return nil, cl.dead
 	}
 	if r.Kind == dist.RPCError {
 		return nil, fmt.Errorf("server: %s", r.Err)
 	}
 	return r, nil
-}
-
-func (cl *Client) readError() error {
-	<-cl.readDone
-	if cl.readErr != nil {
-		return cl.readErr
-	}
-	return fmt.Errorf("server: connection closed")
 }
 
 // readLoop demultiplexes incoming frames: verdicts to OnVerdict, everything
@@ -143,9 +254,9 @@ func (cl *Client) readLoop() {
 		}
 		cl.wmu.Lock()
 		var reply chan *dist.RPCMsg
-		if len(cl.pending) > 0 {
-			reply = cl.pending[0]
-			cl.pending = cl.pending[1:]
+		if len(cl.replies) > 0 {
+			reply = cl.replies[0]
+			cl.replies = cl.replies[1:]
 		}
 		cl.wmu.Unlock()
 		if reply == nil {
@@ -169,12 +280,15 @@ func (cl *Client) readLoop() {
 		default:
 		}
 	}
-	cl.readErr = err
+	if err == io.EOF {
+		err = fmt.Errorf("server: connection closed")
+	}
 	cl.wmu.Lock()
-	for _, ch := range cl.pending {
+	cl.fail(err)
+	for _, ch := range cl.replies {
 		close(ch)
 	}
-	cl.pending = nil
+	cl.replies = nil
 	cl.wmu.Unlock()
 	close(cl.readDone)
 }
@@ -221,13 +335,34 @@ func (cl *Client) Subscribe(sid uint64) error {
 }
 
 // Ingest feeds one pre-stamped event, fire-and-forget: ingestion failures
-// arrive later on OnAsyncError and doom the session.
+// arrive later on OnAsyncError and doom the session. The event's record joins
+// the open batch (see Client); Ingest returns without waiting for the socket
+// unless maxPending bytes already are.
 func (cl *Client) Ingest(sid uint64, e *dist.Event) error {
-	rec, err := dist.AppendEventRecord(nil, e)
+	cl.wmu.Lock()
+	defer cl.wmu.Unlock()
+	for cl.dead == nil && cl.pending() >= maxPending {
+		cl.room.Wait()
+	}
+	if cl.dead != nil {
+		return cl.dead
+	}
+	empty := cl.pending() == 0
+	if sid != cl.batchSID {
+		cl.seal()
+		cl.batchSID = sid
+	}
+	batch, err := dist.AppendEventRecord(cl.batch, e)
 	if err != nil {
 		return err
 	}
-	return cl.writeMsg(&dist.RPCMsg{Kind: dist.RPCIngest, SID: sid, Raw: rec})
+	if cl.batch = batch; len(batch) >= batchSeal {
+		cl.seal()
+	}
+	if empty {
+		cl.wake()
+	}
+	return cl.dead
 }
 
 // Emit live-stamps one event on the server. For sends, the returned id is
@@ -268,9 +403,14 @@ func (cl *Client) CloseSession(sid uint64) ([]byte, error) {
 	return r.Verdicts, nil
 }
 
-// Close tears down the connection.
+// Close tears down the connection and returns once the read loop and the
+// writer have exited: every blocked Ingest and parked verb is released with
+// an error. Bytes still awaiting the writer are dropped.
 func (cl *Client) Close() error {
-	var err error
-	cl.once.Do(func() { err = cl.c.Close() })
-	return err
+	cl.wmu.Lock()
+	cl.fail(fmt.Errorf("server: client closed"))
+	cl.wmu.Unlock()
+	<-cl.readDone
+	<-cl.writeDone
+	return nil
 }

@@ -83,7 +83,7 @@ func (m *metrics) render(w *strings.Builder, x snapshotExtra) {
 	counter("dlmond_events_total", "Events ingested across all sessions.", m.eventsTotal.Load())
 	counter("dlmond_verdicts_total", "Verdict detections streamed to subscribers.", m.verdictsTotal.Load())
 	counter("dlmond_errors_total", "RPC errors returned to clients.", m.errorsTotal.Load())
-	counter("dlmond_throttle_seconds_total_nanos", "Cumulative admission-control pause imposed on tenants, in nanoseconds.", m.throttleNanos.Load())
+	seconds("dlmond_throttle_seconds_total", "Cumulative admission-control pause imposed on tenants.", m.throttleNanos.Load())
 	counter("dlmond_sessions_recovered_total", "Sessions restored from durable checkpoints at startup.", m.sessionsRecovered.Load())
 	counter("dlmond_checkpoints_total", "Session checkpoints written to the state directory.", m.checkpointsTotal.Load())
 	counter("dlmond_checkpoint_errors_total", "Checkpoint writes or recoveries that failed.", m.checkpointErrors.Load())

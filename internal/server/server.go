@@ -208,12 +208,31 @@ func (s *Server) recoverSessions() error {
 	return nil
 }
 
-// maybeCheckpoint takes a session checkpoint when its cadence is due.
-func (s *Server) maybeCheckpoint(sess *session) {
+// feedWindow is the most events of a decoded run that reach a session in one
+// pass (one core FeedBatch per process among them). A frame may carry many
+// more: a larger window does buy throughput, by loosening the admission
+// gate's view of the monitors' backlog, and pays for it in resident memory —
+// PERFORMANCE.md ("Batched ingest") has the table that picked one slab.
+const feedWindow = dist.EventSlab
+
+// untilCheckpoint is how many more events the session takes before its
+// checkpoint cadence is due. A feed window ends there at the latest, so a
+// checkpoint captures exactly the fed counts it would with one event to a
+// frame.
+func (s *Server) untilCheckpoint(sess *session) int {
+	if s.cfg.StateDir == "" {
+		return feedWindow
+	}
+	return max(1, s.cfg.CheckpointEvery-int(sess.sinceCkpt.Load()))
+}
+
+// maybeCheckpoint counts k events fed to the session and takes its
+// checkpoint when the cadence is due.
+func (s *Server) maybeCheckpoint(sess *session, k int) {
 	if s.cfg.StateDir == "" {
 		return
 	}
-	if sess.sinceCkpt.Add(1) < int64(s.cfg.CheckpointEvery) {
+	if sess.sinceCkpt.Add(int64(k)) < int64(s.cfg.CheckpointEvery) {
 		return
 	}
 	s.checkpoint(sess)
@@ -364,8 +383,10 @@ type srvConn struct {
 	// admission-control identity.
 	tenant string
 	// local caches session pointers so the registry round trip happens
-	// once per session, not once per event.
+	// once per session, not once per frame.
 	local map[uint64]*session
+	// fs is the read loop's feed scratch.
+	fs feedScratch
 }
 
 // write frames and flushes one message. Errors mark the connection gone;
@@ -443,32 +464,34 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 		if sess == nil {
 			return true
 		}
-		sc.throttle(sess.tenant, 1)
-		e, err := dist.DecodeEventRecord(m.Raw, sess.n)
+		// The whole frame decodes before any of it is fed or charged: one
+		// malformed record and the session sees none of its neighbours.
+		run, err := dist.DecodeEventRun(sc.fs.run[:0], m.Raw, sess.n)
 		if err == nil {
-			err = sess.ingest(e)
+			sc.throttle(sess.tenant, len(run))
+			err = sc.ingest(sess, run)
 		}
+		clear(run)
+		sc.fs.run = run
 		if err != nil {
 			// Ingest is fire-and-forget; failures arrive asynchronously
 			// and doom the session rather than the connection.
 			sc.writeErr(m.SID, err)
 			return true
 		}
-		sc.srv.mx.eventsTotal.Add(1)
-		sc.srv.maybeCheckpoint(sess)
 	case dist.RPCEmit:
 		sess := sc.resolve(m.SID)
 		if sess == nil {
 			return true
 		}
 		sc.throttle(sess.tenant, 1)
-		id, err := sess.emit(m.EmitKind, m.Proc, m.Peer, m.MsgID, m.State)
+		id, err := sess.emit(&sc.fs, m.EmitKind, m.Proc, m.Peer, m.MsgID, m.State)
 		if err != nil {
 			sc.writeErr(m.SID, err)
 			return true
 		}
 		sc.srv.mx.eventsTotal.Add(1)
-		sc.srv.maybeCheckpoint(sess)
+		sc.srv.maybeCheckpoint(sess, 1)
 		sc.srv.settle(sess)
 		sc.write(&dist.RPCMsg{Kind: dist.RPCEmitted, SID: m.SID, MsgID: id})
 	case dist.RPCSubscribe:
@@ -548,6 +571,22 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 	return true
 }
 
+// ingest hands a decoded run to its session in windows of at most feedWindow
+// events, each cut short where the session's checkpoint falls due, and takes
+// that checkpoint before the next window.
+func (sc *srvConn) ingest(sess *session, run []*dist.Event) error {
+	for len(run) > 0 {
+		w := min(len(run), feedWindow, sc.srv.untilCheckpoint(sess))
+		if err := sess.ingest(&sc.fs, run[:w]); err != nil {
+			return err
+		}
+		sc.srv.mx.eventsTotal.Add(int64(w))
+		sc.srv.maybeCheckpoint(sess, w)
+		run = run[w:]
+	}
+	return nil
+}
+
 // resolve maps a session id to its session, answering with an Error frame
 // when it is unknown.
 func (sc *srvConn) resolve(sid uint64) *session {
@@ -563,8 +602,9 @@ func (sc *srvConn) resolve(sid uint64) *session {
 	return sess
 }
 
-// throttle charges the tenant's token bucket and serves any owed pause on
-// this connection — only the hot tenant's feeder slows down.
+// throttle charges the tenant's token bucket — an Ingest frame's events all
+// at once, against one reading of the clock — and serves any owed pause on
+// this connection: only the hot tenant's feeder slows down.
 func (sc *srvConn) throttle(tenant string, n int) {
 	wait := sc.srv.limiter.Reserve(tenant, n, time.Now())
 	if wait <= 0 {

@@ -72,6 +72,14 @@ type session struct {
 	closeErr  error
 }
 
+// feedScratch is what one feeder — a connection's read loop — reuses from
+// frame to frame: the decoded run of the frame in hand and, while a window of
+// it is being fed, that window's events grouped by process.
+type feedScratch struct {
+	run    []*dist.Event
+	byProc [][]*dist.Event
+}
+
 // subscriber is one connection's verdict feed. deliver must not block the
 // pump: writes go through the connection's write lock with the connection
 // already gone treated as an unsubscribe.
@@ -249,26 +257,50 @@ func (s *session) doomedErr() error {
 	return s.doomed
 }
 
-// ingest feeds one pre-stamped event.
-func (s *session) ingest(e *dist.Event) error {
+// ingest feeds one window of stamped events, all of processes below s.n (the
+// run decoder and the stamper refuse any other): grouped by process, one
+// core FeedBatch — one pass of the admission gate, one hand-off to the monitor
+// — per process the window has events of. A process's events keep their
+// order; events of different processes may reach their monitors in another
+// order than the window's, as they may from two feeders running side by side,
+// which is all core.Session's contract orders. A failure dooms the session with
+// part of the window possibly fed.
+func (s *session) ingest(fs *feedScratch, window []*dist.Event) error {
 	if err := s.doomedErr(); err != nil {
 		return fmt.Errorf("server: session %d failed earlier: %w", s.id, err)
 	}
 	s.lastIngest.Store(time.Now().UnixNano())
-	if err := s.cs.Feed(e); err != nil {
+	for len(fs.byProc) < s.n {
+		fs.byProc = append(fs.byProc, nil)
+	}
+	for _, e := range window {
+		fs.byProc[e.Proc] = append(fs.byProc[e.Proc], e)
+	}
+	var err error
+	for p, group := range fs.byProc[:s.n] {
+		if len(group) == 0 {
+			continue
+		}
+		if err == nil {
+			err = s.cs.FeedBatch(group)
+		}
+		clear(group) // the scratch must not keep events alive
+		fs.byProc[p] = group[:0]
+	}
+	if err != nil {
 		s.doom(err)
 		return err
 	}
-	s.events.Add(1)
+	s.events.Add(int64(len(window)))
 	return nil
 }
 
-// emit live-stamps one event and feeds it. For sends it returns the
-// message id the matching receive must present; receives look their token
-// up by that id. stampMu is held from stamping through feeding so a
-// checkpoint (session.snapshot) never captures a stamper that has clocked
+// emit live-stamps one event and feeds it as a window of one. For sends it
+// returns the message id the matching receive must present; receives look
+// their token up by that id. stampMu is held from stamping through feeding so
+// a checkpoint (session.snapshot) never captures a stamper that has clocked
 // an event the engine has not absorbed.
-func (s *session) emit(kind dist.EventType, proc, peer, msgID int, state dist.LocalState) (int, error) {
+func (s *session) emit(fs *feedScratch, kind dist.EventType, proc, peer, msgID int, state dist.LocalState) (int, error) {
 	s.stampMu.Lock()
 	defer s.stampMu.Unlock()
 	var (
@@ -304,7 +336,7 @@ func (s *session) emit(kind dist.EventType, proc, peer, msgID int, state dist.Lo
 	if err != nil {
 		return 0, err
 	}
-	return id, s.ingest(e)
+	return id, s.ingest(fs, []*dist.Event{e})
 }
 
 // end marks one process terminated.

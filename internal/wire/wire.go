@@ -71,6 +71,27 @@ func AppendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
+// BeginFrame opens a frame (ReadFrame's counterpart) at the end of b by
+// reserving the length prefix of a payload under 128 bytes, one byte. The
+// caller appends the payload behind it and closes the frame with EndFrame,
+// passing the length b had before BeginFrame: a frame built this way is
+// encoded where it will be sent from, with no payload buffer of its own.
+func BeginFrame(b []byte) []byte { return append(b, 0) }
+
+// EndFrame closes the frame opened at b[start]: it writes the payload's
+// length into the reserved byte, first moving the payload up when the prefix
+// takes more than that.
+func EndFrame(b []byte, start int) []byte {
+	n := len(b) - start - 1
+	if k := UvarintLen(uint64(n)); k > 1 {
+		var wider [MaxUvarintLen]byte
+		b = append(b, wider[:k-1]...)
+		copy(b[start+k:], b[start+1:start+1+n])
+	}
+	binary.PutUvarint(b[start:], uint64(n))
+	return b
+}
+
 // --- size side ---
 //
 // What the append functions above would write, without writing it: a sender

@@ -180,6 +180,32 @@ func TestReadFrame(t *testing.T) {
 	}
 }
 
+// TestBeginEndFrame: a frame encoded in place behind a reserved prefix is the
+// frame AppendUvarint + append would have built, on both sides of every width
+// the prefix can change at, behind whatever the buffer already held, and
+// without allocating when the buffer has room.
+func TestBeginEndFrame(t *testing.T) {
+	buf := make([]byte, 0, 1<<17)
+	for _, n := range []int{0, 1, 127, 128, 129, 1<<14 - 1, 1 << 14, 1<<16 + 5} {
+		payload := bytes.Repeat([]byte{byte(n)}, n)
+		want := append(AppendUvarint([]byte("head"), uint64(n)), payload...)
+		build := func() {
+			buf = append(buf[:0], "head"...)
+			buf = EndFrame(append(BeginFrame(buf), payload...), len("head"))
+		}
+		if allocs := testing.AllocsPerRun(10, build); allocs != 0 {
+			t.Errorf("%d-byte payload: %v allocations into a buffer with room", n, allocs)
+		}
+		if !bytes.Equal(buf, want) {
+			t.Errorf("%d-byte payload: frame differs from length prefix + payload", n)
+		}
+		got, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(buf[len("head"):])), nil, 1<<17)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Errorf("%d-byte payload read back as %d bytes, %v", n, len(got), err)
+		}
+	}
+}
+
 // TestReadFrameBoundsBeforeAllocating: a header announcing more than the
 // bound is refused before a byte is allocated for it.
 func TestReadFrameBoundsBeforeAllocating(t *testing.T) {

@@ -7,11 +7,15 @@
 // with a "long_session" object is BENCH_dlmond.json, anything else
 // BENCH_engine.json.
 //
-// BENCH_dlmond.json, one check: durable_ratio — events/s of one long session
-// with a state directory over events/s without — may not fall below
-// durableFactor times the committed ratio. A ratio of two runs on the same
-// box moves far less than either throughput, so the threshold can be tight
-// enough to catch a phase of the checkpoint going back onto the ingest path.
+// BENCH_dlmond.json, two checks: events/s of one long session without a state
+// directory, and with one, may each not fall below longSessionFactor times
+// the committed figure. Their quotient, durable_ratio, is recorded and
+// printed but no longer gated: it measures how much of a session is
+// checkpointing, so it falls whenever the plain path gets faster — twice now
+// with both sides up — and a gate on it fails the change that earned the
+// speed-up. Gating each side catches what the ratio was there for (a phase of
+// the checkpoint going back onto the ingest path halves the durable side) and
+// a regression of the plain path, which the ratio would have rewarded.
 //
 // BENCH_engine.json, three checks:
 //
@@ -53,9 +57,11 @@ const (
 	// allocFactor is the maximum acceptable per-cell growth of allocs/event
 	// against the committed record.
 	allocFactor = 1.5
-	// durableFactor is the minimum acceptable durable_ratio as a fraction of
-	// the committed one.
-	durableFactor = 0.8
+	// longSessionFactor is the minimum acceptable events/s of either side of
+	// the dlmond long-session pair as a fraction of the committed one: the
+	// pair is the median of five alternating runs on one box, and repeats
+	// far closer than the engine sweep's single runs.
+	longSessionFactor = 0.8
 )
 
 type cell struct {
@@ -82,15 +88,25 @@ func gateDlmond(fresh, committed *doc) bool {
 		return true
 	}
 	now := fresh.LongSession
-	floor := durableFactor * was.DurableRatio
-	if now.DurableRatio < floor {
-		fmt.Fprintf(os.Stderr, "perfgate: FAIL durable_ratio %.3f (%.0f of %.0f events/s) below %.3f = %.1fx the committed %.3f\n",
-			now.DurableRatio, now.DurableEventsPerSec, now.EventsPerSec, floor, durableFactor, was.DurableRatio)
-		return true
+	failed := false
+	for _, side := range []struct {
+		name     string
+		now, was float64
+	}{
+		{"events_per_sec", now.EventsPerSec, was.EventsPerSec},
+		{"durable_events_per_sec", now.DurableEventsPerSec, was.DurableEventsPerSec},
+	} {
+		floor := longSessionFactor * side.was
+		if side.now < floor {
+			fmt.Fprintf(os.Stderr, "perfgate: FAIL long_session %s %.0f below %.0f = %.1fx the committed %.0f\n",
+				side.name, side.now, floor, longSessionFactor, side.was)
+			failed = true
+			continue
+		}
+		fmt.Printf("perfgate: long_session %s %.0f (committed %.0f, floor %.0f)\n", side.name, side.now, side.was, floor)
 	}
-	fmt.Printf("perfgate: durable_ratio %.3f (%.0f of %.0f events/s; committed %.3f, floor %.3f)\n",
-		now.DurableRatio, now.DurableEventsPerSec, now.EventsPerSec, was.DurableRatio, floor)
-	return false
+	fmt.Printf("perfgate: durable_ratio %.3f (committed %.3f; recorded, not gated)\n", now.DurableRatio, was.DurableRatio)
+	return failed
 }
 
 func load(path string) (*doc, error) {
