@@ -27,7 +27,7 @@ func main() {
 		oracleJSON   = flag.String("oracle-json", "", "with -exp oracle: also write the sweep as JSON to this file (the CI BENCH_oracle.json record)")
 		engineJSON   = flag.String("engine-json", "", "with -exp engine: also write the sweep as JSON to this file (the CI BENCH_engine.json record)")
 		engineWall   = flag.Duration("engine-wall", 0, "with -exp engine: minimum measured wall time per cell (default 200ms)")
-		engineShards = flag.Int("shards", 0, "with -exp engine: pump-scheduler override for every cell (0 auto, 1 serial, >1 work-stealing pool of that size)")
+		engineShards = flag.Int("shards", 0, "with -exp engine: run every cell's rounds on a work-stealing pool of this many workers (0 or 1: on the monitors' own goroutines, the default)")
 		dlmondJSON   = flag.String("dlmond-json", "", "with -exp dlmond: also write the sweep as JSON to this file (the CI BENCH_dlmond.json record)")
 		dlmondWall   = flag.Duration("dlmond-wall", 0, "with -exp dlmond: minimum measured wall time per concurrency cell (default 200ms)")
 	)

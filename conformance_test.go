@@ -1,8 +1,10 @@
 package decentmon
 
 import (
+	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -490,6 +492,96 @@ func TestCodecPathParity(t *testing.T) {
 			sess, _ := feedSession(t, spec, ts, append(opts, WithNetwork(transporttest.BytesOnly(NewChanNetwork(ts.N()))))...)
 			if got := render(sess.Verdicts); got != want {
 				t.Errorf("bytes-only session: verdicts %q != hand-over run %q", got, want)
+			}
+		})
+	}
+}
+
+// TestFeedRunEqualsFeed: core.Session.FeedRun — the one window-feeding
+// function, under RunStream and under dlmond's read loop — is event-by-event
+// Feed with the gate and the hand-off amortized. On every -short gauntlet cell
+// the stream fed in windows of 1, 7, 16 and all of it ends with the verdicts
+// and the per-process fed counts of the stream fed one Feed at a time, and a
+// window with one bad event in it feeds none of its events.
+func TestFeedRunEqualsFeed(t *testing.T) {
+	for _, cell := range gauntletCells(true) {
+		cell := cell
+		t.Run(fmt.Sprintf("%s/n%d/%v", cell.prop, cell.n, cell.topo), func(t *testing.T) {
+			spec := gauntletSpec(t, cell.prop, cell.arity)
+			ts, err := Generate(cell.gen()).WithProps(spec.Props)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := buildOptions([]Option{WithInitialState(ts.InitialState())})
+			render := verdictSetString
+			if cell.n > 5 {
+				o, render = buildOptions([]Option{WithInitialState(ts.InitialState()), WithoutFinalization()}), conclusives
+			}
+			cfg, err := engineConfig(spec, ts.N(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var events []*Event
+			for src := ts.Stream(); ; {
+				e, err := src.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				events = append(events, e)
+			}
+			// run feeds the stream through feed, a window at a time, and
+			// returns the verdicts and the fed counts at Close.
+			run := func(window int, feed func(*core.Session, []*Event) error) (string, []int) {
+				t.Helper()
+				s, err := core.NewSession(context.Background(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for rest := events; len(rest) > 0; {
+					w := min(window, len(rest))
+					if err := feed(s, rest[:w]); err != nil {
+						t.Fatal(err)
+					}
+					rest = rest[w:]
+				}
+				fed := s.Fed()
+				res, err := s.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return render(res.Verdicts), fed
+			}
+			want, wantFed := run(1, func(s *core.Session, w []*Event) error { return s.Feed(w[0]) })
+			var fs core.FeedScratch // one feeder's, reused across sessions as across frames
+			for _, window := range []int{1, 7, 16, len(events)} {
+				got, fed := run(window, func(s *core.Session, w []*Event) error { return s.FeedRun(&fs, w) })
+				if got != want || !slices.Equal(fed, wantFed) {
+					t.Errorf("windows of %d: verdicts %q, fed %v; event by event %q, %v", window, got, fed, want, wantFed)
+				}
+			}
+
+			// One bad event — a clock of the wrong width — in the middle of
+			// the first window: nothing of the window is fed.
+			s, err := core.NewSession(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			window := slices.Clone(events[:min(7, len(events))])
+			bad := *window[len(window)/2]
+			bad.VC = append(bad.VC.Clone(), 0)
+			window[len(window)/2] = &bad
+			if err := s.FeedRun(&fs, window); err == nil {
+				t.Error("a window with a malformed event was accepted")
+			}
+			if fed := s.Fed(); slices.Max(fed) != 0 {
+				t.Errorf("a refused window fed %v", fed)
+			}
+			if err := s.FeedRun(&fs, events[:len(window)]); err != nil {
+				t.Errorf("the same window without the bad event: %v", err)
 			}
 		})
 	}

@@ -337,12 +337,12 @@ func WithMaxLag(n int) Option {
 // monitors' knowledge then buffers however far the feed outruns them.
 func WithoutBackpressure() Option { return WithMaxLag(-1) }
 
-// WithShards selects the monitor pump scheduler: 0 (the default) picks a
-// work-stealing pool of min(GOMAXPROCS, n) workers on multi-core machines
-// and the serial goroutine-per-monitor path otherwise; 1 forces serial;
-// k > 1 forces a pool of k workers. Verdicts are identical either way —
-// sharding only changes which goroutine executes a monitor's pump work
-// (see ARCHITECTURE.md and PERFORMANCE.md).
+// WithShards(k) with k > 1 runs the monitors' rounds on a work-stealing pool
+// of k workers instead of each monitor's own goroutine. 0 and 1 are the
+// default: every round runs where its input arrived, which is what every
+// measured workload is fastest on, at one core and at two. Verdicts are
+// identical either way — the pool only changes which goroutine executes a
+// monitor's pump work (see ARCHITECTURE.md and PERFORMANCE.md).
 func WithShards(k int) Option {
 	return func(o *options) { o.cfg.Shards = k }
 }

@@ -1,5 +1,5 @@
-// Package a is the blockingsend fixture: loop channel ops with and
-// without a select escape case.
+// Package a is the blockingsend fixture: channel ops in loops and under a
+// held mutex, with and without a select escape case.
 package a
 
 import (
@@ -227,8 +227,8 @@ func intakeLoopWedged(ctx context.Context, in chan int, submit func(func())) {
 // callers post the kick with a default case and never block on a busy writer.
 // An Ingest that finds the pending bytes at their bound waits on a sync.Cond
 // whose predicate re-reads the connection's sticky failure: the writer
-// broadcasts after every write, and whoever records the failure broadcasts
-// too, so Close releases the waiter. No channel operation, nothing to flag.
+// broadcasts when it takes the pending bytes, and whoever records the failure
+// broadcasts too, so Close releases the waiter. No channel operation, nothing to flag.
 func writerLoop(kick, readDone chan struct{}, write func() error) {
 	for {
 		select {
@@ -277,4 +277,115 @@ func ingestRoomWedged(room chan struct{}, pending func() int, bound int) {
 	for pending() >= bound {
 		<-room // want `blocking receive in a loop outside a select`
 	}
+}
+
+// put and relay mirror the in-memory network's delivery (internal/transport
+// chan.go). put sends into the destination's inbox under the endpoint's mutex
+// — that is what orders direct sends behind overflowed ones — and may, because
+// its select has a default: a full inbox sends the message to the overflow
+// instead of parking every other sender on the lock. relay, started when that
+// happens, takes the overflow under the lock and does its blocking sends
+// outside it, beside stop, so Close ends a relay whose reader is gone.
+type endpoint struct {
+	mu       sync.Mutex
+	inbox    chan int
+	overflow []int
+	relaying bool
+	closed   bool
+	stop     chan struct{}
+}
+
+func (e *endpoint) put(m int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return false
+	}
+	if !e.relaying {
+		select {
+		case e.inbox <- m:
+			return true
+		default:
+		}
+		e.relaying = true
+		go e.relay()
+	}
+	e.overflow = append(e.overflow, m)
+	return true
+}
+
+func (e *endpoint) relay() {
+	var batch []int
+	for {
+		e.mu.Lock()
+		if len(e.overflow) == 0 || e.closed {
+			e.relaying = false
+			e.mu.Unlock()
+			return
+		}
+		batch, e.overflow = e.overflow, batch[:0]
+		e.mu.Unlock()
+		for _, m := range batch {
+			select {
+			case e.inbox <- m:
+			case <-e.stop:
+				return
+			}
+		}
+	}
+}
+
+// putWedged sends bare under the mutex: one full inbox and every sender to
+// this endpoint — and the Close that wants the same lock — waits for a reader
+// that may be gone. putUnlocked is the same send with the lock released first,
+// outside any loop: not this analyzer's business. relayWedged has no stop
+// beside its send: Close waits for it forever.
+func (e *endpoint) putWedged(m int) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return false
+	}
+	e.inbox <- m // want `blocking send while a mutex is held`
+	return true
+}
+
+func (e *endpoint) putUnlocked(m int) bool {
+	e.mu.Lock()
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		return false
+	}
+	e.inbox <- m
+	return true
+}
+
+func (e *endpoint) relayWedged() {
+	for {
+		e.mu.Lock()
+		if len(e.overflow) == 0 {
+			e.relaying = false
+			e.mu.Unlock()
+			return
+		}
+		batch := e.overflow
+		e.overflow = nil
+		e.mu.Unlock()
+		for _, m := range batch {
+			e.inbox <- m // want `blocking send in a loop outside a select`
+		}
+	}
+}
+
+// takeUnderLock receives under a read lock taken and released in a branch:
+// the hold is lexical, and ends with the branch's Unlock.
+func takeUnderLock(mu *sync.RWMutex, ch chan int, locked bool) int {
+	if locked {
+		mu.RLock()
+		v := <-ch // want `blocking receive while a mutex is held`
+		mu.RUnlock()
+		return v
+	}
+	return <-ch
 }

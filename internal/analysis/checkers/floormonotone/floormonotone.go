@@ -2,12 +2,15 @@
 // that bypass the monotone-advance helpers.
 //
 // Source invariant: the knowledge-GC safety argument in
-// internal/core/monitor.go rests on need-floors only ever advancing
-// pointwise (vclock.Merge is a pointwise max) — peerFloor entries merge
-// announcements, curFloor is recomputed by needFloor() (a pointwise min
-// over monotone inputs), and sentFloor records already-blessed floors.
-// A raw element write (floor[i] = x) or a Tick can move a floor backward
-// or skip ahead, licensing the GC to discard knowledge a peer still needs.
+// internal/core/floors.go rests on need-floors only ever advancing
+// pointwise: curFloor is recomputed whole by needFloor() (a pointwise min
+// over monotone inputs) and published as it is, and a clock that merges
+// announcements does so with vclock.Merge (a pointwise max). A raw element
+// write (floor[i] = x) or a Tick can move a floor backward or skip ahead,
+// licensing the GC to discard knowledge a peer still needs. (Of what peers
+// report, the engine keeps single components — floors.peerNeed, floors.sentTo
+// — and advances each with max; those are integers, not floors, and their
+// one-line updates sit beside this invariant's statement in floors.go.)
 //
 // Allowed writes to a floor-named field (name matching floor/minCut):
 // whole-value assignment from needFloor()/New/Clone/Max/Merge or from

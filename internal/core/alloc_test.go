@@ -7,6 +7,7 @@ import (
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
 	"decentmon/internal/ltl"
+	"decentmon/internal/props"
 	"decentmon/internal/transport"
 	"decentmon/internal/vclock"
 )
@@ -251,4 +252,34 @@ func TestAllocsSnapshot(t *testing.T) {
 		t.Errorf("warmed snapshot of %d bytes allocates %.1f objects, budget 4", size, allocs)
 	}
 	t.Logf("warmed snapshot: %d bytes, %.2f allocs", size, allocs)
+}
+
+// TestAllocsEmptySession gates what a session costs before it has monitored
+// anything — built, INIT run, the 2·n·(n−1) TERM/FINI handshake, collected —
+// at the short-run cell's n = 16 under property B at arity 3: what every
+// short session pays on top of its events. One compiled program and one floors
+// slab per monitor where there were n tables and 2n clocks, and a network that
+// starts nothing, brought it from 2,212 to ~1,000.
+func TestAllocsEmptySession(t *testing.T) {
+	const n = 16
+	mon, pm, err := props.BuildAt("B", 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SessionConfig{N: n, Automaton: mon, Props: pm, Init: make(dist.GlobalState, n), SkipFinalize: true}
+	empty := func() {
+		s, err := NewSession(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	empty() // warm-up
+	allocs := testing.AllocsPerRun(20, empty)
+	if allocs > 1100 {
+		t.Errorf("an empty n=%d session allocates %.0f objects, budget 1,100", n, allocs)
+	}
+	t.Logf("empty n=%d session: %.0f allocs", n, allocs)
 }

@@ -31,24 +31,24 @@ import (
 // floors is the GC state: curFloor is this monitor's need-floor — the
 // pointwise minimum cut any of its future explorations or searches can start
 // from — replaced whole, never written through, because deliver publishes it
-// as a message's Floor (messages.go). peerFloor[j] is the latest floor peer j
-// reported; sentFloor[j] the floor last announced to j (piggybacked or
-// dedicated). The field names keep "Floor" for declint's floormonotone.
+// as a message's Floor (messages.go). Of what peers report and what they were
+// told, only the components that are ever read are kept: peerNeed[j] is the
+// highest need peer j has reported for this monitor's own events (component i
+// of its floors; collectKnowledge truncates below the minimum), sentTo[j] this
+// monitor's need for j's events as j last heard it (component j of the floor
+// last sent there, piggybacked or dedicated; announceFloors measures from it).
+// Both only ever rise: noteFloor takes a max, and curFloor is monotone.
 type floors struct {
-	curFloor  vclock.VC
-	peerFloor []vclock.VC
-	sentFloor []vclock.VC
-	inputSeq  uint64 // inputs handled, for gcCollectEveryInputs amortization
-	lastGC    uint64 // inputSeq at the last collectKnowledge run
+	curFloor vclock.VC
+	peerNeed []int
+	sentTo   []int
+	inputSeq uint64 // inputs handled, for gcCollectEveryInputs amortization
+	lastGC   uint64 // inputSeq at the last collectKnowledge run
 }
 
 func newFloors(n int) floors {
-	f := floors{peerFloor: make([]vclock.VC, n), sentFloor: make([]vclock.VC, n)}
-	for j := 0; j < n; j++ {
-		f.peerFloor[j] = vclock.New(n)
-		f.sentFloor[j] = vclock.New(n)
-	}
-	return f
+	slab := make([]int, 2*n)
+	return floors{peerNeed: slab[:n:n], sentTo: slab[n:]}
 }
 
 // floorInf is the need-floor component of a monitor that will never again
@@ -72,7 +72,8 @@ const floorAnnounceEvery = 256
 const gcCollectEveryInputs = 16
 
 // noteFloor folds a peer's reported need-floor into our view of the global
-// minimal cut. Floors only ever advance, so a stale report merges away.
+// minimal cut: the one component that says how much of our own history the
+// peer still needs. Floors only ever advance, so a stale report maxes away.
 func (m *Monitor) noteFloor(from int, f vclock.VC) {
 	if f == nil || from < 0 || from >= m.cfg.N || from == m.cfg.Index {
 		return
@@ -81,7 +82,8 @@ func (m *Monitor) noteFloor(from int, f vclock.VC) {
 		m.fail(fmt.Errorf("core: monitor %d: peer %d reported a %d-entry floor, want %d", m.cfg.Index, from, len(f), m.cfg.N))
 		return
 	}
-	m.floors.peerFloor[from].Merge(f)
+	i := m.cfg.Index
+	m.floors.peerNeed[from] = max(m.floors.peerNeed[from], f[i])
 }
 
 // needFloor computes this monitor's need-floor: the pointwise minimum cut
@@ -138,9 +140,7 @@ func (m *Monitor) collectKnowledge() {
 		if j == i {
 			continue
 		}
-		if pf := fl.peerFloor[j][i]; pf < trunc[i] {
-			trunc[i] = pf
-		}
+		trunc[i] = min(trunc[i], fl.peerNeed[j])
 	}
 	m.know.truncate(trunc)
 	m.announceFloors()
@@ -156,7 +156,7 @@ func (m *Monitor) announceFloors() {
 		if j == m.cfg.Index {
 			continue
 		}
-		cur, sent := m.floors.curFloor[j], m.floors.sentFloor[j][j]
+		cur, sent := m.floors.curFloor[j], m.floors.sentTo[j]
 		if cur-sent >= floorAnnounceEvery || (cur > sent && cur >= floorInf) {
 			m.send(j, &wireMsg{Kind: msgFloor})
 		}
@@ -168,13 +168,7 @@ func (m *Monitor) announceFloors() {
 func (f *floors) appendTo(b []byte) []byte {
 	b = wire.AppendUvarint(wire.AppendUvarint(b, f.inputSeq), f.lastGC)
 	b = wire.AppendClock(b, f.curFloor)
-	for _, c := range f.peerFloor {
-		b = wire.AppendClock(b, c)
-	}
-	for _, c := range f.sentFloor {
-		b = wire.AppendClock(b, c)
-	}
-	return b
+	return wire.AppendClock(wire.AppendClock(b, f.peerNeed), f.sentTo)
 }
 
 // restore reads the record into monitor m's component (built for its n).
@@ -182,11 +176,6 @@ func (f *floors) restore(d *wire.Cursor, m *Monitor) error {
 	n := m.cfg.N
 	f.inputSeq, f.lastGC = d.Uvarint(), d.Uvarint()
 	f.curFloor = clockOrNil(d, n)
-	for j := range f.peerFloor {
-		f.peerFloor[j] = clockOf(d, n)
-	}
-	for j := range f.sentFloor {
-		f.sentFloor[j] = clockOf(d, n)
-	}
+	f.peerNeed, f.sentTo = clockOf(d, n), clockOf(d, n)
 	return d.Err()
 }

@@ -69,6 +69,34 @@ type Config struct {
 	// (default 1024). Sessions with backpressure use a small buffer so the
 	// retained-knowledge gauge reflects what the feeder actually injected.
 	FeedBuffer int
+
+	// program is the property compiled for this process space, when the
+	// caller — a session — built it once for all n monitors; nil has New
+	// compile the monitor's own.
+	program *program
+}
+
+// program is what every monitor of a session reads of the property and never
+// writes: the per-process conjuncts of each transition's guard, the map from
+// local states to letter bits, and the sorted list of processes box
+// explorations project the lattice onto (boxdp.go): the owners of the
+// propositions the formula reads, or every process when only the exact
+// full-width DP is sound. It depends on (Automaton, Props, N, ExactBoxes)
+// alone, so the n monitors of a session share one. Nobody writes it, or
+// anything it points to, after compile returns: it is read from n goroutines
+// with no synchronization.
+type program struct {
+	gt      *guardTable
+	lt      *letterTable
+	support []int
+}
+
+func compile(cfg Config) *program {
+	return &program{
+		gt:      newGuardTable(cfg.Automaton, cfg.Props, cfg.N),
+		lt:      newLetterTable(cfg.Props, cfg.N),
+		support: boxSupport(cfg),
+	}
 }
 
 // Metrics counts the overhead quantities reported in Chapter 5, plus the
@@ -138,14 +166,8 @@ type Monitor struct {
 	// nothing else to choose between the two.
 	hand transport.ValueSender
 	mon  *automaton.Monitor
-	gt   *guardTable
-	lt   *letterTable
-	feed chan feedItem
-
-	// support is the sorted list of processes box explorations project the
-	// lattice onto (boxdp.go): the owners of the propositions the formula
-	// reads, or every process when only the exact full-width DP is sound.
-	support []int
+	*program
+	feed    chan feedItem
 	scratch scratch
 
 	know      *knowledge
@@ -230,14 +252,15 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 	if cfg.FeedBuffer <= 0 {
 		cfg.FeedBuffer = 1024
 	}
+	if cfg.program == nil {
+		cfg.program = compile(cfg)
+	}
 	m := &Monitor{
 		cfg:           cfg,
 		ep:            ep,
 		mon:           cfg.Automaton,
-		gt:            newGuardTable(cfg.Automaton, cfg.Props, cfg.N),
-		lt:            newLetterTable(cfg.Props, cfg.N),
+		program:       cfg.program,
 		feed:          make(chan feedItem, cfg.FeedBuffer),
-		support:       boxSupport(cfg),
 		know:          newKnowledge(cfg.N, cfg.Init),
 		views:         newViews(),
 		searches:      newSearches(),
@@ -251,7 +274,7 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 	return m, nil
 }
 
-// boxSupport computes the processes the monitor's box explorations are
+// boxSupport computes the processes a monitor's box explorations are
 // projected onto. Slicing to the owners of the formula's propositions is
 // verdict-exact only for ○-free (stutter-invariant) properties and needs the
 // formula attached to the automaton; otherwise — and under Config.ExactBoxes —
@@ -813,7 +836,7 @@ func (m *Monitor) deliver(msg *wireMsg, lo, hi int) {
 			continue
 		}
 		if msg.Floor != nil {
-			m.floors.sentFloor[j] = m.floors.curFloor
+			m.floors.sentTo[j] = m.floors.curFloor[j]
 		}
 		m.metrics.MessagesSent++
 		m.outSent.Add(1) // before the transport send: handled can never outrun sent

@@ -41,8 +41,9 @@ type RunConfig struct {
 	// feeder blocks (backpressure); 0 selects DefaultMaxLag, negative
 	// disables. See SessionConfig.MaxLag.
 	MaxLag int
-	// Shards selects the pump scheduler (see SessionConfig.Shards): 0 auto,
-	// 1 serial goroutine-per-monitor, >1 a work-stealing pool of that size.
+	// Shards > 1 runs the monitors' rounds on a work-stealing pool of that
+	// size; 0 and 1 run them on each monitor's own goroutine, the default
+	// (see SessionConfig.Shards).
 	Shards int
 }
 
@@ -81,9 +82,11 @@ func (r *RunResult) VerdictList() []automaton.Verdict {
 	return out
 }
 
-// feedChunk is the unpaced replay's feeding batch size. Kept modest: a chunk
-// parks invisibly in the monitor's feed queue until absorbed, so oversized
-// chunks would loosen the backpressure gate's view of the backlog.
+// feedChunk is the unpaced replay's feeding batch size: events per process for
+// Run, events per window for RunStream. Kept modest: a chunk parks invisibly in
+// the monitor's feed queue until absorbed, so oversized chunks would loosen the
+// backpressure gate's view of the backlog (a 32-event stream window reads
+// knowledge peaks past TestKnowledgePeakBoundedUnpaced's ceiling).
 const feedChunk = 16
 
 // session builds the online Session a replay adapter feeds.
@@ -169,7 +172,8 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 
 // RunStream is Run over an event stream: events arrive in global timestamp
 // order from a single source (e.g. a dist.TraceReader over a ".jsonl" file)
-// and are dispatched to the owning process's monitor as they are read, so
+// and are dispatched to the owning processes' monitors a window of at most
+// feedChunk at a time (Session.FeedRun; one event at a time when paced), so
 // the trace never needs to be materialized. Verdict sets are identical to
 // Run on the equivalent trace set. cfg.Traces is ignored.
 func RunStream(src dist.EventSource, cfg RunConfig) (*RunResult, error) {
@@ -185,25 +189,38 @@ func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) 
 	if err != nil {
 		return nil, err
 	}
+	// Read a window, feed it (FeedRun): the admission gate and the monitors'
+	// wake-ups are paid per window and process, not per event. A paced replay
+	// keeps a window of one: an event is due when its timestamp says.
+	size := feedChunk
+	if cfg.Pace > 0 {
+		size = 1
+	}
+	window := make([]*dist.Event, 0, size)
+	var fs FeedScratch
 	prev := 0.0
 	var readErr error
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
+	for readErr == nil {
+		window = window[:0]
+		for len(window) < cap(window) {
+			e, err := src.Next()
+			if err != nil {
+				// Stop reading but still feed what was read and terminate
+				// every monitor with the contiguous prefix it has: the run
+				// winds down cleanly and a read error is reported after the
+				// monitors drain.
+				readErr = err
+				break
+			}
+			pace(cfg.Pace, e.Time, &prev)
+			window = append(window, e)
 		}
-		if err != nil {
-			// Stop feeding but still terminate every monitor with the
-			// contiguous prefix it has: the run can wind down cleanly
-			// and the read error is reported after the monitors drain.
+		if err := s.FeedRun(&fs, window); err != nil {
 			readErr = err
-			break
 		}
-		pace(cfg.Pace, e.Time, &prev)
-		if err := s.Feed(e); err != nil {
-			readErr = err
-			break
-		}
+	}
+	if readErr == io.EOF {
+		readErr = nil
 	}
 	return finish(s, readErr)
 }

@@ -1,13 +1,16 @@
 package core
 
 // The pool executor: instead of each monitor goroutine running its own rounds
-// (serialExec), the goroutine only blocks for the first input of a round —
-// cheap, parked almost always — and hands the round itself (handle it, drain
-// what else is queued, pump: Monitor.round) to a small work-stealing pool
-// sized to the machine (min(GOMAXPROCS, n) by default). At n ≫ cores this
-// keeps every core on pump work instead of paying scheduler churn across n
-// runnable goroutines. The loop is Monitor.run either way; only which
-// goroutine executes a round differs.
+// (serialExec, the default), the goroutine only blocks for the first input of a
+// round and hands the round itself (handle it, drain what else is queued,
+// pump: Monitor.round) to a small work-stealing pool of SessionConfig.Shards
+// workers. Nothing selects it any more unless asked to: a round submitted is a
+// second hand-off and a second wake-up per input, and once messages stopped
+// crossing a relay goroutine the pool measured at or below the serial loop on
+// every workload (PERFORMANCE.md, "One hand-off per input"). It stays for the
+// benchmark's pool cell and TestShardedSchedulerRace until ROADMAP item 4(b)
+// deletes it. The loop is Monitor.run either way; only which goroutine
+// executes a round differs.
 //
 // Single-writer invariant (safety argument): a monitor's state is only ever
 // touched by one goroutine at a time. The intake goroutine owns it between
@@ -21,8 +24,8 @@ package core
 // the intake is not reading them meanwhile.
 //
 // Shutdown (Close-never-wedges): rounds never block — the drain is
-// select/default, handlers and pump only do non-blocking sends (transport
-// queues are unbounded, verdict and relief channels are sent with
+// select/default, handlers and pump only do non-blocking sends (a transport
+// send overflows instead of waiting, verdict and relief channels are sent with
 // select/default) — and the intake selects on ctx.Done() wherever it waits.
 // Session.Close stops the scheduler only after every intake goroutine
 // returned; scheduler close waits for in-flight rounds and discards queued

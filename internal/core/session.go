@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -55,12 +54,12 @@ type SessionConfig struct {
 	// negative value disables backpressure. Replicated mode, which retains
 	// everything by design, never applies backpressure.
 	MaxLag int
-	// Shards selects the pump scheduler. 0 (auto) runs pump work on a
-	// work-stealing pool of min(GOMAXPROCS, N) workers when that is at least
-	// 2, and on the serial goroutine-per-monitor loop otherwise; 1 forces
-	// the serial loop; larger values force a pool of that many workers.
-	// Both paths share every handler and produce identical verdict sets
-	// (see sched.go for the single-writer safety argument).
+	// Shards selects which goroutine runs a monitor's rounds. 0 and 1 run
+	// them where the input arrived, on the monitor's own goroutine — the
+	// default, and what every measured workload is fastest on; a larger value
+	// hands them to a work-stealing pool of that many workers (sched.go),
+	// which nothing but the benchmark's pool cell and its race test asks for.
+	// Both paths share every handler and produce identical verdict sets.
 	Shards int
 }
 
@@ -86,7 +85,10 @@ type VerdictEvent struct {
 //
 // Feed (and End) may be called concurrently for different processes, but
 // events of one process must be fed in sequence-number order from a single
-// goroutine at a time. Verdicts delivers every detection; its buffer is
+// goroutine at a time; that is the whole ordering contract, and what lets
+// FeedRun hand a mixed window to the monitors one process at a time. Every
+// monitor runs its rounds on its own goroutine, where its inputs arrive
+// (SessionConfig.Shards has the exception). Verdicts delivers every detection; its buffer is
 // sized so monitors never block on a slow subscriber, and it is closed by
 // Close. Close ends every process still open, waits for the monitors to
 // finalize, and returns the terminal RunResult. Cancelling the context
@@ -98,7 +100,7 @@ type Session struct {
 	cancel   context.CancelFunc
 	nw       transport.Network
 	monitors []*Monitor
-	sched    *scheduler // nil when running serial goroutine-per-monitor
+	sched    *scheduler // nil unless cfg.Shards asked for the pool
 	verdicts chan VerdictEvent
 
 	wg   sync.WaitGroup
@@ -236,19 +238,21 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	if maxLag > 0 {
 		feedBuffer = 16
 	}
+	mcfg := Config{
+		N:            cfg.N,
+		Automaton:    cfg.Automaton,
+		Props:        cfg.Props,
+		Init:         cfg.Init,
+		Mode:         cfg.Mode,
+		FinalizeFull: !cfg.SkipFinalize,
+		MaxBoxNodes:  cfg.MaxBoxNodes,
+		ExactBoxes:   cfg.ExactBoxes,
+		FeedBuffer:   feedBuffer,
+	}
+	mcfg.program = compile(mcfg) // once, for the n monitors to share
 	for i := 0; i < cfg.N; i++ {
-		m, err := New(Config{
-			Index:        i,
-			N:            cfg.N,
-			Automaton:    cfg.Automaton,
-			Props:        cfg.Props,
-			Init:         cfg.Init,
-			Mode:         cfg.Mode,
-			FinalizeFull: !cfg.SkipFinalize,
-			MaxBoxNodes:  cfg.MaxBoxNodes,
-			ExactBoxes:   cfg.ExactBoxes,
-			FeedBuffer:   feedBuffer,
-		}, nw.Endpoint(i))
+		mcfg.Index = i
+		m, err := New(mcfg, nw.Endpoint(i))
 		if err != nil {
 			cancel()
 			nw.Close()
@@ -262,8 +266,8 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		m.quiesce = &s.quiesce
 		s.monitors = append(s.monitors, m)
 	}
-	if p := shardWorkers(cfg.Shards, cfg.N); p > 1 {
-		s.sched = newScheduler(p)
+	if cfg.Shards > 1 && cfg.N > 1 {
+		s.sched = newScheduler(cfg.Shards)
 	}
 	return s, nil
 }
@@ -289,22 +293,6 @@ func (s *Session) launch() {
 			s.signalRelief()
 		}(i, m)
 	}
-}
-
-// shardWorkers resolves SessionConfig.Shards to a pump-pool size (0 or 1
-// means: run serial).
-func shardWorkers(shards, n int) int {
-	switch {
-	case shards == 1 || n < 2:
-		return 1
-	case shards > 1:
-		return shards
-	}
-	p := runtime.GOMAXPROCS(0)
-	if p > n {
-		p = n
-	}
-	return p
 }
 
 func (s *Session) emitVerdict(monitor, state int, v automaton.Verdict, cut vclock.VC) {
@@ -550,6 +538,52 @@ func (s *Session) FeedBatch(events []*dist.Event) error {
 		}
 	}
 	return s.feed(p, len(events), feedItem{batch: slices.Clone(events)})
+}
+
+// FeedScratch is what one feeder reuses from one FeedRun to the next: the
+// window in hand, grouped by process. The zero value is ready; a feeder keeps
+// its own.
+type FeedScratch struct {
+	byProc [][]*dist.Event
+}
+
+// FeedRun delivers a window of events of any processes, in the order a single
+// source produced them: every event is checked first, so a refused window
+// feeds nothing, and then each process's events go to its monitor as one batch
+// — one admission-gate pass and one hand-off per process the window has events
+// of. A process's events keep their order; events of different processes may
+// reach their monitors in another order than the window's, as they may from
+// two feeders running side by side, which is all the Feed contract orders.
+// The session takes ownership of the events, not of run. After a failure part
+// of the window may have been fed.
+func (s *Session) FeedRun(fs *FeedScratch, run []*dist.Event) error {
+	for _, e := range run {
+		if err := s.checkEvent(e); err != nil {
+			return err
+		}
+	}
+	for len(fs.byProc) < s.cfg.N {
+		fs.byProc = append(fs.byProc, nil)
+	}
+	for _, e := range run {
+		fs.byProc[e.Proc] = append(fs.byProc[e.Proc], e)
+	}
+	var err error
+	for p, group := range fs.byProc[:s.cfg.N] {
+		if len(group) == 0 {
+			continue
+		}
+		if err == nil {
+			if len(group) == 1 {
+				err = s.feed(p, 1, feedItem{event: group[0]})
+			} else {
+				err = s.feed(p, len(group), feedItem{batch: slices.Clone(group)})
+			}
+		}
+		clear(group) // the scratch must not keep events alive
+		fs.byProc[p] = group[:0]
+	}
+	return err
 }
 
 // End marks one process as terminated; its monitor then knows no further

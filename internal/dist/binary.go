@@ -231,10 +231,21 @@ type BinaryReader struct {
 	err     error
 }
 
+// binaryReadBuffer is the read buffer of a source that does not say how much
+// it holds (a file, a socket).
+const binaryReadBuffer = 1 << 16
+
 // OpenBinaryStream parses the binary stream header from r and returns a
-// reader positioned at the first event record.
+// reader positioned at the first event record. A source that reports what it
+// has left (bytes.Reader, bytes.Buffer, strings.Reader) is buffered by that
+// much and no more: a short in-memory trace does not pay for 64 KB to be read
+// through.
 func OpenBinaryStream(r io.Reader) (*BinaryReader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	size := binaryReadBuffer
+	if sized, ok := r.(interface{ Len() int }); ok {
+		size = min(size, max(sized.Len(), 512))
+	}
+	br := bufio.NewReaderSize(r, size)
 	var magic [5]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		if err == io.EOF {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -183,6 +184,50 @@ func TestBinaryEmptyTrace(t *testing.T) {
 	}
 	if r.N() != 1 || r.Init()[0] != 1 || r.Props().Names[0] != "P0.p" {
 		t.Error("binary header round trip lost fields")
+	}
+}
+
+// TestAllocsOpenBinaryStream: a source that says how much it holds is buffered
+// by that much, not by the 64 KB a file gets — opening and draining a trace of
+// a few hundred bytes allocates a few kilobytes — and reads the same events
+// either way, also when the trace is many times the sized buffer's floor.
+func TestAllocsOpenBinaryStream(t *testing.T) {
+	encode := func(perProc int) []byte {
+		ts := Generate(GenConfig{N: 2, InternalPerProc: perProc, CommMu: 2, CommSigma: 1, Seed: 2})
+		var buf bytes.Buffer
+		if err := ts.WriteStream(binaryCodec{}, &buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	open := func(r io.Reader) []*Event {
+		br, err := OpenBinaryStream(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drain(t, br)
+	}
+	for _, perProc := range []int{4, 400} {
+		data := encode(perProc)
+		sized := open(bytes.NewReader(data))
+		opaque := open(struct{ io.Reader }{bytes.NewReader(data)}) // no Len: the file-sized buffer
+		if len(sized) == 0 || !reflect.DeepEqual(sized, opaque) {
+			t.Fatalf("%d-byte trace: %d events through a sized buffer, %d others through the default", len(data), len(sized), len(opaque))
+		}
+	}
+	small := encode(4)
+	if len(small) > 1024 {
+		t.Fatalf("the small trace is %d bytes", len(small))
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		open(bytes.NewReader(small))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 16<<10 {
+		t.Errorf("reading a %d-byte in-memory trace allocates %d bytes; the read buffer alone was 64 KB before it was sized to the source", len(small), per)
 	}
 }
 

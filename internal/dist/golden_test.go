@@ -162,12 +162,12 @@ func TestGoldenRPC(t *testing.T) {
 	}
 }
 
-// TestGoldenDMSN pins the snapshot container at version 3 and, inside it, the
+// TestGoldenDMSN pins the snapshot container at version 4 and, inside it, the
 // records the tree shares between formats — process space, stamper state and
 // an event segment per process of the running example (Fig. 2.1). Engine
 // snapshots themselves are not byte-stable from run to run (how a monitor's
 // inputs batch into rounds is up to the scheduler); their guard is the
-// restore → re-snapshot identity test in internal/core. A version 2 blob, as
+// restore → re-snapshot identity test in internal/core. A version 3 blob, as
 // the previous build wrote it, must be refused by number.
 func TestGoldenDMSN(t *testing.T) {
 	ts := RunningExample()
@@ -189,9 +189,9 @@ func TestGoldenDMSN(t *testing.T) {
 	b.Record(2, AppendStamperState(nil, st))
 	b.Record(3, segs)
 	got := b.Finish()
-	want := unhex(t, goldenDMSN3)
+	want := unhex(t, goldenDMSN4)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("DMSN v3 bytes changed:\n got  %x\n want %x", got, want)
+		t.Fatalf("DMSN v4 bytes changed:\n got  %x\n want %x", got, want)
 	}
 	r, err := OpenSnapshot(want)
 	if err != nil {
@@ -212,15 +212,15 @@ func TestGoldenDMSN(t *testing.T) {
 			}
 		}
 	}
-	// The same blob as version 2 wrote it: only the version byte and the CRC
+	// The same blob as version 3 wrote it: only the version byte and the CRC
 	// differ, and it is refused whole.
-	v2 := unhex(t, strings.Replace(strings.Replace(goldenDMSN3, "444d534e 03", "444d534e 02", 1), "c2465ddf", "060e608d", 1))
-	if _, err := OpenSnapshot(v2); err == nil || !strings.Contains(err.Error(), "snapshot version 2, want 3") {
-		t.Errorf("version 2 blob: want the version error, got %v", err)
+	v3 := unhex(t, strings.Replace(strings.Replace(goldenDMSN4, "444d534e 04", "444d534e 03", 1), "dfba9eba", "c2465ddf", 1))
+	if _, err := OpenSnapshot(v3); err == nil || !strings.Contains(err.Error(), "snapshot version 3, want 4") {
+		t.Errorf("version 3 blob: want the version error, got %v", err)
 	}
 }
 
-const goldenDMSN3 = "444d534e 03" + // magic, version
+const goldenDMSN4 = "444d534e 04" + // magic, version
 	"01 1a" + // record 1, 26 bytes: the process space
 	"02 00 00 03 00 05 78313e3d35 00 05 78313d3130 01 06 78323e3d3135" +
 	"02 18" + // record 2, 24 bytes: the stamper
@@ -236,4 +236,4 @@ const goldenDMSN3 = "444d534e 03" + // magic, version
 	"01 00 01 00 01000000 0000000000000440 01 02" +
 	"01 00 01 00 01000000 0000000000000c40 01 03" +
 	"01 01 00 02 01000000 0000000000001240 01 04" + // P1 sends message 2 to P0
-	"00 04 c2465ddf" // end record: CRC-32 of everything before it
+	"00 04 dfba9eba" // end record: CRC-32 of everything before it

@@ -38,8 +38,9 @@ var snapshotMagic = [4]byte{'D', 'M', 'S', 'N'}
 // 2 moved the engine's knowledge windows and parked tokens onto the shared
 // event record (AppendEventRecord); version 3 lays the monitor record out
 // component by component, with one table of outstanding searches where there
-// were four maps (internal/core).
-const SnapshotVersion = 3
+// were four maps (internal/core); version 4 shrinks its floors record from two
+// n×n tables to the 2n components that are read.
+const SnapshotVersion = 4
 
 // snapEndTag terminates a snapshot; its payload is the 4-byte little-endian
 // CRC32 of everything before the end record. Payload tags start at 1.

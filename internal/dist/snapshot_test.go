@@ -95,11 +95,11 @@ func TestSnapshotContainerBadHeader(t *testing.T) {
 		[]byte("DMS"),
 		[]byte("DMTB\x01"),             // wrong magic (the trace format's)
 		[]byte("DMSN"),                 // missing version
-		[]byte("DMSN\x02"),             // the previous version
-		[]byte("DMSN\x04"),             // future version
-		[]byte("DMSN\x03"),             // no end record
-		[]byte("DMSN\x03\x00\x00"),     // end record with a short CRC
-		[]byte("DMSN\x03\x05\x04junk"), // record, then nothing
+		[]byte("DMSN\x03"),             // the previous version
+		[]byte("DMSN\x05"),             // future version
+		[]byte("DMSN\x04"),             // no end record
+		[]byte("DMSN\x04\x00\x00"),     // end record with a short CRC
+		[]byte("DMSN\x04\x05\x04junk"), // record, then nothing
 	} {
 		if _, err := OpenSnapshot(bad); err == nil {
 			t.Errorf("malformed header %q accepted", bad)

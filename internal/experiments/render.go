@@ -145,8 +145,8 @@ func RenderEngineCells(doc *EngineBench) string {
 	header := []string{"workload", "shards", "procs", "events", "reps", "events/s", "ns/event", "B/event", "allocs/event", "verdicts"}
 	var body [][]string
 	for _, c := range doc.Cells {
-		shards := "auto"
-		if c.Shards != 0 {
+		shards := "serial"
+		if c.Shards > 1 {
 			shards = fmt.Sprint(c.Shards)
 		}
 		body = append(body, []string{
@@ -156,7 +156,11 @@ func RenderEngineCells(doc *EngineBench) string {
 			c.Verdicts,
 		})
 	}
-	return fmt.Sprintf("baseline %s: %.0f events/s (ring/n=16) → speedup %.1fx\n%s",
-		doc.BaselineCommit, doc.BaselineEventsPerSec, doc.SpeedupN16Ring,
+	twoCore := "not measured: the machine has one CPU"
+	if doc.TwoCoreRatioN16Ring > 0 {
+		twoCore = fmt.Sprintf("%.2f", doc.TwoCoreRatioN16Ring)
+	}
+	return fmt.Sprintf("baseline %s: %.0f events/s (ring/n=16) → speedup %.1fx; ring/n=16 at 2 procs ÷ at 1 proc: %s\n%s",
+		doc.BaselineCommit, doc.BaselineEventsPerSec, doc.SpeedupN16Ring, twoCore,
 		renderTable(header, body))
 }

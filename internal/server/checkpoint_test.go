@@ -5,6 +5,8 @@ package server
 // Shutdown and recovery — and that no checkpoint is lost on the way.
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -315,5 +317,69 @@ func TestRecoverySweepsStaleTemps(t *testing.T) {
 		if _, err := os.Stat(name); !os.IsNotExist(err) {
 			t.Errorf("stale temp %s survived the start (stat: %v)", filepath.Base(name), err)
 		}
+	}
+}
+
+// TestRecoverySkipsPreviousVersion: a state directory written by the previous
+// build holds DMSN version 3 checkpoints (the floors record changed under
+// version 4). Such a file is skipped and counted at start-up, never
+// half-understood and never a failed start; the session beside it recovers.
+func TestRecoverySkipsPreviousVersion(t *testing.T) {
+	dir := t.TempDir()
+	ts := dist.RunningExample()
+	cfg := Config{StateDir: dir, MetricsAddr: "off"}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s1.Shutdown() })
+	cl, err := Dial(s1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sids [2]uint64
+	for i := range sids {
+		if sids[i], _, err = cl.Register("acme", dist.RunningExampleProperty, ts.InitialState(), ts.Props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.Close()
+	s1.crash()
+
+	// Rewrite the first checkpoint as version 3 wrote its container: the
+	// version byte, and the CRC that closes the blob over it.
+	path := checkpointPath(dir, sids[0])
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[4] != dist.SnapshotVersion {
+		t.Fatalf("checkpoint version byte %d, want %d", blob[4], dist.SnapshotVersion)
+	}
+	blob[4] = dist.SnapshotVersion - 1
+	body := len(blob) - 6 // end record: tag 0, length 4, CRC-32
+	binary.LittleEndian.PutUint32(blob[body+2:], crc32.ChecksumIEEE(blob[:body]))
+	if err := os.WriteFile(path, blob, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("a version %d checkpoint failed the start: %v", dist.SnapshotVersion-1, err)
+	}
+	defer s2.Shutdown()
+	if got := s2.Recovered(); got != 1 {
+		t.Errorf("recovered %d sessions, want 1 (the version %d one)", got, dist.SnapshotVersion)
+	}
+	if got := s2.mx.checkpointErrors.Load(); got != 1 {
+		t.Errorf("%d checkpoint errors, want 1 for the skipped file", got)
+	}
+	cl2, err := Dial(s2.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl2.Close()
+	if _, _, err := cl2.Attach(sids[0]); err == nil {
+		t.Errorf("session %d was recovered from a version %d checkpoint", sids[0], dist.SnapshotVersion-1)
 	}
 }

@@ -65,8 +65,8 @@ type Client struct {
 	batchSID uint64
 	out      []byte
 	spare    []byte
-	// room is signalled when pending bytes have left or the connection has
-	// failed; dead is that failure, set once.
+	// room is signalled when the writer has taken the pending bytes or the
+	// connection has failed; dead is that failure, set once.
 	room *sync.Cond
 	dead error
 	// replies is the FIFO of verbs awaiting their answer.
@@ -95,12 +95,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := &Client{
-		c: c, br: bufio.NewReader(c),
-		kick:     make(chan struct{}, 1),
-		readDone: make(chan struct{}), writeDone: make(chan struct{}),
-	}
-	cl.room = sync.NewCond(&cl.wmu)
+	cl := newClient(c)
 	hello, err := dist.AppendRPC(nil, &dist.RPCMsg{Kind: dist.RPCHello, Version: dist.RPCVersion})
 	if err == nil {
 		_, err = c.Write(hello)
@@ -130,6 +125,18 @@ func Dial(addr string) (*Client, error) {
 	go cl.readLoop()
 	go cl.writeLoop()
 	return cl, nil
+}
+
+// newClient wraps a connection; its read loop and its writer are the
+// caller's to start.
+func newClient(c net.Conn) *Client {
+	cl := &Client{
+		c: c, br: bufio.NewReader(c),
+		kick:     make(chan struct{}, 1),
+		readDone: make(chan struct{}), writeDone: make(chan struct{}),
+	}
+	cl.room = sync.NewCond(&cl.wmu)
+	return cl
 }
 
 // pending is the number of bytes awaiting the writer. Caller holds wmu.
@@ -183,6 +190,10 @@ func (cl *Client) writeLoop() {
 		cl.seal()
 		buf := cl.out
 		cl.out, cl.spare = cl.spare, nil
+		// There is room from this moment, not from when the write returns:
+		// against a peer that stopped reading it never does, and an Ingest
+		// that waited at the bound would stay parked beside an empty buffer.
+		cl.room.Broadcast()
 		cl.wmu.Unlock()
 		_, err := cl.c.Write(buf)
 		cl.wmu.Lock()
@@ -190,7 +201,6 @@ func (cl *Client) writeLoop() {
 		if err != nil {
 			cl.fail(err)
 		}
-		cl.room.Broadcast()
 		cl.wmu.Unlock()
 		if err != nil {
 			return

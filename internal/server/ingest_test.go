@@ -461,6 +461,62 @@ func TestClientBackpressureAndClose(t *testing.T) {
 	}
 }
 
+// stuckConn is a connection to a peer that is mute from the first byte: every
+// Write announces its length on wrote and then blocks, as Read does, until
+// Close.
+type stuckConn struct {
+	net.Conn // nil: the client calls nothing else
+	wrote    chan int
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func (c *stuckConn) Write(p []byte) (int, error) {
+	c.wrote <- len(p)
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *stuckConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *stuckConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestClientRoomWhenWriterTakes: there is room the moment the writer takes the
+// pending buffer, not when its write returns. An Ingest parks at the bound
+// before the writer has run; the writer then takes everything and blocks
+// inside its first Write for good. The parked Ingest must come back and the
+// buffer refill to the bound while that Write is still the only one.
+func TestClientRoomWhenWriterTakes(t *testing.T) {
+	conn := &stuckConn{wrote: make(chan int, 4), closed: make(chan struct{})}
+	cl := newClient(conn)
+	go cl.readLoop()
+	e := exampleEvents(t)[0]
+	done := flood(cl, e)
+	awaitBackpressure(t, cl, dist.EventRecordSize(e)) // no writer yet: the flood parks
+	go cl.writeLoop()
+	if n := <-conn.wrote; n < maxPending {
+		t.Fatalf("the writer's first write took %d bytes, want the %d pending", n, maxPending)
+	}
+	awaitBackpressure(t, cl, dist.EventRecordSize(e))
+	select {
+	case n := <-conn.wrote:
+		t.Fatalf("a second write (%d bytes) began under a blocked first one", n)
+	case err := <-done:
+		t.Fatalf("Ingest gave up before Close: %v", err)
+	default:
+	}
+	cl.Close()
+	if err := <-done; err == nil {
+		t.Error("Close released a blocked Ingest without an error")
+	}
+}
+
 // TestClientWriteErrorIsSticky: the peer dies under a writer blocked
 // mid-write. The failure reaches the blocked Ingest, and every later call —
 // fire-and-forget or synchronous — returns it instead of queueing behind a

@@ -15,11 +15,6 @@ import (
 // session is one tenant's monitoring session: a core.Session plus the
 // server-side state around it — live-stamping clock assignment, verdict
 // fan-out to subscribers, and the bookkeeping the metrics endpoint reads.
-//
-// The core session runs with Shards: 1 (the serial goroutine-per-monitor
-// scheduler): dlmond's parallelism is across sessions, and hundreds of
-// per-session work-stealing pools would only thrash each other (see
-// PERFORMANCE.md).
 type session struct {
 	id     uint64
 	tenant string
@@ -74,10 +69,10 @@ type session struct {
 
 // feedScratch is what one feeder — a connection's read loop — reuses from
 // frame to frame: the decoded run of the frame in hand and, while a window of
-// it is being fed, that window's events grouped by process.
+// it is being fed, the engine's grouping of that window.
 type feedScratch struct {
-	run    []*dist.Event
-	byProc [][]*dist.Event
+	run  []*dist.Event
+	core core.FeedScratch
 }
 
 // subscriber is one connection's verdict feed. deliver must not block the
@@ -89,7 +84,6 @@ type subscriber struct {
 }
 
 func newSession(ctx context.Context, tenant, key, formula string, cfg core.SessionConfig, mx *metrics) (*session, error) {
-	cfg.Shards = 1
 	cs, err := core.NewSession(ctx, cfg)
 	if err != nil {
 		return nil, err
@@ -132,7 +126,6 @@ func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCa
 		Props:     ck.props,
 		Init:      ck.init,
 		MaxLag:    maxLag,
-		Shards:    1,
 	}, ck.engine)
 	if err != nil {
 		return nil, err
@@ -257,37 +250,17 @@ func (s *session) doomedErr() error {
 	return s.doomed
 }
 
-// ingest feeds one window of stamped events, all of processes below s.n (the
-// run decoder and the stamper refuse any other): grouped by process, one
-// core FeedBatch — one pass of the admission gate, one hand-off to the monitor
-// — per process the window has events of. A process's events keep their
-// order; events of different processes may reach their monitors in another
-// order than the window's, as they may from two feeders running side by side,
-// which is all core.Session's contract orders. A failure dooms the session with
-// part of the window possibly fed.
+// ingest feeds one window of stamped events through core.Session.FeedRun: one
+// pass of the admission gate and one hand-off per process the window has
+// events of, under the ordering FeedRun states. A refused window feeds
+// nothing; any failure dooms the session, with part of the window possibly
+// fed.
 func (s *session) ingest(fs *feedScratch, window []*dist.Event) error {
 	if err := s.doomedErr(); err != nil {
 		return fmt.Errorf("server: session %d failed earlier: %w", s.id, err)
 	}
 	s.lastIngest.Store(time.Now().UnixNano())
-	for len(fs.byProc) < s.n {
-		fs.byProc = append(fs.byProc, nil)
-	}
-	for _, e := range window {
-		fs.byProc[e.Proc] = append(fs.byProc[e.Proc], e)
-	}
-	var err error
-	for p, group := range fs.byProc[:s.n] {
-		if len(group) == 0 {
-			continue
-		}
-		if err == nil {
-			err = s.cs.FeedBatch(group)
-		}
-		clear(group) // the scratch must not keep events alive
-		fs.byProc[p] = group[:0]
-	}
-	if err != nil {
+	if err := s.cs.FeedRun(&fs.core, window); err != nil {
 		s.doom(err)
 		return err
 	}

@@ -27,28 +27,43 @@ func WithLatency(mu, sigma time.Duration, seed int64) ChanOption {
 // of dlmond, the benchmarks and the experiment harness. Its endpoints are
 // ValueSenders.
 //
-// Queue topology is sharded by configuration. Without latency, each
-// *destination* has one FIFO queue drained by one goroutine (n drainers
-// total): every sender enqueues from its monitor's single run-loop goroutine
-// in program order, and a FIFO queue preserves each sender's subsequence, so
-// per-pair FIFO holds while cross-pair interleaving stays arbitrary — the
-// weakest ordering the paper's algorithm must tolerate. With latency, every
-// ordered *pair* keeps its own queue and drainer (n·(n−1) of them): delays
-// are drawn per pair from a deterministic seed, and sleeping in a shared
-// destination drainer would head-of-line-block the other senders.
+// Delivery is direct. Without latency the network owns no goroutine: a Send
+// puts its message into the destination's inbox itself (chanEndpoint.put), one
+// enqueue and at most one wake-up — the reader's. Only when the inbox is full
+// does the message go to the destination's overflow, and a relay goroutine,
+// started for the occasion, moves the overflow across and exits; Send never
+// blocks either way (the paper's channels are unbounded).
+//
+// Order: every message for a destination passes through put, under that
+// endpoint's mutex. While a relay is running every put appends to the
+// overflow, and the relay sends what it took, in order, before it takes more;
+// the relaying flag is cleared only under the mutex, with the overflow empty
+// and the relay's last send returned. A direct send therefore never overtakes
+// an overflowed message: the inbox is FIFO per destination, hence per pair,
+// while cross-pair interleaving stays arbitrary — the weakest ordering the
+// paper's algorithm must tolerate.
+//
+// With latency, every ordered *pair* keeps its own queue and drainer (n·(n−1)
+// of them): delays are drawn per pair from a deterministic seed, and sleeping
+// in a shared drainer would head-of-line-block the other senders. A drainer
+// delivers through the same put once it has slept, so there is one way into an
+// inbox.
+//
+// Close: every endpoint is marked closed under its mutex (from then on put
+// refuses, which is how Send learns the network is gone), stop releases a
+// relay blocked on an inbox nobody reads, and the inboxes are closed once
+// relays and drainers have returned — nothing sends on a closed channel.
 type ChanNetwork struct {
 	n   int
-	eps []*chanEndpoint
-	// destQueues[to] shards by destination (no-latency fast path); queues
-	// holds the per-pair topology (latency mode). Exactly one is non-nil.
-	destQueues []*unboundedQueue
-	queues     map[[2]int]*unboundedQueue
-	stats      Stats
-	wg         sync.WaitGroup
-	closeOnce  sync.Once
-	// stop is closed by Close so drain goroutines blocked on a full inbox of
-	// an already-departed monitor (e.g. after a session's context was
-	// cancelled) unblock instead of wedging Close forever.
+	eps []chanEndpoint
+	// queues holds the per-pair topology; nil without latency.
+	queues    map[[2]int]*unboundedQueue
+	stats     Stats
+	wg        sync.WaitGroup // relays and latency drainers
+	closeOnce sync.Once
+	// stop is closed by Close so a relay blocked on the full inbox of an
+	// already-departed monitor (e.g. after a session's context was cancelled)
+	// unblocks instead of wedging Close forever.
 	stop chan struct{}
 }
 
@@ -56,33 +71,36 @@ type chanEndpoint struct {
 	id    int
 	net   *ChanNetwork
 	inbox chan Message
+
+	// mu orders every delivery to this endpoint (see ChanNetwork). overflow
+	// holds what found the inbox full, oldest first; relaying says a relay
+	// goroutine is moving it across.
+	mu       sync.Mutex
+	overflow []Message
+	relaying bool
+	closed   bool
 }
 
-// inboxSlots sizes an endpoint's inbox for the hand-off from its drain
-// goroutine to its monitor, not for capacity: the unbounded queue behind it is
-// what makes Send non-blocking, so the channel only has to let the drainer run
-// a pump round (core.pumpBatch messages) ahead of the reader. A deep channel
-// buys nothing and is zeroed memory every session pays for per endpoint.
+// inboxSlots sizes an endpoint's inbox to let senders run a pump round
+// (core.pumpBatch messages) ahead of the reader without starting a relay, not
+// for capacity: the overflow behind it is what makes Send non-blocking. A deep
+// channel buys nothing and is zeroed memory every session pays for per
+// endpoint.
 const inboxSlots = 32
 
-// NewChanNetwork creates an in-memory network of n endpoints.
+// NewChanNetwork creates an in-memory network of n endpoints. Without latency
+// it starts no goroutine.
 func NewChanNetwork(n int, opts ...ChanOption) *ChanNetwork {
 	cfg := chanConfig{}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	nw := &ChanNetwork{n: n, stop: make(chan struct{})}
-	for i := 0; i < n; i++ {
-		nw.eps = append(nw.eps, &chanEndpoint{id: i, net: nw, inbox: make(chan Message, inboxSlots)})
+	nw := &ChanNetwork{n: n, eps: make([]chanEndpoint, n), stop: make(chan struct{})}
+	for i := range nw.eps {
+		ep := &nw.eps[i]
+		ep.id, ep.net, ep.inbox = i, nw, make(chan Message, inboxSlots)
 	}
 	if cfg.latencyMu <= 0 {
-		nw.destQueues = make([]*unboundedQueue, n)
-		for to := 0; to < n; to++ {
-			q := newUnboundedQueue()
-			nw.destQueues[to] = q
-			nw.wg.Add(1)
-			go nw.drain(q, nw.eps[to].inbox, cfg, int64(to))
-		}
 		return nw
 	}
 	nw.queues = map[[2]int]*unboundedQueue{}
@@ -94,46 +112,83 @@ func NewChanNetwork(n int, opts ...ChanOption) *ChanNetwork {
 			q := newUnboundedQueue()
 			nw.queues[[2]int{from, to}] = q
 			nw.wg.Add(1)
-			go nw.drain(q, nw.eps[to].inbox, cfg, int64(from*n+to))
+			go nw.drain(q, &nw.eps[to], cfg, int64(from*n+to))
 		}
 	}
 	return nw
 }
 
-// drain forwards one pair's queue into the destination inbox, applying the
+// drain forwards one pair's queue to the destination, each message after the
 // configured latency.
-func (nw *ChanNetwork) drain(q *unboundedQueue, inbox chan<- Message, cfg chanConfig, salt int64) {
+func (nw *ChanNetwork) drain(q *unboundedQueue, to *chanEndpoint, cfg chanConfig, salt int64) {
 	defer nw.wg.Done()
-	var rng *rand.Rand
-	if cfg.latencyMu > 0 {
-		rng = rand.New(rand.NewSource(cfg.seed ^ salt))
-	}
+	rng := rand.New(rand.NewSource(cfg.seed ^ salt))
 	for {
 		m, ok := q.pop()
 		if !ok {
 			return
 		}
-		if rng != nil {
-			d := time.Duration(rng.NormFloat64()*float64(cfg.latencySigma)) + cfg.latencyMu
-			if d > 0 {
-				time.Sleep(d)
-			}
+		d := time.Duration(rng.NormFloat64()*float64(cfg.latencySigma)) + cfg.latencyMu
+		if d > 0 {
+			time.Sleep(d)
 		}
-		select {
-		case inbox <- m:
-			continue
-		default:
-		}
-		select {
-		case inbox <- m:
-		case <-nw.stop:
+		if !to.put(m) {
 			return
 		}
 	}
 }
 
+// put is the one way into an inbox: it delivers m to e, or reports that the
+// network has closed. It never blocks on the reader.
+func (e *chanEndpoint) put(m Message) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return false
+	}
+	if !e.relaying {
+		select {
+		case e.inbox <- m:
+			return true
+		default:
+		}
+		e.relaying = true
+		e.net.wg.Add(1) // under mu and before closed: never concurrent with Close's Wait
+		go e.relay()
+	}
+	e.overflow = append(e.overflow, m)
+	return true
+}
+
+// relay moves the overflow into the inbox, a batch at a time, and exits when
+// it finds none: a reader that lagged once does not keep a goroutine.
+func (e *chanEndpoint) relay() {
+	defer e.net.wg.Done()
+	var batch []Message
+	for {
+		e.mu.Lock()
+		if len(e.overflow) == 0 || e.closed {
+			e.relaying = false
+			e.mu.Unlock()
+			return
+		}
+		// Swap: what accumulates during this batch goes into the array the last
+		// one left behind, so a long backlog settles on two arrays.
+		batch, e.overflow = e.overflow, batch[:0]
+		e.mu.Unlock()
+		for i, m := range batch {
+			select {
+			case e.inbox <- m:
+			case <-e.net.stop:
+				return
+			}
+			batch[i] = Message{} // the relay no longer keeps the payload alive
+		}
+	}
+}
+
 // Endpoint returns endpoint i.
-func (nw *ChanNetwork) Endpoint(i int) Endpoint { return nw.eps[i] }
+func (nw *ChanNetwork) Endpoint(i int) Endpoint { return &nw.eps[i] }
 
 // N returns the number of endpoints.
 func (nw *ChanNetwork) N() int { return nw.n }
@@ -147,18 +202,19 @@ func (nw *ChanNetwork) Stats() *Stats { return &nw.stats }
 // drain their inboxes, and Close must not block on them.
 func (nw *ChanNetwork) Close() error {
 	nw.closeOnce.Do(func() {
-		// A closed queue refuses every further push, which is how Send learns
-		// the network is gone.
-		for _, q := range nw.queues {
-			q.close()
+		for i := range nw.eps {
+			ep := &nw.eps[i]
+			ep.mu.Lock()
+			ep.closed = true
+			ep.mu.Unlock()
 		}
-		for _, q := range nw.destQueues {
+		for _, q := range nw.queues {
 			q.close()
 		}
 		close(nw.stop)
 		nw.wg.Wait()
-		for _, ep := range nw.eps {
-			close(ep.inbox)
+		for i := range nw.eps {
+			close(nw.eps[i].inbox)
 		}
 	})
 	return nil
@@ -178,8 +234,8 @@ func (e *chanEndpoint) SendValue(to int, v any, size int) error {
 	return e.enqueue(Message{From: e.id, To: to, Value: v}, size)
 }
 
-// enqueue is the one send path: validate the destination, push onto its
-// queue, account size bytes.
+// enqueue is the one send path: validate the destination, hand the message to
+// it (or, with latency, to the pair's drainer), account size bytes.
 func (e *chanEndpoint) enqueue(msg Message, size int) error {
 	to := msg.To
 	if to < 0 || to >= e.net.n {
@@ -188,13 +244,13 @@ func (e *chanEndpoint) enqueue(msg Message, size int) error {
 	if to == e.id {
 		return fmt.Errorf("transport: endpoint %d sending to itself", to)
 	}
-	var q *unboundedQueue
-	if e.net.destQueues != nil {
-		q = e.net.destQueues[to]
+	var accepted bool
+	if e.net.queues == nil {
+		accepted = e.net.eps[to].put(msg)
 	} else {
-		q = e.net.queues[[2]int{e.id, to}]
+		accepted = e.net.queues[[2]int{e.id, to}].push(msg)
 	}
-	if !q.push(msg) {
+	if !accepted {
 		return errClosed
 	}
 	e.net.stats.record(size)

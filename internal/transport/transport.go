@@ -91,9 +91,9 @@ func (s *Stats) Bytes() int64 { return s.bytes.Load() }
 // errClosed is returned by Send after Close.
 var errClosed = fmt.Errorf("transport: network closed")
 
-// unboundedQueue is a FIFO of messages with non-blocking enqueue, used to
-// guarantee that monitors can never deadlock on a full channel: the paper's
-// channel model has unbounded capacity. Popped slots are cleared and the
+// unboundedQueue is a FIFO of messages with non-blocking enqueue and a
+// blocking pop: what a ChanNetwork's latency drainers read from, one per
+// ordered pair. Popped slots are cleared and the
 // backing array is reused — from the start whenever the queue runs empty,
 // which with a reader that keeps up is after nearly every message, and by
 // sliding the backlog down when it does not — so steady state allocates

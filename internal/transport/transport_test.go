@@ -234,9 +234,8 @@ func TestSendValue(t *testing.T) {
 	}
 }
 
-// TestSendAllocatesNothing: a warmed send through an idle ChanNetwork — queue,
-// drainer, inbox, counters — allocates nothing: the per-pair counters are
-// sized at construction and the queue reuses its backing array.
+// TestSendAllocatesNothing: a send through an idle ChanNetwork — the
+// endpoint's lock, its inbox, the counters — allocates nothing.
 func TestSendAllocatesNothing(t *testing.T) {
 	nw := NewChanNetwork(2)
 	defer nw.Close()

@@ -234,6 +234,7 @@ func (s *Session) pathFeed(e *Event) error {
 	}
 	if v := s.path.Verdict(); !s.pathConcl && v != Unknown {
 		s.pathConcl = true
+		//declint:ignore blockingsend pathCh has capacity 1 and pathConcl lets exactly one event through, so this send cannot block
 		s.pathCh <- VerdictEvent{
 			Monitor:    e.Proc,
 			Verdict:    v,
