@@ -14,10 +14,11 @@
 // -metrics address (sessions live, events and verdicts ingested, retained
 // knowledge bytes, verdict latency histogram, automaton cache hit rate).
 //
-// With -state DIR the daemon is durable: every session is checkpointed to
-// DIR on the -checkpoint-every cadence (atomic write-then-rename), and a
-// restarted daemon recovers them; clients re-adopt a recovered session
-// with dlmonc -attach SID and resume feeding at the reported fed counts.
+// With -state DIR the daemon is durable: every session is kept in DIR as a
+// base blob plus an append-only log of its inputs, synced every
+// -checkpoint-every events, and a restarted daemon recovers them by
+// re-feeding the log; clients re-adopt a recovered session with dlmonc
+// -attach SID and resume feeding at the reported fed counts.
 //
 // Usage:
 //
@@ -42,8 +43,8 @@ func main() {
 		rate    = flag.Float64("rate", 0, "per-tenant admission rate, events/second (0 disables)")
 		burst   = flag.Float64("burst", 0, "per-tenant burst size, events (0 = rate)")
 		maxLag  = flag.Int("maxlag", 0, "per-session retained-knowledge bound (events/monitor; 0 = default)")
-		state   = flag.String("state", "", "durable-session state directory (empty disables checkpointing)")
-		ckEvery = flag.Int("checkpoint-every", 0, "events between session checkpoints (0 = default 256; needs -state)")
+		state   = flag.String("state", "", "durable-session state directory (empty disables durability)")
+		ckEvery = flag.Int("checkpoint-every", 0, "events between durable syncs of a session's input log: how far the disk may trail the engine (0 = default 256; needs -state)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: dlmond [flags]")

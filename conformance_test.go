@@ -10,6 +10,7 @@ import (
 
 	"decentmon/internal/central"
 	"decentmon/internal/core"
+	"decentmon/internal/gauntlet"
 	"decentmon/internal/transport/transporttest"
 )
 
@@ -43,99 +44,6 @@ import (
 //     inherently full-lattice and stay at n ≤ 5.
 //
 // Cells are seeded; -short trims the matrix (two topologies, n ≤ 8).
-
-type gauntletCell struct {
-	prop  string
-	n     int
-	arity int // < n uses the reduced-arity instance + sliced oracle
-	topo  Topology
-	seed  int64
-	// qDrift lowers the q truth probability so the □-family properties
-	// violate (exercises ⊥ agreement at large n).
-	qDrift bool
-}
-
-func gauntletCells(short bool) []gauntletCell {
-	topos := []Topology{TopoUniform, TopoRing, TopoStar, TopoBroadcast, TopoClustered}
-	if short {
-		topos = []Topology{TopoUniform, TopoRing}
-	}
-	var cells []gauntletCell
-	props := []string{"A", "B", "C", "D", "E", "F"}
-	for _, n := range []int{2, 5} {
-		for _, p := range props {
-			for _, topo := range topos {
-				cells = append(cells, gauntletCell{prop: p, n: n, arity: n, topo: topo, seed: 2015})
-			}
-		}
-	}
-	n8props, n8topos := props, topos
-	if short {
-		n8props, n8topos = []string{"B", "D"}, []Topology{TopoRing}
-	}
-	for _, p := range n8props {
-		for _, topo := range n8topos {
-			cells = append(cells, gauntletCell{prop: p, n: 8, arity: 3, topo: topo, seed: 2015})
-		}
-	}
-	if !short {
-		// Star and broadcast hubs make every clock causally dense at n=16
-		// (the search boxes then span most of the 16-dimensional lattice),
-		// and uniform unicast at that size costs ~1.5s per engine run; those
-		// three topologies are exercised at n ≤ 8, n=16 pins ring and
-		// clustered.
-		for _, p := range props {
-			for _, topo := range []Topology{TopoRing, TopoClustered} {
-				cells = append(cells, gauntletCell{prop: p, n: 16, arity: 3, topo: topo, seed: 2015})
-			}
-		}
-		// Violation cells: q drifts false, the until obligations break, the
-		// engines must all report ⊥.
-		for _, p := range []string{"D", "F"} {
-			for _, n := range []int{8, 16} {
-				cells = append(cells, gauntletCell{prop: p, n: n, arity: 3, topo: TopoRing, seed: 2015, qDrift: true})
-			}
-		}
-	}
-	return cells
-}
-
-// gauntletGen is the workload regime of one cell. Large-n cells keep the
-// searches resolvable: high truth probabilities and moderate communication
-// keep the goal cuts causally thin, which is what bounds the monitors' box
-// explorations (see the calibration notes in README).
-func (c gauntletCell) gen() GenConfig {
-	cfg := GenConfig{
-		N: c.n, InternalPerProc: 6,
-		EvtMu: 3, EvtSigma: 1, CommMu: 3, CommSigma: 1,
-		Topology: c.topo, PlantGoal: true, Seed: c.seed,
-	}
-	if c.topo == TopoClustered {
-		cfg.Clusters = 2
-		if c.n >= 8 {
-			cfg.Clusters = 4
-		}
-		cfg.CrossProb = 0.1
-	}
-	if c.n >= 8 {
-		cfg.InternalPerProc = 4
-		cfg.CommMu = 6
-	}
-	switch {
-	case c.qDrift:
-		cfg.TrueProbs = map[string]float64{"p": 0.9, "q": 0.35}
-		cfg.InitTrue = []string{"p"}
-	case c.prop == "B" || c.prop == "E":
-		cfg.TrueProbs = map[string]float64{"p": 0.6, "q": 0.5}
-		if c.n >= 8 {
-			cfg.TrueProbs = map[string]float64{"p": 0.9, "q": 0.8}
-		}
-	default:
-		cfg.TrueProbs = map[string]float64{"p": 0.9, "q": 0.9}
-		cfg.InitTrue = []string{"p", "q"}
-	}
-	return cfg
-}
 
 func verdictSetString(set map[Verdict]bool) string {
 	out := ""
@@ -234,20 +142,16 @@ func TestConformanceGauntlet(t *testing.T) {
 	// degenerates to one verdict pins nothing; all three LTL3 verdicts must
 	// be exercised somewhere (full matrix only).
 	variety := map[Verdict]bool{}
-	for _, cell := range gauntletCells(short) {
+	for _, cell := range gauntlet.Cells(short) {
 		cell := cell
-		name := fmt.Sprintf("%s/n%d/a%d/%v/seed%d", cell.prop, cell.n, cell.arity, cell.topo, cell.seed)
-		if cell.qDrift {
-			name += "/qdrift"
-		}
-		t.Run(name, func(t *testing.T) {
-			spec := gauntletSpec(t, cell.prop, cell.arity)
-			ts, err := Generate(cell.gen()).WithProps(spec.Props)
+		t.Run(cell.Name(), func(t *testing.T) {
+			spec := gauntletSpec(t, cell.Prop, cell.Arity)
+			ts, err := Generate(cell.Gen()).WithProps(spec.Props)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var oracle *OracleResult
-			if cell.n <= 5 {
+			if cell.N <= 5 {
 				oracle = conformSmall(t, spec, ts)
 			} else {
 				oracle = conformLarge(t, spec, ts)
@@ -276,9 +180,9 @@ func TestConformanceGauntlet(t *testing.T) {
 // the inconclusive interleavings (which avoid every chain) went
 // unreported. The retained residuals now re-explore exactly those paths.
 func TestFinalizeResidualRegression(t *testing.T) {
-	cell := gauntletCell{prop: "D", n: 5, arity: 5, topo: TopoRing, seed: 2015}
-	spec := gauntletSpec(t, cell.prop, cell.arity)
-	ts, err := Generate(cell.gen()).WithProps(spec.Props)
+	cell := gauntlet.Cell{Prop: "D", N: 5, Arity: 5, Topo: TopoRing, Seed: 2015}
+	spec := gauntletSpec(t, cell.Prop, cell.Arity)
+	ts, err := Generate(cell.Gen()).WithProps(spec.Props)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,17 +354,17 @@ func conformLarge(t *testing.T, spec *Spec, ts *TraceSet) *OracleResult {
 // finalization-free like the gauntlet's, where '?' depends on which views
 // survive and only the conclusive verdicts are pinned.
 func TestCodecPathParity(t *testing.T) {
-	for _, cell := range gauntletCells(true) {
+	for _, cell := range gauntlet.Cells(true) {
 		cell := cell
-		t.Run(fmt.Sprintf("%s/n%d/%v", cell.prop, cell.n, cell.topo), func(t *testing.T) {
-			spec := gauntletSpec(t, cell.prop, cell.arity)
-			ts, err := Generate(cell.gen()).WithProps(spec.Props)
+		t.Run(fmt.Sprintf("%s/n%d/%v", cell.Prop, cell.N, cell.Topo), func(t *testing.T) {
+			spec := gauntletSpec(t, cell.Prop, cell.Arity)
+			ts, err := Generate(cell.Gen()).WithProps(spec.Props)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var opts []Option
 			render := verdictSetString
-			if cell.n > 5 {
+			if cell.N > 5 {
 				opts, render = []Option{WithoutFinalization()}, conclusives
 			}
 			handed, err := Run(spec, ts, opts...)
@@ -504,17 +408,17 @@ func TestCodecPathParity(t *testing.T) {
 // and the per-process fed counts of the stream fed one Feed at a time, and a
 // window with one bad event in it feeds none of its events.
 func TestFeedRunEqualsFeed(t *testing.T) {
-	for _, cell := range gauntletCells(true) {
+	for _, cell := range gauntlet.Cells(true) {
 		cell := cell
-		t.Run(fmt.Sprintf("%s/n%d/%v", cell.prop, cell.n, cell.topo), func(t *testing.T) {
-			spec := gauntletSpec(t, cell.prop, cell.arity)
-			ts, err := Generate(cell.gen()).WithProps(spec.Props)
+		t.Run(fmt.Sprintf("%s/n%d/%v", cell.Prop, cell.N, cell.Topo), func(t *testing.T) {
+			spec := gauntletSpec(t, cell.Prop, cell.Arity)
+			ts, err := Generate(cell.Gen()).WithProps(spec.Props)
 			if err != nil {
 				t.Fatal(err)
 			}
 			o := buildOptions([]Option{WithInitialState(ts.InitialState())})
 			render := verdictSetString
-			if cell.n > 5 {
+			if cell.N > 5 {
 				o, render = buildOptions([]Option{WithInitialState(ts.InitialState()), WithoutFinalization()}), conclusives
 			}
 			cfg, err := engineConfig(spec, ts.N(), o)

@@ -389,3 +389,64 @@ func takeUnderLock(mu *sync.RWMutex, ch chan int, locked bool) int {
 	}
 	return <-ch
 }
+
+// journal models internal/server's durable session: inMu is the input lock a
+// feeder holds while it feeds and logs, sem the semaphore of one that whoever
+// is writing the session's files holds.
+type journal struct {
+	inMu    sync.Mutex
+	sem     chan struct{}
+	stop    chan struct{}
+	pending []byte
+}
+
+// handoff is the cadence: under the input lock it waits for the previous sync
+// by taking the semaphore — backpressure on this session's feeder, which is
+// the point — and may only because the server's stop sits beside the send: a
+// disk that never answers then holds nobody past shutdown.
+func (j *journal) handoff() {
+	j.inMu.Lock()
+	defer j.inMu.Unlock()
+	select {
+	case j.sem <- struct{}{}:
+	case <-j.stop:
+		return
+	}
+	buf := j.pending
+	j.pending = nil
+	go j.syncLog(buf)
+}
+
+// syncLog is the syncer: no lock, no loop, and the receive that releases the
+// semaphore cannot block — its holder is the one receiving.
+func (j *journal) syncLog(buf []byte) {
+	_ = buf // write, fsync
+	<-j.sem
+}
+
+// install releases from a deferred literal, as the installer does: a function
+// of its own, without lock or loop.
+func (j *journal) install(blob []byte) {
+	defer func() { <-j.sem }()
+	_ = blob // temp file, fsync, rename
+}
+
+// handoffWedged takes the semaphore bare under the input lock: a sync that
+// never returns wedges the feeder, every other connection feeding the session,
+// and the Shutdown that wants the lock for its final sync.
+func (j *journal) handoffWedged() {
+	j.inMu.Lock()
+	defer j.inMu.Unlock()
+	j.sem <- struct{}{} // want `blocking send while a mutex is held`
+	go j.syncLog(j.pending)
+	j.pending = nil
+}
+
+// settleWedged waits the in-flight sync out under the lock, bare on both
+// sides.
+func (j *journal) settleWedged() {
+	j.inMu.Lock()
+	j.sem <- struct{}{} // want `blocking send while a mutex is held`
+	<-j.sem             // want `blocking receive while a mutex is held`
+	j.inMu.Unlock()
+}

@@ -162,16 +162,18 @@ const EventSlab = 32
 
 // DecodeEventRun parses the run of one or more event records that fills buf —
 // an Ingest frame's payload behind its session id — for an n-process space,
-// and appends the events to dst. The run has no count: a record is
-// self-delimiting once n is known, and the run ends where buf does. Events
-// decode into slabs, one []Event and one clock slab per run of up to EventSlab
-// events, each sized by the records the remaining bytes can still hold, so a
-// run costs two allocations per slab whatever its length claims to be. One
-// malformed record refuses the whole run, as does an empty buf; dst then comes
-// back at its original length.
-func DecodeEventRun(dst []*Event, buf []byte, n int) ([]*Event, error) {
+// and appends the events to dst and, to ends, the offset in buf at which each
+// record ends: records i to j of the run are buf[ends[i-1]:ends[j]], which is
+// how a window of the run is logged as the bytes it arrived in. The run has no
+// count: a record is self-delimiting once n is known, and the run ends where
+// buf does. Events decode into slabs, one []Event and one clock slab per run of
+// up to EventSlab events, each sized by the records the remaining bytes can
+// still hold, so a run costs two allocations per slab whatever its length
+// claims to be. One malformed record refuses the whole run, as does an empty
+// buf; dst and ends then come back at their original lengths.
+func DecodeEventRun(dst []*Event, ends []int, buf []byte, n int) ([]*Event, []int, error) {
 	c := wire.NewCursor(buf)
-	base := len(dst)
+	base, baseEnds := len(dst), len(ends)
 	var slab []Event
 	var clocks []int
 	for {
@@ -181,11 +183,12 @@ func DecodeEventRun(dst []*Event, buf []byte, n int) ([]*Event, error) {
 		}
 		DecodeEventInto(&c, &slab[0], clocks[:n:n])
 		if c.Err() != nil {
-			return dst[:base], c.Done("event run")
+			return dst[:base], ends[:baseEnds], c.Done("event run")
 		}
 		dst, slab, clocks = append(dst, &slab[0]), slab[1:], clocks[n:]
+		ends = append(ends, len(buf)-c.Len())
 		if c.Len() == 0 {
-			return dst, nil
+			return dst, ends, nil
 		}
 	}
 }

@@ -111,7 +111,7 @@ func FuzzDecodeDMTB(f *testing.F) {
 func decodeRunAllocBytes(raw []byte, n int) ([]*Event, error, uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	evs, err := DecodeEventRun(nil, raw, n)
+	evs, _, err := DecodeEventRun(nil, nil, raw, n)
 	runtime.ReadMemStats(&after)
 	return evs, err, after.TotalAlloc - before.TotalAlloc
 }

@@ -150,7 +150,7 @@ func TestGoldenRPC(t *testing.T) {
 			t.Errorf("%s: decoded frame re-encodes to %x (%v)", tc.msg.Kind, again, err)
 		}
 	}
-	evs, err := DecodeEventRun(nil, run, 2)
+	evs, _, err := DecodeEventRun(nil, nil, run, 2)
 	if err != nil || len(evs) != 3 {
 		t.Fatalf("the three-record run decodes to %d events (%v)", len(evs), err)
 	}
@@ -161,6 +161,59 @@ func TestGoldenRPC(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenDMLG pins the input log at version 1: header, then one record of
+// each kind — the three-record run of the RPC golden, exactly as an Ingest
+// carried it, the send again as an event the server stamped, and an end mark.
+// A state directory outlives the build that wrote it, so these bytes may only
+// change together with InputLogVersion.
+func TestGoldenDMLG(t *testing.T) {
+	want := unhex(t, goldenDMLG1)
+	var run []byte
+	var err error
+	for _, e := range goldenEvents() {
+		if run, err = AppendEventRecord(run, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send, err := AppendEventRecord(nil, goldenEvents()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := AppendInputLogHeader(nil, InputLogHeader{SID: 300, Gen: 2})
+	got = AppendInputLogRecord(got, LogRun, run)
+	got = AppendInputLogRecord(got, LogEmitted, send)
+	got = AppendInputLogRecord(got, LogEnd, wire.AppendInts(nil, 1))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("DMLG v1 bytes changed:\n got  %x\n want %x", got, want)
+	}
+	hdr, recs, end, err := ReadInputLog(want)
+	if err != nil || hdr != (InputLogHeader{SID: 300, Gen: 2}) || end != len(want) || len(recs) != 3 {
+		t.Fatalf("read back as %+v, %d records, end %d of %d (%v)", hdr, len(recs), end, len(want), err)
+	}
+	for i, kind := range []InputLogKind{LogRun, LogEmitted, LogEnd} {
+		if recs[i].Kind != kind {
+			t.Errorf("record %d is of kind %d, want %d", i, recs[i].Kind, kind)
+		}
+	}
+	if evs, _, err := DecodeEventRun(nil, nil, recs[0].Payload, 2); err != nil || len(evs) != 3 {
+		t.Errorf("the run decodes to %d events (%v)", len(evs), err)
+	}
+	if e, err := DecodeEventRecord(recs[1].Payload, 2); err != nil || e.Type != Send || e.MsgID != 300 {
+		t.Errorf("the emitted record decodes to %+v (%v)", e, err)
+	}
+}
+
+const goldenDMLG1 = "444d4c47 01 ac02 02 a5044bda" + // magic, version, session 300, generation 2, CRC-32C
+	"01 38" + // a run of 56 bytes: the three records of the RPC golden's second Ingest
+	"00 00 01 00 03000000 000000000000e03f 01 00" +
+	"00 01 02 ac02 01000000 000000000000f43f 02 00" +
+	"01 02 00 ac02 01000000 0000000000000040 02 01" +
+	"58f38708" + // CRC-32C of kind, length and payload
+	"02 13" + // an emitted event of 19 bytes: P0's send, as the server stamped it
+	"00 01 02 ac02 01000000 000000000000f43f 02 00" +
+	"950fc048" +
+	"03 01 01 7d78836b" // an end mark: process 1
 
 // TestGoldenDMSN pins the snapshot container at version 4 and, inside it, the
 // records the tree shares between formats — process space, stamper state and

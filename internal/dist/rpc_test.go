@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,19 +222,24 @@ func sameEvent(a, b *Event) bool {
 // TestDecodeEventRun: a run of k records decodes to what its k records decode
 // to one by one; it is refused whole — the destination comes back as it went
 // in — when any record of it is cut short, names a process outside the space
-// or drags bytes behind it, and when it is empty.
+// or drags bytes behind it, and when it is empty. Beside the events it reports
+// where each record ends, which is what lets a window of the run be logged as
+// a sub-slice of the bytes it arrived in.
 func TestDecodeEventRun(t *testing.T) {
 	events, run, offs := genRun(t)
 	if len(events) < 3*EventSlab {
 		t.Fatalf("generated %d events, want a few slabs", len(events))
 	}
 	kept := &Event{Proc: 99}
-	got, err := DecodeEventRun([]*Event{kept}, run, 4)
+	got, ends, err := DecodeEventRun([]*Event{kept}, []int{-1}, run, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1+len(events) || got[0] != kept {
 		t.Fatalf("decoded %d events behind the one already there, want %d", len(got)-1, len(events))
+	}
+	if len(ends) != 1+len(events) || ends[0] != -1 || !slices.Equal(ends[1:], offs[1:]) {
+		t.Fatalf("record ends %v behind the one already there, want %v", ends, offs[1:])
 	}
 	for i, e := range events {
 		one, err := DecodeEventRecord(run[offs[i]:offs[i+1]], 4)
@@ -245,9 +251,9 @@ func TestDecodeEventRun(t *testing.T) {
 		}
 	}
 	// Slabs: an []Event and a clock array per EventSlab events, nothing else.
-	dst := make([]*Event, 0, len(events))
+	dst, ends := make([]*Event, 0, len(events)), make([]int, 0, len(events))
 	slabs := (len(events) + EventSlab - 1) / EventSlab
-	if n := testing.AllocsPerRun(20, func() { dst, _ = DecodeEventRun(dst[:0], run, 4) }); n != float64(2*slabs) {
+	if n := testing.AllocsPerRun(20, func() { dst, ends, _ = DecodeEventRun(dst[:0], ends[:0], run, 4) }); n != float64(2*slabs) {
 		t.Errorf("decoding %d events allocated %v times, want two per slab of %d = %d", len(events), n, EventSlab, 2*slabs)
 	}
 
@@ -263,12 +269,12 @@ func TestDecodeEventRun(t *testing.T) {
 		"record j of process 4":   {procAt(bytes.Clone(run)), "nonexistent process 4"},
 		"one byte behind":         {append(bytes.Clone(run), 0), "truncated"},
 	} {
-		got, err := DecodeEventRun([]*Event{kept}, tc.run, 4)
+		got, ends, err := DecodeEventRun([]*Event{kept}, []int{-1}, tc.run, 4)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", name, tc.want, err)
 		}
-		if len(got) != 1 || got[0] != kept {
-			t.Errorf("%s: a refused run left %d events in the destination", name, len(got)-1)
+		if len(got) != 1 || got[0] != kept || len(ends) != 1 {
+			t.Errorf("%s: a refused run left %d events and %d record ends in the destination", name, len(got)-1, len(ends)-1)
 		}
 	}
 }

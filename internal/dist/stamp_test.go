@@ -2,6 +2,8 @@ package dist
 
 import (
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -147,5 +149,69 @@ func TestStamperConcurrentProcesses(t *testing.T) {
 			}
 			seen[id] = true
 		}
+	}
+}
+
+// TestStamperAbsorbReproducesState: a second stamper that absorbs a stamper's
+// own output, in the order it was produced, ends with exactly the first one's
+// State — counter, clocks, timestamps — and a ledger holding exactly the
+// tokens still in flight. That is what lets a log of stamped events stand in
+// for a snapshot of the stamper. Checked at every step of a random execution,
+// not just its end: a crash can stop the log anywhere.
+func TestStamperAbsorbReproducesState(t *testing.T) {
+	const n = 3
+	rng := rand.New(rand.NewSource(23))
+	st, twin := NewStamper(n), NewStamper(n)
+	inFlight, ledger := map[int]MsgToken{}, map[int]MsgToken{}
+	for step := 0; step < 400; step++ {
+		p := rng.Intn(n)
+		at := float64(step) - 3*rng.Float64() // sometimes behind the process's last stamp: clamped
+		var e *Event
+		var err error
+		switch kind := rng.Intn(3); {
+		case kind == 0:
+			e, err = st.Internal(p, LocalState(rng.Intn(4)), at)
+		case kind == 1:
+			var tok MsgToken
+			if e, tok, err = st.Send(p, (p+1+rng.Intn(n-1))%n, LocalState(rng.Intn(4)), at); err == nil {
+				inFlight[tok.ID] = tok
+			}
+		default:
+			e, err = st.Internal(p, 0, at)
+			for id, tok := range inFlight { // any message addressed to p, if there is one
+				if tok.To == p {
+					delete(inFlight, id)
+					e, err = st.Recv(p, tok, LocalState(rng.Intn(4)), at)
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.Absorb(e, ledger); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := twin.State(), st.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%+v): absorbed state %+v, stamper's own %+v", step, e, got, want)
+		}
+		if !reflect.DeepEqual(ledger, inFlight) {
+			t.Fatalf("step %d (%+v): ledger %v, in flight %v", step, e, ledger, inFlight)
+		}
+	}
+	if len(inFlight) == 0 {
+		t.Error("the execution left no message in flight: the ledger was not exercised to its end")
+	}
+	// The twin carries on where the original would: same ids, same clocks.
+	a, tokA, _ := st.Send(0, 1, 1, 1000)
+	b, tokB, _ := twin.Send(0, 1, 1, 1000)
+	if tokA.ID != tokB.ID || !a.VC.Equal(b.VC) {
+		t.Errorf("after absorbing, the next send is %d %v, the original's %d %v", tokB.ID, b.VC, tokA.ID, a.VC)
+	}
+	if err := twin.Absorb(&Event{Proc: n, VC: make([]int, n)}, ledger); err == nil {
+		t.Error("absorbed an event of a process the stamper does not have")
+	}
+	if err := twin.Absorb(&Event{Proc: 0, VC: make([]int, n+1)}, ledger); err == nil {
+		t.Error("absorbed an event with a clock of another width")
 	}
 }

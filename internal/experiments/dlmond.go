@@ -55,9 +55,9 @@ type DlmondBench struct {
 // DlmondLongSession is the long-session pair: the engine sweep's stream
 // execution (ring n=8, ~8×10⁴ events, a response property that never
 // concludes) ingested as one dlmond session, without a state directory and
-// with one at the default checkpoint cadence. DurableRatio is what
-// scripts/perfgate.go gates; the per-checkpoint means come from the durable
-// daemon's own /metrics phase counters.
+// with one at the default cadence. scripts/perfgate.go gates the two
+// events/s sides; the per-sync and per-base means come from the durable
+// daemon's own /metrics counters.
 type DlmondLongSession struct {
 	Workload            string  `json:"workload"`
 	Events              int     `json:"events"`
@@ -65,18 +65,33 @@ type DlmondLongSession struct {
 	EventsPerSec        float64 `json:"events_per_sec"`
 	DurableEventsPerSec float64 `json:"durable_events_per_sec"`
 	DurableRatio        float64 `json:"durable_ratio"` // durable / non-durable
-	CheckpointEvery     int     `json:"checkpoint_every"`
-	Checkpoints         int     `json:"checkpoints"` // per durable session
-	CheckpointBytes     float64 `json:"checkpoint_bytes_mean"`
-	// Milliseconds per checkpoint. Barrier, encode and install-wait stall the
-	// connection's read loop; install runs beside it.
-	BarrierMs     float64 `json:"barrier_ms"`
-	EncodeMs      float64 `json:"encode_ms"`
-	InstallMs     float64 `json:"install_ms"`
+	// DurableBytesPerEvent is everything the durable side made durable — input
+	// log records and base blobs — over the events it monitored; the same
+	// events take about 34 bytes each in a ".dmtb" file.
+	DurableBytesPerEvent float64 `json:"durable_bytes_per_event"`
+	// RecoveryMs is a restart over the state directory of the whole session,
+	// fed and left open: restore the base, replay the log (median of
+	// dlmondRecoveryRuns).
+	RecoveryMs      float64 `json:"recovery_ms"`
+	CheckpointEvery int     `json:"checkpoint_every"`
+	// The cadence: input log syncs per durable session, their mean size, the
+	// milliseconds one takes beside the read loop, and the milliseconds the
+	// read loop (and replies) waited per sync for the disk.
+	Syncs         int     `json:"syncs"`
+	SyncBytes     float64 `json:"sync_bytes_mean"`
+	SyncMs        float64 `json:"sync_ms"`
 	InstallWaitMs float64 `json:"install_wait_ms"`
+	// Base blobs per durable session (one at registration, the rest
+	// compactions), their mean size and the milliseconds one takes: barrier
+	// and encode stall the read loop, install runs beside it.
+	Checkpoints     int     `json:"checkpoints"`
+	CheckpointBytes float64 `json:"checkpoint_bytes_mean"`
+	BarrierMs       float64 `json:"barrier_ms"`
+	EncodeMs        float64 `json:"encode_ms"`
+	InstallMs       float64 `json:"install_ms"`
 }
 
-const dlmondNote = "sessions/s of full register->ingest->verdict->close lifecycles over loopback TCP at the recorded gomaxprocs; each session monitors the paper's 8-event running example, so events/s = 8x sessions/s; long_session is one ~8e4-event session without and with a state directory (see PERFORMANCE.md, Checkpoint overhead)"
+const dlmondNote = "sessions/s of full register->ingest->verdict->close lifecycles over loopback TCP at the recorded gomaxprocs; each session monitors the paper's 8-event running example, so events/s = 8x sessions/s; long_session is one ~8e4-event session without and with a state directory (see PERFORMANCE.md, Durability by logging inputs)"
 
 // dlmondConcurrencies is the sweep plan from the roadmap: a single tenant,
 // a busy daemon, and the 512-session acceptance regime.
@@ -161,17 +176,100 @@ func dlmondLongSession(name string, ts *dist.TraceSet, formula string, pairs int
 	}
 	long.EventsPerSec, long.DurableEventsPerSec = medianOf(plain), medianOf(durable)
 	long.DurableRatio = long.DurableEventsPerSec / long.EventsPerSec
+	long.CheckpointEvery = 256 // server.Config's default; the run sets none
+	long.DurableBytesPerEvent = (phases["dlmond_log_bytes_total"] + phases["dlmond_checkpoint_bytes_total"]) / float64(pairs*len(evs))
+	if n := phases["dlmond_log_syncs_total"]; n > 0 {
+		long.Syncs = int(n) / pairs
+		long.SyncBytes = phases["dlmond_log_bytes_total"] / n
+		long.SyncMs = 1000 * phases["dlmond_log_sync_seconds_total"] / n
+		long.InstallWaitMs = 1000 * phases["dlmond_checkpoint_install_wait_seconds_total"] / n
+	}
 	if n := phases["dlmond_checkpoints_total"]; n > 0 {
 		perCkptMs := func(name string) float64 { return 1000 * phases[name] / n }
-		long.CheckpointEvery = 256 // server.Config's default; the run sets none
 		long.Checkpoints = int(n) / pairs
 		long.CheckpointBytes = phases["dlmond_checkpoint_bytes_total"] / n
 		long.BarrierMs = perCkptMs("dlmond_checkpoint_barrier_seconds_total")
 		long.EncodeMs = perCkptMs("dlmond_checkpoint_encode_seconds_total")
 		long.InstallMs = perCkptMs("dlmond_checkpoint_install_seconds_total")
-		long.InstallWaitMs = perCkptMs("dlmond_checkpoint_install_wait_seconds_total")
 	}
+	var recoveries []float64
+	for i := 0; i < dlmondRecoveryRuns; i++ {
+		ms, err := dlmondRecovery(ts, formula, evs)
+		if err != nil {
+			return nil, err
+		}
+		recoveries = append(recoveries, ms)
+	}
+	long.RecoveryMs = medianOf(recoveries)
 	return long, nil
+}
+
+// dlmondRecoveryRuns is how many restarts RecoveryMs is the median of.
+const dlmondRecoveryRuns = 3
+
+// dlmondRecovery feeds the whole session to a durable dlmond, leaves it open
+// and shuts the daemon down — which syncs the log's last partial cadence and
+// writes no other blob, so the directory is what a kill after the last
+// acknowledgement leaves — then times a second daemon's start over the same
+// directory, in milliseconds, and checks that it holds every event.
+func dlmondRecovery(ts *dist.TraceSet, formula string, evs []*dist.Event) (float64, error) {
+	dir, err := os.MkdirTemp("", "dlmond-recovery-")
+	if err != nil {
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	cfg := server.Config{MetricsAddr: "off", StateDir: dir}
+	s, err := server.New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer s.Shutdown()
+	cl, err := server.Dial(s.Addr())
+	if err != nil {
+		return 0, err
+	}
+	defer cl.Close()
+	sid, _, err := cl.Register("bench", formula, ts.InitialState(), ts.Props)
+	if err != nil {
+		return 0, err
+	}
+	for _, e := range evs {
+		if err := cl.Ingest(sid, e); err != nil {
+			return 0, err
+		}
+	}
+	if _, _, err := cl.Attach(sid); err != nil {
+		return 0, err
+	}
+	cl.Close()
+	if err := s.Shutdown(); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	s2, err := server.New(cfg)
+	ms := float64(time.Since(start).Microseconds()) / 1000
+	if err != nil {
+		return 0, err
+	}
+	defer s2.Shutdown()
+	cl2, err := server.Dial(s2.Addr())
+	if err != nil {
+		return 0, err
+	}
+	defer cl2.Close()
+	_, fed, err := cl2.Attach(sid)
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, k := range fed {
+		total += k
+	}
+	if total != len(evs) {
+		return 0, fmt.Errorf("experiments: recovered session holds %d of %d events", total, len(evs))
+	}
+	_, err = cl2.CloseSession(sid)
+	return ms, err
 }
 
 // linearize returns a trace set's events in stream order.
@@ -197,9 +295,9 @@ func medianOf(xs []float64) float64 {
 
 // dlmondLongRun drives one long session — register, ingest everything, close
 // — against a fresh in-process dlmond and returns its events/s, timed from
-// the first Ingest to the Closed reply. A durable run checkpoints into a
+// the first Ingest to the Closed reply. A durable run keeps its session in a
 // temporary state directory at the default cadence and also returns the
-// daemon's checkpoint counters, scraped from /metrics after the close.
+// daemon's durability counters, scraped from /metrics after the close.
 func dlmondLongRun(ts *dist.TraceSet, formula string, evs []*dist.Event, durable bool) (float64, map[string]float64, error) {
 	cfg := server.Config{MetricsAddr: "off"}
 	if durable {
@@ -241,7 +339,8 @@ func dlmondLongRun(ts *dist.TraceSet, formula string, evs []*dist.Event, durable
 	return eps, m, err
 }
 
-// scrapeCheckpointMetrics reads the dlmond_checkpoint* samples off /metrics.
+// scrapeCheckpointMetrics reads the dlmond_checkpoint* and dlmond_log* samples
+// off /metrics.
 func scrapeCheckpointMetrics(addr string) (map[string]float64, error) {
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
@@ -252,7 +351,7 @@ func scrapeCheckpointMetrics(addr string) (map[string]float64, error) {
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
 		name, value, ok := strings.Cut(sc.Text(), " ")
-		if !ok || !strings.HasPrefix(name, "dlmond_checkpoint") {
+		if !ok || !(strings.HasPrefix(name, "dlmond_checkpoint") || strings.HasPrefix(name, "dlmond_log")) {
 			continue
 		}
 		if v, err := strconv.ParseFloat(value, 64); err == nil {
@@ -407,8 +506,12 @@ func RenderDlmondCells(doc *DlmondBench) string {
 	if l := doc.LongSession; l != nil {
 		fmt.Fprintf(&sb, "long session : %d events, %.0f events/s, %.0f with -state (ratio %.2f)\n",
 			l.Events, l.EventsPerSec, l.DurableEventsPerSec, l.DurableRatio)
-		fmt.Fprintf(&sb, "checkpoint   : %d per session of %.0f B; barrier %.2f + encode %.2f + install-wait %.2f ms on the read loop, install %.2f ms beside it\n",
-			l.Checkpoints, l.CheckpointBytes, l.BarrierMs, l.EncodeMs, l.InstallWaitMs, l.InstallMs)
+		fmt.Fprintf(&sb, "log syncs    : %d per session of %.0f B; sync %.2f ms beside the read loop, install-wait %.2f ms on it\n",
+			l.Syncs, l.SyncBytes, l.SyncMs, l.InstallWaitMs)
+		fmt.Fprintf(&sb, "compactions  : %d base blobs per session of %.0f B; barrier %.2f + encode %.2f ms on the read loop, install %.2f ms beside it\n",
+			l.Checkpoints, l.CheckpointBytes, l.BarrierMs, l.EncodeMs, l.InstallMs)
+		fmt.Fprintf(&sb, "durable      : %.1f B/event made durable; restart over the whole session's state %.1f ms\n",
+			l.DurableBytesPerEvent, l.RecoveryMs)
 	}
 	return sb.String()
 }

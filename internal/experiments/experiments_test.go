@@ -274,8 +274,10 @@ func TestOracleSweep(t *testing.T) {
 }
 
 // TestDlmondLongSession runs the long-session pair on a short execution: the
-// durable side must take every checkpoint its cadence calls for and report
-// where their time went, and the record must render.
+// durable side must sync its log every time its cadence calls for it, write
+// its registration's base blob, report where the time of both went, what it
+// made durable per event and how long a restart over its state takes, and the
+// record must render.
 func TestDlmondLongSession(t *testing.T) {
 	ts := dist.Generate(dist.GenConfig{
 		N: 3, InternalPerProc: 400, CommMu: 6, CommSigma: 1,
@@ -289,17 +291,28 @@ func TestDlmondLongSession(t *testing.T) {
 	if long.Events != ts.TotalEvents() || long.EventsPerSec <= 0 || long.DurableEventsPerSec <= 0 {
 		t.Fatalf("pair not measured: %+v", long)
 	}
-	if want := long.Events/long.CheckpointEvery + 1; long.Checkpoints != want {
-		t.Errorf("%d checkpoints over %d events at cadence %d, want %d", long.Checkpoints, long.Events, long.CheckpointEvery, want)
+	if want := long.Events / long.CheckpointEvery; long.Syncs != want {
+		t.Errorf("%d log syncs over %d events at cadence %d, want %d", long.Syncs, long.Events, long.CheckpointEvery, want)
 	}
-	if long.CheckpointBytes <= 0 || long.BarrierMs <= 0 || long.EncodeMs <= 0 || long.InstallMs <= 0 {
+	if long.Checkpoints < 1 {
+		t.Errorf("%d base blobs, want the registration's at least", long.Checkpoints)
+	}
+	if long.SyncBytes <= 0 || long.SyncMs <= 0 || long.CheckpointBytes <= 0 || long.BarrierMs <= 0 || long.EncodeMs <= 0 || long.InstallMs <= 0 {
 		t.Errorf("phase means not filled in: %+v", long)
+	}
+	// A record is the events' own bytes plus six of framing: more than a
+	// ".dmtb" file's 20-odd bytes an event at n = 3, far less than a snapshot.
+	if long.DurableBytesPerEvent < 10 || long.DurableBytesPerEvent > 200 {
+		t.Errorf("durable_bytes_per_event = %v", long.DurableBytesPerEvent)
+	}
+	if long.RecoveryMs <= 0 {
+		t.Errorf("recovery_ms = %v", long.RecoveryMs)
 	}
 	if got, want := long.DurableRatio, long.DurableEventsPerSec/long.EventsPerSec; got != want {
 		t.Errorf("durable_ratio %v, want %v", got, want)
 	}
 	out := RenderDlmondCells(&DlmondBench{LongSession: long})
-	if !strings.Contains(out, "long session") || !strings.Contains(out, "install-wait") {
+	if !strings.Contains(out, "long session") || !strings.Contains(out, "log syncs") || !strings.Contains(out, "compactions") || !strings.Contains(out, "install-wait") {
 		t.Errorf("rendered record misses the long-session lines:\n%s", out)
 	}
 }

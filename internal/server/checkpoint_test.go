@@ -1,8 +1,8 @@
 package server
 
-// Tests of the depth-1 checkpoint pipeline (checkpoint.go): installs run
-// beside ingest, so what they pin is ordering — against replies, Close,
-// Shutdown and recovery — and that no checkpoint is lost on the way.
+// Tests of the durable pipeline (checkpoint.go): log syncs and base installs
+// run beside ingest, so what they pin is ordering — against replies, Close,
+// Shutdown and recovery — and that no sync is lost on the way.
 
 import (
 	"encoding/binary"
@@ -31,6 +31,47 @@ func pipelineTrace(t *testing.T, perProc int) (*dist.TraceSet, []*dist.Event) {
 	return ts, linearize(t, ts)
 }
 
+// diskEvents is how many events of a session a recovering daemon would find:
+// those inside its base blob plus those in the valid prefix of the log the
+// base names.
+func diskEvents(t *testing.T, dir string, sid uint64) int {
+	t.Helper()
+	blob, err := os.ReadFile(checkpointPath(dir, sid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := decodeCheckpoint(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(logPath(dir, sid, ck.logGen))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	_, recs, _, err := dist.ReadInputLog(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(ck.events) + logEvents(t, recs, len(ck.init))
+}
+
+// logEvents counts the events the records carry.
+func logEvents(t *testing.T, recs []dist.InputLogRecord, n int) int {
+	t.Helper()
+	events := 0
+	for _, rec := range recs {
+		if rec.Kind == dist.LogEnd {
+			continue
+		}
+		run, _, err := dist.DecodeEventRun(nil, nil, rec.Payload, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events += len(run)
+	}
+	return events
+}
+
 // stateFiles lists everything in a state directory, dotfiles included.
 func stateFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -45,10 +86,10 @@ func stateFiles(t *testing.T, dir string) []string {
 	return names
 }
 
-// TestCheckpointCloseVsInstall: at cadence 1 every Ingest starts an install,
-// so CloseSession always arrives with one in flight. Close must wait for it
-// before removing the file; a rename landing afterwards would resurrect the
-// session at the next start.
+// TestCheckpointCloseVsInstall: at cadence 1 every Ingest starts a sync, so
+// CloseSession always arrives with one in flight. Close must wait for it
+// before removing the files; a write landing afterwards would resurrect the
+// session's log at the next start.
 func TestCheckpointCloseVsInstall(t *testing.T) {
 	rounds := 50
 	if testing.Short() {
@@ -86,47 +127,46 @@ func TestCheckpointCloseVsInstall(t *testing.T) {
 	if got := s.mx.checkpointErrors.Load(); got != 0 {
 		t.Errorf("%d checkpoint errors", got)
 	}
-	// Nothing skipped, nothing coalesced: one checkpoint per event plus the
-	// one at registration.
-	if got, want := s.mx.checkpointsTotal.Load(), int64(rounds*(len(evs)+1)); got != want {
+	// Nothing skipped, nothing coalesced: one sync per event, and the one base
+	// blob of each registration (a log this short is never compacted).
+	if got, want := s.mx.logSyncs.Load(), int64(rounds*len(evs)); got != want {
+		t.Errorf("log_syncs_total = %d, want %d", got, want)
+	}
+	if got, want := s.mx.checkpointsTotal.Load(), int64(rounds); got != want {
 		t.Errorf("checkpoints_total = %d, want %d", got, want)
 	}
 }
 
-// TestCheckpointCountAtCadence: a session of N events at cadence c installs
-// ⌊N/c⌋ + 1 checkpoints — the pipeline waits for the previous install, it
-// never drops the due one — and the byte counter follows the files. The
-// cadence counts events, not frames: a feed window ends where a checkpoint
-// falls due, so the count and what the last checkpoint holds are the same
-// whether a frame carries one event, a few (5: every other frame straddles a
-// boundary), more than a feed window or the whole session — or whatever a
-// Client's writer happened to put in it.
+// TestCheckpointCountAtCadence: a session of N events at cadence c syncs its
+// log ⌊N/c⌋ times — the hand-off waits for the previous sync, it never drops
+// the due one — beside the one base blob of its registration, and the byte
+// counters follow the files. The cadence counts events, not frames: a feed
+// window ends where a sync falls due, so the count and what the disk holds at
+// each are the same whether a frame carries one event, a few (5: every other
+// frame straddles a boundary), more than a feed window or the whole session —
+// or whatever a Client's writer happened to put in it. It is also the first
+// line of the durability contract: at an acknowledged verb the disk is less
+// than one cadence behind the engine.
 func TestCheckpointCountAtCadence(t *testing.T) {
 	const cadence = 7
 	ts, evs := pipelineTrace(t, 240)
 	// atCadence checks the daemon after a reply-bearing verb, which is
-	// answered after the in-flight install: the file read is the checkpoint of
-	// the last cadence boundary.
-	atCadence := func(t *testing.T, s *Server, dir string, sid uint64, fed []int) []byte {
+	// answered after the in-flight sync: the disk holds the session up to the
+	// last cadence boundary.
+	atCadence := func(t *testing.T, s *Server, dir string, sid uint64, fed []int) {
 		t.Helper()
 		if fed[0]+fed[1] != len(evs) {
 			t.Fatalf("daemon absorbed %v of %d events", fed, len(evs))
 		}
-		if got, want := s.mx.checkpointsTotal.Load(), int64(len(evs)/cadence+1); got != want {
-			t.Errorf("checkpoints_total = %d after %d events at cadence %d, want %d", got, len(evs), cadence, want)
+		if got, want := s.mx.logSyncs.Load(), int64(len(evs)/cadence); got != want {
+			t.Errorf("log_syncs_total = %d after %d events at cadence %d, want %d", got, len(evs), cadence, want)
 		}
-		blob, err := os.ReadFile(checkpointPath(dir, sid))
-		if err != nil {
-			t.Fatal(err)
+		if got := s.mx.checkpointsTotal.Load(); got != 1 {
+			t.Errorf("checkpoints_total = %d, want the one base blob of the registration", got)
 		}
-		ck, err := decodeCheckpoint(blob)
-		if err != nil {
-			t.Fatal(err)
+		if got, want := diskEvents(t, dir, sid), len(evs)/cadence*cadence; got != want {
+			t.Errorf("the disk holds %d events at the acknowledgement, want %d", got, want)
 		}
-		if want := int64(len(evs) / cadence * cadence); ck.events != want {
-			t.Errorf("checkpoint on disk holds %d events at the acknowledgement, want %d", ck.events, want)
-		}
-		return blob
 	}
 	for _, k := range []int{1, 5, feedWindow + 3, len(evs)} {
 		t.Run(strconv.Itoa(k)+" to a frame", func(t *testing.T) {
@@ -161,7 +201,11 @@ func TestCheckpointCountAtCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := atCadence(t, s, dir, sid, fed)
+	atCadence(t, s, dir, sid, fed)
+	blob, err := os.ReadFile(checkpointPath(dir, sid))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The phase counters, as a scraper sees them. install_wait may
 	// legitimately read 0 on a fast disk; the others cannot.
 	resp, err := http.Get("http://" + s.MetricsAddr() + "/metrics")
@@ -172,16 +216,25 @@ func TestCheckpointCountAtCadence(t *testing.T) {
 	resp.Body.Close()
 	samples := map[string]float64{}
 	for _, line := range strings.Split(string(body), "\n") {
-		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "dlmond_checkpoint") {
+		if name, value, ok := strings.Cut(line, " "); ok && (strings.HasPrefix(name, "dlmond_checkpoint") || strings.HasPrefix(name, "dlmond_log")) {
 			samples[name], _ = strconv.ParseFloat(value, 64)
 		}
 	}
 	for _, name := range []string{
 		"dlmond_checkpoint_barrier_seconds_total", "dlmond_checkpoint_encode_seconds_total",
 		"dlmond_checkpoint_install_seconds_total", "dlmond_checkpoint_bytes_total",
+		"dlmond_log_sync_seconds_total", "dlmond_log_bytes_total",
 	} {
 		if samples[name] <= 0 {
-			t.Errorf("/metrics: %s = %v after %d checkpoints", name, samples[name], len(evs)/cadence+1)
+			t.Errorf("/metrics: %s = %v after a base blob and %d syncs", name, samples[name], len(evs)/cadence)
+		}
+	}
+	if got, want := samples["dlmond_log_syncs_total"], float64(len(evs)/cadence); got != want {
+		t.Errorf("/metrics: dlmond_log_syncs_total = %v, want %v", got, want)
+	}
+	for _, name := range []string{"dlmond_log_replayed_events_total", "dlmond_log_torn_tails_total"} {
+		if v, ok := samples[name]; !ok || v != 0 {
+			t.Errorf("/metrics: %s = %v (present: %v), want 0 on a daemon that recovered nothing", name, v, ok)
 		}
 	}
 	if _, ok := samples["dlmond_checkpoint_install_wait_seconds_total"]; !ok {
@@ -195,8 +248,8 @@ func TestCheckpointCountAtCadence(t *testing.T) {
 	}
 }
 
-// TestCheckpointShutdownVsInstall: Shutdown arriving while an install is in
-// flight waits for it, then takes and installs its own; the next start
+// TestCheckpointShutdownVsInstall: Shutdown arriving while a sync is in
+// flight waits for it, then syncs what is still pending; the next start
 // recovers every event the daemon had absorbed.
 func TestCheckpointShutdownVsInstall(t *testing.T) {
 	rounds := 20
@@ -225,9 +278,9 @@ func TestCheckpointShutdownVsInstall(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// No synchronous verb here — it would wait the install out. Poll the
-		// ingest counter instead; the last event's install is then starting
-		// or under way.
+		// No synchronous verb here — it would wait the sync out. Poll the
+		// ingest counter instead; the last event's sync is then starting or
+		// under way.
 		for s1.mx.eventsTotal.Load() < int64(sent) {
 			if s1.mx.errorsTotal.Load() != 0 {
 				t.Fatal("ingest failed")

@@ -41,8 +41,10 @@ import (
 // backpressure reaching the feeder, as it did when every Ingest wrote for
 // itself. A write error is sticky: it closes the connection and every later
 // call returns it. Close does not wait for pending bytes (a peer that stopped
-// reading would hold it forever): a caller that needs its last Ingests
-// handled ends with a synchronous verb.
+// reading would hold it forever) but it does not drop them in silence either:
+// it reports how many never reached the socket. A caller that needs its last
+// Ingests handled ends with a synchronous verb, and Close then has nothing to
+// report.
 //
 // Verdict frames for subscribed sessions are delivered on the OnVerdict
 // callback from the read loop; it must not call back into the Client.
@@ -66,9 +68,11 @@ type Client struct {
 	out      []byte
 	spare    []byte
 	// room is signalled when the writer has taken the pending bytes or the
-	// connection has failed; dead is that failure, set once.
-	room *sync.Cond
-	dead error
+	// connection has failed; dead is that failure, set once; unwritten is what
+	// the write it interrupted had not yet written.
+	room      *sync.Cond
+	dead      error
+	unwritten int
 	// replies is the FIFO of verbs awaiting their answer.
 	replies []chan *dist.RPCMsg
 	// kick wakes the writer; capacity 1, so a wake-up posted while it is
@@ -195,10 +199,11 @@ func (cl *Client) writeLoop() {
 		// that waited at the bound would stay parked beside an empty buffer.
 		cl.room.Broadcast()
 		cl.wmu.Unlock()
-		_, err := cl.c.Write(buf)
+		n, err := cl.c.Write(buf)
 		cl.wmu.Lock()
 		cl.spare = buf[:0]
 		if err != nil {
+			cl.unwritten = len(buf) - n
 			cl.fail(err)
 		}
 		cl.wmu.Unlock()
@@ -415,12 +420,21 @@ func (cl *Client) CloseSession(sid uint64) ([]byte, error) {
 
 // Close tears down the connection and returns once the read loop and the
 // writer have exited: every blocked Ingest and parked verb is released with
-// an error. Bytes still awaiting the writer are dropped.
+// an error. Bytes still awaiting the writer, or inside the write the close
+// interrupted, are dropped, and Close says how many — unless the connection
+// had already failed, which every call since has reported.
 func (cl *Client) Close() error {
 	cl.wmu.Lock()
+	failed := cl.dead != nil
 	cl.fail(fmt.Errorf("server: client closed"))
 	cl.wmu.Unlock()
 	<-cl.readDone
 	<-cl.writeDone
+	cl.wmu.Lock()
+	dropped := cl.pending() + cl.unwritten
+	cl.wmu.Unlock()
+	if !failed && dropped > 0 {
+		return fmt.Errorf("server: client closed with %d bytes never written to the connection", dropped)
+	}
 	return nil
 }

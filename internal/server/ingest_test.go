@@ -8,6 +8,7 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -461,6 +462,59 @@ func TestClientBackpressureAndClose(t *testing.T) {
 	}
 }
 
+// TestClientCloseReportsDroppedBytes: Close does not wait for a peer that has
+// stopped reading, but it no longer drops the bytes that peer never took in
+// silence: it returns an error that counts them. With nothing pending — the
+// state every caller that ends on a synchronous verb closes in — and after a
+// failure every call has already reported, it returns nil.
+func TestClientCloseReportsDroppedBytes(t *testing.T) {
+	addr, _ := mutePeer(t, dist.RPCVersion)
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := exampleEvents(t)[0]
+	done := flood(cl, e)
+	awaitBackpressure(t, cl, dist.EventRecordSize(e))
+	err = cl.Close()
+	<-done
+	var dropped int
+	if err == nil {
+		t.Fatal("Close dropped a full pending buffer and returned nil")
+	} else if _, serr := fmt.Sscanf(err.Error(), "server: client closed with %d bytes never written", &dropped); serr != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// What awaited the writer at the least; what its interrupted write had
+	// not written comes on top.
+	if dropped < maxPending {
+		t.Errorf("Close counts %d bytes, at least the %d pending were dropped", dropped, maxPending)
+	}
+
+	cl, err = Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Close(); err != nil {
+		t.Errorf("Close with nothing pending: %v", err)
+	}
+
+	addr, conns := mutePeer(t, dist.RPCVersion) // a peer whose connection the test can take down
+	cl, err = Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer := <-conns
+	done = flood(cl, e)
+	awaitBackpressure(t, cl, dist.EventRecordSize(e))
+	peer.Close()
+	if err := <-done; err == nil {
+		t.Error("the flood ended without an error")
+	}
+	if err := cl.Close(); err != nil {
+		t.Errorf("Close after a failure every call has reported: %v", err)
+	}
+}
+
 // stuckConn is a connection to a peer that is mute from the first byte: every
 // Write announces its length on wrote and then blocks, as Read does, until
 // Close.
@@ -597,7 +651,7 @@ func TestClientFramesLeaveInCallOrder(t *testing.T) {
 		if m.Kind != dist.RPCIngest {
 			t.Fatalf("unexpected %s frame", m.Kind)
 		}
-		run, err := dist.DecodeEventRun(nil, m.Raw, 2)
+		run, _, err := dist.DecodeEventRun(nil, nil, m.Raw, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,16 +27,25 @@ type metrics struct {
 	sessionsRecovered atomic.Int64
 	checkpointsTotal  atomic.Int64
 	checkpointErrors  atomic.Int64
-	// Where checkpoints spend their time, per phase, in nanoseconds summed
-	// over all of them: the engine's quiescence barrier, encoding, the
-	// installer's write+fsync+rename, and what due checkpoints and replies
-	// waited for an install still in flight. The first, second and last stall
-	// a connection's read loop; the third runs beside it.
+	// Where base blobs (registration, compaction) spend their time, per phase,
+	// in nanoseconds summed over all of them: the engine's quiescence barrier,
+	// encoding, the installer's write+fsync+rename. The first two stall a
+	// connection's read loop; the third runs beside it. ckptInstallWaitNanos is
+	// every wait on a session's semaphore: what cadence hand-offs, compactions
+	// and replies waited for a sync or an install still in flight.
 	ckptBarrierNanos     atomic.Int64
 	ckptEncodeNanos      atomic.Int64
 	ckptInstallNanos     atomic.Int64
 	ckptInstallWaitNanos atomic.Int64
 	ckptBytes            atomic.Int64
+	// The input log: syncs (one write + fsync each, beside the read loop),
+	// the bytes and time they took, and what recovery made of the logs it
+	// found.
+	logSyncs     atomic.Int64
+	logBytes     atomic.Int64
+	logSyncNanos atomic.Int64
+	logReplayed  atomic.Int64
+	logTornTails atomic.Int64
 
 	latencyCounts  [10]atomic.Int64 // one per bucket + overflow
 	latencySumNano atomic.Int64
@@ -85,13 +94,18 @@ func (m *metrics) render(w *strings.Builder, x snapshotExtra) {
 	counter("dlmond_errors_total", "RPC errors returned to clients.", m.errorsTotal.Load())
 	seconds("dlmond_throttle_seconds_total", "Cumulative admission-control pause imposed on tenants.", m.throttleNanos.Load())
 	counter("dlmond_sessions_recovered_total", "Sessions restored from durable checkpoints at startup.", m.sessionsRecovered.Load())
-	counter("dlmond_checkpoints_total", "Session checkpoints written to the state directory.", m.checkpointsTotal.Load())
-	counter("dlmond_checkpoint_errors_total", "Checkpoint writes or recoveries that failed.", m.checkpointErrors.Load())
-	seconds("dlmond_checkpoint_barrier_seconds_total", "Time checkpoints waited for their session's monitors to reach quiescence.", m.ckptBarrierNanos.Load())
-	seconds("dlmond_checkpoint_encode_seconds_total", "Time checkpoints spent serializing session state.", m.ckptEncodeNanos.Load())
-	seconds("dlmond_checkpoint_install_seconds_total", "Time installers spent writing, syncing and renaming checkpoint files.", m.ckptInstallNanos.Load())
-	seconds("dlmond_checkpoint_install_wait_seconds_total", "Time due checkpoints and replies waited for an install still in flight.", m.ckptInstallWaitNanos.Load())
-	counter("dlmond_checkpoint_bytes_total", "Bytes of checkpoint files installed.", m.ckptBytes.Load())
+	counter("dlmond_checkpoints_total", "Session base blobs (registration, log compaction) written to the state directory.", m.checkpointsTotal.Load())
+	counter("dlmond_checkpoint_errors_total", "Base blob writes, input log syncs or recoveries that failed.", m.checkpointErrors.Load())
+	seconds("dlmond_checkpoint_barrier_seconds_total", "Time base blobs waited for their session's monitors to reach quiescence.", m.ckptBarrierNanos.Load())
+	seconds("dlmond_checkpoint_encode_seconds_total", "Time base blobs spent serializing session state.", m.ckptEncodeNanos.Load())
+	seconds("dlmond_checkpoint_install_seconds_total", "Time installers spent writing, syncing and renaming base blobs.", m.ckptInstallNanos.Load())
+	seconds("dlmond_checkpoint_install_wait_seconds_total", "Time cadence hand-offs, compactions and replies waited for a sync or an install still in flight.", m.ckptInstallWaitNanos.Load())
+	counter("dlmond_checkpoint_bytes_total", "Bytes of base blobs installed.", m.ckptBytes.Load())
+	counter("dlmond_log_syncs_total", "Input log syncs: one write and one fsync of the records of one cadence.", m.logSyncs.Load())
+	counter("dlmond_log_bytes_total", "Bytes of input log records synced.", m.logBytes.Load())
+	seconds("dlmond_log_sync_seconds_total", "Time syncers spent writing and syncing input log records.", m.logSyncNanos.Load())
+	counter("dlmond_log_replayed_events_total", "Events re-fed from input logs at startup.", m.logReplayed.Load())
+	counter("dlmond_log_torn_tails_total", "Input logs found at startup with a torn or corrupt tail, which was dropped.", m.logTornTails.Load())
 	gauge("dlmond_knowledge_bytes", "Estimated bytes of retained monitor knowledge across live sessions.", x.knowledgeBytes)
 	counter("dlmond_automaton_cache_hits_total", "Property registrations served from the compiled-automaton cache.", x.cacheHits)
 	counter("dlmond_automaton_cache_misses_total", "Property registrations that compiled a new automaton.", x.cacheMisses)

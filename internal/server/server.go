@@ -17,12 +17,13 @@
 // Observability is a plain net/http endpoint: /healthz and Prometheus-text
 // /metrics.
 //
-// With Config.StateDir set, sessions are durable: each one is checkpointed
-// to disk on a configurable event cadence (see checkpoint.go for the format,
-// the atomic-install discipline and the depth-1 install pipeline that keeps
-// the disk write off the ingest path), recovered on the next start, and
-// re-adopted by its tenant with the Attach verb — the reply's fed counts
-// tell the feeder exactly where to resume the trace.
+// With Config.StateDir set, sessions are durable: each one is a base blob plus
+// an append-only log of the inputs it has absorbed since, synced on a
+// configurable event cadence (see checkpoint.go for the formats, the one lock
+// and one semaphore that order the writes, and what a crash may cost),
+// recovered on the next start by replaying the log, and re-adopted by its
+// tenant with the Attach verb — the reply's fed counts tell the feeder exactly
+// where to resume the trace.
 package server
 
 import (
@@ -57,12 +58,14 @@ type Config struct {
 	// MaxLag is forwarded to each session's core.SessionConfig (per-session
 	// backpressure); 0 selects the core default.
 	MaxLag int
-	// StateDir enables durable sessions: each session is checkpointed to
-	// <StateDir>/session-<id>.dmsn and recovered on the next start. Empty
-	// disables checkpointing.
+	// StateDir enables durable sessions: each session is kept in
+	// <StateDir> as a base blob (session-<id>.dmsn) plus an input log
+	// (session-<id>.<gen>.dmlg) and recovered on the next start. Empty
+	// disables durability.
 	StateDir string
-	// CheckpointEvery is the per-session checkpoint cadence in ingested
-	// events; 0 selects 256. Only meaningful with StateDir set.
+	// CheckpointEvery is how far, in ingested events, the disk may trail a
+	// session's engine: the events between two syncs of its input log. 0
+	// selects 256. Only meaningful with StateDir set.
 	CheckpointEvery int
 }
 
@@ -77,6 +80,9 @@ type Server struct {
 	cache   *AutomatonCache
 	limiter *tenantLimiter
 	mx      *metrics
+	// compactFloor is the constant of that name; tests of the compaction
+	// path lower it instead of feeding 64 KiB.
+	compactFloor int
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -125,6 +131,8 @@ func New(cfg Config) (*Server, error) {
 		cancel:  cancel,
 		stop:    make(chan struct{}),
 		conns:   map[*srvConn]struct{}{},
+
+		compactFloor: compactFloor,
 	}
 	if cfg.StateDir != "" {
 		if err := s.recoverSessions(); err != nil {
@@ -168,35 +176,23 @@ func (s *Server) MetricsAddr() string {
 // startup.
 func (s *Server) Recovered() int64 { return s.mx.sessionsRecovered.Load() }
 
-// recoverSessions scans the state directory and re-registers every
-// checkpointed session under its original id with its epoch bumped. A
-// corrupt or unrestorable checkpoint is skipped (counted in
-// dlmond_checkpoint_errors_total), never fails startup: one bad file must
-// not take every other tenant's durable session down with it.
+// recoverSessions scans the state directory and re-registers every session
+// it holds under its original id with its epoch bumped: the base blob
+// restored, then its input log replayed (checkpoint.go). A session whose base
+// is corrupt or unrestorable, or whose log holds a record the engine refuses,
+// is skipped (counted in dlmond_checkpoint_errors_total) and its files left
+// as they are, never a failed startup: one bad file must not take every other
+// tenant's durable session down with it.
 func (s *Server) recoverSessions() error {
-	sweepCheckpointTemps(s.cfg.StateDir)
-	files, err := listCheckpoints(s.cfg.StateDir)
+	dir := s.cfg.StateDir
+	sweepCheckpointTemps(dir)
+	files, err := listCheckpoints(dir)
 	if err != nil {
 		s.reg.Close()
 		return err
 	}
 	for _, file := range files {
-		blob, err := os.ReadFile(file)
-		var ck *checkpointState
-		if err == nil {
-			ck, err = decodeCheckpoint(blob)
-		}
-		var sess *session
-		if err == nil {
-			sess, err = restoreSession(s.ctx, ck, s.cache, s.cfg.MaxLag, s.mx)
-		}
-		if err == nil {
-			err = s.reg.AddWithID(ck.sid, sess)
-			if err != nil {
-				sess.close()
-			}
-		}
-		if err != nil {
+		if err := s.recoverSession(file); err != nil {
 			s.mx.checkpointErrors.Add(1)
 			fmt.Fprintf(os.Stderr, "dlmond: skipping checkpoint %s: %v\n", file, err)
 			continue
@@ -204,6 +200,37 @@ func (s *Server) recoverSessions() error {
 		s.mx.sessionsLive.Add(1)
 		s.mx.sessionsTotal.Add(1)
 		s.mx.sessionsRecovered.Add(1)
+	}
+	sweepOrphanLogs(dir)
+	return nil
+}
+
+// recoverSession restores one session from its base blob and input log and
+// puts it in the registry.
+func (s *Server) recoverSession(file string) error {
+	blob, err := os.ReadFile(file)
+	if err != nil {
+		return err
+	}
+	ck, err := decodeCheckpoint(blob)
+	if err != nil {
+		return err
+	}
+	sess, err := restoreSession(s.ctx, ck, s.cache, s.cfg.MaxLag, s.mx)
+	if err != nil {
+		return err
+	}
+	j, err := s.recoverLog(sess, ck.logGen, len(blob))
+	if err != nil {
+		sess.close()
+		return err
+	}
+	sess.log = j
+	sess.lastIngest.Store(time.Now().UnixNano())
+	if err := s.reg.AddWithID(ck.sid, sess); err != nil {
+		j.closeFile()
+		sess.close()
+		return err
 	}
 	return nil
 }
@@ -216,78 +243,13 @@ func (s *Server) recoverSessions() error {
 const feedWindow = dist.EventSlab
 
 // untilCheckpoint is how many more events the session takes before its
-// checkpoint cadence is due. A feed window ends there at the latest, so a
-// checkpoint captures exactly the fed counts it would with one event to a
-// frame.
+// cadence is due. A feed window ends there at the latest, so each sync of the
+// input log holds exactly the fed counts it would with one event to a frame.
 func (s *Server) untilCheckpoint(sess *session) int {
-	if s.cfg.StateDir == "" {
+	if sess.log == nil {
 		return feedWindow
 	}
-	return max(1, s.cfg.CheckpointEvery-int(sess.sinceCkpt.Load()))
-}
-
-// maybeCheckpoint counts k events fed to the session and takes its
-// checkpoint when the cadence is due.
-func (s *Server) maybeCheckpoint(sess *session, k int) {
-	if s.cfg.StateDir == "" {
-		return
-	}
-	if sess.sinceCkpt.Add(int64(k)) < int64(s.cfg.CheckpointEvery) {
-		return
-	}
-	s.checkpoint(sess)
-}
-
-// checkpoint runs the front half of the pipeline (checkpoint.go) on the
-// caller's goroutine — wait for the previous install, snapshot — and leaves
-// the blob with an installer goroutine, which releases sess.ckpt when the
-// file is in place. Failures are counted, not fatal: the previous checkpoint
-// stays in place, so a transient write error only widens the re-feed window.
-func (s *Server) checkpoint(sess *session) {
-	start := time.Now()
-	sess.ckpt <- struct{}{}
-	s.mx.ckptInstallWaitNanos.Add(int64(time.Since(start)))
-	if sess.ckptClosed {
-		<-sess.ckpt
-		return
-	}
-	sess.sinceCkpt.Store(0)
-	blob, tm, err := sess.snapshot(s.ctx)
-	s.mx.ckptBarrierNanos.Add(int64(tm.Barrier))
-	s.mx.ckptEncodeNanos.Add(int64(tm.Encode))
-	if err != nil {
-		<-sess.ckpt
-		s.mx.checkpointErrors.Add(1)
-		return
-	}
-	go s.install(sess, blob)
-}
-
-// install is the back half: it owns sess.ckpt, taken by checkpoint, and
-// gives it up once the blob is on disk (or has failed to get there).
-func (s *Server) install(sess *session, blob []byte) {
-	defer func() { <-sess.ckpt }()
-	start := time.Now()
-	err := writeCheckpoint(s.cfg.StateDir, sess.id, blob)
-	s.mx.ckptInstallNanos.Add(int64(time.Since(start)))
-	if err != nil {
-		s.mx.checkpointErrors.Add(1)
-		return
-	}
-	s.mx.ckptBytes.Add(int64(len(blob)))
-	s.mx.checkpointsTotal.Add(1)
-}
-
-// settle holds a reply back until the session's in-flight checkpoint, if
-// any, is installed: an acknowledgement never overtakes the disk.
-func (s *Server) settle(sess *session) {
-	if s.cfg.StateDir == "" {
-		return
-	}
-	start := time.Now()
-	sess.ckpt <- struct{}{}
-	<-sess.ckpt
-	s.mx.ckptInstallWaitNanos.Add(int64(time.Since(start)))
+	return max(1, s.cfg.CheckpointEvery-int(sess.sinceSync.Load()))
 }
 
 // scrapeExtra walks the registry at scrape time for the gauges that cannot
@@ -335,12 +297,14 @@ func (s *Server) acceptLoop() {
 }
 
 // Shutdown stops accepting, closes every connection, finalizes every live
-// session, and releases the listeners. In durable mode every live session
-// is checkpointed first, so a clean shutdown loses nothing: the next start
-// recovers each session exactly where its feed stopped. Idempotent.
+// session, and releases the listeners. In durable mode every live session's
+// pending log records are synced first, so a clean shutdown loses nothing: the
+// next start recovers each session exactly where its feed stopped. The stop
+// channel closes only after those syncs — until then a wait on a session's
+// disk is a real wait, the one place the daemon chooses the disk over a
+// prompt exit. Idempotent.
 func (s *Server) Shutdown() error {
 	s.shutOnce.Do(func() {
-		close(s.stop)
 		s.ln.Close()
 		if s.httpSrv != nil {
 			s.httpSrv.Close()
@@ -353,15 +317,18 @@ func (s *Server) Shutdown() error {
 		live := s.reg.Close()
 		var firstErr error
 		for _, sess := range live {
-			if s.cfg.StateDir != "" {
-				s.checkpoint(sess)
-				sess.retire()
+			if sess.log != nil {
+				sess.inMu.Lock()
+				s.handoff(sess)
+				sess.inMu.Unlock()
+				s.retire(sess)
 			}
 			if _, err := sess.close(); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			s.mx.sessionsLive.Add(-1)
 		}
+		close(s.stop)
 		s.cancel()
 		s.wg.Wait()
 		s.shutErr = firstErr
@@ -466,13 +433,13 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 		}
 		// The whole frame decodes before any of it is fed or charged: one
 		// malformed record and the session sees none of its neighbours.
-		run, err := dist.DecodeEventRun(sc.fs.run[:0], m.Raw, sess.n)
+		run, ends, err := dist.DecodeEventRun(sc.fs.run[:0], sc.fs.ends[:0], m.Raw, sess.n)
 		if err == nil {
 			sc.throttle(sess.tenant, len(run))
-			err = sc.ingest(sess, run)
+			err = sc.ingest(sess, run, ends, m.Raw)
 		}
 		clear(run)
-		sc.fs.run = run
+		sc.fs.run, sc.fs.ends = run, ends
 		if err != nil {
 			// Ingest is fire-and-forget; failures arrive asynchronously
 			// and doom the session rather than the connection.
@@ -491,8 +458,9 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 			return true
 		}
 		sc.srv.mx.eventsTotal.Add(1)
-		sc.srv.maybeCheckpoint(sess, 1)
-		sc.srv.settle(sess)
+		if !sc.srv.settle(sess) {
+			return false
+		}
 		sc.write(&dist.RPCMsg{Kind: dist.RPCEmitted, SID: m.SID, MsgID: id})
 	case dist.RPCSubscribe:
 		sess := sc.resolve(m.SID)
@@ -509,7 +477,9 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 				})
 			},
 		})
-		sc.srv.settle(sess)
+		if !sc.srv.settle(sess) {
+			return false
+		}
 		sc.write(&dist.RPCMsg{Kind: dist.RPCAcked, SID: m.SID})
 	case dist.RPCEnd:
 		sess := sc.resolve(m.SID)
@@ -520,7 +490,9 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 			sc.writeErr(m.SID, err)
 			return true
 		}
-		sc.srv.settle(sess)
+		if !sc.srv.settle(sess) {
+			return false
+		}
 		sc.write(&dist.RPCMsg{Kind: dist.RPCAcked, SID: m.SID})
 	case dist.RPCAttach:
 		sess := sc.resolve(m.SID)
@@ -535,7 +507,9 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 			sc.writeErr(m.SID, fmt.Errorf("server: connection belongs to tenant %q, not %q", sc.tenant, sess.tenant))
 			return true
 		}
-		sc.srv.settle(sess)
+		if !sc.srv.settle(sess) {
+			return false
+		}
 		sc.write(&dist.RPCMsg{Kind: dist.RPCRegistered, SID: m.SID, CacheHit: true,
 			Epoch: sess.epoch, Fed: sess.cs.Fed()})
 	case dist.RPCClose:
@@ -543,16 +517,17 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 		if sess == nil {
 			return true
 		}
-		// Retire the pipeline before finalizing — a checkpoint racing in from
-		// another connection is then skipped, not failed — and remove the file
-		// only after: no rename can land once retire has returned.
-		sc.srv.settle(sess)
-		sess.retire()
+		// Retire the pipeline before finalizing — a hand-off racing in from
+		// another connection is then skipped, not failed — and remove the
+		// files only after: nothing writes them once retire has returned.
+		if !sc.srv.retire(sess) {
+			return false
+		}
 		res, err := sess.close()
 		sc.srv.reg.Del(m.SID)
 		delete(sc.local, m.SID)
-		if sc.srv.cfg.StateDir != "" {
-			removeCheckpoint(sc.srv.cfg.StateDir, m.SID)
+		if sess.log != nil {
+			removeSessionFiles(sc.srv.cfg.StateDir, sess)
 		}
 		sc.srv.mx.sessionsLive.Add(-1)
 		if err != nil {
@@ -572,17 +547,20 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 }
 
 // ingest hands a decoded run to its session in windows of at most feedWindow
-// events, each cut short where the session's checkpoint falls due, and takes
-// that checkpoint before the next window.
-func (sc *srvConn) ingest(sess *session, run []*dist.Event) error {
+// events, each cut short where the session's cadence falls due, together with
+// the window's own bytes of the frame: raw is the run as it arrived and
+// ends[i] the offset at which its record i ends.
+func (sc *srvConn) ingest(sess *session, run []*dist.Event, ends []int, raw []byte) error {
+	lo := 0 // where the next window's bytes begin
 	for len(run) > 0 {
 		w := min(len(run), feedWindow, sc.srv.untilCheckpoint(sess))
-		if err := sess.ingest(&sc.fs, run[:w]); err != nil {
+		hi := ends[w-1]
+		sess.lastIngest.Store(time.Now().UnixNano())
+		if err := sess.ingest(&sc.fs, run[:w], raw[lo:hi]); err != nil {
 			return err
 		}
 		sc.srv.mx.eventsTotal.Add(int64(w))
-		sc.srv.maybeCheckpoint(sess, w)
-		run = run[w:]
+		run, ends, lo = run[w:], ends[w:], hi
 	}
 	return nil
 }
@@ -654,6 +632,9 @@ func (sc *srvConn) handleRegister(m *dist.RPCMsg) {
 		sc.writeErr(0, err)
 		return
 	}
+	if sc.srv.cfg.StateDir != "" {
+		sess.log = &journal{srv: sc.srv}
+	}
 	sid, err := sc.srv.reg.Add(sess)
 	if err != nil {
 		sess.close()
@@ -663,10 +644,15 @@ func (sc *srvConn) handleRegister(m *dist.RPCMsg) {
 	sc.local[sid] = sess
 	sc.srv.mx.sessionsLive.Add(1)
 	sc.srv.mx.sessionsTotal.Add(1)
-	if sc.srv.cfg.StateDir != "" {
-		// Checkpoint at registration so an idle session survives a restart.
-		sc.srv.checkpoint(sess)
-		sc.srv.settle(sess)
+	if sess.log != nil {
+		// The generation-0 base goes to disk before the reply, so an idle
+		// session survives a restart and no log is ever without its base.
+		sess.inMu.Lock()
+		sc.srv.checkpoint(sess, 0)
+		sess.inMu.Unlock()
+		if !sc.srv.settle(sess) {
+			return
+		}
 	}
 	sc.write(&dist.RPCMsg{Kind: dist.RPCRegistered, SID: sid, CacheHit: hit})
 }

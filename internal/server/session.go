@@ -10,6 +10,7 @@ import (
 	"decentmon/internal/core"
 	"decentmon/internal/dist"
 	"decentmon/internal/vclock"
+	"decentmon/internal/wire"
 )
 
 // session is one tenant's monitoring session: a core.Session plus the
@@ -32,26 +33,29 @@ type session struct {
 	epoch uint64
 
 	// lastIngest is the wall clock (unix nanos) of the most recent event
-	// accepted, the reference point for verdict latency.
+	// accepted from a connection, the reference point for verdict latency;
+	// zero while a recovered session is still replaying its log.
 	lastIngest atomic.Int64
 	// events ingested into this session.
 	events atomic.Int64
-	// sinceCkpt counts events since the last durable checkpoint.
-	sinceCkpt atomic.Int64
-	// ckpt is the depth-1 checkpoint pipeline's semaphore (checkpoint.go):
-	// held from the start of a snapshot until its blob is installed on disk.
-	// ckptClosed, read and written only while holding it, stops the pipeline
-	// for good once Close has removed the file.
-	ckpt       chan struct{}
-	ckptClosed bool
 
-	// Live stamping. stampMu serializes Emit calls for the session (the
-	// stamper is single-writer per process; one lock per session keeps the
-	// protocol simple, and live-stamping tenants drive one session from one
-	// connection anyway). tokens holds in-flight message tokens by id.
-	stampMu sync.Mutex
+	// inMu is the session's input lock: everything that changes what the
+	// engine has absorbed — a window of an Ingest, an Emit from stamping
+	// through feeding, an End — happens under it, together with the record of
+	// it in the input log, so the log is the engine's inputs in the engine's
+	// order and a checkpoint taken under it agrees with both. One feeder never
+	// contends; two connections feeding one session take turns by the window.
+	// stamper and tokens (in-flight message tokens by id) belong to it too.
+	inMu    sync.Mutex
 	stamper *dist.Stamper
 	tokens  map[int]dist.MsgToken
+	// log is the session's durable side, nil without a state directory
+	// (checkpoint.go); sinceSync counts the events logged since the last
+	// hand-off to the disk, and ckpt is the semaphore of one that whoever is
+	// writing the session's files holds.
+	log       *journal
+	sinceSync atomic.Int64
+	ckpt      chan struct{}
 
 	// subMu guards subscribers and the fields the verdict pump writes.
 	subMu   sync.Mutex
@@ -68,10 +72,12 @@ type session struct {
 }
 
 // feedScratch is what one feeder — a connection's read loop — reuses from
-// frame to frame: the decoded run of the frame in hand and, while a window of
-// it is being fed, the engine's grouping of that window.
+// frame to frame: the decoded run of the frame in hand, where each of its
+// records ends in the frame's bytes and, while a window of it is being fed,
+// the engine's grouping of that window.
 type feedScratch struct {
 	run  []*dist.Event
+	ends []int
 	core core.FeedScratch
 }
 
@@ -110,7 +116,8 @@ func newSession(ctx context.Context, tenant, key, formula string, cfg core.Sessi
 // the property through the shared cache, restore the engine from the
 // embedded snapshot, and resume the stamper and token ledger. The epoch is
 // bumped — the Registered reply to an Attach tells the tenant how many
-// restarts the session has survived.
+// restarts the session has survived. lastIngest stays zero: the caller replays
+// the session's log next, and sets it when the session goes live.
 func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCache, maxLag int, mx *metrics) (*session, error) {
 	key, f, err := CanonicalKey(ck.formula, ck.props)
 	if err != nil {
@@ -151,21 +158,17 @@ func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCa
 		pumpDone: make(chan struct{}),
 	}
 	s.events.Store(ck.events)
-	s.lastIngest.Store(time.Now().UnixNano())
 	go s.pump(mx)
 	return s, nil
 }
 
-// snapshot captures the session as one checkpoint blob. Holding stampMu for
-// the whole capture keeps the stamper, the token ledger and the engine
-// mutually consistent: emit holds the same lock from stamping through
-// feeding, so the stamper is never observed one event ahead of the engine.
-// Pre-stamped ingests need no such pairing — the engine's own quiescence
-// protocol (core.Session.Snapshot) serializes against them. The timing is the
-// engine's, with the outer container's encoding added to Encode.
-func (s *session) snapshot(ctx context.Context) ([]byte, core.SnapshotTiming, error) {
-	s.stampMu.Lock()
-	defer s.stampMu.Unlock()
+// snapshot captures the session as one base blob naming log generation gen.
+// The caller holds inMu, which keeps the stamper, the token ledger, the engine
+// and the log mutually consistent: every input is absorbed and logged under
+// the same lock, so the blob is the engine after exactly the inputs logged so
+// far. The timing is the engine's, with the outer container's encoding added
+// to Encode.
+func (s *session) snapshot(ctx context.Context, gen uint64) ([]byte, core.SnapshotTiming, error) {
 	engine, tm, err := s.cs.SnapshotTimed(ctx)
 	if err != nil {
 		return nil, tm, err
@@ -175,25 +178,17 @@ func (s *session) snapshot(ctx context.Context) ([]byte, core.SnapshotTiming, er
 	stamper := dist.AppendStamperState(nil, s.stamper.State())
 	tokens := appendCheckpointTokens(nil, s.tokens)
 	// Sized to fit: the engine blob dwarfs the rest, and growing the
-	// container would copy it a second time. 64 covers the header, the four
+	// container would copy it a second time. 64 covers the header, the five
 	// record frames and the end record.
 	b := dist.NewSnapshotBuilderSize(len(meta) + len(stamper) + len(tokens) + len(engine) + 64)
 	b.Record(ckTagMeta, meta)
 	b.Record(ckTagStamper, stamper)
 	b.Record(ckTagTokens, tokens)
 	b.Record(ckTagEngine, engine)
+	b.Record(ckTagLog, wire.AppendUvarint(nil, gen))
 	blob := b.Finish()
 	tm.Encode += time.Since(start)
 	return blob, tm, nil
-}
-
-// retire waits out the in-flight install and stops the pipeline for good:
-// once it returns nothing will write the session's checkpoint file again, so
-// the caller may finalize the session and remove or keep the file.
-func (s *session) retire() {
-	s.ckpt <- struct{}{}
-	s.ckptClosed = true
-	<-s.ckpt
 }
 
 // pump forwards verdict detections to subscribers and feeds the latency
@@ -202,8 +197,12 @@ func (s *session) retire() {
 func (s *session) pump(mx *metrics) {
 	defer close(s.pumpDone)
 	for ev := range s.cs.Verdicts() {
-		mx.verdictsTotal.Add(1)
-		mx.observeLatency(time.Duration(time.Now().UnixNano() - s.lastIngest.Load()))
+		// A verdict the replay of a recovered session's log detects again is
+		// neither streamed to anyone nor late by any feeder's clock.
+		if last := s.lastIngest.Load(); last != 0 {
+			mx.verdictsTotal.Add(1)
+			mx.observeLatency(time.Duration(time.Now().UnixNano() - last))
+		}
 		s.subMu.Lock()
 		if len(ev.Cut) > 0 {
 			s.lastCut = vclock.VC(ev.Cut).Clone()
@@ -252,36 +251,46 @@ func (s *session) doomedErr() error {
 
 // ingest feeds one window of stamped events through core.Session.FeedRun: one
 // pass of the admission gate and one hand-off per process the window has
-// events of, under the ordering FeedRun states. A refused window feeds
+// events of, under the ordering FeedRun states. raw is the window as the bytes
+// it arrived in, which is what a durable session logs. A refused window feeds
 // nothing; any failure dooms the session, with part of the window possibly
 // fed.
-func (s *session) ingest(fs *feedScratch, window []*dist.Event) error {
+func (s *session) ingest(fs *feedScratch, window []*dist.Event, raw []byte) error {
+	s.inMu.Lock()
+	defer s.inMu.Unlock()
+	return s.feed(fs, window, dist.LogRun, raw)
+}
+
+// feed is ingest under a lock the caller already holds: feed the window, then
+// log it as one record of the given kind.
+func (s *session) feed(fs *feedScratch, window []*dist.Event, kind dist.InputLogKind, raw []byte) error {
 	if err := s.doomedErr(); err != nil {
 		return fmt.Errorf("server: session %d failed earlier: %w", s.id, err)
 	}
-	s.lastIngest.Store(time.Now().UnixNano())
 	if err := s.cs.FeedRun(&fs.core, window); err != nil {
 		s.doom(err)
 		return err
 	}
 	s.events.Add(int64(len(window)))
+	s.logged(kind, raw, len(window))
 	return nil
 }
 
 // emit live-stamps one event and feeds it as a window of one. For sends it
 // returns the message id the matching receive must present; receives look
-// their token up by that id. stampMu is held from stamping through feeding so
-// a checkpoint (session.snapshot) never captures a stamper that has clocked
-// an event the engine has not absorbed.
+// their token up by that id. inMu is held from stamping through feeding and
+// logging, so neither a checkpoint nor the log ever has a stamper that has
+// clocked an event the engine has not absorbed.
 func (s *session) emit(fs *feedScratch, kind dist.EventType, proc, peer, msgID int, state dist.LocalState) (int, error) {
-	s.stampMu.Lock()
-	defer s.stampMu.Unlock()
+	s.inMu.Lock()
+	defer s.inMu.Unlock()
 	var (
 		e   *dist.Event
 		id  int
 		err error
 	)
-	at := float64(time.Now().UnixNano()) / 1e9
+	now := time.Now().UnixNano()
+	at := float64(now) / 1e9
 	switch kind {
 	case dist.Internal:
 		e, err = s.stamper.Internal(proc, state, at)
@@ -309,12 +318,25 @@ func (s *session) emit(fs *feedScratch, kind dist.EventType, proc, peer, msgID i
 	if err != nil {
 		return 0, err
 	}
-	return id, s.ingest(fs, []*dist.Event{e})
+	var rec []byte
+	if s.log != nil {
+		if rec, err = dist.AppendEventRecord(nil, e); err != nil {
+			return 0, err
+		}
+	}
+	s.lastIngest.Store(now)
+	return id, s.feed(fs, []*dist.Event{e}, dist.LogEmitted, rec)
 }
 
 // end marks one process terminated.
 func (s *session) end(p int) error {
-	return s.cs.End(p)
+	s.inMu.Lock()
+	defer s.inMu.Unlock()
+	if err := s.cs.End(p); err != nil {
+		return err
+	}
+	s.logged(dist.LogEnd, wire.AppendInts(nil, p), 0)
+	return nil
 }
 
 // close drains and finalizes the session, idempotently.

@@ -10,12 +10,15 @@
 // BENCH_dlmond.json, two checks: events/s of one long session without a state
 // directory, and with one, may each not fall below longSessionFactor times
 // the committed figure. Their quotient, durable_ratio, is recorded and
-// printed but no longer gated: it measures how much of a session is
-// checkpointing, so it falls whenever the plain path gets faster — twice now
-// with both sides up — and a gate on it fails the change that earned the
-// speed-up. Gating each side catches what the ratio was there for (a phase of
-// the checkpoint going back onto the ingest path halves the durable side) and
-// a regression of the plain path, which the ratio would have rewarded.
+// printed but not gated: it measures how much of a session is spent on
+// durability, so it falls whenever the plain path gets faster — twice with
+// both sides up — and a gate on it fails the change that earned the speed-up.
+// Gating each side catches what the ratio was there for (a barrier or an
+// encode going back onto the cadence path halves the durable side) and a
+// regression of the plain path, which the ratio would have rewarded. Printed
+// beside it, likewise not gated: durable_bytes_per_event, what the durable
+// side wrote to make the session recoverable over the events it monitored, and
+// recovery_ms, a restart over the whole session's state.
 //
 // BENCH_engine.json, four checks:
 //
@@ -91,6 +94,9 @@ type doc struct {
 		EventsPerSec        float64 `json:"events_per_sec"`
 		DurableEventsPerSec float64 `json:"durable_events_per_sec"`
 		DurableRatio        float64 `json:"durable_ratio"`
+		// Absent (zero) in records written before sessions had input logs.
+		DurableBytesPerEvent float64 `json:"durable_bytes_per_event"`
+		RecoveryMs           float64 `json:"recovery_ms"`
 	} `json:"long_session"`
 }
 
@@ -120,6 +126,8 @@ func gateDlmond(fresh, committed *doc) bool {
 		fmt.Printf("perfgate: long_session %s %.0f (committed %.0f, floor %.0f)\n", side.name, side.now, side.was, floor)
 	}
 	fmt.Printf("perfgate: durable_ratio %.3f (committed %.3f; recorded, not gated)\n", now.DurableRatio, was.DurableRatio)
+	fmt.Printf("perfgate: durable_bytes_per_event %.1f (committed %.1f), recovery_ms %.1f (committed %.1f); recorded, not gated\n",
+		now.DurableBytesPerEvent, was.DurableBytesPerEvent, now.RecoveryMs, was.RecoveryMs)
 	return failed
 }
 
