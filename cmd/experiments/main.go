@@ -20,16 +20,15 @@ import (
 
 func main() {
 	var (
-		exp          = flag.String("exp", "all", "experiment: table5.1, fig5.1, fig5.2, fig5.4, fig5.5, fig5.6, fig5.7, fig5.8, fig5.9, baselines, oracle, engine, dlmond, all")
-		events       = flag.Int("events", 15, "internal events per process")
-		seeds        = flag.Int("seeds", 3, "replications to average")
-		pace         = flag.Float64("pace", 0, "real-time replay scale for delay metrics (e.g. 2e-4)")
-		oracleJSON   = flag.String("oracle-json", "", "with -exp oracle: also write the sweep as JSON to this file (the CI BENCH_oracle.json record)")
-		engineJSON   = flag.String("engine-json", "", "with -exp engine: also write the sweep as JSON to this file (the CI BENCH_engine.json record)")
-		engineWall   = flag.Duration("engine-wall", 0, "with -exp engine: minimum measured wall time per cell (default 200ms)")
-		engineShards = flag.Int("shards", 0, "with -exp engine: run every cell's rounds on a work-stealing pool of this many workers (0 or 1: on the monitors' own goroutines, the default)")
-		dlmondJSON   = flag.String("dlmond-json", "", "with -exp dlmond: also write the sweep as JSON to this file (the CI BENCH_dlmond.json record)")
-		dlmondWall   = flag.Duration("dlmond-wall", 0, "with -exp dlmond: minimum measured wall time per concurrency cell (default 200ms)")
+		exp        = flag.String("exp", "all", "experiment: table5.1, fig5.1, fig5.2, fig5.4, fig5.5, fig5.6, fig5.7, fig5.8, fig5.9, baselines, oracle, engine, dlmond, all")
+		events     = flag.Int("events", 15, "internal events per process")
+		seeds      = flag.Int("seeds", 3, "replications to average")
+		pace       = flag.Float64("pace", 0, "real-time replay scale for delay metrics (e.g. 2e-4)")
+		oracleJSON = flag.String("oracle-json", "", "with -exp oracle: also write the sweep as JSON to this file (the CI BENCH_oracle.json record)")
+		engineJSON = flag.String("engine-json", "", "with -exp engine: also write the sweep as JSON to this file (the CI BENCH_engine.json record)")
+		engineWall = flag.Duration("engine-wall", 0, "with -exp engine: minimum measured wall time per cell (default 200ms)")
+		dlmondJSON = flag.String("dlmond-json", "", "with -exp dlmond: also write the sweep as JSON to this file (the CI BENCH_dlmond.json record)")
+		dlmondWall = flag.Duration("dlmond-wall", 0, "with -exp dlmond: minimum measured wall time per concurrency cell (default 200ms)")
 	)
 	flag.Parse()
 
@@ -100,7 +99,7 @@ func main() {
 				fmt.Printf("wrote %s (%d rows)\n", *oracleJSON, len(cells))
 			}
 		case "engine":
-			doc, err := experiments.EngineSweep(*engineWall, *engineShards)
+			doc, err := experiments.EngineSweep(*engineWall)
 			check(err)
 			fmt.Println("== Engine throughput: decentralized detection runs across sizes and topologies ==")
 			fmt.Println(experiments.RenderEngineCells(doc))

@@ -561,8 +561,7 @@ func TestDenseBroadcastSlicedTractable(t *testing.T) {
 	}
 	spec := gauntletSpec(t, "B", 3)
 	// The calibrated 16-process engine workload (the same regime the engine
-	// benchmarks and the scheduler stress test use), over broadcast at the
-	// ring's communication density.
+	// benchmarks use), over broadcast at the ring's communication density.
 	ts, err := Generate(GenConfig{
 		N: 16, InternalPerProc: 4, CommMu: 6, CommSigma: 1,
 		Topology: TopoBroadcast, PlantGoal: true, Seed: 1,

@@ -12,7 +12,7 @@
 //	internal/automaton  LTL3 monitor synthesis (minimal and paper-shape)
 //	internal/dist       distributed program model, traces, workload generator
 //	internal/lattice    computation lattice and the ground-truth oracle
-//	internal/core       the decentralized monitoring algorithm + shard scheduler
+//	internal/core       the decentralized monitoring algorithm and its sessions
 //	internal/central    the centralized baseline
 //	internal/transport  in-memory and TCP monitor networks
 //	internal/server     dlmond, the multi-tenant monitoring session daemon
@@ -333,20 +333,6 @@ func WithMaxLag(n int) Option {
 	return func(o *options) { o.cfg.MaxLag = n }
 }
 
-// WithoutBackpressure disables the feeder-side lag gate entirely; the
-// monitors' knowledge then buffers however far the feed outruns them.
-func WithoutBackpressure() Option { return WithMaxLag(-1) }
-
-// WithShards(k) with k > 1 runs the monitors' rounds on a work-stealing pool
-// of k workers instead of each monitor's own goroutine. 0 and 1 are the
-// default: every round runs where its input arrived, which is what every
-// measured workload is fastest on, at one core and at two. Verdicts are
-// identical either way — the pool only changes which goroutine executes a
-// monitor's pump work (see ARCHITECTURE.md and PERFORMANCE.md).
-func WithShards(k int) Option {
-	return func(o *options) { o.cfg.Shards = k }
-}
-
 // WithExactBoxes forces the full-width exact DP for every lattice-box
 // exploration. By default, a ○-free property whose propositions touch only
 // a proper subset of the processes is explored *sliced*: each box region is
@@ -415,9 +401,6 @@ func (o *options) checkBounded(entry string) error {
 	}
 	if o.cfg.MaxLag != 0 {
 		return fmt.Errorf("decentmon: %s is O(n)-memory by construction; WithMaxLag applies to the decentralized engine", entry)
-	}
-	if o.cfg.Shards != 0 {
-		return fmt.Errorf("decentmon: %s evaluates a single path serially; WithShards applies to the decentralized engine", entry)
 	}
 	if o.cfg.ExactBoxes {
 		return fmt.Errorf("decentmon: %s explores no lattice boxes; WithExactBoxes applies to the decentralized engine", entry)

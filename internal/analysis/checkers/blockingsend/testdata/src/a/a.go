@@ -181,12 +181,12 @@ func awaitQuietWedged(wake chan struct{}, quiet func() bool) {
 	}
 }
 
-// intakeLoop mirrors the pool executor (internal/core monitor.go run,
-// sched.go exec): the loop blocks for an input beside ctx, submits the round,
-// and waits for the worker's consumed signal beside ctx too — a cancelled
-// session ends the wait even if the round was discarded and will never signal.
-// The worker's own send is outside any loop: capacity 1, one round
-// outstanding.
+// intakeLoop is the shape of an intake that hands each round to a worker pool
+// (internal/core had one until PR 25): the loop blocks for an input beside
+// ctx, submits the round, and waits for the worker's consumed signal beside
+// ctx too — a cancelled session ends the wait even if the round was discarded
+// and will never signal. The worker's own send is outside any loop: capacity
+// 1, one round outstanding.
 func intakeLoop(ctx context.Context, in chan int, submit func(func())) {
 	consumed := make(chan struct{}, 1)
 	task := func() { consumed <- struct{}{} }

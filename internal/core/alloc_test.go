@@ -38,7 +38,7 @@ func TestAllocsWireEncode(t *testing.T) {
 }
 
 // TestAllocsSegmentDecode gates the decode side of an event segment: an event
-// slab and a clock slab per slabEvents events and the pointer slice (plus the
+// slab and a clock slab per dist.EventSlab events and the pointer slice (plus the
 // message struct, the reply struct and the floor), not two objects per event.
 func TestAllocsSegmentDecode(t *testing.T) {
 	var evs []*dist.Event
@@ -54,7 +54,7 @@ func TestAllocsSegmentDecode(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if budget := float64(4 + 2*64/slabEvents); allocs > budget {
+	if budget := float64(4 + 2*64/dist.EventSlab); allocs > budget {
 		t.Errorf("decoding a 64-event fetch reply allocates %.1f objects, budget %.0f", allocs, budget)
 	}
 }
@@ -222,7 +222,7 @@ func TestAllocsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, err := NewSession(context.Background(), SessionConfig{
-		N: ts.N(), Automaton: mon, Props: ts.Props, Init: ts.InitialState(), Shards: 1,
+		N: ts.N(), Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
 	})
 	if err != nil {
 		t.Fatal(err)

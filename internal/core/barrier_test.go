@@ -40,9 +40,9 @@ func snapshotWithin(t *testing.T, s *Session, ctx context.Context, limit time.Du
 
 // TestSnapshotWakesOnInit: a session that has been fed nothing has exactly
 // one round per monitor to wait for, the INIT round. If the loop forgets to
-// signal it (under either executor), the coordinator that arrives first
-// sleeps forever. Many rounds, because the race is between session launch
-// and the coordinator's flag store.
+// signal it, the coordinator that arrives first sleeps forever. Many rounds,
+// because the race is between session launch and the coordinator's flag
+// store. Shards is ignored now; both settings must still behave alike.
 func TestSnapshotWakesOnInit(t *testing.T) {
 	ts := dist.Generate(dist.GenConfig{N: 4, InternalPerProc: 6, CommMu: 3, PlantGoal: true, Seed: 42})
 	for _, shards := range []int{1, 2} {

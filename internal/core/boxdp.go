@@ -30,10 +30,10 @@ type pivot struct {
 }
 
 // boxScratch is the box kernel's working memory. Each Monitor owns one and
-// only its run loop (or the pump task standing in for it, sched.go) explores
-// with it: no pool, no lock. The arenas keep the capacity of the widest
-// frontier seen, so a steady-state exploration allocates only its result —
-// which may not alias the scratch: reported cuts are clones.
+// only its run loop explores with it: no pool, no lock. The arenas keep the
+// capacity of the widest frontier seen, so a steady-state exploration
+// allocates only its result — which may not alias the scratch: reported cuts
+// are clones.
 type boxScratch struct {
 	fr    [2]boxFrontier // the rank being expanded and the rank being built
 	table []int32        // successor dedupe: open-addressed, node index+1, 0 = free

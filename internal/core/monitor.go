@@ -181,7 +181,7 @@ type Monitor struct {
 	initialQ      int
 
 	metrics Metrics
-	// OnVerdict, if set, is called (from the goroutine running the round) the
+	// OnVerdict, if set, is called (from the monitor's goroutine) the
 	// first time each automaton verdict state is recorded, with the consistent
 	// cut at which it was detected when a single one is known (nil when the
 	// detection site has no unique cut, e.g. a box-interior hit).
@@ -218,8 +218,8 @@ type Monitor struct {
 	err error
 }
 
-// scratch is the hot path's reusable storage, touched only by the goroutine
-// running the monitor's round. Map probes go through keyBuf/sigBuf via the
+// scratch is the hot path's reusable storage, touched only by the monitor's
+// own goroutine. Map probes go through keyBuf/sigBuf via the
 // m[string(buf)] idiom so lookups never allocate; keys and states recycle the
 // per-pump key slice and the per-step state set (PERFORMANCE.md); perState
 // and ids back maybeLaunchSearches; box is the sweep kernel's, touched by
@@ -338,7 +338,7 @@ func (m *Monitor) enqueue(ctx context.Context, it feedItem) error {
 	}
 }
 
-// Verdicts returns the verdict set after Run has returned.
+// Verdicts returns the verdict set after the run loop has returned.
 func (m *Monitor) Verdicts() map[automaton.Verdict]bool {
 	out := map[automaton.Verdict]bool{}
 	for v := range m.verdicts {
@@ -359,7 +359,7 @@ func (m *Monitor) FinalStates() []int {
 	return out
 }
 
-// Metrics returns the overhead counters after Run has returned.
+// Metrics returns the overhead counters after the run loop has returned.
 func (m *Monitor) Metrics() Metrics {
 	mt := m.metrics
 	mt.KnowledgePeak = m.know.peak
@@ -367,79 +367,40 @@ func (m *Monitor) Metrics() Metrics {
 	return mt
 }
 
-// Run executes the monitor until global termination (all processes done,
-// all searches resolved, FINI exchanged) or until ctx is cancelled, every
-// round on the calling goroutine. It returns the first internal error, or the
-// context's error on cancellation.
-func (m *Monitor) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return m.run(ctx, serialExec)
-}
-
-// executor decides which goroutine runs a monitor's rounds. Given the round,
-// it returns the step the intake loop takes once per blocking input: step
-// returns nil when the round has completed, or ctx's error if it gave up
-// waiting. There are two: serialExec here and the pool's (sched.go).
-type executor func(ctx context.Context, round func()) (step func() error)
-
-// serialExec runs every round on the goroutine that blocked for its input.
-func serialExec(_ context.Context, round func()) func() error {
-	return func() error { round(); return nil }
-}
-
-// input is what the intake loop blocked for: a feed item, or a message from
-// the inbox (open false: the network closed under a running monitor).
-type input struct {
-	item      feedItem
-	msg       transport.Message
-	net, open bool
-}
-
 // run is the monitor's one reactive loop (Algorithm 1): INIT, then block for
-// an input and hand a round to the executor, until the termination handshake
-// completes. Between steps the calling goroutine owns the monitor's state;
-// during a step whichever goroutine runs the round does (sched.go).
-func (m *Monitor) run(ctx context.Context, exec executor) error {
+// an input and run a round on it, until the termination handshake completes
+// or ctx is cancelled. Every round runs here, on the goroutine the input
+// arrived at, which is the only one that touches the monitor's state.
+func (m *Monitor) run(ctx context.Context) error {
 	m.start(ctx)
 	m.roundDone(1) // the INIT round (counted even when restored skips it)
 	inbox := m.ep.Inbox()
-	var in input
-	step := exec(ctx, func() { m.round(&in, inbox) })
 	for !m.finished() && m.err == nil {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		select {
-		case in.item = <-m.feed:
-			in.net = false
-		case in.msg, in.open = <-inbox:
-			in.net = true
+		case item := <-m.feed:
+			m.handleFeed(item)
+		case msg, open := <-inbox:
+			m.handleInbox(msg, open)
 		case <-ctx.Done():
 			return ctx.Err()
 		}
-		if err := step(); err != nil {
-			return err
-		}
+		m.round(inbox)
 	}
 	return m.err
 }
 
-// round handles the input the loop blocked for, absorbs whatever else is
-// already queued — without blocking — and pays for one pump (see pumpBatch).
-// Protocol messages drain before new local events: an aging token keeps its
-// candidate cuts drifting away from the search origin as local history
-// grows, inflating the exact region explored on its return, so in-flight
-// traffic is always served ahead of fresh admissions. Inputs are handled as
-// they are dequeued, whichever goroutine runs the round.
-func (m *Monitor) round(first *input, inbox <-chan transport.Message) {
-	if first.net {
-		m.handleInbox(first.msg, first.open)
-	} else {
-		m.handleFeed(first.item)
-	}
-	handled := int64(1)
+// round finishes the round the loop opened by handling the input it blocked
+// for: it absorbs whatever else is already queued — without blocking — and
+// pays for one pump (see pumpBatch). Protocol messages drain before new local
+// events: an aging token keeps its candidate cuts drifting away from the
+// search origin as local history grows, inflating the exact region explored
+// on its return, so in-flight traffic is always served ahead of fresh
+// admissions. Inputs are handled as they are dequeued.
+func (m *Monitor) round(inbox <-chan transport.Message) {
+	handled := int64(1) // the input run blocked for
 drain:
 	for ; handled < pumpBatch && m.err == nil; handled++ {
 		select {

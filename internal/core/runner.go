@@ -41,9 +41,8 @@ type RunConfig struct {
 	// feeder blocks (backpressure); 0 selects DefaultMaxLag, negative
 	// disables. See SessionConfig.MaxLag.
 	MaxLag int
-	// Shards > 1 runs the monitors' rounds on a work-stealing pool of that
-	// size; 0 and 1 run them on each monitor's own goroutine, the default
-	// (see SessionConfig.Shards).
+	// Shards is ignored, and kept for the benchmark harness only; see
+	// SessionConfig.Shards.
 	Shards int
 }
 
@@ -71,7 +70,7 @@ type RunResult struct {
 	ProgramWall time.Duration
 }
 
-// Verdict returns the union verdict set as a sorted slice.
+// VerdictList returns the union verdict set as a sorted slice.
 func (r *RunResult) VerdictList() []automaton.Verdict {
 	var out []automaton.Verdict
 	for _, v := range []automaton.Verdict{automaton.Top, automaton.Bottom, automaton.Unknown} {
@@ -105,7 +104,6 @@ func session(ctx context.Context, cfg RunConfig, pm *dist.PropMap, n int, init d
 		MaxBoxNodes:  cfg.MaxBoxNodes,
 		ExactBoxes:   cfg.ExactBoxes,
 		MaxLag:       cfg.MaxLag,
-		Shards:       cfg.Shards,
 	})
 }
 
@@ -139,14 +137,13 @@ func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
 			if cfg.Pace <= 0 {
 				// Unpaced replay: feed in chunks, amortizing the admission
 				// gate and the monitor handoff (verdict-set equivalent to
-				// per-event feeding; the batch only changes arrival grouping).
+				// per-event feeding; the chunk only changes arrival grouping).
+				// A chunk of one process is one FeedRun group.
+				var fs FeedScratch
 				evs := tr.Events
 				for len(evs) > 0 {
-					k := feedChunk
-					if k > len(evs) {
-						k = len(evs)
-					}
-					if err := s.FeedBatch(evs[:k]); err != nil {
+					k := min(feedChunk, len(evs))
+					if err := s.FeedRun(&fs, evs[:k]); err != nil {
 						feedErrs[i] = err
 						return
 					}

@@ -54,12 +54,9 @@ type SessionConfig struct {
 	// negative value disables backpressure. Replicated mode, which retains
 	// everything by design, never applies backpressure.
 	MaxLag int
-	// Shards selects which goroutine runs a monitor's rounds. 0 and 1 run
-	// them where the input arrived, on the monitor's own goroutine — the
-	// default, and what every measured workload is fastest on; a larger value
-	// hands them to a work-stealing pool of that many workers (sched.go),
-	// which nothing but the benchmark's pool cell and its race test asks for.
-	// Both paths share every handler and produce identical verdict sets.
+	// Shards is ignored: every round runs on its monitor's own goroutine.
+	// The field survives only because the frozen benchmark harness (bench/)
+	// still sets it for its pool cell; ROADMAP 4(a)'s benchmark PR deletes it.
 	Shards int
 }
 
@@ -87,12 +84,12 @@ type VerdictEvent struct {
 // events of one process must be fed in sequence-number order from a single
 // goroutine at a time; that is the whole ordering contract, and what lets
 // FeedRun hand a mixed window to the monitors one process at a time. Every
-// monitor runs its rounds on its own goroutine, where its inputs arrive
-// (SessionConfig.Shards has the exception). Verdicts delivers every detection; its buffer is
-// sized so monitors never block on a slow subscriber, and it is closed by
-// Close. Close ends every process still open, waits for the monitors to
-// finalize, and returns the terminal RunResult. Cancelling the context
-// passed to NewSession makes Feed, End and Close return promptly.
+// monitor runs its rounds on its own goroutine, where its inputs arrive.
+// Verdicts delivers every detection; its buffer is sized so monitors never
+// block on a slow subscriber, and it is closed by Close. Close ends every
+// process still open, waits for the monitors to finalize, and returns the
+// terminal RunResult. Cancelling the context passed to NewSession makes Feed,
+// End and Close return promptly.
 type Session struct {
 	cfg      SessionConfig
 	maxLag   int
@@ -100,7 +97,6 @@ type Session struct {
 	cancel   context.CancelFunc
 	nw       transport.Network
 	monitors []*Monitor
-	sched    *scheduler // nil unless cfg.Shards asked for the pool
 	verdicts chan VerdictEvent
 
 	wg   sync.WaitGroup
@@ -266,24 +262,16 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		m.quiesce = &s.quiesce
 		s.monitors = append(s.monitors, m)
 	}
-	if cfg.Shards > 1 && cfg.N > 1 {
-		s.sched = newScheduler(cfg.Shards)
-	}
 	return s, nil
 }
 
-// launch starts the monitor goroutines of a built session: one loop each,
-// its rounds on that goroutine or on the pool (sched.go).
+// launch starts the monitor goroutines of a built session, one loop each.
 func (s *Session) launch() {
-	exec := executor(serialExec)
-	if s.sched != nil {
-		exec = s.sched.exec
-	}
 	for i, m := range s.monitors {
 		s.wg.Add(1)
 		go func(i int, m *Monitor) {
 			defer s.wg.Done()
-			err := m.run(s.ctx, exec)
+			err := m.run(s.ctx)
 			s.errs[i] = err
 			if err != nil {
 				// A dead monitor dooms the run: cancel so feeders and the
@@ -476,7 +464,7 @@ func (s *Session) enqueue(p int, it feedItem) error {
 	return err
 }
 
-// feed is Feed and FeedBatch after validation: one feed item carrying k events
+// feed is Feed and FeedRun after validation: one feed item carrying k events
 // of process p. It holds the process's feed lock across
 // check→admit→enqueue→count, so a concurrent End (possibly from Close) cannot
 // snapshot the terminal total with these events still in flight.
@@ -517,29 +505,6 @@ func (s *Session) Feed(e *dist.Event) error {
 	return s.feed(e.Proc, 1, feedItem{event: e})
 }
 
-// FeedBatch delivers a batch of consecutive events of a single process in
-// one admission-gate pass and one monitor handoff. All events must belong to
-// the same process, in sequence-number order; the session takes ownership of
-// the events (the slice itself is copied). Equivalent to calling Feed for
-// each event, with per-event overhead amortized over the batch.
-func (s *Session) FeedBatch(events []*dist.Event) error {
-	if len(events) == 0 {
-		return nil
-	}
-	var p int
-	for i, e := range events {
-		if err := s.checkEvent(e); err != nil {
-			return err
-		}
-		if i == 0 {
-			p = e.Proc
-		} else if e.Proc != p {
-			return fmt.Errorf("core: batch mixes events of processes %d and %d", p, e.Proc)
-		}
-	}
-	return s.feed(p, len(events), feedItem{batch: slices.Clone(events)})
-}
-
 // FeedScratch is what one feeder reuses from one FeedRun to the next: the
 // window in hand, grouped by process. The zero value is ready; a feeder keeps
 // its own.
@@ -555,12 +520,18 @@ type FeedScratch struct {
 // reach their monitors in another order than the window's, as they may from
 // two feeders running side by side, which is all the Feed contract orders.
 // The session takes ownership of the events, not of run. After a failure part
-// of the window may have been fed.
+// of the window may have been fed. A window of one process is its own group
+// and leaves fs untouched.
 func (s *Session) FeedRun(fs *FeedScratch, run []*dist.Event) error {
+	single := true
 	for _, e := range run {
 		if err := s.checkEvent(e); err != nil {
 			return err
 		}
+		single = single && e.Proc == run[0].Proc
+	}
+	if single && len(run) > 0 {
+		return s.feedGroup(run)
 	}
 	for len(fs.byProc) < s.cfg.N {
 		fs.byProc = append(fs.byProc, nil)
@@ -570,20 +541,22 @@ func (s *Session) FeedRun(fs *FeedScratch, run []*dist.Event) error {
 	}
 	var err error
 	for p, group := range fs.byProc[:s.cfg.N] {
-		if len(group) == 0 {
-			continue
-		}
-		if err == nil {
-			if len(group) == 1 {
-				err = s.feed(p, 1, feedItem{event: group[0]})
-			} else {
-				err = s.feed(p, len(group), feedItem{batch: slices.Clone(group)})
-			}
+		if len(group) > 0 && err == nil {
+			err = s.feedGroup(group)
 		}
 		clear(group) // the scratch must not keep events alive
 		fs.byProc[p] = group[:0]
 	}
 	return err
+}
+
+// feedGroup feeds checked events of one process as one feed item: the event
+// itself, or a copy of the slice.
+func (s *Session) feedGroup(group []*dist.Event) error {
+	if len(group) == 1 {
+		return s.feed(group[0].Proc, 1, feedItem{event: group[0]})
+	}
+	return s.feed(group[0].Proc, len(group), feedItem{batch: slices.Clone(group)})
 }
 
 // End marks one process as terminated; its monitor then knows no further
@@ -626,13 +599,7 @@ func (s *Session) Close() (*RunResult, error) {
 	for p := 0; p < s.cfg.N; p++ {
 		s.End(p) // a cancelled context is surfaced below, not here
 	}
-	s.wg.Wait()
-	if s.sched != nil {
-		// After every monitor goroutine has returned: in-flight pump tasks
-		// finish, queued ones are discarded, and no task code runs afterwards
-		// — collect below reads monitor state race-free (sched.go).
-		s.sched.close()
-	}
+	s.wg.Wait() // every monitor goroutine returned: collect reads their state race-free
 	s.nw.Close()
 	res, err := s.collect()
 	s.cancel()

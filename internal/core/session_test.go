@@ -245,9 +245,13 @@ func TestSessionMisuse(t *testing.T) {
 		if err := s.Feed(e); err == nil {
 			t.Errorf("%s accepted by Feed", name)
 		}
-		if err := s.FeedBatch([]*dist.Event{e}); err == nil {
-			t.Errorf("%s accepted by FeedBatch", name)
+		var fs FeedScratch
+		if err := s.FeedRun(&fs, []*dist.Event{ts.Traces[0].Events[0], e}); err == nil {
+			t.Errorf("%s accepted by FeedRun", name)
 		}
+	}
+	if fed := s.Fed()[0]; fed != 0 {
+		t.Errorf("refused FeedRun windows fed %d events; a refused window feeds nothing", fed)
 	}
 	if err := s.End(0); err != nil {
 		t.Fatal(err)

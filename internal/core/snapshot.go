@@ -117,7 +117,7 @@ type SnapshotTiming struct {
 
 // Snapshot captures the session's complete monitoring state as a durable,
 // self-verifying blob (see the package comment above for the format and the
-// quiescence argument). It pauses feeding (Feed/FeedBatch/End block for the
+// quiescence argument). It pauses feeding (Feed/FeedRun/End block for the
 // duration), waits for every in-flight event and monitor message to be fully
 // absorbed, serializes, and resumes. The session keeps running afterwards;
 // ctx bounds only the wait for quiescence. RestoreSession rebuilds an
@@ -290,12 +290,9 @@ func RestoreSession(ctx context.Context, cfg SessionConfig, snap []byte) (*Sessi
 	}
 	if err := s.applySnapshot(r); err != nil {
 		// Tear the half-built session down on every error path: the network
-		// and scheduler were created by buildSession and nothing runs yet.
+		// was created by buildSession and nothing runs yet.
 		s.cancel()
 		s.nw.Close()
-		if s.sched != nil {
-			s.sched.close()
-		}
 		close(s.verdicts)
 		return nil, err
 	}

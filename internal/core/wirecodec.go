@@ -20,16 +20,12 @@ package core
 // Nothing decoded is pooled or reused: decoded values outlive the handler
 // (tokens are parked in w_tokens, events live on in the knowledge store). What
 // decode shares is storage *within* an event segment (a fetch reply, a token's
-// Segs entry, a snapshot window): each run of up to slabEvents events is one
-// []dist.Event slab and their clocks one []int slab. A slab is freed when the
-// last event of its run is collected, which delays little: a run is contiguous
-// events of one process, the knowledge store holds each process as one
-// contiguous window, and knowledge.truncate only ever drops a prefix of it —
-// so a slab's events leave in order and the slab dies whole, at most
-// slabEvents-1 events after its first event would have alone. Events the store
-// already had are never retained; those sharing a slab with new events live as
-// long as it does. (Handed-over events are the feeder's own allocations, one
-// per event, shared by every monitor that learns of them; no slab is involved.)
+// Segs entry, a snapshot window): dist.DecodeEvents fills slabs of up to
+// dist.EventSlab events, whose lifetime argument is stated there. Events the
+// store already had are never retained; those sharing a slab with new events
+// live as long as it does. (Handed-over events are the feeder's own
+// allocations, one per event, shared by every monitor that learns of them; no
+// slab is involved.)
 
 import (
 	"fmt"
@@ -177,40 +173,13 @@ func eventsSize(evs []*dist.Event) int {
 	return n
 }
 
-// slabEvents caps the events sharing one slab. A decoded segment overlaps what
-// the store already holds — a returning token re-carries events its parent has
-// learnt meanwhile, and on multi-view properties merge drops most of what a
-// token brings back — and a segment-long slab pins that dead part until its
-// live tail is collected (dlmond, when measured: +7% peak RSS, -8% events/s
-// against no slabs). At 32 a slab is a small object and the waste under one
-// slab per segment. (Fetch replies hardly overlap: a second fetch to a peer
-// leaves only for a wider range than the one in flight, and on the benchmark's
-// stream execution merge drops not one fetched event.)
-const slabEvents = 32
-
-// decodeEvents decodes one segment of n-wide events, its events into slabs of
-// up to slabEvents and their clocks into one clock slab per event slab (see
-// the lifetime argument in the file header). The count is checked against the
-// bytes that many records need at least, so the slabs it sizes are a small
-// multiple of the payload whatever the count claims.
+// decodeEvents decodes one segment — a count, checked against the bytes that
+// many records need at least, then that many n-wide event records — or nil on
+// a malformed one.
 func decodeEvents(c *wire.Cursor, n int) []*dist.Event {
-	count := c.Count(dist.MinEventRecord + n)
-	if count == 0 {
+	evs, _ := dist.DecodeEvents(c, nil, nil, c.Count(dist.MinEventRecord+n), n)
+	if c.Err() != nil {
 		return nil
-	}
-	evs := make([]*dist.Event, count)
-	var slab []dist.Event
-	var clocks []int
-	for i := range evs {
-		if len(slab) == 0 {
-			k := min(slabEvents, count-i)
-			slab, clocks = make([]dist.Event, k), make([]int, k*n)
-		}
-		dist.DecodeEventInto(c, &slab[0], clocks[:n:n])
-		if c.Err() != nil {
-			return nil
-		}
-		evs[i], slab, clocks = &slab[0], slab[1:], clocks[n:]
 	}
 	return evs
 }

@@ -626,7 +626,6 @@ type EngineCell struct {
 	Topology       string  `json:"topology"`
 	N              int     `json:"n"`
 	CommMu         float64 `json:"comm_mu"`
-	Shards         int     `json:"shards"`     // pool size; 0 and 1 are the serial default
 	GoMax          int     `json:"gomaxprocs"` // GOMAXPROCS the cell was measured under
 	Events         int     `json:"events"`     // program events per run (internal+send+recv)
 	Reps           int     `json:"reps"`       // timed repetitions averaged
@@ -665,7 +664,7 @@ type EngineBench struct {
 // engineNote is the reading caveat embedded in every BENCH_engine.json: each
 // cell says which GOMAXPROCS it ran under, and the one cell measured on two
 // cores exists for the ratio.
-const engineNote = "each cell is measured at its recorded gomaxprocs, every round on its monitor's own goroutine (shards 0); ring/n=16/procs=2 is that workload at GOMAXPROCS 2 and two_core_ratio_n16_ring its events/s over those of a GOMAXPROCS 1 run taken beside it (median of three pairs)"
+const engineNote = "each cell is measured at its recorded gomaxprocs, every round on its monitor's own goroutine; ring/n=16/procs=2 is that workload at GOMAXPROCS 2 and two_core_ratio_n16_ring its events/s over those of a GOMAXPROCS 1 run taken beside it (median of three pairs)"
 
 // engineBaseline pins the pre-overhaul reference measurement: the calibrated
 // n=16 ring workload ran at ~1.7k events/s on the CI-class 1-CPU box at the
@@ -694,10 +693,9 @@ var engineWorkloads = []struct {
 
 // EngineSweep measures the full engine workload plan. minWall is the minimum
 // measured wall time per cell (repetitions scale to reach it; <=0 takes
-// 200ms); shards > 1 runs every cell's rounds on a pool of that size instead
-// of the monitors' own goroutines. The returned document embeds the pinned
-// pre-overhaul baseline, and the n=16 ring cell a second time on two cores.
-func EngineSweep(minWall time.Duration, shards int) (*EngineBench, error) {
+// 200ms). The returned document embeds the pinned pre-overhaul baseline, and
+// the n=16 ring cell a second time on two cores.
+func EngineSweep(minWall time.Duration) (*EngineBench, error) {
 	if minWall <= 0 {
 		minWall = 200 * time.Millisecond
 	}
@@ -710,7 +708,7 @@ func EngineSweep(minWall time.Duration, shards int) (*EngineBench, error) {
 	}
 	seen := map[string]bool{}
 	for _, w := range engineWorkloads {
-		cell, err := MeasureEngine(w.topo, w.n, minWall, shards)
+		cell, err := MeasureEngine(w.topo, w.n, minWall)
 		if err != nil {
 			return nil, err
 		}
@@ -721,12 +719,12 @@ func EngineSweep(minWall time.Duration, shards int) (*EngineBench, error) {
 		doc.Cells = append(doc.Cells, cell)
 		if w.topo == dist.TopoRing && w.n == 16 {
 			doc.SpeedupN16Ring = cell.EventsPerSec / engineBaselineEventsPerSec
-			if err := doc.measureTwoCores(minWall, shards); err != nil {
+			if err := doc.measureTwoCores(minWall); err != nil {
 				return nil, err
 			}
 		}
 	}
-	stream, err := MeasureEngineStream(minWall, shards)
+	stream, err := MeasureEngineStream(minWall)
 	if err != nil {
 		return nil, err
 	}
@@ -742,14 +740,14 @@ const twoCorePairs = 3
 // measureTwoCores measures the n=16 ring cell in back-to-back pairs at
 // GOMAXPROCS 1 and 2, records the median pair's ratio and appends that pair's
 // two-core cell. On a single-CPU machine it only says that it was skipped.
-func (doc *EngineBench) measureTwoCores(minWall time.Duration, shards int) error {
+func (doc *EngineBench) measureTwoCores(minWall time.Duration) error {
 	if runtime.NumCPU() < 2 {
 		doc.Note += "; skipped here: the machine has one CPU"
 		return nil
 	}
 	at := func(procs int) (*EngineCell, error) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		return MeasureEngine(dist.TopoRing, 16, minWall, shards)
+		return MeasureEngine(dist.TopoRing, 16, minWall)
 	}
 	type pair struct {
 		ratio float64
@@ -782,7 +780,7 @@ func (doc *EngineBench) measureTwoCores(minWall time.Duration, shards int) error
 // runtime's allocation counters around the timed repetitions, so
 // bytes/allocs per event include every layer: generator-free replay,
 // transport, codec, and monitor state.
-func MeasureEngine(topo dist.Topology, n int, minWall time.Duration, shards int) (*EngineCell, error) {
+func MeasureEngine(topo dist.Topology, n int, minWall time.Duration) (*EngineCell, error) {
 	arity := 3
 	if n < arity {
 		arity = n
@@ -806,11 +804,11 @@ func MeasureEngine(topo dist.Topology, n int, minWall time.Duration, shards int)
 	cell := &EngineCell{
 		Workload: fmt.Sprintf("%s/n=%d", topo, n),
 		Topology: topo.String(), N: n, CommMu: gc.CommMu,
-		Shards: shards, GoMax: runtime.GOMAXPROCS(0),
+		GoMax:  runtime.GOMAXPROCS(0),
 		Events: ts.TotalEvents(),
 	}
 	return cell, timeEngineCell(cell, minWall, func() (map[automaton.Verdict]bool, error) {
-		res, err := core.Run(core.RunConfig{Traces: ts, Automaton: mon, SkipFinalize: true, Shards: shards})
+		res, err := core.Run(core.RunConfig{Traces: ts, Automaton: mon, SkipFinalize: true})
 		if err != nil {
 			return nil, err
 		}
@@ -841,7 +839,7 @@ func streamExecution() (*dist.TraceSet, string) {
 // stream-steady workload (bench/README.md). The seed is one whose execution
 // ends quietly: the finalization box is under 1% of the run's box nodes
 // (other seeds: up to 40%), so the cell prices the steady state, not its tail.
-func MeasureEngineStream(minWall time.Duration, shards int) (*EngineCell, error) {
+func MeasureEngineStream(minWall time.Duration) (*EngineCell, error) {
 	ts, formula := streamExecution()
 	f, err := ltl.Parse(formula)
 	if err != nil {
@@ -854,11 +852,11 @@ func MeasureEngineStream(minWall time.Duration, shards int) (*EngineCell, error)
 	cell := &EngineCell{
 		Workload: "stream/ring/n=8",
 		Topology: dist.TopoRing.String(), N: ts.N(), CommMu: streamCommMu,
-		Shards: shards, GoMax: runtime.GOMAXPROCS(0),
+		GoMax:  runtime.GOMAXPROCS(0),
 		Events: ts.TotalEvents(),
 	}
 	return cell, timeEngineCell(cell, minWall, func() (map[automaton.Verdict]bool, error) {
-		res, err := core.RunStream(ts.Stream(), core.RunConfig{Automaton: mon, Shards: shards})
+		res, err := core.RunStream(ts.Stream(), core.RunConfig{Automaton: mon})
 		if err != nil {
 			return nil, err
 		}

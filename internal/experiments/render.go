@@ -142,15 +142,11 @@ func RenderBaselines(rows []*BaselineRow) string {
 // RenderEngineCells renders the engine throughput sweep with its baseline
 // header (the BENCH_engine.json document in table form).
 func RenderEngineCells(doc *EngineBench) string {
-	header := []string{"workload", "shards", "procs", "events", "reps", "events/s", "ns/event", "B/event", "allocs/event", "verdicts"}
+	header := []string{"workload", "procs", "events", "reps", "events/s", "ns/event", "B/event", "allocs/event", "verdicts"}
 	var body [][]string
 	for _, c := range doc.Cells {
-		shards := "serial"
-		if c.Shards > 1 {
-			shards = fmt.Sprint(c.Shards)
-		}
 		body = append(body, []string{
-			c.Workload, shards, fmt.Sprint(c.GoMax), fmt.Sprint(c.Events), fmt.Sprint(c.Reps),
+			c.Workload, fmt.Sprint(c.GoMax), fmt.Sprint(c.Events), fmt.Sprint(c.Reps),
 			fmt.Sprintf("%.0f", c.EventsPerSec), fmt.Sprintf("%.0f", c.NsPerEvent),
 			fmt.Sprintf("%.0f", c.BytesPerEvent), fmt.Sprintf("%.2f", c.AllocsPerEvent),
 			c.Verdicts,

@@ -83,6 +83,9 @@ type Server struct {
 	// compactFloor is the constant of that name; tests of the compaction
 	// path lower it instead of feeding 64 KiB.
 	compactFloor int
+	// writeTimeout is the constant of that name; the test of a connection
+	// that stops reading lowers it.
+	writeTimeout time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -133,6 +136,7 @@ func New(cfg Config) (*Server, error) {
 		conns:   map[*srvConn]struct{}{},
 
 		compactFloor: compactFloor,
+		writeTimeout: writeTimeout,
 	}
 	if cfg.StateDir != "" {
 		if err := s.recoverSessions(); err != nil {
@@ -236,7 +240,7 @@ func (s *Server) recoverSession(file string) error {
 }
 
 // feedWindow is the most events of a decoded run that reach a session in one
-// pass (one core FeedBatch per process among them). A frame may carry many
+// pass (one core FeedRun: a hand-off per process among them). A frame may carry many
 // more: a larger window does buy throughput, by loosening the admission
 // gate's view of the monitors' backlog, and pays for it in resident memory —
 // PERFORMANCE.md ("Batched ingest") has the table that picked one slab.
@@ -356,8 +360,15 @@ type srvConn struct {
 	fs feedScratch
 }
 
-// write frames and flushes one message. Errors mark the connection gone;
-// the read loop notices on its next read.
+// writeTimeout bounds how long one write may wait for the peer to read. A
+// write holds wmu, which every session pump delivering a verdict to this
+// connection also needs: without a bound, a client that stops reading would
+// stall those pumps, and with them other tenants' CloseSession.
+const writeTimeout = 10 * time.Second
+
+// write frames and flushes one message. Errors, a timed-out write among them,
+// mark the connection gone, which unsubscribes it from every session; the read
+// loop notices on its next read.
 func (sc *srvConn) write(m *dist.RPCMsg) {
 	frame, err := dist.AppendRPC(nil, m)
 	if err != nil {
@@ -368,6 +379,7 @@ func (sc *srvConn) write(m *dist.RPCMsg) {
 	if sc.gone.Load() {
 		return
 	}
+	sc.c.SetWriteDeadline(time.Now().Add(sc.srv.writeTimeout))
 	if _, err := sc.bw.Write(frame); err == nil {
 		err = sc.bw.Flush()
 		if err == nil {

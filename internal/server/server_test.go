@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"slices"
@@ -904,5 +905,63 @@ func TestTokenBucket(t *testing.T) {
 	l := newTenantLimiter(0, 0)
 	if w := l.Reserve("x", 1000, now); w != 0 {
 		t.Errorf("disabled limiter owes %v", w)
+	}
+}
+
+// TestStalledReaderCannotWedgeClose: connection B subscribes to A's session,
+// then sends synchronous verbs and never reads a reply. Once B's socket
+// buffers are full, B's read loop blocks writing a reply while it holds B's
+// write lock, which A's session pump needs to deliver each verdict to B — and
+// A's CloseSession waits for that pump. The write deadline ends the wait: B's
+// stalled write times out, B is marked gone (unsubscribed), and A's
+// CloseSession returns the verdicts.
+func TestStalledReaderCannotWedgeClose(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.writeTimeout = time.Second
+	ts, evs := dist.RunningExample(), exampleEvents(t)
+	register := &dist.RPCMsg{Kind: dist.RPCRegister, Tenant: "acme", Formula: dist.RunningExampleProperty,
+		Init: ts.InitialState(), Props: ts.Props}
+	a, _ := dialRaw(t, s.Addr(), dist.RPCVersion)
+	sid := a.call(register, dist.RPCRegistered).SID
+
+	b, _ := dialRaw(t, s.Addr(), dist.RPCVersion)
+	b.call(&dist.RPCMsg{Kind: dist.RPCAttach, SID: sid}, dist.RPCRegistered) // pins B to tenant acme
+	b.call(&dist.RPCMsg{Kind: dist.RPCSubscribe, SID: sid}, dist.RPCAcked)
+	b.c.(*net.TCPConn).SetReadBuffer(4 << 10)
+	// A Register under another tenant is refused with an Error quoting the
+	// tenant: 64 KiB a reply fills the buffers in a few dozen frames.
+	flood := *register
+	flood.Tenant = strings.Repeat("b", 64<<10)
+	frame, err := dist.AppendRPC(nil, &flood)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent atomic.Int64
+	go func() {
+		for {
+			if _, err := b.c.Write(frame); err != nil {
+				return // the server gave up on B, or the test's cleanup closed it
+			}
+			sent.Add(1)
+		}
+	}()
+	// B is stalled once its frames stop leaving: the server no longer reads
+	// them because its read loop is stuck in a write.
+	for last, still := int64(-1), 0; still < 4; time.Sleep(50 * time.Millisecond) {
+		if n := sent.Load(); n == last {
+			still++
+		} else {
+			last, still = n, 0
+		}
+	}
+
+	a.ingest(sid, evs, len(evs))
+	a.send(&dist.RPCMsg{Kind: dist.RPCClose, SID: sid})
+	closed := a.recv()
+	if closed.Kind != dist.RPCClosed {
+		t.Fatalf("close answered with %s (%s)", closed.Kind, closed.Err)
+	}
+	if got, want := codeString(closed.Verdicts), expectedCodes(t, dist.RunningExampleProperty); got != want {
+		t.Errorf("verdicts {%s}, want {%s}", got, want)
 	}
 }

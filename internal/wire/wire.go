@@ -142,6 +142,10 @@ func (c *Cursor) Err() error { return c.err }
 // Len returns the number of bytes not yet read.
 func (c *Cursor) Len() int { return len(c.buf) - c.off }
 
+// Off returns the number of bytes read so far: the offset, in the buffer the
+// cursor was made on, of the next read.
+func (c *Cursor) Off() int { return c.off }
+
 // Failf records a failure at the current offset unless one is already
 // recorded. Decoders call it for a field that parsed but cannot be right (an
 // index out of range, an unknown kind), so semantic and framing errors leave

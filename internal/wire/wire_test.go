@@ -283,8 +283,8 @@ func FuzzCursor(f *testing.F) {
 		runtime.ReadMemStats(&before)
 		out, c := cursorScript(data)
 		runtime.ReadMemStats(&after)
-		if c.Len() < 0 || c.Len() > len(data) {
-			t.Fatalf("cursor ran to %d of %d bytes", len(data)-c.Len(), len(data))
+		if c.Len() < 0 || c.Len() > len(data) || c.Off()+c.Len() != len(data) {
+			t.Fatalf("cursor at offset %d with %d of %d bytes left", c.Off(), c.Len(), len(data))
 		}
 		// out is harness output, at most the input again; the rest is what
 		// the Count-guarded makes cost.

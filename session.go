@@ -108,7 +108,6 @@ func engineConfig(spec *Spec, n int, o options) (core.SessionConfig, error) {
 		MaxBoxNodes:  o.cfg.MaxBoxNodes,
 		ExactBoxes:   o.cfg.ExactBoxes,
 		MaxLag:       o.cfg.MaxLag,
-		Shards:       o.cfg.Shards,
 	}, nil
 }
 

@@ -67,10 +67,9 @@ func (s *Session) Fed() []int {
 // under (same property compilation, mode, finalization and initial state —
 // all verified against fingerprints in the blob; a mismatch or any
 // corruption is an error, never a silently wrong monitor). Options that do
-// not change monitor state — WithContext, WithNetwork, WithMaxLag,
-// WithShards — may differ freely. Bounded and WithValidation sessions cannot
-// be restored: the path evaluator and the validator hold state a snapshot
-// does not carry.
+// not change monitor state — WithContext, WithNetwork, WithMaxLag — may
+// differ freely. Bounded and WithValidation sessions cannot be restored: the
+// path evaluator and the validator hold state a snapshot does not carry.
 func RestoreSession(spec *Spec, n int, snap []byte, opts ...Option) (*Session, error) {
 	o := buildOptions(opts)
 	if o.bounded {
