@@ -28,7 +28,6 @@ import (
 	"os"
 	"os/exec"
 	"strings"
-	"time"
 
 	"decentmon/internal/analysis"
 	"decentmon/internal/analysis/checkers"
@@ -66,11 +65,10 @@ func runLocal(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("declint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit diagnostics as JSON on stdout")
-		docs     = fs.Bool("doc", false, "print each analyzer's rule and exit")
-		govet    = fs.Bool("govet", true, "also run `go vet -copylocks -lostcancel` over the same packages")
-		benchOut = fs.String("bench", "", "write a BENCH_declint.json wall-time snapshot to this file")
-		dir      = fs.String("dir", ".", "directory to resolve package patterns from")
+		jsonOut = fs.Bool("json", false, "emit diagnostics as JSON on stdout")
+		docs    = fs.Bool("doc", false, "print each analyzer's rule and exit")
+		govet   = fs.Bool("govet", true, "also run `go vet -copylocks -lostcancel` over the same packages")
+		dir     = fs.String("dir", ".", "directory to resolve package patterns from")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: declint [flags] [packages]\n\nAnalyzers:\n")
@@ -93,7 +91,6 @@ func runLocal(args []string, stdout, stderr io.Writer) int {
 		patterns = []string{"./..."}
 	}
 
-	start := time.Now()
 	pkgs, err := analysis.Load(*dir, patterns...)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -104,8 +101,6 @@ func runLocal(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	elapsed := time.Since(start)
-
 	status := 0
 	if len(diags) > 0 {
 		status = 1
@@ -120,12 +115,6 @@ func runLocal(args []string, stdout, stderr io.Writer) int {
 	if *govet {
 		if code := runGoVet(*dir, patterns, stderr); code != 0 && status == 0 {
 			status = code
-		}
-	}
-	if *benchOut != "" {
-		if err := writeBench(*benchOut, patterns, len(pkgs), len(diags), elapsed); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 2
 		}
 	}
 	return status
@@ -188,20 +177,4 @@ func runGoVet(dir string, patterns []string, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-func writeBench(path string, patterns []string, npkgs, nfindings int, elapsed time.Duration) error {
-	bench := map[string]interface{}{
-		"tool":     "declint",
-		"patterns": patterns,
-		"packages": npkgs,
-		"findings": nfindings,
-		"wall_ms":  elapsed.Milliseconds(),
-		"date":     time.Now().UTC().Format(time.RFC3339),
-	}
-	data, err := json.MarshalIndent(bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -66,7 +66,6 @@ func main() {
 		stream    = flag.Bool("stream", false, "feed the monitors from the streaming reader instead of materializing the trace (a .json trace is still loaded whole first; use .jsonl/.dmtb for bounded memory)")
 		bounded   = flag.Bool("bounded", false, "stream the physical-time lattice path in bounded memory (implies -stream; same .json caveat)")
 		tcp       = flag.Bool("tcp", false, "run monitors over loopback TCP instead of in-memory channels")
-		replic    = flag.Bool("replicated", false, "use the replicated-broadcast baseline mode")
 		noFin     = flag.Bool("nofinalize", false, "skip extending views to the final cut")
 		pace      = flag.Float64("pace", 0, "real-time replay scale (simulated seconds × pace = wall seconds)")
 		maxLag    = flag.Int("maxlag", 0, "retained-knowledge backlog (events/monitor) before the feeder blocks; 0 = default, negative disables backpressure")
@@ -87,11 +86,10 @@ func main() {
 		// lattice; comparing defeats the purpose of streaming.
 		fatal(fmt.Errorf("-compare needs the materialized path; drop -stream/-bounded"))
 	}
-	if *bounded && (*tcp || *replic || *noFin || *pace > 0 || *maxLag != 0) {
-		// The bounded path evaluator has no monitor network, modes,
-		// finalization or lag gate; rejecting beats silently dropping the
-		// flags.
-		fatal(fmt.Errorf("-bounded is incompatible with -tcp, -replicated, -nofinalize, -pace and -maxlag"))
+	if *bounded && (*tcp || *noFin || *pace > 0 || *maxLag != 0) {
+		// The bounded path evaluator has no monitor network, finalization or
+		// lag gate; rejecting beats silently dropping the flags.
+		fatal(fmt.Errorf("-bounded is incompatible with -tcp, -nofinalize, -pace and -maxlag"))
 	}
 
 	// The stream header (or the loaded set) provides the proposition space
@@ -215,9 +213,6 @@ func main() {
 		SkipFinalize: *noFin,
 		Pace:         *pace,
 		MaxLag:       *maxLag,
-	}
-	if *replic {
-		cfg.Mode = core.ModeReplicated
 	}
 	if *tcp {
 		nw, err := transport.NewTCPNetwork(n)

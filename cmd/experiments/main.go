@@ -121,7 +121,7 @@ func main() {
 				fmt.Printf("wrote %s (%d cells)\n", *dlmondJSON, len(doc.Cells))
 			}
 		case "baselines":
-			fmt.Println("== Baselines: decentralized vs replicated vs centralized ==")
+			fmt.Println("== Baselines: decentralized vs centralized; replicated broadcast's message count in closed form ==")
 			var rows []*experiments.BaselineRow
 			for _, p := range []string{"B", "D"} {
 				for _, n := range []int{3, 4} {

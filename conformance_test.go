@@ -15,10 +15,10 @@ import (
 )
 
 // The cross-engine conformance gauntlet: every engine of the repository —
-// the decentralized monitors, the replicated-broadcast baseline, the
-// centralized monitor, the bounded single-path evaluator and the live
-// Session — must agree with the oracle family on the six case-study
-// properties across the five communication topologies at n ∈ {2, 5, 8, 16}.
+// the decentralized monitors, the centralized monitor, the bounded
+// single-path evaluator and the live Session — must agree with the oracle
+// family on the six case-study properties across the five communication
+// topologies at n ∈ {2, 5, 8, 16}.
 //
 // Ground truth per size:
 //
@@ -31,8 +31,8 @@ import (
 // Engine coverage per size:
 //
 //   - n ≤ 5: all engines, at full verdict-set equality. The exhaustive
-//     engines (replicated broadcast, centralized) reproduce the oracle set
-//     by construction; the decentralized engine and the live Session reach
+//     centralized engine reproduces the oracle set by construction; the
+//     decentralized engine and the live Session reach
 //     the same bar because finalization now retains a residual view per
 //     absorbed conclusive pivot, so inconclusive paths that avoid every
 //     cut chain still report (the gap this gauntlet first exhibited at
@@ -40,8 +40,8 @@ import (
 //   - n ≥ 8: decentralized (finalization-free: the finalize pass explores
 //     an n-dimensional box and is intractable by construction at n = 16),
 //     bounded path and live Session; conclusive verdicts must match the
-//     oracle exactly, the replicated and centralized baselines are
-//     inherently full-lattice and stay at n ≤ 5.
+//     oracle exactly, the centralized baseline is inherently full-lattice
+//     and stays at n ≤ 5.
 //
 // Cells are seeded; -short trims the matrix (two topologies, n ≤ 8).
 
@@ -236,13 +236,6 @@ func conformSmall(t *testing.T, spec *Spec, ts *TraceSet) *OracleResult {
 	checkVerdictSetEqual(t, "decentralized/exact-boxes", decEx.Verdicts, oracle)
 	if g, w := conclusives(decEx.Verdicts), conclusives(dec.Verdicts); g != w {
 		t.Errorf("box strategies disagree: exact %q != sliced %q", g, w)
-	}
-	rep, err := Run(spec, ts, Replicated())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := verdictSetString(rep.Verdicts); got != want {
-		t.Errorf("replicated %s != oracle %s", got, want)
 	}
 	cen, err := central.Run(ts, spec.mon)
 	if err != nil {

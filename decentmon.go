@@ -30,9 +30,9 @@
 //	res, _ := decentmon.Run(spec, traces)
 //	fmt.Println(res.VerdictList()) // e.g. [T ?]
 //
-// Monitoring is online by construction — Run, RunStream and RunBounded are
-// replay adapters over the Session engine, which can just as well be
-// attached to a live execution:
+// Monitoring is online by construction — Run and RunStream are replay
+// adapters over the Session engine, which can just as well be attached to a
+// live execution:
 //
 //	sess, _ := decentmon.NewSession(spec, 3)
 //	p0 := sess.Process(0)                   // one handle per live process
@@ -55,7 +55,6 @@ package decentmon
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/central"
@@ -279,7 +278,6 @@ type options struct {
 	ctx      context.Context
 	cfg      core.RunConfig
 	init     GlobalState
-	bounded  bool
 	validate bool
 }
 
@@ -304,12 +302,6 @@ func WithContext(ctx context.Context) Option {
 // default in-memory one. The run or session closes it on completion.
 func WithNetwork(nw Network) Option {
 	return func(o *options) { o.cfg.Network = nw }
-}
-
-// Replicated switches to the exhaustive broadcast baseline (every monitor
-// receives every event and evaluates the full lattice).
-func Replicated() Option {
-	return func(o *options) { o.cfg.Mode = core.ModeReplicated }
 }
 
 // WithoutFinalization skips extending surviving views to the final cut;
@@ -366,44 +358,14 @@ func WithValidation() Option {
 	return func(o *options) { o.validate = true }
 }
 
-// Bounded switches NewSession to the single-path evaluator: the property is
-// evaluated along the feed order's lattice path in O(n) memory (the engine
-// behind RunBounded and dlmon -bounded). The verdict is always a member of
-// the oracle's verdict set. Incompatible with WithNetwork, Replicated and
-// WithoutFinalization — the path evaluator has no monitor network or modes.
-func Bounded() Option {
-	return func(o *options) { o.bounded = true }
-}
-
 // checkReplay rejects options a decentralized replay entry point (Run,
 // RunStream) cannot honor.
 func (o *options) checkReplay(entry string) error {
-	if o.bounded {
-		return fmt.Errorf("decentmon: Bounded applies to NewSession and RunBounded, not %s", entry)
-	}
 	if o.init != nil {
 		return fmt.Errorf("decentmon: %s takes the initial state from the trace header; WithInitialState applies to NewSession", entry)
 	}
 	if o.validate {
 		return fmt.Errorf("decentmon: %s replays codec-validated traces; WithValidation applies to NewSession", entry)
-	}
-	return nil
-}
-
-// checkBounded rejects options the single-path evaluator cannot honor: it
-// has no monitor network, modes, finalization, pacing or lag gate.
-func (o *options) checkBounded(entry string) error {
-	if o.cfg.Network != nil || o.cfg.Mode == core.ModeReplicated || o.cfg.SkipFinalize {
-		return fmt.Errorf("decentmon: %s is a single-path evaluation; WithNetwork, Replicated and WithoutFinalization do not apply", entry)
-	}
-	if o.cfg.Pace != 0 {
-		return fmt.Errorf("decentmon: %s does not pace; WithPace applies to Run and RunStream", entry)
-	}
-	if o.cfg.MaxLag != 0 {
-		return fmt.Errorf("decentmon: %s is O(n)-memory by construction; WithMaxLag applies to the decentralized engine", entry)
-	}
-	if o.cfg.ExactBoxes {
-		return fmt.Errorf("decentmon: %s explores no lattice boxes; WithExactBoxes applies to the decentralized engine", entry)
 	}
 	return nil
 }
@@ -450,8 +412,11 @@ func RunStream(spec *Spec, src EventSource, opts ...Option) (*RunResult, error) 
 // RunBounded evaluates the property along the stream's physical-time
 // lattice path in O(n) memory — the verdict is always a member of the
 // oracle's verdict set, and arbitrarily long executions can be monitored
-// with a footprint independent of trace length. It is a replay adapter
-// over the Bounded session engine.
+// with a footprint independent of trace length. It is the evaluator behind
+// dlmon -bounded, and the stream must be causally ordered (timestamp-ordered
+// replays are). Of the options it takes WithContext alone: the path
+// evaluator has no monitor network, finalization, pacing, lag gate, lattice
+// boxes or validator, and the initial state comes from the stream header.
 func RunBounded(spec *Spec, src EventSource, opts ...Option) (*PathResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("decentmon: nil event source")
@@ -460,41 +425,23 @@ func RunBounded(spec *Spec, src EventSource, opts ...Option) (*PathResult, error
 		return nil, err
 	}
 	o := buildOptions(opts)
-	if err := o.checkBounded("RunBounded"); err != nil {
-		return nil, err
-	}
-	if o.init != nil {
-		return nil, fmt.Errorf("decentmon: RunBounded takes the initial state from the stream header; WithInitialState applies to NewSession")
-	}
-	if o.validate {
-		return nil, fmt.Errorf("decentmon: RunBounded replays codec-validated streams; WithValidation applies to NewSession")
-	}
-	s, err := newSession(spec, src.N(), options{ctx: o.ctx, init: src.Init(), bounded: true})
-	if err != nil {
-		return nil, err
-	}
-	var feedErr error
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			feedErr = err
-			break
-		}
-		if err := s.Feed(e); err != nil {
-			feedErr = err
-			break
+	for _, opt := range []struct {
+		name string
+		set  bool
+	}{
+		{"WithNetwork", o.cfg.Network != nil},
+		{"WithoutFinalization", o.cfg.SkipFinalize},
+		{"WithPace", o.cfg.Pace != 0},
+		{"WithMaxLag", o.cfg.MaxLag != 0},
+		{"WithExactBoxes", o.cfg.ExactBoxes},
+		{"WithInitialState", o.init != nil},
+		{"WithValidation", o.validate},
+	} {
+		if opt.set {
+			return nil, fmt.Errorf("decentmon: RunBounded takes WithContext only; %s does not apply to a single-path evaluation", opt.name)
 		}
 	}
-	if _, err := s.Close(); err != nil {
-		return nil, err
-	}
-	if feedErr != nil {
-		return nil, feedErr
-	}
-	return s.pathResult, nil
+	return central.RunPathContext(o.ctx, src, spec.mon)
 }
 
 // Oracle computes the exact verdict set over every path of the execution's

@@ -75,13 +75,6 @@ func TestRunOptions(t *testing.T) {
 	spec := MustCompile("F (P0.p && P1.p)", pm)
 	ts := Generate(GenConfig{N: 2, InternalPerProc: 5, CommMu: 3, PlantGoal: true, Seed: 2})
 
-	rep, err := Run(spec, ts, Replicated())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Verdicts[Top] {
-		t.Error("replicated run missed verdict")
-	}
 	nofin, err := Run(spec, ts, WithoutFinalization())
 	if err != nil {
 		t.Fatal(err)

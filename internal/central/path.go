@@ -20,7 +20,7 @@ import (
 //
 // Its state is one automaton state, one global valuation, and one sequence
 // counter per process — O(n) memory regardless of trace length. This is the
-// evaluation behind dlmon's bounded-memory mode.
+// evaluation behind dlmon -bounded and decentmon.RunBounded.
 type PathMonitor struct {
 	mon    *automaton.Monitor
 	pm     *dist.PropMap
@@ -55,16 +55,25 @@ func NewPath(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalSt
 // must arrive in sequence-number order, and no event may precede one it
 // causally depends on — the cut sequence is a lattice path (and the verdict
 // a member of the oracle set) only for causally ordered feeds, so Feed
-// rejects violations instead of silently evaluating a non-path.
+// rejects violations instead of silently evaluating a non-path. It also
+// refuses a clock that is not n entries wide or disagrees with the event's
+// sequence number, as the decentralized engine's admission check does.
 func (m *PathMonitor) Feed(e *dist.Event) error {
-	if e.Proc < 0 || e.Proc >= len(m.counts) {
+	n := len(m.counts)
+	switch {
+	case e == nil:
+		return fmt.Errorf("central: path fed a nil event")
+	case e.Proc < 0 || e.Proc >= n:
 		return fmt.Errorf("central: path event of nonexistent process %d", e.Proc)
-	}
-	if e.SN != m.counts[e.Proc]+1 {
+	case len(e.VC) != n:
+		return fmt.Errorf("central: event %d of process %d has a %d-entry clock, path has %d processes", e.SN, e.Proc, len(e.VC), n)
+	case e.VC[e.Proc] != e.SN:
+		return fmt.Errorf("central: event %d of process %d disagrees with its clock %v", e.SN, e.Proc, e.VC)
+	case e.SN != m.counts[e.Proc]+1:
 		return fmt.Errorf("central: process %d event %d out of order (have %d)", e.Proc, e.SN, m.counts[e.Proc])
 	}
 	for j := range m.counts {
-		if j != e.Proc && j < len(e.VC) && e.VC[j] > m.counts[j] {
+		if j != e.Proc && e.VC[j] > m.counts[j] {
 			return fmt.Errorf("central: path feed is not causally ordered: process %d event %d depends on undelivered event %d of process %d",
 				e.Proc, e.SN, e.VC[j], j)
 		}
@@ -116,9 +125,30 @@ func RunPath(src dist.EventSource, mon *automaton.Monitor) (*PathResult, error) 
 	return RunPathContext(context.Background(), src, mon)
 }
 
-// RunPathContext is RunPath with cancellation, checked between events.
+// RunPathContext is RunPath with cancellation, checked between events. The
+// source's header is checked as the decentralized engine checks a session's:
+// at least one process, every proposition owned by one of them, and an
+// initial state n entries wide (a nil one is all-zero).
 func RunPathContext(ctx context.Context, src dist.EventSource, mon *automaton.Monitor) (*PathResult, error) {
-	m := NewPath(mon, src.Props(), src.N(), src.Init())
+	n, pm, init := src.N(), src.Props(), src.Init()
+	if n < 1 {
+		return nil, fmt.Errorf("central: path needs at least one process, source has %d", n)
+	}
+	if pm == nil {
+		return nil, fmt.Errorf("central: source has no proposition map")
+	}
+	for i, owner := range pm.Owner {
+		if owner < 0 || owner >= n {
+			return nil, fmt.Errorf("central: proposition %q owned by process %d, path has %d", pm.Names[i], owner, n)
+		}
+	}
+	if init == nil {
+		init = make(dist.GlobalState, n)
+	}
+	if len(init) != n {
+		return nil, fmt.Errorf("central: initial state has %d entries, path has %d processes", len(init), n)
+	}
+	m := NewPath(mon, pm, n, init)
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -26,7 +26,7 @@ func TestAllocsWireEncode(t *testing.T) {
 		Proc: 1, SN: 3, Type: dist.Internal, Peer: -1,
 		State: 0b101, VC: vclock.VC{2, 3, 1, 0}, Time: 1.5,
 	}
-	msg := &wireMsg{Kind: msgEvent, Floor: vclock.VC{1, 1, 1, 0}, Event: e}
+	msg := &wireMsg{Kind: msgFetchReply, Floor: vclock.VC{1, 1, 1, 0}, FetchReply: &fetchReplyWire{Proc: 1, Events: []*dist.Event{e}}}
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := encodeMsg(msg); err != nil {
 			t.Fatal(err)

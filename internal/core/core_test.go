@@ -128,30 +128,6 @@ func TestRandomProgramsSoundAndComplete(t *testing.T) {
 	}
 }
 
-func TestReplicatedModeEqualsOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(2)
-		ts := dist.Generate(dist.GenConfig{
-			N: n, InternalPerProc: 4,
-			CommMu: 3, CommSigma: 1, Seed: rng.Int63(),
-		})
-		f := ltl.RandomFormula(rng, 7, ts.Props.Names)
-		mon, err := automaton.Build(f, ts.Props.Names)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := oracleSet(t, ts, mon)
-		res, err := Run(RunConfig{Traces: ts, Automaton: mon, Mode: ModeReplicated})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if setString(res.Verdicts) != setString(want) {
-			t.Fatalf("replicated %s != oracle %s (formula %s)", setString(res.Verdicts), setString(want), f)
-		}
-	}
-}
-
 func TestSingleProcess(t *testing.T) {
 	ts := dist.Generate(dist.GenConfig{N: 1, InternalPerProc: 8, Seed: 3})
 	mon := mustMonitor(t, "F (P0.p && P0.q)", ts.Props.Names)

@@ -123,11 +123,6 @@ func (m *Monitor) needFloor() vclock.VC {
 // minimum of our need-floor and every peer's reported need for them. It
 // runs at the end of every pump, so the store tracks the resolved frontier.
 func (m *Monitor) collectKnowledge() {
-	if m.cfg.Mode != ModeDecentralized {
-		// The replicated baseline evaluates the full lattice from the
-		// initial cut at termination; nothing is ever collectible.
-		return
-	}
 	fl := &m.floors
 	if fl.curFloor != nil && fl.inputSeq-fl.lastGC < gcCollectEveryInputs {
 		return

@@ -50,23 +50,21 @@ func (e *tallyEndpoint) SendValue(to int, v any, size int) error {
 
 // TestHandOverAccountsEncodedBytes: on a ChanNetwork run no message is
 // encoded, yet NetBytes is exactly what encoding every one of them would have
-// put on the wire — in both modes, so all seven kinds are priced.
+// put on the wire.
 func TestHandOverAccountsEncodedBytes(t *testing.T) {
 	ts := dist.Generate(dist.GenConfig{N: 4, InternalPerProc: 60, CommMu: 3, CommSigma: 1, PlantGoal: true, Seed: 5, Topology: dist.TopoRing})
 	mon := mustMonitor(t, propsAF(4)["D"], ts.Props.Names)
-	for _, mode := range []Mode{ModeDecentralized, ModeReplicated} {
-		nw := &tallyNetwork{Network: transport.NewChanNetwork(ts.N())}
-		res, err := Run(RunConfig{Traces: ts, Automaton: mon, Mode: mode, Network: nw})
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if nw.errs.Load() != 0 {
-			t.Fatalf("%v: %d handed-over messages do not encode", mode, nw.errs.Load())
-		}
-		if res.NetMessages == 0 || res.NetBytes != nw.encoded.Load() {
-			t.Errorf("%v: Stats counted %d bytes over %d messages, their encodings add up to %d",
-				mode, res.NetBytes, res.NetMessages, nw.encoded.Load())
-		}
+	nw := &tallyNetwork{Network: transport.NewChanNetwork(ts.N())}
+	res, err := Run(RunConfig{Traces: ts, Automaton: mon, Network: nw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw.errs.Load() != 0 {
+		t.Fatalf("%d handed-over messages do not encode", nw.errs.Load())
+	}
+	if res.NetMessages == 0 || res.NetBytes != nw.encoded.Load() {
+		t.Errorf("Stats counted %d bytes over %d messages, their encodings add up to %d",
+			res.NetBytes, res.NetMessages, nw.encoded.Load())
 	}
 }
 

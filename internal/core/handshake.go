@@ -104,35 +104,6 @@ func (m *Monitor) maybeFinalize() {
 	hs.finalized = true
 }
 
-// maybeFinalizeReplicated evaluates the full lattice once every process's
-// complete trace has been broadcast.
-func (m *Monitor) maybeFinalizeReplicated() {
-	if m.handshake.finalized || !m.handshake.localDone {
-		return
-	}
-	final, ok := m.know.finalCut()
-	if !ok || !m.know.covers(final) {
-		return
-	}
-	init := newStateset(m.mon.NumStates())
-	init.set(m.initialQ)
-	box, err := m.explore(init, vclock.New(m.cfg.N), final)
-	if err != nil {
-		m.fail(err)
-		return
-	}
-	if m.mon.Final(m.initialQ) {
-		m.recordVerdictState(m.initialQ, vclock.New(m.cfg.N))
-	}
-	for _, c := range box.conclusive {
-		m.recordVerdictState(c.q, c.cut)
-	}
-	for _, q := range box.finalStates {
-		m.recordVerdictState(q, final)
-	}
-	m.handshake.finalized = true
-}
-
 // quiescent reports whether this monitor has no pending work of its own.
 func (m *Monitor) quiescent() bool {
 	if !m.handshake.localDone || len(m.searches.table) > 0 || len(m.searches.inflightFetch) > 0 {
@@ -151,13 +122,13 @@ func (m *Monitor) maybeFini() {
 	if hs.finiSent || !m.quiescent() {
 		return
 	}
-	if (m.cfg.FinalizeFull || m.cfg.Mode == ModeReplicated) && !hs.finalized {
+	if m.cfg.FinalizeFull && !hs.finalized {
 		return
 	}
 	// Without finalization, a surviving inconclusive view means some traced
 	// path never concluded: report '?' (through recordVerdictState so
 	// verdict subscribers see it too).
-	if !m.cfg.FinalizeFull && m.cfg.Mode == ModeDecentralized {
+	if !m.cfg.FinalizeFull {
 		for _, key := range m.gvKeys() {
 			gv := m.views.gvs[key]
 			for _, q := range gv.states.members(m.mon.NumStates()) {

@@ -116,7 +116,6 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 0, Events: ts.Traces[0].Events, Done: true, Total: 4}},
 		{Kind: msgTerm, Term: &termWire{Proc: 1, Total: 4}},
 		{Kind: msgFini, Fini: 1},
-		{Kind: msgEvent, Event: ts.Traces[1].Events[0]},
 	} {
 		payload, err := encodeMsg(msg)
 		if err != nil {
@@ -150,15 +149,18 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	// of int() as a negative FromSN, which knowledge.from panics on.
 	huge := wire.AppendUvarint(nil, 1<<63)
 	ev := appendEvent(nil, ts.Traces[1].Events[0])
+	// reply wraps bytes as the one event of process 1's fetch reply.
+	reply := func(rec ...byte) []byte { return append([]byte{byte(msgFetchReply), 0, 0, 1, 1, 1}, rec...) }
 	for name, payload := range map[string][]byte{
 		"garbage":               []byte("garbage"),
 		"unknown kind":          {99, 0},
+		"unassigned kind 6":     {6, 0},
 		"fetch from 2^63":       append(append([]byte{byte(msgFetch), 0, 1}, huge...), 5),
 		"fetch reply of 2^63":   append([]byte{byte(msgFetchReply), 0, 0, 0, 4}, huge...),
 		"fetch reply, done = 2": {byte(msgFetchReply), 0, 2, 0, 4, 0},
-		"event of kind 9":       append([]byte{byte(msgEvent), 0, ev[0], 9}, ev[2:]...),
-		"event of process 2":    append([]byte{byte(msgEvent), 0, 2}, ev[1:]...),
-		"event, clock cut":      append([]byte{byte(msgEvent), 0}, ev[:len(ev)-1]...),
+		"event of kind 9":       reply(append([]byte{ev[0], 9}, ev[2:]...)...),
+		"event of process 2":    reply(append([]byte{2}, ev[1:]...)...),
+		"event, clock cut":      reply(ev[:len(ev)-1]...),
 		"trailing byte":         {byte(msgFini), 0, 1, 0},
 	} {
 		if m, err := decodeMsg(payload, 2); err == nil {
@@ -210,12 +212,9 @@ func TestGuardTable(t *testing.T) {
 	}
 }
 
-// --- mode/verdict strings and debug output ---
+// --- strings and debug output ---
 
 func TestStringsAndDebug(t *testing.T) {
-	if ModeDecentralized.String() != "decentralized" || ModeReplicated.String() != "replicated" {
-		t.Error("mode strings wrong")
-	}
 	if msgToken.String() != "token" || msgKind(99).String() == "" {
 		t.Error("msgKind strings wrong")
 	}

@@ -49,7 +49,7 @@ const (
 	msgFetchReply
 	msgTerm
 	msgFini
-	msgEvent // replicated mode: event broadcast
+	_        // 6 is unassigned: every kind keeps the byte it has on the wire
 	msgFloor // knowledge-GC need-floor announcement (no other payload)
 )
 
@@ -65,8 +65,6 @@ func (k msgKind) String() string {
 		return "term"
 	case msgFini:
 		return "fini"
-	case msgEvent:
-		return "event"
 	case msgFloor:
 		return "floor"
 	}
@@ -185,10 +183,9 @@ type wireMsg struct {
 	FetchReply *fetchReplyWire
 	Term       *termWire
 	Fini       int
-	Event      *dist.Event
 	// Floor piggybacks the sender's knowledge need-floor (§GC, monitor.go:
 	// the pointwise minimum cut its future explorations can start from) on
-	// every decentralized-mode message; floorInf components mean "never
-	// again". Receivers fold it into their view of the global minimal cut.
+	// every message; floorInf components mean "never again". Receivers fold
+	// it into their view of the global minimal cut.
 	Floor vclock.VC
 }

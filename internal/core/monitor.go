@@ -14,29 +14,6 @@ import (
 	"decentmon/internal/wire"
 )
 
-// Mode selects the exploration strategy.
-type Mode int
-
-const (
-	// ModeDecentralized is the paper's algorithm: global views advance on
-	// local events, tokens detect predicates of possibly-enabled outgoing
-	// transitions, and the monitor explores only lattice regions that can
-	// change the automaton state.
-	ModeDecentralized Mode = iota
-	// ModeReplicated is the exhaustive baseline: every monitor broadcasts
-	// every local event and evaluates the full lattice at termination. It
-	// is verdict-set-equal to the oracle by construction, at the cost of
-	// n·(n−1)·|E| messages — the ablation benchmarks compare both modes.
-	ModeReplicated
-)
-
-func (m Mode) String() string {
-	if m == ModeReplicated {
-		return "replicated"
-	}
-	return "decentralized"
-}
-
 // Config parameterizes one monitor process Mi.
 type Config struct {
 	// Index is i: the program process this monitor is composed with.
@@ -49,8 +26,6 @@ type Config struct {
 	Props *dist.PropMap
 	// Init is the initial global state (an input of Algorithm 1).
 	Init dist.GlobalState
-	// Mode selects decentralized (default) or replicated exploration.
-	Mode Mode
 	// FinalizeFull makes the monitor extend every surviving global view to
 	// the global final cut at termination, so that its verdict set also
 	// reflects inconclusive paths. Without it the monitor reports only the
@@ -178,7 +153,6 @@ type Monitor struct {
 
 	verdictStates map[int]bool
 	verdicts      map[automaton.Verdict]bool
-	initialQ      int
 
 	metrics Metrics
 	// OnVerdict, if set, is called (from the monitor's goroutine) the
@@ -441,17 +415,21 @@ func (m *Monitor) start(ctx context.Context) {
 		// re-running it would duplicate the initial view and its verdicts.
 		return
 	}
-	q0 := m.mon.Step(m.mon.Initial(), m.lt.letter(m.cfg.Init))
+	q0 := m.initialState()
 	if m.mon.Final(q0) {
 		m.recordVerdictState(q0, vclock.New(m.cfg.N))
-	}
-	if m.cfg.Mode == ModeDecentralized && !m.mon.Final(q0) {
+	} else {
 		init := newStateset(m.mon.NumStates())
 		init.set(q0)
 		m.addGV(init, vclock.New(m.cfg.N), m.cfg.Init.Clone(), true)
 	}
-	m.initialQ = q0
 	m.pump()
+}
+
+// initialState is the automaton state the initial global state leads to: the
+// one INIT starts the initial view in.
+func (m *Monitor) initialState() int {
+	return m.mon.Step(m.mon.Initial(), m.lt.letter(m.cfg.Init))
 }
 
 // handleFeed dispatches one feed-queue item.
@@ -487,19 +465,14 @@ func (m *Monitor) handleLocalEvent(e *dist.Event) {
 		return
 	}
 	m.metrics.EventsProcessed++
-	if m.cfg.Mode == ModeReplicated {
-		m.broadcast(&wireMsg{Kind: msgEvent, Event: e})
-	}
 	m.serveWaiters()
 	// Fig 5.7 metric: local events not yet absorbed by global views.
-	if m.cfg.Mode == ModeDecentralized {
-		queued := 0
-		for _, gv := range m.views.gvs {
-			queued += m.know.len(m.cfg.Index) - gv.cut[m.cfg.Index]
-		}
-		m.metrics.DelaySamples++
-		m.metrics.DelayedEventsSum += queued
+	queued := 0
+	for _, gv := range m.views.gvs {
+		queued += m.know.len(m.cfg.Index) - gv.cut[m.cfg.Index]
 	}
+	m.metrics.DelaySamples++
+	m.metrics.DelayedEventsSum += queued
 }
 
 // --- network messages ---
@@ -540,10 +513,6 @@ func (m *Monitor) handleMessage(raw transport.Message) {
 		m.handshake.peerDone[msg.Term.Proc] = true
 	case msgFini:
 		m.handshake.peerFini[msg.Fini] = true
-	case msgEvent:
-		if err := m.know.merge(msg.Event.Proc, []*dist.Event{msg.Event}); err != nil {
-			m.fail(err)
-		}
 	case msgFloor:
 		// The envelope's Floor was all the payload.
 	default:
@@ -697,11 +666,6 @@ func (m *Monitor) pump() {
 	if m.err != nil {
 		return
 	}
-	if m.cfg.Mode == ModeReplicated {
-		m.maybeFinalizeReplicated()
-		m.maybeFini()
-		return
-	}
 	for {
 		if m.ctx != nil && m.ctx.Err() != nil {
 			return
@@ -769,7 +733,7 @@ func (m *Monitor) send(to int, msg *wireMsg) { m.deliver(msg, to, to+1) }
 func (m *Monitor) broadcast(msg *wireMsg) { m.deliver(msg, 0, m.cfg.N) }
 
 // deliver is the one way a message leaves the monitor: to every peer in
-// [lo, hi). Every decentralized-mode message carries the sender's current
+// [lo, hi). Every message carries the sender's current
 // need-floor, so the global minimal cut advances with ordinary protocol
 // traffic (tokens, fetch replies, termination) at no extra message cost.
 // The message is handed over as it is when the endpoint can take it and
@@ -778,7 +742,7 @@ func (m *Monitor) broadcast(msg *wireMsg) { m.deliver(msg, 0, m.cfg.N) }
 // the payload bytes are written again by anyone (messages.go). Either way
 // the transport accounts the encoded size.
 func (m *Monitor) deliver(msg *wireMsg, lo, hi int) {
-	if m.cfg.Mode == ModeDecentralized && m.floors.curFloor != nil {
+	if m.floors.curFloor != nil {
 		msg.Floor = m.floors.curFloor
 	}
 	var payload []byte
@@ -837,7 +801,7 @@ func (m *Monitor) DebugString() string {
 // snapshot(restore(snapshot(s))) is byte-identical, which the round-trip
 // tests pin. The sort buffers come from sc.
 func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
-	b = wire.AppendInts(b, m.cfg.Index, m.initialQ)
+	b = wire.AppendInts(b, m.cfg.Index, m.initialState())
 	b = m.handshake.appendTo(b)
 	b = m.floors.appendTo(b)
 	b = m.know.appendTo(b)
@@ -865,8 +829,8 @@ func (m *Monitor) restoreState(d *wire.Cursor) error {
 		return fmt.Errorf("already restored")
 	}
 	numStates := m.mon.NumStates()
-	if m.initialQ = d.Int(); d.Err() == nil && m.initialQ >= numStates {
-		return fmt.Errorf("initial state %d out of range", m.initialQ)
+	if q0 := d.Int(); d.Err() == nil && q0 != m.initialState() {
+		return fmt.Errorf("initial state %d, the configuration starts in %d", q0, m.initialState())
 	}
 	for _, c := range []interface {
 		restore(*wire.Cursor, *Monitor) error

@@ -20,8 +20,6 @@ type RunConfig struct {
 	Traces *dist.TraceSet
 	// Automaton is the LTL3 monitor replicated at every process.
 	Automaton *automaton.Monitor
-	// Mode selects decentralized (default) or replicated exploration.
-	Mode Mode
 	// FinalizeFull extends surviving views to the final cut (default true
 	// via Run; set SkipFinalize to disable).
 	SkipFinalize bool
@@ -98,7 +96,6 @@ func session(ctx context.Context, cfg RunConfig, pm *dist.PropMap, n int, init d
 		Automaton:    cfg.Automaton,
 		Props:        pm,
 		Init:         init,
-		Mode:         cfg.Mode,
 		SkipFinalize: cfg.SkipFinalize,
 		Network:      cfg.Network,
 		MaxBoxNodes:  cfg.MaxBoxNodes,

@@ -36,8 +36,6 @@ type SessionConfig struct {
 	Props *dist.PropMap
 	// Init is the initial global state.
 	Init dist.GlobalState
-	// Mode selects decentralized (default) or replicated exploration.
-	Mode Mode
 	// SkipFinalize disables extending surviving views to the final cut.
 	SkipFinalize bool
 	// Network supplies the transport; if nil an in-memory network is
@@ -51,8 +49,7 @@ type SessionConfig struct {
 	// MaxLag bounds each monitor's retained-knowledge backlog: Feed blocks
 	// while any monitor retains at least this many events and the pipeline
 	// is still making progress (backpressure). 0 selects DefaultMaxLag, a
-	// negative value disables backpressure. Replicated mode, which retains
-	// everything by design, never applies backpressure.
+	// negative value disables backpressure.
 	MaxLag int
 	// Shards is ignored: every round runs on its monitor's own goroutine.
 	// The field survives only because the frozen benchmark harness (bench/)
@@ -202,9 +199,6 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 	case maxLag < 0:
 		maxLag = 0
 	}
-	if cfg.Mode == ModeReplicated {
-		maxLag = 0
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -239,7 +233,6 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		Automaton:    cfg.Automaton,
 		Props:        cfg.Props,
 		Init:         cfg.Init,
-		Mode:         cfg.Mode,
 		FinalizeFull: !cfg.SkipFinalize,
 		MaxBoxNodes:  cfg.MaxBoxNodes,
 		ExactBoxes:   cfg.ExactBoxes,

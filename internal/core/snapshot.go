@@ -250,7 +250,8 @@ func (s *Session) fingerprint() uint64 {
 func (s *Session) appendSessionRecord(b []byte) []byte {
 	b = wire.AppendInts(b, s.cfg.N, s.cfg.Automaton.NumStates())
 	b = wire.AppendUvarint(b, s.fingerprint())
-	b = wire.AppendBool(append(b, byte(s.cfg.Mode)), !s.cfg.SkipFinalize)
+	// The byte before the finalization flag is reserved: always 0.
+	b = wire.AppendBool(append(b, 0), !s.cfg.SkipFinalize)
 	for _, st := range s.cfg.Init {
 		b = wire.AppendUvarint(b, uint64(st))
 	}
@@ -273,7 +274,7 @@ func (s *Session) appendVerdictLog(b []byte) []byte {
 
 // RestoreSession rebuilds a session from a Snapshot blob and starts it. The
 // configuration must match the one the snapshot was taken under (process
-// count, automaton shape, mode, finalization); restored monitors skip INIT
+// count, automaton shape, finalization); restored monitors skip INIT
 // and continue exactly where the captured run was paused. Verdict events
 // already delivered before the snapshot are re-delivered on the new
 // session's subscription channel, in order, before any new detection.
@@ -372,7 +373,7 @@ func (s *Session) applySnapshot(r *dist.SnapshotReader) error {
 func (s *Session) restoreSessionRecord(payload []byte) error {
 	d := wire.NewCursor(payload)
 	n, states, fp := d.Int(), d.Int(), d.Uvarint()
-	mode, finalize := Mode(d.Byte()), d.Bool()
+	reserved, finalize := d.Byte(), d.Bool()
 	if d.Err() != nil {
 		return d.Done("core: session record")
 	}
@@ -383,8 +384,8 @@ func (s *Session) restoreSessionRecord(payload []byte) error {
 		return fmt.Errorf("core: snapshot automaton has %d states, config builds %d — property or compilation drift", states, s.cfg.Automaton.NumStates())
 	case fp != s.fingerprint():
 		return fmt.Errorf("core: snapshot automaton fingerprint mismatch — property or compilation drift")
-	case mode != s.cfg.Mode:
-		return fmt.Errorf("core: snapshot mode %v restored into mode %v", mode, s.cfg.Mode)
+	case reserved != 0:
+		return fmt.Errorf("core: snapshot session record has reserved byte %d, want 0", reserved)
 	case finalize == s.cfg.SkipFinalize:
 		return fmt.Errorf("core: snapshot and config disagree on finalization")
 	}

@@ -13,6 +13,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -20,6 +21,7 @@ import (
 	"decentmon/internal/ltl"
 	"decentmon/internal/transport"
 	"decentmon/internal/transport/transporttest"
+	"decentmon/internal/wire"
 )
 
 // feedPrefix feeds the first want events of the stream (in stream order),
@@ -291,10 +293,27 @@ func TestSnapshotErrors(t *testing.T) {
 	if _, err := RestoreSession(context.Background(), bad, snap); err == nil {
 		t.Error("restore under a different property must fail")
 	}
-	bad = cfg
-	bad.Mode = ModeReplicated
-	if _, err := RestoreSession(context.Background(), bad, snap); err == nil {
-		t.Error("restore under a different mode must fail")
+	// The session record's byte after the fingerprint is reserved and must
+	// read 0. Rebuild the blob with it set to 1, so that only the check, not
+	// the checksum, can refuse it.
+	r, err := dist.OpenSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := dist.NewSnapshotBuilder()
+	for tag, payload, ok := r.Next(); ok; tag, payload, ok = r.Next() {
+		if tag == snapTagSession {
+			pre := wire.AppendUvarint(wire.AppendInts(nil, cfg.N, cfg.Automaton.NumStates()), automatonFingerprint(cfg.Automaton))
+			if !bytes.HasPrefix(payload, pre) || payload[len(pre)] != 0 {
+				t.Fatalf("session record %x does not start %x 00", payload, pre)
+			}
+			payload = bytes.Clone(payload)
+			payload[len(pre)] = 1
+		}
+		flipped.Record(tag, payload)
+	}
+	if _, err := RestoreSession(context.Background(), cfg, flipped.Finish()); err == nil || !strings.Contains(err.Error(), "reserved") {
+		t.Errorf("restore of a session record with reserved byte 1 = %v, want a refusal", err)
 	}
 	bad = cfg
 	bad.SkipFinalize = true

@@ -2,13 +2,10 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"decentmon/internal/dist"
-	"decentmon/internal/transport"
 )
 
 // jsonlSource renders the trace set through the streaming format and opens
@@ -123,56 +120,50 @@ func TestRunRequiresTraces(t *testing.T) {
 	}
 }
 
-// gatedSource hands out an event only once the monitors have handled every
-// event handed out before it: a replay that reads ahead of what it has fed
-// waits here for patience, and is then told so.
-type gatedSource struct {
+// poisonedSource counts the events read from it and hands out event bad with
+// its clock one entry short, which the session refuses: the feed fails at the
+// window holding it, so reading stops at that window's end.
+type poisonedSource struct {
 	dist.EventSource
-	handled  func() int
-	patience time.Duration
-	given    int
+	bad, read int
 }
 
-func (g *gatedSource) Next() (*dist.Event, error) {
-	for deadline := time.Now().Add(g.patience); g.handled() < g.given; time.Sleep(50 * time.Microsecond) {
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("event %d read with event %d not yet fed", g.given+1, g.given)
-		}
+func (p *poisonedSource) Next() (*dist.Event, error) {
+	e, err := p.EventSource.Next()
+	if err != nil {
+		return e, err
 	}
-	e, err := g.EventSource.Next()
-	if err == nil {
-		g.given++
+	if p.read++; p.read == p.bad {
+		short := *e
+		short.VC = e.VC[:len(e.VC)-1]
+		return &short, nil
 	}
-	return e, err
+	return e, nil
 }
 
-// TestRunStreamPacedFeedsEventByEvent: a paced replay delivers each event when
-// it is due — a window of one — while an unpaced one reads a window ahead of
-// what it has fed. Replicated monitors broadcast every local event as they
-// handle it, so the network's message count says how many events have been.
+// TestRunStreamPacedFeedsEventByEvent: a paced replay feeds each event when it
+// is due — a window of one, so a malformed event k is refused with exactly k
+// events read, whatever k — while an unpaced one reads a whole window ahead of
+// what it has fed.
 func TestRunStreamPacedFeedsEventByEvent(t *testing.T) {
 	ts := dist.Generate(dist.GenConfig{N: 3, InternalPerProc: 8, CommMu: 3, CommSigma: 1, Seed: 4})
 	mon := mustMonitor(t, propsAF(3)["B"], ts.Props.Names)
 	if ts.TotalEvents() <= feedChunk {
 		t.Fatalf("the trace has %d events, need more than a window", ts.TotalEvents())
 	}
-	replay := func(pace float64, patience time.Duration) error {
-		nw := transport.NewChanNetwork(ts.N())
-		src := &gatedSource{
-			EventSource: ts.Stream(),
-			handled:     func() int { return int(nw.Stats().Messages()) / (ts.N() - 1) },
-			patience:    patience,
+	readBeforeRefusal := func(pace float64, bad int) int {
+		src := &poisonedSource{EventSource: ts.Stream(), bad: bad}
+		if _, err := RunStream(src, RunConfig{Automaton: mon, Pace: pace}); err == nil || !strings.Contains(err.Error(), "clock") {
+			t.Fatalf("pace %g, event %d malformed: RunStream = %v, want its clock refused", pace, bad, err)
 		}
-		res, err := RunStream(src, RunConfig{Automaton: mon, Mode: ModeReplicated, Network: nw, Pace: pace})
-		if err == nil && src.given != ts.TotalEvents() {
-			err = fmt.Errorf("replayed %d of %d events (verdicts %s)", src.given, ts.TotalEvents(), setString(res.Verdicts))
+		return src.read
+	}
+	for bad := 1; bad <= 4; bad++ {
+		if got := readBeforeRefusal(1e-6, bad); got != bad {
+			t.Errorf("paced: malformed event %d refused after %d events were read", bad, got)
 		}
-		return err
 	}
-	if err := replay(1e-6, 30*time.Second); err != nil {
-		t.Errorf("paced: %v", err)
-	}
-	if err := replay(0, 50*time.Millisecond); err == nil || !strings.Contains(err.Error(), "not yet fed") {
-		t.Errorf("unpaced: the replay read no window ahead of its feeding (%v)", err)
+	if got := readBeforeRefusal(0, 1); got != feedChunk {
+		t.Errorf("unpaced: malformed event 1 refused after %d events were read, want a window of %d", got, feedChunk)
 	}
 }

@@ -60,8 +60,6 @@ func encodeMsg(m *wireMsg) ([]byte, error) {
 		b = wire.AppendInts(b, m.Term.Proc, m.Term.Total)
 	case msgFini:
 		b = wire.AppendInts(b, m.Fini)
-	case msgEvent:
-		b = appendEvent(b, m.Event)
 	case msgFloor:
 		// The envelope's floor is the whole payload.
 	default:
@@ -95,8 +93,6 @@ func msgSize(m *wireMsg) int {
 		n += wire.IntsLen(m.Term.Proc, m.Term.Total)
 	case msgFini:
 		n += wire.IntsLen(m.Fini)
-	case msgEvent:
-		n += dist.EventRecordSize(m.Event)
 	}
 	return n
 }
@@ -121,9 +117,6 @@ func decodeMsg(payload []byte, n int) (*wireMsg, error) {
 		m.Term = &termWire{Proc: c.Int(), Total: c.Int()}
 	case msgFini:
 		m.Fini = c.Int()
-	case msgEvent:
-		m.Event = new(dist.Event)
-		dist.DecodeEventInto(&c, m.Event, make([]int, n))
 	case msgFloor:
 	default:
 		return nil, fmt.Errorf("core: decoding message: unknown kind %d", int8(m.Kind))

@@ -30,7 +30,7 @@ func wireSeedMsgs() []*wireMsg {
 		{Kind: msgFetchReply, Floor: floor, FetchReply: &fetchReplyWire{Proc: 0, Events: ts.Traces[0].Events, Done: true, Total: 4}},
 		{Kind: msgTerm, Term: &termWire{Proc: 1, Total: 4}},
 		{Kind: msgFini, Fini: 1},
-		{Kind: msgEvent, Event: ts.Traces[1].Events[0]},
+		{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 1, Events: ts.Traces[1].Events[:1]}},
 		{Kind: msgFloor, Floor: vclock.VC{floorInf, 3}},
 	}
 }
@@ -50,7 +50,7 @@ func TestMsgSizeMatchesEncoding(t *testing.T) {
 		&wireMsg{Kind: msgFetch, Fetch: &fetchWire{Requester: 130, FromSN: 1 << 14, ToSN: 1 << 28}},
 		&wireMsg{Kind: msgTerm, Term: &termWire{Proc: 200, Total: 1 << 21}},
 		&wireMsg{Kind: msgFini, Fini: 128},
-		&wireMsg{Kind: msgEvent, Floor: vclock.VC{1, 2, 3}, Event: last[len(last)-1]},
+		&wireMsg{Kind: msgFetchReply, Floor: vclock.VC{1, 2, 3}, FetchReply: &fetchReplyWire{Proc: 2, Events: last[len(last)-1:]}},
 		&wireMsg{Kind: msgToken, Token: &tokenWire{
 			Parent: 2, SearchID: 2<<32 | 1<<20, Q: 300, Origin: vclock.VC{150, 0, 1 << 16},
 			NextTargetProcess: -1,

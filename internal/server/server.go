@@ -83,9 +83,11 @@ type Server struct {
 	// compactFloor is the constant of that name; tests of the compaction
 	// path lower it instead of feeding 64 KiB.
 	compactFloor int
-	// writeTimeout is the constant of that name; the test of a connection
-	// that stops reading lowers it.
+	// writeTimeout and helloTimeout are the constants of those names; the
+	// tests of a connection that stops reading and of one that never says
+	// hello lower them.
 	writeTimeout time.Duration
+	helloTimeout time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -137,6 +139,7 @@ func New(cfg Config) (*Server, error) {
 
 		compactFloor: compactFloor,
 		writeTimeout: writeTimeout,
+		helloTimeout: helloTimeout,
 	}
 	if cfg.StateDir != "" {
 		if err := s.recoverSessions(); err != nil {
@@ -366,6 +369,12 @@ type srvConn struct {
 // stall those pumps, and with them other tenants' CloseSession.
 const writeTimeout = 10 * time.Second
 
+// helloTimeout bounds how long a new connection may take to say hello. Until
+// it does, it holds a goroutine and a socket for nothing; after the hello is
+// answered no read deadline applies, since an idle connection may be a
+// subscriber waiting for verdicts.
+const helloTimeout = 10 * time.Second
+
 // write frames and flushes one message. Errors, a timed-out write among them,
 // mark the connection gone, which unsubscribes it from every session; the read
 // loop notices on its next read.
@@ -401,7 +410,9 @@ func (sc *srvConn) serve() {
 	sc.local = map[uint64]*session{}
 	br := bufio.NewReader(sc.c)
 
-	// Hello exchange: the client speaks first; reject unknown versions.
+	// Hello exchange: the client speaks first, in time; reject unknown
+	// versions.
+	sc.c.SetReadDeadline(time.Now().Add(sc.srv.helloTimeout))
 	payload, scratch, err := dist.ReadRPCFrame(br, nil)
 	if err != nil {
 		return
@@ -416,6 +427,7 @@ func (sc *srvConn) serve() {
 		return
 	}
 	sc.write(&dist.RPCMsg{Kind: dist.RPCHello, Version: dist.RPCVersion})
+	sc.c.SetReadDeadline(time.Time{})
 
 	for {
 		payload, scratch, err = dist.ReadRPCFrame(br, scratch)

@@ -474,6 +474,52 @@ func TestServerRejectsProtocolMisuse(t *testing.T) {
 	}
 }
 
+// TestSilentPeerDropped: a peer that connects and never completes its hello —
+// it sends nothing, or half of the frame — is closed by the server once the
+// hello deadline passes, instead of holding a goroutine and a socket for good.
+// The deadline ends with the hello: a connection idle after it is a
+// subscriber, and stays.
+func TestSilentPeerDropped(t *testing.T) {
+	s := newTestServer(t, Config{})
+	// Under connMu, which the accept loop takes before it starts a
+	// connection's goroutine: a peer that sends nothing gives no other order
+	// between this write and that goroutine's read.
+	s.connMu.Lock()
+	s.helloTimeout = 200 * time.Millisecond
+	s.connMu.Unlock()
+	hello, err := dist.AppendRPC(nil, &dist.RPCMsg{Kind: dist.RPCHello, Version: dist.RPCVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sent := range map[string][]byte{"nothing": nil, "half a hello": hello[:len(hello)/2]} {
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(sent); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		start := time.Now()
+		_, err = c.Read(make([]byte, 1))
+		if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+			t.Errorf("a peer that sent %s is still connected after %v (read: %v)", name, time.Since(start).Round(time.Millisecond), err)
+		}
+	}
+
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	time.Sleep(3 * s.helloTimeout)
+	ts := dist.RunningExample()
+	if _, _, err := cl.Register("a", "F (x1=10)", ts.InitialState(), ts.Props); err != nil {
+		t.Errorf("a connection idle for 3 hello deadlines after its hello was dropped: %v", err)
+	}
+}
+
 // crash simulates a SIGKILL for durability tests: listeners, connections
 // and the registry are torn down and every session is abandoned — no
 // finalization, no farewell checkpoint. Whatever the cadence checkpoints

@@ -1,12 +1,10 @@
 package decentmon
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
-	"decentmon/internal/central"
 	"decentmon/internal/core"
 	"decentmon/internal/dist"
 )
@@ -20,18 +18,14 @@ import (
 // detect them, and Close runs finalization and returns the terminal
 // RunResult.
 //
-// Two engines back a session:
-//
-//   - the default decentralized engine — one monitor per process over a
-//     monitor network, exactly the Run/RunStream machinery, with
-//     feeder-side backpressure (WithMaxLag) bounding retained knowledge;
-//   - the Bounded engine — the O(n)-memory single-path evaluator behind
-//     RunBounded and dlmon -bounded.
+// The engine is the decentralized one — one monitor per process over a
+// monitor network, exactly the Run/RunStream machinery, with feeder-side
+// backpressure (WithMaxLag) bounding retained knowledge. The O(n)-memory
+// single-path evaluator is not a session: it is RunBounded.
 //
 // Cancelling the context passed via WithContext makes Feed, the handle
 // methods and Close return promptly with the context's error.
 type Session struct {
-	spec    *Spec
 	n       int
 	stamper *dist.Stamper
 	start   time.Time
@@ -41,26 +35,7 @@ type Session struct {
 	val   *dist.Validator
 	valMu sync.Mutex
 
-	// Exactly one engine is non-nil.
 	core *core.Session
-	path *central.PathMonitor
-
-	// Bounded-engine state (the path evaluator is not concurrency-safe and
-	// has no goroutines of its own, so the session serializes access).
-	ctx        context.Context
-	cancel     context.CancelFunc
-	pathMu     sync.Mutex
-	pathCh     chan VerdictEvent
-	pathConcl  bool
-	pathClosed bool
-	pathResult *PathResult
-
-	verdicts <-chan VerdictEvent
-
-	closeMu  sync.Mutex
-	closed   bool
-	result   *RunResult
-	closeErr error
 }
 
 // NewSession starts an online monitoring session for spec over n processes.
@@ -68,7 +43,19 @@ type Session struct {
 // says otherwise. See Session for the lifecycle.
 func NewSession(spec *Spec, n int, opts ...Option) (*Session, error) {
 	o := buildOptions(opts)
-	return newSession(spec, n, o)
+	cfg, err := engineConfig(spec, n, o)
+	if err != nil {
+		return nil, err
+	}
+	cs, err := core.NewSession(o.ctx, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{n: n, stamper: dist.NewStamper(n), start: time.Now(), core: cs}
+	if o.validate {
+		s.val = dist.NewSessionValidator(n)
+	}
+	return s, nil
 }
 
 // engineConfig checks what NewSession and RestoreSession are both given — the
@@ -102,44 +89,12 @@ func engineConfig(spec *Spec, n int, o options) (core.SessionConfig, error) {
 		Automaton:    spec.mon,
 		Props:        spec.Props,
 		Init:         init,
-		Mode:         o.cfg.Mode,
 		SkipFinalize: o.cfg.SkipFinalize,
 		Network:      o.cfg.Network,
 		MaxBoxNodes:  o.cfg.MaxBoxNodes,
 		ExactBoxes:   o.cfg.ExactBoxes,
 		MaxLag:       o.cfg.MaxLag,
 	}, nil
-}
-
-func newSession(spec *Spec, n int, o options) (*Session, error) {
-	cfg, err := engineConfig(spec, n, o)
-	if err != nil {
-		return nil, err
-	}
-	if o.ctx == nil {
-		o.ctx = context.Background()
-	}
-	s := &Session{spec: spec, n: n, stamper: dist.NewStamper(n), start: time.Now()}
-	if o.validate {
-		s.val = dist.NewSessionValidator(n)
-	}
-	if o.bounded {
-		if err := o.checkBounded("a Bounded session"); err != nil {
-			return nil, err
-		}
-		s.ctx, s.cancel = context.WithCancel(o.ctx)
-		s.path = central.NewPath(spec.mon, spec.Props, n, cfg.Init)
-		// At most one conclusive event is ever emitted; the buffer means
-		// the emitter never blocks on an absent subscriber.
-		s.pathCh = make(chan VerdictEvent, 1)
-		s.verdicts = s.pathCh
-		return s, nil
-	}
-	if s.core, err = core.NewSession(o.ctx, cfg); err != nil {
-		return nil, err
-	}
-	s.verdicts = s.core.Verdicts()
-	return s, nil
 }
 
 // N returns the number of monitored processes.
@@ -150,10 +105,8 @@ func (s *Session) N() int { return s.n }
 // the moment a monitor proves them, inconclusive states during
 // finalization. The channel is buffered so monitors never block on a slow
 // subscriber, and it is closed by Close after the terminal result is
-// complete. A Bounded session emits at most one event: the first conclusive
-// verdict along the path (its Monitor field is the process whose event
-// triggered the detection).
-func (s *Session) Verdicts() <-chan VerdictEvent { return s.verdicts }
+// complete.
+func (s *Session) Verdicts() <-chan VerdictEvent { return s.core.Verdicts() }
 
 // Process returns the handle live process i drives. It panics on an
 // out-of-range index — handles are acquired at wiring time, so a bad index
@@ -171,10 +124,8 @@ func (s *Session) now() float64 { return time.Since(s.start).Seconds() }
 // Feed delivers one pre-stamped event (a replay of recorded traces, or an
 // application doing its own clock bookkeeping). Do not mix Feed with the
 // Process handles: the internal stamper does not see Feed's clocks. Events
-// of one process must arrive in sequence-number order; with the Bounded
-// engine the feed as a whole must also be causally ordered (handles
-// guarantee this by construction; timestamp-ordered replays satisfy it).
-// Feed blocks under backpressure and returns promptly on cancellation.
+// of one process must arrive in sequence-number order. Feed blocks under
+// backpressure and returns promptly on cancellation.
 // With WithValidation, events violating the session's causal contract are
 // rejected here, before they reach the engine. The session keeps the pointer
 // — every monitor that learns of the event reads this very struct — so the
@@ -184,10 +135,7 @@ func (s *Session) Feed(e *Event) error {
 	if err := s.validate(e); err != nil {
 		return err
 	}
-	if s.core != nil {
-		return s.core.Feed(e)
-	}
-	return s.pathFeed(e)
+	return s.core.Feed(e)
 }
 
 // validate applies the WithValidation check (no-op otherwise). Serialized:
@@ -216,82 +164,14 @@ func (s *Session) checkToken(p int, tok MsgToken) error {
 	return s.val.CheckToken(p, tok)
 }
 
-func (s *Session) pathFeed(e *Event) error {
-	if err := s.ctx.Err(); err != nil {
-		return err
-	}
-	if e == nil {
-		return fmt.Errorf("decentmon: session fed a nil event")
-	}
-	s.pathMu.Lock()
-	defer s.pathMu.Unlock()
-	if s.pathClosed {
-		return fmt.Errorf("decentmon: session closed")
-	}
-	if err := s.path.Feed(e); err != nil {
-		return err
-	}
-	if v := s.path.Verdict(); !s.pathConcl && v != Unknown {
-		s.pathConcl = true
-		//declint:ignore blockingsend pathCh has capacity 1 and pathConcl lets exactly one event through, so this send cannot block
-		s.pathCh <- VerdictEvent{
-			Monitor:    e.Proc,
-			Verdict:    v,
-			State:      s.path.State(),
-			Cut:        s.path.Cut(),
-			Conclusive: true,
-		}
-	}
-	return nil
-}
-
 // End marks process p as terminated: no further events of p will be fed.
 // Idempotent; Close ends every process still open.
-func (s *Session) End(p int) error {
-	if p < 0 || p >= s.n {
-		return fmt.Errorf("decentmon: ending nonexistent process %d", p)
-	}
-	if s.core != nil {
-		return s.core.End(p)
-	}
-	return s.ctx.Err() // the path evaluator needs no termination marker
-}
+func (s *Session) End(p int) error { return s.core.End(p) }
 
 // Close ends every process still open, waits for the monitors to finalize,
-// closes the verdict channel and returns the terminal RunResult (for a
-// Bounded session: the single path verdict). Idempotent; returns the
-// context's error promptly if the session was cancelled.
-func (s *Session) Close() (*RunResult, error) {
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	if s.closed {
-		return s.result, s.closeErr
-	}
-	s.closed = true
-	if s.core != nil {
-		s.result, s.closeErr = s.core.Close()
-		return s.result, s.closeErr
-	}
-	s.pathMu.Lock()
-	s.pathClosed = true
-	ctxErr := s.ctx.Err()
-	pr := s.path.Finish()
-	s.pathResult = pr
-	close(s.pathCh)
-	s.pathMu.Unlock()
-	s.cancel()
-	if ctxErr != nil {
-		s.closeErr = ctxErr
-		return nil, ctxErr
-	}
-	wall := time.Since(s.start)
-	s.result = &RunResult{
-		Verdicts:    map[Verdict]bool{pr.Verdict: true},
-		Wall:        wall,
-		ProgramWall: wall,
-	}
-	return s.result, nil
-}
+// closes the verdict channel and returns the terminal RunResult. Idempotent;
+// returns the context's error promptly if the session was cancelled.
+func (s *Session) Close() (*RunResult, error) { return s.core.Close() }
 
 // Process is the handle one live program process drives: every method
 // stamps the event (sequence number, vector clock, message id, monotone

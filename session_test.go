@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"decentmon/internal/dist"
+	"decentmon/internal/vclock"
 )
 
 // replayThroughHandles drives a recorded trace set through a live session's
@@ -198,43 +200,8 @@ func TestSessionCancellationFacade(t *testing.T) {
 	}
 }
 
-// TestBoundedSession: the Bounded engine behind RunBounded, driven live.
-func TestBoundedSession(t *testing.T) {
-	spec := MustCompile("F (P0.p && P1.p)", PerProcessProps(2, "p"))
-	s, err := NewSession(spec, 2, Bounded())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, p1 := s.Process(0), s.Process(1)
-	if err := p0.Internal(1); err != nil {
-		t.Fatal(err)
-	}
-	tok, err := p0.Send(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.Recv(tok, 1); err != nil {
-		t.Fatal(err)
-	}
-	ev, ok := <-s.Verdicts()
-	if !ok || ev.Verdict != Top {
-		t.Fatalf("bounded session event %+v ok=%v, want ⊤", ev, ok)
-	}
-	res, err := s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verdicts[Top] || len(res.Verdicts) != 1 {
-		t.Errorf("bounded verdicts %v, want exactly ⊤", res.VerdictList())
-	}
-	// Idempotent close.
-	if res2, err := s.Close(); err != nil || res2 != res {
-		t.Error("second Close diverged")
-	}
-}
-
-// TestRunBoundedMatchesPath: RunBounded (now a Bounded-session adapter)
-// still produces an oracle-member verdict and honors options.
+// TestRunBoundedMatchesPath: RunBounded produces an oracle-member verdict
+// and honors WithContext.
 func TestRunBoundedMatchesPath(t *testing.T) {
 	ts := Generate(GenConfig{N: 3, InternalPerProc: 6, CommMu: 2, PlantGoal: true, Seed: 4})
 	spec := MustCompile("F (P0.p && P1.p && P2.p)", ts.Props)
@@ -259,28 +226,22 @@ func TestRunBoundedMatchesPath(t *testing.T) {
 // TestSessionOptionValidation: incompatible combinations fail loudly.
 func TestSessionOptionValidation(t *testing.T) {
 	spec := MustCompile("F (P0.p && P1.p)", PerProcessProps(2, "p"))
-	ts := Generate(GenConfig{N: 2, InternalPerProc: 3, CommMu: 2, Seed: 1})
+	ts := Generate(GenConfig{N: 2, InternalPerProc: 3, CommMu: 2, Seed: 1, Suffixes: []string{"p"}})
 
-	if _, err := Run(spec, ts, Bounded()); err == nil {
-		t.Error("Run accepted Bounded()")
-	}
-	if _, err := RunStream(spec, ts.Stream(), Bounded()); err == nil {
-		t.Error("RunStream accepted Bounded()")
-	}
-	if _, err := NewSession(spec, 2, Bounded(), Replicated()); err == nil {
-		t.Error("bounded session accepted Replicated()")
-	}
-	if _, err := RunBounded(spec, ts.Stream(), WithNetwork(NewChanNetwork(2))); err == nil {
-		t.Error("RunBounded accepted WithNetwork()")
-	}
-	if _, err := RunBounded(spec, ts.Stream(), WithPace(1)); err == nil {
-		t.Error("RunBounded accepted WithPace()")
-	}
-	if _, err := RunBounded(spec, ts.Stream(), WithMaxLag(10)); err == nil {
-		t.Error("RunBounded accepted WithMaxLag()")
-	}
-	if _, err := RunBounded(spec, ts.Stream(), WithInitialState(GlobalState{0, 0})); err == nil {
-		t.Error("RunBounded accepted WithInitialState()")
+	nw := NewChanNetwork(2)
+	defer nw.Close()
+	for name, opt := range map[string]Option{
+		"WithNetwork":         WithNetwork(nw),
+		"WithoutFinalization": WithoutFinalization(),
+		"WithPace":            WithPace(1),
+		"WithMaxLag":          WithMaxLag(10),
+		"WithExactBoxes":      WithExactBoxes(),
+		"WithInitialState":    WithInitialState(GlobalState{0, 0}),
+		"WithValidation":      WithValidation(),
+	} {
+		if _, err := RunBounded(spec, ts.Stream(), opt); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("RunBounded with %s: %v, want a refusal naming it", name, err)
+		}
 	}
 	if _, err := Run(spec, ts, WithInitialState(GlobalState{0, 0})); err == nil {
 		t.Error("Run accepted WithInitialState()")
@@ -310,4 +271,74 @@ func TestSessionOptionValidation(t *testing.T) {
 		defer s.Close()
 		s.Process(9)
 	}()
+}
+
+// handSource is a user-written EventSource: its header and events reach
+// RunBounded without passing through a trace codec's checks.
+type handSource struct {
+	pm   *PropMap
+	n    int
+	init GlobalState
+	evs  []*Event
+}
+
+func (h *handSource) Props() *PropMap   { return h.pm }
+func (h *handSource) N() int            { return h.n }
+func (h *handSource) Init() GlobalState { return h.init }
+func (h *handSource) Close() error      { return nil }
+func (h *handSource) Next() (*Event, error) {
+	if len(h.evs) == 0 {
+		return nil, io.EOF
+	}
+	e := h.evs[0]
+	h.evs = h.evs[1:]
+	return e, nil
+}
+
+// TestRunBoundedRefusesMalformedEvents: the path evaluator applies the
+// decentralized engine's admission rule to every event — an n-wide clock
+// whose own entry is the sequence number — instead of evaluating a cut the
+// event does not describe.
+func TestRunBoundedRefusesMalformedEvents(t *testing.T) {
+	spec := MustCompile("F (P0.p && P1.p)", PerProcessProps(2, "p"))
+	good := &Event{Proc: 0, SN: 1, Peer: -1, State: 1, VC: vclock.VC{1, 0}}
+	if _, err := RunBounded(spec, &handSource{pm: spec.Props, n: 2, init: GlobalState{0, 0}, evs: []*Event{good}}); err != nil {
+		t.Fatalf("well-formed event refused: %v", err)
+	}
+	for name, e := range map[string]*Event{
+		"1-entry clock":           {Proc: 0, SN: 1, Peer: -1, State: 1, VC: vclock.VC{1}},
+		"3-entry clock":           {Proc: 0, SN: 1, Peer: -1, State: 1, VC: vclock.VC{1, 0, 0}},
+		"clock disagrees with SN": {Proc: 0, SN: 1, Peer: -1, State: 1, VC: vclock.VC{2, 0}},
+		"nil event":               nil,
+	} {
+		if _, err := RunBounded(spec, &handSource{pm: spec.Props, n: 2, init: GlobalState{0, 0}, evs: []*Event{e}}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// TestRunBoundedChecksSourceHeader: a hand-written source's header is held
+// to a session's rules — a nil initial state is all-zero, and a wrong-width
+// one, no processes, or a proposition owned by a process the source lacks
+// are refused rather than indexed past.
+func TestRunBoundedChecksSourceHeader(t *testing.T) {
+	spec := MustCompile("F (P0.p && P1.p)", PerProcessProps(2, "p"))
+	good := &Event{Proc: 0, SN: 1, Peer: -1, State: 1, VC: vclock.VC{1, 0}}
+	res, err := RunBounded(spec, &handSource{pm: spec.Props, n: 2, evs: []*Event{good}})
+	if err != nil {
+		t.Fatalf("nil initial state refused: %v", err)
+	}
+	if res.Events != 1 || res.Verdict != Unknown {
+		t.Errorf("nil initial state: %d events, verdict %v; want 1 and ?", res.Events, res.Verdict)
+	}
+	for name, h := range map[string]*handSource{
+		"1-entry initial state": {pm: spec.Props, n: 2, init: GlobalState{0}, evs: []*Event{good}},
+		"3-entry initial state": {pm: spec.Props, n: 2, init: GlobalState{0, 0, 0}, evs: []*Event{good}},
+		"no processes":          {pm: spec.Props, n: 0},
+		"owner outside source":  {pm: spec.Props, n: 1, evs: []*Event{{Proc: 0, SN: 1, Peer: -1, State: 1, VC: vclock.VC{1}}}},
+	} {
+		if _, err := RunBounded(spec, h); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }

@@ -34,13 +34,8 @@ const (
 // Snapshot pauses the session at a proven-quiescent instant (every fed event
 // and every in-flight monitor message fully absorbed), captures its complete
 // state, and resumes it. The session keeps running; ctx bounds only the wait
-// for quiescence. Bounded sessions are not snapshottable — the path
-// evaluator is O(n) memory, so persisting the feed is the cheaper durability
-// story there.
+// for quiescence.
 func (s *Session) Snapshot(ctx context.Context) ([]byte, error) {
-	if s.core == nil {
-		return nil, fmt.Errorf("decentmon: Bounded sessions have no snapshots; persist the feed instead")
-	}
 	engine, err := s.core.Snapshot(ctx)
 	if err != nil {
 		return nil, err
@@ -54,27 +49,18 @@ func (s *Session) Snapshot(ctx context.Context) ([]byte, error) {
 // Fed returns, per process, how many events have been fed so far — for a
 // restored session, including everything fed before the snapshot. A feeder
 // resuming after RestoreSession continues process p at event Fed()[p]+1.
-// Bounded sessions return nil (they have no snapshot support).
-func (s *Session) Fed() []int {
-	if s.core == nil {
-		return nil
-	}
-	return s.core.Fed()
-}
+func (s *Session) Fed() []int { return s.core.Fed() }
 
 // RestoreSession resumes a session from a Snapshot blob. The spec, process
 // count and options must rebuild the configuration the snapshot was taken
-// under (same property compilation, mode, finalization and initial state —
+// under (same property compilation, finalization and initial state —
 // all verified against fingerprints in the blob; a mismatch or any
 // corruption is an error, never a silently wrong monitor). Options that do
 // not change monitor state — WithContext, WithNetwork, WithMaxLag — may
-// differ freely. Bounded and WithValidation sessions cannot be restored: the
-// path evaluator and the validator hold state a snapshot does not carry.
+// differ freely. WithValidation sessions cannot be restored: the validator
+// holds state a snapshot does not carry.
 func RestoreSession(spec *Spec, n int, snap []byte, opts ...Option) (*Session, error) {
 	o := buildOptions(opts)
-	if o.bounded {
-		return nil, fmt.Errorf("decentmon: Bounded sessions cannot be restored from a snapshot")
-	}
 	if o.validate {
 		return nil, fmt.Errorf("decentmon: WithValidation cannot resume from a snapshot: the validator's causal ledger is not captured")
 	}
@@ -121,7 +107,5 @@ func RestoreSession(spec *Spec, n int, snap []byte, opts ...Option) (*Session, e
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{spec: spec, n: n, stamper: stamper, start: time.Now(),
-		core: cs, verdicts: cs.Verdicts()}
-	return s, nil
+	return &Session{n: n, stamper: stamper, start: time.Now(), core: cs}, nil
 }

@@ -128,23 +128,12 @@ func countFed(events []*dist.Event, p int) int {
 	return n
 }
 
-// TestSessionSnapshotRefusals pins the unsupported combinations: Bounded
-// sessions cannot snapshot or restore, WithValidation cannot restore, and a
-// snapshot never restores under a different property or initial state.
+// TestSessionSnapshotRefusals pins the unsupported combinations:
+// WithValidation cannot restore, and a snapshot never restores under a
+// different property or initial state.
 func TestSessionSnapshotRefusals(t *testing.T) {
 	ts := Generate(GenConfig{N: 3, InternalPerProc: 4, CommMu: 2, Seed: 5})
 	spec := mustCaseSpec(t, "B", 3)
-
-	b, err := NewSession(spec, 3, Bounded(), WithInitialState(ts.InitialState()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Snapshot(context.Background()); err == nil {
-		t.Error("Bounded session snapshot must fail")
-	}
-	if _, err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	s, err := NewSession(spec, 3, WithInitialState(ts.InitialState()))
 	if err != nil {
@@ -158,9 +147,6 @@ func TestSessionSnapshotRefusals(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := RestoreSession(spec, 3, snap, Bounded()); err == nil {
-		t.Error("restore with Bounded must fail")
-	}
 	if _, err := RestoreSession(spec, 3, snap, WithValidation()); err == nil {
 		t.Error("restore with WithValidation must fail")
 	}

@@ -197,22 +197,6 @@ func TestValidationHandleFlow(t *testing.T) {
 	}
 }
 
-// TestValidationBoundedSession: the option composes with the Bounded
-// engine.
-func TestValidationBoundedSession(t *testing.T) {
-	sess, err := NewSession(validationSpec(t), 2, Bounded(), WithValidation())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if err := sess.Feed(&Event{Proc: 1, SN: 1, Peer: -1, State: 1, VC: vclock.VC{0, 2}, Time: 1}); err == nil {
-		t.Fatal("bounded session accepted a malformed clock")
-	}
-	if err := sess.Feed(&Event{Proc: 1, SN: 1, Peer: -1, State: 1, VC: vclock.VC{0, 1}, Time: 1}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestValidationOptionRejections: replay entry points refuse the option
 // instead of silently ignoring it.
 func TestValidationOptionRejections(t *testing.T) {
