@@ -10,13 +10,18 @@
 //	NNF(ϕ), NNF(¬ϕ)
 //	  → GPVW tableau → generalized Büchi automata           (tableau.go)
 //	  → per-state language emptiness via Tarjan SCCs        (tableau.go)
-//	  → subset construction to DFAs over 2^AP               (this file)
+//	  → subset construction to DFAs over 2^AP(ϕ)            (this file)
 //	  → product Moore machine with verdict output           (this file)
 //	  → Moore minimization                                  (this file)
 //	  → symbolic conjunctive transitions via Quine–McCluskey (symbolic.go)
+//	  → lift from 2^AP(ϕ) to the declared 2^Props           (symbolic.go)
 //
-// Letters are bitmasks over the declared atomic propositions: bit i is the
-// truth value of Props[i] in the current global state.
+// AP(ϕ) is the support: the propositions ϕ reads, in declaration order. Every
+// stage up to the lift runs over its 2^|AP(ϕ)| letters, so ϕ sets the cost of
+// synthesis and the declared alphabet only the size of the δ table.
+//
+// Letters of a Monitor are bitmasks over the declared atomic propositions:
+// bit i is the truth value of Props[i] in the current global state.
 package automaton
 
 import (
@@ -84,38 +89,70 @@ type Monitor struct {
 // Build synthesizes the monitor for formula f over the given proposition
 // ordering. Every proposition used by f must appear in props; props may
 // declare extra (unused) propositions, which is convenient when several
-// properties share one global-state encoding. Build returns an error if
-// more than boolfn.MaxVars propositions are declared.
+// properties share one global-state encoding. Unused propositions cost only
+// δ table width: the machine is synthesized over the propositions f reads
+// and lifted to 2^len(props) letters at the end, and comes out identical to
+// the one synthesized over the whole alphabet. Build returns an error if a
+// proposition is declared twice, f reads an undeclared one, or more than
+// boolfn.MaxVars are declared.
 func Build(f *ltl.Formula, props []string) (*Monitor, error) {
+	sup, err := supportOf(f, props)
+	if err != nil {
+		return nil, err
+	}
+	m := synthesize(f, sup)
+	return lift(f, props, sup, m.verdicts, m.delta), nil
+}
+
+// support is the part of a declared alphabet a formula reads. Its
+// propositions keep their declaration order and index the letters synthesis
+// runs over: support letter bit j is the j-th declared proposition the
+// formula reads.
+type support struct {
+	mask uint32         // bit i set iff the formula reads props[i]
+	idx  map[string]int // read proposition -> its bit in a support letter
+}
+
+// supportOf validates the declared alphabet against f and returns f's
+// support within it.
+func supportOf(f *ltl.Formula, props []string) (support, error) {
 	if len(props) > boolfn.MaxVars {
-		return nil, fmt.Errorf("automaton: %d propositions exceed the supported maximum %d", len(props), boolfn.MaxVars)
+		return support{}, fmt.Errorf("automaton: %d propositions exceed the supported maximum %d", len(props), boolfn.MaxVars)
 	}
 	propIdx := make(map[string]int, len(props))
 	for i, p := range props {
 		if _, dup := propIdx[p]; dup {
-			return nil, fmt.Errorf("automaton: duplicate proposition %q", p)
+			return support{}, fmt.Errorf("automaton: duplicate proposition %q", p)
 		}
 		propIdx[p] = i
 	}
-	for _, p := range f.Props() {
-		if _, ok := propIdx[p]; !ok {
-			return nil, fmt.Errorf("automaton: formula uses undeclared proposition %q", p)
+	read := f.Props()
+	sup := support{idx: make(map[string]int, len(read))}
+	for _, p := range read {
+		i, ok := propIdx[p]
+		if !ok {
+			return support{}, fmt.Errorf("automaton: formula uses undeclared proposition %q", p)
+		}
+		sup.mask |= 1 << i
+	}
+	for i, p := range props {
+		if sup.mask&(1<<i) != 0 {
+			sup.idx[p] = len(sup.idx)
 		}
 	}
-	nLetters := 1 << len(props)
+	return sup, nil
+}
 
-	pos := determinize(buildGBA(f.NNF(), propIdx), nLetters)
-	neg := determinize(buildGBA(ltl.Not(f).NNF(), propIdx), nLetters)
-	m := minimize(product(pos, neg, nLetters), nLetters)
+// letters is the size of the support's alphabet.
+func (s support) letters() int { return 1 << len(s.idx) }
 
-	mon := &Monitor{
-		Formula:  f,
-		Props:    append([]string(nil), props...),
-		verdicts: m.verdicts,
-		delta:    m.delta,
-	}
-	mon.buildSymbolic()
-	return mon, nil
+// synthesize runs the LTL3 pipeline over the support's letters and returns
+// the minimal Moore machine for f, indexed by support letters.
+func synthesize(f *ltl.Formula, sup support) *moore {
+	n := sup.letters()
+	pos := determinize(buildGBA(f.NNF(), sup.idx), n)
+	neg := determinize(buildGBA(ltl.Not(f).NNF(), sup.idx), n)
+	return minimize(product(pos, neg, n), n)
 }
 
 // MustBuild is Build that panics on error.
@@ -212,28 +249,24 @@ type dfa struct {
 func determinize(g *gba, nLetters int) *dfa {
 	nonEmpty := g.nonEmptyStates()
 	d := &dfa{}
-	type subset struct {
-		key   string
-		nodes []int
-	}
-	mkKey := func(nodes []int) string {
-		buf := make([]byte, 0, 4*len(nodes))
-		for _, v := range nodes {
-			buf = appendInt(buf, v)
-		}
-		return string(buf)
-	}
+	// index maps a subset's node list, packed by appendInt, to its DFA state.
+	// The probe index[string(key)] does not allocate; the key string is
+	// built only when a new subset is stored.
 	index := map[string]int{}
-	var order []subset
+	var order [][]int // DFA state -> its subset of GBA nodes
+	var key []byte
 
 	add := func(nodes []int) int {
-		key := mkKey(nodes)
-		if id, ok := index[key]; ok {
+		key = key[:0]
+		for _, v := range nodes {
+			key = appendInt(key, v)
+		}
+		if id, ok := index[string(key)]; ok {
 			return id
 		}
 		id := len(order)
-		index[key] = id
-		order = append(order, subset{key, append([]int(nil), nodes...)})
+		index[string(key)] = id
+		order = append(order, append([]int(nil), nodes...))
 		acc := false
 		for _, v := range nodes {
 			if nonEmpty[v] {
@@ -248,8 +281,9 @@ func determinize(g *gba, nLetters int) *dfa {
 
 	// The start subset is the virtual pre-initial state: no GBA node has been
 	// entered yet. Its acceptance is "the formula is satisfiable", determined
-	// by the initial nodes' emptiness. We model it as a special subset keyed
-	// "init" whose successors are the initial nodes admitting the letter.
+	// by the initial nodes' emptiness. It is stored unindexed (no letter leads
+	// back to it), and its successors are the initial nodes admitting the
+	// letter.
 	startNodes := append([]int(nil), g.initial...)
 	startAcc := false
 	for _, v := range startNodes {
@@ -258,27 +292,26 @@ func determinize(g *gba, nLetters int) *dfa {
 			break
 		}
 	}
-	index["\x00init"] = 0
-	order = append(order, subset{"\x00init", nil})
+	order = append(order, nil)
 	d.accepting = append(d.accepting, startAcc)
 	d.delta = append(d.delta, make([]int32, nLetters))
 
 	// Per-letter successor buckets, computed output-sensitively: each
 	// candidate target node contributes itself to exactly the letters its
 	// label admits (enumerated as submasks of its free-bit mask), instead of
-	// testing every (letter, node) pair. This is what keeps synthesis fast
-	// for the 10-proposition properties of the evaluation.
+	// testing every (letter, node) pair. This matters when ϕ reads many
+	// propositions (property F at n = 5 reads 10), where a node's label
+	// constrains a few of them and leaves the rest free.
 	buckets := make([][]int, nLetters)
 	inCand := make([]bool, len(g.nodes))
 	full := uint32(nLetters - 1)
 
 	for qi := 0; qi < len(order); qi++ {
-		cur := order[qi]
 		var cands []int
 		if qi == 0 {
 			cands = startNodes
 		} else {
-			for _, v := range cur.nodes {
+			for _, v := range order[qi] {
 				for _, r := range g.nodes[v].succ {
 					if !inCand[r] {
 						inCand[r] = true
@@ -385,12 +418,11 @@ func minimize(m *moore, nLetters int) *moore {
 			for a := 0; a < nLetters; a++ {
 				buf = appendInt(buf, block[m.delta[i][a]])
 			}
-			k := string(buf)
-			b, ok := sig[k]
+			b, ok := sig[string(buf)]
 			if !ok {
 				b = next
 				next++
-				sig[k] = b
+				sig[string(buf)] = b
 			}
 			newBlock[i] = b
 		}

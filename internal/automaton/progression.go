@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"decentmon/internal/boolfn"
 	"decentmon/internal/ltl"
 )
 
@@ -24,25 +23,18 @@ import (
 // the same residual language, hence the same minimal-monitor state. The
 // construction therefore inherits exact LTL3 verdicts and doubles as a
 // cross-validation of both machines (any pairing conflict panics).
+//
+// Like Build, it runs over the propositions f reads and lifts the result to
+// the declared alphabet, and it refuses the same alphabets Build refuses.
 func BuildProgression(f *ltl.Formula, props []string) (*Monitor, error) {
-	min, err := Build(f, props)
+	sup, err := supportOf(f, props)
 	if err != nil {
 		return nil, err
 	}
-	// Build has already rejected oversized proposition sets, but the bound
-	// licensing the 1<<len(props) alphabet below must hold visibly in this
-	// function: the letter space is capped by boolfn.MaxVars, not by
-	// whatever the caller happened to pass.
-	if len(props) > boolfn.MaxVars {
-		return nil, fmt.Errorf("automaton: %d propositions exceed the supported maximum %d", len(props), boolfn.MaxVars)
-	}
-	propIdx := make(map[string]int, len(props))
-	for i, p := range props {
-		propIdx[p] = i
-	}
-	nLetters := 1 << len(props)
+	min := synthesize(f, sup)
+	nLetters := sup.letters()
 
-	pr := &progressor{propIdx: propIdx, atoms: map[string]*ltl.Formula{}}
+	pr := &progressor{propIdx: sup.idx, atoms: map[string]*ltl.Formula{}}
 	start := pr.initial(f.NNF())
 
 	type stateInfo struct {
@@ -65,7 +57,7 @@ func BuildProgression(f *ltl.Formula, props []string) (*Monitor, error) {
 		states = append(states, stateInfo{dnf: d, pair: pair})
 		return id
 	}
-	add(start, min.Initial())
+	add(start, 0) // both machines start in state 0
 
 	var delta [][]int32
 	for qi := 0; qi < len(states); qi++ {
@@ -73,22 +65,16 @@ func BuildProgression(f *ltl.Formula, props []string) (*Monitor, error) {
 		cur := states[qi]
 		for a := 0; a < nLetters; a++ {
 			next := pr.progressState(cur.dnf, uint32(a))
-			row[a] = int32(add(next, min.Step(cur.pair, uint32(a))))
+			row[a] = int32(add(next, int(min.delta[cur.pair][a])))
 		}
 		delta = append(delta, row)
 	}
 
-	mon := &Monitor{
-		Formula:  f,
-		Props:    append([]string(nil), props...),
-		delta:    delta,
-		verdicts: make([]Verdict, len(states)),
-	}
+	verdicts := make([]Verdict, len(states))
 	for i, st := range states {
-		mon.verdicts[i] = min.VerdictOf(st.pair)
+		verdicts[i] = min.verdicts[st.pair]
 	}
-	mon.buildSymbolic()
-	return mon, nil
+	return lift(f, props, sup, verdicts, delta), nil
 }
 
 // pdnf is a canonical disjunction of obligation clauses; each clause is a

@@ -118,10 +118,13 @@ func Suffixes(name string) ([]string, error) {
 // or dist.SourceWithProps to monitor an n-process execution, n >= arity,
 // whose local states follow the PerProcess bit layout.
 //
-// This is what makes large systems monitorable and oracle-checkable: letters
-// are bitmasks over the proposition space, so full-width properties stop
-// being synthesizable beyond ~12 processes, while an arity-k property keeps
-// both the monitor and the sliced oracle at k-process cost regardless of n.
+// This is what makes large systems monitorable and oracle-checkable. The
+// propositions a formula reads set its synthesis cost, and a full-width
+// property reads one or two per process, so it stops being synthesizable
+// beyond ~12 processes; the declared proposition space sets only the width
+// of the δ table (2^|Names| entries per state). An arity-k property bound to
+// its own k-process space keeps both the monitor and the sliced oracle at
+// k-process cost regardless of n.
 func BuildAt(name string, arity int, paperShape bool) (*automaton.Monitor, *dist.PropMap, error) {
 	fs, err := Formula(name, arity)
 	if err != nil {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,14 +11,14 @@ import (
 	"decentmon/internal/ltl"
 )
 
-// AutomatonCache memoizes tableau construction across tenants. ltl2mon
-// output depends only on the formula and its proposition list — both pure
+// AutomatonCache memoizes monitor synthesis across tenants. ltl2mon output
+// depends only on the formula and its ordered proposition list — both pure
 // inputs — so two tenants registering the same property (however they
-// spelled it) share one compiled monitor. Entries are keyed by the
-// canonical key (see CanonicalKey) and constructed at most once: the map
-// mutex covers only entry lookup/insertion, the construction itself runs
-// under the entry's own sync.Once so a slow tableau never blocks unrelated
-// registrations.
+// spelled it) over the same declaration share one compiled monitor. Entries
+// are keyed by the canonical key (see CanonicalKey) and constructed at most
+// once: the map mutex covers only entry lookup/insertion, the construction
+// itself runs under the entry's own sync.Once so a slow synthesis never
+// blocks unrelated registrations.
 type AutomatonCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
@@ -46,9 +45,11 @@ func NewAutomatonCache() *AutomatonCache {
 // CanonicalKey derives the cache key for a formula source over a
 // proposition space: the parse→print normal form of the formula (so
 // whitespace, redundant parentheses and operator spellings collapse)
-// joined with the ordered (name, owner) proposition signature. Two
-// registrations get the same key iff tableau construction would do
-// identical work for both.
+// joined with the (owner, name) proposition signature in declaration order.
+// The order is part of the key because automaton.Build indexes letter bit i
+// by Names[i]: the same propositions declared in another order need another
+// monitor. Two registrations with the same key therefore get the same
+// machine from Build; the owners make the key finer than Build needs.
 func CanonicalKey(formula string, props *dist.PropMap) (string, *ltl.Formula, error) {
 	f, err := ltl.Parse(formula)
 	if err != nil {
@@ -56,14 +57,8 @@ func CanonicalKey(formula string, props *dist.PropMap) (string, *ltl.Formula, er
 	}
 	var sb strings.Builder
 	sb.WriteString(f.String())
-	sig := make([]string, props.Len())
 	for i, name := range props.Names {
-		sig[i] = fmt.Sprintf("%d:%s", props.Owner[i], name)
-	}
-	sort.Strings(sig)
-	for _, s := range sig {
-		sb.WriteByte(0)
-		sb.WriteString(s)
+		fmt.Fprintf(&sb, "\x00%d:%s", props.Owner[i], name)
 	}
 	return sb.String(), f, nil
 }

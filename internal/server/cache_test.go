@@ -19,6 +19,62 @@ func exampleProps(t *testing.T) *dist.PropMap {
 	return pm
 }
 
+// reorderedExampleProps declares the running example's propositions in
+// another cross-owner order. Each owner keeps its own order, so every
+// proposition keeps its local bit and the example's traces stay valid; only
+// the letter bits move.
+func reorderedExampleProps() *dist.PropMap {
+	pm := dist.NewPropMap()
+	pm.MustAdd("x2>=15", 1)
+	pm.MustAdd("x1>=5", 0)
+	pm.MustAdd("x1=10", 0)
+	return pm
+}
+
+// TestServerCacheKeepsLetterOrder registers one formula twice on one server,
+// over the running example's declaration and over the reordered one, and
+// requires each session to return what it returns on a fresh server: the
+// second registration must not be handed the first one's monitor.
+func TestServerCacheKeepsLetterOrder(t *testing.T) {
+	ts, evs := dist.RunningExample(), exampleEvents(t)
+	declarations := []*dist.PropMap{ts.Props, reorderedExampleProps()}
+	run := func(cl *Client, formula string, pm *dist.PropMap) string {
+		t.Helper()
+		sid, _, err := cl.Register("acme", formula, ts.InitialState(), pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range evs {
+			if err := cl.Ingest(sid, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		codes, err := cl.CloseSession(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return codeString(codes)
+	}
+	dial := func() *Client {
+		t.Helper()
+		cl, err := Dial(newTestServer(t, Config{}).Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { cl.Close() })
+		return cl
+	}
+	for _, formula := range []string{"G (x2>=15 -> x1=10)", "F (x1=10 && !x1>=5)"} {
+		shared := dial()
+		for i, pm := range declarations {
+			want := run(dial(), formula, pm)
+			if got := run(shared, formula, pm); got != want {
+				t.Errorf("%s over declaration %d: {%s} on a shared server, {%s} on a fresh one", formula, i, got, want)
+			}
+		}
+	}
+}
+
 // TestCacheSingleConstruction pins the tenant-sharing contract: many
 // tenants registering the same property concurrently trigger exactly one
 // tableau construction, counted through the injectable constructor hook.
@@ -109,6 +165,13 @@ func TestCacheCanonicalKeys(t *testing.T) {
 	}
 	if rekeyed == base {
 		t.Error("moving a proposition to another owner kept the cache key")
+	}
+	// Same (name, owner) pairs declared in another order → different key:
+	// letter bit i is Names[i], so the monitor differs.
+	if k, _, err := CanonicalKey(dist.RunningExampleProperty, reorderedExampleProps()); err != nil {
+		t.Fatal(err)
+	} else if k == base {
+		t.Error("declaring the same propositions in another order kept the cache key")
 	}
 	if _, _, err := CanonicalKey("G (", props); err == nil {
 		t.Error("malformed formula produced a key")
