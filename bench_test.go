@@ -268,8 +268,8 @@ func BenchmarkSynthesisMinimal(b *testing.B) {
 // BenchmarkSynthesisWideAlphabet measures minimal-monitor synthesis of
 // formulas that read a few of many declared propositions: dlmond's
 // registration shape, PerProcess(8, "p") with the serve-detect property (3 of
-// 8 read) and the stream property (3 of 8). Synthesis runs over the
-// propositions the formula reads; only the final δ table spans all eight.
+// 8 read) and the stream property (3 of 8). The monitor, δ included, spans
+// only the propositions the formula reads.
 func BenchmarkSynthesisWideAlphabet(b *testing.B) {
 	pm := dist.PerProcess(8, "p")
 	for _, c := range []struct{ name, formula string }{

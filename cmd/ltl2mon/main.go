@@ -5,6 +5,10 @@
 //
 //	ltl2mon -props P0.p,P0.q,P1.p,P1.q [-shape paper|minimal] [-dot] 'G ((P0.p && P1.p) U (P0.q && P1.q))'
 //	ltl2mon -case D -n 2 -dot          # one of the paper's properties A..F
+//
+// -props declares the propositions and their order; the monitor's alphabet is
+// the ones the formula reads, in that order. The text output's propositions:
+// line lists only those, and guards are written over them.
 package main
 
 import (

@@ -211,6 +211,20 @@ func TestFinalizeResidualRegression(t *testing.T) {
 	checkVerdictSetEqual(t, "session", sess.Verdicts, oracle)
 }
 
+// TestFullWidthSpaceCell: an n = 16 cell whose traces keep their whole
+// PerProcess(16, "p", "q") space, 32 propositions. The arity-3 B spec runs
+// against them as generated, with no WithProps: each engine binds the three
+// propositions the monitor reads by name, and the verdicts equal the sliced
+// oracle's.
+func TestFullWidthSpaceCell(t *testing.T) {
+	cell := gauntlet.Cell{Prop: "B", N: 16, Arity: 3, Topo: TopoRing, Seed: 2015}
+	ts := Generate(cell.Gen())
+	if ts.Props.Len() != 32 {
+		t.Fatalf("the traces declare %d propositions, want 32", ts.Props.Len())
+	}
+	conformLarge(t, gauntletSpec(t, cell.Prop, cell.Arity), ts)
+}
+
 // conformSmall checks every engine against the exact oracle (full
 // verdict-set equality for every finalize-enabled engine) and
 // cross-validates the tractable oracles against the DP.

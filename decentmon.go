@@ -470,13 +470,14 @@ func EvaluateOracle(spec *Spec, ts *TraceSet, cfg OracleConfig) (*OracleResult, 
 func ParseOracleMode(s string) (OracleMode, error) { return lattice.ParseMode(s) }
 
 // CaseStudySpecAt compiles the named case-study property at the given
-// arity: the formula is the arity-process instance, bound to the
+// arity: the formula is the arity-process instance, compiled over the
 // PerProcess(arity, ...) proposition space of exactly the suffixes it uses.
-// Pair it with (*TraceSet).WithProps or SourceWithProps to monitor a system
-// of n >= arity processes — the enabler for n >= 8 runs, where full-width
-// properties are no longer synthesizable and the exact oracle is
-// intractable, but an arity-k property keeps both the monitor and the
-// sliced oracle at k-process cost.
+// Arity only picks the instance: the spec reads its propositions by name, so
+// it runs against any n >= arity process execution that declares them — as
+// generated, or re-bound with (*TraceSet).WithProps or SourceWithProps. That
+// is the enabler for n >= 8 runs, where full-width properties are no longer
+// synthesizable and the exact oracle is intractable, but an arity-k property
+// keeps both the monitor and the sliced oracle at k-process cost.
 func CaseStudySpecAt(name string, arity int, opts ...CompileOption) (*Spec, error) {
 	var cfg compileCfg
 	for _, o := range opts {
@@ -519,13 +520,8 @@ func checkSpecProps(spec *Spec, pm *PropMap) error {
 	if pm == nil {
 		return fmt.Errorf("decentmon: nil proposition map")
 	}
-	if len(spec.mon.Props) != pm.Len() {
-		return fmt.Errorf("decentmon: spec has %d propositions, traces declare %d", len(spec.mon.Props), pm.Len())
-	}
-	for i, p := range spec.mon.Props {
-		if pm.Names[i] != p {
-			return fmt.Errorf("decentmon: proposition %d mismatch: %q vs %q", i, p, pm.Names[i])
-		}
+	if _, err := pm.Restrict(spec.mon.Props); err != nil {
+		return fmt.Errorf("decentmon: the traces lack a proposition the spec reads: %w", err)
 	}
 	return nil
 }

@@ -111,12 +111,18 @@ func TestErrorPaths(t *testing.T) {
 		t.Error("unknown proposition accepted")
 	}
 	spec := MustCompile("F P0.p", pm)
-	other := Generate(GenConfig{N: 3, InternalPerProc: 3, Seed: 1})
-	if _, err := Run(spec, other); err == nil {
-		t.Error("mismatched trace set accepted")
+	// Traces that do not declare P0.p; declaring more, or in another order,
+	// is not a mismatch: a spec reads its propositions by name.
+	other := Generate(GenConfig{N: 3, InternalPerProc: 3, Seed: 1, Suffixes: []string{"q"}})
+	if _, err := Run(spec, other); err == nil || !strings.Contains(err.Error(), `"P0.p"`) {
+		t.Errorf("trace set without P0.p: %v, want an error naming it", err)
 	}
 	if _, err := Oracle(spec, other); err == nil {
 		t.Error("mismatched trace set accepted by oracle")
+	}
+	wider := Generate(GenConfig{N: 3, InternalPerProc: 3, Seed: 1})
+	if _, err := Run(spec, wider); err != nil {
+		t.Errorf("trace set declaring more than the spec reads: %v", err)
 	}
 	if _, err := Run(nil, other); err == nil {
 		t.Error("nil spec accepted")
@@ -204,8 +210,9 @@ func TestStreamingFacade(t *testing.T) {
 		t.Errorf("bounded verdict %v outside the full run's set %v", bounded.Verdict, want.VerdictList())
 	}
 
-	// Spec/stream mismatch must be rejected up front.
-	wrong := MustCompile("F P0.p", PerProcessProps(2, "p", "q"))
+	// Spec/stream mismatch must be rejected up front: the stream's three
+	// processes declare no P3.p.
+	wrong := MustCompile("F P3.p", PerProcessProps(4, "p", "q"))
 	src3, err := StreamTraces(path)
 	if err != nil {
 		t.Fatal(err)

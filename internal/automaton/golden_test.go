@@ -108,26 +108,71 @@ func randomOver(rng *rand.Rand, declared []string, k int) *ltl.Formula {
 // goldenLine renders a monitor as one fixture line: builder, formula,
 // declared propositions, state count, verdicts, an FNV-64 of the whole δ
 // table and every transition as src>dst:care/val, in Transitions() order.
+// The fixture predates monitors over AP(ϕ): it hashes δ over every declared
+// letter and writes guards over declared positions, so the line widens the
+// monitor to c.props first (readMask, extract, deposit).
 func goldenLine(c goldenCase, m *automaton.Monitor) string {
+	mask := readMask(c.props, m.Props)
 	var verdicts strings.Builder
 	h := fnv.New64a()
 	var b [4]byte
 	for q := 0; q < m.NumStates(); q++ {
 		verdicts.WriteString(m.VerdictOf(q).String())
-		for a := uint32(0); a < 1<<len(m.Props); a++ {
-			binary.LittleEndian.PutUint32(b[:], uint32(m.Step(q, a)))
+		for a := uint32(0); a < 1<<len(c.props); a++ {
+			binary.LittleEndian.PutUint32(b[:], uint32(m.Step(q, extract(a, mask))))
 			h.Write(b[:])
 		}
 	}
 	ts := make([]string, 0, len(m.Transitions()))
 	for _, t := range m.Transitions() {
-		ts = append(ts, fmt.Sprintf("%d>%d:%x/%x", t.Src, t.Dst, t.Guard.Care, t.Guard.Val))
+		ts = append(ts, fmt.Sprintf("%d>%d:%x/%x", t.Src, t.Dst, deposit(t.Guard.Care, mask), deposit(t.Guard.Val, mask)))
 	}
 	return strings.Join([]string{
 		c.builder, c.formula, strings.Join(c.props, ","),
 		fmt.Sprint(m.NumStates()), verdicts.String(),
 		fmt.Sprintf("%016x", h.Sum64()), strings.Join(ts, " "),
 	}, "\t")
+}
+
+// readMask is the mask of the positions in declared of the propositions a
+// monitor reads.
+func readMask(declared, read []string) uint32 {
+	var mask uint32
+	for i, p := range declared {
+		if slices.Contains(read, p) {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
+// extract gathers the bits of x at the positions set in mask into the low
+// bits of the result, keeping their order (the pext instruction): it
+// projects a declared letter onto the monitor's alphabet.
+func extract(x, mask uint32) uint32 {
+	var out uint32
+	for bit := uint32(1); mask != 0; bit <<= 1 {
+		low := mask & -mask
+		if x&low != 0 {
+			out |= bit
+		}
+		mask &^= low
+	}
+	return out
+}
+
+// deposit scatters the low bits of x onto the positions set in mask, in
+// order (the pdep instruction): it undoes extract on mask's positions.
+func deposit(x, mask uint32) uint32 {
+	var out uint32
+	for bit := uint32(1); mask != 0; bit <<= 1 {
+		low := mask & -mask
+		if x&bit != 0 {
+			out |= low
+		}
+		mask &^= low
+	}
+	return out
 }
 
 func buildCase(t *testing.T, c goldenCase) *automaton.Monitor {
@@ -141,8 +186,9 @@ func buildCase(t *testing.T, c goldenCase) *automaton.Monitor {
 
 // TestBuildGolden rebuilds every machine of testdata/build.golden and
 // requires it byte for byte: state numbering, δ, verdicts and the symbolic
-// transitions with their order. Session snapshots fingerprint exactly these,
-// so any change here would orphan stored checkpoints. Regenerate with
+// transitions with their order, each read over the declared alphabet the
+// fixture was written in. Session snapshots fingerprint exactly these, so any
+// change here would orphan stored checkpoints. Regenerate with
 // go test ./internal/automaton -run TestBuildGolden -update, and only for a
 // change that means to move the machines.
 func TestBuildGolden(t *testing.T) {

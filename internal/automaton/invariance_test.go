@@ -12,69 +12,34 @@ import (
 	"decentmon/internal/props"
 )
 
-// squeeze drops the bits of x outside keep and closes the gaps, so that a
-// letter or cube over a widened alphabet reads as one over the original.
-func squeeze(x, keep uint32) uint32 {
-	var out uint32
-	j := 0
-	for i := 0; i < 32; i++ {
-		if keep&(1<<i) == 0 {
-			continue
-		}
-		out |= (x >> i & 1) << j
-		j++
-	}
-	return out
-}
-
-// addedBits is the mask of the positions of wide that hold a proposition
-// props does not declare.
-func addedBits(wide, props []string) uint32 {
-	var mask uint32
-	for i, p := range wide {
-		if !slices.Contains(props, p) {
-			mask |= 1 << i
-		}
-	}
-	return mask
-}
-
-// sameUpToLift fails unless wide, built over narrow's alphabet plus the
-// unused propositions at the positions set in inserted, differs from narrow
-// only by those positions: same states and verdicts, δ equal on every letter
-// once the inserted bits are removed, and the same transitions in the same
-// order with guards that leave the inserted bits free.
-func sameUpToLift(t *testing.T, what string, narrow, wide *automaton.Monitor, inserted uint32) {
+// sameMonitor fails unless got is the monitor want is: the same
+// propositions, states, verdicts and δ row for row, and the same transitions
+// in the same order.
+func sameMonitor(t *testing.T, what string, want, got *automaton.Monitor) {
 	t.Helper()
-	if narrow.NumStates() != wide.NumStates() {
-		t.Fatalf("%s: %d states over the wider alphabet, %d without", what, wide.NumStates(), narrow.NumStates())
+	if !slices.Equal(got.Props, want.Props) {
+		t.Fatalf("%s: propositions %v, want %v", what, got.Props, want.Props)
 	}
-	keep := (uint32(1)<<len(wide.Props) - 1) &^ inserted
-	for q := 0; q < narrow.NumStates(); q++ {
-		if narrow.VerdictOf(q) != wide.VerdictOf(q) {
-			t.Fatalf("%s: state %d verdict %v, want %v", what, q, wide.VerdictOf(q), narrow.VerdictOf(q))
+	if got.NumStates() != want.NumStates() {
+		t.Fatalf("%s: %d states, want %d", what, got.NumStates(), want.NumStates())
+	}
+	for q := 0; q < want.NumStates(); q++ {
+		if got.VerdictOf(q) != want.VerdictOf(q) {
+			t.Fatalf("%s: state %d verdict %v, want %v", what, q, got.VerdictOf(q), want.VerdictOf(q))
 		}
-		for a := uint32(0); a < 1<<len(wide.Props); a++ {
-			if got, want := wide.Step(q, a), narrow.Step(q, squeeze(a, keep)); got != want {
-				t.Fatalf("%s: δ(%d, %b) = %d, want %d", what, q, a, got, want)
+		for a := uint32(0); a < 1<<len(want.Props); a++ {
+			if g, w := got.Step(q, a), want.Step(q, a); g != w {
+				t.Fatalf("%s: δ(%d, %b) = %d, want %d", what, q, a, g, w)
 			}
 		}
 	}
-	nt, wt := narrow.Transitions(), wide.Transitions()
-	if len(nt) != len(wt) {
-		t.Fatalf("%s: %d transitions over the wider alphabet, %d without", what, len(wt), len(nt))
-	}
-	for i, w := range wt {
-		n := nt[i]
-		if w.Src != n.Src || w.Dst != n.Dst || w.Guard.Care&inserted != 0 ||
-			squeeze(w.Guard.Care, keep) != n.Guard.Care || squeeze(w.Guard.Val, keep) != n.Guard.Val {
-			t.Fatalf("%s: transition %d is %d>%d %v, want %d>%d %v", what, i, w.Src, w.Dst, w.Guard, n.Src, n.Dst, n.Guard)
-		}
+	if !slices.Equal(got.Transitions(), want.Transitions()) {
+		t.Fatalf("%s: transitions %v, want %v", what, got.Transitions(), want.Transitions())
 	}
 }
 
 // TestBuildAlphabetInvariance: declaring propositions a formula does not
-// read, at any positions, changes nothing but the lift, for both builders.
+// read, at any positions, yields the identical monitor, for both builders.
 func TestBuildAlphabetInvariance(t *testing.T) {
 	type tc struct {
 		formula *ltl.Formula
@@ -119,8 +84,32 @@ func TestBuildAlphabetInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sameUpToLift(t, name+" "+c.formula.String(), narrow, wide, addedBits(wideProps, c.props))
+				sameMonitor(t, name+" "+c.formula.String(), narrow, wide)
 			}
+		}
+	}
+}
+
+// TestBuildWideDeclaration: the proposition ceiling bounds what a formula
+// reads, not what is declared. The arity-3 B formula over the 32 propositions
+// of PerProcess(16, "p", "q") builds with both builders, and its monitor
+// reads the three propositions of the formula.
+func TestBuildWideDeclaration(t *testing.T) {
+	fs, err := props.Formula("B", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := dist.PerProcess(16, "p", "q").Names
+	if len(names) != 32 {
+		t.Fatalf("%d names, want 32", len(names))
+	}
+	for name, build := range builders {
+		m, err := build(ltl.MustParse(fs), names)
+		if err != nil {
+			t.Fatalf("%s over %d propositions: %v", name, len(names), err)
+		}
+		if want := []string{"P0.p", "P1.p", "P2.p"}; !slices.Equal(m.Props, want) {
+			t.Errorf("%s: propositions %v, want %v", name, m.Props, want)
 		}
 	}
 }
@@ -137,8 +126,9 @@ const fuzzMaxNodes = 24
 // (dlmond's Register synthesizes whatever it is sent), so Build must refuse
 // or succeed, never panic. On every accepted formula over fuzzProps:
 //
-//   - δ is complete over the 2^5 letters and in range;
-//   - declaring one more, unused, proposition changes nothing but the lift;
+//   - the monitor's propositions are those the formula reads, in declaration
+//     order, and δ is complete over their letters and in range;
+//   - declaring one more, unused, proposition yields the identical monitor;
 //   - a conclusive verdict on a finite word u agrees with EvalLasso on
 //     u·v^ω for a few lassos derived from the input.
 func FuzzBuild(f *testing.F) {
@@ -161,8 +151,17 @@ func FuzzBuild(f *testing.F) {
 		if err != nil {
 			return // an undeclared proposition
 		}
+		var read []string
+		for _, p := range fuzzProps {
+			if slices.Contains(formula.Props(), p) {
+				read = append(read, p)
+			}
+		}
+		if !slices.Equal(m.Props, read) {
+			t.Fatalf("%s: propositions %v, want %v", formula, m.Props, read)
+		}
 		for q := 0; q < m.NumStates(); q++ {
-			for a := uint32(0); a < 1<<len(fuzzProps); a++ {
+			for a := uint32(0); a < 1<<len(m.Props); a++ {
 				if s := m.Step(q, a); s < 0 || s >= m.NumStates() {
 					t.Fatalf("%s: δ(%d, %b) = %d out of range [0, %d)", formula, q, a, s, m.NumStates())
 				}
@@ -177,19 +176,19 @@ func FuzzBuild(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: accepted over %v, refused over %v: %v", formula, fuzzProps, wideProps, err)
 		}
-		sameUpToLift(t, formula.String(), m, wide, addedBits(wideProps, fuzzProps))
+		sameMonitor(t, formula.String(), m, wide)
 
 		for i := 0; i < 4; i++ {
 			word := make([]uint32, rng.Intn(5)+1+rng.Intn(3))
 			for j := range word {
-				word[j] = uint32(rng.Intn(1 << len(fuzzProps)))
+				word[j] = uint32(rng.Intn(1 << len(m.Props)))
 			}
 			loop := rng.Intn(len(word))
 			v := m.Run(word[:loop])
 			if v == automaton.Unknown {
 				continue
 			}
-			if sat := automaton.EvalLasso(formula, fuzzProps, word, loop); sat != (v == automaton.Top) {
+			if sat := automaton.EvalLasso(formula, m.Props, word, loop); sat != (v == automaton.Top) {
 				t.Fatalf("%s: verdict %v on %v, but the lasso loop@%d of %v satisfies: %v", formula, v, word[:loop], loop, word, sat)
 			}
 		}

@@ -14,18 +14,18 @@
 //	  → product Moore machine with verdict output           (this file)
 //	  → Moore minimization                                  (this file)
 //	  → symbolic conjunctive transitions via Quine–McCluskey (symbolic.go)
-//	  → lift from 2^AP(ϕ) to the declared 2^Props           (symbolic.go)
 //
-// AP(ϕ) is the support: the propositions ϕ reads, in declaration order. Every
-// stage up to the lift runs over its 2^|AP(ϕ)| letters, so ϕ sets the cost of
-// synthesis and the declared alphabet only the size of the δ table.
-//
-// Letters of a Monitor are bitmasks over the declared atomic propositions:
-// bit i is the truth value of Props[i] in the current global state.
+// AP(ϕ) is the support: the propositions ϕ reads, in the order they are
+// declared. A Monitor's alphabet is 2^AP(ϕ): letter bit i is the truth value
+// of Props[i] in the current global state, δ has 2^|AP(ϕ)| columns, and
+// guard variable i is Props[i]. Propositions declared beside ϕ's cost
+// nothing; whoever feeds a monitor binds its Props to a process space by name
+// (dist.PropMap.Restrict).
 package automaton
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"decentmon/internal/boolfn"
@@ -77,7 +77,8 @@ func (t Transition) SelfLoop() bool { return t.Src == t.Dst }
 type Monitor struct {
 	// Formula is the monitored property.
 	Formula *ltl.Formula
-	// Props is the atomic-proposition indexing: letter bit i ↔ Props[i].
+	// Props are the propositions Formula reads, in declaration order: letter
+	// bit i and guard variable i are Props[i].
 	Props []string
 
 	verdicts    []Verdict
@@ -86,68 +87,64 @@ type Monitor struct {
 	outIdx      [][]int // per state: indices into transitions
 }
 
-// Build synthesizes the monitor for formula f over the given proposition
-// ordering. Every proposition used by f must appear in props; props may
-// declare extra (unused) propositions, which is convenient when several
-// properties share one global-state encoding. Unused propositions cost only
-// δ table width: the machine is synthesized over the propositions f reads
-// and lifted to 2^len(props) letters at the end, and comes out identical to
-// the one synthesized over the whole alphabet. Build returns an error if a
-// proposition is declared twice, f reads an undeclared one, or more than
-// boolfn.MaxVars are declared.
+// Build synthesizes the monitor for formula f over the given declaration of
+// propositions. Every proposition f reads must be declared; props may declare
+// others (several properties often share one global-state encoding), and
+// those leave the monitor untouched: its alphabet is the propositions f reads,
+// in the order props declares them. Build returns an error if a proposition
+// is declared twice, f reads an undeclared one, or f reads more than
+// boolfn.MaxVars.
 func Build(f *ltl.Formula, props []string) (*Monitor, error) {
 	sup, err := supportOf(f, props)
 	if err != nil {
 		return nil, err
 	}
 	m := synthesize(f, sup)
-	return lift(f, props, sup, m.verdicts, m.delta), nil
+	return newMonitor(f, sup, m.verdicts, m.delta), nil
 }
 
 // support is the part of a declared alphabet a formula reads. Its
-// propositions keep their declaration order and index the letters synthesis
-// runs over: support letter bit j is the j-th declared proposition the
-// formula reads.
+// propositions keep their declaration order and index the monitor's letters:
+// letter bit j is names[j].
 type support struct {
-	mask uint32         // bit i set iff the formula reads props[i]
-	idx  map[string]int // read proposition -> its bit in a support letter
+	names []string
+	idx   map[string]int // names[j] -> j
 }
 
 // supportOf validates the declared alphabet against f and returns f's
 // support within it.
 func supportOf(f *ltl.Formula, props []string) (support, error) {
-	if len(props) > boolfn.MaxVars {
-		return support{}, fmt.Errorf("automaton: %d propositions exceed the supported maximum %d", len(props), boolfn.MaxVars)
-	}
-	propIdx := make(map[string]int, len(props))
-	for i, p := range props {
-		if _, dup := propIdx[p]; dup {
+	declared := make(map[string]bool, len(props))
+	for _, p := range props {
+		if declared[p] {
 			return support{}, fmt.Errorf("automaton: duplicate proposition %q", p)
 		}
-		propIdx[p] = i
+		declared[p] = true
 	}
 	read := f.Props()
-	sup := support{idx: make(map[string]int, len(read))}
 	for _, p := range read {
-		i, ok := propIdx[p]
-		if !ok {
+		if !declared[p] {
 			return support{}, fmt.Errorf("automaton: formula uses undeclared proposition %q", p)
 		}
-		sup.mask |= 1 << i
 	}
-	for i, p := range props {
-		if sup.mask&(1<<i) != 0 {
-			sup.idx[p] = len(sup.idx)
+	if len(read) > boolfn.MaxVars {
+		return support{}, fmt.Errorf("automaton: formula reads %d propositions, more than the supported maximum %d", len(read), boolfn.MaxVars)
+	}
+	sup := support{idx: make(map[string]int, len(read))}
+	for _, p := range props {
+		if slices.Contains(read, p) {
+			sup.idx[p] = len(sup.names)
+			sup.names = append(sup.names, p)
 		}
 	}
 	return sup, nil
 }
 
 // letters is the size of the support's alphabet.
-func (s support) letters() int { return 1 << len(s.idx) }
+func (s support) letters() int { return 1 << len(s.names) }
 
 // synthesize runs the LTL3 pipeline over the support's letters and returns
-// the minimal Moore machine for f, indexed by support letters.
+// the minimal Moore machine for f.
 func synthesize(f *ltl.Formula, sup support) *moore {
 	n := sup.letters()
 	pos := determinize(buildGBA(f.NNF(), sup.idx), n)

@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,6 +18,23 @@ const (
 
 var pq = []string{"p", "q"}
 
+// project rewrites a word of letters over props into m's letters: m reads
+// only the propositions of its formula.
+func project(m *Monitor, props []string, word []uint32) []uint32 {
+	out := make([]uint32, len(word))
+	for i, l := range word {
+		assign := map[string]bool{}
+		for b, p := range props {
+			assign[p] = l>>b&1 == 1
+		}
+		out[i] = m.Letter(assign)
+	}
+	return out
+}
+
+// over is project from pq.
+func over(m *Monitor, word ...uint32) []uint32 { return project(m, pq, word) }
+
 func TestBuildEventually(t *testing.T) {
 	m := MustBuild(ltl.MustParse("F p"), pq)
 	// F p: 2 states — ? with !p self-loop, ⊤ absorbing.
@@ -26,13 +44,13 @@ func TestBuildEventually(t *testing.T) {
 	if m.Run(nil) != Unknown {
 		t.Errorf("[ε ⊨ Fp] = %v, want ?", m.Run(nil))
 	}
-	if got := m.Run([]uint32{lNone, lQ}); got != Unknown {
+	if got := m.Run(over(m, lNone, lQ)); got != Unknown {
 		t.Errorf("no p yet: %v, want ?", got)
 	}
-	if got := m.Run([]uint32{lNone, lP}); got != Top {
+	if got := m.Run(over(m, lNone, lP)); got != Top {
 		t.Errorf("p seen: %v, want T", got)
 	}
-	if got := m.Run([]uint32{lP, lNone}); got != Top {
+	if got := m.Run(over(m, lP, lNone)); got != Top {
 		t.Errorf("T must be absorbing: %v", got)
 	}
 }
@@ -42,13 +60,13 @@ func TestBuildAlways(t *testing.T) {
 	if m.NumStates() != 2 {
 		t.Fatalf("G p: %d states, want 2\n%s", m.NumStates(), m.Describe())
 	}
-	if got := m.Run([]uint32{lP, lPQ}); got != Unknown {
+	if got := m.Run(over(m, lP, lPQ)); got != Unknown {
 		t.Errorf("all p so far: %v, want ?", got)
 	}
-	if got := m.Run([]uint32{lP, lQ}); got != Bottom {
+	if got := m.Run(over(m, lP, lQ)); got != Bottom {
 		t.Errorf("p violated: %v, want F", got)
 	}
-	if got := m.Run([]uint32{lQ, lP}); got != Bottom {
+	if got := m.Run(over(m, lQ, lP)); got != Bottom {
 		t.Errorf("F must be absorbing: %v", got)
 	}
 }
@@ -74,7 +92,7 @@ func TestBuildUntil(t *testing.T) {
 		{[]uint32{lP, lNone, lQ}, Bottom}, // absorbing
 	}
 	for _, c := range cases {
-		if got := m.Run(c.word); got != c.want {
+		if got := m.Run(over(m, c.word...)); got != c.want {
 			t.Errorf("[%v ⊨ pUq] = %v, want %v", c.word, got, c.want)
 		}
 	}
@@ -92,7 +110,7 @@ func TestBuildNext(t *testing.T) {
 		{[]uint32{lP, lNone}, Bottom},
 	}
 	for _, c := range cases {
-		if got := m.Run(c.word); got != c.want {
+		if got := m.Run(over(m, c.word...)); got != c.want {
 			t.Errorf("[%v ⊨ Xp] = %v, want %v", c.word, got, c.want)
 		}
 	}
@@ -103,7 +121,7 @@ func TestBuildLiveness(t *testing.T) {
 	m := MustBuild(ltl.MustParse("G F p"), pq)
 	words := [][]uint32{nil, {lP}, {lNone}, {lP, lNone, lQ, lPQ}, {lNone, lNone, lNone}}
 	for _, w := range words {
-		if got := m.Run(w); got != Unknown {
+		if got := m.Run(over(m, w...)); got != Unknown {
 			t.Errorf("[%v ⊨ GFp] = %v, want ?", w, got)
 		}
 	}
@@ -115,11 +133,11 @@ func TestBuildLiveness(t *testing.T) {
 
 func TestBuildConstants(t *testing.T) {
 	mt := MustBuild(ltl.True(), pq)
-	if mt.Run(nil) != Top || mt.Run([]uint32{lNone}) != Top {
+	if mt.Run(nil) != Top || mt.Run(over(mt, lNone)) != Top {
 		t.Error("monitor for true must output T everywhere")
 	}
 	mf := MustBuild(ltl.False(), pq)
-	if mf.Run(nil) != Bottom || mf.Run([]uint32{lPQ}) != Bottom {
+	if mf.Run(nil) != Bottom || mf.Run(over(mf, lPQ)) != Bottom {
 		t.Error("monitor for false must output F everywhere")
 	}
 	if mt.NumStates() != 1 || mf.NumStates() != 1 {
@@ -190,7 +208,7 @@ func TestTransitionsPartitionAlphabet(t *testing.T) {
 	for _, fs := range formulas {
 		m := MustBuild(ltl.MustParse(fs), pq)
 		for s := 0; s < m.NumStates(); s++ {
-			for a := uint32(0); a < 4; a++ {
+			for a := uint32(0); a < 1<<len(m.Props); a++ {
 				matches := map[int]bool{}
 				for _, tr := range m.Out(s) {
 					if tr.Guard.Contains(a) {
@@ -219,16 +237,14 @@ func TestFinalStatesAbsorbing(t *testing.T) {
 			if !m.Final(s) {
 				continue
 			}
-			for a := uint32(0); a < 4; a++ {
-				if m.Step(s, int32OK(a)) != s {
+			for a := uint32(0); a < 1<<len(m.Props); a++ {
+				if m.Step(s, a) != s {
 					t.Fatalf("%s: final state %d not absorbing on %b", fs, s, a)
 				}
 			}
 		}
 	}
 }
-
-func int32OK(a uint32) uint32 { return a }
 
 func TestCountTransitions(t *testing.T) {
 	m := MustBuild(ltl.MustParse("F p"), pq)
@@ -266,8 +282,16 @@ func TestBuildErrors(t *testing.T) {
 	for i := range big {
 		big[i] = string(rune('a' + i))
 	}
-	if _, err := Build(ltl.True(), big); err == nil {
-		t.Error("too many propositions accepted")
+	// The ceiling is on what the formula reads, not on what is declared.
+	m, err := Build(ltl.MustParse("F a"), big)
+	if err != nil {
+		t.Fatalf("30 declared, one read: %v", err)
+	}
+	if !slices.Equal(m.Props, []string{"a"}) {
+		t.Errorf("props %v, want [a]", m.Props)
+	}
+	if _, err := Build(ltl.MustParse("F ("+strings.Join(big[:25], " && ")+")"), big); err == nil {
+		t.Error("a formula reading 25 propositions accepted")
 	}
 }
 

@@ -24,8 +24,9 @@ import (
 // construction therefore inherits exact LTL3 verdicts and doubles as a
 // cross-validation of both machines (any pairing conflict panics).
 //
-// Like Build, it runs over the propositions f reads and lifts the result to
-// the declared alphabet, and it refuses the same alphabets Build refuses.
+// Like Build, it runs over the propositions f reads, in declaration order,
+// which are the returned Monitor's Props, and it refuses the same
+// declarations Build refuses.
 func BuildProgression(f *ltl.Formula, props []string) (*Monitor, error) {
 	sup, err := supportOf(f, props)
 	if err != nil {
@@ -74,7 +75,7 @@ func BuildProgression(f *ltl.Formula, props []string) (*Monitor, error) {
 	for i, st := range states {
 		verdicts[i] = min.verdicts[st.pair]
 	}
-	return lift(f, props, sup, verdicts, delta), nil
+	return newMonitor(f, sup, verdicts, delta), nil
 }
 
 // pdnf is a canonical disjunction of obligation clauses; each clause is a

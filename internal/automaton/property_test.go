@@ -39,7 +39,7 @@ func TestMonitorSoundAgainstLassoSemantics(t *testing.T) {
 		}
 		for wi := 0; wi < 6; wi++ {
 			prefix := randomWord(rng, 1+rng.Intn(4), len(props))
-			v := m.Run(prefix)
+			v := m.Run(project(m, props, prefix))
 			sawSat, sawViol := false, false
 			for s := 0; s < 40; s++ {
 				ext := randomWord(rng, 1+rng.Intn(3), len(props))
@@ -87,7 +87,7 @@ func TestMonitorDuality(t *testing.T) {
 		}
 		for wi := 0; wi < 20; wi++ {
 			w := randomWord(rng, rng.Intn(6), len(props))
-			vp, vn := mp.Run(w), mn.Run(w)
+			vp, vn := mp.Run(project(mp, props, w)), mn.Run(project(mn, props, w))
 			want := map[Verdict]Verdict{Top: Bottom, Bottom: Top, Unknown: Unknown}[vp]
 			if vn != want {
 				t.Fatalf("duality violated for %s on %v: ϕ=%v ¬ϕ=%v", f, w, vp, vn)
@@ -109,7 +109,7 @@ func TestVerdictMonotone(t *testing.T) {
 		w := randomWord(rng, 6, len(props))
 		prevConclusive := Unknown
 		q := 0
-		for _, a := range w {
+		for _, a := range project(m, props, w) {
 			q = m.Step(q, a)
 			v := m.VerdictOf(q)
 			if prevConclusive != Unknown && v != prevConclusive {
@@ -127,7 +127,6 @@ func TestVerdictMonotone(t *testing.T) {
 func TestMinimality(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	props := []string{"p", "q"}
-	nLetters := 1 << len(props)
 	for trial := 0; trial < 60; trial++ {
 		f := ltl.RandomFormula(rng, 8, props)
 		m, err := Build(f, props)
@@ -137,7 +136,7 @@ func TestMinimality(t *testing.T) {
 		n := m.NumStates()
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
-				if equivalentStates(m, a, b, nLetters) {
+				if equivalentStates(m, a, b, 1<<len(m.Props)) {
 					t.Fatalf("%s: states %d and %d are equivalent; machine not minimal\n%s", f, a, b, m.Describe())
 				}
 			}
@@ -187,11 +186,11 @@ func TestBooleanFragment(t *testing.T) {
 			if evalBool(f, a, props) {
 				want = Top
 			}
-			if got := m.Run([]uint32{a}); got != want {
+			if got := m.Run(project(m, props, []uint32{a})); got != want {
 				t.Fatalf("boolean %s on %03b: %v, want %v", f, a, got, want)
 			}
 			// Later letters are irrelevant.
-			if got := m.Run([]uint32{a, a ^ 7}); got != want {
+			if got := m.Run(project(m, props, []uint32{a, a ^ 7})); got != want {
 				t.Fatalf("boolean %s verdict changed by later letter", f)
 			}
 		}
@@ -287,7 +286,7 @@ func TestUntilFragment(t *testing.T) {
 					}
 				}
 			}
-			if got := m.Run(w); got != want {
+			if got := m.Run(project(m, props, w)); got != want {
 				t.Fatalf("%s on %v: %v, want %v", f, w, got, want)
 			}
 		}

@@ -16,10 +16,11 @@ import (
 	"strings"
 )
 
-// MaxVars is the largest supported variable count. Letters are uint32
-// bitmasks; Quine–McCluskey over 2^24 minterms is far beyond what the
-// monitor synthesis ever needs (the paper's largest property has 10
-// propositions), so the bound is generous.
+// MaxVars is the largest supported variable count, and so the most
+// propositions a monitored formula may read (the propositions declared beside
+// them are not bounded by it). Letters are uint32 bitmasks; Quine–McCluskey
+// over 2^24 minterms is far beyond what the monitor synthesis ever needs (the
+// paper's largest property reads 10 propositions), so the bound is generous.
 const MaxVars = 24
 
 // Cube is a conjunction of literals over variables 0..n-1. A variable i is

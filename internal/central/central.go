@@ -25,7 +25,7 @@ import (
 // expands every consistent cut reachable with the events seen so far.
 type Monitor struct {
 	mon  *automaton.Monitor
-	pm   *dist.PropMap
+	pm   *dist.PropMap // mon's propositions, bound to the process space
 	n    int
 	init dist.GlobalState
 
@@ -55,11 +55,17 @@ type node struct {
 type waitKey struct{ proc, sn int }
 
 // New creates a centralized monitor for the property over an n-process
-// program with the given initial global state.
-func New(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalState) *Monitor {
+// program with the given initial global state. pm must declare every
+// proposition mon reads; the monitor's letters are read through it by name
+// (dist.PropMap.Restrict).
+func New(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalState) (*Monitor, error) {
+	letters, err := pm.Restrict(mon.Props)
+	if err != nil {
+		return nil, err
+	}
 	m := &Monitor{
 		mon:                   mon,
-		pm:                    pm,
+		pm:                    letters,
 		n:                     n,
 		init:                  init.Clone(),
 		events:                make([][]*dist.Event, n),
@@ -71,7 +77,7 @@ func New(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalState)
 		firstConclusiveEvents: -1,
 	}
 	start := &node{cut: vclock.New(n), states: newStateset(mon.NumStates())}
-	q0 := mon.Step(mon.Initial(), pm.Letter(init))
+	q0 := mon.Step(mon.Initial(), letters.Letter(init))
 	start.states.set(q0)
 	m.nodes[start.cut.Key()] = start
 	m.nodesCreated = 1
@@ -79,7 +85,7 @@ func New(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalState)
 		m.recordConclusive(q0)
 	}
 	m.expand(start)
-	return m
+	return m, nil
 }
 
 // Feed delivers one event to the central node. Events of one process must
@@ -251,7 +257,10 @@ func RunStream(src dist.EventSource, mon *automaton.Monitor) (*Result, error) {
 // between events, so cancelling aborts long replays promptly.
 func RunStreamContext(ctx context.Context, src dist.EventSource, mon *automaton.Monitor) (*Result, error) {
 	n := src.N()
-	m := New(mon, src.Props(), n, src.Init())
+	m, err := New(mon, src.Props(), n, src.Init())
+	if err != nil {
+		return nil, err
+	}
 	counts := make([]int, n)
 	for {
 		if err := ctx.Err(); err != nil {

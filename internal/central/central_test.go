@@ -2,6 +2,7 @@ package central
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -106,7 +107,10 @@ func TestFeedOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(mon, ts.Props, 2, ts.InitialState())
+	m, err := New(mon, ts.Props, 2, ts.InitialState())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Feed(ts.Traces[0].Events[1]); err == nil {
 		t.Error("out-of-order feed accepted")
 	}
@@ -118,8 +122,28 @@ func TestFinishIncomplete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(mon, ts.Props, 2, ts.InitialState())
+	m, err := New(mon, ts.Props, 2, ts.InitialState())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Finish(); err == nil {
 		t.Error("Finish on incomplete run accepted")
+	}
+}
+
+// TestNewRefusesUndeclaredProposition: both centralized monitors bind the
+// automaton's propositions to the process space by name, and refuse one the
+// space does not declare.
+func TestNewRefusesUndeclaredProposition(t *testing.T) {
+	ts := dist.RunningExample()
+	mon, err := automaton.Build(ltl.MustParse("F ghost"), append(ts.Props.Names, "ghost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(mon, ts.Props, 2, ts.InitialState()); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Errorf("New: %v, want an error naming ghost", err)
+	}
+	if _, err := NewPath(mon, ts.Props, 2, ts.InitialState()); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Errorf("NewPath: %v, want an error naming ghost", err)
 	}
 }

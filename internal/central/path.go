@@ -23,7 +23,7 @@ import (
 // evaluation behind dlmon -bounded and decentmon.RunBounded.
 type PathMonitor struct {
 	mon    *automaton.Monitor
-	pm     *dist.PropMap
+	pm     *dist.PropMap // mon's propositions, bound to the process space
 	g      dist.GlobalState
 	counts []int
 	state  int
@@ -34,20 +34,25 @@ type PathMonitor struct {
 }
 
 // NewPath creates a path monitor for an n-process execution starting in the
-// given initial global state.
-func NewPath(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalState) *PathMonitor {
+// given initial global state. pm must declare every proposition mon reads;
+// the monitor's letters are read through it by name (dist.PropMap.Restrict).
+func NewPath(mon *automaton.Monitor, pm *dist.PropMap, n int, init dist.GlobalState) (*PathMonitor, error) {
+	letters, err := pm.Restrict(mon.Props)
+	if err != nil {
+		return nil, err
+	}
 	m := &PathMonitor{
 		mon:             mon,
-		pm:              pm,
+		pm:              letters,
 		g:               init.Clone(),
 		counts:          make([]int, n),
 		firstConclusive: -1,
 	}
-	m.state = mon.Step(mon.Initial(), pm.Letter(m.g))
+	m.state = mon.Step(mon.Initial(), letters.Letter(m.g))
 	if mon.Final(m.state) {
 		m.firstConclusive = 0
 	}
-	return m
+	return m, nil
 }
 
 // Feed applies one event: the owning process's valuation changes and the
@@ -148,7 +153,10 @@ func RunPathContext(ctx context.Context, src dist.EventSource, mon *automaton.Mo
 	if len(init) != n {
 		return nil, fmt.Errorf("central: initial state has %d entries, path has %d processes", len(init), n)
 	}
-	m := NewPath(mon, pm, n, init)
+	m, err := NewPath(mon, pm, n, init)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err

@@ -132,7 +132,10 @@ func TestPathFeedOutOfOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewPath(mon, ts.Props, 2, ts.InitialState())
+	m, err := NewPath(mon, ts.Props, 2, ts.InitialState())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Feed(ts.Traces[0].Events[1]); err == nil {
 		t.Error("out-of-order feed accepted")
 	}
@@ -161,7 +164,10 @@ func TestPathFeedRejectsCausalViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewPath(mon, ts.Props, 2, ts.InitialState())
+	m, err := NewPath(mon, ts.Props, 2, ts.InitialState())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// P1's first event is the recv of m1; feeding it before P0's send
 	// would evaluate a cut outside the lattice and must be refused.
 	if err := m.Feed(ts.Traces[1].Events[0]); err == nil {

@@ -81,7 +81,7 @@ func TestAllocsBoxSweep(t *testing.T) {
 		}
 		hi[tr.Proc] = len(tr.Events)
 	}
-	lt := newLetterTable(ts.Props, ts.N())
+	lt := mustLetters(t, mon, ts.Props, ts.N())
 	init := newStateset(mon.NumStates())
 	init.set(mon.Step(mon.Initial(), lt.letter(ts.InitialState())))
 	lo, support := vclock.New(ts.N()), []int{0, 1, 2}
@@ -123,10 +123,11 @@ func TestAllocsVCKey(t *testing.T) {
 // one process's contribution to a letter is pure table arithmetic.
 func TestAllocsLetterTable(t *testing.T) {
 	pm := dist.PerProcess(4, "p", "q")
-	if _, err := automaton.Build(ltl.MustParse("F (P0.p && P1.q && P2.p)"), pm.Names); err != nil {
+	mon, err := automaton.Build(ltl.MustParse("F (P0.p && P1.q && P2.p)"), pm.Names)
+	if err != nil {
 		t.Fatal(err)
 	}
-	lt := newLetterTable(pm, 4)
+	lt := mustLetters(t, mon, pm, 4)
 	var letter uint32
 	allocs := testing.AllocsPerRun(200, func() {
 		letter = lt.update(letter, 1, 2)

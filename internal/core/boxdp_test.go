@@ -61,7 +61,7 @@ func newBoxFixture(t *testing.T, ts *dist.TraceSet, formula string) *boxFixture 
 			}
 		}
 	}
-	lt := newLetterTable(ts.Props, ts.N())
+	lt := mustLetters(t, mon, ts.Props, ts.N())
 	init := newStateset(mon.NumStates())
 	init.set(mon.Step(mon.Initial(), lt.letter(ts.InitialState())))
 	return &boxFixture{mon: mon, know: know, lt: lt, init: init, n: ts.N()}

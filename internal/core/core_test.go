@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -18,6 +21,16 @@ func mustMonitor(t *testing.T, formula string, props []string) *automaton.Monito
 		t.Fatal(err)
 	}
 	return m
+}
+
+// mustLetters is the letter table compile builds for mon over pm.
+func mustLetters(t *testing.T, mon *automaton.Monitor, pm *dist.PropMap, n int) *letterTable {
+	t.Helper()
+	prog, err := compile(Config{N: n, Automaton: mon, Props: pm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.lt
 }
 
 func oracleSet(t *testing.T, ts *dist.TraceSet, mon *automaton.Monitor) map[automaton.Verdict]bool {
@@ -211,5 +224,36 @@ func TestConfigValidation(t *testing.T) {
 	mon := mustMonitor(t, dist.RunningExampleProperty, ts.Props.Names)
 	if _, err := New(Config{Index: 5, N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState()}, nil); err == nil {
 		t.Error("bad index accepted")
+	}
+}
+
+// TestLettersBoundByName: the engine binds the automaton's propositions to
+// the process space by name, not by position. A monitor whose propositions
+// were declared in another order than the traces' reaches the oracle's
+// verdicts, and one reading a proposition the space lacks is refused with an
+// error naming it.
+func TestLettersBoundByName(t *testing.T) {
+	ts := dist.RunningExample()
+	want := setString(oracleSet(t, ts, mustMonitor(t, dist.RunningExampleProperty, ts.Props.Names)))
+	if want != "F?" {
+		t.Fatalf("fixture: oracle %q, want F?", want)
+	}
+	permuted := mustMonitor(t, dist.RunningExampleProperty, []string{"x2>=15", "x1>=5", "x1=10"})
+	res, err := Run(RunConfig{Traces: ts, Automaton: permuted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := setString(res.Verdicts); got != want {
+		t.Errorf("monitor declared in another order: verdicts %q, oracle %q", got, want)
+	}
+
+	ghost := mustMonitor(t, "G (x1>=5 -> F ghost)", append(slices.Clone(ts.Props.Names), "ghost"))
+	s, err := NewSession(context.Background(), SessionConfig{N: 2, Automaton: ghost, Props: ts.Props, Init: ts.InitialState()})
+	if err == nil {
+		s.Close()
+		t.Fatal("a monitor reading an undeclared proposition was accepted")
+	}
+	if !strings.Contains(err.Error(), `"ghost"`) {
+		t.Errorf("error %q does not name the proposition", err)
 	}
 }

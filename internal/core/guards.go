@@ -30,21 +30,23 @@ func (g localGuard) sat(s dist.LocalState) bool {
 }
 
 // guardTable precomputes, for every symbolic transition of the automaton,
-// its per-process conjuncts. It answers the question the algorithm keeps
-// asking: "is process j forbidding this transition?" (its conjunct is
-// non-empty and its local state fails it).
+// its per-process conjuncts, read through letters: the automaton's
+// propositions bound to the process space (dist.PropMap.Restrict), so that
+// guard variable i is letters.Names[i]. It answers the question the
+// algorithm keeps asking: "is process j forbidding this transition?" (its
+// conjunct is non-empty and its local state fails it).
 type guardTable struct {
 	// perTrans[t.ID][proc] is the guard restricted to proc.
 	perTrans [][]localGuard
 }
 
-func newGuardTable(mon *automaton.Monitor, pm *dist.PropMap, n int) *guardTable {
+func newGuardTable(mon *automaton.Monitor, letters *dist.PropMap, n int) *guardTable {
 	gt := &guardTable{}
 	for _, tr := range mon.Transitions() {
 		per := make([]localGuard, n)
 		for _, lit := range tr.Guard.Literals() {
-			owner := pm.Owner[lit.Var]
-			bit := uint32(1) << pm.LocalBit[lit.Var]
+			owner := letters.Owner[lit.Var]
+			bit := uint32(1) << letters.LocalBit[lit.Var]
 			per[owner].mask |= bit
 			if lit.Positive {
 				per[owner].val |= bit
@@ -60,15 +62,18 @@ func newGuardTable(mon *automaton.Monitor, pm *dist.PropMap, n int) *guardTable 
 func (gt *guardTable) guard(id, proc int) localGuard { return gt.perTrans[id][proc] }
 
 // letterTable precomputes the map from per-process local states to
-// monitor-letter bits, so the hot paths can maintain letters *incrementally*:
-// advancing a cut by one event of process p changes only p's bits, so
+// monitor-letter bits (bit i ↔ letters.Names[i], the automaton's
+// propositions bound by dist.PropMap.Restrict), so the hot paths can maintain
+// letters *incrementally*: advancing a cut by one event of process p changes
+// only p's bits, so
 //
 //	letter' = letter &^ mask[p] | bits[p][state]
 //
 // replaces the O(|props|) PropMap.Letter walk (and, in the box explorer, the
-// per-node GlobalState materialization) with two table lookups. For processes
-// owning more than lutBits propositions the table would be oversized, so
-// bitsOf falls back to walking that process's propositions.
+// per-node GlobalState materialization) with two table lookups. A process's
+// table is indexed by the low local-state bits up to its highest read
+// proposition; past lutBits of them the table would be oversized, so bitsOf
+// falls back to walking that process's propositions.
 type letterTable struct {
 	n    int
 	mask []uint32 // mask[p]: letter bits owned by process p
@@ -80,29 +85,26 @@ type letterTable struct {
 // lutBits caps the per-process lookup table at 2^lutBits entries.
 const lutBits = 10
 
-func newLetterTable(pm *dist.PropMap, n int) *letterTable {
+func newLetterTable(letters *dist.PropMap, n int) *letterTable {
 	lt := &letterTable{
 		n:     n,
 		mask:  make([]uint32, n),
 		bits:  make([][]uint32, n),
 		props: make([][2][]int, n),
 	}
-	owned := make([]int, n) // props per process
-	for i := range pm.Names {
-		p := pm.Owner[i]
-		if p >= n {
-			continue
-		}
+	width := make([]int, n) // per process: 1 + its highest local bit read
+	for i, p := range letters.Owner {
+		lb := letters.LocalBit[i]
 		lt.mask[p] |= 1 << i
 		lt.props[p][0] = append(lt.props[p][0], i)
-		lt.props[p][1] = append(lt.props[p][1], pm.LocalBit[i])
-		owned[p]++
+		lt.props[p][1] = append(lt.props[p][1], lb)
+		width[p] = max(width[p], lb+1)
 	}
 	for p := 0; p < n; p++ {
-		if owned[p] == 0 || owned[p] > lutBits {
+		if width[p] == 0 || width[p] > lutBits {
 			continue
 		}
-		tab := make([]uint32, 1<<owned[p])
+		tab := make([]uint32, 1<<width[p])
 		for s := range tab {
 			var l uint32
 			for k, lb := range lt.props[p][1] {

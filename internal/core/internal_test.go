@@ -196,14 +196,18 @@ func TestGuardTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gt := newGuardTable(mon, pm, 2)
+	letters, err := pm.Restrict(mon.Props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt := newGuardTable(mon, letters, 2)
 	for _, tr := range mon.Transitions() {
 		// Recombine the per-process guards and compare with the full cube on
 		// every global state.
 		for s0 := dist.LocalState(0); s0 < 4; s0++ {
 			for s1 := dist.LocalState(0); s1 < 4; s1++ {
 				local := gt.guard(tr.ID, 0).sat(s0) && gt.guard(tr.ID, 1).sat(s1)
-				letter := pm.Letter(dist.GlobalState{s0, s1})
+				letter := letters.Letter(dist.GlobalState{s0, s1})
 				if local != tr.Guard.Contains(letter) {
 					t.Fatalf("transition %d: split guards disagree at %b/%b", tr.ID, s0, s1)
 				}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -66,12 +67,28 @@ type program struct {
 	support []int
 }
 
-func compile(cfg Config) *program {
-	return &program{
-		gt:      newGuardTable(cfg.Automaton, cfg.Props, cfg.N),
-		lt:      newLetterTable(cfg.Props, cfg.N),
-		support: boxSupport(cfg),
+// compile binds the automaton's propositions to the process space by name
+// (dist.PropMap.Restrict) and builds the program over that binding. It fails
+// when the automaton reads a proposition Props does not declare, or one owned
+// by a process outside the N.
+func compile(cfg Config) (*program, error) {
+	if cfg.Automaton == nil || cfg.Props == nil {
+		return nil, fmt.Errorf("core: monitor needs an automaton and a proposition map")
 	}
+	letters, err := cfg.Props.Restrict(cfg.Automaton.Props)
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range letters.Owner {
+		if o >= cfg.N {
+			return nil, fmt.Errorf("core: proposition %q owned by process %d, session has %d", letters.Names[i], o, cfg.N)
+		}
+	}
+	return &program{
+		gt:      newGuardTable(cfg.Automaton, letters, cfg.N),
+		lt:      newLetterTable(letters, cfg.N),
+		support: boxSupport(cfg, letters),
+	}, nil
 }
 
 // Metrics counts the overhead quantities reported in Chapter 5, plus the
@@ -227,7 +244,11 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 		cfg.FeedBuffer = 1024
 	}
 	if cfg.program == nil {
-		cfg.program = compile(cfg)
+		prog, err := compile(cfg)
+		if err != nil {
+			return nil, err
+		}
+		cfg.program = prog
 	}
 	m := &Monitor{
 		cfg:           cfg,
@@ -249,41 +270,23 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 }
 
 // boxSupport computes the processes a monitor's box explorations are
-// projected onto. Slicing to the owners of the formula's propositions is
-// verdict-exact only for ○-free (stutter-invariant) properties and needs the
-// formula attached to the automaton; otherwise — and under Config.ExactBoxes —
-// the support is every process, which makes the sweep the exact full-width
-// DP. (The owner lookup mirrors lattice.SupportProcesses; duplicated to keep
-// internal packages decoupled, like the stateset type.)
-func boxSupport(cfg Config) []int {
-	all := make([]int, cfg.N)
-	for p := range all {
-		all[p] = p
-	}
-	if cfg.ExactBoxes || cfg.Automaton == nil || cfg.Props == nil || cfg.Automaton.Formula == nil || cfg.Automaton.Formula.HasNext() {
+// projected onto: the owners of the propositions the automaton reads, letters'
+// owners. Slicing to them is verdict-exact only for ○-free (stutter-invariant)
+// properties and needs the formula attached to the automaton; otherwise — and
+// under Config.ExactBoxes — the support is every process, which makes the
+// sweep the exact full-width DP.
+func boxSupport(cfg Config, letters *dist.PropMap) []int {
+	f := cfg.Automaton.Formula
+	if cfg.ExactBoxes || f == nil || f.HasNext() || letters.Len() == 0 {
+		all := make([]int, cfg.N)
+		for p := range all {
+			all[p] = p
+		}
 		return all
 	}
-	owner := make(map[string]int, cfg.Props.Len())
-	for i, name := range cfg.Props.Names {
-		owner[name] = cfg.Props.Owner[i]
-	}
-	seen := map[int]bool{}
-	var procs []int
-	for _, name := range cfg.Automaton.Formula.Props() {
-		o, ok := owner[name]
-		if !ok {
-			return all // unbound proposition: fall back to the exact DP
-		}
-		if !seen[o] {
-			seen[o] = true
-			procs = append(procs, o)
-		}
-	}
-	if len(procs) == 0 {
-		return all
-	}
-	sort.Ints(procs)
-	return procs
+	procs := slices.Clone(letters.Owner)
+	slices.Sort(procs)
+	return slices.Compact(procs)
 }
 
 // explore runs one box exploration over the monitor's support and accounts

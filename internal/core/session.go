@@ -238,7 +238,13 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		ExactBoxes:   cfg.ExactBoxes,
 		FeedBuffer:   feedBuffer,
 	}
-	mcfg.program = compile(mcfg) // once, for the n monitors to share
+	prog, err := compile(mcfg) // once, for the n monitors to share
+	if err != nil {
+		cancel()
+		nw.Close()
+		return nil, err
+	}
+	mcfg.program = prog
 	for i := 0; i < cfg.N; i++ {
 		mcfg.Index = i
 		m, err := New(mcfg, nw.Endpoint(i))

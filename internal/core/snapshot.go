@@ -64,6 +64,7 @@ import (
 	"time"
 
 	"decentmon/internal/automaton"
+	"decentmon/internal/boolfn"
 	"decentmon/internal/dist"
 	"decentmon/internal/vclock"
 	"decentmon/internal/wire"
@@ -215,26 +216,46 @@ func (s *Session) awaitQuiescence(ctx context.Context) error {
 // --- session-level records ---
 
 // automatonFingerprint hashes the exact machine the snapshot's state and
-// letter indices refer to: the proposition binding, per-state verdicts and
-// the full transition table. Restore refuses a config that builds a
-// different machine — every serialized state index would silently mean
-// something else under it.
+// letter indices refer to: its propositions, per-state verdicts and the full
+// transition table. Restore refuses a config that builds a different machine
+// — every serialized state index would silently mean something else under it.
 func automatonFingerprint(mon *automaton.Monitor) uint64 {
+	return fingerprintOver(mon, mon.Props)
+}
+
+// fingerprintOver is automatonFingerprint's text for mon read as a machine
+// over the letters of names, a superset of mon.Props, counted upward: δ of
+// such a letter is δ of the propositions mon reads in it. Over the declared
+// alphabet it is the fingerprint builds wrote while monitors spanned it.
+func fingerprintOver(mon *automaton.Monitor, names []string) uint64 {
+	bits := make([]uint32, len(names)) // bit i of a names letter -> mon's bit
+	for i, name := range names {
+		if j := slices.Index(mon.Props, name); j >= 0 {
+			bits[i] = 1 << j
+		}
+	}
 	h := fnv.New64a()
 	var scratch [wire.MaxUvarintLen]byte
 	put := func(v uint64) { h.Write(wire.AppendUvarint(scratch[:0], v)) }
 	put(uint64(mon.NumStates()))
-	put(uint64(len(mon.Props)))
-	for _, p := range mon.Props {
+	put(uint64(len(names)))
+	for _, p := range names {
 		h.Write([]byte(p))
 		h.Write([]byte{0})
 	}
-	letters := uint32(1) << uint(len(mon.Props))
 	for q := 0; q < mon.NumStates(); q++ {
 		put(uint64(int64(mon.VerdictOf(q))))
-		for a := uint32(0); a < letters; a++ {
-			put(uint64(mon.Step(q, a)))
+		// The highest bit varies slowest.
+		var walk func(i int, letter uint32)
+		walk = func(i int, letter uint32) {
+			if i < 0 {
+				put(uint64(mon.Step(q, letter)))
+				return
+			}
+			walk(i-1, letter)
+			walk(i-1, letter|bits[i])
 		}
+		walk(len(names)-1, 0)
 	}
 	return h.Sum64()
 }
@@ -382,7 +403,7 @@ func (s *Session) restoreSessionRecord(payload []byte) error {
 		return fmt.Errorf("core: snapshot of %d processes restored into %d", n, s.cfg.N)
 	case states != s.cfg.Automaton.NumStates():
 		return fmt.Errorf("core: snapshot automaton has %d states, config builds %d — property or compilation drift", states, s.cfg.Automaton.NumStates())
-	case fp != s.fingerprint():
+	case fp != s.fingerprint() && !s.declaredFingerprintIs(fp):
 		return fmt.Errorf("core: snapshot automaton fingerprint mismatch — property or compilation drift")
 	case reserved != 0:
 		return fmt.Errorf("core: snapshot session record has reserved byte %d, want 0", reserved)
@@ -404,6 +425,15 @@ func (s *Session) restoreSessionRecord(payload []byte) error {
 		}
 	}
 	return d.Done("core: session record")
+}
+
+// declaredFingerprintIs reports whether fp is the session automaton's
+// fingerprint as builds whose monitors spanned the whole declared alphabet
+// wrote it, so that their checkpoints still restore. Those builds refused
+// more than boolfn.MaxVars declared propositions.
+func (s *Session) declaredFingerprintIs(fp uint64) bool {
+	declared := s.cfg.Props.Names
+	return len(declared) <= boolfn.MaxVars && fp == fingerprintOver(s.cfg.Automaton, declared)
 }
 
 func (s *Session) restoreVerdictLog(payload []byte) error {

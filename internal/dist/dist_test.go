@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -42,6 +43,30 @@ func TestLetterEncoding(t *testing.T) {
 		if got := pm.Letter(c.g); got != c.want {
 			t.Errorf("Letter(%v) = %04b, want %04b", c.g, got, c.want)
 		}
+	}
+}
+
+// TestPropMapRestrict: the restricted map lists the named propositions in the
+// given order, each at its owner and local bit, so that its letter bit i is
+// names[i]'s truth value; an undeclared name is refused by name.
+func TestPropMapRestrict(t *testing.T) {
+	pm := PerProcess(3, "p", "q")
+	r, err := pm.Restrict([]string{"P2.q", "P0.p", "P1.q"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(r.Names, []string{"P2.q", "P0.p", "P1.q"}) || !slices.Equal(r.Owner, []int{2, 0, 1}) || !slices.Equal(r.LocalBit, []int{1, 0, 1}) {
+		t.Fatalf("restricted to %v owned by %v at %v", r.Names, r.Owner, r.LocalBit)
+	}
+	// P0: p; P1: q; P2: p and q.
+	if got := r.Letter(GlobalState{0b01, 0b10, 0b11}); got != 0b111 {
+		t.Errorf("letter %03b, want 111", got)
+	}
+	if got := r.Letter(GlobalState{0b10, 0b01, 0b01}); got != 0 {
+		t.Errorf("letter %03b, want 000", got)
+	}
+	if _, err := pm.Restrict([]string{"P0.p", "P3.p"}); err == nil || !strings.Contains(err.Error(), `"P3.p"`) {
+		t.Errorf("undeclared name: %v, want an error naming it", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"decentmon/internal/wire"
 )
@@ -14,12 +15,13 @@ import (
 const MaxProps = 32
 
 // PropMap is the proposition space of a property: an ordered list of atomic
-// propositions, each owned by exactly one process. The order defines the
-// monitor-automaton letter encoding (letter bit i ↔ Names[i]); Owner and
-// LocalBit give, per proposition, the owning process and the bit position
-// inside that process's LocalState.
+// propositions, each owned by exactly one process. Owner and LocalBit give,
+// per proposition, the owning process and the bit position inside that
+// process's LocalState. Letter reads bit i as Names[i]; a monitor, which
+// reads only its formula's propositions, takes its letters from the map
+// Restrict returns for them.
 type PropMap struct {
-	// Names are the propositions in letter-bit order.
+	// Names are the propositions in declaration order.
 	Names []string
 	// Owner[i] is the process owning Names[i].
 	Owner []int
@@ -154,6 +156,23 @@ func PerProcess(n int, suffixes ...string) *PropMap {
 		}
 	}
 	return pm
+}
+
+// Restrict returns the named propositions, in the given order, each at its
+// owner and local bit in pm. It is how a monitor binds its letters to a
+// process space: give it the monitor's propositions (automaton.Monitor.Props)
+// and the result's Letter is the monitor's letter. A name pm does not declare
+// is an error.
+func (pm *PropMap) Restrict(names []string) (*PropMap, error) {
+	r := &PropMap{Names: slices.Clone(names), Owner: make([]int, len(names)), LocalBit: make([]int, len(names))}
+	for k, name := range names {
+		i := slices.Index(pm.Names, name)
+		if i < 0 {
+			return nil, fmt.Errorf("dist: proposition %q is not declared", name)
+		}
+		r.Owner[k], r.LocalBit[k] = pm.Owner[i], pm.LocalBit[i]
+	}
+	return r, nil
 }
 
 // Letter converts a global state into the monitor-automaton letter: bit i of

@@ -80,17 +80,19 @@ func newStateset(n int) stateset { return make(stateset, (n+63)/64) }
 func (s stateset) set(i int)      { s[i/64] |= 1 << (i % 64) }
 func (s stateset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
-// Evaluate runs the oracle over the complete execution. The monitor's
-// propositions must match ts.Props.Names in order.
+// Evaluate runs the oracle over the complete execution. The traces must
+// declare every proposition the monitor reads; the monitor's letters are read
+// through them by name (dist.PropMap.Restrict).
 func Evaluate(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) {
-	if err := checkProps(ts, mon); err != nil {
+	letters, err := ts.Props.Restrict(mon.Props)
+	if err != nil {
 		return nil, err
 	}
 	procs := make([]int, ts.N())
 	for i := range procs {
 		procs[i] = i
 	}
-	res, err := evalProjected(ts, mon, procs)
+	res, err := evalProjected(ts, mon, letters, procs)
 	if err != nil {
 		return nil, err
 	}
@@ -103,8 +105,9 @@ func Evaluate(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) {
 // extend a cut iff its causal history *restricted to procs* is contained in
 // it (vector clocks are transitive, so causality routed through projected-
 // away processes is still enforced). With procs covering every process this
-// is exactly the Chapter-3 DP over the full computation lattice.
-func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, procs []int) (*Result, error) {
+// is exactly the Chapter-3 DP over the full computation lattice. letters binds
+// mon's propositions to the traces' space.
+func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, letters *dist.PropMap, procs []int) (*Result, error) {
 	n := ts.N()
 	k := len(procs)
 	// fullCut materializes a projected cut back into the n-process space so
@@ -125,7 +128,7 @@ func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, procs []int) (*Res
 	index := map[string]*node{}
 	start := &node{cut: vclock.New(k), states: newStateset(mon.NumStates())}
 	// The automaton consumes the initial global state first (§4.2 INIT).
-	q0 := mon.Step(mon.Initial(), ts.Props.Letter(ts.InitialState()))
+	q0 := mon.Step(mon.Initial(), letters.Letter(ts.InitialState()))
 	start.states.set(q0)
 	index[start.cut.Key()] = start
 
@@ -163,7 +166,7 @@ func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, procs []int) (*Res
 			}
 			// Advance every reachable automaton state over the successor's
 			// global state.
-			letter := ts.Props.Letter(ts.StateAtCut(fullCut(next)))
+			letter := letters.Letter(ts.StateAtCut(fullCut(next)))
 			for st := 0; st < mon.NumStates(); st++ {
 				if !nd.states.has(st) {
 					continue
@@ -257,7 +260,8 @@ func CountCuts(ts *dist.TraceSet) int {
 // Evaluate on small executions in tests; it returns an error after maxPaths
 // paths.
 func EnumeratePathVerdicts(ts *dist.TraceSet, mon *automaton.Monitor, maxPaths int) (map[automaton.Verdict]bool, int, error) {
-	if err := checkProps(ts, mon); err != nil {
+	letters, err := ts.Props.Restrict(mon.Props)
+	if err != nil {
 		return nil, 0, err
 	}
 	verdicts := map[automaton.Verdict]bool{}
@@ -284,7 +288,7 @@ func EnumeratePathVerdicts(ts *dist.TraceSet, mon *automaton.Monitor, maxPaths i
 			if !ts.Traces[i].Events[next[i]-1].VC.LessEq(next) {
 				continue
 			}
-			letter := ts.Props.Letter(ts.StateAtCut(next))
+			letter := letters.Letter(ts.StateAtCut(next))
 			if err := walk(next, mon.Step(q, letter)); err != nil {
 				return err
 			}
@@ -292,21 +296,9 @@ func EnumeratePathVerdicts(ts *dist.TraceSet, mon *automaton.Monitor, maxPaths i
 		return nil
 	}
 	start := vclock.New(n)
-	q0 := mon.Step(mon.Initial(), ts.Props.Letter(ts.InitialState()))
+	q0 := mon.Step(mon.Initial(), letters.Letter(ts.InitialState()))
 	if err := walk(start, q0); err != nil {
 		return nil, paths, err
 	}
 	return verdicts, paths, nil
-}
-
-func checkProps(ts *dist.TraceSet, mon *automaton.Monitor) error {
-	if len(mon.Props) != ts.Props.Len() {
-		return fmt.Errorf("lattice: monitor has %d propositions, traces declare %d", len(mon.Props), ts.Props.Len())
-	}
-	for i, p := range mon.Props {
-		if ts.Props.Names[i] != p {
-			return fmt.Errorf("lattice: proposition %d mismatch: monitor %q vs traces %q", i, p, ts.Props.Names[i])
-		}
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package lattice
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -106,35 +107,10 @@ func EvaluateOracle(ts *dist.TraceSet, mon *automaton.Monitor, cfg OracleConfig)
 	return nil, fmt.Errorf("lattice: unknown oracle mode %d", int(cfg.Mode))
 }
 
-// SupportProcesses returns the sorted set of processes owning a proposition
-// that the monitored formula mentions. Processes outside the support cannot
-// influence the letters the monitor distinguishes.
-func SupportProcesses(pm *dist.PropMap, mon *automaton.Monitor) ([]int, error) {
-	if mon.Formula == nil {
-		return nil, fmt.Errorf("lattice: monitor carries no formula; support is undetermined")
-	}
-	owner := make(map[string]int, pm.Len())
-	for i, name := range pm.Names {
-		owner[name] = pm.Owner[i]
-	}
-	seen := map[int]bool{}
-	var procs []int
-	for _, name := range mon.Formula.Props() {
-		o, ok := owner[name]
-		if !ok {
-			return nil, fmt.Errorf("lattice: formula proposition %q not in the trace proposition space", name)
-		}
-		if !seen[o] {
-			seen[o] = true
-			procs = append(procs, o)
-		}
-	}
-	sort.Ints(procs)
-	return procs, nil
-}
-
 // EvaluateSliced runs the oracle over the lattice projected onto the
-// property's support processes. The verdict set equals Evaluate's whenever
+// property's support processes: the owners of the propositions the monitor
+// reads. Processes outside the support cannot influence the letters the
+// monitor distinguishes. The verdict set equals Evaluate's whenever
 // the property is ○-free: events of non-support processes only stutter the
 // letters the monitor distinguishes, and ○-free LTL is stutter-invariant.
 // Formulas containing ○ are rejected rather than answered unsoundly.
@@ -142,17 +118,20 @@ func SupportProcesses(pm *dist.PropMap, mon *automaton.Monitor) ([]int, error) {
 // Result.NumCuts/NumEdges/MaxWidth describe the *projected* lattice and
 // FirstConclusiveRank counts support-process events only.
 func EvaluateSliced(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) {
-	if err := checkProps(ts, mon); err != nil {
-		return nil, err
-	}
-	procs, err := SupportProcesses(ts.Props, mon)
-	if err != nil {
-		return nil, err
+	if mon.Formula == nil {
+		return nil, fmt.Errorf("lattice: monitor carries no formula; stutter invariance is undetermined")
 	}
 	if mon.Formula.HasNext() {
 		return nil, fmt.Errorf("lattice: sliced oracle needs a ○-free (stutter-invariant) property, got %s", mon.Formula)
 	}
-	res, err := evalProjected(ts, mon, procs)
+	letters, err := ts.Props.Restrict(mon.Props)
+	if err != nil {
+		return nil, err
+	}
+	procs := slices.Clone(letters.Owner)
+	slices.Sort(procs)
+	procs = slices.Compact(procs)
+	res, err := evalProjected(ts, mon, letters, procs)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +150,8 @@ func EvaluateSliced(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) 
 // one enabled event — so the final cut is always reached and at least one
 // verdict is always returned.
 func EvaluateSampled(ts *dist.TraceSet, mon *automaton.Monitor, maxFrontier int, seed int64) (*Result, error) {
-	if err := checkProps(ts, mon); err != nil {
+	letters, err := ts.Props.Restrict(mon.Props)
+	if err != nil {
 		return nil, err
 	}
 	if maxFrontier <= 0 {
@@ -184,7 +164,7 @@ func EvaluateSampled(ts *dist.TraceSet, mon *automaton.Monitor, maxFrontier int,
 		states stateset
 	}
 	start := &node{cut: vclock.New(n), states: newStateset(mon.NumStates())}
-	q0 := mon.Step(mon.Initial(), ts.Props.Letter(ts.InitialState()))
+	q0 := mon.Step(mon.Initial(), letters.Letter(ts.InitialState()))
 	start.states.set(q0)
 
 	res := &Result{Mode: ModeSampling, NumCuts: 1, MaxWidth: 1, FirstConclusiveRank: -1}
@@ -222,7 +202,7 @@ func EvaluateSampled(ts *dist.TraceSet, mon *automaton.Monitor, maxFrontier int,
 					succ = &node{cut: succCut, states: newStateset(mon.NumStates())}
 					next[key] = succ
 				}
-				letter := ts.Props.Letter(ts.StateAtCut(succCut))
+				letter := letters.Letter(ts.StateAtCut(succCut))
 				for st := 0; st < mon.NumStates(); st++ {
 					if !nd.states.has(st) {
 						continue

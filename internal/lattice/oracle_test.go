@@ -167,22 +167,15 @@ func TestSlicedRejectsNext(t *testing.T) {
 	}
 }
 
-// TestSupportProcesses: the support is the owners of the mentioned
-// propositions, not all of them.
+// TestSupportProcesses: the sliced oracle's support is the owners of the
+// propositions the monitor reads, not all of them, and a sparse support still
+// slices exactly.
 func TestSupportProcesses(t *testing.T) {
 	pm := dist.PerProcess(4, "p")
 	mon, err := automaton.Build(ltl.MustParse("F (P0.p && P2.p)"), pm.Names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs, err := SupportProcesses(pm, mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(procs) != 2 || procs[0] != 0 || procs[1] != 2 {
-		t.Fatalf("support = %v, want [0 2]", procs)
-	}
-	// A sparse support still slices exactly.
 	ts := dist.Generate(dist.GenConfig{N: 4, InternalPerProc: 4, CommMu: 2, Seed: 3, Suffixes: []string{"p"}, PlantGoal: true})
 	exact, err := Evaluate(ts, mon)
 	if err != nil {
@@ -191,6 +184,9 @@ func TestSupportProcesses(t *testing.T) {
 	sliced, err := EvaluateSliced(ts, mon)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if procs := sliced.SupportProcs; len(procs) != 2 || procs[0] != 0 || procs[1] != 2 {
+		t.Fatalf("support = %v, want [0 2]", procs)
 	}
 	if verdictKey(sliced.Verdicts) != verdictKey(exact.Verdicts) {
 		t.Errorf("sparse slice %v != exact %v", sliced.Verdicts, exact.Verdicts)

@@ -110,21 +110,20 @@ func Suffixes(name string) ([]string, error) {
 	return nil, fmt.Errorf("props: unknown property %q", name)
 }
 
-// BuildAt synthesizes the named property at the given arity — the property's
-// alphabet then touches only processes 0..arity-1 of a possibly much larger
-// system — and returns the monitor together with the proposition space it is
-// bound to (PerProcess(arity, Suffixes(name)...), so only the propositions
-// the formula can mention). Pair the result with (*dist.TraceSet).WithProps
-// or dist.SourceWithProps to monitor an n-process execution, n >= arity,
-// whose local states follow the PerProcess bit layout.
+// BuildAt synthesizes the named property at the given arity — the formula is
+// the arity-process instance, reading propositions of processes
+// 0..arity-1 only — and returns the monitor together with the proposition
+// space of exactly the suffixes it uses, PerProcess(arity, Suffixes(name)...).
+// The monitor reads its propositions by name, so it monitors any execution
+// that declares them, whatever else that execution declares; the returned
+// space is what (*dist.TraceSet).WithProps or dist.SourceWithProps re-bind an
+// n-process execution to, n >= arity, when its local states follow the
+// PerProcess bit layout.
 //
-// This is what makes large systems monitorable and oracle-checkable. The
-// propositions a formula reads set its synthesis cost, and a full-width
+// The propositions a formula reads set its synthesis cost, and a full-width
 // property reads one or two per process, so it stops being synthesizable
-// beyond ~12 processes; the declared proposition space sets only the width
-// of the δ table (2^|Names| entries per state). An arity-k property bound to
-// its own k-process space keeps both the monitor and the sliced oracle at
-// k-process cost regardless of n.
+// beyond ~12 processes. An arity-k property keeps both the monitor and the
+// sliced oracle at k-process cost regardless of n.
 func BuildAt(name string, arity int, paperShape bool) (*automaton.Monitor, *dist.PropMap, error) {
 	fs, err := Formula(name, arity)
 	if err != nil {

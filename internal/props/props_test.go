@@ -1,6 +1,7 @@
 package props
 
 import (
+	"slices"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -106,15 +107,30 @@ func TestPaperShapeVerdictEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(shaped.Props) != len(pm.Names) {
-			t.Fatalf("prop space mismatch")
+		if !slices.Equal(shaped.Props, minimal.Props) {
+			t.Fatalf("%s: paper-shape reads %v, minimal %v", name, shaped.Props, minimal.Props)
 		}
 		for _, w := range words {
+			w = project(minimal, pm.Names, w)
 			if a, b := shaped.Run(w), minimal.Run(w); a != b {
 				t.Errorf("%s: paper-shape %v != minimal %v on %v", name, a, b, w)
 			}
 		}
 	}
+}
+
+// project rewrites a word of letters over props into m's letters: m reads
+// only the propositions of its formula.
+func project(m *automaton.Monitor, props []string, word []uint32) []uint32 {
+	out := make([]uint32, len(word))
+	for i, l := range word {
+		assign := map[string]bool{}
+		for b, p := range props {
+			assign[p] = l>>b&1 == 1
+		}
+		out[i] = m.Letter(assign)
+	}
+	return out
 }
 
 // TestProgressionAgainstMinimalRandom cross-validates the progression
@@ -138,6 +154,7 @@ func TestProgressionAgainstMinimalRandom(t *testing.T) {
 		for w := 0; w < 1<<8; w++ {
 			// enumerate all words of length 4 over 2 props
 			word := []uint32{uint32(w) & 3, uint32(w>>2) & 3, uint32(w>>4) & 3, uint32(w>>6) & 3}
+			word = project(minimal, props2, word)
 			if a, b := prog.Run(word), minimal.Run(word); a != b {
 				t.Fatalf("%s: progression %v != minimal %v on %v", fs, a, b, word)
 			}

@@ -47,9 +47,10 @@ func NewAutomatonCache() *AutomatonCache {
 // whitespace, redundant parentheses and operator spellings collapse)
 // joined with the (owner, name) proposition signature in declaration order.
 // The order is part of the key because automaton.Build indexes letter bit i
-// by Names[i]: the same propositions declared in another order need another
-// monitor. Two registrations with the same key therefore get the same
-// machine from Build; the owners make the key finer than Build needs.
+// by the i-th proposition the formula reads in declaration order: the same
+// propositions declared in another order may need another monitor. Two
+// registrations with the same key therefore get the same machine from Build;
+// the owners and the unread propositions make the key finer than Build needs.
 func CanonicalKey(formula string, props *dist.PropMap) (string, *ltl.Formula, error) {
 	f, err := ltl.Parse(formula)
 	if err != nil {

@@ -369,7 +369,28 @@ func TestCrashMatrixEveryHandoff(t *testing.T) {
 // sessions had logs carries no log record. It is generation 0 with nothing
 // logged, recovers whole, and the session carries on under the new scheme.
 func TestRecoveryOfParentCheckpoint(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "session-pr22.dmsn"))
+	// The fixture: the running example's first five events sent at cadence
+	// 2, so four are inside.
+	recoverFixture(t, "session-pr22.dmsn", dist.RunningExampleProperty)
+}
+
+// TestRecoveryOfSubsetCheckpoint: a base blob written when monitors still
+// spanned the whole declared alphabet, of a formula that reads two of the
+// running example's three propositions. Its automaton fingerprint hashes δ
+// over the three; the session restores through the declared-alphabet
+// fingerprint and closes with a fresh server's verdicts.
+func TestRecoveryOfSubsetCheckpoint(t *testing.T) {
+	// The fixture: the first five events sent at cadence 4, the log compacted
+	// at the first hand-off, so four are inside and none is logged beside it.
+	recoverFixture(t, "session-pr30-subset.dmsn", "G (x1>=5 -> F x1=10)")
+}
+
+// recoverFixture starts a durable server over testdata/file as session 1,
+// whose base blob holds four of the running example's events under formula,
+// re-feeds the rest at cadence 1 and requires a fresh server's verdicts.
+func recoverFixture(t *testing.T, file, formula string) {
+	t.Helper()
+	blob, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +411,6 @@ func TestRecoveryOfParentCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fixture: the running example's first five events sent at cadence 2,
-	// so four are inside.
 	if epoch != 1 || fed[0]+fed[1] != 4 {
 		t.Fatalf("the fixture came back at epoch %d with fed %v, want epoch 1 and four events", epoch, fed)
 	}
@@ -407,8 +426,14 @@ func TestRecoveryOfParentCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := codeString(codes), expectedCodes(t, dist.RunningExampleProperty); got != want {
-		t.Errorf("verdicts {%s}, want {%s}", got, want)
+	fresh := newTestServer(t, Config{MetricsAddr: "off"})
+	fcl, err := Dial(fresh.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fcl.Close()
+	if got, want := codeString(codes), codeString(runExampleSession(t, fcl, "fresh", formula, evs)); got != want {
+		t.Errorf("verdicts {%s}, a fresh server's {%s}", got, want)
 	}
 }
 
