@@ -610,11 +610,7 @@ var benchReaderCfg = dist.GenConfig{
 
 // benchStreamingReader measures one codec's reader — decode + incremental
 // validation — reporting MB/s (via SetBytes) and events/s.
-func benchStreamingReader(b *testing.B, codecName string) {
-	codec, err := dist.CodecByName(codecName)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchStreamingReader(b *testing.B, codec dist.Codec) {
 	data := streamBuf(b, codec, benchReaderCfg)
 	b.SetBytes(int64(len(data)))
 	b.ResetTimer()
@@ -643,22 +639,20 @@ func benchStreamingReader(b *testing.B, codecName string) {
 }
 
 // BenchmarkStreamingReader measures the JSON-lines validating reader.
-func BenchmarkStreamingReader(b *testing.B) { benchStreamingReader(b, "jsonl") }
+func BenchmarkStreamingReader(b *testing.B) { benchStreamingReader(b, dist.CodecForPath(".jsonl")) }
 
 // BenchmarkBinaryStreamingReader measures the ".dmtb" binary reader over
 // the same execution; the events/s ratio against BenchmarkStreamingReader
 // is the codec speedup the streaming pipeline gains end to end.
-func BenchmarkBinaryStreamingReader(b *testing.B) { benchStreamingReader(b, "dmtb") }
+func BenchmarkBinaryStreamingReader(b *testing.B) {
+	benchStreamingReader(b, dist.CodecForPath(".dmtb"))
+}
 
 // benchStreamWriter measures one codec's writer alone — header + records
 // into memory, no disk and no per-iteration re-validation (the set is
 // validated once during setup, like SaveFile does) — reporting MB/s of
 // output produced.
-func benchStreamWriter(b *testing.B, codecName string) {
-	codec, err := dist.CodecByName(codecName)
-	if err != nil {
-		b.Fatal(err)
-	}
+func benchStreamWriter(b *testing.B, codec dist.Codec) {
 	ts := dist.Generate(benchReaderCfg)
 	if err := ts.Validate(); err != nil {
 		b.Fatal(err)
@@ -696,10 +690,10 @@ func benchStreamWriter(b *testing.B, codecName string) {
 }
 
 // BenchmarkStreamWriter measures the JSON-lines stream writer.
-func BenchmarkStreamWriter(b *testing.B) { benchStreamWriter(b, "jsonl") }
+func BenchmarkStreamWriter(b *testing.B) { benchStreamWriter(b, dist.CodecForPath(".jsonl")) }
 
 // BenchmarkBinaryStreamWriter measures the ".dmtb" binary stream writer.
-func BenchmarkBinaryStreamWriter(b *testing.B) { benchStreamWriter(b, "dmtb") }
+func BenchmarkBinaryStreamWriter(b *testing.B) { benchStreamWriter(b, dist.CodecForPath(".dmtb")) }
 
 // BenchmarkPathMonitor measures the bounded-memory single-path evaluator
 // (dlmon's -bounded mode) over a ~29k-event execution.

@@ -3,13 +3,13 @@
 // in-memory or loopback-TCP network, and reports the verdict set plus the
 // overhead metrics of Chapter 5.
 //
-// Trace files are consumed either materialized (the default for .json)
-// or as a stream: -stream feeds the decentralized monitors incrementally
-// from the reader without materializing the trace (garbage-collecting each
-// monitor's knowledge below the global minimal cut as it goes), and
-// -bounded evaluates the physical-time lattice path in O(n) memory — with a
-// streaming trace (".jsonl", or the faster binary ".dmtb") the pipeline's
-// footprint is then independent of trace length, so multi-million-event
+// A trace file (binary at a ".dmtb" path, JSON lines at any other) is
+// consumed either materialized (the default) or as a stream: -stream feeds
+// the decentralized monitors incrementally from the reader without
+// materializing the trace (garbage-collecting each monitor's knowledge below
+// the global minimal cut as it goes), and -bounded evaluates the
+// physical-time lattice path in O(n) memory. Either way the pipeline's
+// footprint is independent of trace length, so multi-million-event
 // executions can be monitored on a laptop.
 //
 // Usage:
@@ -19,8 +19,8 @@
 //	dlmon -trace t.dmtb -case B -tcp -compare
 //	tracegen -n 8 -events 200000 -topo ring -o big.dmtb
 //	dlmon -trace big.dmtb -bounded -case B
-//	tracegen -n 16 -events 5 -topo ring -plant -o wide.json
-//	dlmon -trace wide.json -case B -arity 4 -nofinalize -compare -oracle sliced
+//	tracegen -n 16 -events 5 -topo ring -plant -o wide.jsonl
+//	dlmon -trace wide.jsonl -case B -arity 4 -nofinalize -compare -oracle sliced
 //
 // Beyond the paper's five processes the full computation lattice (and the
 // full-width property) stops being tractable: -arity instantiates a
@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/central"
@@ -56,15 +55,15 @@ import (
 
 func main() {
 	var (
-		tracePath = flag.String("trace", "", "trace set file (.json, .jsonl or .dmtb) from tracegen")
+		tracePath = flag.String("trace", "", "trace file from tracegen: binary at a .dmtb path, JSON lines at any other")
 		caseProp  = flag.String("case", "", "use a case-study property A..F instead of a formula argument")
 		arity     = flag.Int("arity", 0, "with -case: instantiate the property at this arity instead of the full process count (its alphabet then touches only the first processes — required beyond ~12 processes, and what keeps the sliced oracle tractable)")
 		shape     = flag.String("shape", "minimal", "automaton construction: minimal or paper")
 		oracleM   = flag.String("oracle", "exact", "oracle for -compare: exact (full lattice), sliced (projected to the property's support; exact for X-free properties) or sampling (seeded bounded frontier; sound subset)")
 		frontier  = flag.Int("frontier", 0, "sampling oracle: per-rank frontier bound (0 = default)")
 		oseed     = flag.Int64("oracleseed", 1, "sampling oracle: exploration seed")
-		stream    = flag.Bool("stream", false, "feed the monitors from the streaming reader instead of materializing the trace (a .json trace is still loaded whole first; use .jsonl/.dmtb for bounded memory)")
-		bounded   = flag.Bool("bounded", false, "stream the physical-time lattice path in bounded memory (implies -stream; same .json caveat)")
+		stream    = flag.Bool("stream", false, "feed the monitors from the streaming reader instead of materializing the trace")
+		bounded   = flag.Bool("bounded", false, "stream the physical-time lattice path in bounded memory (implies -stream)")
 		tcp       = flag.Bool("tcp", false, "run monitors over loopback TCP instead of in-memory channels")
 		noFin     = flag.Bool("nofinalize", false, "skip extending views to the final cut")
 		pace      = flag.Float64("pace", 0, "real-time replay scale (simulated seconds × pace = wall seconds)")
@@ -102,10 +101,6 @@ func main() {
 		err error
 	)
 	if *stream || *bounded {
-		if !dist.IsStreamingPath(*tracePath) {
-			fmt.Fprintf(os.Stderr, "dlmon: note: %s is not a streaming format; the trace is loaded whole before streaming (write %s for memory independent of trace length)\n",
-				*tracePath, strings.Join(streamingExts(), " or "))
-		}
 		src, err = dist.StreamFile(*tracePath)
 		if err != nil {
 			fatal(err)
@@ -189,14 +184,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Only a streaming input actually streams; the other formats are
-		// materialized behind the same interface, so say so.
-		how := "streamed, bounded memory"
-		if !dist.IsStreamingPath(*tracePath) {
-			how = "materialized input; use " + strings.Join(streamingExts(), " or ") + " for bounded memory"
-		}
 		fmt.Printf("property       : %s\n", formula)
-		fmt.Printf("processes      : %d, events: %d (%s)\n", n, res.Events, how)
+		fmt.Printf("processes      : %d, events: %d (streamed, bounded memory)\n", n, res.Events)
 		fmt.Printf("path verdict   : %v\n", res.Verdict)
 		if res.FirstConclusiveEvents >= 0 {
 			fmt.Printf("conclusive at  : event %d\n", res.FirstConclusiveEvents)
@@ -313,15 +302,6 @@ func main() {
 		// Distinct from error exits so pipelines can gate on violations.
 		os.Exit(3)
 	}
-}
-
-// streamingExts lists the registered streaming extensions, for messages.
-func streamingExts() []string {
-	var out []string
-	for _, c := range dist.Codecs() {
-		out = append(out, c.Ext())
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -1,8 +1,9 @@
 // dlmonc is the dlmond client: it drives a full monitoring session over the
 // RPC protocol — register a property, subscribe, replay a recorded trace
-// set, close — and reports the terminal verdict set the daemon computed.
-// It exists for smoke tests, debugging, and light load generation; real
-// tenants embed internal/server.Client (or speak the protocol directly).
+// file (binary at a ".dmtb" path, JSON lines at any other), close — and
+// reports the terminal verdict set the daemon computed. It exists for smoke
+// tests, debugging, and light load generation; real tenants embed
+// internal/server.Client (or speak the protocol directly).
 //
 // Usage:
 //
@@ -54,7 +55,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:7381", "dlmond RPC address")
 		tenant    = flag.String("tenant", "dlmonc", "tenant identity for admission control")
-		tracePath = flag.String("trace", "", "trace set file (.json, .jsonl or .dmtb) from tracegen")
+		tracePath = flag.String("trace", "", "trace file from tracegen: binary at a .dmtb path, JSON lines at any other")
 		verbose   = flag.Bool("v", false, "print each streamed verdict detection")
 		attach    = flag.Uint64("attach", 0, "resume session SID on a durable daemon instead of registering")
 		limit     = flag.Int("events", 0, "ingest at most N events this run (0 = all; pairs with -no-close)")

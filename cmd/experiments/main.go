@@ -24,7 +24,6 @@ func main() {
 		events     = flag.Int("events", 15, "internal events per process")
 		seeds      = flag.Int("seeds", 3, "replications to average")
 		pace       = flag.Float64("pace", 0, "real-time replay scale for delay metrics (e.g. 2e-4)")
-		oracleJSON = flag.String("oracle-json", "", "with -exp oracle: also write the sweep as JSON to this file (the CI BENCH_oracle.json record)")
 		engineJSON = flag.String("engine-json", "", "with -exp engine: also write the sweep as JSON to this file (the CI BENCH_engine.json record)")
 		engineWall = flag.Duration("engine-wall", 0, "with -exp engine: minimum measured wall time per cell (default 200ms)")
 		dlmondJSON = flag.String("dlmond-json", "", "with -exp dlmond: also write the sweep as JSON to this file (the CI BENCH_dlmond.json record)")
@@ -92,12 +91,6 @@ func main() {
 			check(err)
 			fmt.Println("== Oracle cost: exact vs sliced vs sampling, properties B and D ==")
 			fmt.Println(experiments.RenderOracleCells(cells))
-			if *oracleJSON != "" {
-				buf, err := json.MarshalIndent(cells, "", "  ")
-				check(err)
-				check(os.WriteFile(*oracleJSON, append(buf, '\n'), 0o644))
-				fmt.Printf("wrote %s (%d rows)\n", *oracleJSON, len(cells))
-			}
 		case "engine":
 			doc, err := experiments.EngineSweep(*engineWall)
 			check(err)

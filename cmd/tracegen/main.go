@@ -3,19 +3,17 @@
 // changes (Evtµ/Evtσ) and communication bursts (Commµ/Commσ), vector clocks
 // included. The -topo flag selects the communication topology (uniform
 // random unicast, ring, star, broadcast bursts, or partitioned clusters).
-// A streaming output (".jsonl", or the binary ".dmtb" — selected by
-// extension or forced with -format) is written through the streaming
-// pipeline, so multi-million-event traces generate in memory independent of
-// their length; ".dmtb" additionally decodes about an order of magnitude
-// faster than JSON on the monitoring side.
+// Every output is a trace stream written as it is generated, so
+// multi-million-event traces generate in memory independent of their length:
+// binary at a ".dmtb" path (about an order of magnitude faster to decode on
+// the monitoring side), JSON lines at any other path and on stdout.
 //
 // Usage:
 //
-//	tracegen -n 4 -events 20 -commmu 3 -seed 7 -o trace.json
+//	tracegen -n 4 -events 20 -commmu 3 -seed 7 -o trace.jsonl
 //	tracegen -n 5 -events 50 -plant -o trace.dmtb
 //	tracegen -n 32 -suffixes p -topo ring -events 1000000 -o trace.dmtb
-//	tracegen -n 8 -events 200000 -format dmtb -o trace.bin
-//	tracegen -n 12 -topo clustered -clusters 3 -crossprob 0.05 -o trace.jsonl
+//	tracegen -n 12 -topo clustered -clusters 3 -crossprob 0.05 > trace.jsonl
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -53,8 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trueP    = fs.Float64("truep", 0.5, "probability a proposition is true after an internal event")
 		plant    = fs.Bool("plant", false, "force all propositions true at each process's final internal event")
 		seed     = fs.Int64("seed", 1, "random seed")
-		out      = fs.String("o", "", "output file (.json, .jsonl or .dmtb); stdout JSON if empty")
-		format   = fs.String("format", "", "force a streaming codec ("+strings.Join(dist.CodecNames(), " or ")+") regardless of the output extension")
+		out      = fs.String("o", "", "output file: binary at a .dmtb path, JSON lines at any other; JSON lines on stdout if empty")
 		caseProp = fs.String("case", "", "with -oracle: the case-study property (A..F) to certify the trace against")
 		arity    = fs.Int("arity", 0, "with -case: property arity (0 = all processes; smaller keeps the oracle tractable at any -n)")
 		oracleM  = fs.String("oracle", "", "after generating, print this oracle's verdict set for -case over the trace: exact, sliced or sampling (materializes the trace — keep -events moderate)")
@@ -107,80 +103,41 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// The streaming formats write events as they are generated: no
-	// materialized trace set, memory independent of -events. The codec is
-	// chosen by the output extension, or forced by -format.
-	codec, streaming := dist.CodecForPath(*out)
-	if *format != "" {
-		c, err := dist.CodecByName(*format)
-		if err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 2
-		}
-		if *out == "" {
-			fmt.Fprintln(stderr, "tracegen: -format needs an output file (-o)")
-			return 2
-		}
-		if streaming && c != codec {
-			fmt.Fprintf(stderr, "tracegen: -format %s contradicts the %s extension of %s\n", c.Name(), codec.Ext(), *out)
-			return 2
-		}
-		// The materialized extension is just as contradictory: every reader
-		// selects its decoder by extension, so stream bytes under .json would
-		// produce a file nothing can open.
-		if strings.EqualFold(filepath.Ext(*out), ".json") {
-			fmt.Fprintf(stderr, "tracegen: -format %s contradicts the materialized .json extension of %s\n", c.Name(), *out)
-			return 2
-		}
-		codec, streaming = c, true
-	}
 	if *oracleM != "" && *caseProp == "" {
 		fmt.Fprintln(stderr, "tracegen: -oracle needs -case")
 		return 2
 	}
-	if streaming {
-		sw, err := dist.CreateStreamCodec(codec, *out, cfg.Props(), cfg.InitState())
-		if err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		if err := dist.GenerateStream(cfg, sw.Write); err != nil {
-			sw.Close()
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		if err := sw.Close(); err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "streamed %d processes, %d events to %s (%s)\n", cfg.N, sw.Events(), *out, codec.Name())
-		// The certification pass needs the materialized set; the generator
-		// is deterministic, so re-generating reproduces the streamed trace.
-		if *oracleM != "" {
-			return certify(dist.Generate(cfg), *caseProp, *arity, *oracleM, *frontier, *seed, stdout, stderr)
-		}
-		return 0
-	}
 
-	ts := dist.Generate(cfg)
-	if err := ts.Validate(); err != nil {
-		fmt.Fprintln(stderr, "tracegen: generated trace invalid:", err)
+	// Events are written as they are generated: no materialized trace set,
+	// memory independent of -events. Stdout, like every path but a .dmtb
+	// one, gets JSON lines.
+	codec := dist.CodecForPath(*out)
+	var sink dist.StreamSink
+	if *out == "" {
+		sink, err = codec.Create(stdout, cfg.Props(), cfg.InitState())
+	} else {
+		sink, err = dist.CreateStream(*out, cfg.Props(), cfg.InitState())
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1
 	}
-	if *out == "" {
-		if err := ts.WriteJSON(stdout); err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-	} else {
-		if err := ts.SaveFile(*out); err != nil {
-			fmt.Fprintln(stderr, "tracegen:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %d processes, %d events to %s\n", ts.N(), ts.TotalEvents(), *out)
+	if err := dist.GenerateStream(cfg, sink.Write); err != nil {
+		sink.Close()
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
 	}
+	if err := sink.Close(); err != nil {
+		fmt.Fprintln(stderr, "tracegen:", err)
+		return 1
+	}
+	if *out != "" {
+		fmt.Fprintf(stdout, "streamed %d processes, %d events to %s (%s)\n", cfg.N, sink.Events(), *out, codec.Name())
+	}
+	// The certification pass needs the materialized set; the generator is
+	// deterministic, so re-generating reproduces the streamed trace.
 	if *oracleM != "" {
-		return certify(ts, *caseProp, *arity, *oracleM, *frontier, *seed, stdout, stderr)
+		return certify(dist.Generate(cfg), *caseProp, *arity, *oracleM, *frontier, *seed, stdout, stderr)
 	}
 	return 0
 }

@@ -68,69 +68,35 @@ func TestUnknownTopologyRejected(t *testing.T) {
 	}
 }
 
-func TestFormatFlag(t *testing.T) {
+// TestOutputFormatFollowsExtension: the output path alone picks the
+// encoding — binary at .dmtb, JSON lines anywhere else — and the report
+// names it.
+func TestOutputFormatFollowsExtension(t *testing.T) {
 	dir := t.TempDir()
-	// -format forces a codec on an unrecognized extension.
-	binPath := filepath.Join(dir, "t.bin")
-	code, stdout, stderr := runCLI(t,
-		"-n", "3", "-events", "5", "-seed", "9", "-format", "dmtb", "-o", binPath)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stdout, "(dmtb)") {
-		t.Errorf("stdout %q does not name the codec", stdout)
-	}
-	// The .bin extension is not self-describing, so open with the codec.
-	codec, err := dist.CodecByName("dmtb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	src, err := codec.Open(f)
-	if err != nil {
-		t.Fatalf("opening forced-format output: %v", err)
-	}
-	events := 0
-	for {
-		if _, err := src.Next(); err != nil {
-			if err != io.EOF {
-				t.Fatal(err)
-			}
-			break
+	for name, want := range map[string]string{"t.dmtb": "DMTB", "T.DMTB": "DMTB", "t.bin": `{"v":1,`, "t": `{"v":1,`} {
+		path := filepath.Join(dir, name)
+		code, stdout, stderr := runCLI(t, "-n", "3", "-events", "2", "-seed", "9", "-o", path)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", name, code, stderr)
 		}
-		events++
+		if codec := dist.CodecForPath(path).Name(); !strings.Contains(stdout, "("+codec+")") {
+			t.Errorf("%s: stdout %q does not name the %s codec", name, stdout, codec)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, []byte(want)) {
+			t.Errorf("%s: output starts %q, want %q", name, raw[:min(len(raw), 8)], want)
+		}
 	}
-	if events == 0 {
-		t.Error("forced-format output holds no events")
-	}
-
-	// A matching extension is fine; a contradicting one is rejected.
-	if code, _, _ := runCLI(t, "-n", "3", "-events", "2", "-format", "jsonl", "-o", filepath.Join(dir, "t.jsonl")); code != 0 {
-		t.Errorf("matching -format rejected: exit %d", code)
-	}
-	if code, _, stderr := runCLI(t, "-n", "3", "-events", "2", "-format", "dmtb", "-o", filepath.Join(dir, "u.jsonl")); code != 2 || !strings.Contains(stderr, "contradicts") {
-		t.Errorf("contradicting -format accepted: exit %d stderr %q", code, stderr)
-	}
-	// So is the materialized extension: readers dispatch by extension, so
-	// stream bytes under .json would be unreadable.
-	if code, _, stderr := runCLI(t, "-n", "3", "-events", "2", "-format", "dmtb", "-o", filepath.Join(dir, "u.json")); code != 2 || !strings.Contains(stderr, "contradicts") {
-		t.Errorf("-format onto the materialized extension accepted: exit %d stderr %q", code, stderr)
-	}
-	// Unknown codec and missing -o are usage errors.
-	if code, _, stderr := runCLI(t, "-n", "3", "-format", "protobuf", "-o", filepath.Join(dir, "x.bin")); code != 2 || !strings.Contains(stderr, "unknown codec") {
-		t.Errorf("unknown -format: exit %d stderr %q", code, stderr)
-	}
-	if code, _, stderr := runCLI(t, "-n", "3", "-format", "dmtb"); code != 2 || !strings.Contains(stderr, "-o") {
-		t.Errorf("-format without -o: exit %d stderr %q", code, stderr)
+	if code, _, stderr := runCLI(t, "-n", "3", "-format", "dmtb", "-o", filepath.Join(dir, "x.bin")); code != 2 || !strings.Contains(stderr, "-format") {
+		t.Errorf("-format: exit %d stderr %q, want an unknown-flag usage error", code, stderr)
 	}
 }
 
 func TestGeneratedFileRoundTrips(t *testing.T) {
-	for _, name := range []string{"t.json", "t.jsonl", "t.dmtb"} {
+	for _, name := range []string{"t.json", "t.jsonl", "t.dmtb", "t"} {
 		path := filepath.Join(t.TempDir(), name)
 		code, _, stderr := runCLI(t,
 			"-n", "3", "-events", "5", "-seed", "9", "-topo", "star", "-o", path)
@@ -147,34 +113,43 @@ func TestGeneratedFileRoundTrips(t *testing.T) {
 	}
 }
 
-func TestStreamedEqualsMaterializedOutput(t *testing.T) {
+// TestJSONOutputEqualsJSONL: a .json path, a .jsonl path and stdout carry
+// the same JSON-lines bytes.
+func TestJSONOutputEqualsJSONL(t *testing.T) {
+	args := []string{"-n", "4", "-events", "6", "-seed", "3", "-topo", "broadcast"}
+	code, stdout, stderr := runCLI(t, args...)
+	if code != 0 || stderr != "" {
+		t.Fatalf("stdout run: exit %d, stderr %q", code, stderr)
+	}
 	dir := t.TempDir()
-	jsonPath, jsonlPath := filepath.Join(dir, "t.json"), filepath.Join(dir, "t.jsonl")
-	for _, path := range []string{jsonPath, jsonlPath} {
-		if code, _, stderr := runCLI(t,
-			"-n", "4", "-events", "6", "-seed", "3", "-topo", "broadcast", "-o", path); code != 0 {
-			t.Fatalf("%s: stderr %q", path, stderr)
+	for _, name := range []string{"t.json", "t.jsonl"} {
+		path := filepath.Join(dir, name)
+		if code, _, stderr := runCLI(t, append(args, "-o", path)...); code != 0 {
+			t.Fatalf("%s: stderr %q", name, stderr)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != stdout {
+			t.Errorf("%s differs from the stdout stream", name)
 		}
 	}
-	a, err := dist.LoadFile(jsonPath)
+	src, err := dist.OpenStream(strings.NewReader(stdout))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := dist.LoadFile(jsonlPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalEvents() != b.TotalEvents() || a.N() != b.N() {
-		t.Fatalf("materialized %d events / %d procs, streamed %d / %d",
-			a.TotalEvents(), a.N(), b.TotalEvents(), b.N())
-	}
-	for p := range a.Traces {
-		for k, ea := range a.Traces[p].Events {
-			eb := b.Traces[p].Events[k]
-			if ea.Type != eb.Type || ea.State != eb.State || ea.Time != eb.Time || ea.MsgID != eb.MsgID {
-				t.Fatalf("process %d event %d differs: %+v vs %+v", p, k+1, ea, eb)
-			}
+	events := 0
+	for {
+		if _, err := src.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
 		}
+		events++
+	}
+	if events == 0 {
+		t.Error("the stdout stream holds no events")
 	}
 }
 

@@ -97,8 +97,8 @@ type (
 	Topology = dist.Topology
 	// EventSource iterates an execution's events in timestamp order.
 	EventSource = dist.EventSource
-	// Codec is one on-disk serialization of the streaming trace format
-	// (".jsonl" JSON lines, ".dmtb" length-prefixed binary).
+	// Codec is one on-disk serialization of the trace stream: JSON lines,
+	// or length-prefixed binary at a ".dmtb" path (CodecForPath).
 	Codec = dist.Codec
 	// StreamSink consumes an execution's events in timestamp order.
 	StreamSink = dist.StreamSink
@@ -219,40 +219,22 @@ func PerProcessProps(n int, suffixes ...string) *PropMap {
 // two boolean propositions per process.
 func Generate(cfg GenConfig) *TraceSet { return dist.Generate(cfg) }
 
-// LoadTraces reads a trace set saved by (*TraceSet).SaveFile.
+// LoadTraces reads a whole trace file (any path SaveFile or CreateStream
+// wrote) into a validated trace set.
 func LoadTraces(path string) (*TraceSet, error) { return dist.LoadFile(path) }
 
-// StreamTraces opens a trace file as an event stream: the streaming formats
-// (".jsonl", and the faster binary ".dmtb") are read incrementally with
-// memory independent of their length, the materialized formats are loaded
-// whole behind the same interface (IsStreamingPath distinguishes the two).
+// StreamTraces opens a trace file as an event stream, read incrementally
+// with memory independent of its length.
 func StreamTraces(path string) (EventSource, error) { return dist.StreamFile(path) }
 
-// Codecs returns the registered streaming trace codecs.
-func Codecs() []Codec { return dist.Codecs() }
+// CodecForPath returns the trace codec every reader and writer uses for
+// path: binary for ".dmtb", JSON lines for any other extension.
+func CodecForPath(path string) Codec { return dist.CodecForPath(path) }
 
-// CodecByName returns the streaming codec with the given name ("jsonl",
-// "dmtb").
-func CodecByName(name string) (Codec, error) { return dist.CodecByName(name) }
-
-// CodecForPath returns the streaming codec registered for the path's
-// extension, if any.
-func CodecForPath(path string) (Codec, bool) { return dist.CodecForPath(path) }
-
-// IsStreamingPath reports whether path names a trace format that streams
-// incrementally end to end.
-func IsStreamingPath(path string) bool { return dist.IsStreamingPath(path) }
-
-// CreateStream creates path and returns a sink writing the streaming trace
-// format chosen by the path's extension (".jsonl" by default).
+// CreateStream creates path and returns a sink writing the trace stream in
+// the codec CodecForPath picks for it.
 func CreateStream(path string, pm *PropMap, init GlobalState) (StreamSink, error) {
 	return dist.CreateStream(path, pm, init)
-}
-
-// CreateStreamCodec is CreateStream with the codec forced explicitly,
-// regardless of the path's extension (tracegen -format does this).
-func CreateStreamCodec(codec Codec, path string, pm *PropMap, init GlobalState) (StreamSink, error) {
-	return dist.CreateStreamCodec(codec, path, pm, init)
 }
 
 // RunningExample returns the paper's Fig. 2.1 two-process program, and

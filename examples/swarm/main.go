@@ -98,12 +98,16 @@ func fly(props *decentmon.PropMap) *decentmon.TraceSet {
 	pending := map[int][]beacon{} // destination -> FIFO beacons in flight
 
 	// emit completes an event (taken by value: it is still ours to write) and
-	// appends it to its drone's trace; from then on it is read-only.
+	// appends it to its drone's trace; from then on it is read-only. Its
+	// timestamp is the simulation's emission order, which puts every receive
+	// after its send, as a valid trace set's timestamps must.
+	emitted := 0
 	emit := func(d int, e dist.Event) {
 		e.Proc = d
 		e.SN = clocks[d][d]
 		e.VC = clocks[d].Clone()
-		e.Time = float64(len(ts.Traces[d].Events)) // monotone per drone
+		emitted++
+		e.Time = float64(emitted)
 		ts.Traces[d].Events = append(ts.Traces[d].Events, &e)
 	}
 

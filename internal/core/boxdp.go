@@ -38,10 +38,6 @@ type boxScratch struct {
 	fr    [2]boxFrontier // the rank being expanded and the rank being built
 	table []int32        // successor dedupe: open-addressed, node index+1, 0 = free
 	concl stateset       // conclusive states absorbed out of the frontier
-	// tightTable (tests only) sizes the table at the minimum that still
-	// terminates probing instead of at load ≤ 1/2, so nearly every insert
-	// collides and dedupe is decided by the coordinate compare alone.
-	tightTable bool
 }
 
 // boxFrontier holds the nodes of one rank as parallel arenas, node i at
@@ -77,7 +73,7 @@ func (f *boxFrontier) push(cut []int, letter uint32, words int) int {
 // the rank is about to make.
 func (sc *boxScratch) tableFor(need int) []int32 {
 	lg := uint(3)
-	for (!sc.tightTable && 1<<lg < 2*need) || 1<<lg <= need {
+	for 1<<lg < 2*need {
 		lg++
 	}
 	if cap(sc.table) < 1<<lg {

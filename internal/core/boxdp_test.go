@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"testing"
@@ -317,43 +318,38 @@ func TestBoxKernelMatchesOracles(t *testing.T) {
 	}
 }
 
-// TestBoxDedupeSurvivesCollisions runs the sweep with the dedupe table at the
+// TestBoxDedupeSurvivesCollisions drives the dedupe with the table at the
 // smallest size that terminates probing, so most inserts land on an occupied
-// slot and node identity rests on the coordinate compare alone. A kernel that
-// trusted the hash would merge distinct cuts: node counts and results must
-// equal the roomy-table run's, sequence for sequence.
+// slot and node identity rests on the coordinate compare alone. A dedupe that
+// trusted the hash would merge distinct cuts: every distinct projected cut
+// must get a node of its own, and a repeated one — whatever its coordinates
+// off the support — the node it got first.
 func TestBoxDedupeSurvivesCollisions(t *testing.T) {
-	for _, n := range []int{3, 5} {
-		for seed := int64(1); seed <= 3; seed++ {
-			ts := dist.Generate(dist.GenConfig{
-				N: n, InternalPerProc: 4, CommMu: 3, CommSigma: 1,
-				Topology: dist.TopoRing, Seed: seed,
-				TrueProbs: map[string]float64{"p": 0.6, "q": 0.5},
-			})
-			f := newBoxFixture(t, ts, "F (P0.p && P1.q)")
-			lo, hi := vclock.New(n), f.frontier()
-			for _, support := range [][]int{allProcs(n), {0, 1, 2}} {
-				want, err := new(boxScratch).explore(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := (&boxScratch{tightTable: true}).explore(f.mon, f.know, f.lt, f.init, lo, hi, 1<<21, support)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want.nodes < 64 {
-					t.Fatalf("n=%d seed=%d support %v: degenerate fixture, %d nodes", n, seed, support, want.nodes)
-				}
-				if got.nodes != want.nodes {
-					t.Errorf("n=%d seed=%d support %v: tight table visited %d nodes, want %d", n, seed, support, got.nodes, want.nodes)
-				}
-				if fmt.Sprint(got.finalStates) != fmt.Sprint(want.finalStates) {
-					t.Errorf("n=%d seed=%d support %v: final states %v, want %v", n, seed, support, got.finalStates, want.finalStates)
-				}
-				comparePivotSeq(t, "pivot", got.pivots, want.pivots)
-				comparePivotSeq(t, "conclusive", got.conclusive, want.conclusive)
+	support := []int{0, 1, 3}
+	var cuts [][]int
+	for a := 0; a < 3; a++ {
+		for b := 0; b < 3; b++ {
+			for c := 0; c < 3; c++ {
+				cuts = append(cuts, []int{a, b, 7, c})
 			}
 		}
+	}
+	tab := make([]int32, 32) // the smallest power of two above the 27 cuts
+	var f boxFrontier
+	for i, cut := range cuts {
+		if idx, fresh := f.successor(tab, cut, support, 1); !fresh || idx != i {
+			t.Fatalf("cut %v: node %d (fresh %v), want new node %d", cut, idx, fresh, i)
+		}
+	}
+	for i, cut := range cuts {
+		again := slices.Clone(cut)
+		again[2] = 9 // off the support: the same projected cut
+		if idx, fresh := f.successor(tab, again, support, 1); fresh || idx != i {
+			t.Errorf("repeated cut %v: node %d (fresh %v), want node %d", again, idx, fresh, i)
+		}
+	}
+	if len(f.letters) != len(cuts) {
+		t.Errorf("%d nodes for %d distinct cuts", len(f.letters), len(cuts))
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Binary streaming trace format (".dmtb" — "decentmon trace, binary"): the
-// byte-oriented sibling of the ".jsonl" format, carrying the same header and
+// byte-oriented sibling of the JSON-lines format, carrying the same header and
 // the same timestamp-ordered event sequence, about an order of magnitude
 // faster to decode because records parse with fixed-width reads and varints
 // instead of a JSON tokenizer. ARCHITECTURE.md ("Wire formats") has the

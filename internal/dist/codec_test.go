@@ -11,42 +11,30 @@ import (
 	"testing"
 )
 
+// codecs lists both codecs, for tests that run each through one contract.
+var codecs = []Codec{jsonlCodec{}, binaryCodec{}}
+
 func TestCodecRegistry(t *testing.T) {
-	if got := CodecNames(); !reflect.DeepEqual(got, []string{"jsonl", "dmtb"}) {
-		t.Fatalf("codec names %v", got)
-	}
-	for _, name := range []string{"jsonl", "dmtb", "DMTB", "JsonL"} {
-		c, err := CodecByName(name)
-		if err != nil {
-			t.Errorf("CodecByName(%q): %v", name, err)
-			continue
-		}
-		if !strings.EqualFold(c.Name(), name) {
-			t.Errorf("CodecByName(%q) = %q", name, c.Name())
-		}
-	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Error("unknown codec name accepted")
-	}
-	for path, want := range map[string]bool{
-		"t.jsonl": true, "t.dmtb": true, "T.DMTB": true,
-		"t.json": false, "t": false,
+	for path, want := range map[string]string{
+		"t.dmtb": "dmtb", "T.DMTB": "dmtb", "dir.dmtb/t.Dmtb": "dmtb",
+		"t.jsonl": "jsonl", "t.json": "jsonl", "t": "jsonl", "t.txt": "jsonl", "t.dmtb.bak": "jsonl",
 	} {
-		if got := IsStreamingPath(path); got != want {
-			t.Errorf("IsStreamingPath(%q) = %v, want %v", path, got, want)
+		if got := CodecForPath(path).Name(); got != want {
+			t.Errorf("CodecForPath(%q) = %s, want %s", path, got, want)
 		}
-		if _, ok := CodecForPath(path); ok != want {
-			t.Errorf("CodecForPath(%q) ok = %v, want %v", path, ok, want)
+	}
+	for _, c := range codecs {
+		if got := CodecForPath("t" + c.Ext()); got != c {
+			t.Errorf("CodecForPath(t%s) = %s, not its own codec %s", c.Ext(), got.Name(), c.Name())
 		}
 	}
 }
 
-// TestCodecRoundTrips runs every registered codec through the same
-// serialize → decode → materialize loop, so both formats satisfy the same
-// contract.
+// TestCodecRoundTrips runs both codecs through the same serialize → decode →
+// materialize loop, so both formats satisfy the same contract.
 func TestCodecRoundTrips(t *testing.T) {
 	ts := Generate(GenConfig{N: 3, InternalPerProc: 6, CommMu: 3, CommSigma: 1, PlantGoal: true, Seed: 7})
-	for _, codec := range Codecs() {
+	for _, codec := range codecs {
 		var buf bytes.Buffer
 		if err := ts.WriteStream(codec, &buf); err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
@@ -55,7 +43,7 @@ func TestCodecRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
 		}
-		got, err := Materialize(src)
+		got, err := materialize(src)
 		if err != nil {
 			t.Fatalf("%s: %v", codec.Name(), err)
 		}
@@ -71,7 +59,7 @@ func TestCodecRoundTrips(t *testing.T) {
 func TestCodecsDecodeIdentically(t *testing.T) {
 	ts := Generate(GenConfig{N: 4, InternalPerProc: 8, CommMu: 2, CommSigma: 1, Seed: 11})
 	var streams [][]*Event
-	for _, codec := range Codecs() {
+	for _, codec := range codecs {
 		var buf bytes.Buffer
 		if err := ts.WriteStream(codec, &buf); err != nil {
 			t.Fatal(err)
@@ -124,10 +112,12 @@ func TestStreamFileBinary(t *testing.T) {
 	}
 }
 
+// TestCreateStreamCodecByExtension: whatever CreateStream writes at a path,
+// StreamFile and LoadFile read back at that path, whatever its extension.
 func TestCreateStreamCodecByExtension(t *testing.T) {
 	ts := Generate(GenConfig{N: 2, InternalPerProc: 4, CommMu: 2, CommSigma: 1, Seed: 9})
-	for _, ext := range []string{".jsonl", ".dmtb"} {
-		path := filepath.Join(t.TempDir(), "t"+ext)
+	for _, name := range []string{"t.jsonl", "t.dmtb", "t.json", "t", "t.txt"} {
+		path := filepath.Join(t.TempDir(), name)
 		sink, err := CreateStream(path, ts.Props, ts.InitialState())
 		if err != nil {
 			t.Fatal(err)
@@ -146,17 +136,27 @@ func TestCreateStreamCodecByExtension(t *testing.T) {
 			}
 		}
 		if sink.Events() != ts.TotalEvents() {
-			t.Errorf("%s: sink counted %d events, want %d", ext, sink.Events(), ts.TotalEvents())
+			t.Errorf("%s: sink counted %d events, want %d", name, sink.Events(), ts.TotalEvents())
 		}
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := LoadFile(path)
+		back, err := StreamFile(path)
 		if err != nil {
+			t.Fatalf("%s: StreamFile: %v", name, err)
+		}
+		if events := drain(t, back); len(events) != ts.TotalEvents() {
+			t.Errorf("%s: streamed %d events, want %d", name, len(events), ts.TotalEvents())
+		}
+		if err := back.Close(); err != nil {
 			t.Fatal(err)
 		}
+		got, err := LoadFile(path)
+		if err != nil {
+			t.Fatalf("%s: LoadFile: %v", name, err)
+		}
 		if !reflect.DeepEqual(ts, got) {
-			t.Errorf("%s: CreateStream round trip changed the trace set", ext)
+			t.Errorf("%s: CreateStream round trip changed the trace set", name)
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package dist
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -185,6 +188,8 @@ func TestValidateRejections(t *testing.T) {
 			ts.Traces[0].Events[3].Type = Internal // drop the now-dangling recv of m2
 			ts.Traces[0].Events[3].MsgID = 0
 		}},
+		{"NaN timestamp", func(ts *TraceSet) { ts.Traces[0].Events[0].Time = math.NaN() }},
+		{"nil event", func(ts *TraceSet) { ts.Traces[1].Events[2] = nil }},
 	}
 	for _, c := range cases {
 		if err := breakIt(c.mutate); err == nil {
@@ -193,5 +198,17 @@ func TestValidateRejections(t *testing.T) {
 	}
 	if err := RunningExample().Validate(); err != nil {
 		t.Errorf("pristine example rejected: %v", err)
+	}
+
+	// No writer produces what the readers refuse: SaveFile refuses the
+	// NaN-stamped set before creating its file.
+	ts := RunningExample()
+	ts.Traces[0].Events[0].Time = math.NaN()
+	path := filepath.Join(t.TempDir(), "x.dmtb")
+	if err := ts.SaveFile(path); err == nil || !strings.Contains(err.Error(), "process 0 event 1 has a NaN timestamp") {
+		t.Errorf("SaveFile of a NaN-stamped set: %v", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("SaveFile left a file behind after refusing the set: %v", err)
 	}
 }

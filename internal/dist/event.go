@@ -5,32 +5,28 @@
 // truth values of the propositions it owns, bit-packed). The package also
 // provides the proposition space binding atomic propositions to owning
 // processes, the §5.1/§5.2 case-study workload generator, the paper's
-// Fig. 2.1 running example, and trace-set (de)serialization.
+// Fig. 2.1 running example, and the trace stream codecs.
 //
-// Trace files (cmd/tracegen writes them, cmd/dlmon reads them) are JSON of
-// the form
+// A trace file (cmd/tracegen writes one, cmd/dlmon reads one) is a stream:
+// a header carrying the proposition space and each process's initial local
+// state, then every event of the execution in global timestamp order. A
+// ".dmtb" path holds the binary codec (binary.go); every other path holds
+// JSON lines:
 //
-//	{
-//	  "props":  [{"name": "P0.p", "owner": 0}, ...],
-//	  "traces": [{
-//	    "proc": 0,
-//	    "init": 1,
-//	    "events": [
-//	      {"sn": 1, "type": "internal", "peer": -1, "msgid": 0,
-//	       "state": 3, "vc": [1, 0], "time": 2.84},
-//	      {"sn": 2, "type": "send", "peer": 1, "msgid": 1, ...},
-//	      ...
-//	    ]}, ...]
-//	}
+//	{"v":1,"props":[{"name":"P0.p","owner":0},...],"init":[1,0]}
+//	{"proc":0,"sn":1,"type":"internal","peer":-1,"msgid":0,"state":3,"vc":[1,0],"time":2.84}
+//	{"proc":1,"sn":1,"type":"recv","peer":0,"msgid":1,"state":0,"vc":[1,1],"time":2.9}
+//	...
 //
 // where "init"/"state" bit i is the truth value of the process's i-th owned
 // proposition, "vc" is the event's vector clock, "sn" its 1-based sequence
-// number, and "time" its physical timestamp in seconds.
+// number, and "time" its physical timestamp in seconds. CodecForPath is the
+// rule every reader and writer uses to pick the codec.
 package dist
 
 import (
 	"fmt"
-	"math"
+	"io"
 
 	"decentmon/internal/vclock"
 )
@@ -165,12 +161,15 @@ func (ts *TraceSet) StateAtCut(cut vclock.VC) GlobalState {
 	return g
 }
 
-// Validate checks that the trace set is a well-formed computation:
-// contiguous sequence numbers, per-process monotone vector clocks and
-// timestamps, clocks that never reference nonexistent peer events, and every
-// Recv matched by a Send with the same MsgID that causally precedes it.
-// (Sends whose message was still in flight at termination are legal and stay
-// unmatched.)
+// Validate checks that the trace set is a well-formed execution: its
+// timestamp-order stream (Stream) must pass the validator every codec reader
+// runs — contiguous sequence numbers, monotone clocks, non-negative and
+// non-decreasing timestamps, causal delivery, every Recv matched by the Send
+// with its MsgID — so a valid set is one whose written form every reader
+// accepts. (Sends whose message was still in flight at termination are legal
+// and stay unmatched.) Before that come the checks only a materialized set
+// needs: proposition owners in range, no nil trace, and each trace and event
+// labelled with its process.
 func (ts *TraceSet) Validate() error {
 	if ts.Props == nil {
 		return fmt.Errorf("dist: trace set has no proposition map")
@@ -181,12 +180,6 @@ func (ts *TraceSet) Validate() error {
 			return fmt.Errorf("dist: proposition %q owned by nonexistent process %d", ts.Props.Names[i], o)
 		}
 	}
-	type sendRec struct {
-		proc, dest int
-		vc         vclock.VC
-	}
-	// All traces must exist before any event check: the clock-bounds check
-	// below dereferences peer traces.
 	for p, tr := range ts.Traces {
 		if tr == nil {
 			return fmt.Errorf("dist: trace %d is nil", p)
@@ -194,78 +187,27 @@ func (ts *TraceSet) Validate() error {
 		if tr.Proc != p {
 			return fmt.Errorf("dist: trace at position %d labelled process %d", p, tr.Proc)
 		}
-	}
-	sends := map[int]sendRec{}
-	for p, tr := range ts.Traces {
-		prevVC := vclock.New(n)
-		prevTime := math.Inf(-1)
 		for k, e := range tr.Events {
-			where := fmt.Sprintf("process %d event %d", p, k+1)
+			if e == nil {
+				return fmt.Errorf("dist: process %d event %d is nil", p, k+1)
+			}
 			if e.Proc != p {
-				return fmt.Errorf("dist: %s owned by process %d", where, e.Proc)
-			}
-			switch e.Type {
-			case Internal, Send, Recv:
-			default:
-				return fmt.Errorf("dist: %s has unknown type %d", where, int(e.Type))
-			}
-			if e.SN != k+1 {
-				return fmt.Errorf("dist: %s has sequence number %d", where, e.SN)
-			}
-			if len(e.VC) != n {
-				return fmt.Errorf("dist: %s has a %d-entry clock, want %d", where, len(e.VC), n)
-			}
-			if e.VC[p] != e.SN {
-				return fmt.Errorf("dist: %s clock %v disagrees with its sequence number", where, e.VC)
-			}
-			if !prevVC.LessEq(e.VC) {
-				return fmt.Errorf("dist: %s clock %v not monotone after %v", where, e.VC, prevVC)
-			}
-			for j := 0; j < n; j++ {
-				if e.VC[j] > len(ts.Traces[j].Events) {
-					return fmt.Errorf("dist: %s clock %v references nonexistent event %d of process %d", where, e.VC, e.VC[j], j)
-				}
-			}
-			if e.Time < prevTime {
-				return fmt.Errorf("dist: %s timestamp %v precedes %v", where, e.Time, prevTime)
-			}
-			prevVC, prevTime = e.VC, e.Time
-			if e.Type == Send {
-				if e.Peer < 0 || e.Peer >= n || e.Peer == p {
-					return fmt.Errorf("dist: %s sends to invalid process %d", where, e.Peer)
-				}
-				if _, dup := sends[e.MsgID]; dup {
-					return fmt.Errorf("dist: %s reuses message id %d", where, e.MsgID)
-				}
-				sends[e.MsgID] = sendRec{proc: p, dest: e.Peer, vc: e.VC}
+				return fmt.Errorf("dist: process %d event %d owned by process %d", p, k+1, e.Proc)
 			}
 		}
 	}
-	received := map[int]bool{}
-	for p, tr := range ts.Traces {
-		for k, e := range tr.Events {
-			if e.Type != Recv {
-				continue
-			}
-			where := fmt.Sprintf("process %d event %d", p, k+1)
-			s, ok := sends[e.MsgID]
-			if !ok {
-				return fmt.Errorf("dist: %s receives message %d never sent", where, e.MsgID)
-			}
-			if received[e.MsgID] {
-				return fmt.Errorf("dist: %s receives message %d twice", where, e.MsgID)
-			}
-			received[e.MsgID] = true
-			if s.proc != e.Peer {
-				return fmt.Errorf("dist: %s names sender %d, message %d was sent by %d", where, e.Peer, e.MsgID, s.proc)
-			}
-			if s.dest != p {
-				return fmt.Errorf("dist: %s consumes message %d addressed to process %d", where, e.MsgID, s.dest)
-			}
-			if !s.vc.LessEq(e.VC) {
-				return fmt.Errorf("dist: %s clock %v does not dominate its send's clock %v", where, e.VC, s.vc)
-			}
+	v := newStreamValidator(n)
+	src := ts.Stream()
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		if err := v.check(e); err != nil {
+			return fmt.Errorf("dist: %w", err)
 		}
 	}
-	return nil
 }

@@ -1,168 +1,20 @@
 package dist
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-
-	"decentmon/internal/vclock"
 )
 
-// Wire form of the JSON trace format documented in the package comment.
+// Trace files: every file is one codec stream, its codec chosen by
+// CodecForPath, so whatever SaveFile or CreateStream writes at a path,
+// LoadFile and StreamFile read back at the same path.
 
-type jsonProp struct {
-	Name  string `json:"name"`
-	Owner int    `json:"owner"`
-}
-
-type jsonEvent struct {
-	SN    int     `json:"sn"`
-	Type  string  `json:"type"`
-	Peer  int     `json:"peer"`
-	MsgID int     `json:"msgid"`
-	State uint32  `json:"state"`
-	VC    []int   `json:"vc"`
-	Time  float64 `json:"time"`
-}
-
-type jsonTrace struct {
-	Proc   int         `json:"proc"`
-	Init   uint32      `json:"init"`
-	Events []jsonEvent `json:"events"`
-}
-
-type jsonTraceSet struct {
-	Props  []jsonProp  `json:"props"`
-	Traces []jsonTrace `json:"traces"`
-}
-
-func eventTypeName(t EventType) (string, error) {
-	switch t {
-	case Internal, Send, Recv:
-		return t.String(), nil
-	}
-	return "", fmt.Errorf("dist: unknown event type %d", int(t))
-}
-
-func eventTypeFromName(s string) (EventType, error) {
-	switch s {
-	case "internal":
-		return Internal, nil
-	case "send":
-		return Send, nil
-	case "recv":
-		return Recv, nil
-	}
-	return 0, fmt.Errorf("dist: unknown event type %q", s)
-}
-
-func (ts *TraceSet) wire() (*jsonTraceSet, error) {
-	w := &jsonTraceSet{}
-	for i, name := range ts.Props.Names {
-		w.Props = append(w.Props, jsonProp{Name: name, Owner: ts.Props.Owner[i]})
-	}
-	for _, tr := range ts.Traces {
-		jt := jsonTrace{Proc: tr.Proc, Init: uint32(tr.Init)}
-		for _, e := range tr.Events {
-			tn, err := eventTypeName(e.Type)
-			if err != nil {
-				return nil, err
-			}
-			jt.Events = append(jt.Events, jsonEvent{
-				SN: e.SN, Type: tn, Peer: e.Peer, MsgID: e.MsgID,
-				State: uint32(e.State), VC: append([]int(nil), e.VC...), Time: e.Time,
-			})
-		}
-		w.Traces = append(w.Traces, jt)
-	}
-	return w, nil
-}
-
-func fromWire(w *jsonTraceSet) (*TraceSet, error) {
-	pm := NewPropMap()
-	for _, p := range w.Props {
-		if err := pm.Add(p.Name, p.Owner); err != nil {
-			return nil, err
-		}
-	}
-	ts := &TraceSet{Props: pm}
-	for _, jt := range w.Traces {
-		tr := &Trace{Proc: jt.Proc, Init: LocalState(jt.Init)}
-		for _, je := range jt.Events {
-			et, err := eventTypeFromName(je.Type)
-			if err != nil {
-				return nil, err
-			}
-			tr.Events = append(tr.Events, &Event{
-				Proc: jt.Proc, SN: je.SN, Type: et, Peer: je.Peer, MsgID: je.MsgID,
-				State: LocalState(je.State), VC: vclock.VC(append([]int(nil), je.VC...)), Time: je.Time,
-			})
-		}
-		ts.Traces = append(ts.Traces, tr)
-	}
-	return ts, nil
-}
-
-func writeWireJSON(w io.Writer, wire *jsonTraceSet) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.SetIndent("", "  ")
-	return enc.Encode(wire)
-}
-
-// WriteJSON renders the trace set in the JSON trace format.
-func (ts *TraceSet) WriteJSON(w io.Writer) error {
-	wire, err := ts.wire()
-	if err != nil {
-		return err
-	}
-	return writeWireJSON(w, wire)
-}
-
-// ReadJSON parses a trace set from the JSON trace format and validates it.
-func ReadJSON(r io.Reader) (*TraceSet, error) {
-	var wire jsonTraceSet
-	if err := json.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("dist: decoding trace JSON: %w", err)
-	}
-	ts, err := fromWire(&wire)
-	if err != nil {
-		return nil, err
-	}
-	if err := ts.Validate(); err != nil {
-		return nil, err
-	}
-	return ts, nil
-}
-
-// SaveFile writes the trace set to path: a streaming codec for its extension
-// (".jsonl", ".dmtb"; see codec.go), the JSON trace format otherwise.
+// SaveFile writes the trace set to path in the codec its extension selects.
+// The set is validated before the destination is touched, so a set no reader
+// would accept cannot truncate an existing good file.
 func (ts *TraceSet) SaveFile(path string) error {
-	// Validate and serialize before touching the destination so a bad trace
-	// set cannot truncate an existing good file.
 	if err := ts.Validate(); err != nil {
-		return err
-	}
-	if codec, ok := CodecForPath(path); ok {
-		// Like the wire-form serialization below, prove the set streamable
-		// before touching the destination.
-		if err := ts.checkLinearizable(); err != nil {
-			return err
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// The set was already validated above.
-		if err := ts.writeStream(codec, f); err != nil {
-			return fmt.Errorf("dist: encoding %s: %w", path, err)
-		}
-		return f.Close()
-	}
-	wire, err := ts.wire()
-	if err != nil {
 		return err
 	}
 	f, err := os.Create(path)
@@ -170,31 +22,105 @@ func (ts *TraceSet) SaveFile(path string) error {
 		return err
 	}
 	defer f.Close()
-	if err := writeWireJSON(f, wire); err != nil {
+	if err := ts.writeStream(CodecForPath(path), f); err != nil {
 		return fmt.Errorf("dist: encoding %s: %w", path, err)
 	}
 	return f.Close()
 }
 
-// LoadFile reads a trace set saved by SaveFile (or WriteJSON), validating it.
+// LoadFile reads a whole trace file into a trace set. The codec reader
+// validates every event as it decodes, so the set is well-formed.
 func LoadFile(path string) (*TraceSet, error) {
-	f, err := os.Open(path)
+	src, err := StreamFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	var ts *TraceSet
-	if codec, ok := CodecForPath(path); ok {
-		var src EventSource
-		if src, err = codec.Open(f); err == nil {
-			ts, err = Materialize(src)
-		}
-	} else {
-		ts, err = ReadJSON(f)
-	}
+	defer src.Close()
+	ts, err := materialize(src)
 	if err != nil {
 		// The inner error already carries the "dist:" prefix; add the path.
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return ts, nil
+}
+
+// StreamFile opens a trace file as an event stream, read incrementally with
+// memory independent of its length.
+func StreamFile(path string) (EventSource, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	src, err := CodecForPath(path).Open(f)
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &ownedSource{EventSource: src, c: f}, nil
+}
+
+// CreateStream creates path and returns a sink owning it, encoded by the
+// codec its extension selects; Close flushes and closes the file.
+func CreateStream(path string, pm *PropMap, init GlobalState) (StreamSink, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	sink, err := CodecForPath(path).Create(f, pm, init)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &ownedSink{StreamSink: sink, c: f}, nil
+}
+
+// ownedSource wraps an event source with the file it was opened from, so
+// Close releases both.
+type ownedSource struct {
+	EventSource
+	c io.Closer
+}
+
+func (o *ownedSource) Close() error {
+	err := o.EventSource.Close()
+	if cerr := o.c.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// ownedSink is the writer-side counterpart of ownedSource.
+type ownedSink struct {
+	StreamSink
+	c io.Closer
+}
+
+func (o *ownedSink) Close() error {
+	err := o.StreamSink.Close()
+	if cerr := o.c.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// materialize drains a codec source into a trace set, the bridge from a
+// stream back to the materialized tooling (the oracle, the lattice
+// explorer); its memory is proportional to the trace. The reader has already
+// validated every event, so the set needs no second pass.
+func materialize(src EventSource) (*TraceSet, error) {
+	ts := &TraceSet{Props: src.Props()}
+	init := src.Init()
+	for p := 0; p < src.N(); p++ {
+		ts.Traces = append(ts.Traces, &Trace{Proc: p, Init: init[p]})
+	}
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			return ts, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		ts.Traces[e.Proc].Events = append(ts.Traces[e.Proc].Events, e)
+	}
 }

@@ -67,7 +67,7 @@ func (pm *PropMap) Add(name string, owner int) error {
 // arrives in an RPC Register frame, a checkpoint's meta record or a ".dmtb"
 // header. The first two share the record below byte for byte; the header
 // predates it (fixed-width states, read off a stream) but is held to the same
-// two checks, spaceCount and addOwned; the ".jsonl" header shares the second.
+// two checks, spaceCount and addOwned; the JSON-lines header shares the second.
 
 // AppendProcessSpace appends the process-space record: process count, one
 // uvarint initial state per process, proposition count, then per proposition

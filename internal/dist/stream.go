@@ -10,25 +10,18 @@ import (
 	"decentmon/internal/vclock"
 )
 
-// Streaming trace format (".jsonl"): the line-oriented sibling of the
-// materialized JSON trace format (see the package comment). The first line is
-// a header carrying the proposition space and the initial local state of each
-// process; every following line is one event, in global timestamp order:
-//
-//	{"v":1,"props":[{"name":"P0.p","owner":0},...],"init":[1,0]}
-//	{"proc":0,"sn":1,"type":"internal","peer":-1,"msgid":0,"state":3,"vc":[1,0],"time":2.84}
-//	{"proc":1,"sn":1,"type":"recv","peer":0,"msgid":1,"state":0,"vc":[1,1],"time":2.9}
-//	...
-//
-// Because the event order is a linearization of the happened-before order, a
-// reader can validate the stream incrementally — contiguous sequence numbers,
-// monotone clocks and timestamps, causal send/recv pairing — while holding
-// only O(n² + in-flight messages) state, independent of trace length.
+// The JSON-lines trace stream (see the package comment for its shape): a
+// header line, then one line per event in global timestamp order. Because
+// that order is a linearization of the happened-before order, a reader
+// validates the stream incrementally — contiguous sequence numbers, monotone
+// clocks and timestamps, causal send/recv pairing — while holding only
+// O(n² + in-flight messages) state, independent of trace length.
 
 // streamVersion is the header "v" field writers emit and readers accept.
 const streamVersion = 1
 
-// jsonlCodec is the Codec for the ".jsonl" format.
+// jsonlCodec is the JSON-lines Codec, the one CodecForPath picks for every
+// path but ".dmtb".
 type jsonlCodec struct{}
 
 func (jsonlCodec) Name() string { return "jsonl" }
@@ -48,9 +41,40 @@ type jsonStreamHeader struct {
 	Init    []uint32   `json:"init"`
 }
 
+type jsonProp struct {
+	Name  string `json:"name"`
+	Owner int    `json:"owner"`
+}
+
 type jsonStreamEvent struct {
-	Proc int `json:"proc"`
-	jsonEvent
+	Proc  int     `json:"proc"`
+	SN    int     `json:"sn"`
+	Type  string  `json:"type"`
+	Peer  int     `json:"peer"`
+	MsgID int     `json:"msgid"`
+	State uint32  `json:"state"`
+	VC    []int   `json:"vc"`
+	Time  float64 `json:"time"`
+}
+
+func eventTypeName(t EventType) (string, error) {
+	switch t {
+	case Internal, Send, Recv:
+		return t.String(), nil
+	}
+	return "", fmt.Errorf("dist: unknown event type %d", int(t))
+}
+
+func eventTypeFromName(s string) (EventType, error) {
+	switch s {
+	case "internal":
+		return Internal, nil
+	case "send":
+		return Send, nil
+	case "recv":
+		return Recv, nil
+	}
+	return 0, fmt.Errorf("dist: unknown event type %q", s)
 }
 
 // EventSource is an iterator over the events of one distributed execution in
@@ -72,7 +96,7 @@ type EventSource interface {
 
 // --- streaming writer ---
 
-// StreamWriter writes the streaming (".jsonl") trace format incrementally:
+// StreamWriter writes the JSON-lines trace stream incrementally:
 // the header at construction, then one line per Write, in the order given.
 // It buffers internally; call Flush (or Close) when done.
 type StreamWriter struct {
@@ -110,10 +134,10 @@ func (sw *StreamWriter) Write(e *Event) error {
 		return err
 	}
 	sw.n++
-	return sw.enc.Encode(&jsonStreamEvent{Proc: e.Proc, jsonEvent: jsonEvent{
-		SN: e.SN, Type: tn, Peer: e.Peer, MsgID: e.MsgID,
+	return sw.enc.Encode(&jsonStreamEvent{
+		Proc: e.Proc, SN: e.SN, Type: tn, Peer: e.Peer, MsgID: e.MsgID,
 		State: uint32(e.State), VC: []int(e.VC), Time: e.Time,
-	}})
+	})
 }
 
 // Events returns the number of events written so far.
@@ -126,48 +150,15 @@ func (sw *StreamWriter) Flush() error { return sw.bw.Flush() }
 // wraps it so the file closes with the sink.
 func (sw *StreamWriter) Close() error { return sw.bw.Flush() }
 
-// WriteJSONL renders the trace set in the ".jsonl" streaming format: the
-// header line followed by every event in global timestamp order. The set is
-// validated first, like SaveFile, including the linearizability requirement
-// below. WriteStream is the codec-generic equivalent.
+// WriteJSONL renders the trace set as JSON lines: WriteStream with the
+// JSON-lines codec.
 func (ts *TraceSet) WriteJSONL(w io.Writer) error {
 	return ts.WriteStream(jsonlCodec{}, w)
 }
 
-// checkLinearizable verifies that the timestamp order (the order writeJSONL
-// emits) is a linearization of the happened-before order, which the
-// streaming readers require: no event may causally depend on an event that
-// the time merge emits later. Validate alone permits such sets — physical
-// times and vector clocks are independent there — so writers check this
-// separately before producing a stream no reader would accept.
-func (ts *TraceSet) checkLinearizable() error {
-	n := ts.N()
-	counts := make([]int, n)
-	src := ts.Stream()
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if e.Time < 0 {
-			return fmt.Errorf("dist: process %d event %d has negative timestamp %v", e.Proc, e.SN, e.Time)
-		}
-		for j := 0; j < n; j++ {
-			if j != e.Proc && e.VC[j] > counts[j] {
-				return fmt.Errorf("dist: timestamp order is not a linearization: process %d event %d depends on event %d of process %d, which has a later timestamp",
-					e.Proc, e.SN, e.VC[j], j)
-			}
-		}
-		counts[e.Proc] = e.SN
-	}
-}
-
 // --- streaming reader ---
 
-// TraceReader reads the streaming trace format with O(chunk) memory,
+// TraceReader reads the JSON-lines trace stream with O(chunk) memory,
 // validating incrementally as it goes. It implements EventSource.
 type TraceReader struct {
 	pm   *PropMap
@@ -189,7 +180,12 @@ func OpenStream(r io.Reader) (*TraceReader, error) {
 		}
 		return nil, fmt.Errorf("dist: decoding stream header: %w", err)
 	}
-	if hdr.Version != streamVersion {
+	switch hdr.Version {
+	case streamVersion:
+	case 0:
+		// A materialized JSON trace set, or any other JSON object, lands here.
+		return nil, fmt.Errorf("dist: stream header has no version (want \"v\":%d)", streamVersion)
+	default:
 		return nil, fmt.Errorf("dist: unsupported stream version %d (want %d)", hdr.Version, streamVersion)
 	}
 	n := len(hdr.Init)
@@ -259,9 +255,12 @@ func (tr *TraceReader) Next() (*Event, error) {
 // wraps it so the file closes with the source.
 func (tr *TraceReader) Close() error { return nil }
 
-// streamValidator is the incremental counterpart of (*TraceSet).Validate: it
+// streamValidator is the one definition of a well-formed execution: it
 // enforces, event by event, that the stream is a timestamp-ordered
-// linearization of a well-formed computation. Its state is O(n²) plus one
+// linearization of a well-formed computation. Every codec reader runs it on
+// each decoded event, and (*TraceSet).Validate runs it over the set's
+// timestamp-order stream, so a valid set is exactly one every reader of its
+// written form accepts. Its state is O(n²) plus one
 // record per in-flight message (sent but not yet received) plus an interval
 // set over the delivered message ids — one interval total for the
 // consecutive ids every writer in this repository emits — independent of
@@ -526,8 +525,7 @@ type setSource struct {
 }
 
 // Stream returns an EventSource over the (already materialized) trace set.
-// The set is not re-validated; use LoadFile/ReadJSON to obtain validated
-// sets.
+// The set is not re-validated; Validate checks exactly this stream.
 func (ts *TraceSet) Stream() EventSource {
 	return &setSource{ts: ts, idx: make([]int, ts.N())}
 }
@@ -555,44 +553,3 @@ func (s *setSource) Next() (*Event, error) {
 	s.idx[best]++
 	return e, nil
 }
-
-// Materialize drains an event source into a validated TraceSet. It is the
-// bridge from the streaming format back to the materialized tooling (the
-// oracle, the lattice explorer); its memory is proportional to the trace.
-func Materialize(src EventSource) (*TraceSet, error) {
-	ts := &TraceSet{Props: src.Props()}
-	init := src.Init()
-	for p := 0; p < src.N(); p++ {
-		ts.Traces = append(ts.Traces, &Trace{Proc: p, Init: init[p]})
-	}
-	for {
-		e, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		ts.Traces[e.Proc].Events = append(ts.Traces[e.Proc].Events, e)
-	}
-	// A codec reader has already validated every event incrementally (its
-	// causal-delivery checks subsume Validate's clock-bound ones), so only
-	// unvalidated sources pay the second pass.
-	inner := src
-	if o, ok := inner.(*ownedSource); ok {
-		inner = o.EventSource
-	}
-	if _, streamed := inner.(validatedSource); !streamed {
-		if err := ts.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return ts, nil
-}
-
-// validatedSource marks event sources that validate incrementally as they
-// decode; Materialize skips the whole-set re-validation for them.
-type validatedSource interface{ streamValidated() }
-
-func (tr *TraceReader) streamValidated() {}
-func (r *BinaryReader) streamValidated() {}

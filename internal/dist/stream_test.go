@@ -39,7 +39,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Materialize(tr)
+	got, err := materialize(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +334,9 @@ func TestIntervalSet(t *testing.T) {
 }
 
 func TestWriteRejectsNonLinearizableSet(t *testing.T) {
-	// Causally consistent but with the recv stamped before its send:
-	// Validate accepts it, yet no timestamp order can linearize it, so the
-	// writers must refuse rather than emit a stream every reader rejects.
+	// Causally consistent but with the recv stamped before its send: no
+	// timestamp order can linearize it, so Validate refuses it and the
+	// writers never emit a stream every reader rejects.
 	pm := NewPropMap()
 	pm.MustAdd("a", 0)
 	pm.MustAdd("b", 1)
@@ -348,11 +348,12 @@ func TestWriteRejectsNonLinearizableSet(t *testing.T) {
 			{Proc: 1, SN: 1, Type: Recv, Peer: 0, MsgID: 1, VC: vclock.VC{1, 1}, Time: 2},
 		}},
 	}}
-	if err := ts.Validate(); err != nil {
-		t.Fatalf("set unexpectedly invalid: %v", err)
+	const want = "references event 1 of process 0 not yet streamed"
+	if err := ts.Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Validate: %v, want %q", err, want)
 	}
 	var buf bytes.Buffer
-	if err := ts.WriteJSONL(&buf); err == nil || !strings.Contains(err.Error(), "not a linearization") {
+	if err := ts.WriteJSONL(&buf); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("WriteJSONL accepted a non-linearizable set: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "t.jsonl")

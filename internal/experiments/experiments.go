@@ -505,23 +505,21 @@ func sameVerdicts(a, b map[automaton.Verdict]bool) bool {
 	return true
 }
 
-// --- oracle cost sweep (the BENCH_oracle.json trajectory) ---
+// --- oracle cost sweep ---
 
 // OracleCell is one row of the oracle-cost sweep: one oracle mode on one
-// property at one size, averaged over the config's seeds. The CI bench job
-// serializes these rows as BENCH_oracle.json so the perf trajectory of the
-// oracle family is machine-readable.
+// property at one size, averaged over the config's seeds.
 type OracleCell struct {
-	Mode         string  `json:"mode"`
-	Property     string  `json:"property"`
-	N            int     `json:"n"`
-	Arity        int     `json:"arity"` // property arity (equals N when full width)
-	Events       float64 `json:"events"`
-	Cuts         float64 `json:"cuts"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	Verdicts     string  `json:"verdicts"`
-	Complete     bool    `json:"complete"`
+	Mode         string
+	Property     string
+	N            int
+	Arity        int // property arity (equals N when full width)
+	Events       float64
+	Cuts         float64
+	WallSeconds  float64
+	EventsPerSec float64
+	Verdicts     string
+	Complete     bool
 }
 
 // OracleSweep measures every oracle mode across its tractable sizes on one

@@ -93,8 +93,7 @@ func RenderCells(cells []*Cell) string {
 	return renderTable(header, body)
 }
 
-// RenderOracleCells renders the oracle-cost sweep (the table behind
-// BENCH_oracle.json).
+// RenderOracleCells renders the oracle-cost sweep.
 func RenderOracleCells(cells []*OracleCell) string {
 	header := []string{"mode", "prop", "n", "arity", "events", "cuts", "wall", "events/s", "verdicts", "complete"}
 	var body [][]string
