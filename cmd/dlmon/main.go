@@ -67,7 +67,6 @@ func main() {
 		tcp       = flag.Bool("tcp", false, "run monitors over loopback TCP instead of in-memory channels")
 		noFin     = flag.Bool("nofinalize", false, "skip extending views to the final cut")
 		pace      = flag.Float64("pace", 0, "real-time replay scale (simulated seconds × pace = wall seconds)")
-		maxLag    = flag.Int("maxlag", 0, "retained-knowledge backlog (events/monitor) before the feeder blocks; 0 = default, negative disables backpressure")
 		compare   = flag.Bool("compare", false, "also run the oracle and the centralized baseline and compare")
 	)
 	flag.Usage = func() {
@@ -85,10 +84,10 @@ func main() {
 		// lattice; comparing defeats the purpose of streaming.
 		fatal(fmt.Errorf("-compare needs the materialized path; drop -stream/-bounded"))
 	}
-	if *bounded && (*tcp || *noFin || *pace > 0 || *maxLag != 0) {
+	if *bounded && (*tcp || *noFin || *pace > 0) {
 		// The bounded path evaluator has no monitor network, finalization or
-		// lag gate; rejecting beats silently dropping the flags.
-		fatal(fmt.Errorf("-bounded is incompatible with -tcp, -nofinalize, -pace and -maxlag"))
+		// pacing; rejecting beats silently dropping the flags.
+		fatal(fmt.Errorf("-bounded is incompatible with -tcp, -nofinalize and -pace"))
 	}
 
 	// The stream header (or the loaded set) provides the proposition space
@@ -201,7 +200,6 @@ func main() {
 		Automaton:    mon,
 		SkipFinalize: *noFin,
 		Pace:         *pace,
-		MaxLag:       *maxLag,
 	}
 	if *tcp {
 		nw, err := transport.NewTCPNetwork(n)

@@ -22,6 +22,10 @@
 // counts) and re-sends only what the daemon has not absorbed — including
 // anything lost between the last checkpoint and the crash.
 //
+// The trace is streamed, so a malformed event is found only once the
+// session is registered and partly fed. dlmonc then closes a session it
+// registered itself and exits 1; an attached session is left as it was.
+//
 // Exit status: 0 on success, 1 on error, 2 on usage mistakes, and 3 when
 // the verdict set contains ⊥ — the same contract as dlmon, so CI smoke
 // legs gate identically on both binaries.
@@ -77,10 +81,14 @@ func main() {
 		formula = flag.Arg(0)
 	}
 
-	ts, err := dist.LoadFile(*tracePath)
+	// The trace is streamed, never loaded: the header gives the proposition
+	// space, the process count and the initial state before any event is
+	// read, so memory does not grow with the trace.
+	src, err := dist.StreamFile(*tracePath)
 	if err != nil {
 		fatal(err)
 	}
+	defer src.Close()
 
 	cl, err := server.Dial(*addr)
 	if err != nil {
@@ -110,7 +118,7 @@ func main() {
 		}
 		fmt.Printf("attached       : session %d at epoch %d, fed %v\n", sid, epoch, fed)
 	} else {
-		sid, hit, err = cl.Register(*tenant, formula, ts.InitialState(), ts.Props)
+		sid, hit, err = cl.Register(*tenant, formula, src.Init(), src.Props())
 		if err != nil {
 			fatal(err)
 		}
@@ -118,7 +126,6 @@ func main() {
 	if err := cl.Subscribe(sid); err != nil {
 		fatal(err)
 	}
-	src := ts.Stream()
 	events := 0
 	for {
 		e, err := src.Next()
@@ -126,6 +133,11 @@ func main() {
 			break
 		}
 		if err != nil {
+			// A malformed event partway through the file: a session this run
+			// registered is closed rather than left half fed on the daemon.
+			if *attach == 0 {
+				cl.CloseSession(sid)
+			}
 			fatal(err)
 		}
 		// On resume, skip the prefix the daemon already absorbed: SN is the
@@ -162,7 +174,7 @@ func main() {
 
 	fmt.Printf("property       : %s\n", formula)
 	fmt.Printf("session        : %d on %s (automaton cache %s)\n", sid, *addr, map[bool]string{true: "hit", false: "miss"}[hit])
-	fmt.Printf("processes      : %d, events: %d\n", ts.N(), events)
+	fmt.Printf("processes      : %d, events: %d\n", src.N(), events)
 	vs := make([]string, len(codes))
 	violated := false
 	for i, c := range codes {

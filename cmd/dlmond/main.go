@@ -8,7 +8,7 @@
 // events through server-side vector clocks, subscribe to incremental
 // verdicts, and close the session for the terminal verdict set. A
 // per-tenant token bucket paces ingestion so one hot tenant cannot starve
-// the rest; per-session backpressure (-maxlag) bounds retained knowledge.
+// the rest; per-session backpressure bounds retained knowledge.
 //
 // Observability: GET /healthz and a Prometheus-text GET /metrics on the
 // -metrics address (sessions live, events and verdicts ingested, retained
@@ -42,7 +42,6 @@ func main() {
 		metrics = flag.String("metrics", "127.0.0.1:7382", "observability HTTP listen address ('off' disables)")
 		rate    = flag.Float64("rate", 0, "per-tenant admission rate, events/second (0 disables)")
 		burst   = flag.Float64("burst", 0, "per-tenant burst size, events (0 = rate)")
-		maxLag  = flag.Int("maxlag", 0, "per-session retained-knowledge bound (events/monitor; 0 = default)")
 		state   = flag.String("state", "", "durable-session state directory (empty disables durability)")
 		ckEvery = flag.Int("checkpoint-every", 0, "events between durable syncs of a session's input log: how far the disk may trail the engine (0 = default 256; needs -state)")
 	)
@@ -61,7 +60,6 @@ func main() {
 		MetricsAddr:     *metrics,
 		Rate:            *rate,
 		Burst:           *burst,
-		MaxLag:          *maxLag,
 		StateDir:        *state,
 		CheckpointEvery: *ckEvery,
 	})

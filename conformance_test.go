@@ -18,7 +18,7 @@ import (
 // the decentralized monitors, the centralized monitor, the bounded
 // single-path evaluator and the live Session — must agree with the oracle
 // family on the six case-study properties across the five communication
-// topologies at n ∈ {2, 5, 8, 16}.
+// topologies at n ∈ {2, 5, 8, 16}, and property B over a ring at n = 32.
 //
 // Ground truth per size:
 //
@@ -558,10 +558,8 @@ func TestLargeNDecentralizedSlicedCrossCheck(t *testing.T) {
 // die on its node budget — the gauntlet has always excluded this pairing for
 // exactly that reason. Slicing the same region onto the arity-3 property's
 // three support processes collapses it to a 3-dimensional projected poset:
-// under the same node budget the run completes and its conclusive verdicts
-// match the sliced oracle. Both runs share one explicit MaxBoxNodes so the
-// cell stays cheap: what is being pinned is the asymmetry, not the default
-// budget's exact value.
+// under the same node budget (the engine's constant 2²¹) the run completes and
+// its conclusive verdicts match the sliced oracle.
 func TestDenseBroadcastSlicedTractable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the exploding exact DP up to its node budget")
@@ -577,10 +575,8 @@ func TestDenseBroadcastSlicedTractable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const budget = 1 << 18
 	_, err = core.Run(core.RunConfig{
-		Traces: ts, Automaton: spec.mon, SkipFinalize: true,
-		ExactBoxes: true, MaxBoxNodes: budget,
+		Traces: ts, Automaton: spec.mon, SkipFinalize: true, ExactBoxes: true,
 	})
 	if err == nil {
 		t.Fatal("exact DP completed the dense-broadcast cell — the explosion fixture lost its teeth (tighten the workload or drop the cell)")
@@ -596,10 +592,7 @@ func TestDenseBroadcastSlicedTractable(t *testing.T) {
 	if !oracle.Complete {
 		t.Fatal("sliced oracle not complete — support exceeds arity?")
 	}
-	res, err := core.Run(core.RunConfig{
-		Traces: ts, Automaton: spec.mon, SkipFinalize: true,
-		MaxBoxNodes: budget,
-	})
+	res, err := core.Run(core.RunConfig{Traces: ts, Automaton: spec.mon, SkipFinalize: true})
 	if err != nil {
 		t.Fatalf("sliced run under the same node budget: %v", err)
 	}

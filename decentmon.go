@@ -48,8 +48,9 @@
 //
 // Past the exact oracle's ~5-process reach, the sliced and sampling
 // oracles (EvaluateOracle) pair with reduced-arity properties
-// (CaseStudySpecAt + (*TraceSet).WithProps) to cross-check systems of
-// 8–32 processes.
+// (CaseStudySpecAt) to cross-check systems of 8–32 processes. Every engine
+// binds the propositions a property reads by name, so such a spec runs
+// against traces that declare the whole process space as they are.
 package decentmon
 
 import (
@@ -298,21 +299,12 @@ func WithPace(pace float64) Option {
 	return func(o *options) { o.cfg.Pace = pace }
 }
 
-// WithMaxLag bounds each monitor's retained-knowledge backlog: Feed (and
-// the replay feeders) block while any monitor retains at least n events and
-// the pipeline is still making progress, which keeps an unpaced replay's
-// memory bounded on collectible workloads. 0 keeps the default
-// (core.DefaultMaxLag); a negative n disables backpressure.
-func WithMaxLag(n int) Option {
-	return func(o *options) { o.cfg.MaxLag = n }
-}
-
 // WithExactBoxes forces the full-width exact DP for every lattice-box
 // exploration. By default, a ○-free property whose propositions touch only
 // a proper subset of the processes is explored *sliced*: each box region is
 // projected onto the property's support processes before sweeping, which is
 // verdict-exact for stutter-invariant properties (LTL without ○) and turns
-// dense-broadcast workloads from a deterministic MaxBoxNodes failure into a
+// dense-broadcast workloads from a deterministic node-budget failure into a
 // tractable run (see PERFORMANCE.md "Explosion modes"). Properties with ○
 // always use the exact DP; this option exists to pin the exact strategy for
 // cross-checks and A/B measurements.
@@ -373,8 +365,8 @@ func Run(spec *Spec, ts *TraceSet, opts ...Option) (*RunResult, error) {
 // RunStream is Run over an event stream (e.g. StreamTraces on a ".jsonl"
 // file): the decentralized monitors are fed incrementally as events are
 // read, never materializing the execution. Verdict sets equal Run's on the
-// equivalent trace set, and the feeder-side backpressure (WithMaxLag) keeps
-// memory bounded even without pacing on collectible workloads.
+// equivalent trace set, and the feeder-side backpressure keeps memory bounded
+// even without pacing on collectible workloads.
 func RunStream(spec *Spec, src EventSource, opts ...Option) (*RunResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("decentmon: nil event source")
@@ -414,7 +406,6 @@ func RunBounded(spec *Spec, src EventSource, opts ...Option) (*PathResult, error
 		{"WithNetwork", o.cfg.Network != nil},
 		{"WithoutFinalization", o.cfg.SkipFinalize},
 		{"WithPace", o.cfg.Pace != 0},
-		{"WithMaxLag", o.cfg.MaxLag != 0},
 		{"WithExactBoxes", o.cfg.ExactBoxes},
 		{"WithInitialState", o.init != nil},
 		{"WithValidation", o.validate},

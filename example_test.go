@@ -77,13 +77,14 @@ func ExampleNewSession() {
 }
 
 // ExampleSession_Verdicts shows verdict subscription under feeder-side
-// backpressure: a tight WithMaxLag throttles the replay to the monitors'
-// collection rate, while the subscriber keeps receiving detections as they
-// happen — the verdict channel is buffered for every possible event, so a
-// slow subscriber can never wedge the monitors or the throttled feeder.
+// backpressure: the replay feeds one process's whole trace before the next,
+// so the first monitor's backlog passes the lag bound and the feeder is
+// throttled, while the subscriber keeps receiving detections as they happen —
+// the verdict channel is buffered for every possible event, so a slow
+// subscriber can never wedge the monitors or the throttled feeder.
 func ExampleSession_Verdicts() {
 	spec := decentmon.MustCompile("F (P0.p && P1.p)", decentmon.PerProcessProps(2, "p"))
-	sess, err := decentmon.NewSession(spec, 2, decentmon.WithMaxLag(8))
+	sess, err := decentmon.NewSession(spec, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -105,11 +106,13 @@ func ExampleSession_Verdicts() {
 		}
 	}()
 
-	// Replay a generated execution through the session; with the goal
-	// planted at the end, the feeder outruns the monitors and the MaxLag
-	// gate paces the admissions.
+	// Replay a generated execution through the session, process by process,
+	// with the goal planted at the end. Each process has several hundred
+	// events, so while the first is fed alone its monitor's backlog passes
+	// the lag bound; with the peer silent nothing can be collected, and the
+	// gate's grace window lets the rest through rather than deadlock.
 	traces := decentmon.Generate(decentmon.GenConfig{
-		N: 2, InternalPerProc: 20, CommMu: 3, CommSigma: 1,
+		N: 2, InternalPerProc: 200, CommMu: 3, CommSigma: 1,
 		PlantGoal: true, Seed: 1,
 	})
 	for _, tr := range traces.Traces {

@@ -2,9 +2,9 @@
 // that are aliased rather than owned.
 //
 // Source invariant: vclock.VC and dist.GlobalState are plain slices.
-// Accessors such as (*PathMonitor).Cut, (*TraceSet).FinalCut, the dlmond
-// session's LastCut (internal/server) and the VC field of dist.Event hand
-// out (or may hand out) storage shared with the engine's internal state; mutating such a slice in place — index
+// Accessors such as (*PathMonitor).Cut, (*TraceSet).FinalCut, any LastCut
+// accessor and the VC field of dist.Event hand out (or may hand out)
+// storage shared with the engine's internal state; mutating such a slice in place — index
 // assignment, Tick/Merge (which mutate their receiver, see
 // internal/vclock/vclock.go), sort, or copy-into — corrupts causal history
 // at a distance. The engine's convention is clone-before-mutate:
@@ -52,9 +52,9 @@ var Analyzer = &analysis.Analyzer{
 // from them clears the taint like any other clone.
 var freshCallees = map[string]bool{"Clone": true, "Max": true, "New": true, "append": true, "make": true, "Clock": true, "clockOf": true, "clockOrNil": true}
 
-// borrowCallees are accessors whose result aliases internal state.
-// LastCut is the dlmond session accessor (internal/server): it returns the
-// most recent verdict cut without cloning, by the same borrow contract.
+// borrowCallees are accessors whose result aliases internal state. LastCut
+// names the shape of an accessor returning the most recent verdict cut
+// without cloning; its fixture keeps it under the same borrow contract.
 var borrowCallees = map[string]bool{"Cut": true, "FinalCut": true, "LastCut": true}
 
 func run(pass *analysis.Pass) error {

@@ -8,7 +8,6 @@ import (
 	"decentmon/internal/dist"
 	"decentmon/internal/ltl"
 	"decentmon/internal/props"
-	"decentmon/internal/transport"
 	"decentmon/internal/vclock"
 )
 
@@ -178,14 +177,9 @@ func TestAllocsSteadyStateStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := transport.NewChanNetwork(1)
-	defer nw.Close()
-	m, err := New(Config{
-		Index: 0, N: 1, Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
-	}, nw.Endpoint(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := builtSession(t, SessionConfig{
+		N: 1, Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
+	}).monitors[0]
 	m.start(nil)
 	events := ts.Traces[0].Events
 	next := 0

@@ -20,7 +20,7 @@ type boxResult struct {
 	// the first cut each was discovered at.
 	conclusive []pivot
 	// nodes is the number of consistent cuts visited (projected cuts under
-	// slicing — the quantity MaxBoxNodes bounds either way).
+	// slicing — the quantity maxBoxNodes bounds either way).
 	nodes int
 }
 

@@ -437,7 +437,7 @@ func (f *boxFixture) liftOf(lo, c vclock.VC, support []int) vclock.VC {
 //
 //   - antichain coverage: the sweep visits exactly the projected region's
 //     consistent cuts, each once (node count == direct enumeration), and the
-//     MaxBoxNodes bound speaks that projected count;
+//     maxBoxNodes bound speaks that projected count;
 //   - verdict exactness: conclusive and final verdict sets match the exact
 //     full-width DP (states may differ — stutter-equivalent words can land in
 //     different but verdict-equivalent monitor states);
@@ -524,9 +524,9 @@ func verdictSet(mon *automaton.Monitor, states []int) []automaton.Verdict {
 	return out
 }
 
-// TestBoxSlicedNodeBound pins that MaxBoxNodes bounds *projected* nodes under
-// slicing: the sweep errors out one below the projected region's size and
-// completes exactly at it — which is why a dense-broadcast region whose
+// TestBoxSlicedNodeBound pins that the node budget bounds *projected* nodes
+// under slicing: the sweep errors out one below the projected region's size
+// and completes exactly at it — which is why a dense-broadcast region whose
 // full-width size explodes stays explorable.
 func TestBoxSlicedNodeBound(t *testing.T) {
 	ts := generateBoxTraces(5, dist.TopoBroadcast, 1)

@@ -12,6 +12,7 @@ import (
 	"decentmon/internal/lattice"
 	"decentmon/internal/ltl"
 	"decentmon/internal/props"
+	"decentmon/internal/transport"
 )
 
 func mustMonitor(t *testing.T, formula string, props []string) *automaton.Monitor {
@@ -26,11 +27,27 @@ func mustMonitor(t *testing.T, formula string, props []string) *automaton.Monito
 // mustLetters is the letter table compile builds for mon over pm.
 func mustLetters(t *testing.T, mon *automaton.Monitor, pm *dist.PropMap, n int) *letterTable {
 	t.Helper()
-	prog, err := compile(Config{N: n, Automaton: mon, Props: pm})
+	prog, err := compile(&SessionConfig{N: n, Automaton: mon, Props: pm})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return prog.lt
+}
+
+// builtSession is a session whose monitors are built and never launched, for
+// tests that drive a monitor's handlers by hand. The test's cleanup cancels it
+// and closes its network.
+func builtSession(t *testing.T, cfg SessionConfig) *Session {
+	t.Helper()
+	s, err := buildSession(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		s.cancel()
+		s.nw.Close()
+	})
+	return s
 }
 
 func oracleSet(t *testing.T, ts *dist.TraceSet, mon *automaton.Monitor) map[automaton.Verdict]bool {
@@ -219,11 +236,22 @@ func TestPacedRun(t *testing.T) {
 	}
 }
 
+// swappedNetwork numbers its two endpoints the wrong way round.
+type swappedNetwork struct{ transport.Network }
+
+func (nw swappedNetwork) Endpoint(i int) transport.Endpoint { return nw.Network.Endpoint(1 - i) }
+
+// TestConfigValidation: a caller's network must hand monitor i the endpoint
+// whose ID is i; the session refuses one that does not.
 func TestConfigValidation(t *testing.T) {
 	ts := dist.RunningExample()
 	mon := mustMonitor(t, dist.RunningExampleProperty, ts.Props.Names)
-	if _, err := New(Config{Index: 5, N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState()}, nil); err == nil {
-		t.Error("bad index accepted")
+	_, err := buildSession(context.Background(), SessionConfig{
+		N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
+		Network: swappedNetwork{transport.NewChanNetwork(2)},
+	})
+	if err == nil || !strings.Contains(err.Error(), "endpoint id") {
+		t.Errorf("misnumbered endpoints: err = %v", err)
 	}
 }
 

@@ -75,14 +75,14 @@ const gcCollectEveryInputs = 16
 // minimal cut: the one component that says how much of our own history the
 // peer still needs. Floors only ever advance, so a stale report maxes away.
 func (m *Monitor) noteFloor(from int, f vclock.VC) {
-	if f == nil || from < 0 || from >= m.cfg.N || from == m.cfg.Index {
+	if f == nil || from < 0 || from >= m.cfg.N || from == m.index {
 		return
 	}
 	if len(f) != m.cfg.N {
-		m.fail(fmt.Errorf("core: monitor %d: peer %d reported a %d-entry floor, want %d", m.cfg.Index, from, len(f), m.cfg.N))
+		m.fail(fmt.Errorf("core: monitor %d: peer %d reported a %d-entry floor, want %d", m.index, from, len(f), m.cfg.N))
 		return
 	}
-	i := m.cfg.Index
+	i := m.index
 	m.floors.peerNeed[from] = max(m.floors.peerNeed[from], f[i])
 }
 
@@ -130,7 +130,7 @@ func (m *Monitor) collectKnowledge() {
 	fl.lastGC = fl.inputSeq
 	fl.curFloor = m.needFloor()
 	trunc := fl.curFloor.Clone()
-	i := m.cfg.Index
+	i := m.index
 	for j := 0; j < m.cfg.N; j++ {
 		if j == i {
 			continue
@@ -148,7 +148,7 @@ func (m *Monitor) announceFloors() {
 		return
 	}
 	for j := 0; j < m.cfg.N; j++ {
-		if j == m.cfg.Index {
+		if j == m.index {
 			continue
 		}
 		cur, sent := m.floors.curFloor[j], m.floors.sentTo[j]

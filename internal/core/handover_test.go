@@ -183,13 +183,8 @@ func TestAllocsHandOver(t *testing.T) {
 	}
 	own := ts.Traces[0].Events
 	for _, k := range []int{4, most} {
-		nw := transport.NewChanNetwork(2)
-		var ms [2]*Monitor
-		for i := range ms {
-			if ms[i], err = New(Config{Index: i, N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState()}, nw.Endpoint(i)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		s := builtSession(t, SessionConfig{N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState()})
+		nw, ms := s.nw, s.monitors
 		// The replier owns k events; the requester already knows them, so
 		// handling the reply merges nothing and the knowledge window's own
 		// growth stays out of the count.

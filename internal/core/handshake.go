@@ -29,9 +29,9 @@ func (m *Monitor) handleLocalTermination(total int) {
 	m.floors.inputSeq++
 	m.handshake.localDone = true
 	m.handshake.localTotal = total
-	m.know.markDone(m.cfg.Index, total)
-	m.handshake.peerDone[m.cfg.Index] = true
-	m.broadcast(&wireMsg{Kind: msgTerm, Term: &termWire{Proc: m.cfg.Index, Total: total}})
+	m.know.markDone(m.index, total)
+	m.handshake.peerDone[m.index] = true
+	m.broadcast(&wireMsg{Kind: msgTerm, Term: &termWire{Proc: m.index, Total: total}})
 	m.serveWaiters()
 }
 
@@ -44,7 +44,7 @@ func (m *Monitor) handleLocalTermination(total int) {
 // of the path, meaningful provenance — rather than the global final cut.
 func (m *Monitor) maybeFinalize() {
 	hs := &m.handshake
-	if !m.cfg.FinalizeFull || hs.finalized {
+	if m.cfg.SkipFinalize || hs.finalized {
 		return
 	}
 	if !m.quiescent() {
@@ -122,13 +122,13 @@ func (m *Monitor) maybeFini() {
 	if hs.finiSent || !m.quiescent() {
 		return
 	}
-	if m.cfg.FinalizeFull && !hs.finalized {
+	if !m.cfg.SkipFinalize && !hs.finalized {
 		return
 	}
 	// Without finalization, a surviving inconclusive view means some traced
 	// path never concluded: report '?' (through recordVerdictState so
 	// verdict subscribers see it too).
-	if !m.cfg.FinalizeFull {
+	if m.cfg.SkipFinalize {
 		for _, key := range m.gvKeys() {
 			gv := m.views.gvs[key]
 			for _, q := range gv.states.members(m.mon.NumStates()) {
@@ -137,8 +137,8 @@ func (m *Monitor) maybeFini() {
 		}
 	}
 	hs.finiSent = true
-	hs.peerFini[m.cfg.Index] = true
-	m.broadcast(&wireMsg{Kind: msgFini, Fini: m.cfg.Index})
+	hs.peerFini[m.index] = true
+	m.broadcast(&wireMsg{Kind: msgFini, Fini: m.index})
 }
 
 func (m *Monitor) finished() bool {

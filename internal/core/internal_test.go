@@ -7,7 +7,6 @@ import (
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
 	"decentmon/internal/ltl"
-	"decentmon/internal/transport"
 	"decentmon/internal/vclock"
 	"decentmon/internal/wire"
 )
@@ -227,19 +226,10 @@ func TestStringsAndDebug(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := New(Config{
-		Index: 0, N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
-	}, fakeEndpoint{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := builtSession(t, SessionConfig{
+		N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
+	}).monitors[0]
 	if !strings.Contains(m.DebugString(), "monitor 0") {
 		t.Errorf("DebugString = %q", m.DebugString())
 	}
 }
-
-type fakeEndpoint struct{}
-
-func (fakeEndpoint) ID() int                         { return 0 }
-func (fakeEndpoint) Send(int, []byte) error          { return nil }
-func (fakeEndpoint) Inbox() <-chan transport.Message { return nil }

@@ -15,52 +15,15 @@ import (
 	"decentmon/internal/wire"
 )
 
-// Config parameterizes one monitor process Mi.
-type Config struct {
-	// Index is i: the program process this monitor is composed with.
-	Index int
-	// N is the number of processes.
-	N int
-	// Automaton is the (shared, identical) LTL3 monitor automaton.
-	Automaton *automaton.Monitor
-	// Props binds the automaton's propositions to processes.
-	Props *dist.PropMap
-	// Init is the initial global state (an input of Algorithm 1).
-	Init dist.GlobalState
-	// FinalizeFull makes the monitor extend every surviving global view to
-	// the global final cut at termination, so that its verdict set also
-	// reflects inconclusive paths. Without it the monitor reports only the
-	// conclusive verdicts it detected (plus ? if any path remains open).
-	FinalizeFull bool
-	// MaxBoxNodes bounds a single lattice-region exploration (default 2^21).
-	MaxBoxNodes int
-	// ExactBoxes forces the full-width exact DP for every box exploration.
-	// By default a ○-free property is explored *sliced*: the region is
-	// projected onto the processes owning its propositions before sweeping,
-	// which is verdict-exact for stutter-invariant properties and keeps
-	// dense-broadcast workloads tractable (see boxdp.go). Properties with ○
-	// are always explored exactly.
-	ExactBoxes bool
-	// FeedBuffer is the capacity of the program→monitor feed queue
-	// (default 1024). Sessions with backpressure use a small buffer so the
-	// retained-knowledge gauge reflects what the feeder actually injected.
-	FeedBuffer int
-
-	// program is the property compiled for this process space, when the
-	// caller — a session — built it once for all n monitors; nil has New
-	// compile the monitor's own.
-	program *program
-}
-
 // program is what every monitor of a session reads of the property and never
 // writes: the per-process conjuncts of each transition's guard, the map from
 // local states to letter bits, and the sorted list of processes box
 // explorations project the lattice onto (boxdp.go): the owners of the
 // propositions the formula reads, or every process when only the exact
 // full-width DP is sound. It depends on (Automaton, Props, N, ExactBoxes)
-// alone, so the n monitors of a session share one. Nobody writes it, or
-// anything it points to, after compile returns: it is read from n goroutines
-// with no synchronization.
+// alone, so the session compiles it once for its n monitors. Nobody writes
+// it, or anything it points to, after compile returns: it is read from n
+// goroutines with no synchronization.
 type program struct {
 	gt      *guardTable
 	lt      *letterTable
@@ -71,10 +34,7 @@ type program struct {
 // (dist.PropMap.Restrict) and builds the program over that binding. It fails
 // when the automaton reads a proposition Props does not declare, or one owned
 // by a process outside the N.
-func compile(cfg Config) (*program, error) {
-	if cfg.Automaton == nil || cfg.Props == nil {
-		return nil, fmt.Errorf("core: monitor needs an automaton and a proposition map")
-	}
+func compile(cfg *SessionConfig) (*program, error) {
 	letters, err := cfg.Props.Restrict(cfg.Automaton.Props)
 	if err != nil {
 		return nil, err
@@ -151,8 +111,12 @@ const pumpBatch = 32
 // their snapshot record: know (knowledge.go), views (views.go), searches
 // (searches.go), floors (floors.go), handshake (handshake.go).
 type Monitor struct {
-	cfg Config
-	ep  transport.Endpoint
+	// cfg is the session's configuration, shared read-only by its n
+	// monitors; index is i, the program process this monitor is composed
+	// with.
+	cfg   *SessionConfig
+	index int
+	ep    transport.Endpoint
 	// hand is ep when the endpoint can deliver a value in memory (its peers
 	// share this process), nil when messages must cross as bytes; deliver asks
 	// nothing else to choose between the two.
@@ -225,37 +189,21 @@ type scratch struct {
 	box      boxScratch
 }
 
-// New creates a monitor attached to the given transport endpoint. The
-// endpoint's ID must equal cfg.Index.
-func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
-	if cfg.N < 1 || cfg.Index < 0 || cfg.Index >= cfg.N {
-		return nil, fmt.Errorf("core: invalid index %d of %d", cfg.Index, cfg.N)
-	}
-	if ep.ID() != cfg.Index {
-		return nil, fmt.Errorf("core: endpoint id %d != index %d", ep.ID(), cfg.Index)
-	}
-	if len(cfg.Init) != cfg.N {
-		return nil, fmt.Errorf("core: initial state has %d entries, want %d", len(cfg.Init), cfg.N)
-	}
-	if cfg.MaxBoxNodes == 0 {
-		cfg.MaxBoxNodes = 1 << 21
-	}
-	if cfg.FeedBuffer <= 0 {
-		cfg.FeedBuffer = 1024
-	}
-	if cfg.program == nil {
-		prog, err := compile(cfg)
-		if err != nil {
-			return nil, err
-		}
-		cfg.program = prog
+// newMonitor creates monitor i of the session configured by cfg, running the
+// session's compiled program and attached to the endpoint of the same index.
+// The endpoint is checked: a network supplied by the caller
+// (SessionConfig.Network) could number its endpoints otherwise.
+func newMonitor(cfg *SessionConfig, i int, prog *program, ep transport.Endpoint) (*Monitor, error) {
+	if ep.ID() != i {
+		return nil, fmt.Errorf("core: endpoint id %d != index %d", ep.ID(), i)
 	}
 	m := &Monitor{
 		cfg:           cfg,
+		index:         i,
 		ep:            ep,
 		mon:           cfg.Automaton,
-		program:       cfg.program,
-		feed:          make(chan feedItem, cfg.FeedBuffer),
+		program:       prog,
+		feed:          make(chan feedItem, feedQueue),
 		know:          newKnowledge(cfg.N, cfg.Init),
 		views:         newViews(),
 		searches:      newSearches(),
@@ -273,9 +221,9 @@ func New(cfg Config, ep transport.Endpoint) (*Monitor, error) {
 // projected onto: the owners of the propositions the automaton reads, letters'
 // owners. Slicing to them is verdict-exact only for ○-free (stutter-invariant)
 // properties and needs the formula attached to the automaton; otherwise — and
-// under Config.ExactBoxes — the support is every process, which makes the
-// sweep the exact full-width DP.
-func boxSupport(cfg Config, letters *dist.PropMap) []int {
+// under SessionConfig.ExactBoxes — the support is every process, which makes
+// the sweep the exact full-width DP.
+func boxSupport(cfg *SessionConfig, letters *dist.PropMap) []int {
 	f := cfg.Automaton.Formula
 	if cfg.ExactBoxes || f == nil || f.HasNext() || letters.Len() == 0 {
 		all := make([]int, cfg.N)
@@ -289,10 +237,15 @@ func boxSupport(cfg Config, letters *dist.PropMap) []int {
 	return slices.Compact(procs)
 }
 
+// maxBoxNodes bounds a single box exploration: visiting more lattice nodes
+// (projected nodes, when the box is sliced) is an error, not an unbounded
+// sweep.
+const maxBoxNodes = 1 << 21
+
 // explore runs one box exploration over the monitor's support and accounts
 // the exploration metrics.
 func (m *Monitor) explore(init stateset, lo, hi vclock.VC) (*boxResult, error) {
-	box, err := m.scratch.box.explore(m.mon, m.know, m.lt, init, lo, hi, m.cfg.MaxBoxNodes, m.support)
+	box, err := m.scratch.box.explore(m.mon, m.know, m.lt, init, lo, hi, maxBoxNodes, m.support)
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +425,7 @@ func (m *Monitor) handleLocalEvent(e *dist.Event) {
 	// Fig 5.7 metric: local events not yet absorbed by global views.
 	queued := 0
 	for _, gv := range m.views.gvs {
-		queued += m.know.len(m.cfg.Index) - gv.cut[m.cfg.Index]
+		queued += m.know.len(m.index) - gv.cut[m.index]
 	}
 	m.metrics.DelaySamples++
 	m.metrics.DelayedEventsSum += queued
@@ -484,7 +437,7 @@ func (m *Monitor) handleLocalEvent(e *dist.Event) {
 // the network closed before the handshake completed.
 func (m *Monitor) handleInbox(msg transport.Message, open bool) {
 	if !open {
-		m.fail(fmt.Errorf("core: monitor %d: network closed before termination", m.cfg.Index))
+		m.fail(fmt.Errorf("core: monitor %d: network closed before termination", m.index))
 		return
 	}
 	m.handleMessage(msg)
@@ -519,7 +472,7 @@ func (m *Monitor) handleMessage(raw transport.Message) {
 	case msgFloor:
 		// The envelope's Floor was all the payload.
 	default:
-		m.fail(fmt.Errorf("core: monitor %d: unknown message kind %v", m.cfg.Index, msg.Kind))
+		m.fail(fmt.Errorf("core: monitor %d: unknown message kind %v", m.index, msg.Kind))
 	}
 }
 
@@ -527,7 +480,7 @@ func (m *Monitor) handleMessage(raw transport.Message) {
 // monitor are served against local history; tokens returning to their
 // parent integrate their findings into the global-view set.
 func (m *Monitor) handleToken(t *tokenWire) {
-	if t.Parent == m.cfg.Index {
+	if t.Parent == m.index {
 		m.handleReturn(t)
 		return
 	}
@@ -586,7 +539,7 @@ func (m *Monitor) handleReturn(t *tokenWire) {
 // forking a global view at every pivot global state discovered.
 func (m *Monitor) integrateEnabled(t *tokenWire, tr *transWire) {
 	if !m.know.covers(tr.Gcut) {
-		m.fail(fmt.Errorf("core: monitor %d: enabled cut %v not covered by token segments", m.cfg.Index, tr.Gcut))
+		m.fail(fmt.Errorf("core: monitor %d: enabled cut %v not covered by token segments", m.index, tr.Gcut))
 		return
 	}
 	origin := newStateset(m.mon.NumStates())
@@ -760,7 +713,7 @@ func (m *Monitor) deliver(msg *wireMsg, lo, hi int) {
 		}
 	}
 	for j := lo; j < hi; j++ {
-		if j == m.cfg.Index {
+		if j == m.index {
 			continue
 		}
 		if msg.Floor != nil {
@@ -785,7 +738,7 @@ func (m *Monitor) deliver(msg *wireMsg, lo, hi int) {
 // tool use it).
 func (m *Monitor) DebugString() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "monitor %d: %d views, %d searches outstanding, verdicts ", m.cfg.Index, len(m.views.gvs), len(m.searches.table))
+	fmt.Fprintf(&b, "monitor %d: %d views, %d searches outstanding, verdicts ", m.index, len(m.views.gvs), len(m.searches.table))
 	var vs []string
 	for v := range m.verdicts {
 		vs = append(vs, v.String())
@@ -804,7 +757,7 @@ func (m *Monitor) DebugString() string {
 // snapshot(restore(snapshot(s))) is byte-identical, which the round-trip
 // tests pin. The sort buffers come from sc.
 func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
-	b = wire.AppendInts(b, m.cfg.Index, m.initialState())
+	b = wire.AppendInts(b, m.index, m.initialState())
 	b = m.handshake.appendTo(b)
 	b = m.floors.appendTo(b)
 	b = m.know.appendTo(b)

@@ -20,8 +20,7 @@ type RunConfig struct {
 	Traces *dist.TraceSet
 	// Automaton is the LTL3 monitor replicated at every process.
 	Automaton *automaton.Monitor
-	// FinalizeFull extends surviving views to the final cut (default true
-	// via Run; set SkipFinalize to disable).
+	// SkipFinalize disables extending surviving views to the final cut.
 	SkipFinalize bool
 	// Network supplies the transport; if nil an in-memory network without
 	// latency is created.
@@ -30,15 +29,9 @@ type RunConfig struct {
 	// Pace = 0.001 plays one simulated second per millisecond); 0 replays
 	// as fast as possible.
 	Pace float64
-	// MaxBoxNodes bounds each monitor's single-region exploration.
-	MaxBoxNodes int
 	// ExactBoxes forces the full-width exact box DP, disabling support-
-	// process slicing (see Config.ExactBoxes).
+	// process slicing (see SessionConfig.ExactBoxes).
 	ExactBoxes bool
-	// MaxLag bounds each monitor's retained-knowledge backlog before the
-	// feeder blocks (backpressure); 0 selects DefaultMaxLag, negative
-	// disables. See SessionConfig.MaxLag.
-	MaxLag int
 	// Shards is ignored, and kept for the benchmark harness only; see
 	// SessionConfig.Shards.
 	Shards int
@@ -98,9 +91,7 @@ func session(ctx context.Context, cfg RunConfig, pm *dist.PropMap, n int, init d
 		Init:         init,
 		SkipFinalize: cfg.SkipFinalize,
 		Network:      cfg.Network,
-		MaxBoxNodes:  cfg.MaxBoxNodes,
 		ExactBoxes:   cfg.ExactBoxes,
-		MaxLag:       cfg.MaxLag,
 	})
 }
 

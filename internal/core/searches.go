@@ -61,7 +61,7 @@ func (m *Monitor) maybeLaunchSearches(gv *globalView) {
 	if m.cfg.N == 1 {
 		return
 	}
-	i := m.cfg.Index
+	i := m.index
 	// Per automaton state in the view, the possibly-enabled outgoing
 	// transitions (those whose local conjunct Pi does not forbid,
 	// Algorithm 3 line 7). Ids, signatures and the search records all build
@@ -128,7 +128,7 @@ func (m *Monitor) maybeLaunchSearches(gv *globalView) {
 // the state's "q|ids" signature, scratch-backed: it is only materialized to
 // a string once the search actually launches.
 func (m *Monitor) launchSearch(gv *globalView, q int, ids []int, sigBytes []byte) {
-	i := m.cfg.Index
+	i := m.index
 	if _, active := m.searches.bySig[string(sigBytes)]; active { // allocation-free probe
 		// An equivalent search (same automaton state, same set of possibly
 		// enabled outgoing transitions) is still in flight; its result
@@ -217,7 +217,7 @@ func (m *Monitor) serveWaiters() {
 // fetch per sender instead of one per causal gap (channels are FIFO, so
 // replies keep the requester's prefix contiguous).
 func (m *Monitor) serveFetch(from int, f *fetchWire) {
-	i := m.cfg.Index
+	i := m.index
 	if f.ToSN > m.know.len(i) && !m.handshake.localDone {
 		m.searches.waitFetches = append(m.searches.waitFetches, pendingFetch{from, f})
 		return
@@ -246,7 +246,7 @@ func (m *Monitor) handleFetchReply(r *fetchReplyWire) {
 // requestKnowledge fetches the segments needed to cover the target cut.
 func (m *Monitor) requestKnowledge(target vclock.VC) {
 	for j := 0; j < m.cfg.N; j++ {
-		if j == m.cfg.Index || target[j] <= m.know.len(j) {
+		if j == m.index || target[j] <= m.know.len(j) {
 			continue
 		}
 		if m.searches.inflightFetch[j] >= target[j] {
@@ -258,7 +258,7 @@ func (m *Monitor) requestKnowledge(target vclock.VC) {
 			m.metrics.FinalizeFetches++
 		}
 		m.send(j, &wireMsg{Kind: msgFetch, Fetch: &fetchWire{
-			Requester: m.cfg.Index,
+			Requester: m.index,
 			FromSN:    m.know.len(j) + 1,
 			ToSN:      target[j],
 		}})
@@ -347,7 +347,7 @@ func (s *searches) restore(d *wire.Cursor, m *Monitor) error {
 		if from >= n || req.Requester >= n {
 			return fmt.Errorf("parked fetch names invalid process")
 		}
-		if req.FromSN <= m.know.floor(m.cfg.Index) {
+		if req.FromSN <= m.know.floor(m.index) {
 			return fmt.Errorf("parked fetch reaches below the GC floor")
 		}
 		s.waitFetches = append(s.waitFetches, pendingFetch{from: from, req: req})

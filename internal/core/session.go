@@ -14,11 +14,17 @@ import (
 	"decentmon/internal/vclock"
 )
 
-// DefaultMaxLag is the retained-knowledge backlog (events per monitor) above
-// which Session.Feed applies backpressure. It is deliberately small: on
-// collectible workloads the backlog oscillates around it, which is what
-// keeps an unpaced replay's KnowledgePeak bounded as the trace grows.
-const DefaultMaxLag = 256
+// maxLag is the retained-knowledge backlog (events per monitor) above which
+// Session.Feed applies backpressure. It is deliberately small: on collectible
+// workloads the backlog oscillates around it, which is what keeps an unpaced
+// replay's KnowledgePeak bounded as the trace grows.
+const maxLag = 256
+
+// feedQueue is the capacity of each monitor's feed queue. It is shallow
+// because events parked in the channel are invisible to the retained-knowledge
+// gauge the backpressure gate reads: a deep queue would let a whole trace slip
+// past it.
+const feedQueue = 16
 
 // feedGrace is how long a lagging Feed waits for the pipeline to make
 // progress before concluding that the backlog is pinned by work that needs
@@ -41,19 +47,16 @@ type SessionConfig struct {
 	// Network supplies the transport; if nil an in-memory network is
 	// created. The session closes the network either way.
 	Network transport.Network
-	// MaxBoxNodes bounds each monitor's single-region exploration.
-	MaxBoxNodes int
-	// ExactBoxes forces the full-width exact box DP, disabling support-
-	// process slicing (see Config.ExactBoxes).
+	// ExactBoxes forces the full-width exact DP for every box exploration.
+	// By default a ○-free property is explored *sliced*: the region is
+	// projected onto the processes owning its propositions before sweeping,
+	// which is verdict-exact for stutter-invariant properties and keeps
+	// dense-broadcast workloads tractable (see boxdp.go). Properties with ○
+	// are always explored exactly.
 	ExactBoxes bool
-	// MaxLag bounds each monitor's retained-knowledge backlog: Feed blocks
-	// while any monitor retains at least this many events and the pipeline
-	// is still making progress (backpressure). 0 selects DefaultMaxLag, a
-	// negative value disables backpressure.
-	MaxLag int
 	// Shards is ignored: every round runs on its monitor's own goroutine.
-	// The field survives only because the frozen benchmark harness (bench/)
-	// still sets it for its pool cell; ROADMAP 4(a)'s benchmark PR deletes it.
+	// The field survives only because the benchmark harness (bench/) still
+	// sets it for its pool cell; it goes with the next change to bench/.
 	Shards int
 }
 
@@ -89,7 +92,6 @@ type VerdictEvent struct {
 // End and Close return promptly.
 type Session struct {
 	cfg      SessionConfig
-	maxLag   int
 	ctx      context.Context
 	cancel   context.CancelFunc
 	nw       transport.Network
@@ -192,20 +194,12 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		nw.Close() // the session owns the network on every path, error paths included
 		return nil, fmt.Errorf("core: network has %d endpoints, traces have %d processes", nw.N(), cfg.N)
 	}
-	maxLag := cfg.MaxLag
-	switch {
-	case maxLag == 0:
-		maxLag = DefaultMaxLag
-	case maxLag < 0:
-		maxLag = 0
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	sctx, cancel := context.WithCancel(ctx)
 	s := &Session{
 		cfg:    cfg,
-		maxLag: maxLag,
 		ctx:    sctx,
 		cancel: cancel,
 		nw:     nw,
@@ -221,33 +215,14 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		ended:    make([]bool, cfg.N),
 		start:    time.Now(),
 	}
-	// With backpressure on, keep the feed queue shallow: events parked in
-	// the channel are invisible to the retained-knowledge gauge the gate
-	// reads, so a deep queue would let a whole trace slip past it.
-	feedBuffer := 0
-	if maxLag > 0 {
-		feedBuffer = 16
-	}
-	mcfg := Config{
-		N:            cfg.N,
-		Automaton:    cfg.Automaton,
-		Props:        cfg.Props,
-		Init:         cfg.Init,
-		FinalizeFull: !cfg.SkipFinalize,
-		MaxBoxNodes:  cfg.MaxBoxNodes,
-		ExactBoxes:   cfg.ExactBoxes,
-		FeedBuffer:   feedBuffer,
-	}
-	prog, err := compile(mcfg) // once, for the n monitors to share
+	prog, err := compile(&s.cfg) // once, for the n monitors to share
 	if err != nil {
 		cancel()
 		nw.Close()
 		return nil, err
 	}
-	mcfg.program = prog
 	for i := 0; i < cfg.N; i++ {
-		mcfg.Index = i
-		m, err := New(mcfg, nw.Endpoint(i))
+		m, err := newMonitor(&s.cfg, i, prog, nw.Endpoint(i))
 		if err != nil {
 			cancel()
 			nw.Close()
@@ -361,7 +336,7 @@ func (s *Session) progress() int64 {
 // below the lag bound covers the entire batch — the bound is a backlog
 // threshold, not a rate, and a batch is bounded by the feeders' chunk size.
 func (s *Session) admitN(k int) error {
-	if s.maxLag <= 0 || k <= 0 {
+	if k <= 0 {
 		return s.ctx.Err()
 	}
 	s.gateMu.Lock()
@@ -377,7 +352,7 @@ func (s *Session) admitN(k int) error {
 			return err
 		}
 		prog := s.progress()
-		if s.maxRetained() < int64(s.maxLag) {
+		if s.maxRetained() < int64(maxLag) {
 			// Below the bound: free admission. Keep the credit baseline
 			// current so progress made while unthrottled cannot later be
 			// spent as a burst.
@@ -389,7 +364,7 @@ func (s *Session) admitN(k int) error {
 		// admissions (a fed event is collected once by every monitor that
 		// fetched it), so on a healthy run the surplus grows without limit,
 		// and a feeder could later pour all of it into a stalled pipeline.
-		if floor := prog - int64(s.maxLag); s.lastProgress < floor {
+		if floor := prog - int64(maxLag); s.lastProgress < floor {
 			s.lastProgress = floor
 		}
 		if avail := prog - s.lastProgress; avail > 0 {
@@ -426,7 +401,7 @@ func (s *Session) admitN(k int) error {
 		case <-timer.C:
 			// One grace window buys a burst no larger than the lag bound,
 			// so a pinned backlog cannot flood the monitors unboundedly.
-			s.bypassLeft = s.maxLag
+			s.bypassLeft = maxLag
 		}
 	}
 	return nil
@@ -492,7 +467,7 @@ func (s *Session) feed(p, k int, it feedItem) error {
 }
 
 // Feed delivers one pre-stamped event to its process's monitor, blocking
-// under backpressure (see SessionConfig.MaxLag) and returning promptly with
+// under backpressure (see admitN) and returning promptly with
 // the context's error if the session is cancelled. Events of one process
 // must arrive in sequence-number order. The event is shared from here on, by
 // pointer, with every monitor that learns of it (messages.go): the session

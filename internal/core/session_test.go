@@ -11,13 +11,12 @@ import (
 	"decentmon/internal/vclock"
 )
 
-func newTestSession(t *testing.T, ts *dist.TraceSet, formula string, cfg SessionConfig) *Session {
+func newTestSession(t *testing.T, ts *dist.TraceSet, formula string) *Session {
 	t.Helper()
-	cfg.N = ts.N()
-	cfg.Automaton = mustMonitor(t, formula, ts.Props.Names)
-	cfg.Props = ts.Props
-	cfg.Init = ts.InitialState()
-	s, err := NewSession(context.Background(), cfg)
+	s, err := NewSession(context.Background(), SessionConfig{
+		N: ts.N(), Automaton: mustMonitor(t, formula, ts.Props.Names),
+		Props: ts.Props, Init: ts.InitialState(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +34,7 @@ func TestSessionMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := newTestSession(t, ts, dist.RunningExampleProperty, SessionConfig{})
+	s := newTestSession(t, ts, dist.RunningExampleProperty)
 	src := ts.Stream()
 	for {
 		e, err := src.Next()
@@ -64,7 +63,7 @@ func TestSessionMatchesRun(t *testing.T) {
 func TestSessionVerdictSubscription(t *testing.T) {
 	ts := dist.Generate(dist.GenConfig{N: 3, InternalPerProc: 8, CommMu: 3, PlantGoal: true, Seed: 3})
 	f := propsAF(3)["B"]
-	s := newTestSession(t, ts, f, SessionConfig{})
+	s := newTestSession(t, ts, f)
 	src := ts.Stream()
 	for {
 		e, err := src.Next()
@@ -272,9 +271,9 @@ func TestSessionMisuse(t *testing.T) {
 
 // feedAll feeds a whole execution through Session.Feed as fast as the gate
 // admits and returns the largest KnowledgePeak over the monitors.
-func feedAll(t *testing.T, ts *dist.TraceSet, cfg SessionConfig) int {
+func feedAll(t *testing.T, ts *dist.TraceSet) int {
 	t.Helper()
-	s := newTestSession(t, ts, gcProperty, cfg)
+	s := newTestSession(t, ts, gcProperty)
 	src := ts.Stream()
 	for {
 		e, err := src.Next()
@@ -302,14 +301,13 @@ func feedAll(t *testing.T, ts *dist.TraceSet, cfg SessionConfig) int {
 // TestSessionBackpressureBounded feeds a collectible execution and one four
 // times as long, unpaced, and checks what backpressure promises: the retained
 // backlog does not grow with the trace and stays far below it. It does not
-// compare the peak with MaxLag itself: a monitor keeps its own events until
+// compare the peak with maxLag itself: a monitor keeps its own events until
 // every peer's need-floor has passed them, and floors travel piggybacked or
 // every floorAnnounceEvery events, so the backlog has a structural part (some
 // hundreds of events here) that no lag bound below it can remove.
 func TestSessionBackpressureBounded(t *testing.T) {
 	short, long := dist.Generate(gcWorkload(500)), dist.Generate(gcWorkload(2000))
-	cfg := SessionConfig{MaxLag: 64}
-	peakShort, peakLong := feedAll(t, short, cfg), feedAll(t, long, cfg)
+	peakShort, peakLong := feedAll(t, short), feedAll(t, long)
 	if peakLong > 2*peakShort {
 		t.Errorf("knowledge peak grew with the trace: %d events -> peak %d, %d events -> peak %d",
 			short.TotalEvents(), peakShort, long.TotalEvents(), peakLong)
@@ -328,16 +326,10 @@ func TestSessionBackpressureBounded(t *testing.T) {
 // At the bound, old progress buys one lag bound of admissions and no more.
 func TestSessionGateBanksNoProgress(t *testing.T) {
 	ts := dist.Generate(gcWorkload(1))
-	const maxLag = 8
-	s, err := buildSession(context.Background(), SessionConfig{
+	s := builtSession(t, SessionConfig{
 		N: ts.N(), Automaton: mustMonitor(t, gcProperty, ts.Props.Names),
-		Props: ts.Props, Init: ts.InitialState(), MaxLag: maxLag,
+		Props: ts.Props, Init: ts.InitialState(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.nw.Close()
-	defer s.cancel()
 	s.monitors[0].lagGauge.Store(maxLag)
 	s.monitors[1].progressGauge.Store(100 * maxLag)
 	if err := s.admitN(maxLag); err != nil {
@@ -346,4 +338,48 @@ func TestSessionGateBanksNoProgress(t *testing.T) {
 	if left := s.progress() - s.lastProgress; left != 0 {
 		t.Errorf("gate still holds %d credits after one lag bound of admissions", left)
 	}
+}
+
+// TestSessionGraceBypassProcessByProcess feeds one process's whole trace
+// before any event of the other. With its peer silent, monitor 0 can collect
+// nothing and resolve no search, so once its backlog reaches maxLag no
+// progress ever buys an admission: only the grace-window bypass lets the rest
+// of process 0's events in. The session must still complete, with the
+// oracle's verdicts, and monitor 0 must have held well over maxLag events.
+func TestSessionGraceBypassProcessByProcess(t *testing.T) {
+	ts := dist.Generate(dist.GenConfig{
+		N: 2, InternalPerProc: 4 * maxLag, CommMu: 3, CommSigma: 1,
+		PlantGoal: true, Seed: 1,
+	})
+	const formula = "F (P0.p && P1.p)"
+	mon := mustMonitor(t, formula, ts.Props.Names)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	s, err := NewSession(ctx, SessionConfig{
+		N: ts.N(), Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p, tr := range ts.Traces {
+		for _, e := range tr.Events {
+			if err := s.Feed(e); err != nil {
+				t.Fatalf("feeding process %d: %v", p, err)
+			}
+		}
+		if err := s.End(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := setString(res.Verdicts), setString(oracleSet(t, ts, mon)); got != want {
+		t.Errorf("process-by-process feed verdicts %s != oracle %s", got, want)
+	}
+	if peak := res.Metrics[0].KnowledgePeak; peak < 2*maxLag {
+		t.Errorf("monitor 0 peaked at %d retained events; the gate (bound %d) was never held closed", peak, maxLag)
+	}
+	t.Logf("monitor 0 peak %d of %d events fed", res.Metrics[0].KnowledgePeak, len(ts.Traces[0].Events))
 }

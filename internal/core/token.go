@@ -38,7 +38,7 @@ func (m *Monitor) transNeedsProcess(tr *transWire, j int) bool {
 // this monitor's process. All scanned events are folded into the token's
 // segments so the parent can replay the traversed region exactly.
 func (m *Monitor) serveTrans(t *tokenWire, tr *transWire) {
-	i := m.cfg.Index
+	i := m.index
 	for {
 		if !m.transNeedsProcess(tr, i) {
 			break
@@ -119,7 +119,7 @@ func (m *Monitor) finishTrans(tr *transWire) {
 //  3. some unresolved transition targets a third process → send there;
 //  4. otherwise → return to parent.
 func (m *Monitor) routeToken(t *tokenWire) bool {
-	i := m.cfg.Index
+	i := m.index
 	anyTrue, allResolved := false, true
 	for _, tr := range t.Trans {
 		if tr.Eval == evalTrue {
@@ -153,7 +153,7 @@ func (m *Monitor) routeToken(t *tokenWire) bool {
 // it).
 func (m *Monitor) sendToken(t *tokenWire, to int) {
 	t.NextTargetProcess = to
-	if to == m.cfg.Index {
+	if to == m.index {
 		m.handleToken(t)
 		return
 	}

@@ -98,7 +98,7 @@ func (m *Monitor) residualKeys() []string {
 // closure. After every advance the view (re-)launches outgoing-transition
 // searches.
 func (m *Monitor) advanceGV(key string, gv *globalView) bool {
-	i := m.cfg.Index
+	i := m.index
 	sc := &m.scratch
 	if gv.blocked != nil {
 		if !m.know.covers(gv.blocked) {
@@ -134,7 +134,7 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 						// chain. Other interleavings from q's cut may avoid
 						// the conclusion entirely; keep q as a residual so
 						// finalization re-explores them.
-						if m.cfg.FinalizeFull {
+						if !m.cfg.SkipFinalize {
 							if absorbed == nil {
 								absorbed = newStateset(m.mon.NumStates())
 							}

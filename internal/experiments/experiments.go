@@ -33,31 +33,14 @@ type Config struct {
 	CommMu          float64 // seconds (paper: 3; <=0 disables)
 	CommSigma       float64
 	// Topology shapes the communication pattern (default dist.TopoUniform,
-	// the paper's workload); Clusters/CrossProb parameterize
-	// dist.TopoClustered.
-	Topology  dist.Topology
-	Clusters  int
-	CrossProb float64
+	// the paper's workload).
+	Topology dist.Topology
 	// MinimalAutomata uses the minimal LTL3 monitors instead of the
 	// paper-shape (progression) machines. The paper's figures depend on the
 	// intermediate ?-states of its non-minimal automata, so paper shape is
 	// the default.
 	MinimalAutomata bool
 	Pace            float64 // real-time replay scale for delay experiments
-	// PropArity instantiates the properties at a reduced arity (their
-	// alphabet then touches only the first PropArity processes); 0 keeps
-	// the paper's full-width instantiation. Required beyond ~5 processes,
-	// where full-width monitors stop being synthesizable.
-	PropArity int
-	// WithOracle runs the configured oracle on every measured execution
-	// and fills the Cell's oracle-cost and cross-check columns.
-	WithOracle bool
-	// OracleMode selects the oracle for WithOracle (default exact; use
-	// sliced beyond 5 processes — with PropArity set it stays exact).
-	OracleMode lattice.Mode
-	// OracleFrontier / OracleSeed tune the sampling oracle.
-	OracleFrontier int
-	OracleSeed     int64
 }
 
 func (c Config) withDefaults() Config {
@@ -173,52 +156,24 @@ type Cell struct {
 	KnowledgePeak float64
 	// Verdicts observed (union across monitors), for sanity reporting.
 	Verdicts string
-	// Oracle columns, filled when Config.WithOracle is set: the average
-	// explored-lattice size and wall time of the configured oracle, its
-	// verdict set, and whether the run agreed with it on every seed
-	// (conclusive-set equality against a complete oracle, or — for the
-	// sampling oracle — every sampled conclusive verdict present in the
-	// run's set).
-	OracleCuts     float64
-	OracleWallMs   float64
-	OracleVerdicts string
-	OracleAgree    bool
-}
-
-// buildProperty synthesizes the monitor for one measurement: the paper's
-// full-width instance by default, or — with cfg.PropArity — the reduced-
-// arity instance together with the sub-space the traces must be re-bound
-// to.
-func buildProperty(property string, n int, cfg Config) (*automaton.Monitor, *dist.PropMap, error) {
-	if cfg.PropArity == 0 || cfg.PropArity >= n {
-		mon, err := props.Build(property, n, !cfg.MinimalAutomata)
-		return mon, nil, err
-	}
-	return props.BuildAt(property, cfg.PropArity, !cfg.MinimalAutomata)
 }
 
 // Measure runs the decentralized algorithm for one property at one size
 // over the config's seeds and returns the averaged cell.
 func Measure(property string, n int, cfg Config) (*Cell, error) {
 	cfg = cfg.withDefaults()
-	mon, pm, err := buildProperty(property, n, cfg)
+	mon, err := props.Build(property, n, !cfg.MinimalAutomata)
 	if err != nil {
 		return nil, err
 	}
-	cell := &Cell{Property: property, N: n, OracleAgree: true}
+	cell := &Cell{Property: property, N: n}
 	verdicts := map[automaton.Verdict]bool{}
-	oracleVerdicts := map[automaton.Verdict]bool{}
 	for _, seed := range cfg.Seeds {
 		gc := genConfig(property, n, seed, cfg)
 		if err := gc.Check(); err != nil {
 			return nil, fmt.Errorf("%s n=%d: %w", property, n, err)
 		}
 		ts := dist.Generate(gc)
-		if pm != nil {
-			if ts, err = ts.WithProps(pm); err != nil {
-				return nil, err
-			}
-		}
 		res, err := core.Run(core.RunConfig{
 			Traces:       ts,
 			Automaton:    mon,
@@ -227,23 +182,6 @@ func Measure(property string, n int, cfg Config) (*Cell, error) {
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s n=%d seed=%d: %w", property, n, seed, err)
-		}
-		if cfg.WithOracle {
-			t0 := time.Now()
-			ores, err := lattice.EvaluateOracle(ts, mon, lattice.OracleConfig{
-				Mode: cfg.OracleMode, MaxFrontier: cfg.OracleFrontier, Seed: cfg.OracleSeed,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("%s n=%d seed=%d oracle: %w", property, n, seed, err)
-			}
-			cell.OracleWallMs += float64(time.Since(t0)) / float64(time.Millisecond)
-			cell.OracleCuts += float64(ores.NumCuts)
-			for _, v := range ores.Verdicts {
-				oracleVerdicts[v] = true
-			}
-			if !oracleAgrees(res.Verdicts, ores) {
-				cell.OracleAgree = false
-			}
 		}
 		cell.Events += float64(ts.TotalEvents())
 		cell.Messages += float64(res.NetMessages)
@@ -279,10 +217,7 @@ func Measure(property string, n int, cfg Config) (*Cell, error) {
 	cell.DelayedEvents /= k
 	cell.DelayPct /= k
 	cell.KnowledgePeak /= k
-	cell.OracleCuts /= k
-	cell.OracleWallMs /= k
 	cell.Verdicts = verdictString(verdicts)
-	cell.OracleVerdicts = verdictString(oracleVerdicts)
 	return cell, nil
 }
 
@@ -293,34 +228,6 @@ func verdictString(set map[automaton.Verdict]bool) string {
 	}
 	sort.Strings(vs)
 	return strings.Join(vs, ",")
-}
-
-// oracleAgrees cross-checks a finalization-free run against an oracle
-// result: conclusive verdicts must match a complete oracle exactly
-// (detection-only runs are still conclusive-complete, the Chapter-3 claim),
-// while an incomplete (sampling) oracle can only witness — every conclusive
-// verdict it found must appear in the run's set.
-func oracleAgrees(run map[automaton.Verdict]bool, ores *lattice.Result) bool {
-	oconc := map[automaton.Verdict]bool{}
-	for _, v := range ores.Verdicts {
-		if v != automaton.Unknown {
-			oconc[v] = true
-		}
-	}
-	for v := range oconc {
-		if !run[v] {
-			return false
-		}
-	}
-	if !ores.Complete {
-		return true
-	}
-	for _, v := range []automaton.Verdict{automaton.Top, automaton.Bottom} {
-		if run[v] && !oconc[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // genConfig reproduces the paper's "designed" traces (§5.1), which differ by
@@ -338,9 +245,8 @@ func genConfig(property string, n int, seed int64, cfg Config) dist.GenConfig {
 		N: n, InternalPerProc: cfg.InternalPerProc,
 		EvtMu: cfg.EvtMu, EvtSigma: cfg.EvtSigma,
 		CommMu: cfg.CommMu, CommSigma: cfg.CommSigma,
-		Topology: cfg.Topology, Clusters: cfg.Clusters, CrossProb: cfg.CrossProb,
-		PlantGoal: true,
-		Seed:      seed,
+		Topology: cfg.Topology, PlantGoal: true,
+		Seed: seed,
 	}
 	// Beyond 16 processes the two-suffix space overflows the 32-bit letter
 	// encoding; fall back to the single p suffix (q propositions of a
@@ -541,10 +447,7 @@ func OracleSweep(cfg Config) ([]*OracleCell, error) {
 	for _, property := range []string{"B", "D"} {
 		for _, p := range plan {
 			for _, n := range p.ns {
-				c := cfg
-				c.PropArity = p.arity
-				c.OracleMode = p.mode
-				cell, err := measureOracle(property, n, c)
+				cell, err := measureOracle(property, n, p.mode, p.arity, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -555,19 +458,26 @@ func OracleSweep(cfg Config) ([]*OracleCell, error) {
 	return out, nil
 }
 
-// measureOracle times the configured oracle alone (no decentralized run)
-// for one property at one size.
-func measureOracle(property string, n int, cfg Config) (*OracleCell, error) {
+// measureOracle times one oracle alone (no decentralized run) for one
+// property at one size: the paper's full-width instance when arity is 0 or at
+// least n, the reduced-arity instance otherwise.
+func measureOracle(property string, n int, mode lattice.Mode, arity int, cfg Config) (*OracleCell, error) {
 	cfg = cfg.withDefaults()
-	mon, pm, err := buildProperty(property, n, cfg)
+	var (
+		mon *automaton.Monitor
+		pm  *dist.PropMap
+		err error
+	)
+	if arity == 0 || arity >= n {
+		arity = n
+		mon, err = props.Build(property, n, !cfg.MinimalAutomata)
+	} else {
+		mon, pm, err = props.BuildAt(property, arity, !cfg.MinimalAutomata)
+	}
 	if err != nil {
 		return nil, err
 	}
-	arity := n
-	if cfg.PropArity > 0 && cfg.PropArity < n {
-		arity = cfg.PropArity
-	}
-	cell := &OracleCell{Mode: cfg.OracleMode.String(), Property: property, N: n, Arity: arity}
+	cell := &OracleCell{Mode: mode.String(), Property: property, N: n, Arity: arity}
 	verdicts := map[automaton.Verdict]bool{}
 	complete := true
 	var wall time.Duration
@@ -583,9 +493,7 @@ func measureOracle(property string, n int, cfg Config) (*OracleCell, error) {
 			}
 		}
 		t0 := time.Now()
-		res, err := lattice.EvaluateOracle(ts, mon, lattice.OracleConfig{
-			Mode: cfg.OracleMode, MaxFrontier: cfg.OracleFrontier, Seed: cfg.OracleSeed,
-		})
+		res, err := lattice.EvaluateOracle(ts, mon, lattice.OracleConfig{Mode: mode})
 		if err != nil {
 			return nil, fmt.Errorf("%s n=%d seed=%d: %w", property, n, seed, err)
 		}

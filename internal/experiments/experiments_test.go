@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"decentmon/internal/dist"
-	"decentmon/internal/lattice"
 )
 
 var quick = Config{
@@ -195,64 +194,11 @@ func TestTopologies(t *testing.T) {
 	}
 }
 
-func TestMeasureWithOracle(t *testing.T) {
-	cfg := quick
-	cfg.WithOracle = true
-	for _, mode := range []lattice.Mode{lattice.ModeExact, lattice.ModeSliced, lattice.ModeSampling} {
-		cfg.OracleMode = mode
-		cell, err := Measure("B", 3, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if cell.OracleCuts == 0 || cell.OracleVerdicts == "" {
-			t.Errorf("%v: oracle columns empty: %+v", mode, cell)
-		}
-		if !cell.OracleAgree {
-			t.Errorf("%v: run disagreed with oracle: run %s oracle %s", mode, cell.Verdicts, cell.OracleVerdicts)
-		}
-	}
-	// The rendered table grows the oracle columns.
-	cell, err := Measure("B", 2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	table := RenderCells([]*Cell{cell})
-	if !strings.Contains(table, "oracleCuts") || !strings.Contains(table, "agree") {
-		t.Errorf("oracle columns missing from table:\n%s", table)
-	}
-}
-
-func TestMeasureReducedArityLargeN(t *testing.T) {
-	cfg := quick
-	cfg.PropArity = 3
-	cfg.WithOracle = true
-	cfg.OracleMode = lattice.ModeSliced
-	cfg.InternalPerProc = 4
-	cfg.CommMu = 6
-	cfg.Topology = dist.TopoRing
-	cell, err := Measure("B", 16, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cell.OracleAgree {
-		t.Errorf("n=16 run disagreed with sliced oracle: run %s oracle %s", cell.Verdicts, cell.OracleVerdicts)
-	}
-	// n=32 overflows two suffixes; the config degrades to the p suffix and
-	// the pure-p properties still measure.
-	cell, err = Measure("B", 32, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cell.OracleAgree {
-		t.Errorf("n=32 run disagreed with sliced oracle: run %s oracle %s", cell.Verdicts, cell.OracleVerdicts)
-	}
-}
-
 func TestOracleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep covers n=16 sampling")
 	}
-	cfg := Config{Seeds: []int64{1}, InternalPerProc: 4, CommMu: 6, CommSigma: 1, OracleFrontier: 64}
+	cfg := Config{Seeds: []int64{1}, InternalPerProc: 4, CommMu: 6, CommSigma: 1}
 	cells, err := OracleSweep(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -59,36 +59,17 @@ func RenderTable51(rows []Table51Row) string {
 }
 
 // RenderCells renders a sweep as the data series behind Figs. 5.4–5.8.
-// When any cell carries oracle columns (Config.WithOracle), the oracle
-// cost and cross-check columns are appended.
 func RenderCells(cells []*Cell) string {
-	withOracle := false
-	for _, c := range cells {
-		if c.OracleVerdicts != "" {
-			withOracle = true
-			break
-		}
-	}
 	header := []string{"prop", "n", "events", "messages", "log10(ev)", "log10(msg)", "globalviews", "delayedEv", "delay%/GV", "knowPeak", "verdicts"}
-	if withOracle {
-		header = append(header, "oracleCuts", "oracleMs", "oracleVerdicts", "agree")
-	}
 	var body [][]string
 	for _, c := range cells {
-		row := []string{
+		body = append(body, []string{
 			c.Property, fmt.Sprint(c.N),
 			fmt.Sprintf("%.1f", c.Events), fmt.Sprintf("%.1f", c.Messages),
 			fmt.Sprintf("%.2f", Log10(c.Events)), fmt.Sprintf("%.2f", Log10(c.Messages)),
 			fmt.Sprintf("%.1f", c.GlobalViews), fmt.Sprintf("%.2f", c.DelayedEvents),
 			fmt.Sprintf("%.3f", c.DelayPct), fmt.Sprintf("%.1f", c.KnowledgePeak), c.Verdicts,
-		}
-		if withOracle {
-			row = append(row,
-				fmt.Sprintf("%.1f", c.OracleCuts), fmt.Sprintf("%.2f", c.OracleWallMs),
-				c.OracleVerdicts, fmt.Sprint(c.OracleAgree),
-			)
-		}
-		body = append(body, row)
+		})
 	}
 	return renderTable(header, body)
 }

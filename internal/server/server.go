@@ -55,9 +55,6 @@ type Config struct {
 	Rate float64
 	// Burst is the token-bucket burst size (events); 0 selects Rate.
 	Burst float64
-	// MaxLag is forwarded to each session's core.SessionConfig (per-session
-	// backpressure); 0 selects the core default.
-	MaxLag int
 	// StateDir enables durable sessions: each session is kept in
 	// <StateDir> as a base blob (session-<id>.dmsn) plus an input log
 	// (session-<id>.<gen>.dmlg) and recovered on the next start. Empty
@@ -223,7 +220,7 @@ func (s *Server) recoverSession(file string) error {
 	if err != nil {
 		return err
 	}
-	sess, err := restoreSession(s.ctx, ck, s.cache, s.cfg.MaxLag, s.mx)
+	sess, err := restoreSession(s.ctx, ck, s.cache, s.mx)
 	if err != nil {
 		return err
 	}
@@ -650,7 +647,6 @@ func (sc *srvConn) handleRegister(m *dist.RPCMsg) {
 		Automaton: mon,
 		Props:     m.Props,
 		Init:      m.Init,
-		MaxLag:    sc.srv.cfg.MaxLag,
 	}, sc.srv.mx)
 	if err != nil {
 		sc.writeErr(0, err)

@@ -9,7 +9,6 @@ import (
 
 	"decentmon/internal/core"
 	"decentmon/internal/dist"
-	"decentmon/internal/vclock"
 	"decentmon/internal/wire"
 )
 
@@ -57,11 +56,10 @@ type session struct {
 	sinceSync atomic.Int64
 	ckpt      chan struct{}
 
-	// subMu guards subscribers and the fields the verdict pump writes.
-	subMu   sync.Mutex
-	subs    []*subscriber
-	lastCut vclock.VC
-	doomed  error
+	// subMu guards subscribers and the doom error.
+	subMu  sync.Mutex
+	subs   []*subscriber
+	doomed error
 
 	// pumpDone closes when the verdict pump drains (after core Close).
 	pumpDone chan struct{}
@@ -118,7 +116,7 @@ func newSession(ctx context.Context, tenant, key, formula string, cfg core.Sessi
 // bumped — the Registered reply to an Attach tells the tenant how many
 // restarts the session has survived. lastIngest stays zero: the caller replays
 // the session's log next, and sets it when the session goes live.
-func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCache, maxLag int, mx *metrics) (*session, error) {
+func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCache, mx *metrics) (*session, error) {
 	key, f, err := CanonicalKey(ck.formula, ck.props)
 	if err != nil {
 		return nil, err
@@ -132,7 +130,6 @@ func restoreSession(ctx context.Context, ck *checkpointState, cache *AutomatonCa
 		Automaton: mon,
 		Props:     ck.props,
 		Init:      ck.init,
-		MaxLag:    maxLag,
 	}, ck.engine)
 	if err != nil {
 		return nil, err
@@ -204,9 +201,6 @@ func (s *session) pump(mx *metrics) {
 			mx.observeLatency(time.Duration(time.Now().UnixNano() - last))
 		}
 		s.subMu.Lock()
-		if len(ev.Cut) > 0 {
-			s.lastCut = vclock.VC(ev.Cut).Clone()
-		}
 		subs := s.subs
 		s.subMu.Unlock()
 		for _, sub := range subs {
@@ -222,15 +216,6 @@ func (s *session) subscribe(sub *subscriber) {
 	s.subMu.Lock()
 	s.subs = append(s.subs, sub)
 	s.subMu.Unlock()
-}
-
-// LastCut returns the consistent cut of the most recent verdict detection.
-// The returned clock aliases session storage (clockalias borrow contract):
-// callers must Clone before retaining or mutating it.
-func (s *session) LastCut() vclock.VC {
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	return s.lastCut
 }
 
 // doom marks the session failed; the error is reported on close and to any

@@ -20,7 +20,7 @@ import (
 //
 // The engine is the decentralized one — one monitor per process over a
 // monitor network, exactly the Run/RunStream machinery, with feeder-side
-// backpressure (WithMaxLag) bounding retained knowledge. The O(n)-memory
+// backpressure bounding retained knowledge. The O(n)-memory
 // single-path evaluator is not a session: it is RunBounded.
 //
 // Cancelling the context passed via WithContext makes Feed, the handle
@@ -91,9 +91,7 @@ func engineConfig(spec *Spec, n int, o options) (core.SessionConfig, error) {
 		Init:         init,
 		SkipFinalize: o.cfg.SkipFinalize,
 		Network:      o.cfg.Network,
-		MaxBoxNodes:  o.cfg.MaxBoxNodes,
 		ExactBoxes:   o.cfg.ExactBoxes,
-		MaxLag:       o.cfg.MaxLag,
 	}, nil
 }
 

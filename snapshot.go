@@ -56,8 +56,7 @@ func (s *Session) Fed() []int { return s.core.Fed() }
 // under (same property compilation, finalization and initial state —
 // all verified against fingerprints in the blob; a mismatch or any
 // corruption is an error, never a silently wrong monitor). Options that do
-// not change monitor state — WithContext, WithNetwork, WithMaxLag — may
-// differ freely. WithValidation sessions cannot be restored: the validator
+// not change monitor state — WithContext, WithNetwork — may differ freely. WithValidation sessions cannot be restored: the validator
 // holds state a snapshot does not carry.
 func RestoreSession(spec *Spec, n int, snap []byte, opts ...Option) (*Session, error) {
 	o := buildOptions(opts)
