@@ -322,10 +322,11 @@ func BenchmarkOracleDP(b *testing.B) {
 	}
 }
 
-// benchOracleMode times one tractable oracle on a 16-process execution
-// with an arity-3 property — the regime the exact DP cannot reach at all
-// (its lattice there has ~10¹⁵ cuts).
-func benchOracleMode(b *testing.B, cfg lattice.OracleConfig) {
+// BenchmarkOracleSliced16 times the oracle on a 16-process execution with
+// an arity-3 property: it walks the lattice projected onto the property's
+// three processes, in the regime the full lattice cannot reach at all (it
+// has ~10¹⁵ cuts there).
+func BenchmarkOracleSliced16(b *testing.B) {
 	mon, pm, err := props.BuildAt("B", 3, false)
 	if err != nil {
 		b.Fatal(err)
@@ -341,21 +342,13 @@ func benchOracleMode(b *testing.B, cfg lattice.OracleConfig) {
 	events := int64(ts.TotalEvents())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := lattice.EvaluateOracle(ts, mon, cfg)
+		res, err := lattice.Evaluate(ts, mon)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(res.NumCuts), "cuts/op")
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkOracleSliced16(b *testing.B) {
-	benchOracleMode(b, lattice.OracleConfig{Mode: lattice.ModeSliced})
-}
-
-func BenchmarkOracleSampling16(b *testing.B) {
-	benchOracleMode(b, lattice.OracleConfig{Mode: lattice.ModeSampling, MaxFrontier: 256, Seed: 1})
 }
 
 // BenchmarkDecentralizedRun16 measures the first decentralized size the
@@ -418,23 +411,6 @@ func BenchmarkBoxBroadcast16(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-// BenchmarkCentralMonitor measures the online centralized baseline.
-func BenchmarkCentralMonitor(b *testing.B) {
-	ts := dist.Generate(dist.GenConfig{
-		N: 4, InternalPerProc: 10, CommMu: 3, CommSigma: 1, PlantGoal: true, Seed: 1,
-	})
-	mon, err := props.Build("D", 4, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := central.Run(ts, mon); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkDecentralizedRun measures one full decentralized run end to end.

@@ -20,14 +20,15 @@
 //	tracegen -n 8 -events 200000 -topo ring -o big.dmtb
 //	dlmon -trace big.dmtb -bounded -case B
 //	tracegen -n 16 -events 5 -topo ring -plant -o wide.jsonl
-//	dlmon -trace wide.jsonl -case B -arity 4 -nofinalize -compare -oracle sliced
+//	dlmon -trace wide.jsonl -case B -arity 4 -nofinalize -compare
 //
 // Beyond the paper's five processes the full computation lattice (and the
 // full-width property) stops being tractable: -arity instantiates a
-// case-study property over the first k processes only, and -compare's
-// -oracle flag selects the sliced oracle (projected to those processes,
-// exact for these properties) or the seeded sampling oracle (a sound
-// subset) as ground truth.
+// case-study property over the first k processes only, and -compare's oracle
+// then walks the lattice projected onto those processes, which is exact for
+// ○-free properties. -compare also prints the message counts of the
+// centralized and replicated baselines, which are closed forms over the
+// trace.
 //
 // Exit status: 0 on success, 1 on error, 2 on usage mistakes, and 3 when
 // the final verdict set contains ⊥ (a property violation) — so shell
@@ -57,17 +58,14 @@ func main() {
 	var (
 		tracePath = flag.String("trace", "", "trace file from tracegen: binary at a .dmtb path, JSON lines at any other")
 		caseProp  = flag.String("case", "", "use a case-study property A..F instead of a formula argument")
-		arity     = flag.Int("arity", 0, "with -case: instantiate the property at this arity instead of the full process count (its alphabet then touches only the first processes — required beyond ~12 processes, and what keeps the sliced oracle tractable)")
+		arity     = flag.Int("arity", 0, "with -case: instantiate the property at this arity instead of the full process count (its alphabet then touches only the first processes — required beyond ~12 processes, and what keeps the oracle tractable)")
 		shape     = flag.String("shape", "minimal", "automaton construction: minimal or paper")
-		oracleM   = flag.String("oracle", "exact", "oracle for -compare: exact (full lattice), sliced (projected to the property's support; exact for X-free properties) or sampling (seeded bounded frontier; sound subset)")
-		frontier  = flag.Int("frontier", 0, "sampling oracle: per-rank frontier bound (0 = default)")
-		oseed     = flag.Int64("oracleseed", 1, "sampling oracle: exploration seed")
 		stream    = flag.Bool("stream", false, "feed the monitors from the streaming reader instead of materializing the trace")
 		bounded   = flag.Bool("bounded", false, "stream the physical-time lattice path in bounded memory (implies -stream)")
 		tcp       = flag.Bool("tcp", false, "run monitors over loopback TCP instead of in-memory channels")
 		noFin     = flag.Bool("nofinalize", false, "skip extending views to the final cut")
 		pace      = flag.Float64("pace", 0, "real-time replay scale (simulated seconds × pace = wall seconds)")
-		compare   = flag.Bool("compare", false, "also run the oracle and the centralized baseline and compare")
+		compare   = flag.Bool("compare", false, "also run the oracle and compare, and print the centralized and replicated baselines' message counts")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: dlmon -trace FILE [-case A..F | 'formula'] [flags]")
@@ -80,8 +78,8 @@ func main() {
 		os.Exit(2)
 	}
 	if *compare && (*stream || *bounded) {
-		// The oracle and the centralized baseline walk the materialized
-		// lattice; comparing defeats the purpose of streaming.
+		// The oracle walks the materialized lattice; comparing defeats the
+		// purpose of streaming.
 		fatal(fmt.Errorf("-compare needs the materialized path; drop -stream/-bounded"))
 	}
 	if *bounded && (*tcp || *noFin || *pace > 0) {
@@ -168,11 +166,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	oracleMode, err := lattice.ParseMode(*oracleM)
-	if err != nil {
-		fatal(err)
-	}
-
 	// All three modes ride the context-aware session engine: an interrupt
 	// cancels the monitors mid-run instead of leaving them to be killed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -248,34 +241,18 @@ func main() {
 	fmt.Printf("knowledge      : peak %d events/monitor, %d collected\n", peak, collected)
 
 	if *compare {
-		oracle, err := lattice.EvaluateOracle(ts, mon, lattice.OracleConfig{
-			Mode: oracleMode, MaxFrontier: *frontier, Seed: *oseed,
-		})
+		oracle, err := lattice.Evaluate(ts, mon)
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("oracle         : %v over %d lattice cuts (%s)\n", oracle.Verdicts, oracle.NumCuts, oracle.Mode)
-		if oracleMode == lattice.ModeExact {
-			// The centralized baseline walks the same full lattice the exact
-			// oracle does; under the tractable modes it would defeat their
-			// purpose.
-			cen, err := central.Run(ts, mon)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("centralized    : %d msgs, %d lattice nodes\n", cen.Messages, cen.NodesCreated)
-		}
+		fmt.Printf("oracle         : %v over %d lattice cuts (support %d of %d processes)\n",
+			oracle.Verdicts, oracle.NumCuts, len(oracle.SupportProcs), n)
+		// A central node on process 0 receives every other process's events;
+		// replicated broadcast sends each event to n−1 peers, then runs two
+		// all-to-all termination rounds.
+		fmt.Printf("baselines      : central %d msgs (Σ_{p≠0} |E_p|), replicated %d msgs ((n−1)·events + 2n(n−1))\n",
+			events-len(ts.Traces[0].Events), (n-1)*events+2*n*(n-1))
 		switch {
-		case !oracle.Complete:
-			// Sampling: the oracle's verdicts are a sound subset of the
-			// truth, so it can only witness run verdicts, not refute extras.
-			ok := true
-			for v := range oracle.VerdictSet() {
-				if !res.Verdicts[v] {
-					ok = false
-				}
-			}
-			fmt.Printf("sample-covered : %v (sampling oracle is one-sided)\n", ok)
 		case *noFin:
 			// Without finalization the run reports detection-time verdicts
 			// only; the Chapter-3 claim then applies to ⊤/⊥ alone.

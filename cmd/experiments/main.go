@@ -89,7 +89,7 @@ func main() {
 		case "oracle":
 			cells, err := experiments.OracleSweep(cfg)
 			check(err)
-			fmt.Println("== Oracle cost: exact vs sliced vs sampling, properties B and D ==")
+			fmt.Println("== Oracle cost: full lattice at full width, sliced to the support at arity 3, properties B and D ==")
 			fmt.Println(experiments.RenderOracleCells(cells))
 		case "engine":
 			doc, err := experiments.EngineSweep(*engineWall)
@@ -114,7 +114,7 @@ func main() {
 				fmt.Printf("wrote %s (%d cells)\n", *dlmondJSON, len(doc.Cells))
 			}
 		case "baselines":
-			fmt.Println("== Baselines: decentralized vs centralized; replicated broadcast's message count in closed form ==")
+			fmt.Println("== Baselines: decentralized vs centralized and replicated broadcast, whose counts are closed forms ==")
 			var rows []*experiments.BaselineRow
 			for _, p := range []string{"B", "D"} {
 				for _, n := range []int{3, 4} {

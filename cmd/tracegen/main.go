@@ -14,6 +14,12 @@
 //	tracegen -n 5 -events 50 -plant -o trace.dmtb
 //	tracegen -n 32 -suffixes p -topo ring -events 1000000 -o trace.dmtb
 //	tracegen -n 12 -topo clustered -clusters 3 -crossprob 0.05 > trace.jsonl
+//	tracegen -n 16 -events 5 -topo ring -plant -o wide.dmtb -case B -arity 3
+//
+// -case certifies the trace: after generating, tracegen prints the oracle's
+// verdict set for that case-study property, so a shipped trace carries its
+// known answer. At -arity below -n the oracle walks the lattice projected
+// onto the property's processes, which keeps it tractable at any -n.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
 	"decentmon/internal/lattice"
 	"decentmon/internal/props"
@@ -51,10 +58,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plant    = fs.Bool("plant", false, "force all propositions true at each process's final internal event")
 		seed     = fs.Int64("seed", 1, "random seed")
 		out      = fs.String("o", "", "output file: binary at a .dmtb path, JSON lines at any other; JSON lines on stdout if empty")
-		caseProp = fs.String("case", "", "with -oracle: the case-study property (A..F) to certify the trace against")
+		caseProp = fs.String("case", "", "after generating, print the oracle's verdict set for this case-study property (A..F) over the trace (materializes the trace — keep -events moderate)")
 		arity    = fs.Int("arity", 0, "with -case: property arity (0 = all processes; smaller keeps the oracle tractable at any -n)")
-		oracleM  = fs.String("oracle", "", "after generating, print this oracle's verdict set for -case over the trace: exact, sliced or sampling (materializes the trace — keep -events moderate)")
-		frontier = fs.Int("frontier", 0, "sampling oracle: per-rank frontier bound (0 = default)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -103,8 +108,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *oracleM != "" && *caseProp == "" {
-		fmt.Fprintln(stderr, "tracegen: -oracle needs -case")
+	// The certification flags are checked before the output is opened, so a
+	// bad one leaves no file behind.
+	var (
+		mon *automaton.Monitor
+		pm  *dist.PropMap
+	)
+	if *caseProp != "" {
+		if *arity == 0 {
+			*arity = *n
+		}
+		if *arity < 2 || *arity > *n {
+			fmt.Fprintf(stderr, "tracegen: -arity must be between 2 and %d, got %d\n", *n, *arity)
+			return 2
+		}
+		if mon, pm, err = props.BuildAt(*caseProp, *arity, false); err != nil {
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 2
+		}
+	} else if *arity != 0 {
+		fmt.Fprintln(stderr, "tracegen: -arity applies to -case properties")
 		return 2
 	}
 
@@ -134,51 +157,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *out != "" {
 		fmt.Fprintf(stdout, "streamed %d processes, %d events to %s (%s)\n", cfg.N, sink.Events(), *out, codec.Name())
 	}
+	if mon == nil {
+		return 0
+	}
 	// The certification pass needs the materialized set; the generator is
 	// deterministic, so re-generating reproduces the streamed trace.
-	if *oracleM != "" {
-		return certify(dist.Generate(cfg), *caseProp, *arity, *oracleM, *frontier, *seed, stdout, stderr)
-	}
-	return 0
-}
-
-// certify evaluates the selected oracle for a case-study property over the
-// generated trace and prints the ground-truth verdict set, so shipped
-// traces carry a known answer.
-func certify(ts *dist.TraceSet, caseProp string, arity int, oracleM string, frontier int, seed int64, stdout, stderr io.Writer) int {
-	mode, err := lattice.ParseMode(oracleM)
-	if err != nil {
-		fmt.Fprintln(stderr, "tracegen:", err)
-		return 2
-	}
-	if arity == 0 {
-		arity = ts.N()
-	}
-	if arity < 2 || arity > ts.N() {
-		fmt.Fprintf(stderr, "tracegen: -arity must be between 2 and %d, got %d\n", ts.N(), arity)
-		return 2
-	}
-	mon, pm, err := props.BuildAt(caseProp, arity, false)
-	if err != nil {
-		fmt.Fprintln(stderr, "tracegen:", err)
-		return 2
-	}
-	bound, err := ts.WithProps(pm)
+	bound, err := dist.Generate(cfg).WithProps(pm)
 	if err != nil {
 		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1
 	}
 	start := time.Now()
-	res, err := lattice.EvaluateOracle(bound, mon, lattice.OracleConfig{Mode: mode, MaxFrontier: frontier, Seed: seed})
+	res, err := lattice.Evaluate(bound, mon)
 	if err != nil {
 		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1
 	}
-	contract := "exact verdict set"
-	if !res.Complete {
-		contract = "sound subset"
-	}
-	fmt.Fprintf(stdout, "oracle %s %s/%d: %v over %d cuts in %v (%s)\n",
-		res.Mode, caseProp, arity, res.Verdicts, res.NumCuts, time.Since(start).Round(time.Millisecond), contract)
+	fmt.Fprintf(stdout, "oracle %s/%d: %v over %d cuts (support %d of %d processes) in %v (exact verdict set)\n",
+		*caseProp, *arity, res.Verdicts, res.NumCuts, len(res.SupportProcs), cfg.N, time.Since(start).Round(time.Millisecond))
 	return 0
 }

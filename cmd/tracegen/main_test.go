@@ -175,33 +175,46 @@ func TestOracleCertification(t *testing.T) {
 	out := filepath.Join(dir, "t.json")
 	code, stdout, stderr := runCLI(t,
 		"-n", "8", "-events", "4", "-topo", "ring", "-commmu", "6", "-truep", "0.9",
-		"-plant", "-seed", "7", "-o", out, "-case", "B", "-arity", "3", "-oracle", "sliced")
+		"-plant", "-seed", "7", "-o", out, "-case", "B", "-arity", "3")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	if !strings.Contains(stdout, "oracle sliced B/3") || !strings.Contains(stdout, "exact verdict set") {
+	if !strings.Contains(stdout, "oracle B/3") || !strings.Contains(stdout, "support 3 of 8 processes") || !strings.Contains(stdout, "exact verdict set") {
 		t.Errorf("certification line missing: %q", stdout)
 	}
-	// The streamed path re-generates deterministically and certifies too.
+	// At full width the oracle walks the whole lattice.
 	code, stdout, stderr = runCLI(t,
-		"-n", "4", "-events", "3", "-seed", "2", "-o", filepath.Join(dir, "t.jsonl"),
-		"-case", "E", "-oracle", "sampling", "-frontier", "16")
+		"-n", "4", "-events", "3", "-seed", "2", "-o", filepath.Join(dir, "t.jsonl"), "-case", "E")
 	if code != 0 {
-		t.Fatalf("streamed certify: exit %d, stderr %q", code, stderr)
+		t.Fatalf("full-width certify: exit %d, stderr %q", code, stderr)
 	}
-	if !strings.Contains(stdout, "oracle sampling E/4") || !strings.Contains(stdout, "sound subset") {
-		t.Errorf("streamed certification line missing: %q", stdout)
+	if !strings.Contains(stdout, "oracle E/4") || !strings.Contains(stdout, "support 4 of 4 processes") || !strings.Contains(stdout, "exact verdict set") {
+		t.Errorf("full-width certification line missing: %q", stdout)
 	}
 }
 
+// TestOracleFlagValidation: a bad certification flag is a usage error that
+// names the flag and is caught before the output is opened, so no file is
+// left behind. The oracle-mode flags are gone.
 func TestOracleFlagValidation(t *testing.T) {
-	if code, _, stderr := runCLI(t, "-n", "3", "-oracle", "sliced"); code != 2 || !strings.Contains(stderr, "-case") {
-		t.Errorf("-oracle without -case: exit %d, stderr %q", code, stderr)
-	}
-	if code, _, stderr := runCLI(t, "-n", "3", "-case", "B", "-oracle", "nope"); code != 2 || !strings.Contains(stderr, "unknown oracle mode") {
-		t.Errorf("bad mode: exit %d, stderr %q", code, stderr)
-	}
-	if code, _, stderr := runCLI(t, "-n", "3", "-case", "B", "-arity", "9", "-oracle", "exact"); code != 2 || !strings.Contains(stderr, "-arity") {
-		t.Errorf("bad arity: exit %d, stderr %q", code, stderr)
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-case", "Z"}, `unknown property "Z"`},
+		{[]string{"-case", "B", "-arity", "9"}, "-arity"},
+		{[]string{"-case", "B", "-arity", "1"}, "-arity"},
+		{[]string{"-arity", "2"}, "-arity applies to -case properties"},
+		{[]string{"-case", "B", "-oracle", "sliced"}, "-oracle"},
+		{[]string{"-case", "B", "-frontier", "16"}, "-frontier"},
+	} {
+		out := filepath.Join(t.TempDir(), "c.jsonl")
+		code, _, stderr := runCLI(t, append([]string{"-n", "3", "-events", "3", "-o", out}, c.args...)...)
+		if code != 2 || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stderr %q, want 2 and %q", c.args, code, stderr, c.want)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("%v: the output was written before the flags were refused (stat: %v)", c.args, err)
+		}
 	}
 }

@@ -13,7 +13,7 @@
 //	internal/dist       distributed program model, traces, workload generator
 //	internal/lattice    computation lattice and the ground-truth oracle
 //	internal/core       the decentralized monitoring algorithm and its sessions
-//	internal/central    the centralized baseline
+//	internal/central    the bounded-memory single-path evaluator
 //	internal/transport  in-memory and TCP monitor networks
 //	internal/server     dlmond, the multi-tenant monitoring session daemon
 //	internal/wire       the byte-level kernel under every binary format
@@ -46,11 +46,12 @@
 //
 //	oracle, _ := decentmon.Oracle(spec, traces)  // exact verdict set over all lattice paths
 //
-// Past the exact oracle's ~5-process reach, the sliced and sampling
-// oracles (EvaluateOracle) pair with reduced-arity properties
-// (CaseStudySpecAt) to cross-check systems of 8–32 processes. Every engine
-// binds the propositions a property reads by name, so such a spec runs
-// against traces that declare the whole process space as they are.
+// The oracle walks the lattice projected onto the processes a ○-free
+// property reads, so paired with reduced-arity properties (CaseStudySpecAt)
+// it cross-checks systems of 8–32 processes, past the full lattice's
+// ~5-process reach. Every engine binds the propositions a property reads by
+// name, so such a spec runs against traces that declare the whole process
+// space as they are.
 package decentmon
 
 import (
@@ -111,10 +112,6 @@ type (
 	MonitorMetrics = core.Metrics
 	// OracleResult is the ground-truth evaluation of an execution.
 	OracleResult = lattice.Result
-	// OracleMode selects the oracle implementation (exact, sliced, sampling).
-	OracleMode = lattice.Mode
-	// OracleConfig selects and tunes an oracle (see EvaluateOracle).
-	OracleConfig = lattice.OracleConfig
 	// Network is a monitor communication substrate.
 	Network = transport.Network
 )
@@ -124,17 +121,6 @@ const (
 	Top     = automaton.Top     // ⊤: every extension satisfies the property
 	Bottom  = automaton.Bottom  // ⊥: every extension violates it
 	Unknown = automaton.Unknown // ?: inconclusive
-)
-
-// The oracle modes of the pluggable oracle family (EvaluateOracle): the
-// exact full-lattice DP, the support-projected sliced oracle (exact for
-// ○-free properties, tractable at any system size when the property's
-// alphabet touches few processes), and the seeded bounded-frontier sampling
-// oracle (a sound subset of the exact verdict set).
-const (
-	OracleExact    = lattice.ModeExact
-	OracleSliced   = lattice.ModeSliced
-	OracleSampling = lattice.ModeSampling
 )
 
 // The communication topologies of the workload generator.
@@ -419,28 +405,15 @@ func RunBounded(spec *Spec, src EventSource, opts ...Option) (*PathResult, error
 
 // Oracle computes the exact verdict set over every path of the execution's
 // computation lattice (Chapter 3) — the ground truth that a sound and
-// complete decentralized run must reproduce. For executions too wide for
-// the full lattice, see EvaluateOracle.
+// complete decentralized run must reproduce. A ○-free property is evaluated
+// over the lattice projected onto the processes it reads, which gives the
+// same verdict set (OracleResult.SupportProcs lists the processes spanned).
 func Oracle(spec *Spec, ts *TraceSet) (*OracleResult, error) {
-	return EvaluateOracle(spec, ts, OracleConfig{})
-}
-
-// EvaluateOracle runs the selected oracle over the execution: OracleExact
-// is the Chapter-3 DP, OracleSliced projects the lattice onto the
-// property's support processes (same verdict set for ○-free properties at
-// the cost of a |support|-process oracle), and OracleSampling explores a
-// seeded bounded frontier whose verdicts are a sound subset of the exact
-// set (OracleResult.Complete reports which contract holds).
-func EvaluateOracle(spec *Spec, ts *TraceSet, cfg OracleConfig) (*OracleResult, error) {
 	if err := checkSpecTraces(spec, ts); err != nil {
 		return nil, err
 	}
-	return lattice.EvaluateOracle(ts, spec.mon, cfg)
+	return lattice.Evaluate(ts, spec.mon)
 }
-
-// ParseOracleMode parses an oracle mode name ("exact", "sliced",
-// "sampling").
-func ParseOracleMode(s string) (OracleMode, error) { return lattice.ParseMode(s) }
 
 // CaseStudySpecAt compiles the named case-study property at the given
 // arity: the formula is the arity-process instance, compiled over the

@@ -1,3 +1,11 @@
+// Package central evaluates a property along a single path of the
+// computation lattice, in bounded memory: the physical-time linearization an
+// event stream delivers (PathMonitor). Its verdict is one element of the
+// Chapter-3 oracle's verdict set (internal/lattice). The centralized baseline
+// of Fig. 1.1(a) — every process shipping its events to one node that walks
+// the whole lattice — needs no monitor of its own: its message count is
+// Σ_{p≠0} |E_p| and its state is the oracle's lattice, so it is computed as
+// arithmetic plus lattice.CountCuts.
 package central
 
 import (

@@ -3,6 +3,7 @@ package central
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -11,49 +12,17 @@ import (
 	"decentmon/internal/ltl"
 )
 
-func TestRunStreamEqualsRun(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + rng.Intn(3)
-		ts := dist.Generate(dist.GenConfig{
-			N: n, InternalPerProc: 4 + rng.Intn(4),
-			CommMu: 2 + rng.Float64()*4, CommSigma: 1,
-			Topology: dist.Topologies[trial%len(dist.Topologies)],
-			Seed:     rng.Int63(),
-		})
-		f := ltl.RandomFormula(rng, 7, ts.Props.Names)
-		mon, err := automaton.Build(f, ts.Props.Names)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Run(ts, mon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Through the serialized streaming format, exercising the reader.
-		var buf bytes.Buffer
-		if err := ts.WriteJSONL(&buf); err != nil {
-			t.Fatal(err)
-		}
-		tr, err := dist.OpenStream(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := RunStream(tr, mon)
-		if err != nil {
-			t.Fatalf("trial %d formula %s: %v", trial, f, err)
-		}
-		if len(got.Verdicts) != len(want.Verdicts) {
-			t.Fatalf("trial %d formula %s: streamed %v != materialized %v", trial, f, got.Verdicts, want.Verdicts)
-		}
-		for v := range want.Verdicts {
-			if !got.Verdicts[v] {
-				t.Fatalf("trial %d formula %s: streamed %v != materialized %v", trial, f, got.Verdicts, want.Verdicts)
-			}
-		}
-		if got.NodesCreated != want.NodesCreated {
-			t.Errorf("trial %d: streamed %d nodes != materialized %d", trial, got.NodesCreated, want.NodesCreated)
-		}
+// TestNewRefusesUndeclaredProposition: the path monitor binds the
+// automaton's propositions to the process space by name, and refuses one the
+// space does not declare.
+func TestNewRefusesUndeclaredProposition(t *testing.T) {
+	ts := dist.RunningExample()
+	mon, err := automaton.Build(ltl.MustParse("F ghost"), append(ts.Props.Names, "ghost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPath(mon, ts.Props, 2, ts.InitialState()); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Errorf("NewPath: %v, want an error naming ghost", err)
 	}
 }
 

@@ -150,12 +150,11 @@ func TestDecentralizedOverTCP(t *testing.T) {
 	}
 }
 
-// TestAdversarialOracleModes threads the tractable oracles through the
+// TestAdversarialOracleModes runs the decentralized engine through the
 // random-formula adversarial harness: for every generated execution and
-// random property, the sliced oracle must equal the exact DP whenever the
-// formula is ○-free, and the sampling oracle's verdicts must be a subset
-// of the exact set regardless. The decentralized engine runs every trial
-// too, once per message path, and must report the exact set on both.
+// random property it must report the oracle's exact verdict set, once per
+// message path. lattice.TestAdversarialSlicedEqualsFull draws the same
+// executions and formulas and holds the oracle's chooser to the full DP.
 func TestAdversarialOracleModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 30; trial++ {
@@ -166,6 +165,10 @@ func TestAdversarialOracleModes(t *testing.T) {
 			Seed: rng.Int63(),
 		})
 		f := ltl.RandomFormula(rng, 7, ts.Props.Names)
+		// Two draws a deleted sampling check consumed: kept so that every
+		// trial's execution and formula stay the same.
+		rng.Intn(32)
+		rng.Int63()
 		mon, err := automaton.Build(f, ts.Props.Names)
 		if err != nil {
 			t.Fatal(err)
@@ -187,31 +190,6 @@ func TestAdversarialOracleModes(t *testing.T) {
 			if setString(run.Verdicts) != setString(exact.VerdictSet()) {
 				t.Errorf("trial %d formula %s, %s: engine %s != exact %s",
 					trial, f, path, setString(run.Verdicts), setString(exact.VerdictSet()))
-			}
-		}
-		if f.HasNext() {
-			if _, err := lattice.EvaluateSliced(ts, mon); err == nil {
-				t.Errorf("trial %d: sliced oracle accepted ○ formula %s", trial, f)
-			}
-		} else {
-			sliced, err := lattice.EvaluateSliced(ts, mon)
-			if err != nil {
-				t.Fatalf("trial %d (%s): %v", trial, f, err)
-			}
-			if setString(sliced.VerdictSet()) != setString(exact.VerdictSet()) {
-				t.Errorf("trial %d formula %s: sliced %s != exact %s (support %v)",
-					trial, f, setString(sliced.VerdictSet()), setString(exact.VerdictSet()), sliced.SupportProcs)
-			}
-		}
-		sampled, err := lattice.EvaluateSampled(ts, mon, 1+rng.Intn(32), rng.Int63())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ex := exact.VerdictSet()
-		for v := range sampled.VerdictSet() {
-			if !ex[v] {
-				t.Errorf("trial %d formula %s: sampled verdict %v outside exact set %s",
-					trial, f, v, setString(ex))
 			}
 		}
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"decentmon/internal/automaton"
-	"decentmon/internal/central"
 	"decentmon/internal/core"
 	"decentmon/internal/dist"
 	"decentmon/internal/lattice"
@@ -356,17 +355,18 @@ func Topologies(property string, n int, cfg Config, topos ...dist.Topology) ([]*
 // BaselineRow compares three monitoring configurations on the same trace:
 // the paper's decentralized algorithm, replicated broadcast (every monitor
 // sends every event to every peer), and the centralized monitor of Fig.
-// 1.1(a).
+// 1.1(a). Only the first is run: the other two are closed forms over the
+// trace, and the centralized monitor's verdict set is the oracle's.
 type BaselineRow struct {
 	Property    string
 	N           int
 	Events      int
 	DecMsgs     int64 // decentralized monitoring messages
 	RepMsgs     int64 // replicated-broadcast messages, (n−1)·events + 2n(n−1)
-	CentralMsgs int   // events shipped to the central node
+	CentralMsgs int   // events shipped to a central node on process 0, Σ_{p≠0} |E_p|
 	DecGVs      int   // global views (decentralized memory)
-	CentralCuts int   // lattice nodes at the central monitor
-	Agree       bool  // decentralized and centralized verdict sets equal
+	CentralCuts int   // lattice nodes a central node materializes, lattice.CountCuts
+	Agree       bool  // decentralized and oracle verdict sets equal
 }
 
 // Baselines runs the ablation for one property/size/seed.
@@ -381,21 +381,25 @@ func Baselines(property string, n int, seed int64, cfg Config) (*BaselineRow, er
 	if err != nil {
 		return nil, err
 	}
-	cen, err := central.Run(ts, mon)
+	oracle, err := lattice.Evaluate(ts, mon)
 	if err != nil {
 		return nil, err
 	}
 	events := ts.TotalEvents()
 	row := &BaselineRow{
 		Property: property, N: n, Events: events,
-		DecMsgs: dec.NetMessages, CentralMsgs: cen.Messages, CentralCuts: cen.NodesCreated,
-		// Schedule-free closed form: each event to n−1 peers, then two all-to-all termination rounds.
-		RepMsgs: int64((n-1)*events + 2*n*(n-1)),
+		DecMsgs: dec.NetMessages,
+		// Schedule-free closed forms: every event but process 0's to the
+		// central node; each event to n−1 peers, then two all-to-all
+		// termination rounds.
+		CentralMsgs: events - len(ts.Traces[0].Events),
+		RepMsgs:     int64((n-1)*events + 2*n*(n-1)),
+		CentralCuts: lattice.CountCuts(ts),
 	}
 	for _, m := range dec.Metrics {
 		row.DecGVs += m.GlobalViewsCreated
 	}
-	row.Agree = sameVerdicts(dec.Verdicts, cen.Verdicts)
+	row.Agree = sameVerdicts(dec.Verdicts, oracle.VerdictSet())
 	return row, nil
 }
 
@@ -413,41 +417,38 @@ func sameVerdicts(a, b map[automaton.Verdict]bool) bool {
 
 // --- oracle cost sweep ---
 
-// OracleCell is one row of the oracle-cost sweep: one oracle mode on one
-// property at one size, averaged over the config's seeds.
+// OracleCell is one row of the oracle-cost sweep: the oracle on one property
+// at one size, averaged over the config's seeds.
 type OracleCell struct {
-	Mode         string
 	Property     string
 	N            int
 	Arity        int // property arity (equals N when full width)
+	Support      int // processes the oracle's DP spanned
 	Events       float64
 	Cuts         float64
 	WallSeconds  float64
 	EventsPerSec float64
 	Verdicts     string
-	Complete     bool
 }
 
-// OracleSweep measures every oracle mode across its tractable sizes on one
-// reachability and one safety property (B and D): the exact DP up to the
-// paper's 5 processes, the sliced and sampling oracles up to 16. Seeds are
-// averaged like Measure.
+// OracleSweep measures the oracle on one reachability and one safety
+// property (B and D): at full width up to the paper's 5 processes, where it
+// walks the full lattice, and at arity 3 up to 16, where it walks the lattice
+// projected onto three processes. Seeds are averaged like Measure.
 func OracleSweep(cfg Config) ([]*OracleCell, error) {
 	cfg = cfg.withDefaults()
 	plan := []struct {
-		mode  lattice.Mode
 		ns    []int
 		arity int // 0 = full width
 	}{
-		{lattice.ModeExact, []int{2, 3, 4, 5}, 0},
-		{lattice.ModeSliced, []int{5, 8, 16}, 3},
-		{lattice.ModeSampling, []int{5, 8, 16}, 3},
+		{[]int{2, 3, 4, 5}, 0},
+		{[]int{5, 8, 16}, 3},
 	}
 	var out []*OracleCell
 	for _, property := range []string{"B", "D"} {
 		for _, p := range plan {
 			for _, n := range p.ns {
-				cell, err := measureOracle(property, n, p.mode, p.arity, cfg)
+				cell, err := measureOracle(property, n, p.arity, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -458,10 +459,10 @@ func OracleSweep(cfg Config) ([]*OracleCell, error) {
 	return out, nil
 }
 
-// measureOracle times one oracle alone (no decentralized run) for one
+// measureOracle times the oracle alone (no decentralized run) for one
 // property at one size: the paper's full-width instance when arity is 0 or at
 // least n, the reduced-arity instance otherwise.
-func measureOracle(property string, n int, mode lattice.Mode, arity int, cfg Config) (*OracleCell, error) {
+func measureOracle(property string, n, arity int, cfg Config) (*OracleCell, error) {
 	cfg = cfg.withDefaults()
 	var (
 		mon *automaton.Monitor
@@ -477,9 +478,8 @@ func measureOracle(property string, n int, mode lattice.Mode, arity int, cfg Con
 	if err != nil {
 		return nil, err
 	}
-	cell := &OracleCell{Mode: mode.String(), Property: property, N: n, Arity: arity}
+	cell := &OracleCell{Property: property, N: n, Arity: arity}
 	verdicts := map[automaton.Verdict]bool{}
-	complete := true
 	var wall time.Duration
 	for _, seed := range cfg.Seeds {
 		gc := genConfig(property, n, seed, cfg)
@@ -493,14 +493,14 @@ func measureOracle(property string, n int, mode lattice.Mode, arity int, cfg Con
 			}
 		}
 		t0 := time.Now()
-		res, err := lattice.EvaluateOracle(ts, mon, lattice.OracleConfig{Mode: mode})
+		res, err := lattice.Evaluate(ts, mon)
 		if err != nil {
 			return nil, fmt.Errorf("%s n=%d seed=%d: %w", property, n, seed, err)
 		}
 		wall += time.Since(t0)
 		cell.Events += float64(ts.TotalEvents())
 		cell.Cuts += float64(res.NumCuts)
-		complete = complete && res.Complete
+		cell.Support = max(cell.Support, len(res.SupportProcs))
 		for _, v := range res.Verdicts {
 			verdicts[v] = true
 		}
@@ -513,7 +513,6 @@ func measureOracle(property string, n int, mode lattice.Mode, arity int, cfg Con
 		cell.EventsPerSec = cell.Events / cell.WallSeconds
 	}
 	cell.Verdicts = verdictString(verdicts)
-	cell.Complete = complete
 	return cell, nil
 }
 

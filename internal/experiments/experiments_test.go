@@ -195,23 +195,23 @@ func TestTopologies(t *testing.T) {
 }
 
 func TestOracleSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep covers n=16 sampling")
-	}
 	cfg := Config{Seeds: []int64{1}, InternalPerProc: 4, CommMu: 6, CommSigma: 1}
 	cells, err := OracleSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 20 {
-		t.Fatalf("got %d rows, want 20", len(cells))
+	if len(cells) != 14 {
+		t.Fatalf("got %d rows, want 14", len(cells))
 	}
 	for _, c := range cells {
 		if c.Events == 0 || c.Cuts == 0 || c.WallSeconds <= 0 || c.Verdicts == "" {
 			t.Errorf("degenerate row %+v", c)
 		}
-		if (c.Mode == "sampling") == c.Complete {
-			t.Errorf("row %s/%s/n%d: complete=%v", c.Mode, c.Property, c.N, c.Complete)
+		if c.Arity == c.N && c.Support != c.N {
+			t.Errorf("full-width row %s/n%d: the oracle spanned %d processes", c.Property, c.N, c.Support)
+		}
+		if c.Arity == 3 && c.Support > 3 {
+			t.Errorf("arity-3 row %s/n%d: the oracle spanned %d processes", c.Property, c.N, c.Support)
 		}
 	}
 	if !strings.Contains(RenderOracleCells(cells), "events/s") {

@@ -76,14 +76,14 @@ func RenderCells(cells []*Cell) string {
 
 // RenderOracleCells renders the oracle-cost sweep.
 func RenderOracleCells(cells []*OracleCell) string {
-	header := []string{"mode", "prop", "n", "arity", "events", "cuts", "wall", "events/s", "verdicts", "complete"}
+	header := []string{"prop", "n", "arity", "support", "events", "cuts", "wall", "events/s", "verdicts"}
 	var body [][]string
 	for _, c := range cells {
 		body = append(body, []string{
-			c.Mode, c.Property, fmt.Sprint(c.N), fmt.Sprint(c.Arity),
+			c.Property, fmt.Sprint(c.N), fmt.Sprint(c.Arity), fmt.Sprint(c.Support),
 			fmt.Sprintf("%.1f", c.Events), fmt.Sprintf("%.1f", c.Cuts),
 			fmt.Sprintf("%.3fs", c.WallSeconds), fmt.Sprintf("%.0f", c.EventsPerSec),
-			c.Verdicts, fmt.Sprint(c.Complete),
+			c.Verdicts,
 		})
 	}
 	return renderTable(header, body)

@@ -14,10 +14,23 @@
 // automaton step on the cut's global state. Because conclusive monitor
 // states (⊤/⊥) are absorbing, the verdict set of all paths equals the
 // verdict labels of the states reachable at the final cut.
+//
+// There is one oracle, and the formula chooses the lattice it walks. When ϕ
+// is ○-free and reads at least one proposition, the DP runs over the lattice
+// projected onto ϕ's support: the processes owning the propositions in
+// AP(ϕ). An event of any other process leaves every letter the monitor reads
+// unchanged, so on each full lattice path it only repeats the letter before
+// it; removing those repetitions maps the full paths onto exactly the paths
+// of the projected lattice, and ○-free LTL is stutter-invariant, so both
+// sides give the same verdict set. With ○ the repetitions matter, and without
+// a formula the invariance is unknown: those, and a formula reading no
+// proposition, take the full DP. When the support is every process the two
+// lattices coincide. This is the rule the engine's box explorations follow.
 package lattice
 
 import (
 	"fmt"
+	"slices"
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
@@ -26,18 +39,11 @@ import (
 
 // Result summarizes the oracle evaluation of one execution.
 type Result struct {
-	// Mode identifies the oracle implementation that produced the result.
-	Mode Mode
-	// Complete reports whether Verdicts is the exact verdict set of the
-	// execution (exact and sliced oracles) or only a sound subset of it
-	// (the sampling oracle, Equation 3.1 direction only).
-	Complete bool
-	// SupportProcs are the processes the lattice was sliced to (sorted);
-	// nil for the unprojected oracles.
+	// SupportProcs are the processes the DP spanned, sorted: ϕ's support
+	// when the lattice was projected, every process otherwise.
 	SupportProcs []int
-	// NumCuts and NumEdges are the size of the explored lattice (the full
-	// computation lattice for the exact oracle, the projected lattice for
-	// the sliced one, the surviving frontier total for sampling).
+	// NumCuts and NumEdges are the size of the explored lattice: the
+	// lattice over SupportProcs.
 	NumCuts, NumEdges int
 	// MaxWidth is the largest number of consistent cuts in one rank layer —
 	// a measure of how much concurrency the execution exhibits.
@@ -48,8 +54,9 @@ type Result struct {
 	// Verdicts is the oracle verdict set: the distinct verdict labels of
 	// FinalStates.
 	Verdicts []automaton.Verdict
-	// FirstConclusiveRank is the smallest rank (number of events) at which
-	// some path reaches a conclusive state, or -1 if none does.
+	// FirstConclusiveRank is the smallest rank (number of SupportProcs
+	// events) at which some path reaches a conclusive state, or -1 if none
+	// does.
 	FirstConclusiveRank int
 }
 
@@ -80,24 +87,43 @@ func newStateset(n int) stateset { return make(stateset, (n+63)/64) }
 func (s stateset) set(i int)      { s[i/64] |= 1 << (i % 64) }
 func (s stateset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
-// Evaluate runs the oracle over the complete execution. The traces must
-// declare every proposition the monitor reads; the monitor's letters are read
-// through them by name (dist.PropMap.Restrict).
+// Evaluate runs the oracle over the complete execution, over the lattice the
+// formula chooses (see the package doc). The traces must declare every
+// proposition the monitor reads; the monitor's letters are read through them
+// by name (dist.PropMap.Restrict).
 func Evaluate(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) {
 	letters, err := ts.Props.Restrict(mon.Props)
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]int, ts.N())
+	f := mon.Formula
+	if f == nil || f.HasNext() || letters.Len() == 0 {
+		return evalProjected(ts, mon, letters, allProcs(ts.N()))
+	}
+	procs := slices.Clone(letters.Owner)
+	slices.Sort(procs)
+	return evalProjected(ts, mon, letters, slices.Compact(procs))
+}
+
+// EvaluateSliced is Evaluate for a property that must be sliced: it refuses a
+// ○-formula or a monitor without a formula instead of falling back to the
+// full lattice.
+func EvaluateSliced(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) {
+	if mon.Formula == nil {
+		return nil, fmt.Errorf("lattice: monitor carries no formula; stutter invariance is undetermined")
+	}
+	if mon.Formula.HasNext() {
+		return nil, fmt.Errorf("lattice: sliced oracle needs a ○-free (stutter-invariant) property, got %s", mon.Formula)
+	}
+	return Evaluate(ts, mon)
+}
+
+func allProcs(n int) []int {
+	procs := make([]int, n)
 	for i := range procs {
 		procs[i] = i
 	}
-	res, err := evalProjected(ts, mon, letters, procs)
-	if err != nil {
-		return nil, err
-	}
-	res.Mode, res.Complete = ModeExact, true
-	return res, nil
+	return procs
 }
 
 // evalProjected runs the layered DP over the sub-lattice spanned by the
@@ -132,7 +158,7 @@ func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, letters *dist.Prop
 	start.states.set(q0)
 	index[start.cut.Key()] = start
 
-	res := &Result{NumCuts: 1, FirstConclusiveRank: -1}
+	res := &Result{SupportProcs: procs, NumCuts: 1, FirstConclusiveRank: -1}
 	if mon.Final(q0) {
 		res.FirstConclusiveRank = 0
 	}

@@ -50,7 +50,8 @@ func TestRunningExampleOracle(t *testing.T) {
 }
 
 // TestOracleMatchesPathEnumeration cross-validates the DP against explicit
-// path enumeration on random small executions and random properties.
+// path enumeration on random small executions and random properties, over
+// the lattice Evaluate chooses and over the full one.
 func TestOracleMatchesPathEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 40; trial++ {
@@ -76,13 +77,16 @@ func TestOracleMatchesPathEnumeration(t *testing.T) {
 		if paths < 1 {
 			t.Fatal("no paths enumerated")
 		}
-		got := res.VerdictSet()
-		if len(got) != len(want) {
-			t.Fatalf("formula %s: DP verdicts %v != path verdicts %v", f, got, want)
-		}
-		for v := range want {
-			if !got[v] {
-				t.Fatalf("formula %s: DP verdicts %v != path verdicts %v", f, got, want)
+		// Both the lattice Evaluate chooses and the full one.
+		for _, dp := range []*Result{res, evaluateFull(t, ts, mon)} {
+			got := dp.VerdictSet()
+			if len(got) != len(want) {
+				t.Fatalf("formula %s: DP over %v: verdicts %v != path verdicts %v", f, dp.SupportProcs, got, want)
+			}
+			for v := range want {
+				if !got[v] {
+					t.Fatalf("formula %s: DP over %v: verdicts %v != path verdicts %v", f, dp.SupportProcs, got, want)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -40,10 +41,25 @@ func verdictKey(vs []automaton.Verdict) string {
 	return out
 }
 
-// TestOracleConformanceSmallN is the acceptance check of the oracle family:
-// on every case-study property at n <= 5 — at full arity and at every
-// reduced arity — the sliced oracle's verdict set equals the exact DP's,
-// and the sampling oracle's is a subset of it.
+// evaluateFull is the DP over the full computation lattice whatever the
+// formula: the reference the chooser in Evaluate is held to.
+func evaluateFull(t *testing.T, ts *dist.TraceSet, mon *automaton.Monitor) *Result {
+	t.Helper()
+	letters, err := ts.Props.Restrict(mon.Props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := evalProjected(ts, mon, letters, allProcs(ts.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestOracleConformanceSmallN is the acceptance check of the chooser: on
+// every case-study property at n <= 5 — at full arity and at every reduced
+// arity — Evaluate's verdict set equals the full DP's, over a lattice no
+// larger than the full one and spanning no more processes than the arity.
 func TestOracleConformanceSmallN(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		for _, name := range props.Names {
@@ -57,99 +73,67 @@ func TestOracleConformanceSmallN(t *testing.T) {
 					t.Fatal(err)
 				}
 				label := fmt.Sprintf("%s arity=%d n=%d", name, arity, n)
-				exact, err := Evaluate(ts, mon)
+				full := evaluateFull(t, ts, mon)
+				if len(full.SupportProcs) != n {
+					t.Fatalf("%s: full DP spans %v", label, full.SupportProcs)
+				}
+				res, err := Evaluate(ts, mon)
 				if err != nil {
-					t.Fatalf("%s: exact: %v", label, err)
+					t.Fatalf("%s: %v", label, err)
 				}
-				if !exact.Complete || exact.Mode != ModeExact {
-					t.Fatalf("%s: exact result not marked complete/exact", label)
+				if got, want := verdictKey(res.Verdicts), verdictKey(full.Verdicts); got != want {
+					t.Errorf("%s: verdicts %s != full DP %s", label, got, want)
 				}
-				sliced, err := EvaluateSliced(ts, mon)
-				if err != nil {
-					t.Fatalf("%s: sliced: %v", label, err)
+				if len(res.SupportProcs) > arity {
+					t.Errorf("%s: support %v exceeds arity", label, res.SupportProcs)
 				}
-				if got, want := verdictKey(sliced.Verdicts), verdictKey(exact.Verdicts); got != want {
-					t.Errorf("%s: sliced verdicts %s != exact %s", label, got, want)
-				}
-				if !sliced.Complete {
-					t.Errorf("%s: sliced result not marked complete", label)
-				}
-				if len(sliced.SupportProcs) > arity {
-					t.Errorf("%s: support %v exceeds arity", label, sliced.SupportProcs)
-				}
-				if sliced.NumCuts > exact.NumCuts {
-					t.Errorf("%s: sliced lattice (%d cuts) larger than exact (%d)", label, sliced.NumCuts, exact.NumCuts)
-				}
-				for _, frontier := range []int{4, 64} {
-					samp, err := EvaluateSampled(ts, mon, frontier, 42)
-					if err != nil {
-						t.Fatalf("%s: sampled(%d): %v", label, frontier, err)
-					}
-					if samp.Complete {
-						t.Errorf("%s: sampled result marked complete", label)
-					}
-					ex := exact.VerdictSet()
-					for _, v := range samp.Verdicts {
-						if !ex[v] {
-							t.Errorf("%s: sampled(%d) verdict %v not in exact set %v", label, frontier, v, exact.Verdicts)
-						}
-					}
-					if len(samp.Verdicts) == 0 {
-						t.Errorf("%s: sampled(%d) returned no verdict", label, frontier)
-					}
+				if res.NumCuts > full.NumCuts {
+					t.Errorf("%s: sliced lattice (%d cuts) larger than the full one (%d)", label, res.NumCuts, full.NumCuts)
 				}
 			}
 		}
 	}
 }
 
-// TestSampledFullFrontierIsExact: with a frontier bound at least the lattice
-// width, nothing is thinned and the sampled set must equal the exact one.
-func TestSampledFullFrontierIsExact(t *testing.T) {
-	for _, name := range props.Names {
-		mon, pm, err := props.BuildAt(name, 3, false)
+// TestAdversarialSlicedEqualsFull holds the chooser to the full DP on random
+// executions and random formulas: for a ○-free formula Evaluate's verdict set
+// equals the full DP's, and a ○-formula is refused by EvaluateSliced and
+// evaluated by Evaluate over every process.
+func TestAdversarialSlicedEqualsFull(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(3)
+		ts := dist.Generate(dist.GenConfig{
+			N: n, InternalPerProc: 4 + rng.Intn(3),
+			CommMu: 2 + rng.Float64()*4, CommSigma: 1,
+			Seed: rng.Int63(),
+		})
+		f := ltl.RandomFormula(rng, 7, ts.Props.Names)
+		// Two draws a deleted sampling check consumed: kept so that every
+		// trial's execution and formula stay those of
+		// core.TestAdversarialOracleModes.
+		rng.Intn(32)
+		rng.Int63()
+		mon, err := automaton.Build(f, ts.Props.Names)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts, err := genFor(name, 3, 11).WithProps(pm)
+		full := evaluateFull(t, ts, mon)
+		res, err := Evaluate(ts, mon)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("trial %d (%s): %v", trial, f, err)
 		}
-		exact, err := Evaluate(ts, mon)
-		if err != nil {
-			t.Fatal(err)
+		if got, want := verdictKey(res.Verdicts), verdictKey(full.Verdicts); got != want {
+			t.Errorf("trial %d formula %s: Evaluate %s != full DP %s (support %v)", trial, f, got, want, res.SupportProcs)
 		}
-		samp, err := EvaluateSampled(ts, mon, exact.MaxWidth+1, 1)
-		if err != nil {
-			t.Fatal(err)
+		if f.HasNext() {
+			if _, err := EvaluateSliced(ts, mon); err == nil {
+				t.Errorf("trial %d: sliced oracle accepted ○ formula %s", trial, f)
+			}
+			if len(res.SupportProcs) != n {
+				t.Errorf("trial %d: ○ formula %s sliced to %v", trial, f, res.SupportProcs)
+			}
 		}
-		if got, want := verdictKey(samp.Verdicts), verdictKey(exact.Verdicts); got != want {
-			t.Errorf("%s: unthinned sample %s != exact %s", name, got, want)
-		}
-	}
-}
-
-// TestSampledSeedDeterminism: equal seeds explore identically.
-func TestSampledSeedDeterminism(t *testing.T) {
-	mon, pm, err := props.BuildAt("D", 3, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := genFor("D", 4, 5).WithProps(pm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := EvaluateSampled(ts, mon, 8, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := EvaluateSampled(ts, mon, 8, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if verdictKey(a.Verdicts) != verdictKey(b.Verdicts) || a.NumCuts != b.NumCuts || a.NumEdges != b.NumEdges {
-		t.Errorf("same seed diverged: %v/%d/%d vs %v/%d/%d",
-			a.Verdicts, a.NumCuts, a.NumEdges, b.Verdicts, b.NumCuts, b.NumEdges)
 	}
 }
 
@@ -177,10 +161,7 @@ func TestSupportProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := dist.Generate(dist.GenConfig{N: 4, InternalPerProc: 4, CommMu: 2, Seed: 3, Suffixes: []string{"p"}, PlantGoal: true})
-	exact, err := Evaluate(ts, mon)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := evaluateFull(t, ts, mon)
 	sliced, err := EvaluateSliced(ts, mon)
 	if err != nil {
 		t.Fatal(err)
@@ -188,51 +169,47 @@ func TestSupportProcesses(t *testing.T) {
 	if procs := sliced.SupportProcs; len(procs) != 2 || procs[0] != 0 || procs[1] != 2 {
 		t.Fatalf("support = %v, want [0 2]", procs)
 	}
-	if verdictKey(sliced.Verdicts) != verdictKey(exact.Verdicts) {
-		t.Errorf("sparse slice %v != exact %v", sliced.Verdicts, exact.Verdicts)
+	if verdictKey(sliced.Verdicts) != verdictKey(full.Verdicts) {
+		t.Errorf("sparse slice %v != full DP %v", sliced.Verdicts, full.Verdicts)
 	}
 }
 
-// TestOracleModeParsing pins the mode names used by flags and configs.
-func TestOracleModeParsing(t *testing.T) {
-	for _, m := range Modes {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseMode("nope"); err == nil {
-		t.Error("ParseMode accepted junk")
-	}
-	if _, err := EvaluateOracle(dist.RunningExample(), nil, OracleConfig{Mode: Mode(9)}); err == nil {
-		t.Error("EvaluateOracle accepted an unknown mode")
-	}
-}
-
-// TestEvaluateOracleDispatch: the dispatcher reaches each implementation.
-func TestEvaluateOracleDispatch(t *testing.T) {
-	ts := dist.RunningExample()
-	mon, err := automaton.Build(ltl.MustParse(dist.RunningExampleProperty), ts.Props.Names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := EvaluateOracle(ts, mon, OracleConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mode := range []Mode{ModeSliced, ModeSampling} {
-		res, err := EvaluateOracle(ts, mon, OracleConfig{Mode: mode, Seed: 7})
+// TestEvaluateChoosesLattice: the formula alone picks the lattice. A ○-free
+// formula is sliced to its support; a ○-formula, a monitor without a formula
+// and a formula reading no proposition take the full lattice.
+func TestEvaluateChoosesLattice(t *testing.T) {
+	ts := dist.Generate(dist.GenConfig{N: 3, InternalPerProc: 3, CommMu: 2, Seed: 3, Suffixes: []string{"p"}})
+	build := func(formula string) *automaton.Monitor {
+		mon, err := automaton.Build(ltl.MustParse(formula), ts.Props.Names)
 		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
+			t.Fatal(err)
 		}
-		if res.Mode != mode {
-			t.Errorf("%v: result mode %v", mode, res.Mode)
+		return mon
+	}
+	noFormula := *build("F P1.p")
+	noFormula.Formula = nil
+	for _, c := range []struct {
+		name string
+		mon  *automaton.Monitor
+		want []int
+	}{
+		{"X-free", build("F P1.p"), []int{1}},
+		{"next", build("X P1.p"), []int{0, 1, 2}},
+		{"no formula", &noFormula, []int{0, 1, 2}},
+		{"no proposition", build("true"), []int{0, 1, 2}},
+	} {
+		res, err := Evaluate(ts, c.mon)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		ex := exact.VerdictSet()
-		for _, v := range res.Verdicts {
-			if !ex[v] {
-				t.Errorf("%v: verdict %v outside exact set", mode, v)
-			}
+		if fmt.Sprint(res.SupportProcs) != fmt.Sprint(c.want) {
+			t.Errorf("%s: the DP spanned %v, want %v", c.name, res.SupportProcs, c.want)
 		}
+		if full := evaluateFull(t, ts, c.mon); verdictKey(res.Verdicts) != verdictKey(full.Verdicts) {
+			t.Errorf("%s: verdicts %v != full DP %v", c.name, res.Verdicts, full.Verdicts)
+		}
+	}
+	if _, err := EvaluateSliced(ts, &noFormula); err == nil {
+		t.Error("EvaluateSliced accepted a monitor without a formula")
 	}
 }

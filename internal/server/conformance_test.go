@@ -55,20 +55,11 @@ func TestRecoveryConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want string
-			if cell.N <= 5 {
-				oracle, err := decentmon.Oracle(spec, ts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = verdictSetCodes(oracle.VerdictSet(), true)
-			} else {
-				oracle, err := decentmon.EvaluateOracle(spec, ts, decentmon.OracleConfig{Mode: decentmon.OracleSliced})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want = verdictSetCodes(oracle.VerdictSet(), false)
+			oracle, err := decentmon.Oracle(spec, ts)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := verdictSetCodes(oracle.VerdictSet(), cell.N <= 5)
 			evs := linearize(t, ts)
 			live := cell.N == 2 && cell.Topo == dist.TopoRing
 			cfg := Config{StateDir: t.TempDir(), CheckpointEvery: cadence, MetricsAddr: "off"}
