@@ -3,14 +3,15 @@
 // in-memory or loopback-TCP network, and reports the verdict set plus the
 // overhead metrics of Chapter 5.
 //
-// A trace file (binary at a ".dmtb" path, JSON lines at any other) is
-// consumed either materialized (the default) or as a stream: -stream feeds
-// the decentralized monitors incrementally from the reader without
+// A trace file (binary at a ".dmtb" path, JSON lines at any other) is a
+// stream, and dlmon feeds the decentralized monitors from the reader without
 // materializing the trace (garbage-collecting each monitor's knowledge below
-// the global minimal cut as it goes), and -bounded evaluates the
+// the global minimal cut as it goes); -bounded instead evaluates the
 // physical-time lattice path in O(n) memory. Either way the pipeline's
 // footprint is independent of trace length, so multi-million-event
-// executions can be monitored on a laptop.
+// executions can be monitored on a laptop. Only -compare materializes the
+// trace, because the oracle walks the whole lattice; the monitors are then
+// fed from the loaded set's timestamp-order stream.
 //
 // Usage:
 //
@@ -34,7 +35,7 @@
 // the final verdict set contains ⊥ (a property violation) — so shell
 // pipelines and CI smoke tests can gate on violations:
 //
-//	dlmon -trace t.jsonl -stream -case B || echo "violated or failed"
+//	dlmon -trace t.jsonl -case B || echo "violated or failed"
 package main
 
 import (
@@ -60,12 +61,11 @@ func main() {
 		caseProp  = flag.String("case", "", "use a case-study property A..F instead of a formula argument")
 		arity     = flag.Int("arity", 0, "with -case: instantiate the property at this arity instead of the full process count (its alphabet then touches only the first processes — required beyond ~12 processes, and what keeps the oracle tractable)")
 		shape     = flag.String("shape", "minimal", "automaton construction: minimal or paper")
-		stream    = flag.Bool("stream", false, "feed the monitors from the streaming reader instead of materializing the trace")
-		bounded   = flag.Bool("bounded", false, "stream the physical-time lattice path in bounded memory (implies -stream)")
+		bounded   = flag.Bool("bounded", false, "evaluate the physical-time lattice path in bounded memory instead of running the monitors")
 		tcp       = flag.Bool("tcp", false, "run monitors over loopback TCP instead of in-memory channels")
 		noFin     = flag.Bool("nofinalize", false, "skip extending views to the final cut")
 		pace      = flag.Float64("pace", 0, "real-time replay scale (simulated seconds × pace = wall seconds)")
-		compare   = flag.Bool("compare", false, "also run the oracle and compare, and print the centralized and replicated baselines' message counts")
+		compare   = flag.Bool("compare", false, "also run the oracle and compare, and print the centralized and replicated baselines' message counts (materializes the trace)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: dlmon -trace FILE [-case A..F | 'formula'] [flags]")
@@ -77,10 +77,10 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *compare && (*stream || *bounded) {
+	if *compare && *bounded {
 		// The oracle walks the materialized lattice; comparing defeats the
-		// purpose of streaming.
-		fatal(fmt.Errorf("-compare needs the materialized path; drop -stream/-bounded"))
+		// purpose of the bounded path.
+		fatal(fmt.Errorf("-compare materializes the trace for the oracle; drop -bounded"))
 	}
 	if *bounded && (*tcp || *noFin || *pace > 0) {
 		// The bounded path evaluator has no monitor network, finalization or
@@ -89,7 +89,8 @@ func main() {
 	}
 
 	// The stream header (or the loaded set) provides the proposition space
-	// before any event is consumed, so the automaton is built up front.
+	// before any event is consumed, so the automaton is built up front. Only
+	// the oracle needs the trace materialized.
 	var (
 		ts  *dist.TraceSet
 		src dist.EventSource
@@ -97,19 +98,19 @@ func main() {
 		n   int
 		err error
 	)
-	if *stream || *bounded {
+	if *compare {
+		ts, err = dist.LoadFile(*tracePath)
+		if err != nil {
+			fatal(err)
+		}
+		pm, n = ts.Props, ts.N()
+	} else {
 		src, err = dist.StreamFile(*tracePath)
 		if err != nil {
 			fatal(err)
 		}
 		defer src.Close()
 		pm, n = src.Props(), src.N()
-	} else {
-		ts, err = dist.LoadFile(*tracePath)
-		if err != nil {
-			fatal(err)
-		}
-		pm, n = ts.Props, ts.N()
 	}
 
 	if *arity != 0 && *caseProp == "" {
@@ -166,8 +167,11 @@ func main() {
 			fatal(err)
 		}
 	}
-	// All three modes ride the context-aware session engine: an interrupt
-	// cancels the monitors mid-run instead of leaving them to be killed.
+	if ts != nil {
+		src = ts.Stream()
+	}
+	// Both modes take a context: an interrupt cancels the monitors (or the
+	// path evaluator) mid-run instead of leaving them to be killed.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -189,7 +193,6 @@ func main() {
 	}
 
 	cfg := core.RunConfig{
-		Traces:       ts,
 		Automaton:    mon,
 		SkipFinalize: *noFin,
 		Pace:         *pace,
@@ -201,12 +204,7 @@ func main() {
 		}
 		cfg.Network = nw
 	}
-	var res *core.RunResult
-	if *stream {
-		res, err = core.RunStreamContext(ctx, src, cfg)
-	} else {
-		res, err = core.RunContext(ctx, cfg)
-	}
+	res, err := core.RunStreamContext(ctx, src, cfg)
 	if err != nil {
 		fatal(err)
 	}

@@ -198,11 +198,6 @@ func TestFinalizeResidualRegression(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkVerdictSetEqual(t, "decentralized", dec.Verdicts, oracle)
-	decEx, err := Run(spec, ts, WithExactBoxes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkVerdictSetEqual(t, "decentralized/exact-boxes", decEx.Verdicts, oracle)
 	sess, _ := feedSession(t, spec, ts)
 	checkVerdictSetEqual(t, "session", sess.Verdicts, oracle)
 }
@@ -235,17 +230,6 @@ func conformSmall(t *testing.T, spec *Spec, ts *TraceSet) *OracleResult {
 		t.Fatal(err)
 	}
 	checkVerdictSetEqual(t, "decentralized", dec.Verdicts, oracle)
-	// Box-strategy axis: the same run with the legacy full-width exact DP
-	// forced. Both strategies must satisfy the decentralized contract and
-	// agree with each other on the conclusive verdicts.
-	decEx, err := Run(spec, ts, WithExactBoxes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkVerdictSetEqual(t, "decentralized/exact-boxes", decEx.Verdicts, oracle)
-	if g, w := conclusives(decEx.Verdicts), conclusives(dec.Verdicts); g != w {
-		t.Errorf("box strategies disagree: exact %q != sliced %q", g, w)
-	}
 	path, err := RunBounded(spec, ts.Stream())
 	if err != nil {
 		t.Fatal(err)
@@ -283,17 +267,6 @@ func conformLarge(t *testing.T, spec *Spec, ts *TraceSet, arity int) *OracleResu
 	}
 	if got := conclusives(dec.Verdicts); got != wantConc {
 		t.Errorf("decentralized conclusive %q != oracle %q (oracle set %v)", got, wantConc, oracle.Verdicts)
-	}
-	// Box-strategy axis: the legacy exact DP on the same cell (these cells
-	// are calibrated to stay inside its tractable region; the genuinely
-	// explosive dense-broadcast pairing is pinned separately by
-	// TestDenseBroadcastSlicedTractable).
-	decEx, err := Run(spec, ts, WithoutFinalization(), WithExactBoxes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := conclusives(decEx.Verdicts); got != wantConc {
-		t.Errorf("decentralized/exact-boxes conclusive %q != oracle %q (oracle set %v)", got, wantConc, oracle.Verdicts)
 	}
 	path, err := RunBounded(spec, ts.Stream())
 	if err != nil {
@@ -519,10 +492,12 @@ func TestLargeNDecentralizedSlicedCrossCheck(t *testing.T) {
 // dense, so the full-width region between a monitor's cut and its knowledge
 // frontier spans most of the 16-dimensional lattice and the exact DP *must*
 // die on its node budget — the gauntlet has always excluded this pairing for
-// exactly that reason. Slicing the same region onto the arity-3 property's
-// three support processes collapses it to a 3-dimensional projected poset:
-// under the same node budget (the engine's constant 2²¹) the run completes and
-// its conclusive verdicts match the sliced oracle.
+// exactly that reason. A ○-formula over the same propositions is not
+// stutter-invariant, so its support is every process and the engine takes
+// that full-width DP. Slicing the same region onto the ○-free arity-3
+// property's three support processes collapses it to a 3-dimensional
+// projected poset: under the same node budget (the engine's constant 2²¹) the
+// run completes and its conclusive verdicts match the sliced oracle.
 func TestDenseBroadcastSlicedTractable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the exploding exact DP up to its node budget")
@@ -538,9 +513,11 @@ func TestDenseBroadcastSlicedTractable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Run(core.RunConfig{
-		Traces: ts, Automaton: spec.mon, SkipFinalize: true, ExactBoxes: true,
-	})
+	next, err := Compile("X (F (P0.p && P1.p && P2.p))", spec.Props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.Run(core.RunConfig{Traces: ts, Automaton: next.mon, SkipFinalize: true})
 	if err == nil {
 		t.Fatal("exact DP completed the dense-broadcast cell — the explosion fixture lost its teeth (tighten the workload or drop the cell)")
 	}

@@ -285,19 +285,6 @@ func WithPace(pace float64) Option {
 	return func(o *options) { o.cfg.Pace = pace }
 }
 
-// WithExactBoxes forces the full-width exact DP for every lattice-box
-// exploration. By default, a ○-free property whose propositions touch only
-// a proper subset of the processes is explored *sliced*: each box region is
-// projected onto the property's support processes before sweeping, which is
-// verdict-exact for stutter-invariant properties (LTL without ○) and turns
-// dense-broadcast workloads from a deterministic node-budget failure into a
-// tractable run (see PERFORMANCE.md "Explosion modes"). Properties with ○
-// always use the exact DP; this option exists to pin the exact strategy for
-// cross-checks and A/B measurements.
-func WithExactBoxes() Option {
-	return func(o *options) { o.cfg.ExactBoxes = true }
-}
-
 // WithInitialState sets the initial global state of an online session (one
 // LocalState per process, defaults to all-zero valuations). Sessions only;
 // replays take the initial state from the trace header.
@@ -331,9 +318,9 @@ func (o *options) checkReplay(entry string) error {
 }
 
 // Run deploys one monitor per process, replays the traces, and returns the
-// union verdict set plus per-monitor overhead metrics. It is a replay
-// adapter over the online Session engine: each process's events are fed in
-// recorded order (optionally paced), then the session is closed.
+// union verdict set plus per-monitor overhead metrics. It is RunStream over
+// the set's timestamp-order stream (TraceSet.Stream): the events are fed in
+// that order (optionally paced), then the session is closed.
 func Run(spec *Spec, ts *TraceSet, opts ...Option) (*RunResult, error) {
 	if err := checkSpecTraces(spec, ts); err != nil {
 		return nil, err
@@ -343,9 +330,8 @@ func Run(spec *Spec, ts *TraceSet, opts ...Option) (*RunResult, error) {
 		return nil, err
 	}
 	cfg := o.cfg
-	cfg.Traces = ts
 	cfg.Automaton = spec.mon
-	return core.RunContext(o.ctx, cfg)
+	return core.RunStreamContext(o.ctx, ts.Stream(), cfg)
 }
 
 // RunStream is Run over an event stream (e.g. StreamTraces on a ".jsonl"
@@ -392,7 +378,6 @@ func RunBounded(spec *Spec, src EventSource, opts ...Option) (*PathResult, error
 		{"WithNetwork", o.cfg.Network != nil},
 		{"WithoutFinalization", o.cfg.SkipFinalize},
 		{"WithPace", o.cfg.Pace != 0},
-		{"WithExactBoxes", o.cfg.ExactBoxes},
 		{"WithInitialState", o.init != nil},
 		{"WithValidation", o.validate},
 	} {

@@ -8,8 +8,8 @@ import (
 )
 
 // Example shows the replay quickstart: compile an LTL3 property, generate a
-// reproducible distributed execution, and monitor it with one decentralized
-// monitor per process.
+// reproducible distributed execution, monitor it with one decentralized
+// monitor per process, and check the result against the ground-truth oracle.
 func Example() {
 	// Three processes, each owning boolean propositions p and q.
 	props := decentmon.PerProcessProps(3, "p", "q")
@@ -28,12 +28,135 @@ func Example() {
 		PlantGoal: true, Seed: 1,
 	})
 
+	fmt.Printf("execution: %d processes, %d events\n", traces.N(), traces.TotalEvents())
+
+	// Decentralized run: one monitor per process over an in-memory network.
 	res, err := decentmon.Run(spec, traces)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.VerdictList())
-	// Output: [T]
+	fmt.Println("decentralized:", res.VerdictList())
+
+	// The oracle evaluates every path of the computation lattice; a sound
+	// and complete decentralized run reports exactly its verdict set.
+	oracle, err := decentmon.Oracle(spec, traces)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("oracle: %v over %d consistent cuts\n", oracle.Verdicts, oracle.NumCuts)
+	// Output:
+	// execution: 3 processes, 70 events
+	// decentralized: [T]
+	// oracle: [T] over 448 consistent cuts
+}
+
+// ExampleRunningExample runs the paper's running example end to end: the
+// two-process program of Fig. 2.1, the property
+// ψ = G((x1≥5) → ((x2≥15) U (x1=10))) of Fig. 2.3, the 17-cut computation
+// lattice of Fig. 2.2b, and the verdict set {⊥, ?} derived in Chapter 3
+// (Fig. 3.1). Every path through ⟨e11⟩ before x2≥15 violates ψ (⊥); the path
+// advancing P2 first stays inconclusive (?).
+func ExampleRunningExample() {
+	// P1: send(P2); x1=5; x1=10; recv(m2)
+	// P2: recv(m1); x2=15; x2=20; send(P1)
+	traces := decentmon.RunningExample()
+	spec, err := decentmon.Compile(decentmon.RunningExampleProperty, traces.Props)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(spec.Describe())
+
+	oracle, err := decentmon.Oracle(spec, traces)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("lattice: %d consistent cuts, %d edges\n", oracle.NumCuts, oracle.NumEdges)
+	fmt.Println("oracle:", oracle.Verdicts)
+
+	res, err := decentmon.Run(spec, traces)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("decentralized:", res.VerdictList())
+
+	// The monitor automaton in DOT: graphviz draws Fig. 2.3 from it.
+	fmt.Println(spec.Dot("fig2_3"))
+	// Output:
+	// monitor for G (!x1>=5 || x2>=15 U x1=10)
+	// propositions: x1>=5, x1=10, x2>=15
+	// states: 3, transitions: 8 (4 outgoing, 4 self-loop)
+	// q0 [?] (initial)
+	//   ~ !x1>=5 -> q0
+	//   ~ x1=10 -> q0
+	//     x1>=5 && !x1=10 && !x2>=15 -> q1
+	//     x1>=5 && !x1=10 && x2>=15 -> q2
+	// q1 [F]
+	//   ~ true -> q1
+	// q2 [?]
+	//     x1=10 -> q0
+	//     !x1=10 && !x2>=15 -> q1
+	//   ~ !x1=10 && x2>=15 -> q2
+	//
+	// lattice: 17 consistent cuts, 24 edges
+	// oracle: [? F]
+	// decentralized: [F ?]
+	// digraph "fig2_3" {
+	//   rankdir=LR;
+	//   node [shape=circle];
+	//   init [shape=point];
+	//   init -> q0;
+	//   q0 [shape=circle,label="q0\n?"];
+	//   q1 [shape=doublecircle,label="q1\nF"];
+	//   q2 [shape=circle,label="q2\n?"];
+	//   q0 -> q0 [label="!x1>=5"];
+	//   q0 -> q0 [label="x1=10"];
+	//   q0 -> q1 [label="x1>=5 && !x1=10 && !x2>=15"];
+	//   q0 -> q2 [label="x1>=5 && !x1=10 && x2>=15"];
+	//   q1 -> q1 [label="true"];
+	//   q2 -> q0 [label="x1=10"];
+	//   q2 -> q1 [label="!x1=10 && !x2>=15"];
+	//   q2 -> q2 [label="!x1=10 && x2>=15"];
+	// }
+}
+
+// ExampleNewTCPNetwork runs the monitors over real sockets: a loopback TCP
+// network (the stdlib-net analogue of the paper's WiFi peer-to-peer links)
+// checking the mutual-exclusion safety property "never do all four processes
+// hold the resource concurrently" on an execution that violates it at the
+// planted end.
+func ExampleNewTCPNetwork() {
+	const n = 4
+	spec, err := decentmon.Compile("G !(P0.p && P1.p && P2.p && P3.p)", decentmon.PerProcessProps(n, "p", "q"))
+	if err != nil {
+		log.Fatal(err)
+	}
+	traces := decentmon.Generate(decentmon.GenConfig{
+		N: n, InternalPerProc: 10,
+		EvtMu: 3, EvtSigma: 1,
+		CommMu: 3, CommSigma: 1,
+		TrueProbs: map[string]float64{"p": 0.4, "q": 0.5},
+		PlantGoal: true, // forces the all-p global state at the end: a violation
+		Seed:      11,
+	})
+
+	nw, err := decentmon.NewTCPNetwork(n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := decentmon.Run(spec, traces, decentmon.WithNetwork(nw))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("over TCP:", res.VerdictList())
+
+	oracle, err := decentmon.Oracle(spec, traces)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("oracle:", oracle.Verdicts)
+	// Output:
+	// over TCP: [F]
+	// oracle: [F]
 }
 
 // ExampleNewSession shows the online loop: monitors attached to a live

@@ -230,6 +230,34 @@ func (m *Monitor) Letter(assign map[string]bool) uint32 {
 	return l
 }
 
+// Support returns the processes a lattice walk for this monitor must span,
+// sorted: the owners of the propositions Formula reads when Formula is ○-free
+// and reads at least one, every one of the n processes otherwise. owners[i]
+// is the process owning Props[i] (dist.PropMap.Restrict(m.Props).Owner).
+//
+// Walking the lattice projected onto the support gives the same verdict set
+// as walking the full one. An event of any other process leaves every letter
+// the monitor reads unchanged, so on each full lattice path it only repeats
+// the letter before it; removing those repetitions maps the full paths onto
+// exactly the paths of the projected lattice, and ○-free LTL is
+// stutter-invariant (Lamport), so both sides give the same verdicts. With ○
+// the repetitions matter, and without a formula the invariance is unknown:
+// those, and a formula reading no proposition, span every process. When the
+// support is every process the two lattices coincide. The oracle
+// (lattice.Evaluate) and the engine's box explorations both follow this rule.
+func (m *Monitor) Support(owners []int, n int) []int {
+	if m.Formula == nil || m.Formula.HasNext() || len(owners) == 0 {
+		all := make([]int, n)
+		for p := range all {
+			all[p] = p
+		}
+		return all
+	}
+	procs := slices.Clone(owners)
+	slices.Sort(procs)
+	return slices.Compact(procs)
+}
+
 // --- determinization ---
 
 // dfa is a complete DFA over letters 0..nLetters-1; state 0 is initial.

@@ -307,3 +307,35 @@ func TestLetter(t *testing.T) {
 		t.Errorf("Letter() = %b", l)
 	}
 }
+
+// TestSupport pins the one rule every lattice walk follows: a ○-free formula
+// reading a proposition spans the sorted, unique owners of what it reads;
+// anything else spans every process.
+func TestSupport(t *testing.T) {
+	abcd := []string{"a", "b", "c", "d"}
+	noFormula := *MustBuild(ltl.MustParse("F a"), abcd)
+	noFormula.Formula = nil
+	for _, c := range []struct {
+		name   string
+		mon    *Monitor
+		owners []int // owners[i] owns mon.Props[i]
+		want   []int
+	}{
+		{"proper subset, one owner of two", MustBuild(ltl.MustParse("F (a && b && c)"), abcd), []int{2, 0, 2}, []int{0, 2}},
+		{"next", MustBuild(ltl.MustParse("X (a && b)"), abcd), []int{1, 1}, []int{0, 1, 2, 3}},
+		{"no formula", &noFormula, []int{1}, []int{0, 1, 2, 3}},
+		{"no proposition", MustBuild(ltl.MustParse("true"), abcd), nil, []int{0, 1, 2, 3}},
+		{"owners out of order", MustBuild(ltl.MustParse("a U b"), abcd), []int{3, 1}, []int{1, 3}},
+	} {
+		if len(c.owners) != len(c.mon.Props) {
+			t.Fatalf("%s: %d owners for props %v", c.name, len(c.owners), c.mon.Props)
+		}
+		owners := slices.Clone(c.owners)
+		if got := c.mon.Support(owners, 4); !slices.Equal(got, c.want) {
+			t.Errorf("%s: support %v, want %v", c.name, got, c.want)
+		}
+		if !slices.Equal(owners, c.owners) {
+			t.Errorf("%s: Support rewrote its owners to %v", c.name, owners)
+		}
+	}
+}

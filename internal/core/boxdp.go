@@ -128,8 +128,8 @@ probe:
 // n-dimensional one, which is what makes dense-broadcast workloads tractable.
 //
 // Exact = full support: when slicing is not verdict-exact the monitor passes
-// every process as the support (boxSupport). projectedStep then *is*
-// consistentStep, each lift *is* its cut, and the sweep is the Chapter-3
+// every process as the support (automaton.Monitor.Support). projectedStep then
+// *is* consistentStep, each lift *is* its cut, and the sweep is the Chapter-3
 // oracle's layered state-set DP restricted to the box.
 //
 // Lift cuts: each projected node carries the full-width *lift* of its

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -18,12 +17,11 @@ import (
 // program is what every monitor of a session reads of the property and never
 // writes: the per-process conjuncts of each transition's guard, the map from
 // local states to letter bits, and the sorted list of processes box
-// explorations project the lattice onto (boxdp.go): the owners of the
-// propositions the formula reads, or every process when only the exact
-// full-width DP is sound. It depends on (Automaton, Props, N, ExactBoxes)
-// alone, so the session compiles it once for its n monitors. Nobody writes
-// it, or anything it points to, after compile returns: it is read from n
-// goroutines with no synchronization.
+// explorations project the lattice onto (boxdp.go; automaton.Monitor.Support
+// picks them). It depends on (Automaton, Props, N) alone, so the session
+// compiles it once for its n monitors. Nobody writes it, or anything it points
+// to, after compile returns: it is read from n goroutines with no
+// synchronization.
 type program struct {
 	gt      *guardTable
 	lt      *letterTable
@@ -47,7 +45,7 @@ func compile(cfg *SessionConfig) (*program, error) {
 	return &program{
 		gt:      newGuardTable(cfg.Automaton, letters, cfg.N),
 		lt:      newLetterTable(letters, cfg.N),
-		support: boxSupport(cfg, letters),
+		support: cfg.Automaton.Support(letters.Owner, cfg.N),
 	}, nil
 }
 
@@ -215,26 +213,6 @@ func newMonitor(cfg *SessionConfig, i int, prog *program, ep transport.Endpoint)
 	m.hand, _ = ep.(transport.ValueSender)
 	m.scratch.states = newStateset(cfg.Automaton.NumStates())
 	return m, nil
-}
-
-// boxSupport computes the processes a monitor's box explorations are
-// projected onto: the owners of the propositions the automaton reads, letters'
-// owners. Slicing to them is verdict-exact only for ○-free (stutter-invariant)
-// properties and needs the formula attached to the automaton; otherwise — and
-// under SessionConfig.ExactBoxes — the support is every process, which makes
-// the sweep the exact full-width DP.
-func boxSupport(cfg *SessionConfig, letters *dist.PropMap) []int {
-	f := cfg.Automaton.Formula
-	if cfg.ExactBoxes || f == nil || f.HasNext() || letters.Len() == 0 {
-		all := make([]int, cfg.N)
-		for p := range all {
-			all[p] = p
-		}
-		return all
-	}
-	procs := slices.Clone(letters.Owner)
-	slices.Sort(procs)
-	return slices.Compact(procs)
 }
 
 // maxBoxNodes bounds a single box exploration: visiting more lattice nodes

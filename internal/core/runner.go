@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"decentmon/internal/automaton"
@@ -29,9 +28,6 @@ type RunConfig struct {
 	// Pace = 0.001 plays one simulated second per millisecond); 0 replays
 	// as fast as possible.
 	Pace float64
-	// ExactBoxes forces the full-width exact box DP, disabling support-
-	// process slicing (see SessionConfig.ExactBoxes).
-	ExactBoxes bool
 	// Shards is ignored, and kept for the benchmark harness only; see
 	// SessionConfig.Shards.
 	Shards int
@@ -72,95 +68,31 @@ func (r *RunResult) VerdictList() []automaton.Verdict {
 	return out
 }
 
-// feedChunk is the unpaced replay's feeding batch size: events per process for
-// Run, events per window for RunStream. Kept modest: a chunk parks invisibly in
-// the monitor's feed queue until absorbed, so oversized chunks would loosen the
-// backpressure gate's view of the backlog (a 32-event stream window reads
-// knowledge peaks past TestKnowledgePeakBoundedUnpaced's ceiling).
+// feedChunk is the unpaced replay's window: the most events one FeedRun
+// hands over. Kept modest: a window parks invisibly in the monitors' feed
+// queues until absorbed, so oversized windows would loosen the backpressure
+// gate's view of the backlog (a 32-event window reads knowledge peaks past
+// TestKnowledgePeakBoundedUnpaced's ceiling).
 const feedChunk = 16
-
-// session builds the online Session a replay adapter feeds.
-func session(ctx context.Context, cfg RunConfig, pm *dist.PropMap, n int, init dist.GlobalState) (*Session, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("core: empty trace set")
-	}
-	return NewSession(ctx, SessionConfig{
-		N:            n,
-		Automaton:    cfg.Automaton,
-		Props:        pm,
-		Init:         init,
-		SkipFinalize: cfg.SkipFinalize,
-		Network:      cfg.Network,
-		ExactBoxes:   cfg.ExactBoxes,
-	})
-}
 
 // Run replays the trace set through n monitors connected by the network and
 // returns the union verdict set plus overhead metrics. It is the
 // programmatic equivalent of deploying the paper's monitors on n devices
-// and feeding them the generated trace files — a thin replay adapter over
-// the online Session engine.
-func Run(cfg RunConfig) (*RunResult, error) { return RunContext(context.Background(), cfg) }
-
-// RunContext is Run with cancellation: cancelling ctx aborts the replay and
-// the monitors promptly.
-func RunContext(ctx context.Context, cfg RunConfig) (*RunResult, error) {
-	ts := cfg.Traces
-	if ts == nil {
+// and feeding them the generated trace files: RunStream over the set's
+// timestamp-order stream (dist.TraceSet.Stream).
+func Run(cfg RunConfig) (*RunResult, error) {
+	if cfg.Traces == nil {
 		return nil, fmt.Errorf("core: no trace set (use RunStream for event sources)")
 	}
-	s, err := session(ctx, cfg, ts.Props, ts.N(), ts.InitialState())
-	if err != nil {
-		return nil, err
-	}
-	// Feed each monitor its process's events concurrently, optionally paced
-	// by the recorded timestamps — one feeder goroutine per device, as in a
-	// real deployment.
-	feedErrs := make([]error, ts.N())
-	var feedWG sync.WaitGroup
-	for i, tr := range ts.Traces {
-		feedWG.Add(1)
-		go func(i int, tr *dist.Trace) {
-			defer feedWG.Done()
-			if cfg.Pace <= 0 {
-				// Unpaced replay: feed in chunks, amortizing the admission
-				// gate and the monitor handoff (verdict-set equivalent to
-				// per-event feeding; the chunk only changes arrival grouping).
-				// A chunk of one process is one FeedRun group.
-				var fs FeedScratch
-				evs := tr.Events
-				for len(evs) > 0 {
-					k := min(feedChunk, len(evs))
-					if err := s.FeedRun(&fs, evs[:k]); err != nil {
-						feedErrs[i] = err
-						return
-					}
-					evs = evs[k:]
-				}
-				feedErrs[i] = s.End(i)
-				return
-			}
-			prev := 0.0
-			for _, e := range tr.Events {
-				pace(cfg.Pace, e.Time, &prev)
-				if err := s.Feed(e); err != nil {
-					feedErrs[i] = err
-					return
-				}
-			}
-			feedErrs[i] = s.End(i)
-		}(i, tr)
-	}
-	feedWG.Wait()
-	return finish(s, firstError(feedErrs))
+	return RunStreamContext(context.Background(), cfg.Traces.Stream(), cfg)
 }
 
 // RunStream is Run over an event stream: events arrive in global timestamp
 // order from a single source (e.g. a dist.TraceReader over a ".jsonl" file)
 // and are dispatched to the owning processes' monitors a window of at most
 // feedChunk at a time (Session.FeedRun; one event at a time when paced), so
-// the trace never needs to be materialized. Verdict sets are identical to
-// Run on the equivalent trace set. cfg.Traces is ignored.
+// the trace never needs to be materialized. Run is RunStream over a
+// materialized set. cfg.Traces is ignored.
 func RunStream(src dist.EventSource, cfg RunConfig) (*RunResult, error) {
 	return RunStreamContext(context.Background(), src, cfg)
 }
@@ -170,7 +102,14 @@ func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) 
 	if src == nil {
 		return nil, fmt.Errorf("core: nil event source")
 	}
-	s, err := session(ctx, cfg, src.Props(), src.N(), src.Init())
+	s, err := NewSession(ctx, SessionConfig{
+		N:            src.N(),
+		Automaton:    cfg.Automaton,
+		Props:        src.Props(),
+		Init:         src.Init(),
+		SkipFinalize: cfg.SkipFinalize,
+		Network:      cfg.Network,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -222,15 +161,6 @@ func finish(s *Session, feedErr error) (*RunResult, error) {
 		return nil, fmt.Errorf("core: feeding monitors: %w", feedErr)
 	}
 	return res, nil
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // pace sleeps the scaled gap between the previous and current simulated

@@ -47,13 +47,6 @@ type SessionConfig struct {
 	// Network supplies the transport; if nil an in-memory network is
 	// created. The session closes the network either way.
 	Network transport.Network
-	// ExactBoxes forces the full-width exact DP for every box exploration.
-	// By default a ○-free property is explored *sliced*: the region is
-	// projected onto the processes owning its propositions before sweeping,
-	// which is verdict-exact for stutter-invariant properties and keeps
-	// dense-broadcast workloads tractable (see boxdp.go). Properties with ○
-	// are always explored exactly.
-	ExactBoxes bool
 	// Shards is ignored: every round runs on its monitor's own goroutine.
 	// The field survives only because the benchmark harness (bench/) still
 	// sets it for its pool cell; it goes with the next change to bench/.

@@ -760,7 +760,7 @@ func MeasureEngineStream(minWall time.Duration) (*EngineCell, error) {
 		Events: ts.TotalEvents(),
 	}
 	return cell, timeEngineCell(cell, minWall, func() (map[automaton.Verdict]bool, error) {
-		res, err := core.RunStream(ts.Stream(), core.RunConfig{Automaton: mon})
+		res, err := core.Run(core.RunConfig{Traces: ts, Automaton: mon})
 		if err != nil {
 			return nil, err
 		}

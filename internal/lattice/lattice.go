@@ -15,22 +15,16 @@
 // states (⊤/⊥) are absorbing, the verdict set of all paths equals the
 // verdict labels of the states reachable at the final cut.
 //
-// There is one oracle, and the formula chooses the lattice it walks. When ϕ
-// is ○-free and reads at least one proposition, the DP runs over the lattice
-// projected onto ϕ's support: the processes owning the propositions in
-// AP(ϕ). An event of any other process leaves every letter the monitor reads
-// unchanged, so on each full lattice path it only repeats the letter before
-// it; removing those repetitions maps the full paths onto exactly the paths
-// of the projected lattice, and ○-free LTL is stutter-invariant, so both
-// sides give the same verdict set. With ○ the repetitions matter, and without
-// a formula the invariance is unknown: those, and a formula reading no
-// proposition, take the full DP. When the support is every process the two
-// lattices coincide. This is the rule the engine's box explorations follow.
+// There is one oracle, and the formula chooses the lattice it walks: the DP
+// spans the processes automaton.Monitor.Support returns, the owners of the
+// propositions in AP(ϕ) when ϕ is ○-free and reads one, every process
+// otherwise. That function's doc gives the stutter-invariance argument that
+// makes the projected walk exact; the engine's box explorations follow the
+// same rule.
 package lattice
 
 import (
 	"fmt"
-	"slices"
 
 	"decentmon/internal/automaton"
 	"decentmon/internal/dist"
@@ -96,13 +90,7 @@ func Evaluate(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := mon.Formula
-	if f == nil || f.HasNext() || letters.Len() == 0 {
-		return evalProjected(ts, mon, letters, allProcs(ts.N()))
-	}
-	procs := slices.Clone(letters.Owner)
-	slices.Sort(procs)
-	return evalProjected(ts, mon, letters, slices.Compact(procs))
+	return evalProjected(ts, mon, letters, mon.Support(letters.Owner, ts.N()))
 }
 
 // EvaluateSliced is Evaluate for a property that must be sliced: it refuses a
@@ -116,14 +104,6 @@ func EvaluateSliced(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) 
 		return nil, fmt.Errorf("lattice: sliced oracle needs a ○-free (stutter-invariant) property, got %s", mon.Formula)
 	}
 	return Evaluate(ts, mon)
-}
-
-func allProcs(n int) []int {
-	procs := make([]int, n)
-	for i := range procs {
-		procs[i] = i
-	}
-	return procs
 }
 
 // evalProjected runs the layered DP over the sub-lattice spanned by the

@@ -56,6 +56,14 @@ func evaluateFull(t *testing.T, ts *dist.TraceSet, mon *automaton.Monitor) *Resu
 	return res
 }
 
+func allProcs(n int) []int {
+	procs := make([]int, n)
+	for i := range procs {
+		procs[i] = i
+	}
+	return procs
+}
+
 // TestOracleConformanceSmallN is the acceptance check of the chooser: on
 // every case-study property at n <= 5 — at full arity and at every reduced
 // arity — Evaluate's verdict set equals the full DP's, over a lattice no

@@ -91,7 +91,6 @@ func engineConfig(spec *Spec, n int, o options) (core.SessionConfig, error) {
 		Init:         init,
 		SkipFinalize: o.cfg.SkipFinalize,
 		Network:      o.cfg.Network,
-		ExactBoxes:   o.cfg.ExactBoxes,
 	}, nil
 }
 

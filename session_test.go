@@ -234,7 +234,6 @@ func TestSessionOptionValidation(t *testing.T) {
 		"WithNetwork":         WithNetwork(nw),
 		"WithoutFinalization": WithoutFinalization(),
 		"WithPace":            WithPace(1),
-		"WithExactBoxes":      WithExactBoxes(),
 		"WithInitialState":    WithInitialState(GlobalState{0, 0}),
 		"WithValidation":      WithValidation(),
 	} {
