@@ -327,18 +327,15 @@ func BenchmarkOracleDP(b *testing.B) {
 // three processes, in the regime the full lattice cannot reach at all (it
 // has ~10¹⁵ cuts there).
 func BenchmarkOracleSliced16(b *testing.B) {
-	mon, pm, err := props.BuildAt("B", 3, false)
+	mon, _, err := props.BuildAt("B", 3, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := dist.Generate(dist.GenConfig{
+	ts := dist.Generate(dist.GenConfig{
 		N: 16, InternalPerProc: 6, CommMu: 6, CommSigma: 1,
 		Topology: dist.TopoRing, PlantGoal: true, Seed: 1,
 		TrueProbs: map[string]float64{"p": 0.9, "q": 0.8},
-	}).WithProps(pm)
-	if err != nil {
-		b.Fatal(err)
-	}
+	})
 	events := int64(ts.TotalEvents())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -354,18 +351,15 @@ func BenchmarkOracleSliced16(b *testing.B) {
 // BenchmarkDecentralizedRun16 measures the first decentralized size the
 // exact oracle kept dark: 16 monitors, arity-3 property, detection only.
 func BenchmarkDecentralizedRun16(b *testing.B) {
-	mon, pm, err := props.BuildAt("B", 3, false)
+	mon, _, err := props.BuildAt("B", 3, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := dist.Generate(dist.GenConfig{
+	ts := dist.Generate(dist.GenConfig{
 		N: 16, InternalPerProc: 4, CommMu: 6, CommSigma: 1,
 		Topology: dist.TopoRing, PlantGoal: true, Seed: 1,
 		TrueProbs: map[string]float64{"p": 0.9, "q": 0.8},
-	}).WithProps(pm)
-	if err != nil {
-		b.Fatal(err)
-	}
+	})
 	events := int64(ts.TotalEvents())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -387,18 +381,15 @@ func BenchmarkDecentralizedRun16(b *testing.B) {
 // that in TestDenseBroadcastSlicedTractable); the default sliced engine
 // explores the arity-3 property's 3-dimensional projected region instead.
 func BenchmarkBoxBroadcast16(b *testing.B) {
-	mon, pm, err := props.BuildAt("B", 3, false)
+	mon, _, err := props.BuildAt("B", 3, false)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ts, err := dist.Generate(dist.GenConfig{
+	ts := dist.Generate(dist.GenConfig{
 		N: 16, InternalPerProc: 4, CommMu: 6, CommSigma: 1,
 		Topology: dist.TopoBroadcast, PlantGoal: true, Seed: 1,
 		TrueProbs: map[string]float64{"p": 0.9, "q": 0.8},
-	}).WithProps(pm)
-	if err != nil {
-		b.Fatal(err)
-	}
+	})
 	events := int64(ts.TotalEvents())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -123,25 +123,14 @@ func main() {
 		if *arity < 2 || *arity > n {
 			fatal(fmt.Errorf("-arity must be between 2 and the %d processes of the trace, got %d", n, *arity))
 		}
-		// Reduced arity re-binds the execution to the property's own
-		// proposition sub-space (same PerProcess bit layout).
-		var apm *dist.PropMap
-		mon, apm, err = props.BuildAt(*caseProp, *arity, *shape == "paper")
+		// Arity picks the property instance; it reads its propositions
+		// from the trace's own space by name.
+		mon, _, err = props.BuildAt(*caseProp, *arity, *shape == "paper")
 		if err != nil {
 			fatal(err)
 		}
 		if formula, err = props.Formula(*caseProp, *arity); err != nil {
 			fatal(err)
-		}
-		if ts != nil {
-			if ts, err = ts.WithProps(apm); err != nil {
-				fatal(err)
-			}
-		}
-		if src != nil {
-			if src, err = dist.SourceWithProps(src, apm); err != nil {
-				fatal(err)
-			}
 		}
 	default:
 		if *caseProp != "" {

@@ -12,7 +12,7 @@
 //
 //	tracegen -n 4 -events 20 -commmu 3 -seed 7 -o trace.jsonl
 //	tracegen -n 5 -events 50 -plant -o trace.dmtb
-//	tracegen -n 32 -suffixes p -topo ring -events 1000000 -o trace.dmtb
+//	tracegen -n 64 -topo ring -events 100000 -o trace.dmtb
 //	tracegen -n 12 -topo clustered -clusters 3 -crossprob 0.05 > trace.jsonl
 //	tracegen -n 16 -events 5 -topo ring -plant -o wide.dmtb -case B -arity 3
 //
@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		n        = fs.Int("n", 4, "number of processes (1..32; above 16 pass fewer -suffixes)")
+		n        = fs.Int("n", 4, fmt.Sprintf("number of processes (at least 1; at most %d processes and %d propositions in all)", dist.MaxSpace, dist.MaxSpace))
 		events   = fs.Int("events", 20, "internal (valuation-change) events per process")
 		evtMu    = fs.Float64("evtmu", 3, "mean seconds between internal events")
 		evtSig   = fs.Float64("evtsigma", 1, "stddev of internal-event wait")
@@ -72,17 +72,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for i := range suf {
 		suf[i] = strings.TrimSpace(suf[i])
 	}
-	maxN := dist.MaxProps / len(suf)
-	switch {
-	case *n < 1 || *n > dist.MaxProps:
-		// The hard ceiling: even one proposition per process caps out the
-		// 32-bit letter encoding at 32 processes.
-		fmt.Fprintf(stderr, "tracegen: -n must be between 1 and %d (the %d-process ceiling of the 32-bit letter encoding), got %d\n",
-			dist.MaxProps, dist.MaxProps, *n)
-		return 2
-	case *n > maxN:
-		fmt.Fprintf(stderr, "tracegen: %d processes × %d propositions exceed the %d-proposition space; pass fewer -suffixes (e.g. -suffixes p allows up to %d processes)\n",
-			*n, len(suf), dist.MaxProps, dist.MaxProps)
+	if *n < 1 {
+		fmt.Fprintf(stderr, "tracegen: -n must be at least 1, got %d\n", *n)
 		return 2
 	}
 	topology, err := dist.ParseTopology(*topo)
@@ -110,10 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The certification flags are checked before the output is opened, so a
 	// bad one leaves no file behind.
-	var (
-		mon *automaton.Monitor
-		pm  *dist.PropMap
-	)
+	var mon *automaton.Monitor
 	if *caseProp != "" {
 		if *arity == 0 {
 			*arity = *n
@@ -122,8 +110,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "tracegen: -arity must be between 2 and %d, got %d\n", *n, *arity)
 			return 2
 		}
-		if mon, pm, err = props.BuildAt(*caseProp, *arity, false); err != nil {
+		if mon, _, err = props.BuildAt(*caseProp, *arity, false); err != nil {
 			fmt.Fprintln(stderr, "tracegen:", err)
+			return 2
+		}
+		if _, err := cfg.Props().Restrict(mon.Props); err != nil {
+			fmt.Fprintf(stderr, "tracegen: -case %s reads a proposition the trace does not declare: %v\n", *caseProp, err)
 			return 2
 		}
 	} else if *arity != 0 {
@@ -162,13 +154,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// The certification pass needs the materialized set; the generator is
 	// deterministic, so re-generating reproduces the streamed trace.
-	bound, err := dist.Generate(cfg).WithProps(pm)
-	if err != nil {
-		fmt.Fprintln(stderr, "tracegen:", err)
-		return 1
-	}
 	start := time.Now()
-	res, err := lattice.Evaluate(bound, mon)
+	res, err := lattice.Evaluate(dist.Generate(cfg), mon)
 	if err != nil {
 		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1

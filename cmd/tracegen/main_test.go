@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -19,26 +20,76 @@ func runCLI(t *testing.T, args ...string) (int, string, string) {
 	return code, out.String(), errb.String()
 }
 
+// TestProcessCountCeiling pins what bounds -n and -suffixes: at least one
+// process, at most dist.MaxSpace processes and propositions (what a trace
+// reader accepts), and at most dist.MaxLocalProps suffixes (what a local
+// state holds). Each bound is pinned at the bound and one past it. A value at
+// the bound is shown accepted by the exit status alone: the output path is in
+// a directory that does not exist, so an accepted configuration fails to open
+// it (exit 1) instead of generating thousands of processes.
 func TestProcessCountCeiling(t *testing.T) {
-	for _, bad := range []string{"0", "-3", "33", "100"} {
+	nowhere := filepath.Join(t.TempDir(), "missing", "t.dmtb")
+	for _, bad := range []string{"0", "-3"} {
 		code, _, stderr := runCLI(t, "-n", bad)
-		if code != 2 {
-			t.Errorf("-n %s: exit %d, want 2", bad, code)
+		if code != 2 || !strings.Contains(stderr, "at least 1") {
+			t.Errorf("-n %s: exit %d, stderr %q, want 2 and the lower bound", bad, code, stderr)
 		}
-		if !strings.Contains(stderr, "between 1 and 32") || !strings.Contains(stderr, "32-process ceiling") {
-			t.Errorf("-n %s: error %q does not name the 32-process ceiling", bad, stderr)
+	}
+	many := make([]string, dist.MaxLocalProps+1)
+	for i := range many {
+		many[i] = fmt.Sprintf("s%d", i)
+	}
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-n", fmt.Sprint(dist.MaxSpace), "-suffixes", "p"}, 1, "no such file"},
+		{[]string{"-n", fmt.Sprint(dist.MaxSpace + 1), "-suffixes", "p"}, 2, fmt.Sprintf("%d processes (max %d)", dist.MaxSpace+1, dist.MaxSpace)},
+		{[]string{"-n", fmt.Sprint(dist.MaxSpace / 2)}, 1, "no such file"},
+		{[]string{"-n", fmt.Sprint(dist.MaxSpace/2 + 1)}, 2, fmt.Sprintf("%d propositions (max %d)", dist.MaxSpace+2, dist.MaxSpace)},
+		{[]string{"-n", "2", "-suffixes", strings.Join(many[:dist.MaxLocalProps], ",")}, 1, "no such file"},
+		{[]string{"-n", "2", "-suffixes", strings.Join(many, ",")}, 2, fmt.Sprintf("%d proposition suffixes", dist.MaxLocalProps+1)},
+	} {
+		code, _, stderr := runCLI(t, append(c.args, "-o", nowhere)...)
+		if code != c.code || !strings.Contains(stderr, c.want) {
+			t.Errorf("%v: exit %d, stderr %q, want %d and %q", c.args, code, stderr, c.code, c.want)
 		}
 	}
 }
 
-func TestProcessCountNeedsFewerSuffixes(t *testing.T) {
-	// 20 processes are legal, but not with the default two propositions.
-	code, _, stderr := runCLI(t, "-n", "20", "-o", filepath.Join(t.TempDir(), "t.json"))
-	if code != 2 {
-		t.Fatalf("exit %d, want 2", code)
+// TestTwoSuffixesPastThirtyTwo: 48 processes with the default two suffixes
+// declare 96 propositions, and -case certifies the trace as generated.
+func TestTwoSuffixesPastThirtyTwo(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.dmtb")
+	code, stdout, stderr := runCLI(t,
+		"-n", "48", "-events", "3", "-topo", "ring", "-commmu", "6", "-truep", "0.9",
+		"-plant", "-seed", "7", "-o", path, "-case", "D", "-arity", "3")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
 	}
-	if !strings.Contains(stderr, "-suffixes") {
-		t.Errorf("error %q does not point at -suffixes", stderr)
+	if !strings.Contains(stdout, "support 3 of 48 processes") {
+		t.Errorf("stdout %q lacks the certification line", stdout)
+	}
+	ts, err := dist.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts.N() != 48 || ts.Props.Len() != 96 {
+		t.Errorf("got %d processes / %d props, want 48/96", ts.N(), ts.Props.Len())
+	}
+}
+
+// TestCaseReadsUndeclaredProposition: D reads q, which a -suffixes p trace
+// does not declare; tracegen refuses by name before it writes anything.
+func TestCaseReadsUndeclaredProposition(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.dmtb")
+	code, _, stderr := runCLI(t, "-n", "4", "-suffixes", "p", "-o", path, "-case", "D", "-arity", "3")
+	if code != 2 || !strings.Contains(stderr, `"P0.q" is not declared`) {
+		t.Errorf("exit %d, stderr %q, want 2 and the undeclared name", code, stderr)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("refused certification left %s behind (%v)", path, err)
 	}
 }
 

@@ -142,10 +142,7 @@ func TestConformanceGauntlet(t *testing.T) {
 		cell := cell
 		t.Run(cell.Name(), func(t *testing.T) {
 			spec := gauntletSpec(t, cell.Prop, cell.Arity)
-			ts, err := Generate(cell.Gen()).WithProps(spec.Props)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ts := Generate(cell.Gen())
 			var oracle *OracleResult
 			if cell.N <= 5 {
 				oracle = conformSmall(t, spec, ts)
@@ -178,10 +175,7 @@ func TestConformanceGauntlet(t *testing.T) {
 func TestFinalizeResidualRegression(t *testing.T) {
 	cell := gauntlet.Cell{Prop: "D", N: 5, Arity: 5, Topo: TopoRing, Seed: 2015}
 	spec := gauntletSpec(t, cell.Prop, cell.Arity)
-	ts, err := Generate(cell.Gen()).WithProps(spec.Props)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := Generate(cell.Gen())
 	oracle, err := Oracle(spec, ts)
 	if err != nil {
 		t.Fatal(err)
@@ -204,9 +198,8 @@ func TestFinalizeResidualRegression(t *testing.T) {
 
 // TestFullWidthSpaceCell: an n = 16 cell whose traces keep their whole
 // PerProcess(16, "p", "q") space, 32 propositions. The arity-3 B spec runs
-// against them as generated, with no WithProps: each engine binds the three
-// propositions the monitor reads by name, and the verdicts equal the sliced
-// oracle's.
+// against them as generated: each engine binds the three propositions the
+// monitor reads by name, and the verdicts equal the sliced oracle's.
 func TestFullWidthSpaceCell(t *testing.T) {
 	cell := gauntlet.Cell{Prop: "B", N: 16, Arity: 3, Topo: TopoRing, Seed: 2015}
 	ts := Generate(cell.Gen())
@@ -301,10 +294,7 @@ func TestCodecPathParity(t *testing.T) {
 		cell := cell
 		t.Run(fmt.Sprintf("%s/n%d/%v", cell.Prop, cell.N, cell.Topo), func(t *testing.T) {
 			spec := gauntletSpec(t, cell.Prop, cell.Arity)
-			ts, err := Generate(cell.Gen()).WithProps(spec.Props)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ts := Generate(cell.Gen())
 			var opts []Option
 			render := verdictSetString
 			if cell.N > 5 {
@@ -355,10 +345,7 @@ func TestFeedRunEqualsFeed(t *testing.T) {
 		cell := cell
 		t.Run(fmt.Sprintf("%s/n%d/%v", cell.Prop, cell.N, cell.Topo), func(t *testing.T) {
 			spec := gauntletSpec(t, cell.Prop, cell.Arity)
-			ts, err := Generate(cell.Gen()).WithProps(spec.Props)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ts := Generate(cell.Gen())
 			o := buildOptions([]Option{WithInitialState(ts.InitialState())})
 			render := verdictSetString
 			if cell.N > 5 {
@@ -435,41 +422,26 @@ func TestFeedRunEqualsFeed(t *testing.T) {
 }
 
 // TestLargeNDecentralizedSlicedCrossCheck lights up the sizes the exact
-// oracle kept dark: decentralized runs at n ∈ {8, 16, 32} cross-checked
-// against the sliced oracle. n = 32 uses the single-suffix proposition
-// space (two suffixes would overflow the 32-bit letter encoding), so only
-// the pure-p properties run there.
+// oracle kept dark: decentralized runs at n ∈ {8, 16, 32, 48} cross-checked
+// against the sliced oracle. Every size runs the two-suffix execution as
+// generated (64 and 96 declared propositions at n = 32 and 48), and the
+// arity-3 spec reads its three propositions from it by name.
 func TestLargeNDecentralizedSlicedCrossCheck(t *testing.T) {
-	cells := []struct {
-		n     int
-		props []string
-	}{
-		{8, []string{"A", "B", "C", "D", "E", "F"}},
-		{16, []string{"A", "B", "C", "D", "E", "F"}},
-		{32, []string{"A", "B", "C"}},
-	}
-	for _, cell := range cells {
-		if testing.Short() && cell.n > 8 {
+	for _, n := range []int{8, 16, 32, 48} {
+		if testing.Short() && n > 8 {
 			continue
 		}
-		for _, prop := range cell.props {
-			t.Run(fmt.Sprintf("n%d/%s", cell.n, prop), func(t *testing.T) {
-				spec, err := CaseStudySpecAt(prop, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := GenConfig{
-					N: cell.n, InternalPerProc: 4,
+		for _, prop := range []string{"A", "B", "C", "D", "E", "F"} {
+			t.Run(fmt.Sprintf("n%d/%s", n, prop), func(t *testing.T) {
+				spec := gauntletSpec(t, prop, 3)
+				ts := Generate(GenConfig{
+					N: n, InternalPerProc: 4,
 					EvtMu: 3, EvtSigma: 1, CommMu: 6, CommSigma: 1,
 					Topology: TopoRing, PlantGoal: true, Seed: 7,
 					TrueProbs: map[string]float64{"p": 0.9, "q": 0.8},
-				}
-				if 2*cell.n > 32 {
-					cfg.Suffixes = []string{"p"}
-				}
-				ts, err := Generate(cfg).WithProps(spec.Props)
-				if err != nil {
-					t.Fatal(err)
+				})
+				if ts.Props.Len() != 2*n {
+					t.Fatalf("the traces declare %d propositions, want %d", ts.Props.Len(), 2*n)
 				}
 				oracle, err := Oracle(spec, ts)
 				if err != nil {
@@ -480,7 +452,7 @@ func TestLargeNDecentralizedSlicedCrossCheck(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got, want := conclusives(res.Verdicts), conclusives(oracle.VerdictSet()); got != want {
-					t.Errorf("n=%d %s: run conclusive %q != sliced oracle %q", cell.n, prop, got, want)
+					t.Errorf("n=%d %s: run conclusive %q != sliced oracle %q", n, prop, got, want)
 				}
 			})
 		}
@@ -505,14 +477,11 @@ func TestDenseBroadcastSlicedTractable(t *testing.T) {
 	spec := gauntletSpec(t, "B", 3)
 	// The calibrated 16-process engine workload (the same regime the engine
 	// benchmarks use), over broadcast at the ring's communication density.
-	ts, err := Generate(GenConfig{
+	ts := Generate(GenConfig{
 		N: 16, InternalPerProc: 4, CommMu: 6, CommSigma: 1,
 		Topology: TopoBroadcast, PlantGoal: true, Seed: 1,
 		TrueProbs: map[string]float64{"p": 0.9, "q": 0.8},
-	}).WithProps(spec.Props)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	next, err := Compile("X (F (P0.p && P1.p && P2.p))", spec.Props)
 	if err != nil {
 		t.Fatal(err)

@@ -404,8 +404,8 @@ func Oracle(spec *Spec, ts *TraceSet) (*OracleResult, error) {
 // arity: the formula is the arity-process instance, compiled over the
 // PerProcess(arity, ...) proposition space of exactly the suffixes it uses.
 // Arity only picks the instance: the spec reads its propositions by name, so
-// it runs against any n >= arity process execution that declares them — as
-// generated, or re-bound with (*TraceSet).WithProps or SourceWithProps. That
+// it runs against any n >= arity process execution that declares them, as
+// generated; an execution that does not declare one is refused by name. That
 // is the enabler for n >= 8 runs, where full-width properties are no longer
 // synthesizable and the exact oracle is intractable, but an arity-k property
 // keeps both the monitor and the sliced oracle at k-process cost.
@@ -423,12 +423,6 @@ func CaseStudySpecAt(name string, arity int, opts ...CompileOption) (*Spec, erro
 		return nil, err
 	}
 	return &Spec{Formula: formula, Props: pm, mon: mon}, nil
-}
-
-// SourceWithProps re-binds an event stream to a smaller proposition space
-// (see CaseStudySpecAt); events pass through unchanged.
-func SourceWithProps(src EventSource, pm *PropMap) (EventSource, error) {
-	return dist.SourceWithProps(src, pm)
 }
 
 // NewChanNetwork returns an in-memory monitor network for n processes.

@@ -1,12 +1,13 @@
 // Package propmask flags bit-shift widths on proposition bitmasks that are
 // not tracked against the engine's declared ceilings.
 //
-// Source invariant: a global-state letter is a uint32 bitmask with at most
-// dist.MaxProps (= 32) proposition bits (internal/dist/propmap.go), and
-// boolean-function cubes carry at most boolfn.MaxVars variables
-// (internal/boolfn/boolfn.go). Alphabet tables are sized 1 << len(props),
-// so an unchecked proposition count silently truncates masks or explodes
-// table allocations (2^n letters).
+// Source invariant: a monitor letter is a uint32 bitmask over at most
+// boolfn.MaxVars (= 24) propositions, which dist.PropMap.Restrict enforces
+// (internal/dist/propmap.go); a LocalState packs at most dist.MaxLocalProps
+// (= 32) proposition bits of one process; and boolean-function cubes carry at
+// most boolfn.MaxVars variables (internal/boolfn/boolfn.go). Alphabet tables
+// are sized 1 << len(props), so an unchecked proposition count silently
+// truncates masks or explodes table allocations (2^n letters).
 //
 // Two rules:
 //
@@ -14,8 +15,8 @@
 //     always yields 0/truncation — always a bug.
 //  2. A shift whose count derives from a function parameter (the parameter
 //     itself, or len(parameter)) must be bounded inside the same function
-//     by a comparison against a *named* constant (dist.MaxProps,
-//     boolfn.MaxVars, ...). Counts of the form x%c or x&c with constant c
+//     by a comparison against a *named* constant (boolfn.MaxVars,
+//     dist.MaxLocalProps, ...). Counts of the form x%c or x&c with constant c
 //     are self-bounding and exempt, as are counts derived from locals,
 //     fields, and range variables (bounded by their producers).
 package propmask
@@ -32,7 +33,7 @@ import (
 // Analyzer is the propmask analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "propmask",
-	Doc:  "flags shifts on Letter/prop bitmasks whose width is untracked: constant counts >= operand width, and parameter-derived counts not bounded by a named constant such as dist.MaxProps (internal/dist/propmap.go)",
+	Doc:  "flags shifts on Letter/prop bitmasks whose width is untracked: constant counts >= operand width, and parameter-derived counts not bounded by a named constant such as boolfn.MaxVars or dist.MaxLocalProps (internal/dist/propmap.go)",
 	Run:  run,
 }
 
@@ -68,7 +69,7 @@ func checkShift(pass *analysis.Pass, be *ast.BinaryExpr, params, bounded map[typ
 		// Rule 1: constant count vs operand width.
 		if c, exact := constant.Int64Val(tv.Value); exact {
 			if w := operandWidth(pass, be); w > 0 && c >= int64(w) {
-				pass.Reportf(be.OpPos, "shift count %d >= operand width %d: the result is always 0/truncated (prop bitmasks are bounded by dist.MaxProps)", c, w)
+				pass.Reportf(be.OpPos, "shift count %d >= operand width %d: the result is always 0/truncated (prop bitmasks are bounded by boolfn.MaxVars and dist.MaxLocalProps)", c, w)
 			}
 		}
 		return
@@ -84,7 +85,7 @@ func checkShift(pass *analysis.Pass, be *ast.BinaryExpr, params, bounded map[typ
 	if root == nil || bounded[root] {
 		return
 	}
-	pass.Reportf(be.OpPos, "shift count derived from parameter %s is not bounded against a named constant (e.g. dist.MaxProps or boolfn.MaxVars) in this function", root.Name())
+	pass.Reportf(be.OpPos, "shift count derived from parameter %s is not bounded against a named constant (e.g. boolfn.MaxVars or dist.MaxLocalProps) in this function", root.Name())
 }
 
 // operandWidth returns the bit width of the shift's result type, or 0 if

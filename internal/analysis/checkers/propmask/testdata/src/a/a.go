@@ -4,8 +4,8 @@ package a
 
 import "errors"
 
-// MaxProps mirrors dist.MaxProps: the bitmask ceiling.
-const MaxProps = 4
+// MaxLocalProps mirrors dist.MaxLocalProps: the bitmask ceiling.
+const MaxLocalProps = 4
 
 var errTooMany = errors.New("too many props")
 
@@ -26,14 +26,14 @@ func badLenShift(props []string) int {
 }
 
 func goodGuardedLen(props []string) (int, error) {
-	if len(props) > MaxProps {
+	if len(props) > MaxLocalProps {
 		return 0, errTooMany
 	}
 	return 1 << len(props), nil
 }
 
 func goodGuardedParam(n int) uint32 {
-	if n >= MaxProps {
+	if n >= MaxLocalProps {
 		return 0
 	}
 	return uint32(1) << n

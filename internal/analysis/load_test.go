@@ -23,8 +23,8 @@ func TestLoadTypechecksRealPackage(t *testing.T) {
 	if pkg.Name != "dist" || pkg.Types == nil || pkg.Info == nil {
 		t.Fatalf("incomplete package: %+v", pkg)
 	}
-	if obj := pkg.Types.Scope().Lookup("MaxProps"); obj == nil {
-		t.Errorf("dist.MaxProps not found in loaded scope")
+	if obj := pkg.Types.Scope().Lookup("MaxSpace"); obj == nil {
+		t.Errorf("dist.MaxSpace not found in loaded scope")
 	}
 	if len(pkg.Info.Uses) == 0 || len(pkg.Info.Defs) == 0 {
 		t.Errorf("type info not populated: %d uses, %d defs", len(pkg.Info.Uses), len(pkg.Info.Defs))

@@ -31,7 +31,7 @@ import (
 // evaluation behind dlmon -bounded and decentmon.RunBounded.
 type PathMonitor struct {
 	mon    *automaton.Monitor
-	pm     *dist.PropMap // mon's propositions, bound to the process space
+	pm     *dist.Letters // mon's propositions, bound to the process space
 	g      dist.GlobalState
 	counts []int
 	state  int

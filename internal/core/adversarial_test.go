@@ -209,11 +209,10 @@ func TestEightProcessesSlicedOracle(t *testing.T) {
 			TrueProbs: map[string]float64{"p": 0.8, "q": 0.7},
 			PlantGoal: true, Seed: rng.Int63(),
 		})
-		// Restrict the alphabet to the first three processes' propositions
-		// and synthesize over that sub-space (a full-width 16-proposition
-		// machine is the thing reduced arity exists to avoid), then re-bind
-		// the 8-process execution to it — the production pairing of
-		// props.BuildAt + WithProps.
+		// Draw the formula over the first three processes' propositions (a
+		// full-width 16-proposition machine is the thing reduced arity exists
+		// to avoid); the monitor reads them from the 8-process execution by
+		// name, as props.BuildAt's machines do.
 		pm := dist.PerProcess(3, "p", "q")
 		var f *ltl.Formula
 		for f == nil || f.HasNext() || len(f.Props()) == 0 {
@@ -223,15 +222,11 @@ func TestEightProcessesSlicedOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bound, err := ts.WithProps(pm)
+		want, err := lattice.EvaluateSliced(ts, mon)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := lattice.EvaluateSliced(bound, mon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		run, err := Run(RunConfig{Traces: bound, Automaton: mon, SkipFinalize: true})
+		run, err := Run(RunConfig{Traces: ts, Automaton: mon, SkipFinalize: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,24 +91,20 @@ func TestKnowledgePeakBoundedUnpaced(t *testing.T) {
 	}
 }
 
-// TestGCRunMatchesMaterializedVerdicts pins soundness under GC: the
-// streamed, garbage-collecting run must produce exactly the verdict set of
-// the materialized run (which the oracle tests pin in turn).
-func TestGCRunMatchesMaterializedVerdicts(t *testing.T) {
+// TestGCRunMatchesOracle pins soundness and completeness under GC: on the
+// GC workload, where knowledge is collected as the run goes, the streamed run
+// of every case-study property returns exactly the oracle's verdict set.
+func TestGCRunMatchesOracle(t *testing.T) {
 	ts := dist.Generate(gcWorkload(60))
 	for name, f := range propsAF(4) {
 		mon := mustMonitor(t, f, ts.Props.Names)
-		want, err := Run(RunConfig{Traces: ts, Automaton: mon})
-		if err != nil {
-			t.Fatalf("%s materialized: %v", name, err)
-		}
+		want := oracleSet(t, ts, mon)
 		got, err := RunStream(ts.Stream(), RunConfig{Automaton: mon})
 		if err != nil {
-			t.Fatalf("%s streamed: %v", name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if setString(got.Verdicts) != setString(want.Verdicts) {
-			t.Errorf("%s: GC-streamed verdicts %s != materialized %s",
-				name, setString(got.Verdicts), setString(want.Verdicts))
+		if setString(got.Verdicts) != setString(want) {
+			t.Errorf("%s: GC-streamed verdicts %s != oracle %s", name, setString(got.Verdicts), setString(want))
 		}
 	}
 }

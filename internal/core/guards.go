@@ -40,7 +40,7 @@ type guardTable struct {
 	perTrans [][]localGuard
 }
 
-func newGuardTable(mon *automaton.Monitor, letters *dist.PropMap, n int) *guardTable {
+func newGuardTable(mon *automaton.Monitor, letters *dist.Letters, n int) *guardTable {
 	gt := &guardTable{}
 	for _, tr := range mon.Transitions() {
 		per := make([]localGuard, n)
@@ -85,7 +85,7 @@ type letterTable struct {
 // lutBits caps the per-process lookup table at 2^lutBits entries.
 const lutBits = 10
 
-func newLetterTable(letters *dist.PropMap, n int) *letterTable {
+func newLetterTable(letters *dist.Letters, n int) *letterTable {
 	lt := &letterTable{
 		n:     n,
 		mask:  make([]uint32, n),

@@ -122,7 +122,7 @@ func TestSnapshotRestoreConformance(t *testing.T) {
 	type cell struct {
 		prop  string
 		n     int
-		arity int // formula support width; < n rebinds via dist.PerProcess
+		arity int // formula support width: the first arity processes
 		gen   dist.GenConfig
 	}
 	cells := []cell{
@@ -140,13 +140,6 @@ func TestSnapshotRestoreConformance(t *testing.T) {
 		t.Run(fmt.Sprintf("%s-n%d", c.prop, c.n), func(t *testing.T) {
 			t.Parallel()
 			ts := dist.Generate(c.gen)
-			if c.arity < c.n {
-				bound, err := ts.WithProps(dist.PerProcess(c.arity, "p", "q"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts = bound
-			}
 			cfg := sessionCfg(t, ts, propsAF(c.arity)[c.prop])
 			events := allEvents(t, ts)
 

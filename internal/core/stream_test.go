@@ -8,9 +8,9 @@ import (
 	"decentmon/internal/dist"
 )
 
-// jsonlSource renders the trace set through the streaming format and opens
-// it with the validating reader, so the test exercises the exact pipeline
-// dlmon -stream uses.
+// jsonlSource renders the trace set through the JSON-lines stream and opens
+// it with the validating reader, so the test runs the engine over the reader
+// dlmon uses for a JSON-lines trace.
 func jsonlSource(t *testing.T, ts *dist.TraceSet) dist.EventSource {
 	t.Helper()
 	var buf bytes.Buffer
@@ -24,53 +24,25 @@ func jsonlSource(t *testing.T, ts *dist.TraceSet) dist.EventSource {
 	return tr
 }
 
-func TestStreamedRunningExampleMatchesMaterialized(t *testing.T) {
+// TestStreamedRunningExampleMatchesOracle runs the running example off the
+// JSON-lines reader and requires the oracle's verdict set.
+func TestStreamedRunningExampleMatchesOracle(t *testing.T) {
 	ts := dist.RunningExample()
 	mon := mustMonitor(t, dist.RunningExampleProperty, ts.Props.Names)
-	want, err := Run(RunConfig{Traces: ts, Automaton: mon})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracleSet(t, ts, mon)
 	got, err := RunStream(jsonlSource(t, ts), RunConfig{Automaton: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if setString(got.Verdicts) != setString(want.Verdicts) {
-		t.Fatalf("streamed verdicts %s != materialized %s", setString(got.Verdicts), setString(want.Verdicts))
+	if setString(got.Verdicts) != setString(want) {
+		t.Fatalf("streamed verdicts %s != oracle %s", setString(got.Verdicts), setString(want))
 	}
 }
 
-func TestStreamedVerdictsMatchMaterialized(t *testing.T) {
-	// Streamed consumption must be verdict-equal to the materialized path
-	// on every topology: both are sound and complete for the same lattice.
-	for _, topo := range dist.Topologies {
-		ts := dist.Generate(dist.GenConfig{
-			N: 3, InternalPerProc: 6,
-			CommMu: 3, CommSigma: 1,
-			Topology: topo, Clusters: 2, CrossProb: 0.2,
-			PlantGoal: true, Seed: 21,
-		})
-		for name, f := range propsAF(3) {
-			mon := mustMonitor(t, f, ts.Props.Names)
-			want, err := Run(RunConfig{Traces: ts, Automaton: mon})
-			if err != nil {
-				t.Fatalf("%v/%s materialized: %v", topo, name, err)
-			}
-			got, err := RunStream(jsonlSource(t, ts), RunConfig{Automaton: mon})
-			if err != nil {
-				t.Fatalf("%v/%s streamed: %v", topo, name, err)
-			}
-			if setString(got.Verdicts) != setString(want.Verdicts) {
-				t.Errorf("%v/%s: streamed %s != materialized %s",
-					topo, name, setString(got.Verdicts), setString(want.Verdicts))
-			}
-		}
-	}
-}
-
+// TestStreamedTopologiesMatchOracle: soundness and completeness of the
+// streamed decentralized run against the oracle, for every case-study
+// property on every topology.
 func TestStreamedTopologiesMatchOracle(t *testing.T) {
-	// Soundness + completeness of the streamed decentralized run against
-	// the ground-truth oracle, per topology.
 	for _, topo := range dist.Topologies {
 		ts := dist.Generate(dist.GenConfig{
 			N: 4, InternalPerProc: 5,
@@ -78,15 +50,16 @@ func TestStreamedTopologiesMatchOracle(t *testing.T) {
 			Topology: topo, Clusters: 2, CrossProb: 0.2,
 			PlantGoal: true, Seed: 9,
 		})
-		f := propsAF(4)["B"]
-		mon := mustMonitor(t, f, ts.Props.Names)
-		want := oracleSet(t, ts, mon)
-		got, err := RunStream(ts.Stream(), RunConfig{Automaton: mon})
-		if err != nil {
-			t.Fatalf("%v: %v", topo, err)
-		}
-		if setString(got.Verdicts) != setString(want) {
-			t.Errorf("%v: streamed verdicts %s != oracle %s", topo, setString(got.Verdicts), setString(want))
+		for name, f := range propsAF(4) {
+			mon := mustMonitor(t, f, ts.Props.Names)
+			want := oracleSet(t, ts, mon)
+			got, err := RunStream(ts.Stream(), RunConfig{Automaton: mon})
+			if err != nil {
+				t.Fatalf("%v/%s: %v", topo, name, err)
+			}
+			if setString(got.Verdicts) != setString(want) {
+				t.Errorf("%v/%s: streamed verdicts %s != oracle %s", topo, name, setString(got.Verdicts), setString(want))
+			}
 		}
 	}
 }

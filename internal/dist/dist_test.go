@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"decentmon/internal/boolfn"
 	"decentmon/internal/vclock"
 )
 
@@ -31,7 +33,10 @@ func TestPerProcessLayout(t *testing.T) {
 }
 
 func TestLetterEncoding(t *testing.T) {
-	pm := PerProcess(2, "p", "q")
+	pm, err := PerProcess(2, "p", "q").Restrict([]string{"P0.p", "P0.q", "P1.p", "P1.q"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		g    GlobalState
 		want uint32
@@ -71,6 +76,15 @@ func TestPropMapRestrict(t *testing.T) {
 	if _, err := pm.Restrict([]string{"P0.p", "P3.p"}); err == nil || !strings.Contains(err.Error(), `"P3.p"`) {
 		t.Errorf("undeclared name: %v, want an error naming it", err)
 	}
+	// A letter is a uint32 and a monitor reads at most boolfn.MaxVars
+	// propositions: Restrict takes that many names and refuses one more.
+	wide := PerProcess(boolfn.MaxVars+1, "p")
+	if _, err := wide.Restrict(wide.Names[:boolfn.MaxVars]); err != nil {
+		t.Errorf("%d names: %v", boolfn.MaxVars, err)
+	}
+	if _, err := wide.Restrict(wide.Names); err == nil || !strings.Contains(err.Error(), "more than the supported maximum") {
+		t.Errorf("%d names: %v, want a refusal", boolfn.MaxVars+1, err)
+	}
 }
 
 func TestPropMapAddErrors(t *testing.T) {
@@ -87,12 +101,20 @@ func TestPropMapAddErrors(t *testing.T) {
 	if err := pm.Add("b", -1); err == nil {
 		t.Error("negative owner accepted")
 	}
-	full := NewPropMap()
-	for i := 0; i < MaxProps; i++ {
-		full.MustAdd(string(rune('a'+i%26))+string(rune('a'+i/26)), i)
+	// A process owns at most MaxLocalProps propositions, one bit of its
+	// local state each; the space as a whole has no such bound.
+	full := PerProcess(2*MaxLocalProps, "p")
+	for i := 1; i < MaxLocalProps; i++ {
+		full.MustAdd(fmt.Sprintf("P0.x%d", i), 0)
 	}
-	if err := full.Add("overflow", 0); err == nil {
-		t.Error("33rd proposition accepted")
+	if got := full.LocalBit[full.Len()-1]; got != MaxLocalProps-1 {
+		t.Errorf("process 0's %dth proposition at bit %d", MaxLocalProps, got)
+	}
+	if err := full.Add("P0.overflow", 0); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("process 0 already owns %d", MaxLocalProps)) {
+		t.Errorf("33rd proposition of one process: %v, want a refusal", err)
+	}
+	if err := full.Add("P1.x", 1); err != nil {
+		t.Errorf("second proposition of process 1 refused: %v", err)
 	}
 	defer func() {
 		if recover() == nil {

@@ -40,6 +40,20 @@ func FuzzDecodeDMTB(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte("DMTB\x01"))
+	// The space bound, at MaxSpace and one past it: a header of MaxSpace
+	// processes decodes, one more process or proposition is refused.
+	atBound := &TraceSet{Props: NewPropMap(), Traces: make([]*Trace, MaxSpace)}
+	for p := range atBound.Traces {
+		atBound.Traces[p] = &Trace{Proc: p}
+	}
+	var buf bytes.Buffer
+	if err := atBound.WriteStream(binaryCodec{}, &buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	pastProcs := wire.AppendUvarint([]byte("DMTB\x01"), MaxSpace+1)
+	f.Add(wire.AppendUvarint(append(pastProcs, make([]byte, 4*(MaxSpace+1))...), 0))
+	f.Add(wire.AppendUvarint(append(wire.AppendUvarint([]byte("DMTB\x01"), 1), 0, 0, 0, 0), MaxSpace+1))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenBinaryStream(bytes.NewReader(data))
@@ -164,6 +178,11 @@ func FuzzDecodeRPC(f *testing.F) {
 		{Kind: RPCVerdict, SID: 7, Monitor: 1, Verdict: RPCVerdictBottom, Conclusive: true, AutState: 2, Cut: []int{3, 1}},
 		{Kind: RPCClosed, SID: 7, Verdicts: []byte{RPCVerdictTop, RPCVerdictUnknown}},
 		{Kind: RPCError, SID: 7, Err: "no such session"},
+		// The space bound, at MaxSpace and one past it.
+		{Kind: RPCRegister, Tenant: "acme", Formula: "F P0.p", Init: make(GlobalState, MaxSpace), Props: PerProcess(1, "p")},
+		{Kind: RPCRegister, Tenant: "acme", Formula: "F P0.p", Init: make(GlobalState, MaxSpace+1), Props: PerProcess(1, "p")},
+		{Kind: RPCVerdict, SID: 7, Monitor: 1, Verdict: RPCVerdictTop, Conclusive: true, Cut: make([]int, MaxSpace+1)},
+		{Kind: RPCRegistered, SID: 8, Fed: make([]int, MaxSpace+1)},
 	} {
 		frame, err := AppendRPC(nil, m)
 		if err != nil {

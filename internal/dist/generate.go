@@ -70,8 +70,7 @@ func ParseTopology(s string) (Topology, error) {
 // take the paper's settings where one exists (Evtµ=3s, Evtσ=1s); CommMu <= 0
 // disables communication entirely (the "No comm" extreme of Fig. 5.9).
 type GenConfig struct {
-	// N is the number of processes (at most MaxProps / len(Suffixes), i.e.
-	// 16 with the default two propositions per process, 32 with one).
+	// N is the number of processes.
 	N int
 	// InternalPerProc is the number of internal (valuation-change) events
 	// each process performs; the process terminates after the last one.
@@ -92,8 +91,8 @@ type GenConfig struct {
 	// CrossProb is the probability a TopoClustered communication event
 	// leaves the sender's cluster (default 0: fully partitioned).
 	CrossProb float64
-	// Suffixes are the per-process proposition names (default "p", "q").
-	// Fewer suffixes admit more processes: MaxProps / len(Suffixes).
+	// Suffixes are the per-process proposition names (default "p", "q"), at
+	// most MaxLocalProps of them.
 	Suffixes []string
 	// TrueProbs is the per-suffix ("p", "q") probability a proposition is
 	// true after an internal event; absent suffixes default to 0.5.
@@ -146,8 +145,9 @@ func (cfg GenConfig) InitState() GlobalState {
 	return g
 }
 
-// Check validates the configuration: the proposition space must fit the
-// 32-bit letter encoding and the topology parameters must name existing
+// Check validates the configuration: a process's propositions must fit its
+// 32-bit local state, the process and proposition counts must be ones a trace
+// reader accepts (MaxSpace), and the topology parameters must name existing
 // processes.
 func (cfg GenConfig) Check() error {
 	if cfg.N < 0 {
@@ -164,9 +164,14 @@ func (cfg GenConfig) Check() error {
 		}
 		seen[s] = true
 	}
-	if cfg.N*len(suf) > MaxProps {
-		return fmt.Errorf("dist: %d processes × %d propositions exceed the %d-proposition space (max %d processes with %d suffixes)",
-			cfg.N, len(suf), MaxProps, MaxProps/len(suf), len(suf))
+	if len(suf) > MaxLocalProps {
+		return fmt.Errorf("dist: %d proposition suffixes, more than the %d a local state holds", len(suf), MaxLocalProps)
+	}
+	if err := spaceCount(uint64(cfg.N), "processes"); err != nil {
+		return err
+	}
+	if err := spaceCount(uint64(cfg.N*len(suf)), "propositions"); err != nil {
+		return err
 	}
 	if cfg.Topology == TopoStar && (cfg.Hub < 0 || (cfg.N > 0 && cfg.Hub >= cfg.N)) {
 		return fmt.Errorf("dist: star hub %d outside 0..%d", cfg.Hub, cfg.N-1)

@@ -367,14 +367,48 @@ func TestGenerateStreamMatchesGenerate(t *testing.T) {
 	}
 }
 
-func TestGenerateStreamRejectsOversizedConfig(t *testing.T) {
-	err := GenerateStream(GenConfig{N: 20, InternalPerProc: 1}, func(*Event) error { return nil })
-	if err == nil || !strings.Contains(err.Error(), "propositions exceed") {
-		t.Errorf("20×2 propositions accepted: %v", err)
+// suffixes returns k distinct proposition suffixes.
+func suffixes(k int) []string {
+	suf := make([]string, k)
+	for i := range suf {
+		suf[i] = fmt.Sprintf("s%d", i)
 	}
-	if err := GenerateStream(GenConfig{N: 20, InternalPerProc: 1, Suffixes: []string{"p"}},
-		func(*Event) error { return nil }); err != nil {
-		t.Errorf("20 single-suffix processes rejected: %v", err)
+	return suf
+}
+
+// TestGenerateStreamRejectsOversizedConfig pins both bounds a generated
+// execution meets, at the bound and one past it: a process's propositions
+// fill at most its 32-bit local state (MaxLocalProps suffixes), and the
+// process and proposition counts are ones a trace reader accepts (MaxSpace).
+// 48 processes × 2 suffixes, 96 declared propositions, generate.
+func TestGenerateStreamRejectsOversizedConfig(t *testing.T) {
+	none := func(*Event) error { return nil }
+	if err := GenerateStream(GenConfig{N: 2, InternalPerProc: 1, Suffixes: suffixes(MaxLocalProps)}, none); err != nil {
+		t.Errorf("%d suffixes rejected: %v", MaxLocalProps, err)
+	}
+	err := GenerateStream(GenConfig{N: 2, InternalPerProc: 1, Suffixes: suffixes(MaxLocalProps + 1)}, none)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%d proposition suffixes", MaxLocalProps+1)) {
+		t.Errorf("%d suffixes accepted: %v", MaxLocalProps+1, err)
+	}
+	if err := GenerateStream(GenConfig{N: 48, InternalPerProc: 1}, none); err != nil {
+		t.Errorf("48 two-suffix processes rejected: %v", err)
+	}
+	for _, c := range []struct {
+		cfg  GenConfig
+		want string // "" = accepted
+	}{
+		{GenConfig{N: MaxSpace, Suffixes: []string{"p"}}, ""},
+		{GenConfig{N: MaxSpace + 1, Suffixes: []string{"p"}}, fmt.Sprintf("%d processes (max %d)", MaxSpace+1, MaxSpace)},
+		{GenConfig{N: MaxSpace / 2}, ""},
+		{GenConfig{N: MaxSpace/2 + 1}, fmt.Sprintf("%d propositions (max %d)", MaxSpace+2, MaxSpace)},
+	} {
+		err := c.cfg.Check()
+		if c.want == "" && err != nil {
+			t.Errorf("%d×%d: %v", c.cfg.N, len(c.cfg.suffixes()), err)
+		}
+		if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%d×%d: %v, want an error containing %q", c.cfg.N, len(c.cfg.suffixes()), err, c.want)
+		}
 	}
 }
 
@@ -393,11 +427,14 @@ func TestGeneratePanicsWithDescriptiveError(t *testing.T) {
 		if r == nil {
 			t.Fatal("oversized config did not panic")
 		}
-		if !strings.Contains(fmt.Sprint(r), "exceed the 32-proposition space") {
+		if !strings.Contains(fmt.Sprint(r), fmt.Sprintf("%d proposition suffixes, more than the %d", MaxLocalProps+1, MaxLocalProps)) {
 			t.Errorf("panic %v lacks Check's message", r)
 		}
 	}()
-	Generate(GenConfig{N: 20, InternalPerProc: 1})
+	if ts := Generate(GenConfig{N: 1, InternalPerProc: 1, Suffixes: suffixes(MaxLocalProps)}); ts.Props.Len() != MaxLocalProps {
+		t.Fatalf("%d suffixes declared %d propositions", MaxLocalProps, ts.Props.Len())
+	}
+	Generate(GenConfig{N: 1, InternalPerProc: 1, Suffixes: suffixes(MaxLocalProps + 1)})
 }
 
 func TestClusteredSingleClusterNeverCrosses(t *testing.T) {

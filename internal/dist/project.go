@@ -2,13 +2,12 @@ package dist
 
 import "fmt"
 
-// Re-binding executions to a smaller proposition space. A property whose
-// alphabet touches only processes 0..k-1 (props.BuildAt) can monitor an
-// n-process execution, n >= k: the monitor's letters are read from the
-// sub-space, the remaining processes simply own no monitored proposition.
-// This is what makes n >= 8 systems monitorable at all — letters are
-// bitmasks, so a full-width property at n = 16 would need 2³² -entry
-// transition rows — and it is the precondition the sliced oracle exploits.
+// Re-binding an event stream to another proposition space. Nothing in this
+// module needs it: every engine binds a monitor's propositions to the
+// execution's own space by name (PropMap.Restrict), so a reduced-arity
+// property runs against an execution as generated. The benchmark module
+// (bench/workload.go) still re-binds its streams through SourceWithProps;
+// this file goes when that module is rebased on the tree (ROADMAP item 8(a)).
 
 // checkRebind verifies that pm can reinterpret an n-process execution whose
 // states were packed under the old proposition space: every owner must be a
@@ -48,17 +47,6 @@ func checkRebind(old, pm *PropMap, n int) error {
 		}
 	}
 	return nil
-}
-
-// WithProps returns a shallow copy of the trace set bound to a different
-// proposition space (the traces are shared, not copied). Every owner in pm
-// must be a process of the set, and the layout must agree with the set's
-// own (see checkRebind).
-func (ts *TraceSet) WithProps(pm *PropMap) (*TraceSet, error) {
-	if err := checkRebind(ts.Props, pm, ts.N()); err != nil {
-		return nil, err
-	}
-	return &TraceSet{Props: pm, Traces: ts.Traces}, nil
 }
 
 // SourceWithProps wraps an event source, re-binding its proposition space;

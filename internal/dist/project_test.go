@@ -8,31 +8,6 @@ import (
 	"decentmon/internal/vclock"
 )
 
-func TestWithProps(t *testing.T) {
-	ts := Generate(GenConfig{N: 4, InternalPerProc: 3, CommMu: 2, Seed: 1})
-	sub := PerProcess(2, "p", "q")
-	bound, err := ts.WithProps(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound.Props != sub {
-		t.Error("prop space not swapped")
-	}
-	if bound.N() != 4 || bound.TotalEvents() != ts.TotalEvents() {
-		t.Error("traces not shared")
-	}
-	if err := bound.Validate(); err != nil {
-		t.Errorf("re-bound set invalid: %v", err)
-	}
-	// Owners beyond the process count are rejected.
-	if _, err := ts.WithProps(PerProcess(5, "p")); err == nil {
-		t.Error("overflowing owner accepted")
-	}
-	if _, err := ts.WithProps(nil); err == nil {
-		t.Error("nil prop space accepted")
-	}
-}
-
 func TestSourceWithProps(t *testing.T) {
 	ts := Generate(GenConfig{N: 3, InternalPerProc: 3, CommMu: 2, Seed: 2})
 	sub := PerProcess(2, "p")
@@ -57,6 +32,9 @@ func TestSourceWithProps(t *testing.T) {
 	}
 	if _, err := SourceWithProps(ts.Stream(), PerProcess(4, "p")); err == nil {
 		t.Error("overflowing owner accepted")
+	}
+	if _, err := SourceWithProps(ts.Stream(), nil); err == nil {
+		t.Error("nil prop space accepted")
 	}
 }
 
@@ -96,27 +74,24 @@ func TestRebindLayoutMismatch(t *testing.T) {
 	// -suffixes q,p packs q at bit 0 and p at bit 1.
 	ts := Generate(GenConfig{N: 3, InternalPerProc: 2, CommMu: -1, Seed: 1, Suffixes: []string{"q", "p"}})
 	// PerProcess(2, "p") reads p from bit 0 — the execution's q.
-	if _, err := ts.WithProps(PerProcess(2, "p")); err == nil {
+	if _, err := SourceWithProps(ts.Stream(), PerProcess(2, "p")); err == nil {
 		t.Error("p-at-bit-0 rebinding accepted over a q,p-packed execution")
 	} else if !strings.Contains(err.Error(), "packed") {
 		t.Errorf("wrong error: %v", err)
 	}
-	if _, err := SourceWithProps(ts.Stream(), PerProcess(2, "p")); err == nil {
-		t.Error("source rebinding accepted the same mismatch")
-	}
 	// Same layout is fine.
-	if _, err := ts.WithProps(PerProcess(2, "q", "p")); err != nil {
+	if _, err := SourceWithProps(ts.Stream(), PerProcess(2, "q", "p")); err != nil {
 		t.Errorf("matching layout rejected: %v", err)
 	}
 	// A differently named proposition claiming a packed slot is refused too.
 	alien := NewPropMap()
 	alien.MustAdd("P0.x", 0) // bit 0 of process 0 = the execution's P0.q
-	if _, err := ts.WithProps(alien); err == nil {
+	if _, err := SourceWithProps(ts.Stream(), alien); err == nil {
 		t.Error("alien name over a packed slot accepted")
 	}
 	// Unpacked slots may be claimed: q over a p-only execution reads false.
 	pOnly := Generate(GenConfig{N: 2, InternalPerProc: 2, CommMu: -1, Seed: 1, Suffixes: []string{"p"}})
-	if _, err := pOnly.WithProps(PerProcess(2, "p", "q")); err != nil {
+	if _, err := SourceWithProps(pOnly.Stream(), PerProcess(2, "p", "q")); err != nil {
 		t.Errorf("unused-slot rebinding rejected: %v", err)
 	}
 }

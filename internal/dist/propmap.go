@@ -5,21 +5,29 @@ import (
 	"math"
 	"slices"
 
+	"decentmon/internal/boolfn"
 	"decentmon/internal/wire"
 )
 
-// MaxProps bounds the proposition count: monitor letters are uint32 bitmasks
-// (bit i ↔ proposition i), and LocalState packs each process's propositions
-// into a uint32 too. With k propositions per process, at most MaxProps/k
-// processes fit (16 with the default two suffixes, 32 with one).
-const MaxProps = 32
+// MaxLocalProps bounds the propositions one process owns: a LocalState packs
+// them into a uint32, bit LocalBit[i] for Names[i].
+const MaxLocalProps = 32
 
-// PropMap is the proposition space of a property: an ordered list of atomic
+// MaxSpace bounds a decoded process count and a decoded proposition count
+// alike. It is a resource bound, not a limit of the algorithm: a decoder
+// checks a count against it before sizing anything by that count, so bytes
+// off a socket or a file cannot ask for an arbitrary allocation. It is sized
+// by what a session costs, which grows with the square of its process count:
+// an empty n-process session holds about 75 MB at n = 1,024 and 1.1 GB at
+// n = 4,096.
+const MaxSpace = 1024
+
+// PropMap is the proposition space of an execution: an ordered list of atomic
 // propositions, each owned by exactly one process. Owner and LocalBit give,
 // per proposition, the owning process and the bit position inside that
-// process's LocalState. Letter reads bit i as Names[i]; a monitor, which
-// reads only its formula's propositions, takes its letters from the map
-// Restrict returns for them.
+// process's LocalState. A monitor, which reads only its formula's
+// propositions, takes its letters from the Letters that Restrict returns for
+// them.
 type PropMap struct {
 	// Names are the propositions in declaration order.
 	Names []string
@@ -36,16 +44,14 @@ func NewPropMap() *PropMap { return &PropMap{} }
 func (pm *PropMap) Len() int { return len(pm.Names) }
 
 // Add appends a proposition owned by the given process. The proposition's
-// local bit is the count of propositions the process already owns.
+// local bit is the count of propositions the process already owns, so a
+// process that owns MaxLocalProps refuses another.
 func (pm *PropMap) Add(name string, owner int) error {
 	if name == "" {
 		return fmt.Errorf("dist: empty proposition name")
 	}
 	if owner < 0 {
 		return fmt.Errorf("dist: proposition %q has negative owner %d", name, owner)
-	}
-	if len(pm.Names) >= MaxProps {
-		return fmt.Errorf("dist: proposition space full (%d propositions)", MaxProps)
 	}
 	bit := 0
 	for i, n := range pm.Names {
@@ -55,6 +61,9 @@ func (pm *PropMap) Add(name string, owner int) error {
 		if pm.Owner[i] == owner {
 			bit++
 		}
+	}
+	if bit >= MaxLocalProps {
+		return fmt.Errorf("dist: process %d already owns %d propositions, the most a local state holds", owner, MaxLocalProps)
 	}
 	pm.Names = append(pm.Names, name)
 	pm.Owner = append(pm.Owner, owner)
@@ -119,12 +128,11 @@ func DecodeLocalState(c *wire.Cursor) LocalState {
 	return LocalState(v)
 }
 
-// spaceCount bounds a decoded process or proposition count before anything is
-// sized by it: letters and local states are 32-bit masks, so no monitor can
-// serve more than MaxProps of either.
+// spaceCount bounds a decoded process or proposition count by MaxSpace before
+// anything is sized by it.
 func spaceCount(v uint64, what string) error {
-	if v > MaxProps {
-		return fmt.Errorf("dist: %d %s (max %d)", v, what, MaxProps)
+	if v > MaxSpace {
+		return fmt.Errorf("dist: %d %s (max %d)", v, what, MaxSpace)
 	}
 	return nil
 }
@@ -158,13 +166,26 @@ func PerProcess(n int, suffixes ...string) *PropMap {
 	return pm
 }
 
+// Letters is a monitor's propositions bound to a process space, as Restrict
+// returns them: Names[i] is letter bit i, owned by process Owner[i] at bit
+// LocalBit[i] of its LocalState. Restrict admits at most boolfn.MaxVars
+// names, so every bit of a letter fits its uint32.
+type Letters struct {
+	Names    []string
+	Owner    []int
+	LocalBit []int
+}
+
 // Restrict returns the named propositions, in the given order, each at its
 // owner and local bit in pm. It is how a monitor binds its letters to a
 // process space: give it the monitor's propositions (automaton.Monitor.Props)
 // and the result's Letter is the monitor's letter. A name pm does not declare
-// is an error.
-func (pm *PropMap) Restrict(names []string) (*PropMap, error) {
-	r := &PropMap{Names: slices.Clone(names), Owner: make([]int, len(names)), LocalBit: make([]int, len(names))}
+// is an error, and so are more than boolfn.MaxVars names.
+func (pm *PropMap) Restrict(names []string) (*Letters, error) {
+	if len(names) > boolfn.MaxVars {
+		return nil, fmt.Errorf("dist: %d propositions read, more than the supported maximum %d", len(names), boolfn.MaxVars)
+	}
+	r := &Letters{Names: slices.Clone(names), Owner: make([]int, len(names)), LocalBit: make([]int, len(names))}
 	for k, name := range names {
 		i := slices.Index(pm.Names, name)
 		if i < 0 {
@@ -177,11 +198,11 @@ func (pm *PropMap) Restrict(names []string) (*PropMap, error) {
 
 // Letter converts a global state into the monitor-automaton letter: bit i of
 // the result is the truth value of Names[i] in g.
-func (pm *PropMap) Letter(g GlobalState) uint32 {
+func (l *Letters) Letter(g GlobalState) uint32 {
 	var letter uint32
-	for i := range pm.Names {
-		o := pm.Owner[i]
-		if o < len(g) && (g[o]>>pm.LocalBit[i])&1 == 1 {
+	for i := range l.Names {
+		o := l.Owner[i]
+		if o < len(g) && (g[o]>>l.LocalBit[i])&1 == 1 {
 			letter |= 1 << i
 		}
 	}

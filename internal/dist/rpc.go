@@ -345,7 +345,7 @@ func DecodeRPC(payload []byte) (*RPCMsg, error) {
 }
 
 // perProcess reads a clock-shaped field with one entry per process, of which
-// no session has more than MaxProps.
+// no session has more than MaxSpace.
 func perProcess(c *wire.Cursor) []int {
 	v := c.Clock()
 	if err := spaceCount(uint64(len(v)), "processes"); err != nil {

@@ -3,6 +3,7 @@ package dist
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"slices"
 	"strings"
@@ -153,7 +154,7 @@ func TestRPCRejectsBadFrames(t *testing.T) {
 		{"process 2^63", append([]byte{byte(RPCEnd), 7}, wire.AppendUvarint(nil, 1<<63)...), "int"},
 		{"padded session id", []byte{byte(RPCAcked), 0x87, 0x00}, "uvarint"},
 		{"cache flag 2", []byte{byte(RPCRegistered), 8, 2, 0, 0}, "bool"},
-		{"33-process verdict cut", append([]byte{byte(RPCVerdict), 7, 1, 2, 1, 2, 33}, make([]byte, 33)...), "33 processes"},
+		{"MaxSpace+1-process verdict cut", append(append([]byte{byte(RPCVerdict), 7, 1, 2, 1, 2}, wire.AppendUvarint(nil, MaxSpace+1)...), make([]byte, MaxSpace+1)...), fmt.Sprintf("%d processes (max %d)", MaxSpace+1, MaxSpace)},
 		{"ingest of no record", []byte{byte(RPCIngest), 7}, "without an event record"},
 	}
 	for _, tc := range cases {
@@ -161,6 +162,11 @@ func TestRPCRejectsBadFrames(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}
+	}
+	// The bound itself decodes: a MaxSpace-process cut.
+	atBound := append(append([]byte{byte(RPCVerdict), 7, 1, 2, 1, 2}, wire.AppendUvarint(nil, MaxSpace)...), make([]byte, MaxSpace)...)
+	if m, err := DecodeRPC(atBound); err != nil || len(m.Cut) != MaxSpace {
+		t.Errorf("%d-process verdict cut: %v", MaxSpace, err)
 	}
 	// An Ingest frame carries its event record opaquely; the record's own
 	// decoder is the only validator between the socket and the engine.

@@ -247,12 +247,6 @@ func genConfig(property string, n int, seed int64, cfg Config) dist.GenConfig {
 		Topology: cfg.Topology, PlantGoal: true,
 		Seed: seed,
 	}
-	// Beyond 16 processes the two-suffix space overflows the 32-bit letter
-	// encoding; fall back to the single p suffix (q propositions of a
-	// reduced-arity property then read constantly false).
-	if 2*n > dist.MaxProps {
-		gc.Suffixes = []string{"p"}
-	}
 	switch property {
 	case "B", "E":
 		// Reachability targets: propositions drift mostly false, so local
@@ -466,14 +460,13 @@ func measureOracle(property string, n, arity int, cfg Config) (*OracleCell, erro
 	cfg = cfg.withDefaults()
 	var (
 		mon *automaton.Monitor
-		pm  *dist.PropMap
 		err error
 	)
 	if arity == 0 || arity >= n {
 		arity = n
 		mon, err = props.Build(property, n, !cfg.MinimalAutomata)
 	} else {
-		mon, pm, err = props.BuildAt(property, arity, !cfg.MinimalAutomata)
+		mon, _, err = props.BuildAt(property, arity, !cfg.MinimalAutomata)
 	}
 	if err != nil {
 		return nil, err
@@ -487,11 +480,6 @@ func measureOracle(property string, n, arity int, cfg Config) (*OracleCell, erro
 			return nil, fmt.Errorf("%s n=%d: %w", property, n, err)
 		}
 		ts := dist.Generate(gc)
-		if pm != nil {
-			if ts, err = ts.WithProps(pm); err != nil {
-				return nil, err
-			}
-		}
 		t0 := time.Now()
 		res, err := lattice.Evaluate(ts, mon)
 		if err != nil {
@@ -578,7 +566,7 @@ const (
 	engineBaselineEventsPerSec = 1711.0
 )
 
-// engineWorkloads is the sweep plan: the ring scaling axis (n = 2..32), the
+// engineWorkloads is the sweep plan: the ring scaling axis (n = 2..64), the
 // topology axis at n = 8, and the dense-broadcast cell at n = 16.
 // Communication density is the calibrated Commµ = 6 everywhere. Broadcast at
 // that density was intractable for the full-width exact box DP (its regions
@@ -589,7 +577,7 @@ var engineWorkloads = []struct {
 	topo dist.Topology
 	n    int
 }{
-	{dist.TopoRing, 2}, {dist.TopoRing, 8}, {dist.TopoRing, 16}, {dist.TopoRing, 32},
+	{dist.TopoRing, 2}, {dist.TopoRing, 8}, {dist.TopoRing, 16}, {dist.TopoRing, 32}, {dist.TopoRing, 64},
 	{dist.TopoUniform, 8}, {dist.TopoRing, 8}, {dist.TopoStar, 8},
 	{dist.TopoBroadcast, 8}, {dist.TopoClustered, 8},
 	{dist.TopoBroadcast, 16},
@@ -689,7 +677,7 @@ func MeasureEngine(topo dist.Topology, n int, minWall time.Duration) (*EngineCel
 	if n < arity {
 		arity = n
 	}
-	mon, pm, err := props.BuildAt("B", arity, false)
+	mon, _, err := props.BuildAt("B", arity, false)
 	if err != nil {
 		return nil, err
 	}
@@ -698,13 +686,7 @@ func MeasureEngine(topo dist.Topology, n int, minWall time.Duration) (*EngineCel
 		Topology: topo, PlantGoal: true, Seed: 1,
 		TrueProbs: map[string]float64{"p": 0.9, "q": 0.8},
 	}
-	if 2*n > dist.MaxProps {
-		gc.Suffixes = []string{"p"} // q then reads constantly false (see genConfig)
-	}
-	ts, err := dist.Generate(gc).WithProps(pm)
-	if err != nil {
-		return nil, err
-	}
+	ts := dist.Generate(gc)
 	cell := &EngineCell{
 		Workload: fmt.Sprintf("%s/n=%d", topo, n),
 		Topology: topo.String(), N: n, CommMu: gc.CommMu,

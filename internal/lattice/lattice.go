@@ -113,7 +113,7 @@ func EvaluateSliced(ts *dist.TraceSet, mon *automaton.Monitor) (*Result, error) 
 // away processes is still enforced). With procs covering every process this
 // is exactly the Chapter-3 DP over the full computation lattice. letters binds
 // mon's propositions to the traces' space.
-func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, letters *dist.PropMap, procs []int) (*Result, error) {
+func evalProjected(ts *dist.TraceSet, mon *automaton.Monitor, letters *dist.Letters, procs []int) (*Result, error) {
 	n := ts.N()
 	k := len(procs)
 	// fullCut materializes a projected cut back into the n-process space so

@@ -111,9 +111,13 @@ func TestTotalOrderExecution(t *testing.T) {
 		t.Errorf("total order must give exactly one verdict, got %v", res.Verdicts)
 	}
 	// Cross-check against a direct monitor run.
-	word := []uint32{ts.Props.Letter(ts.InitialState())}
+	letters, err := ts.Props.Restrict(mon.Props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	word := []uint32{letters.Letter(ts.InitialState())}
 	for k := 1; k <= ts.Traces[0].Len(); k++ {
-		word = append(word, ts.Props.Letter(dist.GlobalState{ts.Traces[0].StateAt(k)}))
+		word = append(word, letters.Letter(dist.GlobalState{ts.Traces[0].StateAt(k)}))
 	}
 	if got := mon.Run(word); got != res.Verdicts[0] {
 		t.Errorf("oracle %v != direct run %v", res.Verdicts[0], got)

@@ -72,14 +72,11 @@ func TestOracleConformanceSmallN(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		for _, name := range props.Names {
 			for arity := 2; arity <= n; arity++ {
-				mon, pm, err := props.BuildAt(name, arity, false)
+				mon, _, err := props.BuildAt(name, arity, false)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ts, err := genFor(name, n, int64(7*n+arity)).WithProps(pm)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ts := genFor(name, n, int64(7*n+arity))
 				label := fmt.Sprintf("%s arity=%d n=%d", name, arity, n)
 				full := evaluateFull(t, ts, mon)
 				if len(full.SupportProcs) != n {

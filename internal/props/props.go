@@ -114,11 +114,9 @@ func Suffixes(name string) ([]string, error) {
 // the arity-process instance, reading propositions of processes
 // 0..arity-1 only — and returns the monitor together with the proposition
 // space of exactly the suffixes it uses, PerProcess(arity, Suffixes(name)...).
-// The monitor reads its propositions by name, so it monitors any execution
-// that declares them, whatever else that execution declares; the returned
-// space is what (*dist.TraceSet).WithProps or dist.SourceWithProps re-bind an
-// n-process execution to, n >= arity, when its local states follow the
-// PerProcess bit layout.
+// The monitor reads its propositions by name, so it monitors any n-process
+// execution, n >= arity, that declares them, whatever else that execution
+// declares.
 //
 // The propositions a formula reads set its synthesis cost, and a full-width
 // property reads one or two per process, so it stops being synthesizable

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,22 +45,26 @@ func NewAutomatonCache() *AutomatonCache {
 
 // CanonicalKey derives the cache key for a formula source over a
 // proposition space: the parse→print normal form of the formula (so
-// whitespace, redundant parentheses and operator spellings collapse)
-// joined with the (owner, name) proposition signature in declaration order.
-// The order is part of the key because automaton.Build indexes letter bit i
-// by the i-th proposition the formula reads in declaration order: the same
-// propositions declared in another order may need another monitor. Two
-// registrations with the same key therefore get the same machine from Build;
-// the owners and the unread propositions make the key finer than Build needs.
+// whitespace, redundant parentheses and operator spellings collapse) joined
+// with the propositions it reads, in declaration order. That is exactly what
+// automaton.Build reads: it indexes letter bit i by the i-th proposition the
+// formula reads in declaration order, so the same propositions declared in
+// another order may need another monitor, while owners and unread
+// propositions change nothing. A read proposition the space does not declare
+// is left out of the key; Build refuses every space that lacks it alike.
 func CanonicalKey(formula string, props *dist.PropMap) (string, *ltl.Formula, error) {
 	f, err := ltl.Parse(formula)
 	if err != nil {
 		return "", nil, fmt.Errorf("server: parsing property: %w", err)
 	}
+	read := f.Props()
 	var sb strings.Builder
 	sb.WriteString(f.String())
-	for i, name := range props.Names {
-		fmt.Fprintf(&sb, "\x00%d:%s", props.Owner[i], name)
+	for _, name := range props.Names {
+		if slices.Contains(read, name) {
+			sb.WriteString("\x00")
+			sb.WriteString(name)
+		}
 	}
 	return sb.String(), f, nil
 }

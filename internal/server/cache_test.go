@@ -126,7 +126,9 @@ func TestCacheSingleConstruction(t *testing.T) {
 }
 
 // TestCacheCanonicalKeys pins key derivation: alpha-equivalent spellings of
-// one formula share a key; different formulas or proposition spaces do not.
+// one formula share a key, and so do spaces that differ only in owners or in
+// propositions the formula does not read; different formulas, or the read
+// propositions in another order, do not.
 func TestCacheCanonicalKeys(t *testing.T) {
 	props := exampleProps(t)
 	spellings := []string{
@@ -154,17 +156,41 @@ func TestCacheCanonicalKeys(t *testing.T) {
 	if other == base {
 		t.Error("distinct formulas share a cache key")
 	}
-	// Same formula text, different proposition ownership → different key.
+	// The key is what Build reads: the propositions the formula reads, in
+	// declaration order. Moving one to another owner keeps the key.
 	moved := dist.NewPropMap()
 	moved.MustAdd("x1>=5", 1)
 	moved.MustAdd("x1=10", 0)
 	moved.MustAdd("x2>=15", 1)
-	rekeyed, _, err := CanonicalKey(dist.RunningExampleProperty, moved)
+	if k, _, err := CanonicalKey(dist.RunningExampleProperty, moved); err != nil {
+		t.Fatal(err)
+	} else if k != base {
+		t.Error("moving a proposition to another owner split the cache key")
+	}
+	// So does declaring propositions the formula does not read: one formula
+	// over PerProcess(3, "p") and over PerProcess(3, "p", "q") shares a key.
+	const reach = "F (P0.p && P1.p && P2.p)"
+	pOnly, _, err := CanonicalKey(reach, dist.PerProcess(3, "p"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rekeyed == base {
-		t.Error("moving a proposition to another owner kept the cache key")
+	if pq, _, err := CanonicalKey(reach, dist.PerProcess(3, "p", "q")); err != nil {
+		t.Fatal(err)
+	} else if pq != pOnly {
+		t.Error("declaring unread q propositions split the cache key")
+	}
+	c := NewAutomatonCache()
+	for i, pm := range []*dist.PropMap{dist.PerProcess(3, "p"), dist.PerProcess(3, "p", "q")} {
+		key, f, err := CanonicalKey(reach, pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, hit, err := c.Get(key, f, pm); err != nil || hit != (i == 1) {
+			t.Errorf("registration %d: hit %v, err %v", i, hit, err)
+		}
+	}
+	if c.Len() != 1 {
+		t.Errorf("%d cache entries, want 1", c.Len())
 	}
 	// Same (name, owner) pairs declared in another order → different key:
 	// letter bit i is Names[i], so the monitor differs.

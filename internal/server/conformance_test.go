@@ -51,10 +51,7 @@ func TestRecoveryConformance(t *testing.T) {
 		spec := specs[key]
 		t.Run(cell.Name(), func(t *testing.T) {
 			t.Parallel()
-			ts, err := dist.Generate(cell.Gen()).WithProps(spec.Props)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ts := dist.Generate(cell.Gen())
 			oracle, err := decentmon.Oracle(spec, ts)
 			if err != nil {
 				t.Fatal(err)
