@@ -39,6 +39,32 @@ func TestStreamedRunningExampleMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestStreamedVerdictsMatchMaterialized: the run fed off the JSON-lines
+// reader, on every topology and for every case-study property, reaches the
+// verdicts the oracle finds on the materialized trace set's lattice.
+func TestStreamedVerdictsMatchMaterialized(t *testing.T) {
+	for _, topo := range dist.Topologies {
+		ts := dist.Generate(dist.GenConfig{
+			N: 3, InternalPerProc: 6,
+			CommMu: 3, CommSigma: 1,
+			Topology: topo, Clusters: 2, CrossProb: 0.2,
+			PlantGoal: true, Seed: 21,
+		})
+		for name, f := range propsAF(3) {
+			mon := mustMonitor(t, f, ts.Props.Names)
+			want := oracleSet(t, ts, mon)
+			got, err := RunStream(jsonlSource(t, ts), RunConfig{Automaton: mon})
+			if err != nil {
+				t.Fatalf("%v/%s: %v", topo, name, err)
+			}
+			if setString(got.Verdicts) != setString(want) {
+				t.Errorf("%v/%s: streamed verdicts %s != oracle on the materialized set %s",
+					topo, name, setString(got.Verdicts), setString(want))
+			}
+		}
+	}
+}
+
 // TestStreamedTopologiesMatchOracle: soundness and completeness of the
 // streamed decentralized run against the oracle, for every case-study
 // property on every topology.
