@@ -12,6 +12,7 @@ package decentmon
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math/rand"
 	"testing"
@@ -698,7 +699,7 @@ func BenchmarkStreamedDecentralizedRun(b *testing.B) {
 	b.ResetTimer()
 	peak, collected := 0, 0
 	for i := 0; i < b.N; i++ {
-		res, err := core.RunStream(ts.Stream(), core.RunConfig{Automaton: mon})
+		res, err := core.RunStreamContext(context.Background(), ts.Stream(), core.RunConfig{Automaton: mon})
 		if err != nil {
 			b.Fatal(err)
 		}

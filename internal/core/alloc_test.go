@@ -250,7 +250,7 @@ func TestAllocsSnapshot(t *testing.T) {
 }
 
 // TestAllocsEmptySession gates what a session costs before it has monitored
-// anything — built, INIT run, the 2·n·(n−1) TERM/FINI handshake, collected —
+// anything — built, INIT run, the 4·(n−1)-message termination wave, collected —
 // at the short-run cell's n = 16 under property B at arity 3: what every
 // short session pays on top of its events. One compiled program and one floors
 // slab per monitor where there were n tables and 2n clocks, and a network that

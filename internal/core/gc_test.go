@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"decentmon/internal/dist"
@@ -31,7 +32,7 @@ func runGC(t *testing.T, events int, pace float64) (*RunResult, int, int) {
 	t.Helper()
 	ts := dist.Generate(gcWorkload(events))
 	mon := mustMonitor(t, gcProperty, ts.Props.Names)
-	res, err := RunStream(ts.Stream(), RunConfig{Automaton: mon, Pace: pace})
+	res, err := RunStreamContext(context.Background(), ts.Stream(), RunConfig{Automaton: mon, Pace: pace})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestGCRunMatchesOracle(t *testing.T) {
 	for name, f := range propsAF(4) {
 		mon := mustMonitor(t, f, ts.Props.Names)
 		want := oracleSet(t, ts, mon)
-		got, err := RunStream(ts.Stream(), RunConfig{Automaton: mon})
+		got, err := RunStreamContext(context.Background(), ts.Stream(), RunConfig{Automaton: mon})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -121,7 +122,7 @@ func TestGCStreamedVerdictsInsideOracle(t *testing.T) {
 	})
 	mon := mustMonitor(t, propsAF(3)["B"], ts.Props.Names)
 	want := oracleSet(t, ts, mon)
-	got, err := RunStream(ts.Stream(), RunConfig{Automaton: mon})
+	got, err := RunStreamContext(context.Background(), ts.Stream(), RunConfig{Automaton: mon})
 	if err != nil {
 		t.Fatal(err)
 	}

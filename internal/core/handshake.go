@@ -1,11 +1,51 @@
 package core
 
+// Termination: one wave over a star rooted at monitor 0.
+//
+// TERM. A monitor whose process ends records its own total; a non-root
+// monitor also sends it to the root, and to no one else. The root, once it
+// knows every process's total, sends each peer the n-entry vector of totals
+// in one broadcast, and a peer that receives it knows every total. FINI. A
+// monitor that is quiescent — every total known, no search or fetch of its own
+// outstanding, finalized unless SkipFinalize — announces FINI: a non-root
+// monitor to the root alone; the root, once it has announced its own and heard
+// every peer's, to every peer. A monitor exits when it has announced FINI and
+// knows every FINI: the root when it broadcasts, a peer when the root's FINI
+// arrives. That is n−1 reports and n−1 vectors, n−1 FINIs in and n−1 out:
+// 4(n−1) messages per session whatever the schedule, and none at n = 1.
+//
+// Why a peer may exit on the root's FINI. FINI is stable: a monitor's
+// knowledge grows only by its own events, its own tokens returning and replies
+// to its own fetches, and when it announces FINI its process has ended and
+// none of those is outstanding, so it starts no search and sends no fetch
+// again. Every message a monitor must still handle belongs to some
+// monitor's outstanding work — a token to its parent's search, a fetch and its
+// reply to the requester — and is sent and handled before that monitor can be
+// quiescent, so before its FINI, so before the root's FINI, which the root
+// sends only after hearing every FINI. The root's FINI therefore reaches a
+// peer causally after everything the peer must handle. What can still be
+// queued when it leaves is a floor announcement, which only lets a peer
+// collect history, and the session is over. (Such a message is counted as
+// sent and never as handled, which is why the snapshot barrier also accepts a
+// fleet whose monitors have all exited: Session.awaitQuiescence.)
+//
+// The routing is checked, not trusted: a report or a FINI that reaches a
+// non-root monitor from anyone but the root, a vector that reaches the root or
+// is not n wide, a second report from one process and a root FINI before a
+// peer's own all fail the session. The record a snapshot keeps is unchanged:
+// peerDone[j] means j's total is known here, peerFini[j] that j's FINI is, and
+// the root's broadcasts need no flag of their own because each happens in the
+// handler that completes its condition.
+
 import (
 	"fmt"
 
 	"decentmon/internal/vclock"
 	"decentmon/internal/wire"
 )
+
+// root is the monitor the termination wave is gathered at and sent from.
+const root = 0
 
 // handshake is the termination protocol's state: what this monitor knows of
 // every process having ended (localDone/localTotal for its own, peerDone for
@@ -29,10 +69,51 @@ func (m *Monitor) handleLocalTermination(total int) {
 	m.floors.inputSeq++
 	m.handshake.localDone = true
 	m.handshake.localTotal = total
-	m.know.markDone(m.index, total)
-	m.handshake.peerDone[m.index] = true
-	m.broadcast(&wireMsg{Kind: msgTerm, Term: &termWire{Proc: m.index, Total: total}})
+	m.noteTotal(m.index, total)
+	if m.index != root {
+		m.send(root, &wireMsg{Kind: msgTerm, Term: &termWire{Proc: m.index, Total: total}})
+	}
 	m.serveWaiters()
+}
+
+// noteTotal records that process p ended after total events. At the root,
+// the total that completes the set sends every peer the vector of all of them.
+func (m *Monitor) noteTotal(p, total int) {
+	hs := &m.handshake
+	m.know.markDone(p, total)
+	hs.peerDone[p] = true
+	if m.index != root || !allSet(hs.peerDone) {
+		return
+	}
+	totals := make([]int, m.cfg.N)
+	copy(totals, m.know.final)
+	// One broadcast, not n−1 sends of one envelope: deliver writes the
+	// envelope's Floor, which must not change once a peer holds it.
+	m.broadcast(&wireMsg{Kind: msgTerm, Term: &termWire{Proc: root, Total: hs.localTotal, Totals: totals}})
+}
+
+// handleTerm takes a term message: at the root a peer's own total, at a peer
+// the root's vector of every total.
+func (m *Monitor) handleTerm(t *termWire) {
+	hs, n := &m.handshake, m.cfg.N
+	switch {
+	case m.index == root && len(t.Totals) > 0:
+		m.fail(fmt.Errorf("core: monitor %d: a totals vector reached the root", m.index))
+	case m.index == root && (t.Proc <= root || t.Proc >= n || hs.peerDone[t.Proc]):
+		m.fail(fmt.Errorf("core: monitor %d: unexpected term from process %d", m.index, t.Proc))
+	case m.index == root:
+		m.noteTotal(t.Proc, t.Total)
+	case t.Proc != root:
+		m.fail(fmt.Errorf("core: monitor %d: term from monitor %d, which is not the root", m.index, t.Proc))
+	case len(t.Totals) != n:
+		m.fail(fmt.Errorf("core: monitor %d: totals vector of width %d, want %d", m.index, len(t.Totals), n))
+	case !hs.localDone || t.Totals[m.index] != hs.localTotal:
+		m.fail(fmt.Errorf("core: monitor %d: totals vector disagrees with its own termination", m.index))
+	default:
+		for p, total := range t.Totals {
+			m.noteTotal(p, total)
+		}
+	}
 }
 
 // maybeFinalize extends every surviving view — and every retained residual —
@@ -106,15 +187,8 @@ func (m *Monitor) maybeFinalize() {
 
 // quiescent reports whether this monitor has no pending work of its own.
 func (m *Monitor) quiescent() bool {
-	if !m.handshake.localDone || len(m.searches.table) > 0 || len(m.searches.inflightFetch) > 0 {
-		return false
-	}
-	for _, d := range m.handshake.peerDone {
-		if !d {
-			return false
-		}
-	}
-	return true
+	return m.handshake.localDone && len(m.searches.table) == 0 && len(m.searches.inflightFetch) == 0 &&
+		allSet(m.handshake.peerDone)
 }
 
 func (m *Monitor) maybeFini() {
@@ -138,19 +212,49 @@ func (m *Monitor) maybeFini() {
 	}
 	hs.finiSent = true
 	hs.peerFini[m.index] = true
-	m.broadcast(&wireMsg{Kind: msgFini, Fini: m.index})
+	if m.index == root {
+		m.maybeAnnounceFini()
+	} else {
+		m.send(root, &wireMsg{Kind: msgFini, Fini: m.index})
+	}
 }
 
-func (m *Monitor) finished() bool {
-	if !m.handshake.finiSent {
-		return false
+// handleFini takes a FINI: at the root a peer's, at a peer the root's, which
+// stands for every monitor's.
+func (m *Monitor) handleFini(from int) {
+	hs := &m.handshake
+	switch {
+	case m.index == root && from > root && from < m.cfg.N && !hs.peerFini[from]:
+		hs.peerFini[from] = true
+		m.maybeAnnounceFini()
+	case m.index != root && from == root && hs.finiSent:
+		for j := range hs.peerFini {
+			hs.peerFini[j] = true
+		}
+	default:
+		m.fail(fmt.Errorf("core: monitor %d: unexpected fini from monitor %d", m.index, from))
 	}
-	for _, f := range m.handshake.peerFini {
-		if !f {
+}
+
+// maybeAnnounceFini sends the root's FINI to every peer once it has announced
+// its own and heard every peer's; the root then exits.
+func (m *Monitor) maybeAnnounceFini() {
+	if m.finished() {
+		m.broadcast(&wireMsg{Kind: msgFini, Fini: root})
+	}
+}
+
+func allSet(bs []bool) bool {
+	for _, b := range bs {
+		if !b {
 			return false
 		}
 	}
 	return true
+}
+
+func (m *Monitor) finished() bool {
+	return m.handshake.finiSent && allSet(m.handshake.peerFini)
 }
 
 // --- snapshot record ---

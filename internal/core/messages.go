@@ -168,11 +168,13 @@ type fetchReplyWire struct {
 	Total  int
 }
 
-// termWire announces that a monitored process has terminated after Total
-// events (§4.2 TERMINATE).
+// termWire announces that process Proc has terminated after Total events
+// (§4.2 TERMINATE). A peer sends its own to the root; the root sends every
+// peer Totals, all n processes' totals (handshake.go).
 type termWire struct {
-	Proc  int
-	Total int
+	Proc   int
+	Total  int
+	Totals []int
 }
 
 // wireMsg is the envelope for every monitor-to-monitor message.

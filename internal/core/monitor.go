@@ -443,10 +443,9 @@ func (m *Monitor) handleMessage(raw transport.Message) {
 	case msgFetchReply:
 		m.handleFetchReply(msg.FetchReply)
 	case msgTerm:
-		m.know.markDone(msg.Term.Proc, msg.Term.Total)
-		m.handshake.peerDone[msg.Term.Proc] = true
+		m.handleTerm(msg.Term)
 	case msgFini:
-		m.handshake.peerFini[msg.Fini] = true
+		m.handleFini(msg.Fini)
 	case msgFloor:
 		// The envelope's Floor was all the payload.
 	default:

@@ -14,8 +14,8 @@ import (
 // RunConfig describes one decentralized monitoring run over a recorded
 // execution.
 type RunConfig struct {
-	// Traces is the execution to monitor (Run only; RunStream takes an
-	// event source instead).
+	// Traces is the execution to monitor (Run only; RunStreamContext takes
+	// an event source instead).
 	Traces *dist.TraceSet
 	// Automaton is the LTL3 monitor replicated at every process.
 	Automaton *automaton.Monitor
@@ -78,26 +78,21 @@ const feedChunk = 16
 // Run replays the trace set through n monitors connected by the network and
 // returns the union verdict set plus overhead metrics. It is the
 // programmatic equivalent of deploying the paper's monitors on n devices
-// and feeding them the generated trace files: RunStream over the set's
+// and feeding them the generated trace files: RunStreamContext over the set's
 // timestamp-order stream (dist.TraceSet.Stream).
 func Run(cfg RunConfig) (*RunResult, error) {
 	if cfg.Traces == nil {
-		return nil, fmt.Errorf("core: no trace set (use RunStream for event sources)")
+		return nil, fmt.Errorf("core: no trace set (use RunStreamContext for event sources)")
 	}
 	return RunStreamContext(context.Background(), cfg.Traces.Stream(), cfg)
 }
 
-// RunStream is Run over an event stream: events arrive in global timestamp
-// order from a single source (e.g. a dist.TraceReader over a ".jsonl" file)
-// and are dispatched to the owning processes' monitors a window of at most
-// feedChunk at a time (Session.FeedRun; one event at a time when paced), so
-// the trace never needs to be materialized. Run is RunStream over a
-// materialized set. cfg.Traces is ignored.
-func RunStream(src dist.EventSource, cfg RunConfig) (*RunResult, error) {
-	return RunStreamContext(context.Background(), src, cfg)
-}
-
-// RunStreamContext is RunStream with cancellation.
+// RunStreamContext is Run over an event stream, with cancellation: events
+// arrive in global timestamp order from a single source (e.g. a
+// dist.TraceReader over a ".jsonl" file) and are dispatched to the owning
+// processes' monitors a window of at most feedChunk at a time
+// (Session.FeedRun; one event at a time when paced), so the trace never needs
+// to be materialized. cfg.Traces is ignored.
 func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) (*RunResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil event source")

@@ -126,6 +126,10 @@ type Session struct {
 	// quiesce wakes the snapshot coordinator when a monitor completes a round
 	// (snapshot.go); every monitor of the session points at it.
 	quiesce quiesceSignal
+	// exited counts monitor goroutines that have returned, incremented before
+	// the quiesce flag is read (launch): a fleet that has all exited is
+	// quiescent whatever its inboxes still hold (handshake.go).
+	exited atomic.Int64
 
 	// snap is the snapshot encoder's reusable scratch and fp the automaton
 	// fingerprint it writes into every blob (snapshot.go). closeMu guards snap.
@@ -244,6 +248,10 @@ func (s *Session) launch() {
 				// A dead monitor dooms the run: cancel so feeders and the
 				// remaining monitors unwind instead of wedging.
 				s.cancel()
+			}
+			s.exited.Add(1)
+			if s.quiesce.waiting.Load() {
+				s.quiesce.notify()
 			}
 			s.signalRelief()
 		}(i, m)

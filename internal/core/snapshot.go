@@ -180,7 +180,10 @@ func (s *Session) SnapshotTimed(ctx context.Context) ([]byte, SnapshotTiming, er
 // awaitQuiescence blocks until every input ever sent has been fully handled
 // (see the package comment for why the read order — handled first, sent
 // second — makes the equality a proof of stable quiescence, and why sleeping
-// on the wake-up channel cannot miss the round that establishes it). The
+// on the wake-up channel cannot miss the round that establishes it), or until
+// every monitor has exited, which is as motionless and which a message left
+// unhandled in an exited monitor's inbox must not hold up (handshake.go). An
+// exiting monitor counts itself before it looks at the flag, like a round. The
 // caller must hold every feedMu. A cancelled session context (monitor
 // failure or external cancellation) aborts the wait.
 func (s *Session) awaitQuiescence(ctx context.Context) error {
@@ -188,6 +191,9 @@ func (s *Session) awaitQuiescence(ctx context.Context) error {
 	q.waiting.Store(true) // before the first counter read
 	defer q.waiting.Store(false)
 	for {
+		// Read before the context: a monitor that failed cancelled it
+		// before counting itself out.
+		exited := s.exited.Load() == int64(s.cfg.N)
 		if err := s.ctx.Err(); err != nil {
 			return fmt.Errorf("core: session no longer running: %w", err)
 		}
@@ -202,7 +208,7 @@ func (s *Session) awaitQuiescence(ctx context.Context) error {
 		for _, m := range s.monitors {
 			sent += m.outSent.Load()
 		}
-		if handled == sent {
+		if handled == sent || exited {
 			return nil
 		}
 		select {

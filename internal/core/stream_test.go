@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestStreamedRunningExampleMatchesOracle(t *testing.T) {
 	ts := dist.RunningExample()
 	mon := mustMonitor(t, dist.RunningExampleProperty, ts.Props.Names)
 	want := oracleSet(t, ts, mon)
-	got, err := RunStream(jsonlSource(t, ts), RunConfig{Automaton: mon})
+	got, err := RunStreamContext(context.Background(), jsonlSource(t, ts), RunConfig{Automaton: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestStreamedVerdictsMatchMaterialized(t *testing.T) {
 		for name, f := range propsAF(3) {
 			mon := mustMonitor(t, f, ts.Props.Names)
 			want := oracleSet(t, ts, mon)
-			got, err := RunStream(jsonlSource(t, ts), RunConfig{Automaton: mon})
+			got, err := RunStreamContext(context.Background(), jsonlSource(t, ts), RunConfig{Automaton: mon})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", topo, name, err)
 			}
@@ -79,7 +80,7 @@ func TestStreamedTopologiesMatchOracle(t *testing.T) {
 		for name, f := range propsAF(4) {
 			mon := mustMonitor(t, f, ts.Props.Names)
 			want := oracleSet(t, ts, mon)
-			got, err := RunStream(ts.Stream(), RunConfig{Automaton: mon})
+			got, err := RunStreamContext(context.Background(), ts.Stream(), RunConfig{Automaton: mon})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", topo, name, err)
 			}
@@ -95,7 +96,7 @@ func TestRunStreamMetricsCoverAllEvents(t *testing.T) {
 		N: 3, InternalPerProc: 8, CommMu: 3, CommSigma: 1, Seed: 4,
 	})
 	mon := mustMonitor(t, propsAF(3)["B"], ts.Props.Names)
-	res, err := RunStream(ts.Stream(), RunConfig{Automaton: mon})
+	res, err := RunStreamContext(context.Background(), ts.Stream(), RunConfig{Automaton: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +115,8 @@ func TestRunRequiresTraces(t *testing.T) {
 	if _, err := Run(RunConfig{Automaton: mon}); err == nil {
 		t.Error("Run without traces accepted")
 	}
-	if _, err := RunStream(nil, RunConfig{Automaton: mon}); err == nil {
-		t.Error("RunStream without source accepted")
+	if _, err := RunStreamContext(context.Background(), nil, RunConfig{Automaton: mon}); err == nil {
+		t.Error("RunStreamContext without source accepted")
 	}
 }
 
@@ -152,8 +153,8 @@ func TestRunStreamPacedFeedsEventByEvent(t *testing.T) {
 	}
 	readBeforeRefusal := func(pace float64, bad int) int {
 		src := &poisonedSource{EventSource: ts.Stream(), bad: bad}
-		if _, err := RunStream(src, RunConfig{Automaton: mon, Pace: pace}); err == nil || !strings.Contains(err.Error(), "clock") {
-			t.Fatalf("pace %g, event %d malformed: RunStream = %v, want its clock refused", pace, bad, err)
+		if _, err := RunStreamContext(context.Background(), src, RunConfig{Automaton: mon, Pace: pace}); err == nil || !strings.Contains(err.Error(), "clock") {
+			t.Fatalf("pace %g, event %d malformed: RunStreamContext = %v, want its clock refused", pace, bad, err)
 		}
 		return src.read
 	}

@@ -57,7 +57,7 @@ func encodeMsg(m *wireMsg) ([]byte, error) {
 		b = wire.AppendInts(b, r.Proc, r.Total)
 		b = appendEvents(b, r.Events)
 	case msgTerm:
-		b = wire.AppendInts(b, m.Term.Proc, m.Term.Total)
+		b = wire.AppendClock(wire.AppendInts(b, m.Term.Proc, m.Term.Total), m.Term.Totals)
 	case msgFini:
 		b = wire.AppendInts(b, m.Fini)
 	case msgFloor:
@@ -90,7 +90,7 @@ func msgSize(m *wireMsg) int {
 		r := m.FetchReply
 		n += 1 + wire.IntsLen(r.Proc, r.Total) + eventsSize(r.Events)
 	case msgTerm:
-		n += wire.IntsLen(m.Term.Proc, m.Term.Total)
+		n += wire.IntsLen(m.Term.Proc, m.Term.Total) + wire.ClockLen(m.Term.Totals)
 	case msgFini:
 		n += wire.IntsLen(m.Fini)
 	}
@@ -114,7 +114,7 @@ func decodeMsg(payload []byte, n int) (*wireMsg, error) {
 	case msgFetchReply:
 		m.FetchReply = &fetchReplyWire{Done: c.Bool(), Proc: c.Int(), Total: c.Int(), Events: decodeEvents(&c, n)}
 	case msgTerm:
-		m.Term = &termWire{Proc: c.Int(), Total: c.Int()}
+		m.Term = &termWire{Proc: c.Int(), Total: c.Int(), Totals: c.Clock()}
 	case msgFini:
 		m.Fini = c.Int()
 	case msgFloor:

@@ -29,6 +29,7 @@ func wireSeedMsgs() []*wireMsg {
 		{Kind: msgFetch, Floor: floor, Fetch: &fetchWire{Requester: 1, FromSN: 2, ToSN: 5}},
 		{Kind: msgFetchReply, Floor: floor, FetchReply: &fetchReplyWire{Proc: 0, Events: ts.Traces[0].Events, Done: true, Total: 4}},
 		{Kind: msgTerm, Term: &termWire{Proc: 1, Total: 4}},
+		{Kind: msgTerm, Floor: floor, Term: &termWire{Proc: root, Total: 4, Totals: []int{4, 4}}},
 		{Kind: msgFini, Fini: 1},
 		{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 1, Events: ts.Traces[1].Events[:1]}},
 		{Kind: msgFloor, Floor: vclock.VC{floorInf, 3}},
@@ -49,6 +50,7 @@ func TestMsgSizeMatchesEncoding(t *testing.T) {
 		&wireMsg{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 1}},
 		&wireMsg{Kind: msgFetch, Fetch: &fetchWire{Requester: 130, FromSN: 1 << 14, ToSN: 1 << 28}},
 		&wireMsg{Kind: msgTerm, Term: &termWire{Proc: 200, Total: 1 << 21}},
+		&wireMsg{Kind: msgTerm, Term: &termWire{Proc: root, Total: 1 << 21, Totals: []int{1 << 21, 0, 300}}},
 		&wireMsg{Kind: msgFini, Fini: 128},
 		&wireMsg{Kind: msgFetchReply, Floor: vclock.VC{1, 2, 3}, FetchReply: &fetchReplyWire{Proc: 2, Events: last[len(last)-1:]}},
 		&wireMsg{Kind: msgToken, Token: &tokenWire{
@@ -98,6 +100,13 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		f.Add(payload)
 	}
+	// A totals vector as wide as no fleet of this decoder: bytes cannot tell,
+	// so it decodes, and the monitor refuses it (TestHandshakeRefusesMisrouting).
+	wrongWidth, err := encodeMsg(&wireMsg{Kind: msgTerm, Term: &termWire{Proc: root, Totals: []int{4, 4, 4}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wrongWidth)
 	f.Add([]byte{})
 	f.Add([]byte{byte(msgFetchReply), 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 events in 0 bytes
 	f.Fuzz(func(t *testing.T, data []byte) {

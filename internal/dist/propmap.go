@@ -18,8 +18,9 @@ const MaxLocalProps = 32
 // checks a count against it before sizing anything by that count, so bytes
 // off a socket or a file cannot ask for an arbitrary allocation. It is sized
 // by what a session costs, which grows with the square of its process count:
-// an empty n-process session holds about 75 MB at n = 1,024 and 1.1 GB at
-// n = 4,096.
+// an empty n-process session holds about 100 MB of heap at n = 1,024 (26 MB at
+// n = 512), and closing it allocates 27 MB more in about 40 ms (measured on a
+// 2-vCPU VM).
 const MaxSpace = 1024
 
 // PropMap is the proposition space of an execution: an ordered list of atomic
