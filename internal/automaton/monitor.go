@@ -82,9 +82,9 @@ type Monitor struct {
 	Props []string
 
 	verdicts    []Verdict
-	delta       [][]int32 // delta[state][letter] -> state
-	transitions []Transition
-	outIdx      [][]int // per state: indices into transitions
+	delta       [][]int32    // delta[state][letter] -> state
+	transitions []Transition // grouped by Src, ascending: state q's are transitions[outLo[q]:outLo[q+1]]
+	outLo       []int
 }
 
 // Build synthesizes the monitor for formula f over the given declaration of
@@ -193,14 +193,11 @@ func (m *Monitor) Run(word []uint32) Verdict {
 func (m *Monitor) Transitions() []Transition { return m.transitions }
 
 // Out returns the symbolic transitions leaving the given state (self-loops
-// included).
+// included). The slice is the machine's own and read-only; it has no spare
+// capacity, so an append copies instead of writing into the next state's.
 func (m *Monitor) Out(state int) []Transition {
-	idx := m.outIdx[state]
-	out := make([]Transition, len(idx))
-	for i, t := range idx {
-		out[i] = m.transitions[t]
-	}
-	return out
+	lo, hi := m.outLo[state], m.outLo[state+1]
+	return m.transitions[lo:hi:hi]
 }
 
 // CountTransitions returns the total, outgoing (state-changing) and

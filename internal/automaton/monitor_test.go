@@ -227,6 +227,37 @@ func TestTransitionsPartitionAlphabet(t *testing.T) {
 	}
 }
 
+// TestOutIsAView pins Out to a window onto the machine's transitions: each
+// state's run is its own, in id order, and reading it allocates nothing
+// (the view step calls Out for every state of every view it steps).
+func TestOutIsAView(t *testing.T) {
+	m := MustBuild(ltl.MustParse("G (p -> F q)"), pq)
+	next := 0
+	for s := 0; s < m.NumStates(); s++ {
+		out := m.Out(s)
+		if cap(out) != len(out) {
+			t.Errorf("state %d: Out has spare capacity %d, an append would write into the next state's", s, cap(out)-len(out))
+		}
+		for _, tr := range out {
+			if tr.Src != s || tr.ID != next {
+				t.Fatalf("state %d: transition %+v, want source %d and id %d", s, tr, s, next)
+			}
+			next++
+		}
+	}
+	if next != len(m.Transitions()) {
+		t.Errorf("Out covers %d transitions, the machine has %d", next, len(m.Transitions()))
+	}
+	n := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		for s := 0; s < m.NumStates(); s++ {
+			n += len(m.Out(s))
+		}
+	}); allocs != 0 {
+		t.Errorf("Out allocates %.1f objects per sweep, want 0", allocs)
+	}
+}
+
 func TestFinalStatesAbsorbing(t *testing.T) {
 	formulas := []string{
 		"F p", "G p", "p U q", "X p", "G (p -> F q)", "F (p && q) || G !q",

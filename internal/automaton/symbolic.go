@@ -24,8 +24,9 @@ func newMonitor(f *ltl.Formula, sup support, verdicts []Verdict, delta [][]int32
 func (m *Monitor) buildSymbolic() {
 	nLetters := 1 << len(m.Props)
 	m.transitions = m.transitions[:0]
-	m.outIdx = make([][]int, len(m.verdicts))
+	m.outLo = make([]int, len(m.verdicts)+1)
 	for src := range m.verdicts {
+		m.outLo[src] = len(m.transitions)
 		// Group letters by destination.
 		byDst := map[int][]uint32{}
 		var dsts []int
@@ -47,8 +48,8 @@ func (m *Monitor) buildSymbolic() {
 					Guard: cube,
 				}
 				m.transitions = append(m.transitions, t)
-				m.outIdx[src] = append(m.outIdx[src], t.ID)
 			}
 		}
 	}
+	m.outLo[len(m.verdicts)] = len(m.transitions)
 }

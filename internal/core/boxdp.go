@@ -29,11 +29,12 @@ type pivot struct {
 	cut vclock.VC
 }
 
-// boxScratch is the box kernel's working memory. Each Monitor owns one and
-// only its run loop explores with it: no pool, no lock. The arenas keep the
+// boxScratch is the box kernel's working memory, part of a monitor's scratch:
+// only the monitor's run loop explores with it, and it passes to a later
+// session's monitor when that one returns (monitor.go). The arenas keep the
 // capacity of the widest frontier seen, so a steady-state exploration
-// allocates only its result — which may not alias the scratch: reported cuts
-// are clones.
+// allocates only what its result holds — which may not alias the scratch:
+// reported cuts are clones.
 type boxScratch struct {
 	fr    [2]boxFrontier // the rank being expanded and the rank being built
 	table []int32        // successor dedupe: open-addressed, node index+1, 0 = free
@@ -149,19 +150,19 @@ probe:
 // reported once: a node is only stepped into while its rank is being built,
 // so one bit per state on the node remembers it. Memory is two ranks of
 // frontier, not the region.
-func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (*boxResult, error) {
+func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (boxResult, error) {
 	n, words := know.n, len(init)
 	var letter uint32
 	for p := 0; p < n; p++ {
 		if lo[p] > hi[p] {
-			return nil, fmt.Errorf("core: box lower bound %v above upper %v", lo, hi)
+			return boxResult{}, fmt.Errorf("core: box lower bound %v above upper %v", lo, hi)
 		}
 		if hi[p] > know.len(p) {
-			return nil, fmt.Errorf("core: box upper bound %v not covered by knowledge (process %d has %d events)", hi, p, know.len(p))
+			return boxResult{}, fmt.Errorf("core: box upper bound %v not covered by knowledge (process %d has %d events)", hi, p, know.len(p))
 		}
 		letter |= lt.bitsOf(p, know.state(p, lo[p]))
 	}
-	res := &boxResult{nodes: 1}
+	res := boxResult{nodes: 1}
 	cur, next := &sc.fr[0], &sc.fr[1]
 	cur.reset()
 	cur.push(lo, letter, words)
@@ -214,7 +215,7 @@ func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *lette
 					next.letters[si] = lt.update(cur.letters[i], p, e.State)
 					res.nodes++
 					if res.nodes > maxNodes {
-						return nil, fmt.Errorf("core: box exploration exceeded %d nodes between %v and %v", maxNodes, lo, hi)
+						return boxResult{}, fmt.Errorf("core: box exploration exceeded %d nodes between %v and %v", maxNodes, lo, hi)
 					}
 				}
 				succLetter := next.letters[si]
@@ -248,7 +249,7 @@ func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *lette
 	}
 	// Rank `ranks` has room for one projected cut only: hi's.
 	if len(cur.letters) == 0 {
-		return nil, fmt.Errorf("core: box upper cut %v unreachable from %v", hi, lo)
+		return boxResult{}, fmt.Errorf("core: box upper cut %v unreachable from %v", hi, lo)
 	}
 	final := 0
 	for w := range concl {
@@ -269,7 +270,10 @@ func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *lette
 // package's private type; duplicated to keep internal packages decoupled).
 type stateset []uint64
 
-func newStateset(n int) stateset { return make(stateset, (n+63)/64) }
+func newStateset(n int) stateset { return make(stateset, statesetWords(n)) }
+
+// statesetWords is the length of a stateset over n states.
+func statesetWords(n int) int { return (n + 63) / 64 }
 
 func (s stateset) set(i int)      { s[i/64] |= 1 << (i % 64) }
 func (s stateset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
@@ -291,16 +295,15 @@ func (s stateset) forEach(fn func(q int)) {
 	}
 }
 
-// members lists the states contained in the set, ascending (cold paths and
-// tests; hot paths iterate with forEach or inline word scans instead).
-func (s stateset) members(n int) []int {
-	var out []int
-	s.forEach(func(q int) {
-		if q < n {
-			out = append(out, q)
+// list appends the members of the set to dst, ascending.
+func (s stateset) list(dst []int) []int {
+	for w, word := range s {
+		for word != 0 {
+			dst = append(dst, w*64+bits.TrailingZeros64(word))
+			word &= word - 1
 		}
-	})
-	return out
+	}
+	return dst
 }
 
 // or unions t into s and reports whether s changed.

@@ -28,7 +28,11 @@ func exploreBox(mon *automaton.Monitor, know *knowledge, lt *letterTable, init s
 	if support == nil {
 		support = allProcs(know.n)
 	}
-	return new(boxScratch).explore(mon, know, lt, init, lo, hi, maxNodes, support)
+	res, err := new(boxScratch).explore(mon, know, lt, init, lo, hi, maxNodes, support)
+	if err != nil {
+		return nil, err
+	}
+	return &res, nil
 }
 
 func allProcs(n int) []int {
@@ -566,8 +570,8 @@ func TestBoxEmpty(t *testing.T) {
 		if res.nodes != 1 || len(res.pivots) != 0 {
 			t.Errorf("support %v: empty box visited %d nodes with %d pivots", support, res.nodes, len(res.pivots))
 		}
-		if fmt.Sprint(sortedInts(res.finalStates)) != fmt.Sprint(f.init.members(f.mon.NumStates())) {
-			t.Errorf("support %v: empty box final states %v, want %v", support, res.finalStates, f.init.members(f.mon.NumStates()))
+		if fmt.Sprint(sortedInts(res.finalStates)) != fmt.Sprint(f.init.list(nil)) {
+			t.Errorf("support %v: empty box final states %v, want %v", support, res.finalStates, f.init.list(nil))
 		}
 	}
 }

@@ -285,3 +285,12 @@ func TestLettersBoundByName(t *testing.T) {
 		t.Errorf("error %q does not name the proposition", err)
 	}
 }
+
+// newKnowledge is a knowledge store of its own over n processes, for the
+// tests of the store and of the box kernel (a monitor's is carved from its
+// session's slabs).
+func newKnowledge(n int, init dist.GlobalState) *knowledge {
+	k := new(knowledge)
+	k.carve(newFleetSlabs(n, 0), n, init)
+	return k
+}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"decentmon/internal/vclock"
 	"decentmon/internal/wire"
 )
@@ -46,9 +44,9 @@ type floors struct {
 	lastGC   uint64 // inputSeq at the last collectKnowledge run
 }
 
-func newFloors(n int) floors {
-	slab := make([]int, 2*n)
-	return floors{peerNeed: slab[:n:n], sentTo: slab[n:]}
+// carve cuts the per-peer arrays of a monitor of n from the session's slabs.
+func (f *floors) carve(sl *fleetSlabs, n int) {
+	f.peerNeed, f.sentTo = take(&sl.ints, n), take(&sl.ints, n)
 }
 
 // floorInf is the need-floor component of a monitor that will never again
@@ -76,10 +74,6 @@ const gcCollectEveryInputs = 16
 // peer still needs. Floors only ever advance, so a stale report maxes away.
 func (m *Monitor) noteFloor(from int, f vclock.VC) {
 	if f == nil || from < 0 || from >= m.cfg.N || from == m.index {
-		return
-	}
-	if len(f) != m.cfg.N {
-		m.fail(fmt.Errorf("core: monitor %d: peer %d reported a %d-entry floor, want %d", m.index, from, len(f), m.cfg.N))
 		return
 	}
 	i := m.index
@@ -129,7 +123,8 @@ func (m *Monitor) collectKnowledge() {
 	}
 	fl.lastGC = fl.inputSeq
 	fl.curFloor = m.needFloor()
-	trunc := fl.curFloor.Clone()
+	trunc := append(m.scratch.trunc[:0], fl.curFloor...)
+	m.scratch.trunc = trunc
 	i := m.index
 	for j := 0; j < m.cfg.N; j++ {
 		if j == i {

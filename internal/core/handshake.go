@@ -61,8 +61,9 @@ type handshake struct {
 	finalizing bool // the fetch to the final cut is in flight
 }
 
-func newHandshake(n int) handshake {
-	return handshake{peerDone: make([]bool, n), peerFini: make([]bool, n)}
+// carve cuts the per-peer flags of a monitor of n from the session's slabs.
+func (h *handshake) carve(sl *fleetSlabs, n int) {
+	h.peerDone, h.peerFini = take(&sl.bools, n), take(&sl.bools, n)
 }
 
 func (m *Monitor) handleLocalTermination(total int) {
@@ -181,13 +182,13 @@ func (m *Monitor) maybeFinalize() {
 			return
 		}
 	}
-	m.views.residuals = map[string]*residualView{}
+	m.views.residuals = nil
 	hs.finalized = true
 }
 
 // quiescent reports whether this monitor has no pending work of its own.
 func (m *Monitor) quiescent() bool {
-	return m.handshake.localDone && len(m.searches.table) == 0 && len(m.searches.inflightFetch) == 0 &&
+	return m.handshake.localDone && len(m.searches.table) == 0 && !m.searches.fetching() &&
 		allSet(m.handshake.peerDone)
 }
 
@@ -205,9 +206,7 @@ func (m *Monitor) maybeFini() {
 	if m.cfg.SkipFinalize {
 		for _, key := range m.gvKeys() {
 			gv := m.views.gvs[key]
-			for _, q := range gv.states.members(m.mon.NumStates()) {
-				m.recordVerdictState(q, gv.cut)
-			}
+			gv.states.forEach(func(q int) { m.recordVerdictState(q, gv.cut) })
 		}
 	}
 	hs.finiSent = true

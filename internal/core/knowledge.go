@@ -22,31 +22,40 @@ import (
 // numbering regardless of how much of the prefix has been collected.
 type knowledge struct {
 	n      int
-	init   dist.GlobalState
 	events [][]*dist.Event   // events[p][k] = (base[p]+k+1)-th event of process p
 	base   []int             // events 1..base[p] have been garbage-collected
 	bstate []dist.LocalState // local state after event base[p] (init below 1)
 	done   []bool            // process p has terminated (no further events)
 	final  []int             // if done[p], total number of events of p
+	arena  []*dist.Event     // where the next first window is cut from
 
 	retained  int // events currently held across all processes
 	peak      int // high-water mark of retained (Metrics.KnowledgePeak)
 	collected int // total events discarded by truncate (Metrics.KnowledgeCollected)
 }
 
-func newKnowledge(n int, init dist.GlobalState) *knowledge {
-	k := &knowledge{
-		n:      n,
-		init:   init.Clone(),
-		events: make([][]*dist.Event, n),
-		base:   make([]int, n),
-		bstate: make([]dist.LocalState, n),
-		done:   make([]bool, n),
-		final:  make([]int, n),
-	}
-	copy(k.bstate, k.init)
-	return k
+// carve sets k up as an empty store over n processes in the initial state
+// init, its n-wide arrays cut from the session's slabs.
+func (k *knowledge) carve(sl *fleetSlabs, n int, init dist.GlobalState) {
+	k.n = n
+	k.events = take(&sl.windows, n)
+	k.base, k.final = take(&sl.ints, n), take(&sl.ints, n)
+	k.bstate = take(&sl.states, n)
+	k.done = take(&sl.bools, n)
+	copy(k.bstate, init)
 }
+
+// firstWindow is the capacity a process's window starts at, and windowArena
+// the storage one allocation holds for first windows. A short run (the
+// paper's sessions: a handful of events per process) fills a monitor's
+// windows out of one or two allocations without regrowing any from one; a
+// long one doubles from there as before. A window that moves out of its first
+// region (grow, truncate) clears it, so an arena kept alive by a neighbour
+// keeps no event alive.
+const (
+	firstWindow = 8
+	windowArena = 8 * firstWindow
+)
 
 // len returns the length of the known contiguous prefix of process p
 // (including any collected events).
@@ -79,7 +88,18 @@ func (k *knowledge) from(p, sn int) []*dist.Event {
 // grow appends one event at the frontier of process p (already
 // sequence-checked by append/merge).
 func (k *knowledge) grow(p int, e *dist.Event) {
-	k.events[p] = append(k.events[p], e)
+	w := k.events[p]
+	switch {
+	case cap(w) == 0:
+		if len(k.arena) == 0 {
+			k.arena = make([]*dist.Event, windowArena)
+		}
+		w = take(&k.arena, firstWindow)[:0]
+	case len(w) == cap(w):
+		w = append(make([]*dist.Event, 0, 2*cap(w)), w...)
+		clear(k.events[p])
+	}
+	k.events[p] = append(w, e)
 	k.retained++
 	if k.retained > k.peak {
 		k.peak = k.retained
@@ -133,6 +153,7 @@ func (k *knowledge) truncate(cut vclock.VC) {
 			// collected events) are released; amortized O(1) per event.
 			fresh := make([]*dist.Event, len(rest))
 			copy(fresh, rest)
+			clear(k.events[p])
 			k.events[p] = fresh
 		} else {
 			for i := 0; i < drop; i++ {

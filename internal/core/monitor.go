@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"decentmon/internal/automaton"
@@ -121,24 +122,32 @@ type Monitor struct {
 	hand transport.ValueSender
 	mon  *automaton.Monitor
 	*program
+	// sess is the session the monitor belongs to: recordVerdictState reports
+	// to it, publishGauges signals its backpressure gate and roundDone its
+	// snapshot coordinator.
+	sess    *Session
 	feed    chan feedItem
-	scratch scratch
+	scratch *scratch
 
-	know      *knowledge
+	know      knowledge
 	views     views
 	searches  searches
 	floors    floors
 	handshake handshake
 
-	verdictStates map[int]bool
-	verdicts      map[automaton.Verdict]bool
+	// verdictStates are the automaton states this monitor's paths reached
+	// (conclusive detections plus, after finalization, final-cut states; in
+	// no-finalize mode, the states of views surviving at FINI) and verdicts
+	// their verdicts, read by Session.collect once the run loop has returned.
+	verdictStates stateset
+	verdicts      verdictFlags
+
+	// initCut and initState are where INIT puts the initial view's cut and
+	// global state, cut from the session's slabs.
+	initCut   vclock.VC
+	initState dist.GlobalState
 
 	metrics Metrics
-	// OnVerdict, if set, is called (from the monitor's goroutine) the
-	// first time each automaton verdict state is recorded, with the consistent
-	// cut at which it was detected when a single one is known (nil when the
-	// detection site has no unique cut, e.g. a box-interior hit).
-	OnVerdict func(state int, v automaton.Verdict, cut vclock.VC)
 
 	// ctx is the session context; the run loop and the pump check it so a
 	// cancelled session returns promptly mid-exploration.
@@ -146,23 +155,20 @@ type Monitor struct {
 
 	// lagGauge publishes know.retained and progressGauge the monotone sum
 	// of collected events and closed searches, both after every pump, for
-	// the session's feeder-side backpressure gate (session.go). onProgress
-	// is the session's relief hook, invoked whenever progressGauge advances.
+	// the session's feeder-side backpressure gate (session.go), which
+	// publishGauges signals whenever progressGauge advances.
 	lagGauge      atomic.Int64
 	progressGauge atomic.Int64
-	onProgress    func()
 
 	// Snapshot quiescence accounting (snapshot.go): outSent counts monitor
 	// messages enqueued to peers, incremented BEFORE the transport send so
 	// that handled ≤ sent holds at every instant; inHandled counts inputs
 	// whose full handling round — handlers plus pump — has completed. With
 	// feeds paused, sum(inHandled) catching up to the input baseline plus
-	// sum(outSent) proves stable global quiescence (Session.awaitQuiescence).
-	// quiesce is the session's wake-up for a coordinator waiting on exactly
-	// that (nil for a monitor run outside a session).
+	// sum(outSent) proves stable global quiescence (Session.awaitQuiescence);
+	// roundDone wakes a coordinator waiting on exactly that.
 	outSent   atomic.Int64
 	inHandled atomic.Int64
-	quiesce   *quiesceSignal
 
 	// restored marks a monitor rebuilt from a snapshot: start() then skips
 	// INIT, whose effects the restored state already contains.
@@ -175,8 +181,21 @@ type Monitor struct {
 // own goroutine. Map probes go through keyBuf/sigBuf via the
 // m[string(buf)] idiom so lookups never allocate; keys and states recycle the
 // per-pump key slice and the per-step state set (PERFORMANCE.md); perState
-// and ids back maybeLaunchSearches; box is the sweep kernel's, touched by
-// explore alone.
+// and ids back maybeLaunchSearches; trunc is collectKnowledge's truncation
+// cut; box is the sweep kernel's, touched by explore alone.
+//
+// Lifetime. A scratch outlives its monitor: newMonitor takes one from
+// scratchPool and run puts it back when it returns, so a session starts from
+// arenas and buffers an earlier one grew, whatever the shapes of the two
+// (every user sizes what it takes: states to the automaton, the box arenas
+// and table per exploration, the buffers by reslicing to zero). That is
+// sound because nothing escapes it. Everything a handler keeps is copied
+// out: map keys, signatures and lastSig materialize as strings, cuts a box
+// reports are clones, truncate only reads trunc. The one exchange is states,
+// which advanceGV swaps with the view it steps; the set it hands back is the
+// view's old one, which nothing else holds. What the buffers still point to
+// when run returns is the keys' strings, cleared by release; the rest is
+// bytes, integers and bitsets.
 type scratch struct {
 	keyBuf   []byte
 	sigBuf   []byte
@@ -184,35 +203,46 @@ type scratch struct {
 	states   stateset
 	perState []stateSearch
 	ids      []int
+	trunc    vclock.VC
 	box      boxScratch
 }
 
-// newMonitor creates monitor i of the session configured by cfg, running the
-// session's compiled program and attached to the endpoint of the same index.
-// The endpoint is checked: a network supplied by the caller
-// (SessionConfig.Network) could number its endpoints otherwise.
-func newMonitor(cfg *SessionConfig, i int, prog *program, ep transport.Endpoint) (*Monitor, error) {
+// scratchPool holds the scratch of monitors whose run has returned.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// release clears what sc retains and returns it to scratchPool.
+func (sc *scratch) release() {
+	clear(sc.keys[:cap(sc.keys)])
+	sc.keys = sc.keys[:0]
+	scratchPool.Put(sc)
+}
+
+// newMonitor sets up m as monitor i of session s, running the session's
+// compiled program and attached to the endpoint of the same index, with its
+// n-wide arrays cut from the session's slabs. The endpoint is checked: a
+// network supplied by the caller (SessionConfig.Network) could number its
+// endpoints otherwise.
+func newMonitor(m *Monitor, s *Session, i int, prog *program, ep transport.Endpoint, sl *fleetSlabs) error {
 	if ep.ID() != i {
-		return nil, fmt.Errorf("core: endpoint id %d != index %d", ep.ID(), i)
+		return fmt.Errorf("core: endpoint id %d != index %d", ep.ID(), i)
 	}
-	m := &Monitor{
-		cfg:           cfg,
-		index:         i,
-		ep:            ep,
-		mon:           cfg.Automaton,
-		program:       prog,
-		feed:          make(chan feedItem, feedQueue),
-		know:          newKnowledge(cfg.N, cfg.Init),
-		views:         newViews(),
-		searches:      newSearches(),
-		floors:        newFloors(cfg.N),
-		handshake:     newHandshake(cfg.N),
-		verdictStates: map[int]bool{},
-		verdicts:      map[automaton.Verdict]bool{},
-	}
+	cfg := &s.cfg
+	m.cfg, m.index, m.ep, m.mon, m.program, m.sess = cfg, i, ep, cfg.Automaton, prog, s
 	m.hand, _ = ep.(transport.ValueSender)
-	m.scratch.states = newStateset(cfg.Automaton.NumStates())
-	return m, nil
+	m.feed = make(chan feedItem, feedQueue)
+	m.know.carve(sl, cfg.N, cfg.Init)
+	m.views = newViews()
+	m.searches.inflightFetch = take(&sl.ints, cfg.N)
+	m.floors.carve(sl, cfg.N)
+	m.handshake.carve(sl, cfg.N)
+	m.initCut, m.initState = take(&sl.ints, cfg.N), take(&sl.states, cfg.N)
+	words := statesetWords(cfg.Automaton.NumStates())
+	m.verdictStates = take(&sl.words, words)
+	m.scratch = scratchPool.Get().(*scratch)
+	if len(m.scratch.states) != words {
+		m.scratch.states = make(stateset, words)
+	}
+	return nil
 }
 
 // maxBoxNodes bounds a single box exploration: visiting more lattice nodes
@@ -222,10 +252,10 @@ const maxBoxNodes = 1 << 21
 
 // explore runs one box exploration over the monitor's support and accounts
 // the exploration metrics.
-func (m *Monitor) explore(init stateset, lo, hi vclock.VC) (*boxResult, error) {
-	box, err := m.scratch.box.explore(m.mon, m.know, m.lt, init, lo, hi, maxBoxNodes, m.support)
+func (m *Monitor) explore(init stateset, lo, hi vclock.VC) (boxResult, error) {
+	box, err := m.scratch.box.explore(m.mon, &m.know, m.lt, init, lo, hi, maxBoxNodes, m.support)
 	if err != nil {
-		return nil, err
+		return box, err
 	}
 	m.metrics.BoxExplorations++
 	m.metrics.BoxNodes += box.nodes
@@ -246,26 +276,8 @@ func (m *Monitor) enqueue(ctx context.Context, it feedItem) error {
 	}
 }
 
-// Verdicts returns the verdict set after the run loop has returned.
-func (m *Monitor) Verdicts() map[automaton.Verdict]bool {
-	out := map[automaton.Verdict]bool{}
-	for v := range m.verdicts {
-		out[v] = true
-	}
-	return out
-}
-
-// FinalStates returns the automaton states this monitor's paths reached
-// (conclusive detections plus, after finalization, final-cut states; in
-// no-finalize mode, the states of views surviving at FINI).
-func (m *Monitor) FinalStates() []int {
-	var out []int
-	for s := range m.verdictStates {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
+// verdictFlags is a set of automaton verdicts: flag v for Verdict v.
+type verdictFlags [automaton.Bottom + 1]bool
 
 // Metrics returns the overhead counters after the run loop has returned.
 func (m *Monitor) Metrics() Metrics {
@@ -280,6 +292,10 @@ func (m *Monitor) Metrics() Metrics {
 // or ctx is cancelled. Every round runs here, on the goroutine the input
 // arrived at, which is the only one that touches the monitor's state.
 func (m *Monitor) run(ctx context.Context) error {
+	defer func() {
+		m.scratch.release()
+		m.scratch = nil // nothing may touch it once it is back in the pool
+	}()
 	m.start(ctx)
 	m.roundDone(1) // the INIT round (counted even when restored skips it)
 	inbox := m.ep.Inbox()
@@ -335,7 +351,7 @@ drain:
 // atomic load on a struct the session's monitors share.
 func (m *Monitor) roundDone(k int64) {
 	m.inHandled.Add(k)
-	if q := m.quiesce; q != nil && q.waiting.Load() {
+	if q := &m.sess.quiesce; q.waiting.Load() {
 		q.notify()
 	}
 }
@@ -351,11 +367,12 @@ func (m *Monitor) start(ctx context.Context) {
 	}
 	q0 := m.initialState()
 	if m.mon.Final(q0) {
-		m.recordVerdictState(q0, vclock.New(m.cfg.N))
+		m.recordVerdictState(q0, m.initCut)
 	} else {
 		init := newStateset(m.mon.NumStates())
 		init.set(q0)
-		m.addGV(init, vclock.New(m.cfg.N), m.cfg.Init.Clone(), true)
+		copy(m.initState, m.cfg.Init)
+		m.addGV(init, m.initCut, m.initState, true)
 	}
 	m.pump()
 }
@@ -457,12 +474,32 @@ func (m *Monitor) handleMessage(raw transport.Message) {
 // monitor are served against local history; tokens returning to their
 // parent integrate their findings into the global-view set.
 func (m *Monitor) handleToken(t *tokenWire) {
+	if err := m.checkToken(t); err != nil {
+		m.fail(fmt.Errorf("core: monitor %d: %w", m.index, err))
+		return
+	}
 	if t.Parent == m.index {
 		m.handleReturn(t)
 		return
 	}
 	m.serveToken(t)
 	m.routeOrPark(t)
+}
+
+// checkToken checks a token against the automaton: its state is one, and each
+// of its transitions leaves that state. (validateToken has checked it against
+// the fleet.) A token decoded off the wire is where this can fail.
+func (m *Monitor) checkToken(t *tokenWire) error {
+	if t.Q < 0 || t.Q >= m.mon.NumStates() {
+		return fmt.Errorf("token of search %#x in state %d, the automaton has %d", t.SearchID, t.Q, m.mon.NumStates())
+	}
+	all := m.mon.Transitions()
+	for _, tr := range t.Trans {
+		if tr.ID < 0 || tr.ID >= len(all) || all[tr.ID].Src != t.Q {
+			return fmt.Errorf("token of search %#x searches transition %d, not one out of state %d", t.SearchID, tr.ID, t.Q)
+		}
+	}
+	return nil
 }
 
 // handleReturn processes a token back at its parent: absorb the collected
@@ -526,7 +563,7 @@ func (m *Monitor) integrateEnabled(t *tokenWire, tr *transWire) {
 		m.fail(err)
 		return
 	}
-	m.integrateBox(box, origin, nil)
+	m.integrateBox(&box, origin, nil)
 }
 
 // integrateBox records conclusive hits and forks global views at pivots; if
@@ -633,9 +670,7 @@ func (m *Monitor) publishGauges() {
 	prog := int64(m.know.collected) + m.searches.done
 	if prog != m.progressGauge.Load() {
 		m.progressGauge.Store(prog)
-		if m.onProgress != nil {
-			m.onProgress()
-		}
+		m.sess.signalRelief()
 	}
 }
 
@@ -644,18 +679,16 @@ func (m *Monitor) publishGauges() {
 // recordVerdictState records a newly reached automaton verdict state; cut is
 // the consistent cut where it was detected, when a single one is known.
 func (m *Monitor) recordVerdictState(q int, cut vclock.VC) {
-	if m.verdictStates[q] {
+	if m.verdictStates.has(q) {
 		return
 	}
-	m.verdictStates[q] = true
+	m.verdictStates.set(q)
 	v := m.mon.VerdictOf(q)
 	m.verdicts[v] = true
-	if m.OnVerdict != nil {
-		if cut != nil {
-			cut = cut.Clone()
-		}
-		m.OnVerdict(q, v, cut)
+	if cut != nil {
+		cut = cut.Clone()
 	}
+	m.sess.emitVerdict(m.index, q, v, cut)
 }
 
 // --- plumbing ---
@@ -717,8 +750,10 @@ func (m *Monitor) DebugString() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "monitor %d: %d views, %d searches outstanding, verdicts ", m.index, len(m.views.gvs), len(m.searches.table))
 	var vs []string
-	for v := range m.verdicts {
-		vs = append(vs, v.String())
+	for v, reached := range m.verdicts {
+		if reached {
+			vs = append(vs, automaton.Verdict(v).String())
+		}
 	}
 	sort.Strings(vs)
 	fmt.Fprintf(&b, "{%s}", strings.Join(vs, ","))
@@ -741,7 +776,7 @@ func (m *Monitor) appendState(b []byte, sc *snapScratch) []byte {
 	b = m.views.appendTo(b, sc)
 	b = m.searches.appendTo(b, sc)
 	// Verdict states reached (the verdict set and the gauges are derivable).
-	sc.ints = sortedKeys(sc.ints, m.verdictStates)
+	sc.ints = m.verdictStates.list(sc.ints[:0])
 	b = wire.AppendClock(b, sc.ints)
 	for _, f := range m.metrics.fields() {
 		b = wire.AppendInts(b, *f)
@@ -767,7 +802,7 @@ func (m *Monitor) restoreState(d *wire.Cursor) error {
 	}
 	for _, c := range []interface {
 		restore(*wire.Cursor, *Monitor) error
-	}{&m.handshake, &m.floors, m.know, &m.views, &m.searches} {
+	}{&m.handshake, &m.floors, &m.know, &m.views, &m.searches} {
 		if err := c.restore(d, m); err != nil {
 			return err
 		}
@@ -777,7 +812,7 @@ func (m *Monitor) restoreState(d *wire.Cursor) error {
 		if q >= numStates {
 			return fmt.Errorf("verdict state %d out of range", q)
 		}
-		m.verdictStates[q] = true
+		m.verdictStates.set(q)
 		m.verdicts[m.mon.VerdictOf(q)] = true
 	}
 	for _, f := range m.metrics.fields() {

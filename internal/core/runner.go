@@ -38,8 +38,6 @@ type RunResult struct {
 	// Verdicts is the union of all monitors' verdict sets — the object the
 	// problem statement (Chapter 3) compares against the oracle.
 	Verdicts map[automaton.Verdict]bool
-	// PerMonitor holds each monitor's own verdict set.
-	PerMonitor []map[automaton.Verdict]bool
 	// FinalStates is the union of automaton states reported by monitors.
 	FinalStates map[int]bool
 	// Metrics per monitor, in process order.

@@ -21,7 +21,9 @@ type search struct {
 // searches is everything a monitor has in flight or parked on behalf of the
 // token protocol. An outstanding search lives in table and nowhere else;
 // bySig indexes the table by signature for launchSearch's allocation-free
-// probe and is derived from it (never serialized, rebuilt on restore).
+// probe and is derived from it (never serialized, rebuilt on restore). The
+// three maps are made by the first search, so a monitor that launches none
+// pays for none; inflightFetch is n wide, cut from the session's slabs.
 type searches struct {
 	seq   int64 // last search sequence number issued
 	done  int64 // searches fully resolved, for the progress gauge
@@ -29,7 +31,7 @@ type searches struct {
 	bySig map[string]int64
 
 	launched      map[string]bool // launch dedupe ledger: signatures@cutKey
-	inflightFetch map[int]int     // proc -> highest SN already requested
+	inflightFetch []int           // per process: highest SN requested, 0 = no fetch in flight
 	waitTokens    []*tokenWire    // tokens waiting for future local events
 	waitFetches   []pendingFetch
 }
@@ -39,13 +41,19 @@ type pendingFetch struct {
 	req  *fetchWire
 }
 
-func newSearches() searches {
-	return searches{
-		table:         map[int64]search{},
-		bySig:         map[string]int64{},
-		launched:      map[string]bool{},
-		inflightFetch: map[int]int{},
+// makeMaps makes the maps a search is recorded in.
+func (s *searches) makeMaps() {
+	s.table, s.bySig, s.launched = map[int64]search{}, map[string]int64{}, map[string]bool{}
+}
+
+// fetching reports whether some fetch of this monitor awaits its reply.
+func (s *searches) fetching() bool {
+	for _, sn := range s.inflightFetch {
+		if sn != 0 {
+			return true
+		}
 	}
+	return false
 }
 
 // stateSearch is one automaton state's possibly-enabled outgoing-transition
@@ -66,7 +74,7 @@ func (m *Monitor) maybeLaunchSearches(gv *globalView) {
 	// transitions (those whose local conjunct Pi does not forbid,
 	// Algorithm 3 line 7). Ids, signatures and the search records all build
 	// into reused scratch; strings materialize only past the dedup checks.
-	sc := &m.scratch
+	sc := m.scratch
 	found := sc.perState[:0]
 	ids := sc.ids[:0]
 	sb := sc.sigBuf[:0]
@@ -115,6 +123,9 @@ func (m *Monitor) maybeLaunchSearches(gv *globalView) {
 	sc.sigBuf = sb
 	if m.searches.launched[string(sb)] { // allocation-free probe
 		return
+	}
+	if m.searches.launched == nil {
+		m.searches.makeMaps()
 	}
 	m.searches.launched[string(sb)] = true
 	for _, s := range found {
@@ -218,6 +229,13 @@ func (m *Monitor) serveWaiters() {
 // replies keep the requester's prefix contiguous).
 func (m *Monitor) serveFetch(from int, f *fetchWire) {
 	i := m.index
+	if f.FromSN <= m.know.floor(i) {
+		// The requester's need-floor pins its fetches above ours (floors.go):
+		// such a fetch is a peer's fault, and answering it would read
+		// collected history.
+		m.fail(fmt.Errorf("core: monitor %d: fetch from monitor %d of events %d.. below the GC floor %d", i, from, f.FromSN, m.know.floor(i)))
+		return
+	}
 	if f.ToSN > m.know.len(i) && !m.handshake.localDone {
 		m.searches.waitFetches = append(m.searches.waitFetches, pendingFetch{from, f})
 		return
@@ -233,6 +251,10 @@ func (m *Monitor) serveFetch(from int, f *fetchWire) {
 }
 
 func (m *Monitor) handleFetchReply(r *fetchReplyWire) {
+	if r.Proc == m.index {
+		m.fail(fmt.Errorf("core: monitor %d: fetch reply with events of its own process", m.index))
+		return
+	}
 	if err := m.know.merge(r.Proc, r.Events); err != nil {
 		m.fail(err)
 		return
@@ -240,7 +262,7 @@ func (m *Monitor) handleFetchReply(r *fetchReplyWire) {
 	if r.Done {
 		m.know.markDone(r.Proc, r.Total)
 	}
-	delete(m.searches.inflightFetch, r.Proc)
+	m.searches.inflightFetch[r.Proc] = 0
 }
 
 // requestKnowledge fetches the segments needed to cover the target cut.
@@ -282,10 +304,17 @@ func (s *searches) appendTo(b []byte, sc *snapScratch) []byte {
 	for _, key := range sc.keys {
 		b = wire.AppendString(b, key)
 	}
-	b = wire.AppendUvarint(b, uint64(len(s.inflightFetch)))
-	sc.ints = sortedKeys(sc.ints, s.inflightFetch)
-	for _, p := range sc.ints {
-		b = wire.AppendInts(b, p, s.inflightFetch[p])
+	fetches := 0
+	for _, sn := range s.inflightFetch {
+		if sn != 0 {
+			fetches++
+		}
+	}
+	b = wire.AppendUvarint(b, uint64(fetches))
+	for p, sn := range s.inflightFetch {
+		if sn != 0 {
+			b = wire.AppendInts(b, p, sn)
+		}
 	}
 	b = wire.AppendUvarint(b, uint64(len(s.waitTokens)))
 	for _, t := range s.waitTokens {
@@ -305,6 +334,7 @@ func (s *searches) appendTo(b []byte, sc *snapScratch) []byte {
 func (s *searches) restore(d *wire.Cursor, m *Monitor) error {
 	n := m.cfg.N
 	s.seq, s.done = int64(d.Int()), int64(d.Int())
+	s.makeMaps()
 	for k := d.Count(3); k > 0 && d.Err() == nil; k-- { // id, signature, origin
 		id, sig, origin := int64(d.Int()), d.String(), clockOf(d, n)
 		if d.Err() != nil {
@@ -322,12 +352,17 @@ func (s *searches) restore(d *wire.Cursor, m *Monitor) error {
 	for k := d.Count(1); k > 0 && d.Err() == nil; k-- {
 		s.launched[d.String()] = true
 	}
-	for k := d.Count(2); k > 0 && d.Err() == nil; k-- {
+	for k, prev := d.Count(2), -1; k > 0 && d.Err() == nil; k-- {
 		p, sn := d.Int(), d.Int()
-		if p >= n {
-			return fmt.Errorf("inflight fetch names process %d", p)
+		switch {
+		case d.Err() != nil:
+			return d.Err()
+		case p >= n || p <= prev:
+			return fmt.Errorf("inflight fetch names process %d after %d", p, prev)
+		case sn == 0:
+			return fmt.Errorf("inflight fetch to process %d requests nothing", p)
 		}
-		s.inflightFetch[p] = sn
+		s.inflightFetch[p], prev = sn, p
 	}
 	for k := d.Count(4); k > 0 && d.Err() == nil; k-- {
 		t := decodeToken(d, n)
@@ -355,28 +390,43 @@ func (s *searches) restore(d *wire.Cursor, m *Monitor) error {
 	return d.Err()
 }
 
-// validateToken bounds-checks a parked token so serving it later cannot
-// index out of range.
+// validateToken bounds-checks a token decoded off the wire or out of a
+// snapshot against a fleet of n monitors, so serving it cannot index out of
+// range: its processes, the widths of its clocks and evaluation vectors, the
+// evaluations themselves, and its segments' events. Its state and transition
+// ids are the automaton's business (handleToken).
 func validateToken(t *tokenWire, n int) error {
-	if t.Parent < 0 || t.Parent >= n || len(t.Origin) != n {
-		return fmt.Errorf("parked token header out of range")
+	if t.Parent < 0 || t.Parent >= n || t.NextTargetProcess >= n || len(t.Origin) != n {
+		return fmt.Errorf("token of monitor %d to %d with a %d-entry origin, fleet of %d", t.Parent, t.NextTargetProcess, len(t.Origin), n)
 	}
 	for _, tr := range t.Trans {
 		if len(tr.Gcut) != n || len(tr.Depend) != n || len(tr.ConjEval) != n {
-			return fmt.Errorf("parked token transition out of range")
+			return fmt.Errorf("token transition %d with clocks of width %d and %d, %d evaluations, fleet of %d",
+				tr.ID, len(tr.Gcut), len(tr.Depend), len(tr.ConjEval), n)
 		}
 		if tr.NextTargetProcess >= n {
-			return fmt.Errorf("parked token targets process %d", tr.NextTargetProcess)
+			return fmt.Errorf("token transition %d targets process %d, fleet of %d", tr.ID, tr.NextTargetProcess, n)
+		}
+		if tr.Eval > evalFalse || tr.Eval < evalUnset {
+			return fmt.Errorf("token transition %d evaluates to %d", tr.ID, tr.Eval)
+		}
+		for _, ev := range tr.ConjEval {
+			if ev > evalFalse || ev < evalUnset {
+				return fmt.Errorf("token transition %d has a conjunct evaluating to %d", tr.ID, ev)
+			}
 		}
 	}
 	for _, s := range t.Segs {
 		if s.Proc < 0 || s.Proc >= n {
-			return fmt.Errorf("parked token segment names process %d", s.Proc)
+			return fmt.Errorf("token segment names process %d, fleet of %d", s.Proc, n)
 		}
 		for _, e := range s.Events {
-			if e == nil || e.Proc != s.Proc || len(e.VC) != n {
-				return fmt.Errorf("parked token segment event malformed")
+			if e == nil || len(e.VC) != n {
+				return fmt.Errorf("token segment of process %d carries a malformed event", s.Proc)
 			}
+		}
+		if err := checkSegment(s.Proc, s.Events); err != nil {
+			return err
 		}
 	}
 	return nil

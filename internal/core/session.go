@@ -218,22 +218,53 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		nw.Close()
 		return nil, err
 	}
-	for i := 0; i < cfg.N; i++ {
-		m, err := newMonitor(&s.cfg, i, prog, nw.Endpoint(i))
-		if err != nil {
+	fleet := make([]Monitor, cfg.N)
+	s.monitors = make([]*Monitor, cfg.N)
+	sl := newFleetSlabs(cfg.N, statesetWords(cfg.Automaton.NumStates()))
+	for i := range fleet {
+		if err := newMonitor(&fleet[i], s, i, prog, nw.Endpoint(i), sl); err != nil {
 			cancel()
 			nw.Close()
 			return nil, err
 		}
-		idx := i
-		m.OnVerdict = func(state int, v automaton.Verdict, cut vclock.VC) {
-			s.emitVerdict(idx, state, v, cut)
-		}
-		m.onProgress = s.signalRelief
-		m.quiesce = &s.quiesce
-		s.monitors = append(s.monitors, m)
+		s.monitors[i] = &fleet[i]
 	}
 	return s, nil
+}
+
+// fleetSlabs is the storage a session's n monitors cut their n-wide arrays
+// from, one allocation per element type for the whole fleet instead of a
+// dozen per monitor: per monitor, six int arrays (the knowledge window's
+// bases and final totals, the floors' peerNeed and sentTo, the in-flight
+// fetches, the initial view's cut), three bool arrays (termination marks and
+// the handshake's peerDone and peerFini), two state arrays (the floor states
+// and the initial view's global state), the window headers, and the
+// verdict-state set. The arrays live as long as the session; restore fills
+// them in place or, for the floors, replaces them whole.
+type fleetSlabs struct {
+	ints    []int
+	bools   []bool
+	states  []dist.LocalState
+	windows [][]*dist.Event
+	words   []uint64
+}
+
+func newFleetSlabs(n, stateWords int) *fleetSlabs {
+	return &fleetSlabs{
+		ints:    make([]int, 6*n*n),
+		bools:   make([]bool, 3*n*n),
+		states:  make([]dist.LocalState, 2*n*n),
+		windows: make([][]*dist.Event, n*n),
+		words:   make([]uint64, n*stateWords),
+	}
+}
+
+// take cuts the next k elements off *slab, with no capacity past them: an
+// append to one monitor's array can never write into the next one's.
+func take[T any](slab *[]T, k int) []T {
+	s := (*slab)[:k:k]
+	*slab = (*slab)[k:]
+	return s
 }
 
 // launch starts the monitor goroutines of a built session, one loop each.
@@ -480,11 +511,10 @@ func (s *Session) Feed(e *dist.Event) error {
 	return s.feed(e.Proc, 1, feedItem{event: e})
 }
 
-// FeedScratch is what one feeder reuses from one FeedRun to the next: the
-// window in hand, grouped by process. The zero value is ready; a feeder keeps
-// its own.
+// FeedScratch is what one feeder reuses from one FeedRun to the next: a
+// counter per process. The zero value is ready; a feeder keeps its own.
 type FeedScratch struct {
-	byProc [][]*dist.Event
+	ends []int
 }
 
 // FeedRun delivers a window of events of any processes, in the order a single
@@ -505,33 +535,51 @@ func (s *Session) FeedRun(fs *FeedScratch, run []*dist.Event) error {
 		}
 		single = single && e.Proc == run[0].Proc
 	}
-	if single && len(run) > 0 {
-		return s.feedGroup(run)
+	switch {
+	case len(run) == 0:
+		return nil
+	case len(run) == 1:
+		return s.feed(run[0].Proc, 1, feedItem{event: run[0]})
+	case single:
+		return s.feed(run[0].Proc, len(run), feedItem{batch: slices.Clone(run)})
 	}
-	for len(fs.byProc) < s.cfg.N {
-		fs.byProc = append(fs.byProc, nil)
+	// Sort the window by process into one array (a counting sort: ends[p] is
+	// first where process p's group starts, then where it ends) and hand each
+	// monitor its group as a batch with no capacity past it. The monitors own
+	// the array from here; each reads its own part.
+	if len(fs.ends) < s.cfg.N {
+		fs.ends = make([]int, s.cfg.N)
 	}
+	ends := fs.ends[:s.cfg.N]
+	clear(ends)
 	for _, e := range run {
-		fs.byProc[e.Proc] = append(fs.byProc[e.Proc], e)
+		ends[e.Proc]++
 	}
-	var err error
-	for p, group := range fs.byProc[:s.cfg.N] {
-		if len(group) > 0 && err == nil {
-			err = s.feedGroup(group)
+	at := 0
+	for p, k := range ends {
+		ends[p], at = at, at+k
+	}
+	grouped := make([]*dist.Event, len(run))
+	for _, e := range run {
+		grouped[ends[e.Proc]] = e
+		ends[e.Proc]++
+	}
+	lo := 0
+	for p, hi := range ends {
+		var err error
+		switch hi - lo {
+		case 0:
+		case 1:
+			err = s.feed(p, 1, feedItem{event: grouped[lo]})
+		default:
+			err = s.feed(p, hi-lo, feedItem{batch: grouped[lo:hi:hi]})
 		}
-		clear(group) // the scratch must not keep events alive
-		fs.byProc[p] = group[:0]
+		if err != nil {
+			return err
+		}
+		lo = hi
 	}
-	return err
-}
-
-// feedGroup feeds checked events of one process as one feed item: the event
-// itself, or a copy of the slice.
-func (s *Session) feedGroup(group []*dist.Event) error {
-	if len(group) == 1 {
-		return s.feed(group[0].Proc, 1, feedItem{event: group[0]})
-	}
-	return s.feed(group[0].Proc, len(group), feedItem{batch: slices.Clone(group)})
+	return nil
 }
 
 // End marks one process as terminated; its monitor then knows no further
@@ -612,6 +660,7 @@ func (s *Session) collect() (*RunResult, error) {
 	res := &RunResult{
 		Verdicts:        map[automaton.Verdict]bool{},
 		FinalStates:     map[int]bool{},
+		Metrics:         make([]Metrics, 0, len(s.monitors)),
 		NetMessages:     s.nw.Stats().Messages(),
 		NetBytes:        s.nw.Stats().Bytes(),
 		FirstConclusive: s.firstConcl,
@@ -619,14 +668,12 @@ func (s *Session) collect() (*RunResult, error) {
 		ProgramWall:     programWall,
 	}
 	for _, m := range s.monitors {
-		vs := m.Verdicts()
-		res.PerMonitor = append(res.PerMonitor, vs)
-		for v := range vs {
-			res.Verdicts[v] = true
+		for v, reached := range m.verdicts {
+			if reached {
+				res.Verdicts[automaton.Verdict(v)] = true
+			}
 		}
-		for _, st := range m.FinalStates() {
-			res.FinalStates[st] = true
-		}
+		m.verdictStates.forEach(func(q int) { res.FinalStates[q] = true })
 		res.Metrics = append(res.Metrics, m.Metrics())
 	}
 	return res, nil

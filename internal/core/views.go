@@ -46,19 +46,20 @@ type views struct {
 	// final cut so those inconclusive paths still report (the finalization-?
 	// completeness gap surfaced by the PR 5 gauntlet: property D, ring, n=5,
 	// seed 2015). Residual cuts join the need-floor so GC keeps the history
-	// the finalize-time exploration will walk.
+	// the finalize-time exploration will walk. Nil until the first one (a
+	// detection-only session never retains any).
 	residuals map[string]*residualView
 }
 
 func newViews() views {
-	return views{gvs: map[string]*globalView{}, residuals: map[string]*residualView{}}
+	return views{gvs: map[string]*globalView{}}
 }
 
 // addGV inserts a global view, implementing MergeSimilarGlobalViews
 // (Algorithm 2): views at the same cut merge by unioning their state sets.
 // counted controls whether the view increments the Fig. 5.8 fork metric.
 func (m *Monitor) addGV(states stateset, cut vclock.VC, gstate dist.GlobalState, counted bool) *globalView {
-	sc := &m.scratch
+	sc := m.scratch
 	sc.keyBuf = cut.AppendKey(sc.keyBuf[:0])
 	if gv, ok := m.views.gvs[string(sc.keyBuf)]; ok { // allocation-free probe
 		if gv.states.or(states) {
@@ -99,7 +100,7 @@ func (m *Monitor) residualKeys() []string {
 // searches.
 func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 	i := m.index
-	sc := &m.scratch
+	sc := m.scratch
 	if gv.blocked != nil {
 		if !m.know.covers(gv.blocked) {
 			return false
@@ -181,7 +182,7 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 			return changed
 		}
 		delete(m.views.gvs, key)
-		m.integrateBox(box, gv.states, target)
+		m.integrateBox(&box, gv.states, target)
 		return true
 	}
 	return changed
@@ -193,11 +194,14 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 // retained verbatim and the cut joins the need-floor, so aliasing a live
 // view's storage here would corrupt the GC argument.
 func (m *Monitor) retainResidual(states stateset, cut vclock.VC) {
-	sc := &m.scratch
+	sc := m.scratch
 	sc.keyBuf = cut.AppendKey(sc.keyBuf[:0])
 	if r, ok := m.views.residuals[string(sc.keyBuf)]; ok { // allocation-free probe
 		r.states.or(states)
 		return
+	}
+	if m.views.residuals == nil {
+		m.views.residuals = map[string]*residualView{}
 	}
 	m.views.residuals[string(sc.keyBuf)] = &residualView{states: states, cut: cut}
 }
@@ -269,6 +273,9 @@ func (v *views) restore(d *wire.Cursor, m *Monitor) error {
 		}
 		if !m.cutInWindow(cut) {
 			return fmt.Errorf("residual cut %v outside the knowledge window", cut)
+		}
+		if v.residuals == nil {
+			v.residuals = map[string]*residualView{}
 		}
 		v.residuals[gvKey(cut)] = &residualView{states: states, cut: cut}
 	}

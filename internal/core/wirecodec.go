@@ -124,7 +124,57 @@ func decodeMsg(payload []byte, n int) (*wireMsg, error) {
 	if err := c.Done("message"); err != nil {
 		return nil, fmt.Errorf("core: decoding %v %w", m.Kind, err)
 	}
+	if err := m.check(n); err != nil {
+		return nil, fmt.Errorf("core: decoding %v: %w", m.Kind, err)
+	}
 	return m, nil
+}
+
+// check range-checks a decoded message against a fleet of n monitors: every
+// process it names, the width of every clock and every sequence number. The
+// bytes cannot tell a process, a width or a position wrong, and the handlers
+// index by them, so a message that passes here indexes nothing out of range.
+// What only the receiver can judge — a token's state and transitions against
+// the automaton, a fetch against its GC floor, a reply about its own process —
+// the handlers check (handleToken, serveFetch, handleFetchReply).
+func (m *wireMsg) check(n int) error {
+	if m.Floor != nil && len(m.Floor) != n {
+		return fmt.Errorf("%d-entry floor, fleet of %d", len(m.Floor), n)
+	}
+	switch m.Kind {
+	case msgToken:
+		return validateToken(m.Token, n)
+	case msgFetch:
+		if f := m.Fetch; f.Requester >= n || f.FromSN < 1 {
+			return fmt.Errorf("fetch of events %d.. for monitor %d, fleet of %d", f.FromSN, f.Requester, n)
+		}
+	case msgFetchReply:
+		r := m.FetchReply
+		if r.Proc >= n {
+			return fmt.Errorf("reply with events of process %d, fleet of %d", r.Proc, n)
+		}
+		return checkSegment(r.Proc, r.Events)
+	case msgTerm:
+		if t := m.Term; t.Proc >= n || (len(t.Totals) != 0 && len(t.Totals) != n) {
+			return fmt.Errorf("term of process %d with %d totals, fleet of %d", t.Proc, len(t.Totals), n)
+		}
+	case msgFini:
+		if m.Fini >= n {
+			return fmt.Errorf("fini of monitor %d, fleet of %d", m.Fini, n)
+		}
+	}
+	return nil
+}
+
+// checkSegment checks that every event of a segment is an event of process p
+// at a position: decoded clocks are n wide by construction.
+func checkSegment(p int, evs []*dist.Event) error {
+	for _, e := range evs {
+		if e.Proc != p || e.SN < 1 {
+			return fmt.Errorf("segment of process %d carries event %d of process %d", p, e.SN, e.Proc)
+		}
+	}
+	return nil
 }
 
 // --- the records messages and snapshots share ---

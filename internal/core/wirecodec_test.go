@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"decentmon/internal/dist"
+	"decentmon/internal/transport"
 	"decentmon/internal/vclock"
 )
 
@@ -100,13 +103,28 @@ func FuzzDecodeMsg(f *testing.F) {
 		}
 		f.Add(payload)
 	}
-	// A totals vector as wide as no fleet of this decoder: bytes cannot tell,
-	// so it decodes, and the monitor refuses it (TestHandshakeRefusesMisrouting).
-	wrongWidth, err := encodeMsg(&wireMsg{Kind: msgTerm, Term: &termWire{Proc: root, Totals: []int{4, 4, 4}}})
-	if err != nil {
-		f.Fatal(err)
+	// Well-formed bytes naming what a fleet of two does not have: the range
+	// checks refuse them (TestDecodedMessageRangeChecks).
+	for _, m := range []*wireMsg{
+		{Kind: msgTerm, Term: &termWire{Proc: root, Totals: []int{4, 4, 4}}},
+		{Kind: msgTerm, Term: &termWire{Proc: 2, Total: 1}},
+		{Kind: msgFini, Fini: 2},
+		{Kind: msgFloor, Floor: vclock.VC{1, 2, 3}},
+		{Kind: msgFetch, Fetch: &fetchWire{Requester: 1, FromSN: 0, ToSN: 3}},
+		{Kind: msgFetch, Fetch: &fetchWire{Requester: 2, FromSN: 1, ToSN: 3}},
+		{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 2}},
+		{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 1, Events: dist.RunningExample().Traces[0].Events}},
+		{Kind: msgToken, Token: &tokenWire{Parent: 2, Origin: vclock.VC{0, 0}}},
+		{Kind: msgToken, Token: &tokenWire{Parent: 1, Origin: vclock.VC{0, 0, 0}}},
+		{Kind: msgToken, Token: &tokenWire{Parent: 1, Origin: vclock.VC{0, 0}, Trans: []*transWire{
+			{Gcut: vclock.VC{0, 0}, Depend: vclock.VC{0, 0}, ConjEval: []evalState{evalTrue, 7}}}}},
+	} {
+		payload, err := encodeMsg(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
 	}
-	f.Add(wrongWidth)
 	f.Add([]byte{})
 	f.Add([]byte{byte(msgFetchReply), 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 events in 0 bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -145,6 +163,108 @@ func FuzzDecodeMsg(f *testing.F) {
 			t.Fatalf("no fixpoint:\n%x\n%x", first, second)
 		}
 	})
+}
+
+// TestDecodedMessageRangeChecks delivers, as bytes, one message per field a
+// peer could get wrong to a monitor of a three-process session with some
+// history collected. The codec and the handlers must fail the session with
+// an error naming the field — never panic, never take the message.
+func TestDecodedMessageRangeChecks(t *testing.T) {
+	const n, me = 3, 1
+	ts := dist.Generate(dist.GenConfig{N: n, InternalPerProc: 6, CommMu: -1, Seed: 3})
+	cfg := sessionCfg(t, ts, "F (P0.p && P1.p && P2.p)")
+	mon := cfg.Automaton
+	q := mon.Step(mon.Initial(), 0)
+	var foreign int // a transition that does not leave q
+	for _, tr := range mon.Transitions() {
+		if tr.Src != q {
+			foreign = tr.ID
+		}
+	}
+	own := ts.Traces[me].Events
+	zero := func() vclock.VC { return vclock.New(n) }
+	token := func(edit func(*tokenWire)) *wireMsg {
+		t := &tokenWire{Parent: 0, SearchID: 1, Q: q, Origin: zero(), NextTargetProcess: me}
+		if out := mon.Out(q); len(out) > 0 {
+			t.Trans = []*transWire{{ID: out[0].ID, Gcut: zero(), Depend: zero(), ConjEval: make([]evalState, n), NextTargetProcess: me, NextTargetEvent: 1}}
+		}
+		edit(t)
+		return &wireMsg{Kind: msgToken, Token: t}
+	}
+	for _, c := range []struct {
+		name string
+		msg  *wireMsg
+		want string
+	}{
+		{"floor width", &wireMsg{Kind: msgFloor, Floor: vclock.VC{1, 1}}, "2-entry floor"},
+		{"token parent", token(func(t *tokenWire) { t.Parent = n }), "token of monitor 3"},
+		{"token target", token(func(t *tokenWire) { t.NextTargetProcess = n + 4 }), "to 7"},
+		{"token origin width", token(func(t *tokenWire) { t.Origin = vclock.VC{0} }), "1-entry origin"},
+		{"token cut width", token(func(t *tokenWire) { t.Trans[0].Gcut = vclock.VC{0, 0} }), "clocks of width 2 and 3"},
+		{"token depend width", token(func(t *tokenWire) { t.Trans[0].Depend = vclock.VC{0, 0, 0, 0} }), "clocks of width 3 and 4"},
+		{"token evaluation width", token(func(t *tokenWire) { t.Trans[0].ConjEval = nil }), "0 evaluations"},
+		{"token transition target", token(func(t *tokenWire) { t.Trans[0].NextTargetProcess = n }), "targets process 3"},
+		{"token evaluation", token(func(t *tokenWire) { t.Trans[0].Eval = 3 }), "evaluates to 3"},
+		{"token conjunct evaluation", token(func(t *tokenWire) { t.Trans[0].ConjEval[2] = 9 }), "conjunct evaluating to 9"},
+		{"token segment process", token(func(t *tokenWire) {
+			t.Segs = []*segment{{Proc: n, Events: own[:1]}}
+		}), "segment names process 3"},
+		{"token segment event", token(func(t *tokenWire) {
+			t.Segs = []*segment{{Proc: 2, Events: own[:1]}}
+		}), "segment of process 2 carries event 1 of process 1"},
+		{"token state", token(func(t *tokenWire) { t.Q = mon.NumStates() }), "in state"},
+		{"token transition", token(func(t *tokenWire) { t.Trans[0].ID = foreign }), "not one out of state"},
+		{"token transition id", token(func(t *tokenWire) { t.Trans[0].ID = len(mon.Transitions()) }), "not one out of state"},
+		{"fetch requester", &wireMsg{Kind: msgFetch, Fetch: &fetchWire{Requester: n, FromSN: 3}}, "for monitor 3"},
+		{"fetch from zero", &wireMsg{Kind: msgFetch, Fetch: &fetchWire{Requester: 0, FromSN: 0}}, "fetch of events 0.."},
+		{"fetch below the floor", &wireMsg{Kind: msgFetch, Fetch: &fetchWire{Requester: 0, FromSN: 2, ToSN: 4}}, "below the GC floor 2"},
+		{"reply process", &wireMsg{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: n}}, "events of process 3"},
+		{"reply of the receiver's process", &wireMsg{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: me, Events: own}}, "its own process"},
+		{"reply event", &wireMsg{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 2, Events: own[:1]}}, "carries event 1 of process 1"},
+		{"term process", &wireMsg{Kind: msgTerm, Term: &termWire{Proc: n, Total: 1}}, "term of process 3"},
+		{"totals width", &wireMsg{Kind: msgTerm, Term: &termWire{Proc: root, Totals: []int{1, 1}}}, "2 totals"},
+		{"fini monitor", &wireMsg{Kind: msgFini, Fini: n}, "fini of monitor 3"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			payload, err := encodeMsg(c.msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := builtSession(t, cfg).monitors[me]
+			m.start(context.Background())
+			for _, e := range own[:4] {
+				m.handleLocalEvent(e)
+			}
+			m.know.truncate(vclock.VC{0, 2, 0}) // events 1 and 2 collected
+			if m.err != nil {
+				t.Fatal(m.err)
+			}
+			m.handleMessage(transport.Message{From: 0, To: me, Payload: payload})
+			if m.err == nil || !strings.Contains(m.err.Error(), c.want) {
+				t.Errorf("%s: error %v, want one containing %q", c.name, m.err, c.want)
+			}
+		})
+	}
+	// The same monitor takes the well-formed neighbours of those messages.
+	m := builtSession(t, cfg).monitors[me]
+	m.start(context.Background())
+	for _, e := range own[:4] {
+		m.handleLocalEvent(e)
+	}
+	for _, msg := range []*wireMsg{
+		{Kind: msgFloor, Floor: vclock.VC{1, 1, 1}},
+		{Kind: msgFetch, Fetch: &fetchWire{Requester: 0, FromSN: 3, ToSN: 4}},
+		{Kind: msgFetchReply, FetchReply: &fetchReplyWire{Proc: 2, Events: ts.Traces[2].Events[:2]}},
+		token(func(*tokenWire) {}),
+	} {
+		payload, err := encodeMsg(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.handleMessage(transport.Message{From: 0, To: me, Payload: payload}); m.err != nil {
+			t.Fatalf("%v refused: %v", msg.Kind, m.err)
+		}
+	}
 }
 
 // TestSegmentSlabOutlivesTruncate pins the slab lifetime rule of wirecodec.go:

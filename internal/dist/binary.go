@@ -117,9 +117,9 @@ func EventRecordSize(e *Event) int {
 
 // DecodeEventInto reads one event record off c into e, for a space of len(vc)
 // processes, with vc as the clock's storage: DecodeEventRecord passes fresh
-// storage, a segment decoder a slice of its slab. An unknown kind or a process
-// outside the space fails c like any truncation. The event is not validated
-// against any stream order (the caller's validator does that).
+// storage, a Slab a slice of its own. An unknown kind or a process outside the
+// space fails c like any truncation. The event is not validated against any
+// stream order (the caller's validator does that).
 func DecodeEventInto(c *wire.Cursor, e *Event, vc []int) {
 	e.Proc = c.Int()
 	e.Type = EventType(c.Byte())
@@ -140,9 +140,9 @@ func DecodeEventInto(c *wire.Cursor, e *Event, vc []int) {
 }
 
 // DecodeEventRecord parses one event record standing alone in buf, for an
-// n-process space: what DecodeEventRun does for a run of one, for callers that
-// frame every record (the ".dmtb" reader). The returned event owns its vector
-// clock.
+// n-process space, into an event that owns its vector clock: two allocations
+// for one event. Every decoder in the tree reads through a Slab instead; this
+// one stays for the benchmark harness, which prices an Ingest record with it.
 func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 	c := wire.NewCursor(buf)
 	e := new(Event)
@@ -153,8 +153,8 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 	return e, nil
 }
 
-// EventSlab caps the events that share one allocation when a run of records
-// is decoded: one []Event and one clock array per EventSlab events.
+// EventSlab caps the events that share one allocation when records are
+// decoded: one []Event and one clock array per EventSlab events.
 //
 // Lifetime argument. Nothing decoded is pooled or reused: a monitor keeps an
 // event for as long as some view may still need it, and an event decoded into
@@ -164,49 +164,76 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 // little: the knowledge store holds each process as one contiguous window and
 // truncation only ever drops a prefix of it, so a slab's events leave in order
 // and the slab dies whole, at most EventSlab-1 events after its first event
-// would have alone. An Ingest run mixes processes, so its slab lives until the
-// slowest of them has collected its share. The cap is what bounds the waste:
-// a decoded segment overlaps what the store already holds (a returning token
-// re-carries events its parent has learnt meanwhile, and on multi-view
-// properties merge drops most of what a token brings back), and a
-// segment-long slab pins that dead part until its live tail is collected
-// (dlmond, when measured: +7% peak RSS, -8% events/s against no slabs). At 32
-// a slab is a small object and the waste under one slab per segment. (Fetch
-// replies hardly overlap: a second fetch to a peer leaves only for a wider
-// range than the one in flight, and on the benchmark's stream execution merge
-// drops not one fetched event.)
+// would have alone. A run that mixes processes — an Ingest run, a ".dmtb"
+// stream, the emitted events of an input log being replayed — lives until
+// the slowest of its processes has collected its share; every monitor keeps
+// only its collection window (core's maxLag bounds its backlog), so that is
+// a constant number of slabs per process, not a share of the trace. The cap
+// is what bounds the waste: a decoded segment overlaps what the store already
+// holds (a returning token re-carries events its parent has learnt meanwhile,
+// and on multi-view properties merge drops most of what a token brings back),
+// and a segment-long slab pins that dead part until its live tail is
+// collected (dlmond, when measured: +7% peak RSS, -8% events/s against no
+// slabs). At 32 a slab is a small object and the waste under one slab per
+// segment. (Fetch replies hardly overlap: a second fetch to a peer leaves
+// only for a wider range than the one in flight, and on the benchmark's
+// stream execution merge drops not one fetched event.)
 const EventSlab = 32
 
-// DecodeEvents is the one slab-filling loop: it reads event records of an
-// n-process space off c and appends them to dst — count of them, or, when
-// count is negative, a run that ends where c's bytes do (at least one record),
-// appending to ends c's offset after each record. Each slab is sized by what
-// is left to read: the records still counted, or the most records the
-// remaining bytes can hold, so decoding costs two allocations per slab (and
-// at most one to make room in dst for a count) whatever a count or a length
-// claims. A caller checks a count against MinEventRecord+n bytes per record
-// (wire.Cursor.Count) before passing it. On a malformed record c fails and
-// decoding stops; dst and ends may then hold the records before it.
+// Slab is where decoded events live: the one slab-filling helper behind
+// DecodeEvents, DecodeEventRun, the ".dmtb" reader and dlmond's input-log
+// replay. The zero value is ready; a decoder keeps one for as long as it
+// decodes records of one space, and a Slab is not safe for concurrent use.
+type Slab struct {
+	events []Event
+	clocks []int
+}
+
+// Decode reads one event record of an n-process space off c into the slab
+// and returns it, or nil with c failed on a malformed record. want is how many
+// records the caller can still expect from its source, this one included: a
+// fresh slab holds min(EventSlab, want) events, so a decoder that knows how
+// much is left (a count, the bytes remaining) does not allocate for events
+// that cannot come. An event storage slot a failed record used is not reused.
+func (s *Slab) Decode(c *wire.Cursor, n, want int) *Event {
+	if len(s.events) == 0 {
+		k := min(EventSlab, max(1, want))
+		s.events, s.clocks = make([]Event, k), make([]int, k*n)
+	}
+	e := &s.events[0]
+	DecodeEventInto(c, e, s.clocks[:n:n])
+	s.events, s.clocks = s.events[1:], s.clocks[n:]
+	if c.Err() != nil {
+		return nil
+	}
+	return e
+}
+
+// DecodeEvents reads event records of an n-process space off c into one Slab
+// and appends them to dst — count of them, or, when count is negative, a run
+// that ends where c's bytes do (at least one record), appending to ends c's
+// offset after each record. Each slab is sized by what is left to read: the
+// records still counted, or the most records the remaining bytes can hold, so
+// decoding costs two allocations per slab (and at most one to make room in
+// dst for a count) whatever a count or a length claims. A caller checks a
+// count against MinEventRecord+n bytes per record (wire.Cursor.Count) before
+// passing it. On a malformed record c fails and decoding stops; dst and ends
+// may then hold the records before it.
 func DecodeEvents(c *wire.Cursor, dst []*Event, ends []int, count, n int) ([]*Event, []int) {
 	if count > cap(dst)-len(dst) {
 		dst = append(make([]*Event, 0, len(dst)+count), dst...)
 	}
-	var slab []Event
-	var clocks []int
+	var slab Slab
 	for i := 0; i != count; i++ {
-		if len(slab) == 0 {
-			k := count - i
-			if count < 0 {
-				k = max(1, c.Len()/(MinEventRecord+n))
-			}
-			k = min(EventSlab, k)
-			slab, clocks = make([]Event, k), make([]int, k*n)
+		want := count - i
+		if count < 0 {
+			want = c.Len() / (MinEventRecord + n)
 		}
-		DecodeEventInto(c, &slab[0], clocks[:n:n])
-		if c.Err() != nil {
+		e := slab.Decode(c, n, want)
+		if e == nil {
 			break
 		}
-		dst, slab, clocks = append(dst, &slab[0]), slab[1:], clocks[n:]
+		dst = append(dst, e)
 		if count < 0 {
 			if ends = append(ends, c.Off()); c.Len() == 0 {
 				break
@@ -271,6 +298,7 @@ type BinaryReader struct {
 	br      *bufio.Reader
 	val     *streamValidator
 	scratch []byte
+	slab    Slab  // the events Next returns live here (EventSlab's argument)
 	rec     int64 // records decoded, for error positions (header = 0)
 	err     error
 }
@@ -406,8 +434,12 @@ func (r *BinaryReader) next() (*Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := DecodeEventRecord(buf, len(r.init))
-	if err != nil {
+	// A fresh slab holds no more records than the buffered bytes could (a
+	// short trace read from memory is all buffered), and at least this one.
+	n := len(r.init)
+	c := wire.NewCursor(buf)
+	e := r.slab.Decode(&c, n, 1+r.br.Buffered()/(MinEventRecord+n))
+	if err := c.Done("event record"); err != nil {
 		return nil, err
 	}
 	if err := r.val.check(e); err != nil {

@@ -336,3 +336,57 @@ func TestBinaryRejectsNaNTimestamp(t *testing.T) {
 		t.Fatalf("NaN timestamp accepted: %v", err)
 	}
 }
+
+// TestAllocsBinaryReader gates the ".dmtb" reader the way TestDecodeEventRun
+// gates DecodeEventRun: past the header, what reading a stream allocates is
+// an []Event and a clock array per EventSlab records (a Slab), and nothing per
+// record. The trace has internal events only, so the stream validator's
+// message ledger stays empty and the count is the decoder's alone.
+func TestAllocsBinaryReader(t *testing.T) {
+	const n = 4
+	ts := Generate(GenConfig{N: n, InternalPerProc: 40, CommMu: -1, Seed: 5})
+	var buf bytes.Buffer
+	w, err := NewBinaryWriter(&buf, ts.Props, ts.InitialState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := ts.Stream()
+	for {
+		e, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Write(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, events := buf.Bytes(), w.Events()
+	var r *BinaryReader
+	open := func() {
+		if r, err = OpenBinaryStream(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() {
+		open()
+		for {
+			if _, err := r.Next(); err == io.EOF {
+				return
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	header := testing.AllocsPerRun(20, open)
+	all := testing.AllocsPerRun(20, read)
+	slabs := (events + EventSlab - 1) / EventSlab
+	if got := all - header; got != float64(2*slabs) {
+		t.Errorf("reading %d records allocated %v times past the header, want two per slab of %d = %d", events, got, EventSlab, 2*slabs)
+	}
+}

@@ -650,8 +650,11 @@ func (s *session) replay(fs *feedScratch, rec dist.InputLogRecord) error {
 		fs.run, fs.ends = run, ends
 		return err
 	case dist.LogEmitted:
-		e, err := dist.DecodeEventRecord(rec.Payload, s.n)
-		if err != nil {
+		// A log holds many of these, in between runs: one slab serves them
+		// all (dist.EventSlab's mixed-process argument).
+		c := wire.NewCursor(rec.Payload)
+		e := fs.slab.Decode(&c, s.n, dist.EventSlab)
+		if err := c.Done("event record"); err != nil {
 			return err
 		}
 		s.inMu.Lock()

@@ -69,14 +69,16 @@ type session struct {
 	closeErr  error
 }
 
-// feedScratch is what one feeder — a connection's read loop — reuses from
-// frame to frame: the decoded run of the frame in hand, where each of its
-// records ends in the frame's bytes and, while a window of it is being fed,
-// the engine's grouping of that window.
+// feedScratch is what one feeder — a connection's read loop, or the replay
+// of an input log — reuses from frame to frame: the decoded run of the frame
+// in hand, where each of its records ends in the frame's bytes and, while a
+// window of it is being fed, the engine's grouping of that window; a replay
+// also decodes the log's emitted events into slab.
 type feedScratch struct {
 	run  []*dist.Event
 	ends []int
 	core core.FeedScratch
+	slab dist.Slab
 }
 
 // subscriber is one connection's verdict feed. deliver must not block the
