@@ -405,6 +405,43 @@ func BenchmarkBoxBroadcast16(b *testing.B) {
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
+// BenchmarkDetectFinalize8 runs the serve-detect workload's sessions in
+// process: ring, n = 8, 8 internal events per process, the goal planted,
+// p = 0.3, F (P0.p && P1.p && P2.p), finalization on, one op per execution
+// over 40 seeds. Finalization explores a box per surviving view, so box
+// nodes per op count the kernel's work; -benchmem its allocations.
+func BenchmarkDetectFinalize8(b *testing.B) {
+	pm := dist.PerProcess(8, "p")
+	mon, err := automaton.Build(ltl.MustParse("F (P0.p && P1.p && P2.p)"), pm.Names)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sets []*dist.TraceSet
+	for seed := int64(1); seed <= 40; seed++ {
+		sets = append(sets, dist.Generate(dist.GenConfig{
+			N: 8, InternalPerProc: 8, CommMu: 6, CommSigma: 1,
+			Topology: dist.TopoRing, PlantGoal: true, Suffixes: []string{"p"}, Seed: seed,
+			TrueProbs: map[string]float64{"p": 0.3},
+		}))
+	}
+	nodes := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Run(core.RunConfig{Traces: sets[i%len(sets)], Automaton: mon})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Verdicts[automaton.Top] {
+			b.Fatal("goal verdict lost")
+		}
+		for _, mt := range res.Metrics {
+			nodes += mt.BoxNodes
+		}
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "boxnodes/op")
+}
+
 // BenchmarkDecentralizedRun measures one full decentralized run end to end.
 func BenchmarkDecentralizedRun(b *testing.B) {
 	ts := dist.Generate(dist.GenConfig{

@@ -58,45 +58,63 @@ func TestAllocsSegmentDecode(t *testing.T) {
 	}
 }
 
-// TestAllocsBoxSweep gates the box kernel: on a warmed scratch, sweeping a
-// 3-support box in which no transition fires allocates its final states,
-// nothing per node (the result itself is returned by value).
+// TestAllocsBoxSweep gates the box kernel on a warmed scratch, sweeping a
+// 3-support box of a 5-process ring. Where no transition fires, a sweep
+// allocates its final states and nothing per node (the result itself is
+// returned by value). Where every proposition turns true at a process's first
+// internal event, the conclusive transition fires at every node that includes
+// the last of the three first events; the sweep reports it once and allocates
+// its final states and that one conclusive cut.
 func TestAllocsBoxSweep(t *testing.T) {
-	ts := dist.Generate(dist.GenConfig{
-		N: 5, InternalPerProc: 6, CommMu: 3, CommSigma: 1, Topology: dist.TopoRing, Seed: 1,
-		TrueProbs: map[string]float64{"p": 0, "q": 0},
-	})
-	mon, err := automaton.Build(ltl.MustParse("F (P0.p && P1.p && P2.p)"), ts.Props.Names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	know := newKnowledge(ts.N(), ts.InitialState())
-	hi := vclock.New(ts.N())
-	for _, tr := range ts.Traces {
-		for _, e := range tr.Events {
-			if err := know.append(e); err != nil {
+	for _, c := range []struct {
+		name         string
+		truep        float64
+		conclusive   int
+		budget       float64
+		budgetReason string
+	}{
+		{"no transition", 0, 0, 1, "finalStates"},
+		{"conclusive at many nodes", 1, 1, 2, "finalStates and one conclusive cut"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := dist.Generate(dist.GenConfig{
+				N: 5, InternalPerProc: 6, CommMu: 3, CommSigma: 1, Topology: dist.TopoRing, Seed: 1,
+				TrueProbs: map[string]float64{"p": c.truep, "q": c.truep},
+			})
+			mon, err := automaton.Build(ltl.MustParse("F (P0.p && P1.p && P2.p)"), ts.Props.Names)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		hi[tr.Proc] = len(tr.Events)
-	}
-	lt := mustLetters(t, mon, ts.Props, ts.N())
-	init := newStateset(mon.NumStates())
-	init.set(mon.Step(mon.Initial(), lt.letter(ts.InitialState())))
-	lo, support := vclock.New(ts.N()), []int{0, 1, 2}
-	var sc boxScratch
-	sweep := func() boxResult {
-		res, err := sc.explore(mon, know, lt, init, lo, hi, 1<<21, support)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if res := sweep(); res.nodes < 100 || len(res.pivots) != 0 {
-		t.Fatalf("fixture: %d nodes, %d pivots; want a wide box with no pivots", res.nodes, len(res.pivots))
-	}
-	if allocs := testing.AllocsPerRun(100, func() { sweep() }); allocs > 1 {
-		t.Errorf("a warmed box sweep allocates %.1f objects, budget 1 (finalStates)", allocs)
+			know := newKnowledge(ts.N(), ts.InitialState())
+			hi := vclock.New(ts.N())
+			for _, tr := range ts.Traces {
+				for _, e := range tr.Events {
+					if err := know.append(e); err != nil {
+						t.Fatal(err)
+					}
+				}
+				hi[tr.Proc] = len(tr.Events)
+			}
+			lt := mustLetters(t, mon, ts.Props, ts.N())
+			init := newStateset(mon.NumStates())
+			init.set(mon.Step(mon.Initial(), lt.letter(ts.InitialState())))
+			lo, support := vclock.New(ts.N()), []int{0, 1, 2}
+			var sc boxScratch
+			sweep := func() boxResult {
+				res, err := sc.explore(mon, know, lt, init, lo, hi, 1<<21, support)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			if res := sweep(); res.nodes < 100 || len(res.pivots) != 0 || len(res.conclusive) != c.conclusive {
+				t.Fatalf("fixture: %d nodes, %d pivots, %d conclusive; want a wide box with no pivots and %d conclusive",
+					res.nodes, len(res.pivots), len(res.conclusive), c.conclusive)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sweep() }); allocs > c.budget {
+				t.Errorf("a warmed box sweep allocates %.1f objects, budget %v (%s)", allocs, c.budget, c.budgetReason)
+			}
+		})
 	}
 }
 

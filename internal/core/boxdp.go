@@ -12,12 +12,12 @@ import (
 type boxResult struct {
 	// finalStates are the automaton states reachable at the upper cut.
 	finalStates []int
-	// pivots are the (state, cut) pairs at which an outgoing transition
-	// fired strictly inside the box (the "pivot global states" of §4.5.2);
-	// the monitor forks a global view at each.
+	// pivots are the (state, cut) pairs at which a transition into a
+	// non-conclusive state fired strictly inside the box (the "pivot global
+	// states" of §4.5.2); the monitor forks a global view at each.
 	pivots []pivot
-	// conclusive are the conclusive states hit anywhere in the box, with
-	// the first cut each was discovered at.
+	// conclusive are the conclusive states stepped into, each once with the
+	// first cut; the slice is the scratch's, valid until the next explore.
 	conclusive []pivot
 	// nodes is the number of consistent cuts visited (projected cuts under
 	// slicing — the quantity maxBoxNodes bounds either way).
@@ -33,19 +33,20 @@ type pivot struct {
 // only the monitor's run loop explores with it, and it passes to a later
 // session's monitor when that one returns (monitor.go). The arenas keep the
 // capacity of the widest frontier seen, so a steady-state exploration
-// allocates only what its result holds — which may not alias the scratch:
-// reported cuts are clones.
+// allocates only what its result holds. Of that result only the conclusive
+// list aliases the scratch; every reported cut is a fresh lift.
 type boxScratch struct {
 	fr    [2]boxFrontier // the rank being expanded and the rank being built
 	table []int32        // successor dedupe: open-addressed, node index+1, 0 = free
 	concl stateset       // conclusive states absorbed out of the frontier
+	hits  []pivot        // backing of boxResult.conclusive
 }
 
-// boxFrontier holds the nodes of one rank as parallel arenas, node i at
-// [i*width, (i+1)*width) of each: the full-width lift of its projected cut,
-// the automaton states reachable there, the (state) pivots already reported
-// at it, and the letter at the cut (one per node: len(letters) is the width
-// of the frontier).
+// boxFrontier holds the nodes of one rank as parallel arenas: node i's
+// projected cut (its k support coordinates) at cuts[i*k:(i+1)*k], the
+// automaton states reachable there and the (state) pivots already reported
+// at it at [i*words, (i+1)*words), and the letter at the cut (one per node:
+// len(letters) is the width of the frontier).
 type boxFrontier struct {
 	cuts    []int
 	states  []uint64
@@ -57,7 +58,7 @@ func (f *boxFrontier) reset() {
 	f.cuts, f.states, f.pivoted, f.letters = f.cuts[:0], f.states[:0], f.pivoted[:0], f.letters[:0]
 }
 
-// push appends a node at cut with no states and returns its index.
+// push appends a node at the projected cut with no states; returns its index.
 func (f *boxFrontier) push(cut []int, letter uint32, words int) int {
 	f.cuts = append(f.cuts, cut...)
 	for w := 0; w < words; w++ {
@@ -85,16 +86,15 @@ func (sc *boxScratch) tableFor(need int) []int32 {
 	return tab
 }
 
-// successor returns the node of f whose projected cut is cut's, adding it (as
-// a copy of cut; the caller completes the lift) when it is new. The hash only
-// picks where probing starts: a node is the successor iff its support
-// coordinates compare equal.
-func (f *boxFrontier) successor(tab []int32, cut []int, support []int, words int) (idx int, fresh bool) {
+// successor returns the node of f at the projected cut, adding it (as a copy
+// of cut) when it is new. The hash only picks where probing starts: a node is
+// the successor iff its coordinates compare equal.
+func (f *boxFrontier) successor(tab []int32, cut []int, words int) (idx int, fresh bool) {
 	h := uint64(0)
-	for _, j := range support {
-		h = (h + uint64(cut[j]) + 1) * 0x9E3779B97F4A7C15
+	for _, v := range cut {
+		h = (h + uint64(v) + 1) * 0x9E3779B97F4A7C15
 	}
-	width, mask := len(cut), len(tab)-1
+	k, mask := len(cut), len(tab)-1
 probe:
 	for slot := int(h>>32) & mask; ; slot = (slot + 1) & mask {
 		if tab[slot] == 0 {
@@ -102,14 +102,28 @@ probe:
 			return f.push(cut, 0, words), true
 		}
 		idx = int(tab[slot]) - 1
-		have := f.cuts[idx*width : (idx+1)*width]
-		for _, j := range support {
-			if have[j] != cut[j] {
+		for a, v := range f.cuts[idx*k : (idx+1)*k] {
+			if v != cut[a] {
 				continue probe
 			}
 		}
 		return idx, false
 	}
+}
+
+// liftOf returns the full-width lift of the projected cut c (in support
+// order) of the box above lo: lo joined with the clock of the last included
+// event of each support process, hence with every included event's. It is the
+// least consistent full cut ≥ lo projecting to c, so a reported cut respects
+// the knowledge-GC need-floor and round-trips against full-width clocks.
+func liftOf(know *knowledge, lo vclock.VC, support, c []int) vclock.VC {
+	lift := lo.Clone()
+	for a, p := range support {
+		if c[a] > lo[p] {
+			lift.Merge(know.event(p, c[a]).VC)
+		}
+	}
+	return lift
 }
 
 // explore sweeps the consistent cuts D with lo ≤ D ≤ hi, projected onto the
@@ -120,38 +134,36 @@ probe:
 // non-support process's events never change the formula-relevant bits of the
 // letter — stepping through them stutters the same letter, and for a ○-free
 // (stutter-invariant) property LTL3 verdicts are invariant under stuttering.
-// The sweep therefore walks only the *projected* region: cuts advance on
-// support events alone, and a projected step is consistent iff the event's
-// vector clock is covered on the support components (clock transitivity
-// routes causality through projected-away processes, so checking support
-// components suffices — knowledge.projectedStep). An arity-k property over an
-// n-process broadcast explores a k-dimensional region instead of an
-// n-dimensional one, which is what makes dense-broadcast workloads tractable.
+// The sweep therefore walks only the *projected* region: a node is its k =
+// |support| coordinates, cuts advance on support events alone, and a step is
+// consistent iff the next event's vector clock is covered on those k
+// components (a support event f of process j precedes e iff f.SN ≤ e.VC[j],
+// and clock transitivity routes causality through projected-away processes,
+// so the support components suffice). An arity-k property over an n-process
+// broadcast explores a k-dimensional region instead of an n-dimensional one,
+// which is what makes dense-broadcast workloads tractable.
 //
 // Exact = full support: when slicing is not verdict-exact the monitor passes
-// every process as the support (automaton.Monitor.Support). projectedStep then
-// *is* consistentStep, each lift *is* its cut, and the sweep is the Chapter-3
-// oracle's layered state-set DP restricted to the box.
+// every process as the support (automaton.Monitor.Support). The step test is
+// then the consistency test, each lift is its cut, and the sweep is the
+// Chapter-3 oracle's layered state-set DP restricted to the box.
 //
-// Lift cuts: each projected node carries the full-width *lift* of its
-// projected cut — lo joined with the vector clocks of every included support
-// event. The lift is the least consistent full cut containing exactly those
-// support events; it is determined by the projected cut alone (so merging
-// paths agree on it), sits inside [lo, hi], and is ≥ lo pointwise, so pivot
-// cuts handed back to the monitor respect the knowledge-GC need-floor and
-// round-trip against full-width clocks.
+// Lift cuts: a cut is lifted to full width (liftOf) only when it leaves the
+// kernel, as a pivot or a conclusive cut; the frontier never holds more than
+// the k coordinates.
 //
 // Antichain + rank synchrony: the sweep keeps one frontier per rank (rank =
 // number of included support events), deduplicated by projected cut, in
 // discovery order (which keeps reported cuts deterministic). Paths meeting at
-// a projected cut union-merge and are expanded once; conclusive states —
-// absorbing by construction — are pulled out of the frontier into one set and
-// OR-ed back into the final states at the top. A (state, cut) pivot is
-// reported once: a node is only stepped into while its rank is being built,
-// so one bit per state on the node remembers it. Memory is two ranks of
-// frontier, not the region.
+// a projected cut union-merge and are expanded once. Conclusive states —
+// absorbing by construction — are pulled out of the frontier into one set,
+// reported once per box at the first cut that steps into them, and OR-ed back
+// into the final states at the top. A (state, cut) pivot is reported once: a
+// node is only stepped into while its rank is being built, so one bit per
+// state on the node remembers it. Memory is two ranks of frontier, not the
+// region.
 func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *letterTable, init stateset, lo, hi vclock.VC, maxNodes int, support []int) (boxResult, error) {
-	n, words := know.n, len(init)
+	n, k, words := know.n, len(support), len(init)
 	var letter uint32
 	for p := 0; p < n; p++ {
 		if lo[p] > hi[p] {
@@ -162,10 +174,13 @@ func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *lette
 		}
 		letter |= lt.bitsOf(p, know.state(p, lo[p]))
 	}
-	res := boxResult{nodes: 1}
+	res := boxResult{nodes: 1, conclusive: sc.hits[:0]}
 	cur, next := &sc.fr[0], &sc.fr[1]
 	cur.reset()
-	cur.push(lo, letter, words)
+	for _, p := range support {
+		cur.cuts = append(cur.cuts, lo[p])
+	}
+	cur.push(nil, letter, words) // the root: its coordinates, lo's, are appended above
 	if len(sc.concl) != words {
 		sc.concl = make(stateset, words)
 	}
@@ -186,32 +201,29 @@ func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *lette
 	}
 
 	ranks := 0
-	for _, j := range support {
-		ranks += hi[j] - lo[j]
+	for _, p := range support {
+		ranks += hi[p] - lo[p]
 	}
 	for r := 0; r < ranks; r++ {
 		next.reset()
-		tab := sc.tableFor(len(cur.letters) * len(support))
+		tab := sc.tableFor(len(cur.letters) * k)
 		for i := range cur.letters {
-			cut := vclock.VC(cur.cuts[i*n : (i+1)*n])
-			for _, p := range support {
-				if cut[p] >= hi[p] || !know.projectedStep(cut, p, support) {
+			cut := cur.cuts[i*k : (i+1)*k]
+		step:
+			for a, p := range support {
+				if cut[a] >= hi[p] {
 					continue
 				}
-				cut[p]++ // borrowed as the successor's projected cut
-				si, fresh := next.successor(tab, cut, support, words)
-				cut[p]--
-				lift := vclock.VC(next.cuts[si*n : (si+1)*n])
-				if fresh {
-					// Complete the lift by joining the event's clock. Support
-					// components are already covered (projectedStep), so the
-					// join only ever advances non-support components.
-					e := know.event(p, lift[p])
-					for j, v := range e.VC {
-						if v > lift[j] {
-							lift[j] = v
-						}
+				e := know.event(p, cut[a]+1)
+				for b, j := range support {
+					if b != a && e.VC[j] > cut[b] {
+						continue step
 					}
+				}
+				cut[a]++ // borrowed as the successor's projected cut
+				si, fresh := next.successor(tab, cut, words)
+				cut[a]--
+				if fresh {
 					next.letters[si] = lt.update(cur.letters[i], p, e.State)
 					res.nodes++
 					if res.nodes > maxNodes {
@@ -227,17 +239,18 @@ func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *lette
 						word &= word - 1
 						nq := mon.Step(st, succLetter)
 						if nq != st {
-							// An outgoing transition fired: a pivot global state.
-							if !pivoted.has(nq) {
-								pivoted.set(nq)
-								res.pivots = append(res.pivots, pivot{q: nq, cut: lift.Clone()})
-							}
+							// An outgoing transition fired: a conclusive
+							// step, or a pivot global state.
 							if mon.Final(nq) {
 								if !concl.has(nq) {
 									concl.set(nq)
-									res.conclusive = append(res.conclusive, pivot{q: nq, cut: lift.Clone()})
+									res.conclusive = append(res.conclusive, pivot{q: nq, cut: liftOf(know, lo, support, next.cuts[si*k:(si+1)*k])})
 								}
 								continue
+							}
+							if !pivoted.has(nq) {
+								pivoted.set(nq)
+								res.pivots = append(res.pivots, pivot{q: nq, cut: liftOf(know, lo, support, next.cuts[si*k:(si+1)*k])})
 							}
 						}
 						succStates.set(nq)
@@ -247,6 +260,7 @@ func (sc *boxScratch) explore(mon *automaton.Monitor, know *knowledge, lt *lette
 		}
 		cur, next = next, cur
 	}
+	sc.hits = res.conclusive
 	// Rank `ranks` has room for one projected cut only: hi's.
 	if len(cur.letters) == 0 {
 		return boxResult{}, fmt.Errorf("core: box upper cut %v unreachable from %v", hi, lo)

@@ -135,7 +135,7 @@ func (f *boxFixture) enumerateConsistent(lo, hi vclock.VC) []vclock.VC {
 type bruteResult struct {
 	nodes       int
 	finalStates []int
-	pivotKeys   map[string]bool // "q|cutkey"
+	pivotKeys   map[string]bool // "q|cutkey", q not conclusive
 	conclStates map[int]bool
 }
 
@@ -173,8 +173,9 @@ func (f *boxFixture) bruteBox(lo, hi vclock.VC) *bruteResult {
 				nq := f.mon.Step(st, letter)
 				cur.set(nq)
 				if nq != st {
-					res.pivotKeys[strconv.Itoa(nq)+"|"+c.Key()] = true
-					if f.mon.Final(nq) && !seedFinal[nq] {
+					if !f.mon.Final(nq) {
+						res.pivotKeys[strconv.Itoa(nq)+"|"+c.Key()] = true
+					} else if !seedFinal[nq] {
 						res.conclStates[nq] = true
 					}
 				}
@@ -225,8 +226,9 @@ func generateBoxTraces(n int, topo dist.Topology, seed int64) *dist.TraceSet {
 
 // TestBoxExactMatchesBruteForce pins the exact DP node-for-node against the
 // brute-force enumeration: same node count (every consistent cut visited
-// exactly once), same final states, same pivot (state, cut) set, same
-// conclusive state set.
+// exactly once), same final states, same pivot (state, cut) set over the
+// non-conclusive states (a conclusive step is reported once, as a conclusive
+// hit), same conclusive state set.
 func TestBoxExactMatchesBruteForce(t *testing.T) {
 	topos := map[string]dist.Topology{
 		"uniform": dist.TopoUniform, "ring": dist.TopoRing, "broadcast": dist.TopoBroadcast,
@@ -333,29 +335,26 @@ func TestBoxKernelMatchesOracles(t *testing.T) {
 // smallest size that terminates probing, so most inserts land on an occupied
 // slot and node identity rests on the coordinate compare alone. A dedupe that
 // trusted the hash would merge distinct cuts: every distinct projected cut
-// must get a node of its own, and a repeated one — whatever its coordinates
-// off the support — the node it got first.
+// must get a node of its own, and a repeated one the node it got first.
 func TestBoxDedupeSurvivesCollisions(t *testing.T) {
-	support := []int{0, 1, 3}
 	var cuts [][]int
 	for a := 0; a < 3; a++ {
 		for b := 0; b < 3; b++ {
 			for c := 0; c < 3; c++ {
-				cuts = append(cuts, []int{a, b, 7, c})
+				cuts = append(cuts, []int{a, b, c})
 			}
 		}
 	}
 	tab := make([]int32, 32) // the smallest power of two above the 27 cuts
 	var f boxFrontier
 	for i, cut := range cuts {
-		if idx, fresh := f.successor(tab, cut, support, 1); !fresh || idx != i {
+		if idx, fresh := f.successor(tab, cut, 1); !fresh || idx != i {
 			t.Fatalf("cut %v: node %d (fresh %v), want new node %d", cut, idx, fresh, i)
 		}
 	}
 	for i, cut := range cuts {
 		again := slices.Clone(cut)
-		again[2] = 9 // off the support: the same projected cut
-		if idx, fresh := f.successor(tab, again, support, 1); fresh || idx != i {
+		if idx, fresh := f.successor(tab, again, 1); fresh || idx != i {
 			t.Errorf("repeated cut %v: node %d (fresh %v), want node %d", again, idx, fresh, i)
 		}
 	}
@@ -455,7 +454,11 @@ func (f *boxFixture) liftOf(lo, c vclock.VC, support []int) vclock.VC {
 //   - cut round-trip: every reported pivot/conclusive cut is a consistent
 //     full-width cut inside [lo, hi] that equals the lift of its own support
 //     projection, so knowledge-store arithmetic (GC floors, addGV re-keying)
-//     sees cuts indistinguishable from full-width ones.
+//     sees cuts indistinguishable from full-width ones;
+//   - least lift: that cut is also the least consistent full cut of the box
+//     with its projection, by brute force over every consistent cut;
+//   - no pivot is in a conclusive state: those are reported once, as
+//     conclusive hits.
 func TestBoxSlicedProjectionRoundTrip(t *testing.T) {
 	topos := map[string]dist.Topology{
 		"uniform": dist.TopoUniform, "ring": dist.TopoRing, "broadcast": dist.TopoBroadcast,
@@ -495,6 +498,12 @@ func TestBoxSlicedProjectionRoundTrip(t *testing.T) {
 								lo, hi, verdictSet(f.mon, sliced.finalStates), verdictSet(f.mon, exact.finalStates))
 						}
 
+						for _, pv := range sliced.pivots {
+							if f.mon.Final(pv.q) {
+								t.Errorf("box %v..%v: pivot (%d, %v) is in a conclusive state", lo, hi, pv.q, pv.cut)
+							}
+						}
+						consistent := f.enumerateConsistent(lo, hi)
 						for _, pv := range append(append([]pivot(nil), sliced.pivots...), sliced.conclusive...) {
 							if !lo.LessEq(pv.cut) || !pv.cut.LessEq(hi) {
 								t.Errorf("box %v..%v: reported cut %v outside the box", lo, hi, pv.cut)
@@ -505,12 +514,40 @@ func TestBoxSlicedProjectionRoundTrip(t *testing.T) {
 							if lift := f.liftOf(lo, pv.cut, support); !lift.Equal(pv.cut) {
 								t.Errorf("box %v..%v: cut %v does not round-trip through its projection (lift %v)", lo, hi, pv.cut, lift)
 							}
+							if least := leastWithProjection(consistent, pv.cut, support); !least.Equal(pv.cut) {
+								t.Errorf("box %v..%v: cut %v is not the least consistent cut with its projection (%v is)", lo, hi, pv.cut, least)
+							}
 						}
 					}
 				})
 			}
 		}
 	}
+}
+
+// leastWithProjection returns the least of the consistent cuts that agree
+// with c on the support, or nil when they have no least element.
+func leastWithProjection(consistent []vclock.VC, c vclock.VC, support []int) vclock.VC {
+	var same []vclock.VC
+	for _, d := range consistent {
+		agree := true
+		for _, j := range support {
+			agree = agree && d[j] == c[j]
+		}
+		if agree {
+			same = append(same, d)
+		}
+	}
+	for _, d := range same {
+		least := true
+		for _, e := range same {
+			least = least && d.LessEq(e)
+		}
+		if least {
+			return d
+		}
+	}
+	return nil
 }
 
 func conclStates(r *boxResult) []int {

@@ -9,8 +9,8 @@
 // detection, §4.1).
 //
 // Implementation notes relative to the thesis pseudocode (Algorithms 1–5)
-// are collected in DESIGN.md; the load-bearing choices are marked
-// "[choice]" in the code.
+// are collected in ARCHITECTURE.md ("Departures from the thesis
+// pseudocode"); the load-bearing choices are marked "[choice]" in the code.
 package core
 
 import (

@@ -220,27 +220,6 @@ func (k *knowledge) consistentStep(cut vclock.VC, p int) bool {
 	return true
 }
 
-// projectedStep reports whether extending cut by the next event of support
-// process p (sn cut[p]+1, which must be known) yields a consistent cut of the
-// *projected* poset — the support events ordered by causality. A support
-// event f of process j precedes e iff f.SN ≤ e.VC[j], so downward closure
-// needs exactly e.VC[j] ≤ cut[j] over the support components: vector-clock
-// transitivity already routes causality through projected-away processes
-// (mirrors the lattice package's projLessEq argument).
-func (k *knowledge) projectedStep(cut vclock.VC, p int, support []int) bool {
-	e := k.event(p, cut[p]+1)
-	for _, j := range support {
-		lim := cut[j]
-		if j == p {
-			lim++
-		}
-		if e.VC[j] > lim {
-			return false
-		}
-	}
-	return true
-}
-
 // finalCut returns the global final cut and true once every process is done.
 func (k *knowledge) finalCut() (vclock.VC, bool) {
 	cut := vclock.New(k.n)

@@ -106,8 +106,8 @@ type transWire struct {
 // segment carries a contiguous run of one process's events inside a token.
 // Tokens accumulate every event they scan so that the parent monitor can
 // explore the traversed lattice region exactly. [choice] The thesis token
-// keeps only the latest event per process; carrying the scanned segments is
-// what lets our implementation verify lattice paths precisely (DESIGN.md).
+// keeps only the latest event per process; carrying the scanned segments
+// lets us verify lattice paths precisely (ARCHITECTURE.md).
 type segment struct {
 	Proc   int
 	Events []*dist.Event

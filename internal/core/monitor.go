@@ -191,11 +191,12 @@ type Monitor struct {
 // and table per exploration, the buffers by reslicing to zero). That is
 // sound because nothing escapes it. Everything a handler keeps is copied
 // out: map keys, signatures and lastSig materialize as strings, cuts a box
-// reports are clones, truncate only reads trunc. The one exchange is states,
+// reports are fresh (its conclusive list, the scratch's, is read before the
+// next exploration), truncate only reads trunc. The one exchange is states,
 // which advanceGV swaps with the view it steps; the set it hands back is the
 // view's old one, which nothing else holds. What the buffers still point to
-// when run returns is the keys' strings, cleared by release; the rest is
-// bytes, integers and bitsets.
+// when run returns is the keys' strings and the last conclusive cuts, cleared
+// by release; the rest is bytes, integers and bitsets.
 type scratch struct {
 	keyBuf   []byte
 	sigBuf   []byte
@@ -214,6 +215,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 func (sc *scratch) release() {
 	clear(sc.keys[:cap(sc.keys)])
 	sc.keys = sc.keys[:0]
+	clear(sc.box.hits[:cap(sc.box.hits)])
 	scratchPool.Put(sc)
 }
 
@@ -577,16 +579,18 @@ func (m *Monitor) integrateEnabled(t *tokenWire, tr *transWire) {
 // Pivot forks are restricted to the *minimal* cuts per discovered state —
 // the join-irreducible elements of the satisfying sub-lattice (§4.1); later
 // pivots of the same state are reachable from them or from the continuation.
+//
+// Conclusive states come from box.conclusive alone, which omits only those
+// in the box's initial set: a view's states, a token's origin state or (in
+// maybeFinalize) a residual's, none ever conclusive. A view drops a state that
+// steps into one (advanceGV), searches start from view states, and residuals
+// hold the states before such a step.
 func (m *Monitor) integrateBox(box *boxResult, origin stateset, continueAt vclock.VC) {
 	for _, c := range box.conclusive {
 		m.recordVerdictState(c.q, c.cut)
 	}
 	minimal := map[int][]pivot{}
 	for _, p := range box.pivots {
-		if m.mon.Final(p.q) {
-			m.recordVerdictState(p.q, p.cut)
-			continue
-		}
 		keep := minimal[p.q][:0]
 		dominated := false
 		for _, other := range minimal[p.q] {
