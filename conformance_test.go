@@ -336,7 +336,7 @@ func TestCodecPathParity(t *testing.T) {
 
 // TestFeedRunEqualsFeed: core.Session.FeedRun — the one window-feeding
 // function, under RunStream and under dlmond's read loop — is event-by-event
-// Feed with the gate and the hand-off amortized. On every -short gauntlet cell
+// Feed with the hand-off amortized. On every -short gauntlet cell
 // the stream fed in windows of 1, 7, 16 and all of it ends with the verdicts
 // and the per-process fed counts of the stream fed one Feed at a time, and a
 // window with one bad event in it feeds none of its events.

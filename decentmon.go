@@ -337,8 +337,9 @@ func Run(spec *Spec, ts *TraceSet, opts ...Option) (*RunResult, error) {
 // RunStream is Run over an event stream (e.g. StreamTraces on a ".jsonl"
 // file): the decentralized monitors are fed incrementally as events are
 // read, never materializing the execution. Verdict sets equal Run's on the
-// equivalent trace set, and the feeder-side backpressure keeps memory bounded
-// even without pacing on collectible workloads.
+// equivalent trace set, and the monitors' shallow feed queues keep memory
+// bounded even without pacing on collectible workloads: the reader never
+// runs more than a few windows ahead of any monitor.
 func RunStream(spec *Spec, src EventSource, opts ...Option) (*RunResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("decentmon: nil event source")
@@ -361,8 +362,8 @@ func RunStream(spec *Spec, src EventSource, opts ...Option) (*RunResult, error) 
 // with a footprint independent of trace length. It is the evaluator behind
 // dlmon -bounded, and the stream must be causally ordered (timestamp-ordered
 // replays are). Of the options it takes WithContext alone: the path
-// evaluator has no monitor network, finalization, pacing, lag gate, lattice
-// boxes or validator, and the initial state comes from the stream header.
+// evaluator has no monitor network, finalization, pacing, feed queues,
+// lattice boxes or validator, and the initial state comes from the stream header.
 func RunBounded(spec *Spec, src EventSource, opts ...Option) (*PathResult, error) {
 	if src == nil {
 		return nil, fmt.Errorf("decentmon: nil event source")

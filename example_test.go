@@ -231,9 +231,9 @@ func ExampleSession_Verdicts() {
 
 	// Replay a generated execution through the session, process by process,
 	// with the goal planted at the end. Each process has several hundred
-	// events, so while the first is fed alone its monitor's backlog passes
-	// the lag bound; with the peer silent nothing can be collected, and the
-	// gate's grace window lets the rest through rather than deadlock.
+	// events; while the first is fed alone its peer is silent, so its monitor
+	// collects nothing and retains them all, and the feed still goes on: a
+	// feeder waits only for room in the monitor's feed queue.
 	traces := decentmon.Generate(decentmon.GenConfig{
 		N: 2, InternalPerProc: 200, CommMu: 3, CommSigma: 1,
 		PlantGoal: true, Seed: 1,

@@ -63,19 +63,6 @@ func (c Cube) NumLiterals() int {
 	return n
 }
 
-// SubsumedBy reports whether every assignment satisfying c also satisfies d
-// (d is the weaker, more general cube).
-func (c Cube) SubsumedBy(d Cube) bool {
-	return d.Care&^c.Care == 0 && c.Val&d.Care == d.Val
-}
-
-// Intersects reports whether the two cubes share at least one satisfying
-// assignment.
-func (c Cube) Intersects(d Cube) bool {
-	common := c.Care & d.Care
-	return c.Val&common == d.Val&common
-}
-
 // String renders the cube using v0, v1, ... variable names.
 func (c Cube) String() string {
 	return c.Format(nil)

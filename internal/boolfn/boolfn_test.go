@@ -58,35 +58,6 @@ func TestLiteralsAndFormat(t *testing.T) {
 	}
 }
 
-func TestSubsumedBy(t *testing.T) {
-	a := Cube{Care: 0b11, Val: 0b01} // v0 && !v1
-	b := Cube{Care: 0b01, Val: 0b01} // v0
-	if !a.SubsumedBy(b) {
-		t.Error("v0 && !v1 should be subsumed by v0")
-	}
-	if b.SubsumedBy(a) {
-		t.Error("v0 should not be subsumed by v0 && !v1")
-	}
-	if !a.SubsumedBy(True) {
-		t.Error("everything subsumed by true")
-	}
-}
-
-func TestIntersects(t *testing.T) {
-	a := Cube{Care: 0b01, Val: 0b01} // v0
-	b := Cube{Care: 0b01, Val: 0b00} // !v0
-	c := Cube{Care: 0b10, Val: 0b10} // v1
-	if a.Intersects(b) {
-		t.Error("v0 and !v0 intersect")
-	}
-	if !a.Intersects(c) {
-		t.Error("v0 and v1 do not intersect")
-	}
-	if !a.Intersects(True) {
-		t.Error("v0 and true do not intersect")
-	}
-}
-
 func TestMinimizeEdgeCases(t *testing.T) {
 	if d := Minimize(nil, 3); len(d) != 0 {
 		t.Errorf("Minimize(empty) = %v, want false", d)

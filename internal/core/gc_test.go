@@ -67,16 +67,15 @@ func TestKnowledgePeakBoundedAcrossTraceGrowth(t *testing.T) {
 }
 
 // TestKnowledgePeakBoundedUnpaced is the same acceptance with no pacing at
-// all: the session engine's feeder-side backpressure (session.go) throttles
-// the replay to the monitors' round-trip rate, so even a replay that would
-// otherwise outrun every token/fetch exchange keeps its retained knowledge
-// bounded as the trace grows. It states that as the gate promises it — one
-// ceiling, far below the events fed, that a four times longer trace does not
-// lift — not as a ratio of two peaks: each peak is a race between feeder and
-// monitors (463–1,126 over hundreds of runs, idle and starved of CPU) and a
-// short trace ends before its backlog has built up, so a ratio fails on timing
-// alone. The ceiling is an eighth of the shorter trace; with the gate off the
-// same trace peaks at about half its events (11–15k of 24k).
+// all: the monitors' feed queues (feedQueue, session.go) keep an unpaced
+// replay at most a few windows ahead of every monitor, so even a replay that
+// would otherwise outrun every token/fetch exchange keeps its retained
+// knowledge bounded as the trace grows. It states that as one ceiling, far
+// below the events fed, that a four times longer trace does not lift — not as
+// a ratio of two peaks: each peak is a race between feeder and monitors
+// (1,296–1,865 over 25 runs per size at GOMAXPROCS 1 and 2 on a 2-core box)
+// and a short trace ends before its backlog has built up, so a ratio fails on
+// timing alone. The ceiling is an eighth of the shorter trace.
 func TestKnowledgePeakBoundedUnpaced(t *testing.T) {
 	const rounds = 2000
 	ceiling := dist.Generate(gcWorkload(rounds)).TotalEvents() / 8

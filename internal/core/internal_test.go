@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"decentmon/internal/automaton"
@@ -220,16 +219,5 @@ func TestGuardTable(t *testing.T) {
 func TestStringsAndDebug(t *testing.T) {
 	if msgToken.String() != "token" || msgKind(99).String() == "" {
 		t.Error("msgKind strings wrong")
-	}
-	ts := dist.RunningExample()
-	mon, err := automaton.Build(ltl.MustParse(dist.RunningExampleProperty), ts.Props.Names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := builtSession(t, SessionConfig{
-		N: 2, Automaton: mon, Props: ts.Props, Init: ts.InitialState(),
-	}).monitors[0]
-	if !strings.Contains(m.DebugString(), "monitor 0") {
-		t.Errorf("DebugString = %q", m.DebugString())
 	}
 }

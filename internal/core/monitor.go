@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -123,8 +121,7 @@ type Monitor struct {
 	mon  *automaton.Monitor
 	*program
 	// sess is the session the monitor belongs to: recordVerdictState reports
-	// to it, publishGauges signals its backpressure gate and roundDone its
-	// snapshot coordinator.
+	// to it and roundDone its snapshot coordinator.
 	sess    *Session
 	feed    chan feedItem
 	scratch *scratch
@@ -153,12 +150,9 @@ type Monitor struct {
 	// cancelled session returns promptly mid-exploration.
 	ctx context.Context
 
-	// lagGauge publishes know.retained and progressGauge the monotone sum
-	// of collected events and closed searches, both after every pump, for
-	// the session's feeder-side backpressure gate (session.go), which
-	// publishGauges signals whenever progressGauge advances.
-	lagGauge      atomic.Int64
-	progressGauge atomic.Int64
+	// lagGauge publishes know.retained after every pump (publishLag), for
+	// Session.RetainedEvents to read without touching monitor state.
+	lagGauge atomic.Int64
 
 	// Snapshot quiescence accounting (snapshot.go): outSent counts monitor
 	// messages enqueued to peers, incremented BEFORE the transport send so
@@ -636,7 +630,7 @@ func (m *Monitor) integrateBox(box *boxResult, origin stateset, continueAt vcloc
 // session context aborts the view-advancement loop between iterations so
 // long explorations do not delay shutdown.
 func (m *Monitor) pump() {
-	defer m.publishGauges()
+	defer m.publishLag()
 	if m.err != nil {
 		return
 	}
@@ -666,17 +660,8 @@ func (m *Monitor) pump() {
 	m.maybeFini()
 }
 
-// publishGauges exposes the knowledge backlog and the monotone progress sum
-// (collected events + resolved searches) to the session's backpressure gate,
-// signalling its relief hook whenever progress advanced.
-func (m *Monitor) publishGauges() {
-	m.lagGauge.Store(int64(m.know.retained))
-	prog := int64(m.know.collected) + m.searches.done
-	if prog != m.progressGauge.Load() {
-		m.progressGauge.Store(prog)
-		m.sess.signalRelief()
-	}
-}
+// publishLag exposes the knowledge backlog to Session.RetainedEvents.
+func (m *Monitor) publishLag() { m.lagGauge.Store(int64(m.know.retained)) }
 
 // --- verdicts, finalization, termination ---
 
@@ -748,22 +733,6 @@ func (m *Monitor) deliver(msg *wireMsg, lo, hi int) {
 	}
 }
 
-// DebugString renders the monitor's exploration state (tests and the dlmon
-// tool use it).
-func (m *Monitor) DebugString() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "monitor %d: %d views, %d searches outstanding, verdicts ", m.index, len(m.views.gvs), len(m.searches.table))
-	var vs []string
-	for v, reached := range m.verdicts {
-		if reached {
-			vs = append(vs, automaton.Verdict(v).String())
-		}
-	}
-	sort.Strings(vs)
-	fmt.Fprintf(&b, "{%s}", strings.Join(vs, ","))
-	return b.String()
-}
-
 // --- snapshot record ---
 
 // appendState serializes the monitor's complete reactive state as a fixed
@@ -826,8 +795,8 @@ func (m *Monitor) restoreState(d *wire.Cursor) error {
 		return err
 	}
 	m.restored = true
-	// Publish the restored gauges so the backpressure gate starts from the
-	// captured backlog instead of a zero it would mistake for free headroom.
-	m.publishGauges()
+	// Publish the restored backlog, so RetainedEvents reads it before the
+	// monitor's first round.
+	m.publishLag()
 	return nil
 }

@@ -67,10 +67,10 @@ func (r *RunResult) VerdictList() []automaton.Verdict {
 }
 
 // feedChunk is the unpaced replay's window: the most events one FeedRun
-// hands over. Kept modest: a window parks invisibly in the monitors' feed
-// queues until absorbed, so oversized windows would loosen the backpressure
-// gate's view of the backlog (a 32-event window reads knowledge peaks past
-// TestKnowledgePeakBoundedUnpaced's ceiling).
+// hands over. Kept modest: a monitor's feed queue holds up to feedQueue
+// windows, so the knowledge peak grows with the window (on
+// TestKnowledgePeakBoundedUnpaced's workload a 32-event window reads peaks of
+// 2,400–3,900, past the test's ceiling of 2,998, against 1,300–1,900 at 16).
 const feedChunk = 16
 
 // Run replays the trace set through n monitors connected by the network and
@@ -106,7 +106,7 @@ func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) 
 	if err != nil {
 		return nil, err
 	}
-	// Read a window, feed it (FeedRun): the admission gate and the monitors'
+	// Read a window, feed it (FeedRun): the hand-offs and the monitors'
 	// wake-ups are paid per window and process, not per event. A paced replay
 	// keeps a window of one: an event is due when its timestamp says.
 	size := feedChunk

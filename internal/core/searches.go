@@ -26,7 +26,7 @@ type search struct {
 // pays for none; inflightFetch is n wide, cut from the session's slabs.
 type searches struct {
 	seq   int64 // last search sequence number issued
-	done  int64 // searches fully resolved, for the progress gauge
+	done  int64 // searches fully resolved: carried by the snapshot record, read by nothing else
 	table map[int64]search
 	bySig map[string]int64
 

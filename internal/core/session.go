@@ -14,23 +14,11 @@ import (
 	"decentmon/internal/vclock"
 )
 
-// maxLag is the retained-knowledge backlog (events per monitor) above which
-// Session.Feed applies backpressure. It is deliberately small: on collectible
-// workloads the backlog oscillates around it, which is what keeps an unpaced
-// replay's KnowledgePeak bounded as the trace grows.
-const maxLag = 256
-
-// feedQueue is the capacity of each monitor's feed queue. It is shallow
-// because events parked in the channel are invisible to the retained-knowledge
-// gauge the backpressure gate reads: a deep queue would let a whole trace slip
-// past it.
+// feedQueue is the capacity of each monitor's feed queue, and the session's
+// whole backpressure: a Feed for a process whose monitor has feedQueue items
+// still unread blocks until the monitor takes one (or the session is
+// cancelled), so a feeder can run at most feedQueue windows ahead of it.
 const feedQueue = 16
-
-// feedGrace is how long a lagging Feed waits for the pipeline to make
-// progress before concluding that the backlog is pinned by work that needs
-// future events (e.g. an unresolved reachability search) and letting the
-// event through anyway — blocking any longer would deadlock the replay.
-const feedGrace = 2 * time.Millisecond
 
 // SessionConfig parameterizes an online monitoring session.
 type SessionConfig struct {
@@ -97,13 +85,6 @@ type Session struct {
 	start      time.Time
 	conclOnce  sync.Once
 	firstConcl time.Duration
-
-	// The backpressure gate (see admitN). relief is signalled by monitors
-	// whenever their progress gauge advances.
-	relief       chan struct{}
-	gateMu       sync.Mutex
-	lastProgress int64
-	bypassLeft   int
 
 	// feedMu[p] serializes Feed(p) against End(p): End snapshots the fed
 	// count as the process's terminal total, so no Feed may be in flight
@@ -204,7 +185,6 @@ func buildSession(ctx context.Context, cfg SessionConfig) (*Session, error) {
 		// state), so this buffer can never fill: monitors never block on
 		// the subscription channel.
 		verdicts: make(chan VerdictEvent, cfg.N*cfg.Automaton.NumStates()),
-		relief:   make(chan struct{}, 1),
 		quiesce:  quiesceSignal{wake: make(chan struct{}, 1)},
 		errs:     make([]error, cfg.N),
 		feedMu:   make([]sync.Mutex, cfg.N),
@@ -284,7 +264,6 @@ func (s *Session) launch() {
 			if s.quiesce.waiting.Load() {
 				s.quiesce.notify()
 			}
-			s.signalRelief()
 		}(i, m)
 	}
 }
@@ -309,13 +288,6 @@ func (s *Session) emitVerdict(monitor, state int, v automaton.Verdict, cut vcloc
 	}
 }
 
-func (s *Session) signalRelief() {
-	select {
-	case s.relief <- struct{}{}:
-	default:
-	}
-}
-
 // Verdicts returns the subscription channel: one VerdictEvent per newly
 // detected (monitor, automaton state) pair, closed by Close after the
 // terminal result is complete.
@@ -331,112 +303,6 @@ func (s *Session) RetainedEvents() int64 {
 		sum += m.lagGauge.Load()
 	}
 	return sum
-}
-
-// maxRetained is the largest retained-knowledge backlog across monitors.
-func (s *Session) maxRetained() int64 {
-	var worst int64
-	for _, m := range s.monitors {
-		if l := m.lagGauge.Load(); l > worst {
-			worst = l
-		}
-	}
-	return worst
-}
-
-// progress is the monotone sum of every monitor's collected events and
-// resolved searches — the signal that monitor round trips are keeping up.
-func (s *Session) progress() int64 {
-	var sum int64
-	for _, m := range s.monitors {
-		sum += m.progressGauge.Load()
-	}
-	return sum
-}
-
-// admitN applies feeder-side backpressure to a batch of k events: while some
-// monitor's retained knowledge is at or above the lag bound, each unit of
-// pipeline progress (a knowledge event collected, a search resolved) buys one
-// admission, so an unpaced replay is throttled to the monitors' round-trip
-// and collection rate. When no progress happens within a grace window the
-// backlog is pinned by work that needs future events (e.g. an unresolved
-// reachability search), and the gate opens for a bounded batch — memory then
-// grows as the workload inherently requires, but the replay never deadlocks.
-// Credits are consumed batch-wise: a single gate pass admits the whole batch
-// once enough progress (or bypass burst) has accrued, so batched feeding pays
-// the gauge scan once per batch instead of once per event. Free admission
-// below the lag bound covers the entire batch — the bound is a backlog
-// threshold, not a rate, and a batch is bounded by the feeders' chunk size.
-func (s *Session) admitN(k int) error {
-	if k <= 0 {
-		return s.ctx.Err()
-	}
-	s.gateMu.Lock()
-	defer s.gateMu.Unlock()
-	timer := (*time.Timer)(nil)
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for k > 0 {
-		if err := s.ctx.Err(); err != nil {
-			return err
-		}
-		prog := s.progress()
-		if s.maxRetained() < int64(maxLag) {
-			// Below the bound: free admission. Keep the credit baseline
-			// current so progress made while unthrottled cannot later be
-			// spent as a burst.
-			s.lastProgress = prog
-			s.bypassLeft = 0
-			return nil
-		}
-		// Credits bank up to one lag bound, no further: progress overcounts
-		// admissions (a fed event is collected once by every monitor that
-		// fetched it), so on a healthy run the surplus grows without limit,
-		// and a feeder could later pour all of it into a stalled pipeline.
-		if floor := prog - int64(maxLag); s.lastProgress < floor {
-			s.lastProgress = floor
-		}
-		if avail := prog - s.lastProgress; avail > 0 {
-			if avail > int64(k) {
-				avail = int64(k)
-			}
-			s.lastProgress += avail // consume credits
-			k -= int(avail)
-			s.bypassLeft = 0
-			continue
-		}
-		if s.bypassLeft > 0 {
-			take := s.bypassLeft
-			if take > k {
-				take = k
-			}
-			s.bypassLeft -= take
-			k -= take
-			continue
-		}
-		if timer == nil {
-			timer = time.NewTimer(feedGrace)
-		} else {
-			timer.Reset(feedGrace)
-		}
-		select {
-		case <-s.relief:
-			if !timer.Stop() {
-				//declint:ignore blockingsend Stop() returned false, so the timer already fired and timer.C holds exactly one value; this drain cannot block
-				<-timer.C
-			}
-		case <-s.ctx.Done():
-			return s.ctx.Err()
-		case <-timer.C:
-			// One grace window buys a burst no larger than the lag bound,
-			// so a pinned backlog cannot flood the monitors unboundedly.
-			s.bypassLeft = maxLag
-		}
-	}
-	return nil
 }
 
 // checkEvent is the engine's admission check, and the reason the event record
@@ -471,8 +337,8 @@ func (s *Session) enqueue(p int, it feedItem) error {
 }
 
 // feed is Feed and FeedRun after validation: one feed item carrying k events
-// of process p. It holds the process's feed lock across
-// check→admit→enqueue→count, so a concurrent End (possibly from Close) cannot
+// of process p. It holds the process's feed lock across check→enqueue→count,
+// so a concurrent End (possibly from Close) cannot
 // snapshot the terminal total with these events still in flight.
 func (s *Session) feed(p, k int, it feedItem) error {
 	s.feedMu[p].Lock()
@@ -486,9 +352,6 @@ func (s *Session) feed(p, k int, it feedItem) error {
 	case ended:
 		return fmt.Errorf("core: process %d already ended", p)
 	}
-	if err := s.admitN(k); err != nil {
-		return err
-	}
 	if err := s.enqueue(p, it); err != nil {
 		return err
 	}
@@ -499,8 +362,8 @@ func (s *Session) feed(p, k int, it feedItem) error {
 }
 
 // Feed delivers one pre-stamped event to its process's monitor, blocking
-// under backpressure (see admitN) and returning promptly with
-// the context's error if the session is cancelled. Events of one process
+// while that monitor's feed queue is full (feedQueue) and returning promptly
+// with the context's error if the session is cancelled. Events of one process
 // must arrive in sequence-number order. The event is shared from here on, by
 // pointer, with every monitor that learns of it (messages.go): the session
 // never writes it and the caller must not either.
@@ -520,8 +383,7 @@ type FeedScratch struct {
 // FeedRun delivers a window of events of any processes, in the order a single
 // source produced them: every event is checked first, so a refused window
 // feeds nothing, and then each process's events go to its monitor as one batch
-// — one admission-gate pass and one hand-off per process the window has events
-// of. A process's events keep their order; events of different processes may
+// — one hand-off per process the window has events of. A process's events keep their order; events of different processes may
 // reach their monitors in another order than the window's, as they may from
 // two feeders running side by side, which is all the Feed contract orders.
 // The session takes ownership of the events, not of run. After a failure part

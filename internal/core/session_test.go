@@ -235,7 +235,7 @@ func TestSessionMisuse(t *testing.T) {
 	if err := s.Feed(&dist.Event{Proc: 7}); err == nil {
 		t.Error("event of nonexistent process accepted")
 	}
-	// The event record has no room for these, so the gate refuses them.
+	// The event record has no room for these, so checkEvent refuses them.
 	for name, e := range map[string]*dist.Event{
 		"three-entry clock":        {Proc: 0, SN: 1, Peer: -1, VC: vclock.VC{1, 0, 0}},
 		"clock disagreeing on sn":  {Proc: 0, SN: 1, Peer: -1, VC: vclock.VC{2, 0}},
@@ -269,8 +269,8 @@ func TestSessionMisuse(t *testing.T) {
 	}
 }
 
-// feedAll feeds a whole execution through Session.Feed as fast as the gate
-// admits and returns the largest KnowledgePeak over the monitors.
+// feedAll feeds a whole execution through Session.Feed as fast as the feed
+// queues take it and returns the largest KnowledgePeak over the monitors.
 func feedAll(t *testing.T, ts *dist.TraceSet) int {
 	t.Helper()
 	s := newTestSession(t, ts, gcProperty)
@@ -300,11 +300,11 @@ func feedAll(t *testing.T, ts *dist.TraceSet) int {
 
 // TestSessionBackpressureBounded feeds a collectible execution and one four
 // times as long, unpaced, and checks what backpressure promises: the retained
-// backlog does not grow with the trace and stays far below it. It does not
-// compare the peak with maxLag itself: a monitor keeps its own events until
-// every peer's need-floor has passed them, and floors travel piggybacked or
-// every floorAnnounceEvery events, so the backlog has a structural part (some
-// hundreds of events here) that no lag bound below it can remove.
+// backlog does not grow with the trace and stays far below it. The feed
+// queues bound only what a feeder runs ahead; a monitor keeps its own events
+// until every peer's need-floor has passed them, and floors travel piggybacked
+// or every floorAnnounceEvery events, so the backlog has a structural part
+// (some hundreds of events here) on top of that.
 func TestSessionBackpressureBounded(t *testing.T) {
 	short, long := dist.Generate(gcWorkload(500)), dist.Generate(gcWorkload(2000))
 	peakShort, peakLong := feedAll(t, short), feedAll(t, long)
@@ -318,37 +318,77 @@ func TestSessionBackpressureBounded(t *testing.T) {
 	t.Logf("peak %d over %d events, %d over %d", peakShort, short.TotalEvents(), peakLong, long.TotalEvents())
 }
 
-// TestSessionGateBanksNoProgress pins the gate's credit cap on gauges set by
-// hand (the monitors are built, never started). Progress overcounts
-// admissions — a fed event is collected once by every monitor that fetched it
-// — so a healthy run piles up credits nobody spends; if they were all
-// honoured, a feeder could flood a stalled pipeline with the whole surplus.
-// At the bound, old progress buys one lag bound of admissions and no more.
-func TestSessionGateBanksNoProgress(t *testing.T) {
-	ts := dist.Generate(gcWorkload(1))
-	s := builtSession(t, SessionConfig{
-		N: ts.N(), Automaton: mustMonitor(t, gcProperty, ts.Props.Names),
-		Props: ts.Props, Init: ts.InitialState(),
-	})
-	s.monitors[0].lagGauge.Store(maxLag)
-	s.monitors[1].progressGauge.Store(100 * maxLag)
-	if err := s.admitN(maxLag); err != nil {
-		t.Fatal(err)
-	}
-	if left := s.progress() - s.lastProgress; left != 0 {
-		t.Errorf("gate still holds %d credits after one lag bound of admissions", left)
+// TestSessionFeedQueueBlocks pins the backpressure the session has: each
+// monitor's feed queue. On a built session whose monitors never run, a feeder
+// gets exactly feedQueue calls in for a process; the next one blocks until the
+// session is cancelled and then returns the context's error. Feed hands over
+// one event a call, and FeedRun a window with one event of each of two
+// processes, so both queues fill together.
+func TestSessionFeedQueueBlocks(t *testing.T) {
+	ts := dist.Generate(gcWorkload(2 * feedQueue))
+	p0, p1 := ts.Traces[0].Events, ts.Traces[1].Events
+	for name, feed := range map[string]func(s *Session, fs *FeedScratch, i int) error{
+		"Feed":    func(s *Session, _ *FeedScratch, i int) error { return s.Feed(p0[i]) },
+		"FeedRun": func(s *Session, fs *FeedScratch, i int) error { return s.FeedRun(fs, []*dist.Event{p0[i], p1[i]}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := builtSession(t, SessionConfig{
+				N: ts.N(), Automaton: mustMonitor(t, gcProperty, ts.Props.Names),
+				Props: ts.Props, Init: ts.InitialState(),
+			})
+			var fs FeedScratch
+			accepted := make(chan error, 1)
+			go func() {
+				for i := 0; i < feedQueue; i++ {
+					if err := feed(s, &fs, i); err != nil {
+						accepted <- err
+						return
+					}
+				}
+				accepted <- nil
+			}()
+			select {
+			case err := <-accepted:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%d calls did not all go through to an empty feed queue", feedQueue)
+			}
+			blocked := make(chan error, 1)
+			go func() { blocked <- feed(s, &fs, feedQueue) }()
+			select {
+			case err := <-blocked:
+				t.Fatalf("call %d returned %v past a full feed queue, want it to block", feedQueue+1, err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			s.cancel()
+			select {
+			case err := <-blocked:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("blocked call returned %v after cancel, want %v", err, context.Canceled)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("blocked call did not return after the session was cancelled")
+			}
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.fed[0] != feedQueue {
+				t.Errorf("process 0 counts %d events fed, want %d", s.fed[0], feedQueue)
+			}
+		})
 	}
 }
 
-// TestSessionGraceBypassProcessByProcess feeds one process's whole trace
-// before any event of the other. With its peer silent, monitor 0 can collect
-// nothing and resolve no search, so once its backlog reaches maxLag no
-// progress ever buys an admission: only the grace-window bypass lets the rest
-// of process 0's events in. The session must still complete, with the
-// oracle's verdicts, and monitor 0 must have held well over maxLag events.
-func TestSessionGraceBypassProcessByProcess(t *testing.T) {
+// TestSessionProcessByProcess feeds one process's whole trace before any
+// event of the other. With its peer silent, monitor 0 can collect nothing and
+// resolve no search, so it must take in all of process 0's events without
+// waiting on its peer: backpressure that waited for the pipeline to make
+// progress would deadlock here. The session must complete, with the oracle's
+// verdicts, and monitor 0 must have held at least 512 events at once.
+func TestSessionProcessByProcess(t *testing.T) {
 	ts := dist.Generate(dist.GenConfig{
-		N: 2, InternalPerProc: 4 * maxLag, CommMu: 3, CommSigma: 1,
+		N: 2, InternalPerProc: 1024, CommMu: 3, CommSigma: 1,
 		PlantGoal: true, Seed: 1,
 	})
 	const formula = "F (P0.p && P1.p)"
@@ -378,8 +418,8 @@ func TestSessionGraceBypassProcessByProcess(t *testing.T) {
 	if got, want := setString(res.Verdicts), setString(oracleSet(t, ts, mon)); got != want {
 		t.Errorf("process-by-process feed verdicts %s != oracle %s", got, want)
 	}
-	if peak := res.Metrics[0].KnowledgePeak; peak < 2*maxLag {
-		t.Errorf("monitor 0 peaked at %d retained events; the gate (bound %d) was never held closed", peak, maxLag)
+	if peak := res.Metrics[0].KnowledgePeak; peak < 512 {
+		t.Errorf("monitor 0 peaked at %d retained events, want at least 512: it cannot collect while its peer is silent", peak)
 	}
 	t.Logf("monitor 0 peak %d of %d events fed", res.Metrics[0].KnowledgePeak, len(ts.Traces[0].Events))
 }

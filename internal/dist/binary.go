@@ -167,8 +167,9 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 // would have alone. A run that mixes processes — an Ingest run, a ".dmtb"
 // stream, the emitted events of an input log being replayed — lives until
 // the slowest of its processes has collected its share; every monitor keeps
-// only its collection window (core's maxLag bounds its backlog), so that is
-// a constant number of slabs per process, not a share of the trace. The cap
+// only its collection window, and its feed queue keeps a feeder a few windows
+// ahead of it at most, so that is a constant number of slabs per process, not
+// a share of the trace. The cap
 // is what bounds the waste: a decoded segment overlaps what the store already
 // holds (a returning token re-carries events its parent has learnt meanwhile,
 // and on multi-view properties merge drops most of what a token brings back),

@@ -24,6 +24,8 @@ import (
 )
 
 // Config tunes the experiment sweep; zero values take the paper's settings.
+// The sweeps monitor with the paper-shape (progression) machines, whose
+// intermediate ?-states the paper's figures depend on.
 type Config struct {
 	Ns              []int   // process counts (paper: 2..5)
 	Seeds           []int64 // replications averaged (paper: 3)
@@ -34,12 +36,7 @@ type Config struct {
 	// Topology shapes the communication pattern (default dist.TopoUniform,
 	// the paper's workload).
 	Topology dist.Topology
-	// MinimalAutomata uses the minimal LTL3 monitors instead of the
-	// paper-shape (progression) machines. The paper's figures depend on the
-	// intermediate ?-states of its non-minimal automata, so paper shape is
-	// the default.
-	MinimalAutomata bool
-	Pace            float64 // real-time replay scale for delay experiments
+	Pace     float64 // real-time replay scale for delay experiments
 }
 
 func (c Config) withDefaults() Config {
@@ -161,7 +158,7 @@ type Cell struct {
 // over the config's seeds and returns the averaged cell.
 func Measure(property string, n int, cfg Config) (*Cell, error) {
 	cfg = cfg.withDefaults()
-	mon, err := props.Build(property, n, !cfg.MinimalAutomata)
+	mon, err := props.Build(property, n, true)
 	if err != nil {
 		return nil, err
 	}
@@ -366,7 +363,7 @@ type BaselineRow struct {
 // Baselines runs the ablation for one property/size/seed.
 func Baselines(property string, n int, seed int64, cfg Config) (*BaselineRow, error) {
 	cfg = cfg.withDefaults()
-	mon, err := props.Build(property, n, !cfg.MinimalAutomata)
+	mon, err := props.Build(property, n, true)
 	if err != nil {
 		return nil, err
 	}
@@ -464,9 +461,9 @@ func measureOracle(property string, n, arity int, cfg Config) (*OracleCell, erro
 	)
 	if arity == 0 || arity >= n {
 		arity = n
-		mon, err = props.Build(property, n, !cfg.MinimalAutomata)
+		mon, err = props.Build(property, n, true)
 	} else {
-		mon, _, err = props.BuildAt(property, arity, !cfg.MinimalAutomata)
+		mon, _, err = props.BuildAt(property, arity, true)
 	}
 	if err != nil {
 		return nil, err

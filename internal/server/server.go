@@ -240,10 +240,10 @@ func (s *Server) recoverSession(file string) error {
 }
 
 // feedWindow is the most events of a decoded run that reach a session in one
-// pass (one core FeedRun: a hand-off per process among them). A frame may carry many
-// more: a larger window does buy throughput, by loosening the admission
-// gate's view of the monitors' backlog, and pays for it in resident memory —
-// PERFORMANCE.md ("Batched ingest") has the table that picked one slab.
+// pass (one core FeedRun: a hand-off per process among them). A frame may carry
+// many more, but a wider window buys no throughput and costs resident memory,
+// since each monitor's feed queue holds 16 of them — PERFORMANCE.md ("Batched
+// ingest") has the table that picked one slab.
 const feedWindow = dist.EventSlab
 
 // untilCheckpoint is how many more events the session takes before its

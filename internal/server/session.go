@@ -237,8 +237,8 @@ func (s *session) doomedErr() error {
 }
 
 // ingest feeds one window of stamped events through core.Session.FeedRun: one
-// pass of the admission gate and one hand-off per process the window has
-// events of, under the ordering FeedRun states. raw is the window as the bytes
+// hand-off per process the window has events of, under the ordering FeedRun
+// states. raw is the window as the bytes
 // it arrived in, which is what a durable session logs. A refused window feeds
 // nothing; any failure dooms the session, with part of the window possibly
 // fed.

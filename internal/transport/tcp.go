@@ -16,7 +16,7 @@ import (
 // fails the network before allocating it. The largest messages are fetch
 // replies and returning tokens, which carry event segments — tens of bytes per
 // event, so 64 MiB is millions of events in one message, far beyond what the
-// feed gate lets accumulate — while a bound at all is what keeps a four-byte
+// feed queues let accumulate — while a bound at all is what keeps a four-byte
 // header from costing 4 GiB.
 const MaxTCPFrame = 1 << 26
 

@@ -19,8 +19,9 @@ import (
 // RunResult.
 //
 // The engine is the decentralized one — one monitor per process over a
-// monitor network, exactly the Run/RunStream machinery, with feeder-side
-// backpressure bounding retained knowledge. The O(n)-memory
+// monitor network, exactly the Run/RunStream machinery, whose shallow
+// per-monitor feed queues are the backpressure that bounds retained
+// knowledge. The O(n)-memory
 // single-path evaluator is not a session: it is RunBounded.
 //
 // Cancelling the context passed via WithContext makes Feed, the handle
@@ -121,8 +122,8 @@ func (s *Session) now() float64 { return time.Since(s.start).Seconds() }
 // Feed delivers one pre-stamped event (a replay of recorded traces, or an
 // application doing its own clock bookkeeping). Do not mix Feed with the
 // Process handles: the internal stamper does not see Feed's clocks. Events
-// of one process must arrive in sequence-number order. Feed blocks under
-// backpressure and returns promptly on cancellation.
+// of one process must arrive in sequence-number order. Feed blocks while the
+// owning monitor's feed queue is full and returns promptly on cancellation.
 // With WithValidation, events violating the session's causal contract are
 // rejected here, before they reach the engine. The session keeps the pointer
 // — every monitor that learns of the event reads this very struct — so the
