@@ -226,6 +226,31 @@ func BenchmarkBaselines(b *testing.B) {
 
 // --- ablations and micro-benchmarks of the substrates ---
 
+// BenchmarkAblationMinimalVsPaperShape compares monitoring cost under the
+// minimal versus paper-shape automata (the §5.1 design choice).
+func BenchmarkAblationMinimalVsPaperShape(b *testing.B) {
+	cfg := benchCfg
+	cfg.Ns = []int{3}
+	minimal, err := props.Build("F", 3, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var minMsgs, shapeMsgs float64
+	for i := 0; i < b.N; i++ {
+		cmin, err := experiments.MeasureMonitor(minimal, "F", 3, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cshape, err := experiments.Measure("F", 3, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		minMsgs, shapeMsgs = cmin.Messages, cshape.Messages
+	}
+	b.ReportMetric(minMsgs, "msgs-minimal")
+	b.ReportMetric(shapeMsgs, "msgs-paper-shape")
+}
+
 // BenchmarkSynthesisMinimal measures minimal-monitor synthesis for the
 // heaviest evaluation property (F at n=5, 10 propositions).
 func BenchmarkSynthesisMinimal(b *testing.B) {

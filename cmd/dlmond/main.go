@@ -8,7 +8,8 @@
 // events through server-side vector clocks, subscribe to incremental
 // verdicts, and close the session for the terminal verdict set. A
 // per-tenant token bucket paces ingestion so one hot tenant cannot starve
-// the rest; each session's monitor feed queues bound retained knowledge.
+// the rest; each session's monitor feed queues bound how far its feeder
+// runs ahead of its monitors.
 //
 // Observability: GET /healthz and a Prometheus-text GET /metrics on the
 // -metrics address (sessions live, events and verdicts ingested, retained

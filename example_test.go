@@ -201,10 +201,10 @@ func ExampleNewSession() {
 
 // ExampleSession_Verdicts shows verdict subscription under feeder-side
 // backpressure: the replay feeds one process's whole trace before the next,
-// so the first monitor's backlog passes the lag bound and the feeder is
-// throttled, while the subscriber keeps receiving detections as they happen —
-// the verdict channel is buffered for every possible event, so a slow
-// subscriber can never wedge the monitors or the throttled feeder.
+// and the feeder blocks whenever that monitor's feed queue is full, while the
+// subscriber keeps receiving detections as they happen — the verdict channel
+// is buffered for every possible event, so a slow subscriber can never wedge
+// the monitors or the blocked feeder.
 func ExampleSession_Verdicts() {
 	spec := decentmon.MustCompile("F (P0.p && P1.p)", decentmon.PerProcessProps(2, "p"))
 	sess, err := decentmon.NewSession(spec, 2)

@@ -352,6 +352,11 @@ func (s *Session) feed(p, k int, it feedItem) error {
 	case ended:
 		return fmt.Errorf("core: process %d already ended", p)
 	}
+	// enqueue's select may pick a free queue slot over a done context, so a
+	// cancelled session is refused here, before it.
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
 	if err := s.enqueue(p, it); err != nil {
 		return err
 	}

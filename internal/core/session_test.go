@@ -176,7 +176,7 @@ func TestSessionCancellation(t *testing.T) {
 }
 
 // TestSessionCancelledBeforeFeed: a session whose context is already dead
-// fails fast on every entry point.
+// fails fast on every entry point, even while its feed queues have room.
 func TestSessionCancelledBeforeFeed(t *testing.T) {
 	ts := dist.RunningExample()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -189,9 +189,12 @@ func TestSessionCancelledBeforeFeed(t *testing.T) {
 	}
 	cancel()
 	e := ts.Traces[0].Events[0]
-	// The monitors race the cancellation; both outcomes are context errors.
-	if err := s.Feed(e); err != nil && !errors.Is(err, context.Canceled) {
-		t.Errorf("Feed after cancel = %v", err)
+	if err := s.Feed(e); !errors.Is(err, context.Canceled) {
+		t.Errorf("Feed after cancel = %v, want context.Canceled", err)
+	}
+	var sc FeedScratch
+	if err := s.FeedRun(&sc, []*dist.Event{e}); !errors.Is(err, context.Canceled) {
+		t.Errorf("FeedRun after cancel = %v, want context.Canceled", err)
 	}
 	if _, err := s.Close(); !errors.Is(err, context.Canceled) {
 		t.Errorf("Close after cancel = %v, want context.Canceled", err)

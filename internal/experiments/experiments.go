@@ -157,11 +157,17 @@ type Cell struct {
 // Measure runs the decentralized algorithm for one property at one size
 // over the config's seeds and returns the averaged cell.
 func Measure(property string, n int, cfg Config) (*Cell, error) {
-	cfg = cfg.withDefaults()
 	mon, err := props.Build(property, n, true)
 	if err != nil {
 		return nil, err
 	}
+	return MeasureMonitor(mon, property, n, cfg)
+}
+
+// MeasureMonitor is Measure with the property's monitor built by the caller,
+// for ablations against the paper shape such as the minimal LTL3 monitor.
+func MeasureMonitor(mon *automaton.Monitor, property string, n int, cfg Config) (*Cell, error) {
+	cfg = cfg.withDefaults()
 	cell := &Cell{Property: property, N: n}
 	verdicts := map[automaton.Verdict]bool{}
 	for _, seed := range cfg.Seeds {
