@@ -85,6 +85,7 @@ type Monitor struct {
 	delta       [][]int32    // delta[state][letter] -> state
 	transitions []Transition // grouped by Src, ascending: state q's are transitions[outLo[q]:outLo[q+1]]
 	outLo       []int
+	settled     []bool // settled[q]: q is '?' and reaches no conclusive state
 }
 
 // Build synthesizes the monitor for formula f over the given declaration of
@@ -173,6 +174,12 @@ func (m *Monitor) VerdictOf(state int) Verdict { return m.verdicts[state] }
 // Final reports whether the state is conclusive (⊤ or ⊥); such states are
 // absorbing.
 func (m *Monitor) Final(state int) bool { return m.verdicts[state] != Unknown }
+
+// Settled reports whether the state is '?' and no conclusive state is
+// reachable from it: every finite trace reaching it keeps the verdict '?'
+// whatever follows (LTL3 monitorability). Successors of a settled state are
+// settled.
+func (m *Monitor) Settled(state int) bool { return m.settled[state] }
 
 // Step returns the successor of state under the given letter.
 func (m *Monitor) Step(state int, letter uint32) int {

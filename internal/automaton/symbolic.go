@@ -12,7 +12,27 @@ import (
 func newMonitor(f *ltl.Formula, sup support, verdicts []Verdict, delta [][]int32) *Monitor {
 	m := &Monitor{Formula: f, Props: sup.names, verdicts: verdicts, delta: delta}
 	m.buildSymbolic()
+	m.settle()
 	return m
+}
+
+// settle marks the settled states: the '?' states from which no conclusive
+// state is reachable. Backward reachability over Out: every '?' state starts
+// settled, and one with a transition into an unsettled state (a conclusive
+// one, or one that reaches one) is not, until a pass changes nothing.
+func (m *Monitor) settle() {
+	m.settled = make([]bool, len(m.verdicts))
+	for q, v := range m.verdicts {
+		m.settled[q] = v == Unknown
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, t := range m.transitions {
+			if m.settled[t.Src] && !m.settled[t.Dst] {
+				m.settled[t.Src], changed = false, true
+			}
+		}
+	}
 }
 
 // buildSymbolic converts the explicit transition function into symbolic

@@ -123,6 +123,11 @@ func (m *Monitor) collectKnowledge() {
 	}
 	fl.lastGC = fl.inputSeq
 	fl.curFloor = m.needFloor()
+	for key := range m.searches.launched { // no view can reach a cut below the floor
+		if !atOrAbove(key, fl.curFloor) {
+			delete(m.searches.launched, key)
+		}
+	}
 	trunc := append(m.scratch.trunc[:0], fl.curFloor...)
 	m.scratch.trunc = trunc
 	i := m.index

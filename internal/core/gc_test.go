@@ -9,12 +9,14 @@ import (
 )
 
 // gcWorkload is a ring execution with steady communication whose monitored
-// property stays live forever: a request/response obligation ("every
-// concurrent P0.p∧P1.p is eventually answered by P2.p∧P3.p") that is never
-// conclusive on finite traces, with moderately probable guards so
-// predicate-detection searches resolve within a bounded horizon. That is
-// the collectible shape: every monitor's views advance continuously, the
-// global minimal cut tracks the frontier, and old knowledge is garbage.
+// property is a request/response obligation ("every concurrent P0.p∧P1.p is
+// eventually answered by P2.p∧P3.p") that no finite trace decides. Every
+// state of its monitor is settled, so each monitor records '?' at INIT and
+// keeps no view: its need-floor is infinite from the first pump, its peers
+// collect its events as they arrive, and the store holds little more than
+// what the collection cadence (gcCollectEveryInputs) and the feed queue
+// leave between runs. The tests below hold that the store stays bounded and
+// that collection happens at all.
 const gcProperty = "G ((P0.p && P1.p) -> F (P2.p && P3.p))"
 
 func gcWorkload(events int) dist.GenConfig {

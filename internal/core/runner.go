@@ -38,7 +38,10 @@ type RunResult struct {
 	// Verdicts is the union of all monitors' verdict sets — the object the
 	// problem statement (Chapter 3) compares against the oracle.
 	Verdicts map[automaton.Verdict]bool
-	// FinalStates is the union of automaton states reported by monitors.
+	// FinalStates is the union of automaton states reported by monitors:
+	// conclusive states where a path concluded, settled states where a path
+	// settled (its later states are settled too, and not reported), and the
+	// states finalization reaches at the final cut.
 	FinalStates map[int]bool
 	// Metrics per monitor, in process order.
 	Metrics []Metrics

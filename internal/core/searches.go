@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strconv"
+	"strings"
 
 	"decentmon/internal/dist"
 	"decentmon/internal/vclock"
@@ -30,7 +31,7 @@ type searches struct {
 	table map[int64]search
 	bySig map[string]int64
 
-	launched      map[string]bool // launch dedupe ledger: signatures@cutKey
+	launched      map[string]bool // launch dedupe ledger: signatures@cutKey, pruned below the need-floor
 	inflightFetch []int           // per process: highest SN requested, 0 = no fetch in flight
 	waitTokens    []*tokenWire    // tokens waiting for future local events
 	waitFetches   []pendingFetch
@@ -285,6 +286,24 @@ func (m *Monitor) requestKnowledge(target vclock.VC) {
 			ToSN:      target[j],
 		}})
 	}
+}
+
+// atOrAbove reports whether the cut a launch ledger key ends in
+// (signatures@cutKey, vclock.VC.AppendKey's decimal list) is at or above
+// floor, reading it in place.
+func atOrAbove(key string, floor vclock.VC) bool {
+	_, cut, _ := strings.Cut(key, "@")
+	for _, f := range floor {
+		x := 0
+		for ; cut != "" && cut[0] != ','; cut = cut[1:] {
+			x = x*10 + int(cut[0]-'0')
+		}
+		if x < f {
+			return false
+		}
+		cut = strings.TrimPrefix(cut, ",")
+	}
+	return true
 }
 
 // --- snapshot record ---

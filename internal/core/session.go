@@ -54,7 +54,9 @@ type VerdictEvent struct {
 	// was detected, when a single one is known; nil otherwise.
 	Cut []int
 	// Conclusive reports whether the state is absorbing (⊤ or ⊥ on every
-	// extension); inconclusive events only appear during finalization.
+	// extension). An inconclusive event appears when a path settles in the
+	// state (automaton.Monitor.Settled: every extension keeps '?'), which may
+	// be at INIT, and otherwise during finalization.
 	Conclusive bool
 }
 

@@ -58,7 +58,12 @@ func newViews() views {
 // addGV inserts a global view, implementing MergeSimilarGlobalViews
 // (Algorithm 2): views at the same cut merge by unioning their state sets.
 // counted controls whether the view increments the Fig. 5.8 fork metric.
-func (m *Monitor) addGV(states stateset, cut vclock.VC, gstate dist.GlobalState, counted bool) *globalView {
+// The view takes states, which the caller must own; its settled states are
+// recorded at cut and leave it, and a view left with none is not added.
+func (m *Monitor) addGV(states stateset, cut vclock.VC, gstate dist.GlobalState, counted bool) {
+	if m.settle(states, cut) {
+		return
+	}
 	sc := m.scratch
 	sc.keyBuf = cut.AppendKey(sc.keyBuf[:0])
 	if gv, ok := m.views.gvs[string(sc.keyBuf)]; ok { // allocation-free probe
@@ -68,14 +73,27 @@ func (m *Monitor) addGV(states stateset, cut vclock.VC, gstate dist.GlobalState,
 				m.metrics.GlobalViewsCreated++
 			}
 		}
-		return gv
+		return
 	}
 	gv := &globalView{states: states, cut: cut, gstate: gstate, letter: m.lt.letter(gstate)}
 	m.views.gvs[string(sc.keyBuf)] = gv // insertion materializes the key
 	if counted {
 		m.metrics.GlobalViewsCreated++
 	}
-	return gv
+}
+
+// settle records the settled states of states, reached at cut, and removes
+// them; it reports whether none is left. A settled state reaches no
+// conclusive state, so every extension of its path ends in '?': the verdict
+// is known where the path settles, and there is nothing left to explore.
+func (m *Monitor) settle(states stateset, cut vclock.VC) bool {
+	states.forEach(func(q int) {
+		if m.mon.Settled(q) {
+			m.recordVerdictState(q, cut)
+			states[q/64] &^= 1 << (q % 64)
+		}
+	})
+	return states.empty()
 }
 
 // gvKeys snapshots the live view keys in deterministic order. The returned
@@ -151,8 +169,8 @@ func (m *Monitor) advanceGV(key string, gv *globalView) bool {
 				pre[i] = next - 1
 				m.retainResidual(absorbed, pre)
 			}
-			if ns.empty() {
-				return true // every chained path concluded; residuals keep the rest
+			if m.settle(ns, gv.cut) {
+				return true // every chained path concluded or settled; residuals keep the rest
 			}
 			sc.states = gv.states
 			gv.states = ns

@@ -33,7 +33,8 @@ import (
 //	Emit       session id + (kind, proc, peer, state): live stamping —
 //	           the server's dist.Stamper assigns clocks; a send's reply
 //	           carries the message id the receiver's Emit must present
-//	Subscribe  session id: verdict frames stream on this connection
+//	Subscribe  session id: verdict frames stream on this connection, the ones
+//	           detected before it first
 //	End        session id + process: no further events of that process
 //	Close      session id: drain, finalize, reply with the verdict set
 //	Attach     session id: re-adopt a session that survived a daemon

@@ -722,12 +722,12 @@ func streamExecution() (*dist.TraceSet, string) {
 // MeasureEngineStream times the long-lived-session regime the short cells
 // cannot see: one ring n=8 execution of 5,000 internal events per process
 // (~8×10⁴ events) streamed through a finalizing session against the response
-// property G (P0.p -> F (P1.p && P2.p)), which never concludes, so views
-// step, boxes sweep and knowledge is collected for the whole run while
-// session set-up amortizes to nothing. It is the regime of the benchmark's
-// stream-steady workload (bench/README.md). The seed is one whose execution
-// ends quietly: the finalization box is under 1% of the run's box nodes
-// (other seeds: up to 40%), so the cell prices the steady state, not its tail.
+// property G (P0.p -> F (P1.p && P2.p)), while session set-up amortizes to
+// nothing. It is the regime of the benchmark's stream-steady workload
+// (bench/README.md). The property never concludes, and every state of its
+// monitor is settled, so each monitor records '?' at INIT and keeps no view:
+// no search, box exploration or fetch runs, and the cell prices feeding the
+// events, knowledge collection and the termination wave, not the box DP.
 func MeasureEngineStream(minWall time.Duration) (*EngineCell, error) {
 	ts, formula := streamExecution()
 	f, err := ltl.Parse(formula)

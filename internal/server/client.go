@@ -337,7 +337,10 @@ func (cl *Client) Attach(sid uint64) (epoch uint64, fed []int, err error) {
 	return r.Epoch, r.Fed, nil
 }
 
-// Subscribe streams the session's verdicts to OnVerdict on this connection.
+// Subscribe streams the session's verdicts to OnVerdict on this connection:
+// first every verdict detected before the subscription (a property can be
+// decided, or settle on '?', at registration), delivered before Subscribe
+// returns, then each new one as it is detected. Each verdict arrives once.
 func (cl *Client) Subscribe(sid uint64) error {
 	r, err := cl.call(&dist.RPCMsg{Kind: dist.RPCSubscribe, SID: sid})
 	if err != nil {

@@ -56,10 +56,14 @@ type session struct {
 	sinceSync atomic.Int64
 	ckpt      chan struct{}
 
-	// subMu guards subscribers and the doom error.
-	subMu  sync.Mutex
-	subs   []*subscriber
-	doomed error
+	// subMu guards subscribers, the events delivered so far and the doom
+	// error. delivered holds every event the pump has taken, at most N × |Q|
+	// (the engine reports each (monitor, state) pair once), so a subscriber
+	// that joins late is sent what it missed.
+	subMu     sync.Mutex
+	subs      []*subscriber
+	delivered []core.VerdictEvent
+	doomed    error
 
 	// pumpDone closes when the verdict pump drains (after core Close).
 	pumpDone chan struct{}
@@ -203,6 +207,7 @@ func (s *session) pump(mx *metrics) {
 			mx.observeLatency(time.Duration(time.Now().UnixNano() - last))
 		}
 		s.subMu.Lock()
+		s.delivered = append(s.delivered, ev)
 		subs := s.subs
 		s.subMu.Unlock()
 		for _, sub := range subs {
@@ -213,11 +218,22 @@ func (s *session) pump(mx *metrics) {
 	}
 }
 
-// subscribe attaches a verdict feed.
+// subscribe attaches a verdict feed and sends it every event delivered before
+// it joined. Joining and taking that history happen under the lock the pump
+// appends an event and reads the subscribers under, so each event reaches
+// the feed exactly once: from the history or from the pump. An event the pump
+// takes while the history is being sent may arrive before older ones.
 func (s *session) subscribe(sub *subscriber) {
 	s.subMu.Lock()
+	past := s.delivered
 	s.subs = append(s.subs, sub)
 	s.subMu.Unlock()
+	for _, ev := range past {
+		if sub.gone() {
+			return
+		}
+		sub.deliver(ev, s.id)
+	}
 }
 
 // doom marks the session failed; the error is reported on close and to any

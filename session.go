@@ -100,10 +100,11 @@ func (s *Session) N() int { return s.n }
 
 // Verdicts returns the subscription channel: one VerdictEvent per newly
 // detected (monitor, automaton state) pair — conclusive detections arrive
-// the moment a monitor proves them, inconclusive states during
-// finalization. The channel is buffered so monitors never block on a slow
-// subscriber, and it is closed by Close after the terminal result is
-// complete.
+// the moment a monitor proves them; an inconclusive state arrives the moment
+// a path settles in it (no conclusive state is reachable from it any more,
+// so every extension keeps '?'), and otherwise during finalization. The
+// channel is buffered so monitors never block on a slow subscriber, and it
+// is closed by Close after the terminal result is complete.
 func (s *Session) Verdicts() <-chan VerdictEvent { return s.core.Verdicts() }
 
 // Process returns the handle live process i drives. It panics on an
