@@ -3,11 +3,12 @@
 //
 // Source invariant: the engine guarantees Close()/ctx cancellation never
 // wedges a monitor or transport loop — every potentially blocking send or
-// receive inside internal/core (monitor Run loop, Session pump) and
+// receive inside internal/core (monitor run loop, feed hand-off) and
 // internal/transport (chanNet/tcp read+deliver loops) selects on a
-// stop/ctx.Done() channel (see internal/transport/chan.go drain and
-// internal/core/monitor.go Run). A bare `ch <- v` or `<-ch` in a loop can
-// block forever once the peer is gone, wedging shutdown.
+// stop/ctx.Done() channel, or on a channel that shutdown closes (see
+// internal/transport/chan.go drain and internal/core/monitor.go run, whose
+// feed queue the session closes on cancellation). A bare `ch <- v` or `<-ch`
+// in a loop can block forever once the peer is gone, wedging shutdown.
 //
 // The same holds between a mutex's Lock and its Unlock (or to the end of the
 // function under a deferred Unlock), loop or no loop: whoever blocks there
@@ -20,7 +21,10 @@
 // name suggests lifecycle (stop/quit/done/exit/cancel/abort/close) or that
 // is produced by a Done() call (context.Context). Receives via
 // range-over-channel are exempt: closing the channel unblocks them, which
-// is itself a valid shutdown path.
+// is itself a valid shutdown path. Its explicit form is an escape case too: a
+// receive written `v, ok := <-ch` whose `if !ok { … }` branch leaves the loop,
+// by a return or by a break to the label of a loop around the select. A `!ok`
+// branch that continues, or that breaks out of the select alone, does not.
 package blockingsend
 
 import (
@@ -45,9 +49,15 @@ var escapeChan = regexp.MustCompile(`(?i)stop|quit|done|exit|cancel|abort|close`
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		guarded := map[ast.Node]bool{}
+		var outer []ast.Node
 		ast.Inspect(f, func(n ast.Node) bool {
+			if n == nil {
+				outer = outer[:len(outer)-1]
+				return true
+			}
+			outer = append(outer, n)
 			sel, ok := n.(*ast.SelectStmt)
-			if !ok || !hasEscape(sel) {
+			if !ok || !hasEscape(sel, outer) {
 				return true
 			}
 			for _, cl := range sel.Body.List {
@@ -192,8 +202,10 @@ func commOp(comm ast.Stmt) ast.Node {
 }
 
 // hasEscape reports whether the select can always make progress during
-// shutdown: a default clause, or a receive from a lifecycle channel.
-func hasEscape(sel *ast.SelectStmt) bool {
+// shutdown: a default clause, a receive from a lifecycle channel, or a receive
+// whose closed branch leaves the loop. stack holds the select and the nodes
+// enclosing it.
+func hasEscape(sel *ast.SelectStmt, stack []ast.Node) bool {
 	for _, cl := range sel.Body.List {
 		cc := cl.(*ast.CommClause)
 		if cc.Comm == nil {
@@ -211,8 +223,66 @@ func hasEscape(sel *ast.SelectStmt) bool {
 		if recv == nil || recv.Op != token.ARROW {
 			continue
 		}
-		if isEscapeChan(recv.X) {
+		if isEscapeChan(recv.X) || closedLeaves(cc, stack) {
 			return true
+		}
+	}
+	return false
+}
+
+// closedLeaves reports whether a receive clause is written `v, ok := <-ch`
+// (or with =) and its body holds an `if !ok { … }` whose last statement
+// leaves the loop: closing ch then ends the loop, as it ends a range over ch.
+func closedLeaves(cc *ast.CommClause, stack []ast.Node) bool {
+	as, ok := cc.Comm.(*ast.AssignStmt)
+	if !ok || len(as.Lhs) != 2 {
+		return false
+	}
+	flag, ok := as.Lhs[1].(*ast.Ident)
+	if !ok || flag.Name == "_" {
+		return false
+	}
+	for _, st := range cc.Body {
+		ifs, ok := st.(*ast.IfStmt)
+		if !ok || ifs.Init != nil || ifs.Else != nil || len(ifs.Body.List) == 0 {
+			continue
+		}
+		not, ok := ifs.Cond.(*ast.UnaryExpr)
+		if !ok || not.Op != token.NOT {
+			continue
+		}
+		if id, ok := not.X.(*ast.Ident); ok && id.Name == flag.Name &&
+			leavesLoop(ifs.Body.List[len(ifs.Body.List)-1], stack) {
+			return true
+		}
+	}
+	return false
+}
+
+// leavesLoop reports whether st leaves the loop around the select: a return,
+// or a break whose label names a for or range statement enclosing it in the
+// same function. A bare break leaves only the select.
+func leavesLoop(st ast.Stmt, stack []ast.Node) bool {
+	switch st := st.(type) {
+	case *ast.ReturnStmt:
+		return true
+	case *ast.BranchStmt:
+		if st.Tok != token.BREAK || st.Label == nil {
+			return false
+		}
+		for i := len(stack) - 1; i >= 0; i-- {
+			switch n := stack[i].(type) {
+			case *ast.FuncLit, *ast.FuncDecl:
+				return false
+			case *ast.LabeledStmt:
+				if n.Label.Name == st.Label.Name {
+					switch n.Stmt.(type) {
+					case *ast.ForStmt, *ast.RangeStmt:
+						return true
+					}
+					return false
+				}
+			}
 		}
 	}
 	return false

@@ -450,3 +450,79 @@ func (j *journal) settleWedged() {
 	<-j.sem             // want `blocking receive while a mutex is held`
 	j.inMu.Unlock()
 }
+
+// feedLoop mirrors the monitor's run loop (internal/core monitor.go): it
+// blocks on its own feed queue and inbox only, and cancellation closes the
+// feed queue. The comma-ok receive whose !ok branch returns is the explicit
+// form of a range over the queue, so the select has its escape case.
+// feedDrain leaves by a break to the loop's label, which counts the same.
+func feedLoop(feed chan int, inbox chan string) error {
+	for {
+		select {
+		case v, ok := <-feed:
+			if !ok {
+				return context.Canceled
+			}
+			_ = v
+		case msg := <-inbox:
+			_ = msg
+		}
+	}
+}
+
+func feedDrain(feed chan int, inbox chan string) {
+loop:
+	for {
+		select {
+		case v, ok := <-feed:
+			if !ok {
+				break loop
+			}
+			_ = v
+		case msg := <-inbox:
+			_ = msg
+		}
+	}
+}
+
+// feedLoopContinues reads the close and carries on: a closed queue is then
+// ready forever and never ends the loop. feedLoopBreaksSelect's bare break
+// leaves only the select. feedLoopPlain cannot tell a close from a value.
+func feedLoopContinues(feed chan int, inbox chan string) {
+	for {
+		select {
+		case v, ok := <-feed: // want `blocking receive in a loop outside a select`
+			if !ok {
+				continue
+			}
+			_ = v
+		case msg := <-inbox: // want `blocking receive in a loop outside a select`
+			_ = msg
+		}
+	}
+}
+
+func feedLoopBreaksSelect(feed chan int, inbox chan string) {
+	for {
+		select {
+		case v, ok := <-feed: // want `blocking receive in a loop outside a select`
+			if !ok {
+				break
+			}
+			_ = v
+		case msg := <-inbox: // want `blocking receive in a loop outside a select`
+			_ = msg
+		}
+	}
+}
+
+func feedLoopPlain(feed chan int, inbox chan string) {
+	for {
+		select {
+		case v := <-feed: // want `blocking receive in a loop outside a select`
+			_ = v
+		case msg := <-inbox: // want `blocking receive in a loop outside a select`
+			_ = msg
+		}
+	}
+}

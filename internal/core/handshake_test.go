@@ -130,7 +130,7 @@ func TestHandshakeRefusesMisrouting(t *testing.T) {
 		}
 		s := builtSession(t, SessionConfig{N: n, Automaton: mon, Props: pm, Init: make(dist.GlobalState, n)})
 		for _, m := range s.monitors {
-			m.start(s.ctx)
+			m.start()
 			m.handleLocalTermination(0)
 		}
 		return s.monitors

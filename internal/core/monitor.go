@@ -146,10 +146,6 @@ type Monitor struct {
 
 	metrics Metrics
 
-	// ctx is the session context; the run loop and the pump check it so a
-	// cancelled session returns promptly mid-exploration.
-	ctx context.Context
-
 	// lagGauge publishes know.retained after every pump (publishLag), for
 	// Session.RetainedEvents to read without touching monitor state.
 	lagGauge atomic.Int64
@@ -259,11 +255,18 @@ func (m *Monitor) explore(init stateset, lo, hi vclock.VC) (boxResult, error) {
 }
 
 // enqueue puts one item on the monitor's feed queue (safe to call from another
-// goroutine), giving up when ctx is cancelled instead of blocking on a full
-// queue (e.g. after the monitor exited on error). The monitor takes ownership
-// of a batch slice and of every event; callers must not reuse either after a
-// successful enqueue.
+// goroutine, under the process's feed lock: Session.enqueue), giving up when
+// ctx is cancelled instead of blocking on a full queue (e.g. after the monitor
+// exited on error). It tries a plain send first: only a full queue waits
+// beside ctx.Done(), so the hand-off of a queue with room locks no channel
+// but the monitor's own. The monitor takes ownership of a batch slice and of
+// every event; callers must not reuse either after a successful enqueue.
 func (m *Monitor) enqueue(ctx context.Context, it feedItem) error {
+	select {
+	case m.feed <- it:
+		return nil
+	default:
+	}
 	select {
 	case m.feed <- it:
 		return nil
@@ -285,27 +288,32 @@ func (m *Monitor) Metrics() Metrics {
 
 // run is the monitor's one reactive loop (Algorithm 1): INIT, then block for
 // an input and run a round on it, until the termination handshake completes
-// or ctx is cancelled. Every round runs here, on the goroutine the input
-// arrived at, which is the only one that touches the monitor's state.
-func (m *Monitor) run(ctx context.Context) error {
+// or the session is cancelled. Every round runs here, on the goroutine the
+// input arrived at, which is the only one that touches the monitor's state.
+// It blocks on its own two channels and nothing the fleet shares:
+// cancellation arrives as the feed queue closing (Session.stopMonitors), and
+// the stopped flag, set before that, ends the loop between inputs. Either way
+// it returns the session context's error.
+func (m *Monitor) run() error {
 	defer func() {
 		m.scratch.release()
 		m.scratch = nil // nothing may touch it once it is back in the pool
 	}()
-	m.start(ctx)
+	m.start()
 	m.roundDone(1) // the INIT round (counted even when restored skips it)
 	inbox := m.ep.Inbox()
 	for !m.finished() && m.err == nil {
-		if err := ctx.Err(); err != nil {
-			return err
+		if m.sess.stopped.Load() {
+			return m.sess.ctx.Err()
 		}
 		select {
-		case item := <-m.feed:
+		case item, ok := <-m.feed:
+			if !ok {
+				return m.sess.ctx.Err()
+			}
 			m.handleFeed(item)
 		case msg, open := <-inbox:
 			m.handleInbox(msg, open)
-		case <-ctx.Done():
-			return ctx.Err()
 		}
 		m.round(inbox)
 	}
@@ -318,7 +326,8 @@ func (m *Monitor) run(ctx context.Context) error {
 // events: an aging token keeps its candidate cuts drifting away from the
 // search origin as local history grows, inflating the exact region explored
 // on its return, so in-flight traffic is always served ahead of fresh
-// admissions. Inputs are handled as they are dequeued.
+// admissions. Inputs are handled as they are dequeued. A closed feed queue
+// ends the drain; the pump and the loop then see the session stopped.
 func (m *Monitor) round(inbox <-chan transport.Message) {
 	handled := int64(1) // the input run blocked for
 drain:
@@ -330,7 +339,10 @@ drain:
 		default:
 		}
 		select {
-		case item := <-m.feed:
+		case item, ok := <-m.feed:
+			if !ok {
+				break drain
+			}
 			m.handleFeed(item)
 		default:
 			break drain
@@ -354,8 +366,7 @@ func (m *Monitor) roundDone(k int64) {
 
 // start performs INIT (§4.2.0.2) and the first pump: the initial global view
 // consumes the initial global state.
-func (m *Monitor) start(ctx context.Context) {
-	m.ctx = ctx
+func (m *Monitor) start() {
 	if m.restored {
 		// INIT already ran in the execution this state was captured from;
 		// re-running it would duplicate the initial view and its verdicts.
@@ -626,16 +637,17 @@ func (m *Monitor) integrateBox(box *boxResult, origin stateset, continueAt vcloc
 }
 
 // pump drives all deferred work after each input: advancing views,
-// launching searches, finalization and the FINI handshake. A cancelled
-// session context aborts the view-advancement loop between iterations so
-// long explorations do not delay shutdown.
+// launching searches, finalization and the FINI handshake. A stopped session
+// (Session.stopMonitors) aborts the view-advancement loop between iterations
+// so long explorations do not delay shutdown; the flag is one atomic load,
+// where the context's Err takes its mutex.
 func (m *Monitor) pump() {
 	defer m.publishLag()
 	if m.err != nil {
 		return
 	}
 	for {
-		if m.ctx != nil && m.ctx.Err() != nil {
+		if m.sess.stopped.Load() {
 			return
 		}
 		progressed := false

@@ -17,7 +17,8 @@ import (
 // feedQueue is the capacity of each monitor's feed queue, and the session's
 // whole backpressure: a Feed for a process whose monitor has feedQueue items
 // still unread blocks until the monitor takes one (or the session is
-// cancelled), so a feeder can run at most feedQueue windows ahead of it.
+// cancelled), so a feeder can run at most feedQueue windows ahead of it. The
+// queue is also how cancellation reaches its monitor: stopMonitors closes it.
 const feedQueue = 16
 
 // SessionConfig parameterizes an online monitoring session.
@@ -81,6 +82,15 @@ type Session struct {
 	monitors []*Monitor
 	verdicts chan VerdictEvent
 
+	// stopped is set by stopMonitors once ctx is done, before it closes the
+	// feed queues: the run loop and the pump poll it between inputs, so no
+	// monitor touches ctx on its per-item path. It sits with the fields that
+	// are read, not written, while the session runs. stopAfter unregisters
+	// stopMonitors from ctx (launch), which an orderly Close does before it
+	// cancels: no goroutine is started then.
+	stopped   atomic.Bool
+	stopAfter func() bool
+
 	wg   sync.WaitGroup
 	errs []error
 
@@ -92,7 +102,9 @@ type Session struct {
 	// count as the process's terminal total, so no Feed may be in flight
 	// past the ended check when it does. Within one process the lock is
 	// uncontended (Feed is single-goroutine per process by contract);
-	// across processes the locks are independent.
+	// across processes the locks are independent. Every send to monitor p's
+	// feed queue happens under feedMu[p], and so does its close
+	// (stopMonitors).
 	feedMu []sync.Mutex
 
 	// closeMu serializes Close callers: a second Close blocks until the
@@ -249,17 +261,19 @@ func take[T any](slab *[]T, k int) []T {
 	return s
 }
 
-// launch starts the monitor goroutines of a built session, one loop each.
+// launch starts the monitor goroutines of a built session, one loop each, and
+// arranges for a done session context to stop them (stopMonitors).
 func (s *Session) launch() {
+	s.stopAfter = context.AfterFunc(s.ctx, s.stopMonitors)
 	for i, m := range s.monitors {
 		s.wg.Add(1)
 		go func(i int, m *Monitor) {
 			defer s.wg.Done()
-			err := m.run(s.ctx)
+			err := m.run()
 			s.errs[i] = err
 			if err != nil {
-				// A dead monitor dooms the run: cancel so feeders and the
-				// remaining monitors unwind instead of wedging.
+				// A dead monitor dooms the run: cancel so feeders and (through
+				// stopMonitors) the remaining monitors unwind instead of wedging.
 				s.cancel()
 			}
 			s.exited.Add(1)
@@ -267,6 +281,23 @@ func (s *Session) launch() {
 				s.quiesce.notify()
 			}
 		}(i, m)
+	}
+}
+
+// stopMonitors is the one way cancellation reaches the monitors, run by
+// context.AfterFunc once the session context is done. It marks the session
+// stopped, then closes each monitor's feed queue under that process's feed
+// lock: a monitor blocked for input wakes on the closed queue, one mid-round
+// sees the flag. No send can reach a closed queue: every send happens under
+// the same lock after Session.enqueue found the context live, and the queue
+// closes only after the context is done. A feeder blocked on a full queue
+// holds the lock, but it is waiting on the done context too, and lets go.
+func (s *Session) stopMonitors() {
+	s.stopped.Store(true)
+	for p, m := range s.monitors {
+		s.feedMu[p].Lock()
+		close(m.feed)
+		s.feedMu[p].Unlock()
 	}
 }
 
@@ -326,10 +357,17 @@ func (s *Session) checkEvent(e *dist.Event) error {
 	return nil
 }
 
-// enqueue hands one item to process p's monitor. It is counted before the
-// channel send, so that handled ≤ sent holds at every instant (quiescence
-// accounting), and uncounted again if it was never enqueued.
+// enqueue hands one item to process p's monitor; the caller holds
+// feedMu[p]. A cancelled session is refused here, under the lock, before the
+// send: Monitor.enqueue may pick a free queue slot over a done context, and
+// stopMonitors closes the queue under this lock once the context is done, so
+// the check is also what keeps a send off a closed queue. The item is counted
+// before the channel send, so that handled ≤ sent holds at every instant
+// (quiescence accounting), and uncounted again if it was never enqueued.
 func (s *Session) enqueue(p int, it feedItem) error {
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
 	s.feedItems.Add(1)
 	err := s.monitors[p].enqueue(s.ctx, it)
 	if err != nil {
@@ -353,11 +391,6 @@ func (s *Session) feed(p, k int, it feedItem) error {
 		return fmt.Errorf("core: session closed")
 	case ended:
 		return fmt.Errorf("core: process %d already ended", p)
-	}
-	// enqueue's select may pick a free queue slot over a done context, so a
-	// cancelled session is refused here, before it.
-	if err := s.ctx.Err(); err != nil {
-		return err
 	}
 	if err := s.enqueue(p, it); err != nil {
 		return err
@@ -452,7 +485,8 @@ func (s *Session) FeedRun(fs *FeedScratch, run []*dist.Event) error {
 }
 
 // End marks one process as terminated; its monitor then knows no further
-// local events will arrive. Idempotent per process.
+// local events will arrive. Idempotent per process. On a cancelled session it
+// hands the monitor nothing and returns the context's error.
 func (s *Session) End(p int) error {
 	if p < 0 || p >= s.cfg.N {
 		return fmt.Errorf("core: ending nonexistent process %d", p)
@@ -494,6 +528,7 @@ func (s *Session) Close() (*RunResult, error) {
 	s.wg.Wait() // every monitor goroutine returned: collect reads their state race-free
 	s.nw.Close()
 	res, err := s.collect()
+	s.stopAfter() // before cancel: an orderly close starts no stopMonitors
 	s.cancel()
 	s.mu.Lock()
 	s.result, s.closeErr = res, err

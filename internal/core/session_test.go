@@ -3,7 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand/v2"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,6 +206,149 @@ func TestSessionCancelledBeforeFeed(t *testing.T) {
 	// Idempotent: the second Close returns the same outcome.
 	if _, err := s.Close(); !errors.Is(err, context.Canceled) {
 		t.Errorf("second Close = %v", err)
+	}
+}
+
+// TestSessionCancelRacesFeeders drives the close protocol (stopMonitors) from
+// every side at once. Four feeders, one per process, hand their process's
+// events over in windows (FeedRun) and one at a time (Feed), wait for the
+// session to be done and then End their process, while the session is
+// cancelled at a seeded random instant: through the parent context
+// ("parent"); through the parent with process 0's queue filled before the
+// monitors start, so its feeder begins blocked, and with the monitors started
+// before or after the cancel ("blocked"); and by a monitor that fails on a
+// malformed message, which cancels the session itself ("failing"). Every call
+// returns nil or context.Canceled, nothing is enqueued once the session is
+// done (End included), and Close returns within 5 s: with the cancellation,
+// or with the monitor's failure, which collect reports ahead of it. A queue
+// closed while a send to it could still happen panics the test binary with
+// "send on closed channel".
+func TestSessionCancelRacesFeeders(t *testing.T) {
+	ts := dist.Generate(gcWorkload(300))
+	cfg := SessionConfig{
+		N: ts.N(), Automaton: mustMonitor(t, propsAF(ts.N())["B"], ts.Props.Names),
+		Props: ts.Props, Init: ts.InitialState(),
+	}
+	for _, mode := range []string{"parent", "blocked", "failing"} {
+		t.Run(mode, func(t *testing.T) {
+			for seed := uint64(1); seed <= 6; seed++ {
+				raceCancelFeeders(t, ts, cfg, mode, rand.New(rand.NewPCG(seed, 0)))
+			}
+		})
+	}
+}
+
+func raceCancelFeeders(t *testing.T, ts *dist.TraceSet, cfg SessionConfig, mode string, rng *rand.Rand) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s, err := buildSession(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := make([]int, ts.N())
+	if mode == "blocked" {
+		for _, e := range ts.Traces[0].Events[:feedQueue] {
+			if err := s.Feed(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		from[0] = feedQueue
+	} else {
+		s.launch()
+	}
+	errs := make(chan error, 2*ts.N())
+	var wg sync.WaitGroup
+	for p := range ts.N() {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			var fs FeedScratch
+			own := ts.Traces[p].Events
+			for i := from[p]; i < len(own); {
+				var err error
+				if k := min(1+i%5, len(own)-i); k > 1 {
+					err, i = s.FeedRun(&fs, own[i:i+k]), i+k
+				} else {
+					err, i = s.Feed(own[i]), i+1
+				}
+				if err != nil {
+					errs <- err
+					break
+				}
+			}
+			<-s.ctx.Done()
+			if err := s.End(p); err != context.Canceled {
+				errs <- fmt.Errorf("End(%d) after the cancel = %v, want %v", p, err, context.Canceled)
+			}
+		}(p)
+	}
+	pause := func() { time.Sleep(time.Duration(rng.Int64N(int64(2 * time.Millisecond)))) }
+	switch mode {
+	case "parent":
+		pause()
+		cancel()
+	case "blocked":
+		if rng.IntN(2) == 0 {
+			pause()
+			s.launch()
+			pause()
+			cancel()
+		} else {
+			pause()
+			cancel()
+			pause()
+			s.launch()
+		}
+	case "failing":
+		pause()
+		if err := s.nw.Endpoint(1).Send(0, []byte{0xff}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-s.ctx.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("the session was not done 5 s after it was doomed")
+	}
+	// With every feed lock taken once the context is done, no send is in
+	// flight, and none may start: the count of items enqueued is final.
+	for p := range s.feedMu {
+		s.feedMu[p].Lock()
+	}
+	enqueued := s.feedItems.Load()
+	for p := range s.feedMu {
+		s.feedMu[p].Unlock()
+	}
+	fed := make(chan struct{})
+	go func() { wg.Wait(); close(fed) }()
+	select {
+	case <-fed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("feeders did not return within 5 s of the cancel")
+	}
+	close(errs)
+	for err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: %v, want nil or %v", mode, err, context.Canceled)
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { _, err := s.Close(); closed <- err }()
+	select {
+	case err := <-closed:
+		if mode == "failing" {
+			if err == nil || !strings.Contains(err.Error(), "monitor 0 failed") {
+				t.Errorf("Close = %v, want monitor 0's failure", err)
+			}
+		} else if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Close = %v, want %v", mode, err, context.Canceled)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return within 5 s of the cancel")
+	}
+	if got := s.feedItems.Load(); got != enqueued {
+		t.Errorf("%s: %d feed items enqueued after the session was done", mode, got-enqueued)
 	}
 }
 

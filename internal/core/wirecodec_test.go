@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -231,7 +230,7 @@ func TestDecodedMessageRangeChecks(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := builtSession(t, cfg).monitors[me]
-			m.start(context.Background())
+			m.start()
 			for _, e := range own[:4] {
 				m.handleLocalEvent(e)
 			}
@@ -247,7 +246,7 @@ func TestDecodedMessageRangeChecks(t *testing.T) {
 	}
 	// The same monitor takes the well-formed neighbours of those messages.
 	m := builtSession(t, cfg).monitors[me]
-	m.start(context.Background())
+	m.start()
 	for _, e := range own[:4] {
 		m.handleLocalEvent(e)
 	}
