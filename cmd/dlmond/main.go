@@ -4,9 +4,9 @@
 //
 // Tenants speak the length-prefixed binary RPC defined in internal/dist
 // (framed like ".dmtb" records): register an LTL property (compiled through
-// a shared automaton cache), ingest pre-stamped event records or live-stamp
-// events through server-side vector clocks, subscribe to incremental
-// verdicts, and close the session for the terminal verdict set. A
+// a shared automaton cache), ingest event records their processes stamped
+// with their own vector clocks, subscribe to incremental verdicts, and close
+// the session for the terminal verdict set. A
 // per-tenant token bucket paces ingestion so one hot tenant cannot starve
 // the rest; each session's monitor feed queues bound how far its feeder
 // runs ahead of its monitors.

@@ -164,8 +164,8 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 // little: the knowledge store holds each process as one contiguous window and
 // truncation only ever drops a prefix of it, so a slab's events leave in order
 // and the slab dies whole, at most EventSlab-1 events after its first event
-// would have alone. A run that mixes processes — an Ingest run, a ".dmtb"
-// stream, the emitted events of an input log being replayed — lives until
+// would have alone. A run that mixes processes — an Ingest run, live or
+// replayed from an input log, or a ".dmtb" stream — lives until
 // the slowest of its processes has collected its share; every monitor keeps
 // only its collection window, and its feed queue keeps a feeder a few windows
 // ahead of it at most, so that is a constant number of slabs per process, not
@@ -182,8 +182,8 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 const EventSlab = 32
 
 // Slab is where decoded events live: the one slab-filling helper behind
-// DecodeEvents, DecodeEventRun, the ".dmtb" reader and dlmond's input-log
-// replay. The zero value is ready; a decoder keeps one for as long as it
+// DecodeEvents, DecodeEventRun (which dlmond's input-log replay uses too) and
+// the ".dmtb" reader. The zero value is ready; a decoder keeps one for as long as it
 // decodes records of one space, and a Slab is not safe for concurrent use.
 type Slab struct {
 	events []Event

@@ -172,7 +172,6 @@ func FuzzDecodeRPC(f *testing.F) {
 		{Kind: RPCIngest, SID: 2, Raw: rec}, // SID selects the 3-process space below
 		{Kind: RPCIngest, SID: 2, Raw: append(bytes.Clone(rec), rec...)},
 		{Kind: RPCIngest, SID: 6, Raw: run},
-		{Kind: RPCEmit, SID: 7, EmitKind: Recv, Proc: 1, Peer: 0, MsgID: 9, State: 3},
 		{Kind: RPCEnd, SID: 7, Proc: 1},
 		{Kind: RPCRegistered, SID: 8, CacheHit: true, Epoch: 3, Fed: []int{4, 0, 17}},
 		{Kind: RPCVerdict, SID: 7, Monitor: 1, Verdict: RPCVerdictBottom, Conclusive: true, AutState: 2, Cut: []int{3, 1}},
@@ -191,6 +190,8 @@ func FuzzDecodeRPC(f *testing.F) {
 		f.Add(frame)
 		stream = append(stream, frame...)
 	}
+	// A frame of the retired verb 4 (a version 3 Emit): refused, never read.
+	f.Add(unhex(f, "0a 04 07 02 01 00 09 03000000"))
 	f.Add(stream)
 	f.Add(stream[:len(stream)-3])
 	f.Add([]byte{})

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -17,7 +18,8 @@ import (
 // keep working, so these strings were captured at the commit before the codecs
 // moved onto internal/wire and may only change together with the format's
 // version number (RPC version 3 changed the hello's version byte and let an
-// Ingest carry more than one record; every other frame is version 2's).
+// Ingest carry more than one record; version 4 changed the hello's version
+// byte again and retired Emit and Emitted; every other frame is version 2's).
 
 func goldenProps() *PropMap {
 	pm := NewPropMap()
@@ -35,7 +37,7 @@ func goldenEvents() []*Event {
 	}
 }
 
-func unhex(t *testing.T, s string) []byte {
+func unhex(t testing.TB, s string) []byte {
 	t.Helper()
 	b, err := hex.DecodeString(strings.ReplaceAll(s, " ", ""))
 	if err != nil {
@@ -90,8 +92,10 @@ func TestGoldenDMTB(t *testing.T) {
 	}
 }
 
-// TestGoldenRPC: one frame of every version 3 verb, encoded and decoded; the
+// TestGoldenRPC: one frame of every version 4 verb, encoded and decoded; the
 // second Ingest carries the three records of the ".dmtb" golden back to back.
+// Every frame but the hello is byte for byte what version 3 sent; the frames
+// of version 3's Emit and Emitted, verbs 4 and 66, are refused by number.
 func TestGoldenRPC(t *testing.T) {
 	rec, err := AppendEventRecord(nil, goldenEvents()[1])
 	if err != nil {
@@ -107,7 +111,7 @@ func TestGoldenRPC(t *testing.T) {
 		msg  *RPCMsg
 		want string
 	}{
-		{&RPCMsg{Kind: RPCHello, Version: RPCVersion}, "06 01 444c4d44 03"},
+		{&RPCMsg{Kind: RPCHello, Version: RPCVersion}, "06 01 444c4d44 04"},
 		{&RPCMsg{Kind: RPCRegister, Tenant: "acme", Formula: "G(P0.p -> F P1.p)", Init: GlobalState{1, 0}, Props: goldenProps()},
 			"2e 02 04 61636d65 11 472850302e70202d3e20462050312e7029 02 01 00 03 00 04 50302e70 00 04 50302e71 01 04 50312e70"},
 		{&RPCMsg{Kind: RPCIngest, SID: 7, Raw: rec}, "15 03 07 00 01 02 ac02 01000000 000000000000f43f 02 00"},
@@ -115,15 +119,12 @@ func TestGoldenRPC(t *testing.T) {
 			"00 00 01 00 03000000 000000000000e03f 01 00" +
 			"00 01 02 ac02 01000000 000000000000f43f 02 00" +
 			"01 02 00 ac02 01000000 0000000000000040 02 01"},
-		{&RPCMsg{Kind: RPCEmit, SID: 7, EmitKind: Send, Proc: 0, Peer: 1, MsgID: 9, State: 3}, "0a 04 07 01 00 02 09 03000000"},
-		{&RPCMsg{Kind: RPCEmit, SID: 7, EmitKind: Internal, Proc: 1, Peer: -1, State: 2}, "0a 04 07 00 01 01 00 02000000"},
 		{&RPCMsg{Kind: RPCSubscribe, SID: 7}, "02 05 07"},
 		{&RPCMsg{Kind: RPCEnd, SID: 7, Proc: 1}, "03 06 07 01"},
 		{&RPCMsg{Kind: RPCClose, SID: 7}, "02 07 07"},
 		{&RPCMsg{Kind: RPCAttach, SID: 300}, "03 08 ac02"},
 		{&RPCMsg{Kind: RPCRegistered, SID: 8, CacheHit: true}, "05 41 08 01 00 00"},
 		{&RPCMsg{Kind: RPCRegistered, SID: 8, Epoch: 3, Fed: []int{4, 0, 170}}, "09 41 08 00 03 03 04 00 aa01"},
-		{&RPCMsg{Kind: RPCEmitted, SID: 7, MsgID: 12}, "03 42 07 0c"},
 		{&RPCMsg{Kind: RPCAcked, SID: 7}, "02 43 07"},
 		{&RPCMsg{Kind: RPCVerdict, SID: 7, Monitor: 1, Verdict: RPCVerdictBottom, Conclusive: true, AutState: 2, Cut: []int{3, 1}},
 			"09 44 07 01 02 01 02 02 03 01"},
@@ -136,7 +137,7 @@ func TestGoldenRPC(t *testing.T) {
 			t.Fatalf("%s: %v", tc.msg.Kind, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("rpc v3 %s frame changed:\n got  %x\n want %x", tc.msg.Kind, got, want)
+			t.Errorf("rpc v4 %s frame changed:\n got  %x\n want %x", tc.msg.Kind, got, want)
 		}
 		payload, _, err := ReadRPCFrame(bufio.NewReader(bytes.NewReader(want)), nil)
 		if err != nil {
@@ -148,6 +149,11 @@ func TestGoldenRPC(t *testing.T) {
 		}
 		if again, err := AppendRPC(nil, m); err != nil || !bytes.Equal(again, want) {
 			t.Errorf("%s: decoded frame re-encodes to %x (%v)", tc.msg.Kind, again, err)
+		}
+	}
+	for verb, payload := range map[int]string{4: "04 07 01 00 02 09 03000000", 66: "42 07 0c"} {
+		if m, err := DecodeRPC(unhex(t, payload)); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown rpc verb %d", verb)) {
+			t.Errorf("a frame of the retired verb %d decodes to %+v (%v)", verb, m, err)
 		}
 	}
 	evs, _, err := DecodeEventRun(nil, nil, run, 2)
@@ -164,9 +170,10 @@ func TestGoldenRPC(t *testing.T) {
 
 // TestGoldenDMLG pins the input log at version 1: header, then one record of
 // each kind — the three-record run of the RPC golden, exactly as an Ingest
-// carried it, the send again as an event the server stamped, and an end mark.
-// A state directory outlives the build that wrote it, so these bytes may only
-// change together with InputLogVersion.
+// carried it, and an end mark. A state directory outlives the build that wrote
+// it, so these bytes may only change together with InputLogVersion. Kind 2,
+// an event the server stamped itself, is retired: the reader still returns
+// such a record whole, and it is dlmond's replay that refuses it.
 func TestGoldenDMLG(t *testing.T) {
 	want := unhex(t, goldenDMLG1)
 	var run []byte
@@ -176,22 +183,17 @@ func TestGoldenDMLG(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	send, err := AppendEventRecord(nil, goldenEvents()[1])
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := AppendInputLogHeader(nil, InputLogHeader{SID: 300, Gen: 2})
 	got = AppendInputLogRecord(got, LogRun, run)
-	got = AppendInputLogRecord(got, LogEmitted, send)
 	got = AppendInputLogRecord(got, LogEnd, wire.AppendInts(nil, 1))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("DMLG v1 bytes changed:\n got  %x\n want %x", got, want)
 	}
 	hdr, recs, end, err := ReadInputLog(want)
-	if err != nil || hdr != (InputLogHeader{SID: 300, Gen: 2}) || end != len(want) || len(recs) != 3 {
+	if err != nil || hdr != (InputLogHeader{SID: 300, Gen: 2}) || end != len(want) || len(recs) != 2 {
 		t.Fatalf("read back as %+v, %d records, end %d of %d (%v)", hdr, len(recs), end, len(want), err)
 	}
-	for i, kind := range []InputLogKind{LogRun, LogEmitted, LogEnd} {
+	for i, kind := range []InputLogKind{LogRun, LogEnd} {
 		if recs[i].Kind != kind {
 			t.Errorf("record %d is of kind %d, want %d", i, recs[i].Kind, kind)
 		}
@@ -199,8 +201,11 @@ func TestGoldenDMLG(t *testing.T) {
 	if evs, _, err := DecodeEventRun(nil, nil, recs[0].Payload, 2); err != nil || len(evs) != 3 {
 		t.Errorf("the run decodes to %d events (%v)", len(evs), err)
 	}
-	if e, err := DecodeEventRecord(recs[1].Payload, 2); err != nil || e.Type != Send || e.MsgID != 300 {
-		t.Errorf("the emitted record decodes to %+v (%v)", e, err)
+	// A log the previous build wrote, with the send as the server stamped it
+	// between the two: the three records come back whole.
+	old := unhex(t, goldenDMLG1Emitted)
+	if _, recs, end, err := ReadInputLog(old); err != nil || end != len(old) || len(recs) != 3 || recs[1].Kind != 2 {
+		t.Errorf("a log with an emitted record reads as %d records, end %d of %d (%v)", len(recs), end, len(old), err)
 	}
 }
 
@@ -210,10 +215,21 @@ const goldenDMLG1 = "444d4c47 01 ac02 02 a5044bda" + // magic, version, session 
 	"00 01 02 ac02 01000000 000000000000f43f 02 00" +
 	"01 02 00 ac02 01000000 0000000000000040 02 01" +
 	"58f38708" + // CRC-32C of kind, length and payload
+	"03 01 01 7d78836b" // an end mark: process 1
+
+// goldenDMLG1Emitted is the version 1 log the previous build wrote for the same
+// inputs with the send of the run also stamped by the server (a record of the
+// retired kind 2) between the run and the end mark.
+const goldenDMLG1Emitted = "444d4c47 01 ac02 02 a5044bda" +
+	"01 38" +
+	"00 00 01 00 03000000 000000000000e03f 01 00" +
+	"00 01 02 ac02 01000000 000000000000f43f 02 00" +
+	"01 02 00 ac02 01000000 0000000000000040 02 01" +
+	"58f38708" +
 	"02 13" + // an emitted event of 19 bytes: P0's send, as the server stamped it
 	"00 01 02 ac02 01000000 000000000000f43f 02 00" +
 	"950fc048" +
-	"03 01 01 7d78836b" // an end mark: process 1
+	"03 01 01 7d78836b"
 
 // TestGoldenDMSN pins the snapshot container at version 4 and, inside it, the
 // records the tree shares between formats — process space, stamper state and

@@ -17,14 +17,13 @@ import (
 //	record*  kind byte | uvarint payload length | payload |
 //	         CRC-32C (LE) of the three
 //
-// Record kinds:
+// Record kinds (kind 2, an event the server stamped itself, is retired with
+// the Emit verb; a reader still passes one through, and dlmond refuses to
+// replay it):
 //
 //	run      a window of pre-stamped event records back to back, exactly the
 //	         bytes of the Ingest payload they arrived in (DecodeEventRun reads
 //	         them back)
-//	emitted  one event record: an event the server stamped itself (an Emit),
-//	         clock and timestamp included, so a replay re-creates the stamper
-//	         instead of re-stamping (Stamper.Absorb)
 //	end      uvarint process index: an End
 //
 // Unlike a snapshot, a log is never complete: it is appended to until a crash
@@ -45,9 +44,8 @@ type InputLogKind uint8
 
 // The input log's record kinds.
 const (
-	LogRun     InputLogKind = 1
-	LogEmitted InputLogKind = 2
-	LogEnd     InputLogKind = 3
+	LogRun InputLogKind = 1
+	LogEnd InputLogKind = 3
 )
 
 // InputLogHeader identifies a log file: the session it belongs to and the

@@ -9,8 +9,8 @@ import (
 	"decentmon/internal/wire"
 )
 
-// sampleInputLog builds a log the way a live session does — a stamper's own
-// events as an emitted record each, a generated stream as runs of a few
+// sampleInputLog builds a log the way a live session does — a live tenant's
+// stamped events as a run of one each, a generated stream as runs of a few
 // events, an end mark — and returns its bytes with the offset each record
 // begins at (the last entry is where the records end).
 func sampleInputLog(t testing.TB) (data []byte, bounds []int) {
@@ -34,7 +34,7 @@ func sampleInputLog(t testing.TB) (data []byte, bounds []int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		record(LogEmitted, rec)
+		record(LogRun, rec)
 	}
 	_, run, offs := genRun(t)
 	for lo := 0; lo+7 < len(offs) && lo < 70; lo += 7 {
@@ -54,7 +54,7 @@ func TestInputLogPrefix(t *testing.T) {
 	if err != nil || hdr != (InputLogHeader{SID: 300, Gen: 2}) || len(recs) != len(bounds)-1 || end != len(data) {
 		t.Fatalf("the whole log reads as %+v, %d records, end %d of %d (%v)", hdr, len(recs), end, len(data), err)
 	}
-	if recs[0].Kind != LogEmitted || recs[2].Kind != LogRun || recs[len(recs)-1].Kind != LogEnd {
+	if recs[0].Kind != LogRun || recs[2].Kind != LogRun || recs[len(recs)-1].Kind != LogEnd {
 		t.Errorf("kinds read back as %d, %d, …, %d", recs[0].Kind, recs[2].Kind, recs[len(recs)-1].Kind)
 	}
 	if evs, ends, err := DecodeEventRun(nil, nil, recs[2].Payload, 4); err != nil || len(evs) != 7 || ends[6] != len(recs[2].Payload) {

@@ -30,9 +30,6 @@ import (
 //	           back to back: a record is self-delimiting once the session's
 //	           process count is known, so the run needs no count, and one
 //	           event is the run of length one (DecodeEventRun)
-//	Emit       session id + (kind, proc, peer, state): live stamping —
-//	           the server's dist.Stamper assigns clocks; a send's reply
-//	           carries the message id the receiver's Emit must present
 //	Subscribe  session id: verdict frames stream on this connection, the ones
 //	           detected before it first
 //	End        session id + process: no further events of that process
@@ -47,7 +44,6 @@ import (
 //	Registered  session id + cache-hit flag + resume epoch (how many
 //	            daemon restarts the session has survived) + per-process
 //	            fed event counts (resume feeding process p at Fed[p]+1)
-//	Emitted     acknowledgement of one Emit (message id for sends)
 //	Acked       acknowledgement of End
 //	Verdict     one incremental verdict detection of a subscribed session
 //	Closed      terminal verdict set
@@ -63,19 +59,18 @@ import (
 type RPCKind uint8
 
 // The RPC verbs. Client-originated verbs are low, server-originated high;
-// Hello flows both ways.
+// Hello flows both ways. Verbs 4 and 66 (Emit and Emitted, server-side
+// stamping, gone since version 4) are retired and never reused.
 const (
 	RPCHello     RPCKind = 1
 	RPCRegister  RPCKind = 2
 	RPCIngest    RPCKind = 3
-	RPCEmit      RPCKind = 4
 	RPCSubscribe RPCKind = 5
 	RPCEnd       RPCKind = 6
 	RPCClose     RPCKind = 7
 	RPCAttach    RPCKind = 8
 
 	RPCRegistered RPCKind = 65
-	RPCEmitted    RPCKind = 66
 	RPCAcked      RPCKind = 67
 	RPCVerdict    RPCKind = 68
 	RPCClosed     RPCKind = 69
@@ -90,8 +85,6 @@ func (k RPCKind) String() string {
 		return "register"
 	case RPCIngest:
 		return "ingest"
-	case RPCEmit:
-		return "emit"
 	case RPCSubscribe:
 		return "subscribe"
 	case RPCEnd:
@@ -102,8 +95,6 @@ func (k RPCKind) String() string {
 		return "attach"
 	case RPCRegistered:
 		return "registered"
-	case RPCEmitted:
-		return "emitted"
 	case RPCAcked:
 		return "acked"
 	case RPCVerdict:
@@ -121,8 +112,9 @@ var RPCMagic = [4]byte{'D', 'L', 'M', 'D'}
 
 // RPCVersion is the protocol version spoken by this build. Version 2 added
 // Attach and the epoch/fed fields of Registered (durable sessions); version 3
-// lets an Ingest carry a run of event records where it carried exactly one.
-const RPCVersion = 3
+// lets an Ingest carry a run of event records where it carried exactly one;
+// version 4 retires Emit and Emitted, so every event arrives stamped.
+const RPCVersion = 4
 
 // MaxRPCFrame bounds one frame's payload: a Register carries a formula and
 // a proposition space, an Ingest as many events as its sender batched,
@@ -173,15 +165,8 @@ type RPCMsg struct {
 	// they keep) before reading the next frame.
 	Raw []byte
 
-	// Emit / Emitted: live stamping. EmitKind is the event kind; Peer is
-	// the destination process of a send (the sender of the message being
-	// received, for a receive); MsgID pairs a receive with the send that
-	// produced it (assigned by the server, returned in the send's Emitted).
-	EmitKind EventType
-	Proc     int
-	Peer     int
-	State    LocalState
-	MsgID    int
+	// End: the process that has no further events.
+	Proc int
 
 	// Registered. Epoch counts daemon restarts the session has survived
 	// (0 for a fresh registration); Fed is the per-process count of events
@@ -246,12 +231,6 @@ func appendRPCPayload(buf []byte, m *RPCMsg) ([]byte, error) {
 			return nil, fmt.Errorf("dist: rpc ingest without an event record")
 		}
 		buf = append(buf, m.Raw...)
-	case RPCEmit:
-		buf = append(buf, byte(m.EmitKind))
-		buf = wire.AppendInts(buf, m.Proc)
-		buf = wire.AppendVarint(buf, int64(m.Peer))
-		buf = wire.AppendInts(buf, m.MsgID)
-		buf = wire.AppendUint32LE(buf, uint32(m.State))
 	case RPCSubscribe, RPCClose, RPCAttach, RPCAcked:
 	case RPCEnd:
 		buf = wire.AppendInts(buf, m.Proc)
@@ -259,8 +238,6 @@ func appendRPCPayload(buf []byte, m *RPCMsg) ([]byte, error) {
 		buf = wire.AppendBool(buf, m.CacheHit)
 		buf = wire.AppendUvarint(buf, m.Epoch)
 		buf = wire.AppendClock(buf, m.Fed)
-	case RPCEmitted:
-		buf = wire.AppendInts(buf, m.MsgID)
 	case RPCVerdict:
 		buf = wire.AppendInts(buf, m.Monitor)
 		buf = wire.AppendBool(append(buf, m.Verdict), m.Conclusive)
@@ -311,12 +288,6 @@ func DecodeRPC(payload []byte) (*RPCMsg, error) {
 		if m.Raw = c.Bytes(c.Len()); len(m.Raw) == 0 {
 			c.Failf("ingest without an event record")
 		}
-	case RPCEmit:
-		m.EmitKind = EventType(c.Byte())
-		m.Proc = c.Int()
-		m.Peer = int(c.Varint())
-		m.MsgID = c.Int()
-		m.State = LocalState(c.Uint32LE())
 	case RPCSubscribe, RPCClose, RPCAttach, RPCAcked:
 	case RPCEnd:
 		m.Proc = c.Int()
@@ -324,8 +295,6 @@ func DecodeRPC(payload []byte) (*RPCMsg, error) {
 		m.CacheHit = c.Bool()
 		m.Epoch = c.Uvarint()
 		m.Fed = perProcess(&c)
-	case RPCEmitted:
-		m.MsgID = c.Int()
 	case RPCVerdict:
 		m.Monitor = c.Int()
 		m.Verdict = c.Byte()

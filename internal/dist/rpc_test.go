@@ -46,14 +46,12 @@ func TestRPCRoundTripAllVerbs(t *testing.T) {
 		{Kind: RPCRegister, Tenant: "acme", Formula: "G(P0.p -> F P1.q)",
 			Init: GlobalState{1, 0}, Props: props},
 		{Kind: RPCIngest, SID: 7, Raw: []byte{1, 2, 3, 4}},
-		{Kind: RPCEmit, SID: 7, EmitKind: Send, Proc: 0, Peer: 1, MsgID: 9, State: 3},
 		{Kind: RPCSubscribe, SID: 7},
 		{Kind: RPCEnd, SID: 7, Proc: 1},
 		{Kind: RPCClose, SID: 7},
 		{Kind: RPCAttach, SID: 7},
 		{Kind: RPCRegistered, SID: 8, CacheHit: true},
 		{Kind: RPCRegistered, SID: 8, CacheHit: true, Epoch: 3, Fed: []int{4, 0, 17}},
-		{Kind: RPCEmitted, SID: 7, MsgID: 12},
 		{Kind: RPCAcked, SID: 7},
 		{Kind: RPCVerdict, SID: 7, Monitor: 1, Verdict: RPCVerdictBottom,
 			Conclusive: true, AutState: 2, Cut: []int{3, 1}},
@@ -64,9 +62,7 @@ func TestRPCRoundTripAllVerbs(t *testing.T) {
 		got := roundTripRPC(t, m)
 		if got.Kind != m.Kind || got.SID != m.SID || got.Version != m.Version ||
 			got.Tenant != m.Tenant || got.Formula != m.Formula ||
-			got.EmitKind != m.EmitKind || got.Proc != m.Proc || got.Peer != m.Peer ||
-			got.MsgID != m.MsgID || got.State != m.State ||
-			got.CacheHit != m.CacheHit || got.Epoch != m.Epoch || got.Monitor != m.Monitor ||
+			got.Proc != m.Proc || got.CacheHit != m.CacheHit || got.Epoch != m.Epoch || got.Monitor != m.Monitor ||
 			got.Verdict != m.Verdict || got.AutState != m.AutState ||
 			got.Conclusive != m.Conclusive || got.Err != m.Err {
 			t.Errorf("%s: scalar fields changed in round trip:\n in  %+v\n out %+v", m.Kind, m, got)

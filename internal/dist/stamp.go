@@ -147,34 +147,6 @@ func RestoreStamper(n int, s StamperState) (*Stamper, error) {
 	return st, nil
 }
 
-// Absorb brings the stamper to where it stood after stamping e — an event of
-// its own making, read back from a log — without stamping anything: e's
-// process takes e's clock and timestamp, the message counter moves up to e's
-// id, and ledger, the caller's table of messages in flight, gains the token of
-// a send and loses that of a receive. Absorbing a stamper's whole output in
-// the order it was produced reproduces its State and the ledger exactly. As
-// with State, nothing may be stamping meanwhile.
-func (st *Stamper) Absorb(e *Event, ledger map[int]MsgToken) error {
-	if e.Proc < 0 || e.Proc >= st.n || len(e.VC) != st.n {
-		return fmt.Errorf("dist: absorbing event of process %d with a %d-entry clock into a %d-process stamper", e.Proc, len(e.VC), st.n)
-	}
-	sp := &st.procs[e.Proc]
-	sp.mu.Lock()
-	copy(sp.clock, e.VC)
-	sp.last = e.Time
-	sp.mu.Unlock()
-	switch e.Type {
-	case Send:
-		if int64(e.MsgID) > st.msgSeq.Load() {
-			st.msgSeq.Store(int64(e.MsgID))
-		}
-		ledger[e.MsgID] = MsgToken{From: e.Proc, To: e.Peer, ID: e.MsgID, VC: append([]int(nil), e.VC...)}
-	case Recv:
-		delete(ledger, e.MsgID)
-	}
-	return nil
-}
-
 // Recv stamps the receipt by p of the message identified by tok; the event's
 // clock merges the send's, making the causal dependency explicit.
 func (st *Stamper) Recv(p int, tok MsgToken, state LocalState, at float64) (*Event, error) {

@@ -1,9 +1,8 @@
 package dist
 
-// Wire encoding of StamperState, shared by the facade's session snapshots
-// and dlmond's durable-session checkpoints: both persist a live Stamper
-// alongside an engine snapshot, and both must reject a corrupt record
-// rather than resume with wrong clocks.
+// Wire encoding of StamperState for the facade's session snapshots, which
+// persist a live Stamper alongside an engine snapshot and must reject a
+// corrupt record rather than resume with wrong clocks.
 
 import "decentmon/internal/wire"
 

@@ -6,16 +6,14 @@ package server
 //	session-<id>.dmsn        the base: a "DMSN" snapshot container
 //	                         (internal/dist) holding the session record
 //	                         (tenant, formula source, proposition space,
-//	                         initial state, resume epoch), the live stamper's
-//	                         clocks, the in-flight message tokens, the
-//	                         embedded core engine snapshot, and the generation
-//	                         of the log that extends it (ckTagLog; a blob
-//	                         without one is generation 0 with nothing logged)
+//	                         initial state, resume epoch), the embedded core
+//	                         engine snapshot, and the generation of the log
+//	                         that extends it (ckTagLog; a blob without one is
+//	                         generation 0 with nothing logged)
 //	session-<id>.<gen>.dmlg  the log: a "DMLG" file (dist/inputlog.go) of the
 //	                         inputs the engine has absorbed since that base —
-//	                         Ingest windows as the bytes they arrived in,
-//	                         server-stamped events, End marks — each record
-//	                         closed by its own CRC
+//	                         Ingest windows as the bytes they arrived in, End
+//	                         marks — each record closed by its own CRC
 //
 // The verdict set is a function of the execution, not of the monitors'
 // schedule, so the accepted inputs are the state: what the cadence
@@ -24,10 +22,10 @@ package server
 //
 // One lock and one semaphore order everything. session.inMu is the session's
 // input lock: ingest holds it per window across feed → append the window's
-// bytes to the pending buffer → count the cadence, emit across stamp → feed →
-// append, end likewise, so the pending buffer is exactly what the engine
-// absorbed, in the engine's order. session.ckpt, a semaphore of one, is held by
-// whichever goroutine is writing the session's files. Every cadence events the
+// bytes to the pending buffer → count the cadence, end likewise, so the
+// pending buffer is exactly what the engine absorbed, in the engine's order.
+// session.ckpt, a semaphore of one, is held by whichever goroutine is writing
+// the session's files. Every cadence events the
 // holder of inMu takes ckpt, swaps the pending buffer for the spare and leaves
 // it with a syncer goroutine (one write, one File.Sync, release): no
 // quiescence barrier, no engine encode, no temp file, no rename. When the log
@@ -55,7 +53,7 @@ package server
 //   - every reply-bearing verb passes through Server.settle before its frame
 //     is written, so an acknowledgement never overtakes the in-flight sync:
 //     what a tenant has had acknowledged is on disk up to the last cadence
-//     boundary, and at cadence 1 every acknowledged Emit is;
+//     boundary, and at cadence 1 every event ingested before the verb is;
 //   - Close and Shutdown retire the pipeline (Server.retire): mark it closed
 //     under inMu, then wait out what is in flight, so nothing writes the
 //     session's files afterwards. Close then finalizes the session and removes
@@ -72,12 +70,12 @@ package server
 // shutdown: everything the engine absorbed.
 //
 // On startup the server restores each base, replays its log through the
-// functions live traffic uses (session.ingest, session.end, Stamper.Absorb for
-// server-stamped events), truncates the file to its valid prefix and reopens it
-// for append, and re-registers the session under its original id with its
-// epoch bumped (the bump reaches the disk with the next base). A client
-// re-adopts one with Attach and resumes feeding each process at the fed count
-// the Registered reply carries: base plus replayed. Inputs absorbed after the
+// functions live traffic uses (session.ingest, session.end), truncates the
+// file to its valid prefix and reopens it for append, and re-registers the
+// session under its original id with its epoch bumped (the bump reaches the
+// disk with the next base). A client re-adopts one with Attach and resumes
+// feeding each process at the fed count the Registered reply carries: base
+// plus replayed. Inputs absorbed after the
 // last sync are not recovered — the feeder re-sends them, which is why Attach
 // reports fed counts rather than pretending nothing was lost.
 
@@ -94,13 +92,13 @@ import (
 	"decentmon/internal/wire"
 )
 
-// Checkpoint record tags (tag 0 is the container's end record).
+// Checkpoint record tags (tag 0 is the container's end record). Tags 2 and 3,
+// the clocks and in-flight messages of server-side stamping, are retired: a
+// base that carries them restores with them skipped, like any unknown tag.
 const (
-	ckTagMeta    = 1 // sid, epoch, tenant, formula, init, proposition space, events
-	ckTagStamper = 2 // live-stamping clocks (dist.AppendStamperState)
-	ckTagTokens  = 3 // in-flight live-stamped message tokens
-	ckTagEngine  = 4 // the embedded core engine snapshot, itself a container
-	ckTagLog     = 5 // generation of the input log that extends this base
+	ckTagMeta   = 1 // sid, epoch, tenant, formula, init, proposition space, events
+	ckTagEngine = 4 // the embedded core engine snapshot, itself a container
+	ckTagLog    = 5 // generation of the input log that extends this base
 )
 
 // compactFloor is the log weight below which a session is never compacted,
@@ -120,8 +118,6 @@ type checkpointState struct {
 	init    dist.GlobalState
 	props   *dist.PropMap
 	events  int64
-	stamper dist.StamperState
-	tokens  map[int]dist.MsgToken
 	engine  []byte
 	logGen  uint64
 }
@@ -132,22 +128,6 @@ func appendCheckpointMeta(b []byte, s *session, epoch uint64) []byte {
 	b = wire.AppendString(wire.AppendString(b, s.tenant), s.formula)
 	b = dist.AppendProcessSpace(b, s.init, s.props)
 	return wire.AppendUvarint(b, uint64(s.events.Load()))
-}
-
-// appendCheckpointTokens encodes the in-flight token map in id order, so a
-// checkpoint of unchanged state is byte-identical.
-func appendCheckpointTokens(b []byte, tokens map[int]dist.MsgToken) []byte {
-	ids := make([]int, 0, len(tokens))
-	for id := range tokens {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	b = wire.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		tok := tokens[id]
-		b = wire.AppendClock(wire.AppendInts(b, tok.ID, tok.From, tok.To), tok.VC)
-	}
-	return b
 }
 
 // decodeCheckpoint parses and validates one checkpoint blob. Corruption
@@ -165,8 +145,8 @@ func decodeCheckpoint(blob []byte) (*checkpointState, error) {
 		if !ok {
 			break
 		}
-		if tag < ckTagMeta || tag > ckTagLog {
-			continue // a record kind this build does not know: skippable by design
+		if tag != ckTagMeta && tag != ckTagEngine && tag != ckTagLog {
+			continue // a record kind this build does not know, or no longer reads: skippable by design
 		}
 		if seen&(1<<tag) != 0 {
 			return nil, fmt.Errorf("server: checkpoint: duplicate record %d", tag)
@@ -175,10 +155,6 @@ func decodeCheckpoint(blob []byte) (*checkpointState, error) {
 		switch tag {
 		case ckTagMeta:
 			err = ck.decodeMeta(payload)
-		case ckTagStamper:
-			ck.stamper, err = dist.DecodeStamperState(payload)
-		case ckTagTokens:
-			err = ck.decodeTokens(payload)
 		case ckTagEngine:
 			ck.engine = payload
 		case ckTagLog:
@@ -192,17 +168,8 @@ func decodeCheckpoint(blob []byte) (*checkpointState, error) {
 	}
 	// The log record is optional: a blob without one was written before
 	// sessions had logs and is a whole session on its own.
-	if seen&^(1<<ckTagLog) != 1<<ckTagMeta|1<<ckTagStamper|1<<ckTagTokens|1<<ckTagEngine {
+	if seen&^(1<<ckTagLog) != 1<<ckTagMeta|1<<ckTagEngine {
 		return nil, fmt.Errorf("server: checkpoint: incomplete record set")
-	}
-	n := len(ck.init)
-	if len(ck.stamper.Clocks) != n {
-		return nil, fmt.Errorf("server: checkpoint: stamper for %d processes, session has %d", len(ck.stamper.Clocks), n)
-	}
-	for _, tok := range ck.tokens {
-		if tok.From < 0 || tok.From >= n || tok.To < 0 || tok.To >= n || tok.From == tok.To || len(tok.VC) != n {
-			return nil, fmt.Errorf("server: checkpoint: token %d is malformed", tok.ID)
-		}
 	}
 	return ck, nil
 }
@@ -217,20 +184,6 @@ func (ck *checkpointState) decodeMeta(payload []byte) error {
 	}
 	ck.events = int64(d.Int())
 	return d.Done("server: checkpoint: meta record")
-}
-
-func (ck *checkpointState) decodeTokens(payload []byte) error {
-	d := wire.NewCursor(payload)
-	count := d.Count(4) // id, sender, addressee, clock count
-	ck.tokens = make(map[int]dist.MsgToken, count)
-	for ; count > 0 && d.Err() == nil; count-- {
-		tok := dist.MsgToken{ID: d.Int(), From: d.Int(), To: d.Int(), VC: d.Clock()}
-		if _, dup := ck.tokens[tok.ID]; dup {
-			d.Failf("duplicate token %d", tok.ID)
-		}
-		ck.tokens[tok.ID] = tok
-	}
-	return d.Done("server: checkpoint: token record")
 }
 
 // checkpointPath names a session's base blob.
@@ -649,20 +602,6 @@ func (s *session) replay(fs *feedScratch, rec dist.InputLogRecord) error {
 		clear(run)
 		fs.run, fs.ends = run, ends
 		return err
-	case dist.LogEmitted:
-		// A log holds many of these, in between runs: one slab serves them
-		// all (dist.EventSlab's mixed-process argument).
-		c := wire.NewCursor(rec.Payload)
-		e := fs.slab.Decode(&c, s.n, dist.EventSlab)
-		if err := c.Done("event record"); err != nil {
-			return err
-		}
-		s.inMu.Lock()
-		defer s.inMu.Unlock()
-		if err := s.stamper.Absorb(e, s.tokens); err != nil {
-			return err
-		}
-		return s.feed(fs, []*dist.Event{e}, dist.LogEmitted, nil)
 	case dist.LogEnd:
 		c := wire.NewCursor(rec.Payload)
 		p := c.Int()

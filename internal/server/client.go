@@ -383,19 +383,6 @@ func (cl *Client) Ingest(sid uint64, e *dist.Event) error {
 	return cl.dead
 }
 
-// Emit live-stamps one event on the server. For sends, the returned id is
-// the message id the matching Recv Emit must present.
-func (cl *Client) Emit(sid uint64, kind dist.EventType, proc, peer, msgID int, state dist.LocalState) (int, error) {
-	r, err := cl.call(&dist.RPCMsg{Kind: dist.RPCEmit, SID: sid, EmitKind: kind, Proc: proc, Peer: peer, MsgID: msgID, State: state})
-	if err != nil {
-		return 0, err
-	}
-	if r.Kind != dist.RPCEmitted {
-		return 0, fmt.Errorf("server: unexpected %s reply to emit", r.Kind)
-	}
-	return r.MsgID, nil
-}
-
 // End marks one process of the session terminated.
 func (cl *Client) End(sid uint64, proc int) error {
 	r, err := cl.call(&dist.RPCMsg{Kind: dist.RPCEnd, SID: sid, Proc: proc})

@@ -20,8 +20,9 @@ import (
 // at n = 8, where '?' is the sliced oracle's to waive, exactly as the gauntlet
 // holds its own engines. The cadence and the compaction floor are small enough
 // that a prefix of thirty events syncs several times and, in some cells,
-// compacts; the n = 2 ring cells are driven through Emit, so their logs hold
-// the server's own stamps and their recovery rebuilds the stamper.
+// compacts; the n = 2 ring cells are stamped live at cadence 1, by the tenant's
+// own dist.Stamper as the feed goes, which carries on across the daemon's
+// crash because it is the tenant's, not the daemon's.
 //
 // Each of the two daemons compiles the cell's property for itself, and the
 // full-width D and F automata at n = 5 take over a second apiece: the cells
@@ -29,10 +30,10 @@ import (
 // full run.
 func TestRecoveryConformance(t *testing.T) {
 	const cadence = 4
-	var compacted, emitted atomic.Int32
+	var compacted atomic.Int32
 	t.Cleanup(func() { // once the parallel cells are through
-		if !t.Failed() && (compacted.Load() == 0 || emitted.Load() == 0) {
-			t.Errorf("%d cells were killed behind a compaction and %d were live-stamped: the matrix must have one of each", compacted.Load(), emitted.Load())
+		if !t.Failed() && compacted.Load() == 0 {
+			t.Error("no cell was killed behind a compaction: the matrix must have one")
 		}
 	})
 	specs := map[string]*decentmon.Spec{} // one per property and arity: topologies share it
@@ -62,7 +63,6 @@ func TestRecoveryConformance(t *testing.T) {
 			cfg := Config{StateDir: t.TempDir(), CheckpointEvery: cadence, MetricsAddr: "off"}
 			if live {
 				cfg.CheckpointEvery = 1
-				emitted.Add(1)
 			}
 
 			s1, err := New(cfg)
@@ -80,14 +80,14 @@ func TestRecoveryConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			half := len(evs) / 2
-			feeder := &emitFeeder{ids: map[int]int{}}
+			feeder := &stampFeeder{st: dist.NewStamper(cell.N), tokens: map[int]dist.MsgToken{}}
 			if live {
-				feeder.emit(t, cl, sid, evs[:half])
+				feedRemaining(t, cl, sid, feeder.stamp(t, evs[:half]), make([]int, cell.N))
 			} else {
 				feedRemaining(t, cl, sid, evs[:half], make([]int, cell.N))
-				if _, _, err := cl.Attach(sid); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if _, _, err := cl.Attach(sid); err != nil {
+				t.Fatal(err)
 			}
 			cl.Close()
 			s1.crash()
@@ -117,7 +117,7 @@ func TestRecoveryConformance(t *testing.T) {
 				t.Fatalf("recovered at epoch %d with %d events (fed %v), want epoch 1 and the %d of the last sync", epoch, total, fed, wantFed)
 			}
 			if live {
-				feeder.emit(t, cl2, sid, evs[half:])
+				feedRemaining(t, cl2, sid, feeder.stamp(t, evs[half:]), fed)
 			} else {
 				feedRemaining(t, cl2, sid, evs, fed)
 			}
@@ -148,24 +148,42 @@ func verdictSetCodes(set map[decentmon.Verdict]bool, inconclusive bool) string {
 	return codeString(codes)
 }
 
-// emitFeeder replays recorded events through Emit: the server stamps them
-// again, and since it sees them in an order consistent with the recorded
-// causality it arrives at the recorded clocks. ids maps a recorded message id
-// to the one the server handed out for the send — the application's own
-// bookkeeping, which survives the daemon's crash because it is the client's.
-type emitFeeder struct {
-	ids map[int]int
+// stampFeeder replays recorded events as a live execution: each process
+// stamps its event with the tenant's dist.Stamper, a receive presenting the
+// token its send was given, as the application's messages would carry it.
+// Seeing the events in an order consistent with the recorded causality, it
+// arrives at the recorded clocks. stamped is every event stamped so far, for a
+// feeder resuming at the fed counts of an Attach.
+type stampFeeder struct {
+	st      *dist.Stamper
+	tokens  map[int]dist.MsgToken // by recorded message id
+	stamped []*dist.Event
 }
 
-func (f *emitFeeder) emit(t *testing.T, cl *Client, sid uint64, evs []*dist.Event) {
+func (f *stampFeeder) stamp(t *testing.T, evs []*dist.Event) []*dist.Event {
 	t.Helper()
 	for _, e := range evs {
-		id, err := cl.Emit(sid, e.Type, e.Proc, e.Peer, f.ids[e.MsgID], e.State)
+		var (
+			s   *dist.Event
+			tok dist.MsgToken
+			err error
+		)
+		switch e.Type {
+		case dist.Internal:
+			s, err = f.st.Internal(e.Proc, e.State, e.Time)
+		case dist.Send:
+			s, tok, err = f.st.Send(e.Proc, e.Peer, e.State, e.Time)
+			f.tokens[e.MsgID] = tok
+		case dist.Recv:
+			s, err = f.st.Recv(e.Proc, f.tokens[e.MsgID], e.State, e.Time)
+		}
 		if err != nil {
-			t.Fatalf("emit of event %d of process %d: %v", e.SN, e.Proc, err)
+			t.Fatalf("stamping event %d of process %d: %v", e.SN, e.Proc, err)
 		}
-		if e.Type == dist.Send {
-			f.ids[e.MsgID] = id
+		if s.SN != e.SN || !s.VC.Equal(e.VC) {
+			t.Fatalf("event %d of process %d stamped %d %v, recorded %v", e.SN, e.Proc, s.SN, s.VC, e.VC)
 		}
+		f.stamped = append(f.stamped, s)
 	}
+	return f.stamped
 }

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"strings"
@@ -208,19 +209,50 @@ func TestIngestFrameRefusedWhole(t *testing.T) {
 	}
 }
 
-// TestHelloVersionMismatch: version 2 peers are turned away by number, on
-// both sides of the connection.
+// TestHelloVersionMismatch: version 2 and 3 peers are turned away by number,
+// on both sides of the connection.
 func TestHelloVersionMismatch(t *testing.T) {
 	s := newTestServer(t, Config{})
-	if _, r := dialRaw(t, s.Addr(), 2); r.Kind != dist.RPCError || !strings.Contains(r.Err, "protocol version 2 not supported (want 3)") {
-		t.Errorf("a version 2 hello answered with %s %q", r.Kind, r.Err)
-	}
-	addr, _ := mutePeer(t, 2)
-	if cl, err := Dial(addr); err == nil || !strings.Contains(err.Error(), "hello v2") {
-		if cl != nil {
-			cl.Close()
+	for _, v := range []uint8{2, 3} {
+		want := fmt.Sprintf("protocol version %d not supported (want %d)", v, dist.RPCVersion)
+		if _, r := dialRaw(t, s.Addr(), v); r.Kind != dist.RPCError || !strings.Contains(r.Err, want) {
+			t.Errorf("a version %d hello answered with %s %q", v, r.Kind, r.Err)
 		}
-		t.Errorf("dialing a version 2 server: %v", err)
+		addr, _ := mutePeer(t, v)
+		if cl, err := Dial(addr); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("hello v%d", v)) {
+			if cl != nil {
+				cl.Close()
+			}
+			t.Errorf("dialing a version %d server: %v", v, err)
+		}
+	}
+}
+
+// TestRetiredEmitVerbRefused: a frame of verb 4, version 3's Emit, is answered
+// with an Error naming the verb and ends the connection; the session it names
+// is not touched.
+func TestRetiredEmitVerbRefused(t *testing.T) {
+	s := newTestServer(t, Config{MetricsAddr: "off"})
+	ts := dist.RunningExample()
+	rc, _ := dialRaw(t, s.Addr(), dist.RPCVersion)
+	sid := rc.call(&dist.RPCMsg{Kind: dist.RPCRegister, Tenant: "acme", Formula: dist.RunningExampleProperty, Init: ts.InitialState(), Props: ts.Props}, dist.RPCRegistered).SID
+	// Emit(session, send, process 0, peer 1, no message id, state 0), as
+	// version 3 encoded it.
+	rc.sendPayload(append(wire.AppendUvarint([]byte{4}, sid), 1, 0, 2, 0, 0, 0, 0, 0))
+	if r := rc.recv(); r.Kind != dist.RPCError || !strings.Contains(r.Err, "unknown rpc verb 4") {
+		t.Errorf("a frame of verb 4 answered with %s %q", r.Kind, r.Err)
+	}
+	rc.c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := rc.br.ReadByte(); err != io.EOF {
+		t.Errorf("the connection is still open after a frame of verb 4: %v", err)
+	}
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, fed, err := cl.Attach(sid); err != nil || fed[0]+fed[1] != 0 {
+		t.Errorf("the session after the refused frame: fed %v (%v)", fed, err)
 	}
 }
 

@@ -371,7 +371,7 @@ func TestCrashMatrixEveryHandoff(t *testing.T) {
 func TestRecoveryOfParentCheckpoint(t *testing.T) {
 	// The fixture: the running example's first five events sent at cadence
 	// 2, so four are inside.
-	recoverFixture(t, "session-pr22.dmsn", dist.RunningExampleProperty)
+	recoverFixture(t, "session-pr22.dmsn", dist.RunningExampleProperty, 4)
 }
 
 // TestRecoveryOfSubsetCheckpoint: a base blob written when monitors still
@@ -382,13 +382,48 @@ func TestRecoveryOfParentCheckpoint(t *testing.T) {
 func TestRecoveryOfSubsetCheckpoint(t *testing.T) {
 	// The fixture: the first five events sent at cadence 4, the log compacted
 	// at the first hand-off, so four are inside and none is logged beside it.
-	recoverFixture(t, "session-pr30-subset.dmsn", "G (x1>=5 -> F x1=10)")
+	recoverFixture(t, "session-pr30-subset.dmsn", "G (x1>=5 -> F x1=10)", 4)
+}
+
+// TestRecoveryOfStampingCheckpoint: a base blob written by the last build in
+// which dlmond stamped events itself carries that stamping's clocks and its
+// in-flight messages as records 2 and 3. Both are skipped like any record this
+// build does not read: the session restores from its meta and engine records
+// alone, and carries on with the tenant's own stamps.
+func TestRecoveryOfStampingCheckpoint(t *testing.T) {
+	// The fixture: the running example's send of m1, its receipt, P1's two
+	// internal events and its send of m2, stamped by the server at cadence 1
+	// and compacted into a base of generation 1, m2 still in flight.
+	const file = "session-pr50-stamped.dmsn"
+	blob, err := os.ReadFile(filepath.Join("testdata", file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := dist.OpenSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired []int
+	for {
+		tag, payload, ok := r.Next()
+		if !ok {
+			break
+		}
+		if tag != ckTagMeta && tag != ckTagEngine && tag != ckTagLog && len(payload) > 1 {
+			retired = append(retired, int(tag))
+		}
+	}
+	if !slices.Equal(retired, []int{2, 3}) {
+		t.Fatalf("the fixture carries records %v beside meta, engine and log, want a stamper and a token ledger (2, 3)", retired)
+	}
+	recoverFixture(t, file, dist.RunningExampleProperty, 5)
 }
 
 // recoverFixture starts a durable server over testdata/file as session 1,
-// whose base blob holds four of the running example's events under formula,
-// re-feeds the rest at cadence 1 and requires a fresh server's verdicts.
-func recoverFixture(t *testing.T, file, formula string) {
+// whose base blob holds the first inside events of the running example under
+// formula, re-feeds the rest at cadence 1 and requires a fresh server's
+// verdicts.
+func recoverFixture(t *testing.T, file, formula string, inside int) {
 	t.Helper()
 	blob, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
@@ -411,8 +446,8 @@ func recoverFixture(t *testing.T, file, formula string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if epoch != 1 || fed[0]+fed[1] != 4 {
-		t.Fatalf("the fixture came back at epoch %d with fed %v, want epoch 1 and four events", epoch, fed)
+	if epoch != 1 || fed[0]+fed[1] != inside {
+		t.Fatalf("the fixture came back at epoch %d with fed %v, want epoch 1 and %d events", epoch, fed, inside)
 	}
 	evs := exampleEvents(t)
 	feedRemaining(t, cl, 1, evs, fed)
@@ -438,14 +473,25 @@ func recoverFixture(t *testing.T, file, formula string) {
 }
 
 // TestRecoverySkipsRefusedLog: a log whose records are whole but wrong — of a
-// kind this build does not know, a run that does not decode, under another
-// session's header — skips its session exactly as a corrupt base does: counted,
-// its files left for whoever investigates, the session beside it recovered.
+// kind this build does not know or no longer replays, a run that does not
+// decode, under another session's header — skips its session exactly as a
+// corrupt base does: counted, its files left for whoever investigates, the
+// session beside it recovered.
 func TestRecoverySkipsRefusedLog(t *testing.T) {
 	ts, evs := pipelineTrace(t, 40)
 	for name, edit := range map[string]func(t *testing.T, im *crashImage) []byte{
 		"a record of an unknown kind": func(t *testing.T, im *crashImage) []byte {
 			return dist.AppendInputLogRecord(im.log[:im.bounds[len(im.bounds)-1]:im.bounds[len(im.bounds)-1]], 9, []byte("?"))
+		},
+		"an event the server stamped itself": func(t *testing.T, im *crashImage) []byte {
+			// Kind 2, the record of the retired Emit: what the previous build
+			// wrote, and this one cannot replay without the stamper it rebuilt.
+			rec, err := dist.AppendEventRecord(nil, evs[len(evs)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := im.bounds[len(im.bounds)-1]
+			return dist.AppendInputLogRecord(im.log[:end:end], 2, rec)
 		},
 		"a run one byte short of its last event": func(t *testing.T, im *crashImage) []byte {
 			_, recs, _, _ := dist.ReadInputLog(im.log)

@@ -5,9 +5,12 @@
 // The wire protocol is the length-prefixed binary RPC defined in
 // internal/dist (rpc.go), framed exactly like ".dmtb" trace records. A
 // tenant registers an LTL property (compiled through a shared automaton
-// cache), ingests pre-stamped event records or live-stamps events through
-// the server's vector clocks, subscribes to incremental verdicts, and
-// closes the session to collect the terminal verdict set.
+// cache), ingests event records its processes stamped with their own vector
+// clocks (dist.Stamper keeps them for a live execution), subscribes to
+// incremental verdicts, and closes the session to collect the terminal
+// verdict set. A session belongs to the tenant that registered it: a
+// connection serves one tenant, and every verb that names a session is
+// refused on another tenant's connection.
 //
 // Internally the session table is a map behind a lock, off the per-event
 // path (connections cache the sessions they resolve), and a per-tenant token
@@ -350,8 +353,9 @@ type srvConn struct {
 	bw   *bufio.Writer
 	gone atomic.Bool
 
-	// tenant is set by the first Register on the connection and pins the
-	// admission-control identity.
+	// tenant is set by the first Register on the connection, or by the
+	// first session it names (resolve), and pins both the admission-control
+	// identity and the sessions the connection may use.
 	tenant string
 	// local caches session pointers so the registry round trip happens
 	// once per session, not once per frame.
@@ -467,22 +471,6 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 			sc.writeErr(m.SID, err)
 			return true
 		}
-	case dist.RPCEmit:
-		sess := sc.resolve(m.SID)
-		if sess == nil {
-			return true
-		}
-		sc.throttle(sess.tenant, 1)
-		id, err := sess.emit(&sc.fs, m.EmitKind, m.Proc, m.Peer, m.MsgID, m.State)
-		if err != nil {
-			sc.writeErr(m.SID, err)
-			return true
-		}
-		sc.srv.mx.eventsTotal.Add(1)
-		if !sc.srv.settle(sess) {
-			return false
-		}
-		sc.write(&dist.RPCMsg{Kind: dist.RPCEmitted, SID: m.SID, MsgID: id})
 	case dist.RPCSubscribe:
 		sess := sc.resolve(m.SID)
 		if sess == nil {
@@ -518,14 +506,6 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 	case dist.RPCAttach:
 		sess := sc.resolve(m.SID)
 		if sess == nil {
-			return true
-		}
-		// Attach pins (or checks) the connection's tenant just as Register
-		// does: a session is never adopted across tenants.
-		if sc.tenant == "" {
-			sc.tenant = sess.tenant
-		} else if sc.tenant != sess.tenant {
-			sc.writeErr(m.SID, fmt.Errorf("server: connection belongs to tenant %q, not %q", sc.tenant, sess.tenant))
 			return true
 		}
 		if !sc.srv.settle(sess) {
@@ -587,7 +567,11 @@ func (sc *srvConn) ingest(sess *session, run []*dist.Event, ends []int, raw []by
 }
 
 // resolve maps a session id to its session, answering with an Error frame
-// when it is unknown.
+// when it is unknown or another tenant's. The first session a connection
+// names pins the connection's tenant, just as Register does, so every verb
+// after it is checked: a session is never fed, watched, ended, closed or
+// adopted across tenants. local caches only sessions that passed, so the
+// check runs once per connection and session, not once per frame.
 func (sc *srvConn) resolve(sid uint64) *session {
 	if sess, ok := sc.local[sid]; ok {
 		return sess
@@ -595,6 +579,12 @@ func (sc *srvConn) resolve(sid uint64) *session {
 	sess := sc.srv.reg.Get(sid)
 	if sess == nil {
 		sc.writeErr(sid, fmt.Errorf("server: no session %d", sid))
+		return nil
+	}
+	if sc.tenant == "" {
+		sc.tenant = sess.tenant
+	} else if sc.tenant != sess.tenant {
+		sc.writeErr(sid, fmt.Errorf("server: connection belongs to tenant %q, not %q", sc.tenant, sess.tenant))
 		return nil
 	}
 	sc.local[sid] = sess

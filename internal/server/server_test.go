@@ -17,6 +17,7 @@ import (
 	"decentmon/internal/core"
 	"decentmon/internal/dist"
 	"decentmon/internal/ltl"
+	"decentmon/internal/vclock"
 )
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -164,10 +165,12 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServerEmitLive drives the running example through server-side
-// stamping: the client never sees a vector clock, only event kinds and
-// message ids, yet the verdict set matches the pre-stamped replay.
-func TestServerEmitLive(t *testing.T) {
+// TestServerLiveStamped drives the running example as a live execution: the
+// tenant's processes stamp their own events with a dist.Stamper, passing the
+// send's token to the receive as the application's messages would, and ingest
+// each one as it happens. The stamps are the recorded trace's clocks, and the
+// verdict set matches the pre-stamped replay.
+func TestServerLiveStamped(t *testing.T) {
 	s := newTestServer(t, Config{})
 	cl, err := Dial(s.Addr())
 	if err != nil {
@@ -180,31 +183,44 @@ func TestServerEmitLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// P0: send(m1); x1=5; x1=10; recv(m2)   P1: recv(m1); x2=15; x2=20; send(m2)
-	m1, err := cl.Emit(sid, dist.Send, 0, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
+	st := dist.NewStamper(2)
+	clocks := map[[2]int]vclock.VC{} // recorded clock by (process, sequence number)
+	for _, tr := range ts.Traces {
+		for _, e := range tr.Events {
+			clocks[[2]int{e.Proc, e.SN}] = e.VC
+		}
 	}
-	if _, err := cl.Emit(sid, dist.Recv, 1, 0, m1, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range []dist.LocalState{0b01, 0b11} {
-		if _, err := cl.Emit(sid, dist.Internal, 0, -1, 0, st); err != nil {
+	at := 0.0
+	ingest := func(e *dist.Event, err error) {
+		t.Helper()
+		if err != nil {
 			t.Fatal(err)
 		}
+		if want := clocks[[2]int{e.Proc, e.SN}]; !e.VC.Equal(want) {
+			t.Errorf("event %d of process %d stamped %v, recorded %v", e.SN, e.Proc, e.VC, want)
+		}
+		if err := cl.Ingest(sid, e); err != nil {
+			t.Fatal(err)
+		}
+		at++
+	}
+	send := func(from, to int, state dist.LocalState) dist.MsgToken {
+		t.Helper()
+		e, tok, err := st.Send(from, to, state, at)
+		ingest(e, err)
+		return tok
+	}
+	// P0: send(m1); x1=5; x1=10; recv(m2)   P1: recv(m1); x2=15; x2=20; send(m2)
+	m1 := send(0, 1, 0)
+	ingest(st.Recv(1, m1, 0, at))
+	for _, state := range []dist.LocalState{0b01, 0b11} {
+		ingest(st.Internal(0, state, at))
 	}
 	for range 2 {
-		if _, err := cl.Emit(sid, dist.Internal, 1, -1, 0, 0b1); err != nil {
-			t.Fatal(err)
-		}
+		ingest(st.Internal(1, 0b1, at))
 	}
-	m2, err := cl.Emit(sid, dist.Send, 1, 0, 0, 0b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Emit(sid, dist.Recv, 0, 1, m2, 0b11); err != nil {
-		t.Fatal(err)
-	}
+	m2 := send(1, 0, 0b1)
+	ingest(st.Recv(0, m2, 0b11, at))
 	codes, err := cl.CloseSession(sid)
 	if err != nil {
 		t.Fatal(err)
@@ -474,6 +490,66 @@ func TestServerRejectsProtocolMisuse(t *testing.T) {
 	}
 }
 
+// TestTenantIsolationEveryVerb: a session belongs to its tenant on every verb,
+// not only on Attach. A connection registered as "rival" that names acme's
+// session is refused, by tenant, whether it feeds it (which would be charged
+// to acme's budget), watches its verdicts, ends a process of it, closes it
+// (which would delete its durable files) or adopts it; and acme then closes
+// the session, untouched, with the verdicts of its own feed.
+func TestTenantIsolationEveryVerb(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestServer(t, Config{StateDir: dir, MetricsAddr: "off"})
+	evs := exampleEvents(t)
+	ts := dist.RunningExample()
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	sid, _, err := cl.Register("acme", dist.RunningExampleProperty, ts.InitialState(), ts.Props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(evs) / 2
+	feedRemaining(t, cl, sid, evs[:half], []int{0, 0})
+	if _, _, err := cl.Attach(sid); err != nil {
+		t.Fatal(err)
+	}
+
+	rc, _ := dialRaw(t, s.Addr(), dist.RPCVersion)
+	rc.call(&dist.RPCMsg{Kind: dist.RPCRegister, Tenant: "rival", Formula: "F (x1=10)", Init: ts.InitialState(), Props: ts.Props}, dist.RPCRegistered)
+	for _, m := range []*dist.RPCMsg{
+		{Kind: dist.RPCIngest, SID: sid, Raw: records(t, evs[half:half+1])},
+		{Kind: dist.RPCSubscribe, SID: sid},
+		{Kind: dist.RPCEnd, SID: sid, Proc: 1},
+		{Kind: dist.RPCClose, SID: sid},
+		{Kind: dist.RPCAttach, SID: sid},
+	} {
+		r := rc.call(m, dist.RPCError)
+		if r.SID != sid || !strings.Contains(r.Err, `tenant "rival", not "acme"`) {
+			t.Errorf("rival's %s of acme's session answered for session %d with %q", m.Kind, r.SID, r.Err)
+		}
+	}
+	if _, err := os.Stat(checkpointPath(dir, sid)); err != nil {
+		t.Errorf("acme's base after rival's verbs: %v", err)
+	}
+	_, fed, err := cl.Attach(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fed[0]+fed[1] != half {
+		t.Errorf("acme's session holds %d events (fed %v), acme fed %d", fed[0]+fed[1], fed, half)
+	}
+	feedRemaining(t, cl, sid, evs, fed)
+	codes, err := cl.CloseSession(sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := codeString(codes), expectedCodes(t, dist.RunningExampleProperty); got != want {
+		t.Errorf("acme's verdicts {%s}, want {%s}", got, want)
+	}
+}
+
 // TestSilentPeerDropped: a peer that connects and never completes its hello —
 // it sends nothing, or half of the frame — is closed by the server once the
 // hello deadline passes, instead of holding a goroutine and a socket for good.
@@ -651,105 +727,6 @@ func TestServerDurableRecovery(t *testing.T) {
 		if !strings.Contains(string(body), wantLine) {
 			t.Errorf("/metrics missing %q", wantLine)
 		}
-	}
-}
-
-// TestServerDurableEmitRecovery crashes a live-stamping session with a
-// message in flight: the send happened before the crash, the receive after
-// recovery. The checkpoint must carry the stamper clocks and the token
-// ledger for the resumed receive to stamp correctly.
-func TestServerDurableEmitRecovery(t *testing.T) {
-	dir := t.TempDir()
-	ts := dist.RunningExample()
-	want := expectedCodes(t, dist.RunningExampleProperty)
-	cfg := Config{StateDir: dir, CheckpointEvery: 1, MetricsAddr: "off"}
-
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { s1.Shutdown() })
-	cl, err := Dial(s1.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sid, _, err := cl.Register("acme", dist.RunningExampleProperty, ts.InitialState(), ts.Props)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// P0: send(m1); x1=5; x1=10; recv(m2)   P1: recv(m1); x2=15; x2=20; send(m2)
-	m1, err := cl.Emit(sid, dist.Send, 0, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Emit(sid, dist.Recv, 1, 0, m1, 0); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range []dist.LocalState{0b01, 0b11} {
-		if _, err := cl.Emit(sid, dist.Internal, 0, -1, 0, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for range 2 {
-		if _, err := cl.Emit(sid, dist.Internal, 1, -1, 0, 0b1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m2, err := cl.Emit(sid, dist.Send, 1, 0, 0, 0b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
-	s1.crash() // m2 is now in flight across the crash
-
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Shutdown()
-	cl2, err := Dial(s2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl2.Close()
-	epoch, fed, err := cl2.Attach(sid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 1 || fed[0] != 3 || fed[1] != 4 {
-		t.Fatalf("resume state epoch %d fed %v, want epoch 1 fed [3 4] at cadence 1", epoch, fed)
-	}
-	if _, err := cl2.Emit(sid, dist.Recv, 0, 1, m2, 0b11); err != nil {
-		t.Fatalf("receive of pre-crash send after recovery: %v", err)
-	}
-	codes, err := cl2.CloseSession(sid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := codeString(codes); got != want {
-		t.Errorf("live-stamped verdicts across a crash = {%s}, want {%s}", got, want)
-	}
-
-	// Cross-tenant adoption is refused.
-	cl3, err := Dial(s2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl3.Close()
-	sid2, _, err := cl3.Register("acme", dist.RunningExampleProperty, ts.InitialState(), ts.Props)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl4, err := Dial(s2.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl4.Close()
-	if _, _, err := cl4.Register("rival", "F (x1=10)", ts.InitialState(), ts.Props); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cl4.Attach(sid2); err == nil || !strings.Contains(err.Error(), "tenant") {
-		t.Errorf("cross-tenant attach: %v", err)
 	}
 }
 
