@@ -77,13 +77,24 @@ func (m *Monitor) handleLocalTermination(total int) {
 	m.serveWaiters()
 }
 
-// noteTotal records that process p ended after total events. At the root,
-// the total that completes the set sends every peer the vector of all of them.
+// noteTotal records that process p ended after total events. The total that
+// completes the set checks the own clocks; at the root it sends the vector.
 func (m *Monitor) noteTotal(p, total int) {
 	hs := &m.handshake
 	m.know.markDone(p, total)
 	hs.peerDone[p] = true
-	if m.index != root || !allSet(hs.peerDone) {
+	if !allSet(hs.peerDone) {
+		return
+	}
+	// Every total is known, and own clocks only grow: the last may name no
+	// event past its process's end.
+	for q, k := range m.lastOwn {
+		if k > m.know.final[q] {
+			m.fail(fmt.Errorf("core: process %d references event %d of process %d, which ended after %d", m.index, k, q, m.know.final[q]))
+			return
+		}
+	}
+	if m.index != root {
 		return
 	}
 	totals := make([]int, m.cfg.N)

@@ -50,6 +50,8 @@ func (e *kindEndpoint) SendValue(to int, v any, size int) error {
 // TestTerminationMessagesClosedForm: whatever the topology, the schedule and
 // finalization, a session sends exactly n−1 reports and n−1 totals vectors,
 // n−1 FINIs to the root and n−1 from it; an empty session sends nothing else.
+// Each row runs as the Go scheduler interleaves it and on schedSeeds
+// schedules the seeded driver picks.
 func TestTerminationMessagesClosedForm(t *testing.T) {
 	for _, n := range []int{2, 5, 16} {
 		mon := mustMonitor(t, propsAF(min(n, 3))["B"], dist.PerProcess(n, "p").Names)
@@ -58,13 +60,23 @@ func TestTerminationMessagesClosedForm(t *testing.T) {
 				N: n, InternalPerProc: 3, CommMu: 3, PlantGoal: true, Seed: int64(n), Topology: topo,
 				Suffixes: []string{"p"},
 			})
+			want := 2 * (n - 1)
 			for _, skip := range []bool{false, true} {
 				nw := &kindNetwork{Network: transport.NewChanNetwork(n)}
 				if _, err := Run(RunConfig{Traces: ts, Automaton: mon, SkipFinalize: skip, Network: nw}); err != nil {
 					t.Fatalf("n=%d %v skip=%v: %v", n, topo, skip, err)
 				}
-				if term, fini, want := nw.count(msgTerm), nw.count(msgFini), int64(2*(n-1)); term != want || fini != want {
+				if term, fini := nw.count(msgTerm), nw.count(msgFini); term != int64(want) || fini != int64(want) {
 					t.Errorf("n=%d %v skip=%v: %d term + %d fini messages, want %d + %d", n, topo, skip, term, fini, want, want)
+				}
+				for seed := int64(1); seed <= schedSeeds; seed++ {
+					d := newSchedDriver(t, ts, mon, skip, true, seed)
+					if err := d.run(); err != nil {
+						t.Fatalf("n=%d %v skip=%v seed %d: %v", n, topo, skip, seed, err)
+					}
+					if term, fini := d.nw.kinds[msgTerm], d.nw.kinds[msgFini]; term != want || fini != want {
+						t.Errorf("n=%d %v skip=%v seed %d: %d term + %d fini messages, want %d + %d", n, topo, skip, seed, term, fini, want, want)
+					}
 				}
 			}
 		}

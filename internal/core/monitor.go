@@ -143,6 +143,9 @@ type Monitor struct {
 	// global state, cut from the session's slabs.
 	initCut   vclock.VC
 	initState dist.GlobalState
+	// lastOwn is the last own event's clock, which the next one must dominate
+	// (noteTotal checks the last). Not in the snapshot record.
+	lastOwn vclock.VC
 
 	metrics Metrics
 
@@ -418,10 +421,15 @@ func (m *Monitor) fail(err error) {
 
 func (m *Monitor) handleLocalEvent(e *dist.Event) {
 	m.floors.inputSeq++
+	if m.lastOwn != nil && !m.lastOwn.LessEq(e.VC) {
+		m.fail(fmt.Errorf("core: event %d of process %d has clock %v, which does not dominate its predecessor's %v", e.SN, e.Proc, e.VC, m.lastOwn))
+		return
+	}
 	if err := m.know.append(e); err != nil {
 		m.fail(err)
 		return
 	}
+	m.lastOwn = e.VC
 	m.metrics.EventsProcessed++
 	m.serveWaiters()
 	// Fig 5.7 metric: local events not yet absorbed by global views.

@@ -21,8 +21,8 @@ type RunConfig struct {
 	Automaton *automaton.Monitor
 	// SkipFinalize disables extending surviving views to the final cut.
 	SkipFinalize bool
-	// Network supplies the transport; if nil an in-memory network without
-	// latency is created.
+	// Network supplies the transport; if nil an in-memory network is
+	// created.
 	Network transport.Network
 	// Pace > 0 replays events in real time scaled by this factor (e.g.
 	// Pace = 0.001 plays one simulated second per millisecond); 0 replays

@@ -419,6 +419,69 @@ func TestSessionMisuse(t *testing.T) {
 	}
 }
 
+// TestSessionRefusesClocksOfMissingEvents: an execution whose clocks do not
+// describe it gets an error from Close, never a verdict. Feed checks an
+// event's shape only; what is wrong here shows against the rest of the
+// execution. Process 0's receive names event 5 of process 1, which ends after
+// one event, and is refused once the totals are known, whatever ϕ reads; an
+// own event whose clock does not dominate its predecessor's is refused as it
+// arrives.
+func TestSessionRefusesClocksOfMissingEvents(t *testing.T) {
+	pm := dist.PerProcess(2, "p")
+	forged := []*dist.Event{
+		{Proc: 0, SN: 1, Type: dist.Recv, Peer: 1, MsgID: 1, State: 1, VC: vclock.VC{1, 5}},
+		{Proc: 1, SN: 1, Type: dist.Internal, Peer: -1, State: 1, VC: vclock.VC{0, 1}},
+	}
+	regressing := []*dist.Event{
+		{Proc: 0, SN: 1, Type: dist.Internal, Peer: -1, State: 1, VC: vclock.VC{1, 1}},
+		{Proc: 0, SN: 2, Type: dist.Internal, Peer: -1, VC: vclock.VC{2, 0}},
+		{Proc: 1, SN: 1, Type: dist.Internal, Peer: -1, State: 1, VC: vclock.VC{0, 1}},
+	}
+	for _, tc := range []struct {
+		formula string
+		evs     []*dist.Event
+		want    string
+	}{
+		{"G (P0.p -> F P1.p)", forged, "process 0 references event 5 of process 1, which ended after 1"},
+		{"(P0.p U P1.p)", forged, "process 0 references event 5 of process 1, which ended after 1"},
+		{"F (P0.p && P1.p)", forged, "process 0 references event 5 of process 1, which ended after 1"},
+		{"F (P0.p && P1.p)", regressing, "event 2 of process 0 has clock <2,0>, which does not dominate its predecessor's <1,1>"},
+	} {
+		s, err := NewSession(context.Background(), SessionConfig{
+			N: 2, Automaton: mustMonitor(t, tc.formula, pm.Names), Props: pm, Init: make(dist.GlobalState, 2),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tc.evs {
+			if err := s.Feed(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := s.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			var got string
+			if res != nil {
+				got = setString(res.Verdicts)
+			}
+			t.Errorf("%s: Close returned {%s}, %v; want an error saying %q", tc.formula, got, err, tc.want)
+		}
+		// And on every schedule the driver picks.
+		ts := &dist.TraceSet{Props: pm, Traces: []*dist.Trace{{Proc: 0}, {Proc: 1}}}
+		for _, e := range tc.evs {
+			ts.Traces[e.Proc].Events = append(ts.Traces[e.Proc].Events, e)
+		}
+		for _, values := range []bool{true, false} {
+			for seed := int64(1); seed <= schedSeeds; seed++ {
+				d := newSchedDriver(t, ts, s.cfg.Automaton, false, values, seed)
+				if err := d.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s, values %v, seed %d: the driver's run returned %v; want an error saying %q", tc.formula, values, seed, err, tc.want)
+				}
+			}
+		}
+	}
+}
+
 // feedAll feeds a whole execution through Session.Feed as fast as the feed
 // queues take it and returns the largest KnowledgePeak over the monitors.
 func feedAll(t *testing.T, ts *dist.TraceSet) int {

@@ -117,7 +117,7 @@ func EventRecordSize(e *Event) int {
 
 // DecodeEventInto reads one event record off c into e, for a space of len(vc)
 // processes, with vc as the clock's storage: DecodeEventRecord passes fresh
-// storage, a Slab a slice of its own. An unknown kind or a process outside the
+// storage, a slab a slice of its own. An unknown kind or a process outside the
 // space fails c like any truncation. The event is not validated against any
 // stream order (the caller's validator does that).
 func DecodeEventInto(c *wire.Cursor, e *Event, vc []int) {
@@ -141,7 +141,7 @@ func DecodeEventInto(c *wire.Cursor, e *Event, vc []int) {
 
 // DecodeEventRecord parses one event record standing alone in buf, for an
 // n-process space, into an event that owns its vector clock: two allocations
-// for one event. Every decoder in the tree reads through a Slab instead; this
+// for one event. Every decoder in the tree reads through a slab instead; this
 // one stays for the benchmark harness, which prices an Ingest record with it.
 func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 	c := wire.NewCursor(buf)
@@ -181,22 +181,22 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 // stream execution merge drops not one fetched event.)
 const EventSlab = 32
 
-// Slab is where decoded events live: the one slab-filling helper behind
+// slab is where decoded events live: the one slab-filling helper behind
 // DecodeEvents, DecodeEventRun (which dlmond's input-log replay uses too) and
 // the ".dmtb" reader. The zero value is ready; a decoder keeps one for as long as it
-// decodes records of one space, and a Slab is not safe for concurrent use.
-type Slab struct {
+// decodes records of one space, and a slab is not safe for concurrent use.
+type slab struct {
 	events []Event
 	clocks []int
 }
 
-// Decode reads one event record of an n-process space off c into the slab
+// decode reads one event record of an n-process space off c into the slab
 // and returns it, or nil with c failed on a malformed record. want is how many
 // records the caller can still expect from its source, this one included: a
 // fresh slab holds min(EventSlab, want) events, so a decoder that knows how
 // much is left (a count, the bytes remaining) does not allocate for events
 // that cannot come. An event storage slot a failed record used is not reused.
-func (s *Slab) Decode(c *wire.Cursor, n, want int) *Event {
+func (s *slab) decode(c *wire.Cursor, n, want int) *Event {
 	if len(s.events) == 0 {
 		k := min(EventSlab, max(1, want))
 		s.events, s.clocks = make([]Event, k), make([]int, k*n)
@@ -210,7 +210,7 @@ func (s *Slab) Decode(c *wire.Cursor, n, want int) *Event {
 	return e
 }
 
-// DecodeEvents reads event records of an n-process space off c into one Slab
+// DecodeEvents reads event records of an n-process space off c into one slab
 // and appends them to dst — count of them, or, when count is negative, a run
 // that ends where c's bytes do (at least one record), appending to ends c's
 // offset after each record. Each slab is sized by what is left to read: the
@@ -224,13 +224,13 @@ func DecodeEvents(c *wire.Cursor, dst []*Event, ends []int, count, n int) ([]*Ev
 	if count > cap(dst)-len(dst) {
 		dst = append(make([]*Event, 0, len(dst)+count), dst...)
 	}
-	var slab Slab
+	var sl slab
 	for i := 0; i != count; i++ {
 		want := count - i
 		if count < 0 {
 			want = c.Len() / (MinEventRecord + n)
 		}
-		e := slab.Decode(c, n, want)
+		e := sl.decode(c, n, want)
 		if e == nil {
 			break
 		}
@@ -299,7 +299,7 @@ type BinaryReader struct {
 	br      *bufio.Reader
 	val     *streamValidator
 	scratch []byte
-	slab    Slab  // the events Next returns live here (EventSlab's argument)
+	slab    slab  // the events Next returns live here (EventSlab's argument)
 	rec     int64 // records decoded, for error positions (header = 0)
 	err     error
 }
@@ -439,7 +439,7 @@ func (r *BinaryReader) next() (*Event, error) {
 	// short trace read from memory is all buffered), and at least this one.
 	n := len(r.init)
 	c := wire.NewCursor(buf)
-	e := r.slab.Decode(&c, n, 1+r.br.Buffered()/(MinEventRecord+n))
+	e := r.slab.decode(&c, n, 1+r.br.Buffered()/(MinEventRecord+n))
 	if err := c.Done("event record"); err != nil {
 		return nil, err
 	}

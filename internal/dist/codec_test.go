@@ -339,7 +339,7 @@ func TestBinaryRejectsNaNTimestamp(t *testing.T) {
 
 // TestAllocsBinaryReader gates the ".dmtb" reader the way TestDecodeEventRun
 // gates DecodeEventRun: past the header, what reading a stream allocates is
-// an []Event and a clock array per EventSlab records (a Slab), and nothing per
+// an []Event and a clock array per EventSlab records (a slab), and nothing per
 // record. The trace has internal events only, so the stream validator's
 // message ledger stays empty and the count is the decoder's alone.
 func TestAllocsBinaryReader(t *testing.T) {

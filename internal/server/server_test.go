@@ -165,6 +165,35 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestIngestOfMissingEventFailsClose: Ingest checks each record's shape only,
+// so a receive whose clock names an event its sender never had is taken; the
+// session then fails, and CloseSession returns the error instead of a verdict.
+func TestIngestOfMissingEventFailsClose(t *testing.T) {
+	s := newTestServer(t, Config{})
+	cl, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	pm := dist.PerProcess(2, "p")
+	sid, _, err := cl.Register("acme", "F (P0.p && P1.p)", make(dist.GlobalState, 2), pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*dist.Event{
+		{Proc: 0, SN: 1, Type: dist.Recv, Peer: 1, MsgID: 1, State: 1, VC: vclock.VC{1, 5}},
+		{Proc: 1, SN: 1, Type: dist.Internal, Peer: -1, State: 1, VC: vclock.VC{0, 1}},
+	} {
+		if err := cl.Ingest(sid, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	codes, err := cl.CloseSession(sid)
+	if err == nil || !strings.Contains(err.Error(), "references event 5 of process 1, which ended after 1") {
+		t.Errorf("CloseSession returned {%s}, %v; want the missing event named", codeString(codes), err)
+	}
+}
+
 // TestServerLiveStamped drives the running example as a live execution: the
 // tenant's processes stamp their own events with a dist.Stamper, passing the
 // send's token to the receive as the application's messages would, and ingest

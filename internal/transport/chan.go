@@ -2,33 +2,15 @@ package transport
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 )
-
-// ChanOption configures a ChanNetwork.
-type ChanOption func(*chanConfig)
-
-type chanConfig struct {
-	latencyMu, latencySigma time.Duration
-	seed                    int64
-}
-
-// WithLatency injects a normally distributed delivery delay on every
-// ordered pair, preserving per-pair FIFO order. A zero mu disables delays.
-func WithLatency(mu, sigma time.Duration, seed int64) ChanOption {
-	return func(c *chanConfig) {
-		c.latencyMu, c.latencySigma, c.seed = mu, sigma, seed
-	}
-}
 
 // ChanNetwork is the in-memory Network: the default of every Session, and so
 // of dlmond, the benchmarks and the experiment harness. Its endpoints are
 // ValueSenders.
 //
-// Delivery is direct. Without latency the network owns no goroutine: a Send
-// puts its message into the destination's inbox itself (chanEndpoint.put), one
+// Delivery is direct, and the network owns no goroutine: a Send puts its
+// message into the destination's inbox itself (chanEndpoint.put), one
 // enqueue and at most one wake-up — the reader's. Only when the inbox is full
 // does the message go to the destination's overflow, and a relay goroutine,
 // started for the occasion, moves the overflow across and exits; Send never
@@ -43,23 +25,15 @@ func WithLatency(mu, sigma time.Duration, seed int64) ChanOption {
 // while cross-pair interleaving stays arbitrary — the weakest ordering the
 // paper's algorithm must tolerate.
 //
-// With latency, every ordered *pair* keeps its own queue and drainer (n·(n−1)
-// of them): delays are drawn per pair from a deterministic seed, and sleeping
-// in a shared drainer would head-of-line-block the other senders. A drainer
-// delivers through the same put once it has slept, so there is one way into an
-// inbox.
-//
 // Close: every endpoint is marked closed under its mutex (from then on put
 // refuses, which is how Send learns the network is gone), stop releases a
 // relay blocked on an inbox nobody reads, and the inboxes are closed once
-// relays and drainers have returned — nothing sends on a closed channel.
+// relays have returned — nothing sends on a closed channel.
 type ChanNetwork struct {
-	n   int
-	eps []chanEndpoint
-	// queues holds the per-pair topology; nil without latency.
-	queues    map[[2]int]*unboundedQueue
+	n         int
+	eps       []chanEndpoint
 	stats     Stats
-	wg        sync.WaitGroup // relays and latency drainers
+	wg        sync.WaitGroup // relays
 	closeOnce sync.Once
 	// stop is closed by Close so a relay blocked on the full inbox of an
 	// already-departed monitor (e.g. after a session's context was cancelled)
@@ -88,54 +62,15 @@ type chanEndpoint struct {
 // endpoint.
 const inboxSlots = 32
 
-// NewChanNetwork creates an in-memory network of n endpoints. Without latency
-// it starts no goroutine.
-func NewChanNetwork(n int, opts ...ChanOption) *ChanNetwork {
-	cfg := chanConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
+// NewChanNetwork creates an in-memory network of n endpoints. It starts no
+// goroutine.
+func NewChanNetwork(n int) *ChanNetwork {
 	nw := &ChanNetwork{n: n, eps: make([]chanEndpoint, n), stop: make(chan struct{})}
 	for i := range nw.eps {
 		ep := &nw.eps[i]
 		ep.id, ep.net, ep.inbox = i, nw, make(chan Message, inboxSlots)
 	}
-	if cfg.latencyMu <= 0 {
-		return nw
-	}
-	nw.queues = map[[2]int]*unboundedQueue{}
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if from == to {
-				continue
-			}
-			q := newUnboundedQueue()
-			nw.queues[[2]int{from, to}] = q
-			nw.wg.Add(1)
-			go nw.drain(q, &nw.eps[to], cfg, int64(from*n+to))
-		}
-	}
 	return nw
-}
-
-// drain forwards one pair's queue to the destination, each message after the
-// configured latency.
-func (nw *ChanNetwork) drain(q *unboundedQueue, to *chanEndpoint, cfg chanConfig, salt int64) {
-	defer nw.wg.Done()
-	rng := rand.New(rand.NewSource(cfg.seed ^ salt))
-	for {
-		m, ok := q.pop()
-		if !ok {
-			return
-		}
-		d := time.Duration(rng.NormFloat64()*float64(cfg.latencySigma)) + cfg.latencyMu
-		if d > 0 {
-			time.Sleep(d)
-		}
-		if !to.put(m) {
-			return
-		}
-	}
 }
 
 // put is the one way into an inbox: it delivers m to e, or reports that the
@@ -208,9 +143,6 @@ func (nw *ChanNetwork) Close() error {
 			ep.closed = true
 			ep.mu.Unlock()
 		}
-		for _, q := range nw.queues {
-			q.close()
-		}
 		close(nw.stop)
 		nw.wg.Wait()
 		for i := range nw.eps {
@@ -235,7 +167,7 @@ func (e *chanEndpoint) SendValue(to int, v any, size int) error {
 }
 
 // enqueue is the one send path: validate the destination, hand the message to
-// it (or, with latency, to the pair's drainer), account size bytes.
+// it, account size bytes.
 func (e *chanEndpoint) enqueue(msg Message, size int) error {
 	to := msg.To
 	if to < 0 || to >= e.net.n {
@@ -244,13 +176,7 @@ func (e *chanEndpoint) enqueue(msg Message, size int) error {
 	if to == e.id {
 		return fmt.Errorf("transport: endpoint %d sending to itself", to)
 	}
-	var accepted bool
-	if e.net.queues == nil {
-		accepted = e.net.eps[to].put(msg)
-	} else {
-		accepted = e.net.queues[[2]int{e.id, to}].push(msg)
-	}
-	if !accepted {
+	if !e.net.eps[to].put(msg) {
 		return errClosed
 	}
 	e.net.stats.record(size)

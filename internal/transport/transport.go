@@ -3,11 +3,13 @@
 // channel model the paper assumes (§2.1), and the stand-in for the WiFi
 // network connecting the paper's iOS devices.
 //
-// Two implementations are provided: an in-memory network with optional
-// normally-distributed latency (deterministic per-pair FIFO; what every
-// Session, dlmond and the benchmarks run on), and a TCP loopback network
-// built on the net package (used by the tcp example to run monitors over real
-// sockets). Every endpoint carries byte payloads; the in-memory endpoints,
+// Two implementations are provided: an in-memory network with direct
+// delivery (per-pair FIFO; what every Session, dlmond and the benchmarks run
+// on), and a TCP loopback network built on the net package (used by the tcp
+// example to run monitors over real sockets). Neither injects delay: the
+// schedules the paper's unbounded delay allows are chosen by seed in the
+// monitor package's tests, which deliver every message through a network of
+// their own. Every endpoint carries byte payloads; the in-memory endpoints,
 // whose two ends share an address space, can also deliver a value as it is
 // (ValueSender), which spares the monitors an encode and a decode per message
 // without changing what Stats reports.
@@ -15,7 +17,6 @@ package transport
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -90,69 +91,3 @@ func (s *Stats) Bytes() int64 { return s.bytes.Load() }
 
 // errClosed is returned by Send after Close.
 var errClosed = fmt.Errorf("transport: network closed")
-
-// unboundedQueue is a FIFO of messages with non-blocking enqueue and a
-// blocking pop: what a ChanNetwork's latency drainers read from, one per
-// ordered pair. Popped slots are cleared and the
-// backing array is reused — from the start whenever the queue runs empty,
-// which with a reader that keeps up is after nearly every message, and by
-// sliding the backlog down when it does not — so steady state allocates
-// nothing.
-type unboundedQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []Message
-	head   int // items[:head] have been popped
-	closed bool
-}
-
-func newUnboundedQueue() *unboundedQueue {
-	q := &unboundedQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *unboundedQueue) push(m Message) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	if len(q.items) == cap(q.items) && q.head >= len(q.items)/2 && q.head > 0 {
-		// A reader that lags without ever draining the queue: slide the live
-		// half down instead of growing around a dead prefix (at most one copy
-		// per head pops, so enqueue stays amortized O(1)).
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
-	}
-	q.items = append(q.items, m)
-	q.cond.Signal()
-	return true
-}
-
-// pop blocks until an item is available or the queue is closed and drained.
-func (q *unboundedQueue) pop() (Message, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.head == len(q.items) && !q.closed {
-		q.cond.Wait()
-	}
-	if q.head == len(q.items) {
-		return Message{}, false
-	}
-	m := q.items[q.head]
-	q.items[q.head] = Message{} // the queue no longer keeps the payload alive
-	q.head++
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
-	return m, true
-}
-
-func (q *unboundedQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
