@@ -69,12 +69,15 @@ func (r *RunResult) VerdictList() []automaton.Verdict {
 	return out
 }
 
-// feedChunk is the unpaced replay's window: the most events one FeedRun
-// hands over. Kept modest: a monitor's feed queue holds up to feedQueue
-// windows, so the knowledge peak grows with the window (on
-// TestKnowledgePeakBoundedUnpaced's workload a 32-event window reads peaks of
-// 2,400–3,900, past the test's ceiling of 2,998, against 1,300–1,900 at 16).
-const feedChunk = 16
+// FeedWindow is the most events a feeder hands over in one FeedRun: the
+// unpaced replay here and dlmond's Ingest and input-log replay all read this
+// many before they feed. A FeedRun costs one hand-off and one monitor wake-up
+// per process the window has events of, so a wide window pays them for many
+// events at once. Backpressure is counted in events: a monitor's feed queue
+// holds feedQueue items, so a FeedRun feeder runs at most
+// feedQueue × FeedWindow = 512 events of a process ahead of its monitor
+// (PERFORMANCE.md, "Wide hand-offs").
+const FeedWindow = 128
 
 // Run replays the trace set through n monitors connected by the network and
 // returns the union verdict set plus overhead metrics. It is the
@@ -91,7 +94,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 // RunStreamContext is Run over an event stream, with cancellation: events
 // arrive in global timestamp order from a single source (e.g. a
 // dist.TraceReader over a ".jsonl" file) and are dispatched to the owning
-// processes' monitors a window of at most feedChunk at a time
+// processes' monitors a window of at most FeedWindow events at a time
 // (Session.FeedRun; one event at a time when paced), so the trace never needs
 // to be materialized. cfg.Traces is ignored.
 func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) (*RunResult, error) {
@@ -109,11 +112,17 @@ func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) 
 	if err != nil {
 		return nil, err
 	}
-	// Read a window, feed it (FeedRun): the hand-offs and the monitors'
-	// wake-ups are paid per window and process, not per event. A paced replay
-	// keeps a window of one: an event is due when its timestamp says.
-	size := feedChunk
-	if cfg.Pace > 0 {
+	return finish(s, feedStream(s, src, cfg.Pace))
+}
+
+// feedStream reads src to its end into s, a window at a time, and returns
+// the first read or feed error (nil at io.EOF); it ends no process. Each
+// window is one FeedRun: the hand-offs and the monitors' wake-ups are paid
+// per window and process, not per event. A paced replay keeps a window of
+// one: an event is due when its timestamp says.
+func feedStream(s *Session, src dist.EventSource, paceFactor float64) error {
+	size := FeedWindow
+	if paceFactor > 0 {
 		size = 1
 	}
 	window := make([]*dist.Event, 0, size)
@@ -125,14 +134,14 @@ func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) 
 		for len(window) < cap(window) {
 			e, err := src.Next()
 			if err != nil {
-				// Stop reading but still feed what was read and terminate
-				// every monitor with the contiguous prefix it has: the run
-				// winds down cleanly and a read error is reported after the
-				// monitors drain.
+				// Stop reading but still feed what was read: the caller
+				// terminates every monitor with the contiguous prefix it
+				// has, so the run winds down cleanly and a read error is
+				// reported after the monitors drain.
 				readErr = err
 				break
 			}
-			pace(cfg.Pace, e.Time, &prev)
+			pace(paceFactor, e.Time, &prev)
 			window = append(window, e)
 		}
 		if err := s.FeedRun(&fs, window); err != nil {
@@ -140,9 +149,9 @@ func RunStreamContext(ctx context.Context, src dist.EventSource, cfg RunConfig) 
 		}
 	}
 	if readErr == io.EOF {
-		readErr = nil
+		return nil
 	}
-	return finish(s, readErr)
+	return readErr
 }
 
 // finish closes the session (ending any process the feeder did not reach)

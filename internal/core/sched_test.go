@@ -46,7 +46,7 @@ type schedNet struct {
 	values bool
 	fifo   [][][]transport.Message
 	kinds  [msgFloor + 1]int // messages sent, by kind
-	stats  transport.Stats   // never written: the driver counts kinds instead
+	stats  transport.Stats   // every message sent, as a transport counts it
 }
 
 func newSchedNet(n int, values bool) *schedNet {
@@ -77,10 +77,11 @@ func (e schedEndpoint) ID() int                         { return e.id }
 func (e schedEndpoint) Inbox() <-chan transport.Message { return nil }
 
 func (e schedEndpoint) Send(to int, payload []byte) error {
-	return e.push(transport.Message{From: e.id, To: to, Payload: payload})
+	return e.push(transport.Message{From: e.id, To: to, Payload: payload}, len(payload))
 }
 
-func (e schedEndpoint) push(m transport.Message) error {
+// push appends m, of size bytes, to its pair's FIFO and counts it.
+func (e schedEndpoint) push(m transport.Message, size int) error {
 	if m.To < 0 || m.To >= e.nw.n || m.To == e.id {
 		return fmt.Errorf("schedNet: endpoint %d cannot send to %d", e.id, m.To)
 	}
@@ -92,14 +93,15 @@ func (e schedEndpoint) push(m transport.Message) error {
 		}
 	}
 	e.nw.kinds[msg.Kind]++ // before the hand-over: a token is no longer ours after it
+	e.nw.stats.Record(size)
 	e.nw.fifo[e.id][m.To] = append(e.nw.fifo[e.id][m.To], m)
 	return nil
 }
 
 type valueEndpoint struct{ schedEndpoint }
 
-func (e valueEndpoint) SendValue(to int, v any, _ int) error {
-	return e.push(transport.Message{From: e.id, To: to, Value: v})
+func (e valueEndpoint) SendValue(to int, v any, size int) error {
+	return e.push(transport.Message{From: e.id, To: to, Value: v}, size)
 }
 
 // schedDriver owns a built, never launched session and the script of its
@@ -258,8 +260,9 @@ func (d *schedDriver) drain() error {
 }
 
 // scheduled runs one schedule of the cell named name to its end and returns
-// the result and the verdict events in the order they were detected.
-func scheduled(t *testing.T, name string, ts *dist.TraceSet, mon *automaton.Monitor, values bool, seed int64) (*RunResult, []VerdictEvent) {
+// the result, the verdict events in the order they were detected and the
+// messages the driver carried, counted by kind.
+func scheduled(t *testing.T, name string, ts *dist.TraceSet, mon *automaton.Monitor, values bool, seed int64) (*RunResult, []VerdictEvent, int) {
 	t.Helper()
 	d := newSchedDriver(t, ts, mon, false, values, seed)
 	if err := d.run(); err != nil {
@@ -269,7 +272,11 @@ func scheduled(t *testing.T, name string, ts *dist.TraceSet, mon *automaton.Moni
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, d.s.emitted
+	sent := 0
+	for _, k := range d.nw.kinds {
+		sent += k
+	}
+	return res, d.s.emitted, sent
 }
 
 // schedSeeds is K, the schedules every cell is driven on.
@@ -322,14 +329,17 @@ func TestSeededSchedules(t *testing.T) {
 		}
 		for _, values := range []bool{true, false} {
 			for seed := int64(1); seed <= schedSeeds; seed++ {
-				res, events := scheduled(t, c.name, c.ts, c.mon, values, seed)
+				res, events, sent := scheduled(t, c.name, c.ts, c.mon, values, seed)
 				if got := setString(res.Verdicts); got != setString(want.VerdictSet()) {
 					t.Errorf("%s, values %v, seed %d: verdicts %s, oracle %s", c.name, values, seed, got, setString(want.VerdictSet()))
+				}
+				if res.NetMessages != int64(sent) {
+					t.Errorf("%s, values %v, seed %d: NetMessages %d, the driver carried %d", c.name, values, seed, res.NetMessages, sent)
 				}
 				if seed > 1 {
 					continue
 				}
-				again, eventsAgain := scheduled(t, c.name, c.ts, c.mon, values, seed)
+				again, eventsAgain, _ := scheduled(t, c.name, c.ts, c.mon, values, seed)
 				if !reflect.DeepEqual(res.Metrics, again.Metrics) {
 					t.Errorf("%s, values %v, seed %d: metrics differ on a repeated seed:\n%+v\n%+v", c.name, values, seed, res.Metrics, again.Metrics)
 				}

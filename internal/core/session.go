@@ -17,9 +17,13 @@ import (
 // feedQueue is the capacity of each monitor's feed queue, and the session's
 // whole backpressure: a Feed for a process whose monitor has feedQueue items
 // still unread blocks until the monitor takes one (or the session is
-// cancelled), so a feeder can run at most feedQueue windows ahead of it. The
-// queue is also how cancellation reaches its monitor: stopMonitors closes it.
-const feedQueue = 16
+// cancelled). An item is one event from Feed, or a process's share of one
+// window from FeedRun, so backpressure in events depends on the feeder: one
+// that calls Feed runs at most feedQueue events of a process ahead of its
+// monitor, and one that calls FeedRun at most feedQueue × FeedWindow = 512.
+// The queue is also how cancellation reaches its monitor: stopMonitors
+// closes it.
+const feedQueue = 4
 
 // SessionConfig parameterizes an online monitoring session.
 type SessionConfig struct {
@@ -402,8 +406,9 @@ func (s *Session) feed(p, k int, it feedItem) error {
 }
 
 // Feed delivers one pre-stamped event to its process's monitor, blocking
-// while that monitor's feed queue is full (feedQueue) and returning promptly
-// with the context's error if the session is cancelled. Events of one process
+// while that monitor's feed queue is full (feedQueue items; as many events
+// when they all came from Feed) and returning promptly with the context's
+// error if the session is cancelled. Events of one process
 // must arrive in sequence-number order. The event is shared from here on, by
 // pointer, with every monitor that learns of it (messages.go): the session
 // never writes it and the caller must not either.
@@ -423,9 +428,14 @@ type FeedScratch struct {
 // FeedRun delivers a window of events of any processes, in the order a single
 // source produced them: every event is checked first, so a refused window
 // feeds nothing, and then each process's events go to its monitor as one batch
-// — one hand-off per process the window has events of. A process's events keep their order; events of different processes may
-// reach their monitors in another order than the window's, as they may from
-// two feeders running side by side, which is all the Feed contract orders.
+// — one hand-off per process the window has events of, each a single item of
+// that monitor's feed queue however many events it holds, and each blocking
+// as Feed does while the queue is full. Feeders keep a window to FeedWindow
+// events, which bounds what a full queue holds to feedQueue × FeedWindow
+// events. A process's events keep their order; events of different processes
+// may reach their monitors in another order than the window's, as they may
+// from two feeders running side by side, which is all the Feed contract
+// orders.
 // The session takes ownership of the events, not of run. After a failure part
 // of the window may have been fed. A window of one process is its own group
 // and leaves fs untouched.

@@ -536,14 +536,25 @@ func TestSessionBackpressureBounded(t *testing.T) {
 // gets exactly feedQueue calls in for a process; the next one blocks until the
 // session is cancelled and then returns the context's error. Feed hands over
 // one event a call, and FeedRun a window with one event of each of two
-// processes, so both queues fill together.
+// processes, so both queues fill together: that is the slack of a per-event
+// feeder. A FeedRun of FeedWindow events of one process is one item too, so
+// a windowed feeder is held at feedQueue × FeedWindow events.
 func TestSessionFeedQueueBlocks(t *testing.T) {
-	ts := dist.Generate(gcWorkload(2 * feedQueue))
+	ts := dist.Generate(gcWorkload((feedQueue + 1) * FeedWindow))
 	p0, p1 := ts.Traces[0].Events, ts.Traces[1].Events
-	for name, feed := range map[string]func(s *Session, fs *FeedScratch, i int) error{
-		"Feed":    func(s *Session, _ *FeedScratch, i int) error { return s.Feed(p0[i]) },
-		"FeedRun": func(s *Session, fs *FeedScratch, i int) error { return s.FeedRun(fs, []*dist.Event{p0[i], p1[i]}) },
+	for name, c := range map[string]struct {
+		perCall int // events of process 0 a call feeds
+		feed    func(s *Session, fs *FeedScratch, i int) error
+	}{
+		"Feed": {1, func(s *Session, _ *FeedScratch, i int) error { return s.Feed(p0[i]) }},
+		"FeedRun": {1, func(s *Session, fs *FeedScratch, i int) error {
+			return s.FeedRun(fs, []*dist.Event{p0[i], p1[i]})
+		}},
+		"FeedWindow": {FeedWindow, func(s *Session, fs *FeedScratch, i int) error {
+			return s.FeedRun(fs, p0[i*FeedWindow:(i+1)*FeedWindow])
+		}},
 	} {
+		feed := c.feed
 		t.Run(name, func(t *testing.T) {
 			s := builtSession(t, SessionConfig{
 				N: ts.N(), Automaton: mustMonitor(t, gcProperty, ts.Props.Names),
@@ -586,8 +597,8 @@ func TestSessionFeedQueueBlocks(t *testing.T) {
 			}
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			if s.fed[0] != feedQueue {
-				t.Errorf("process 0 counts %d events fed, want %d", s.fed[0], feedQueue)
+			if want := feedQueue * c.perCall; s.fed[0] != want {
+				t.Errorf("process 0 counts %d events fed, want %d", s.fed[0], want)
 			}
 		})
 	}

@@ -146,9 +146,9 @@ func (p *poisonedSource) Next() (*dist.Event, error) {
 // events read, whatever k — while an unpaced one reads a whole window ahead of
 // what it has fed.
 func TestRunStreamPacedFeedsEventByEvent(t *testing.T) {
-	ts := dist.Generate(dist.GenConfig{N: 3, InternalPerProc: 8, CommMu: 3, CommSigma: 1, Seed: 4})
+	ts := dist.Generate(dist.GenConfig{N: 3, InternalPerProc: 20, CommMu: 3, CommSigma: 1, Seed: 4})
 	mon := mustMonitor(t, propsAF(3)["B"], ts.Props.Names)
-	if ts.TotalEvents() <= feedChunk {
+	if ts.TotalEvents() <= FeedWindow {
 		t.Fatalf("the trace has %d events, need more than a window", ts.TotalEvents())
 	}
 	readBeforeRefusal := func(pace float64, bad int) int {
@@ -163,7 +163,42 @@ func TestRunStreamPacedFeedsEventByEvent(t *testing.T) {
 			t.Errorf("paced: malformed event %d refused after %d events were read", bad, got)
 		}
 	}
-	if got := readBeforeRefusal(0, 1); got != feedChunk {
-		t.Errorf("unpaced: malformed event 1 refused after %d events were read, want a window of %d", got, feedChunk)
+	if got := readBeforeRefusal(0, 1); got != FeedWindow {
+		t.Errorf("unpaced: malformed event 1 refused after %d events were read, want a window of %d", got, FeedWindow)
 	}
+}
+
+// TestFeedRunHandoffs pins what the unpaced replay (feedStream, the loop
+// behind RunStreamContext) hands over: one feed item per process a window of
+// FeedWindow events touches, plus one End mark per process, so an n = 8 ring
+// trace of E events costs at most ⌈E / FeedWindow⌉ × 8 + 8 items. A replay
+// that went back to handing events over one at a time would count about E.
+func TestFeedRunHandoffs(t *testing.T) {
+	cfg := gcWorkload(200)
+	cfg.N = 8
+	ts := dist.Generate(cfg)
+	n, total := ts.N(), ts.TotalEvents()
+	s, err := NewSession(context.Background(), SessionConfig{
+		N: n, Automaton: mustMonitor(t, gcProperty, ts.Props.Names),
+		Props: ts.Props, Init: ts.InitialState(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := finish(s, feedStream(s, ts.Stream(), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	processed := 0
+	for _, m := range res.Metrics {
+		processed += m.EventsProcessed
+	}
+	if processed != total {
+		t.Fatalf("monitors processed %d events, trace has %d", processed, total)
+	}
+	items, limit := s.feedItems.Load(), int64((total+FeedWindow-1)/FeedWindow*n+n)
+	if items > limit {
+		t.Errorf("%d events reached the monitors in %d feed items, want at most %d (windows of %d)", total, items, limit, FeedWindow)
+	}
+	t.Logf("%d events, %d feed items (at most %d)", total, items, limit)
 }

@@ -167,9 +167,10 @@ func DecodeEventRecord(buf []byte, n int) (*Event, error) {
 // would have alone. A run that mixes processes — an Ingest run, live or
 // replayed from an input log, or a ".dmtb" stream — lives until
 // the slowest of its processes has collected its share; every monitor keeps
-// only its collection window, and its feed queue keeps a feeder a few windows
-// ahead of it at most, so that is a constant number of slabs per process, not
-// a share of the trace. The cap
+// only its collection window, and its feed queue keeps a feeder at most 512
+// events of its process ahead of it (4 queued windows of core.FeedWindow =
+// 128 events), so that is a bounded number of slabs per process, not a share
+// of the trace. The cap
 // is what bounds the waste: a decoded segment overlaps what the store already
 // holds (a returning token re-carries events its parent has learnt meanwhile,
 // and on multi-view properties merge drops most of what a token brings back),

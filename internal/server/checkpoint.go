@@ -88,6 +88,7 @@ import (
 	"sort"
 	"time"
 
+	"decentmon/internal/core"
 	"decentmon/internal/dist"
 	"decentmon/internal/wire"
 )
@@ -595,8 +596,8 @@ func (s *session) replay(fs *feedScratch, rec dist.InputLogRecord) error {
 	case dist.LogRun:
 		run, ends, err := dist.DecodeEventRun(fs.run[:0], fs.ends[:0], rec.Payload, s.n)
 		if err == nil {
-			for lo := 0; lo < len(run) && err == nil; lo += feedWindow {
-				err = s.ingest(fs, run[lo:min(lo+feedWindow, len(run))], nil)
+			for lo := 0; lo < len(run) && err == nil; lo += core.FeedWindow {
+				err = s.ingest(fs, run[lo:min(lo+core.FeedWindow, len(run))], nil)
 			}
 		}
 		clear(run)

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"decentmon/internal/core"
 	"decentmon/internal/dist"
 )
 
@@ -168,7 +169,7 @@ func TestCheckpointCountAtCadence(t *testing.T) {
 			t.Errorf("the disk holds %d events at the acknowledgement, want %d", got, want)
 		}
 	}
-	for _, k := range []int{1, 5, feedWindow + 3, len(evs)} {
+	for _, k := range []int{1, 5, core.FeedWindow + 3, len(evs)} {
 		t.Run(strconv.Itoa(k)+" to a frame", func(t *testing.T) {
 			dir := t.TempDir()
 			s := newTestServer(t, Config{StateDir: dir, CheckpointEvery: cadence, MetricsAddr: "off"})

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"decentmon/internal/core"
 	"decentmon/internal/dist"
 	"decentmon/internal/wire"
 )
@@ -129,7 +130,7 @@ func TestIngestRunEqualsSingles(t *testing.T) {
 		evs := linearize(t, tc.ts)
 		var ref string
 		var refFed []int
-		for _, k := range []int{1, 3, feedWindow + 5, len(evs)} {
+		for _, k := range []int{1, 3, core.FeedWindow + 5, len(evs)} {
 			sid := rc.call(&dist.RPCMsg{Kind: dist.RPCRegister, Tenant: "acme", Formula: tc.formula,
 				Init: tc.ts.InitialState(), Props: tc.ts.Props}, dist.RPCRegistered).SID
 			before := s.mx.eventsTotal.Load()

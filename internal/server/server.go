@@ -242,19 +242,12 @@ func (s *Server) recoverSession(file string) error {
 	return nil
 }
 
-// feedWindow is the most events of a decoded run that reach a session in one
-// pass (one core FeedRun: a hand-off per process among them). A frame may carry
-// many more, but a wider window buys no throughput and costs resident memory,
-// since each monitor's feed queue holds 16 of them — PERFORMANCE.md ("Batched
-// ingest") has the table that picked one slab.
-const feedWindow = dist.EventSlab
-
 // untilCheckpoint is how many more events the session takes before its
 // cadence is due. A feed window ends there at the latest, so each sync of the
 // input log holds exactly the fed counts it would with one event to a frame.
 func (s *Server) untilCheckpoint(sess *session) int {
 	if sess.log == nil {
-		return feedWindow
+		return core.FeedWindow
 	}
 	return max(1, s.cfg.CheckpointEvery-int(sess.sinceSync.Load()))
 }
@@ -547,14 +540,16 @@ func (sc *srvConn) dispatch(m *dist.RPCMsg) bool {
 	return true
 }
 
-// ingest hands a decoded run to its session in windows of at most feedWindow
-// events, each cut short where the session's cadence falls due, together with
+// ingest hands a decoded run to its session in windows of at most
+// core.FeedWindow events, one core FeedRun each (it blocks while a monitor's
+// feed queue is full: backpressure to the connection, counted in events),
+// each cut short where the session's cadence falls due, together with
 // the window's own bytes of the frame: raw is the run as it arrived and
 // ends[i] the offset at which its record i ends.
 func (sc *srvConn) ingest(sess *session, run []*dist.Event, ends []int, raw []byte) error {
 	lo := 0 // where the next window's bytes begin
 	for len(run) > 0 {
-		w := min(len(run), feedWindow, sc.srv.untilCheckpoint(sess))
+		w := min(len(run), core.FeedWindow, sc.srv.untilCheckpoint(sess))
 		hi := ends[w-1]
 		sess.lastIngest.Store(time.Now().UnixNano())
 		if err := sess.ingest(&sc.fs, run[:w], raw[lo:hi]); err != nil {

@@ -179,6 +179,6 @@ func (e *chanEndpoint) enqueue(msg Message, size int) error {
 	if !e.net.eps[to].put(msg) {
 		return errClosed
 	}
-	e.net.stats.record(size)
+	e.net.stats.Record(size)
 	return nil
 }

@@ -225,6 +225,6 @@ func (e *tcpEndpoint) Send(to int, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("transport: send %d->%d: %w", e.id, to, err)
 	}
-	e.net.stats.record(len(payload))
+	e.net.stats.Record(len(payload))
 	return nil
 }

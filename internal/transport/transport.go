@@ -76,8 +76,9 @@ type Stats struct {
 	bytes    atomic.Int64
 }
 
-// record counts one message of size bytes.
-func (s *Stats) record(size int) {
+// Record counts one message of size bytes. Every Network counts each message
+// it carries here, once, so that Stats reads the same for every transport.
+func (s *Stats) Record(size int) {
 	s.messages.Add(1)
 	s.bytes.Add(int64(size))
 }
