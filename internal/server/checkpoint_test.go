@@ -144,10 +144,10 @@ func TestCheckpointCloseVsInstall(t *testing.T) {
 // counters follow the files. The cadence counts events, not frames: a feed
 // window ends where a sync falls due, so the count and what the disk holds at
 // each are the same whether a frame carries one event, a few (5: every other
-// frame straddles a boundary), more than a feed window or the whole session —
-// or whatever a Client's writer happened to put in it. It is also the first
-// line of the durability contract: at an acknowledged verb the disk is less
-// than one cadence behind the engine.
+// frame straddles a boundary), several cadences, more than a feed window or
+// the whole session — or whatever a Client's writer happened to put in it. It
+// is also the first line of the durability contract: at an acknowledged verb
+// the disk is less than one cadence behind the engine.
 func TestCheckpointCountAtCadence(t *testing.T) {
 	const cadence = 7
 	ts, evs := pipelineTrace(t, 240)
@@ -169,7 +169,7 @@ func TestCheckpointCountAtCadence(t *testing.T) {
 			t.Errorf("the disk holds %d events at the acknowledgement, want %d", got, want)
 		}
 	}
-	for _, k := range []int{1, 5, core.FeedWindow + 3, len(evs)} {
+	for _, k := range []int{1, 5, 5 * cadence, core.FeedWindow + 3, len(evs)} {
 		t.Run(strconv.Itoa(k)+" to a frame", func(t *testing.T) {
 			dir := t.TempDir()
 			s := newTestServer(t, Config{StateDir: dir, CheckpointEvery: cadence, MetricsAddr: "off"})
